@@ -375,7 +375,7 @@ impl Scenario {
             aqm: self.aqm.name(),
             monitor: sim.core.monitor.clone(),
             counters: sim.core.counters.clone(),
-            rate_bps: sim.core.queue.rate_bps(),
+            rate_bps: sim.core.hop_qdisc(0).rate_bps(),
             impair: sim.core.impairments().map(|i| i.stats()),
             metrics,
             background,

@@ -1,6 +1,7 @@
 //! Runtime invariant auditor: an always-compilable observer that checks
-//! the simulator's global bookkeeping on every trace event and AQM probe,
-//! and panics with a **replayable seed** the moment an invariant breaks.
+//! the simulator's global bookkeeping on every trace event and AQM probe
+//! of every hop, and panics with a **replayable seed** (and the hop) the
+//! moment an invariant breaks.
 //!
 //! The auditor is wired into [`crate::sim::SimCore`] as a debug-default
 //! observer (see `PI2_AUDIT` in [`crate::sim::Sim::with_qdisc`]): debug
@@ -9,31 +10,32 @@
 //! pure observer — it never touches the RNG, the queue, or the event heap
 //! — so an audited run is bit-identical to an unaudited one.
 //!
-//! Invariants checked, mirroring the paper's accounting assumptions:
+//! Invariants checked, mirroring the paper's accounting assumptions. The
+//! clock is one for the whole run; the queue books are kept hop by hop:
 //!
 //! * **monotone virtual clock** — event and probe timestamps never go
-//!   backwards;
+//!   backwards, whichever hops they come from;
 //! * **probability bounds** — every per-packet decision probability and
 //!   every probed `p'`, `p`, scalable `p` is finite and in `[0, 1]`;
 //! * **squaring law** — on PI2 paths (opt-in via
-//!   [`AuditSink::expect_squared`]) each probe satisfies
-//!   `p = min(p'², cap)`, the paper's Section 3 coupling;
-//! * **non-negative queue depth** — admissions minus departures never go
-//!   below zero, globally and per flow;
-//! * **conservation** — at end of run, `enqueued − dequeued` equals the
-//!   packets still queued ([`AuditSink::check_conservation`], called by
-//!   `Sim::run_until`).
+//!   [`AuditSink::expect_squared`]) each probe of the primary bottleneck
+//!   satisfies `p = min(p'², cap)`, the paper's Section 3 coupling;
+//! * **non-negative queue depth** — a hop's admissions minus departures
+//!   never go below zero, in total and per flow;
+//! * **conservation** — at end of run, each hop's `enqueued − dequeued`
+//!   equals the packets still queued there
+//!   ([`AuditSink::check_conservation`], called by `Sim::run_until`).
 
 //! ## Flight recorder
 //!
 //! Alongside the seed, every auditor keeps a fixed-capacity ring buffer
-//! of the most recent trace events (the **flight recorder**,
+//! of the most recent trace events of all hops (the **flight recorder**,
 //! [`pi2_obs::RingBuffer`]). When a violation fires, the retained window
 //! — the last [`DEFAULT_FLIGHT_CAPACITY`] events leading up to the
-//! failure — is dumped as JSONL to `PI2_FLIGHT_OUT` (or a seed-stamped
-//! file in the system temp directory) and the dump path is embedded in
-//! the panic message, so a broken invariant leaves both a replay recipe
-//! and the immediate evidence.
+//! failure, each line carrying its `"hop"` — is dumped as JSONL to
+//! `PI2_FLIGHT_OUT` (or a seed-stamped file in the system temp directory)
+//! and the dump path is embedded in the panic message, so a broken
+//! invariant leaves both a replay recipe and the immediate evidence.
 
 use crate::aqm::AqmState;
 use crate::impair::ImpairStats;
@@ -57,25 +59,33 @@ pub struct AuditSink {
     seed: u64,
     /// Short context string for violation messages (e.g. the AQM name).
     label: String,
-    /// When set, every AQM probe must satisfy `prob = min(p_prime², cap)`
-    /// with `cap` the configured classic-probability ceiling.
+    /// When set, every AQM probe of hop 0 must satisfy
+    /// `prob = min(p_prime², cap)` with `cap` the configured
+    /// classic-probability ceiling.
     squared_cap: Option<f64>,
-    /// Packets already in the qdisc when the auditor attached; only an
-    /// attach-at-time-zero auditor (baseline 0) can check per-flow
+    /// Per-hop books, indexed by hop id and grown on first sight of a hop.
+    hops: Vec<HopBooks>,
+    last_event_t: Time,
+    last_probe_t: Time,
+    events_seen: u64,
+    probes_seen: u64,
+    /// The most recent `(hop, event)` pairs, dumped on violation (see the
+    /// module docs).
+    flight: RingBuffer<(u32, TraceEvent)>,
+}
+
+/// What the auditor tracks about one hop's queue.
+#[derive(Debug, Default)]
+struct HopBooks {
+    /// Packets already in the hop's qdisc when the auditor attached; only
+    /// an attach-at-time-zero auditor (baseline 0) can check per-flow
     /// dequeue ≤ enqueue strictly.
     baseline_pkts: u64,
     /// Independent event accounting (separate instance from the
     /// simulator's own always-on counters).
     counts: TraceCounts,
-    /// Running queue depth implied by the event stream.
+    /// Running queue depth implied by the hop's event stream.
     qlen_pkts: i64,
-    last_event_t: Time,
-    last_probe_t: Time,
-    events_seen: u64,
-    probes_seen: u64,
-    /// The most recent trace events, dumped on violation (see the module
-    /// docs).
-    flight: RingBuffer<TraceEvent>,
 }
 
 impl AuditSink {
@@ -85,9 +95,7 @@ impl AuditSink {
             seed,
             label: String::new(),
             squared_cap: None,
-            baseline_pkts: 0,
-            counts: TraceCounts::new(),
-            qlen_pkts: 0,
+            hops: Vec::new(),
             last_event_t: Time::ZERO,
             last_probe_t: Time::ZERO,
             events_seen: 0,
@@ -105,8 +113,8 @@ impl AuditSink {
         self
     }
 
-    /// The flight recorder's retained events, oldest first.
-    pub fn flight_events(&self) -> Vec<TraceEvent> {
+    /// The flight recorder's retained `(hop, event)` pairs, oldest first.
+    pub fn flight_events(&self) -> Vec<(u32, TraceEvent)> {
         self.flight.iter().copied().collect()
     }
 
@@ -117,40 +125,49 @@ impl AuditSink {
     }
 
     /// Require the PI2 squaring law `prob = min(p_prime², cap)` on every
-    /// probe. Use the AQM's configured `max_classic_prob` as `cap`
-    /// (0.25 for the paper's defaults).
+    /// probe of the primary bottleneck (hop 0). Use the AQM's configured
+    /// `max_classic_prob` as `cap` (0.25 for the paper's defaults).
     pub fn expect_squared(mut self, cap: f64) -> Self {
         self.squared_cap = Some(cap);
         self
     }
 
-    /// Tell the auditor how many packets were already queued when it
-    /// attached (a mid-run attach); those departures are not violations.
-    pub fn set_baseline_pkts(&mut self, pkts: usize) {
-        self.baseline_pkts = pkts as u64;
-        self.qlen_pkts = pkts as i64;
+    /// Restart `hop`'s books from `pkts` packets already queued there (a
+    /// mid-run attach or a checkpoint restore); those departures are not
+    /// violations.
+    pub fn set_baseline_pkts(&mut self, hop: u32, pkts: usize) {
+        *self.books(hop) = HopBooks {
+            baseline_pkts: pkts as u64,
+            counts: TraceCounts::new(),
+            qlen_pkts: pkts as i64,
+        };
     }
 
-    /// Events observed so far (for "the auditor actually ran" assertions).
+    fn books(&mut self, hop: u32) -> &mut HopBooks {
+        let idx = hop as usize;
+        if idx >= self.hops.len() {
+            self.hops.resize_with(idx + 1, HopBooks::default);
+        }
+        &mut self.hops[idx]
+    }
+
+    /// Events observed so far, over all hops (for "the auditor actually
+    /// ran" assertions).
     pub fn events_seen(&self) -> u64 {
         self.events_seen
     }
 
-    /// AQM probes observed so far.
+    /// AQM probes observed so far, over all hops.
     pub fn probes_seen(&self) -> u64 {
         self.probes_seen
     }
 
-    /// The auditor's independent per-flow accounting.
-    pub fn counts(&self) -> &TraceCounts {
-        &self.counts
-    }
-
     /// Write the flight-recorder window as JSONL (one trace event per
-    /// line, oldest first, closed by a `"ev":"violation"` context record)
-    /// to `PI2_FLIGHT_OUT` or a seed-stamped temp file. Returns the path,
-    /// or `None` when there is nothing retained or the write failed (a
-    /// failed dump must never mask the violation itself).
+    /// line with its `"hop"` appended, oldest first, closed by a
+    /// `"ev":"violation"` context record) to `PI2_FLIGHT_OUT` or a
+    /// seed-stamped temp file. Returns the path, or `None` when there is
+    /// nothing retained or the write failed (a failed dump must never
+    /// mask the violation itself).
     fn dump_flight(&self, t: Time) -> Option<std::path::PathBuf> {
         if self.flight.is_empty() {
             return None;
@@ -160,9 +177,9 @@ impl AuditSink {
             None => std::env::temp_dir().join(format!("pi2_flight_seed{}.jsonl", self.seed)),
         };
         let mut body = String::new();
-        for ev in self.flight.iter() {
-            body.push_str(&ev.jsonl());
-            body.push('\n');
+        for (hop, ev) in self.flight.iter() {
+            let line = ev.jsonl();
+            body.push_str(&format!("{},\"hop\":{hop}}}\n", &line[..line.len() - 1]));
         }
         body.push_str(&format!(
             "{{\"ev\":\"violation\",\"t_ns\":{},\"seed\":{},\"events_seen\":{},\
@@ -196,34 +213,44 @@ impl AuditSink {
         );
     }
 
-    fn check_prob(&self, t: Time, name: &str, p: f64) {
+    /// A violation of one hop's invariants: names the hop.
+    fn hop_violation(&self, hop: u32, t: Time, what: &str) -> ! {
+        self.violation(t, &format!("hop {hop}: {what}"))
+    }
+
+    fn check_prob(&self, hop: u32, t: Time, name: &str, p: f64) {
         if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-            self.violation(t, &format!("{name} = {p} outside [0, 1]"));
+            self.hop_violation(hop, t, &format!("{name} = {p} outside [0, 1]"));
         }
     }
 
-    /// End-of-run conservation: every admitted packet was either dequeued
-    /// or is still sitting in the qdisc. `Sim::run_until` calls this with
-    /// the qdisc's current occupancy after the event loop drains.
-    pub fn check_conservation(&self, qlen_pkts: usize, now: Time) {
-        let t = self.counts.totals();
-        let expected = self.baseline_pkts + t.enqueued - t.dequeued;
+    /// End-of-run conservation at `hop`: every packet admitted there was
+    /// either dequeued or is still sitting in the hop's qdisc.
+    /// `Sim::run_until` calls this for every hop with the qdisc's current
+    /// occupancy after the event loop drains.
+    pub fn check_conservation(&self, hop: u32, qlen_pkts: usize, now: Time) {
+        let fresh = HopBooks::default();
+        let books = self.hops.get(hop as usize).unwrap_or(&fresh);
+        let t = books.counts.totals();
+        let expected = books.baseline_pkts + t.enqueued - t.dequeued;
         if expected != qlen_pkts as u64 {
-            self.violation(
+            self.hop_violation(
+                hop,
                 now,
                 &format!(
                     "conservation broken: {} enqueued − {} dequeued (+{} baseline) \
                      implies {} packets queued, but the qdisc holds {}",
-                    t.enqueued, t.dequeued, self.baseline_pkts, expected, qlen_pkts
+                    t.enqueued, t.dequeued, books.baseline_pkts, expected, qlen_pkts
                 ),
             );
         }
         // Strict per-flow accounting is only sound when nothing predates
         // the auditor.
-        if self.baseline_pkts == 0 {
-            for (i, f) in self.counts.flows().iter().enumerate() {
+        if books.baseline_pkts == 0 {
+            for (i, f) in books.counts.flows().iter().enumerate() {
                 if f.dequeued > f.enqueued {
-                    self.violation(
+                    self.hop_violation(
+                        hop,
                         now,
                         &format!(
                             "flow {i}: {} dequeued but only {} enqueued",
@@ -235,43 +262,11 @@ impl AuditSink {
         }
     }
 
-    /// Per-hop conservation for the extra hops of a multi-hop topology:
-    /// the core's independently counted admissions minus departures must
-    /// equal the hop qdisc's current occupancy. Called by
-    /// `SimCore::finish_audit` for every hop past the primary bottleneck
-    /// (hop 0 is covered by the trace-stream check above).
-    pub fn check_hop_conservation(
-        &self,
-        hop: u32,
-        enqueued: u64,
-        dequeued: u64,
-        qlen_pkts: usize,
-        now: Time,
-    ) {
-        if dequeued > enqueued {
-            self.violation(
-                now,
-                &format!("hop {hop}: {dequeued} dequeued but only {enqueued} admissions"),
-            );
-        }
-        if enqueued - dequeued != qlen_pkts as u64 {
-            self.violation(
-                now,
-                &format!(
-                    "hop {hop} conservation broken: {enqueued} enqueued − {dequeued} dequeued \
-                     implies {} packets queued, but the hop qdisc holds {qlen_pkts}",
-                    enqueued - dequeued
-                ),
-            );
-        }
-    }
-
     /// The internal-balance half of [`AuditSink::check_impairments`]:
     /// each direction of the impairment layer must satisfy
     /// `lost + passed = offered`. Used on its own for multi-hop runs,
-    /// where the dequeue cross-check against the primary bottleneck's
-    /// trace stream no longer applies (final-leg departures happen at
-    /// each route's last hop).
+    /// where the dequeue cross-check against hop 0's stream no longer
+    /// applies (final-leg departures happen at each route's last hop).
     pub fn check_impairments_balance(&self, stats: &ImpairStats, now: Time) {
         if stats.fwd_lost + stats.fwd_passed() != stats.fwd_offered {
             self.violation(
@@ -306,8 +301,11 @@ impl AuditSink {
     /// run, so it is skipped for mid-run attaches (non-zero baseline).
     pub fn check_impairments(&self, stats: &ImpairStats, now: Time) {
         self.check_impairments_balance(stats, now);
-        let dequeued = self.counts.totals().dequeued;
-        if self.baseline_pkts == 0 && stats.fwd_offered != dequeued {
+        let Some(books) = self.hops.first() else {
+            return;
+        };
+        let dequeued = books.counts.totals().dequeued;
+        if books.baseline_pkts == 0 && stats.fwd_offered != dequeued {
             self.violation(
                 now,
                 &format!(
@@ -322,12 +320,21 @@ impl AuditSink {
 
 impl TraceSink for AuditSink {
     fn on_event(&mut self, ev: &TraceEvent) {
+        self.on_hop_event(0, ev);
+    }
+
+    fn on_aqm_state(&mut self, t: Time, st: &AqmState) {
+        self.on_hop_aqm_state(0, t, st);
+    }
+
+    fn on_hop_event(&mut self, hop: u32, ev: &TraceEvent) {
         // Record before checking so a violating event is itself the last
         // line of the flight-recorder dump.
-        self.flight.push(*ev);
+        self.flight.push((hop, *ev));
         let t = ev.time();
         if t < self.last_event_t {
-            self.violation(
+            self.hop_violation(
+                hop,
                 t,
                 &format!("virtual clock went backwards (previous event at {})", self.last_event_t),
             );
@@ -336,78 +343,93 @@ impl TraceSink for AuditSink {
         self.events_seen += 1;
         match ev {
             TraceEvent::Enqueue { .. } => {
-                self.qlen_pkts += 1;
+                self.books(hop).qlen_pkts += 1;
             }
             TraceEvent::Mark { prob, .. } => {
                 // The matching admission arrives as a separate Enqueue
                 // event (the Mark ⇒ Enqueue contract); only the
                 // probability is checked here.
-                self.check_prob(t, "mark probability", *prob);
+                self.check_prob(hop, t, "mark probability", *prob);
             }
             TraceEvent::Drop { prob, .. } => {
-                self.check_prob(t, "drop probability", *prob);
+                self.check_prob(hop, t, "drop probability", *prob);
             }
             TraceEvent::Dequeue { flow, sojourn, .. } => {
                 if *sojourn < Duration::ZERO {
-                    self.violation(t, &format!("negative sojourn {sojourn} on flow {}", flow.idx()));
+                    self.hop_violation(
+                        hop,
+                        t,
+                        &format!("negative sojourn {sojourn} on flow {}", flow.idx()),
+                    );
                 }
-                self.qlen_pkts -= 1;
-                if self.qlen_pkts < 0 {
-                    self.violation(t, "queue depth went negative (dequeue with nothing queued)");
+                let books = self.books(hop);
+                books.qlen_pkts -= 1;
+                let qlen = books.qlen_pkts;
+                let strict = books.baseline_pkts == 0;
+                let f = books.counts.flow(*flow);
+                if qlen < 0 {
+                    self.hop_violation(
+                        hop,
+                        t,
+                        "queue depth went negative (dequeue with nothing queued)",
+                    );
                 }
-                if self.baseline_pkts == 0 {
-                    let f = self.counts.flow(*flow);
-                    // This event is counted below, so compare with ≥.
-                    if f.dequeued >= f.enqueued {
-                        self.violation(
-                            t,
-                            &format!(
-                                "flow {}: dequeue #{} but only {} admissions",
-                                flow.idx(),
-                                f.dequeued + 1,
-                                f.enqueued
-                            ),
-                        );
-                    }
+                // This event is counted below, so compare with ≥.
+                if strict && f.dequeued >= f.enqueued {
+                    self.hop_violation(
+                        hop,
+                        t,
+                        &format!(
+                            "flow {}: dequeue #{} but only {} admissions",
+                            flow.idx(),
+                            f.dequeued + 1,
+                            f.enqueued
+                        ),
+                    );
                 }
             }
         }
-        self.counts.count(ev);
+        self.books(hop).counts.count(ev);
     }
 
-    fn on_aqm_state(&mut self, t: Time, st: &AqmState) {
+    fn on_hop_aqm_state(&mut self, hop: u32, t: Time, st: &AqmState) {
         if t < self.last_probe_t {
-            self.violation(
+            self.hop_violation(
+                hop,
                 t,
                 &format!("AQM probe clock went backwards (previous probe at {})", self.last_probe_t),
             );
         }
         self.last_probe_t = t;
         self.probes_seen += 1;
-        self.check_prob(t, "p_prime", st.p_prime);
-        self.check_prob(t, "prob", st.prob);
-        self.check_prob(t, "scalable_prob", st.scalable_prob);
+        self.check_prob(hop, t, "p_prime", st.p_prime);
+        self.check_prob(hop, t, "prob", st.prob);
+        self.check_prob(hop, t, "scalable_prob", st.scalable_prob);
         for (name, v) in [("alpha_term", st.alpha_term), ("beta_term", st.beta_term)] {
             if !v.is_finite() {
-                self.violation(t, &format!("{name} = {v} is not finite"));
+                self.hop_violation(hop, t, &format!("{name} = {v} is not finite"));
             }
         }
         if !st.est_rate_bytes_per_sec.is_finite() || st.est_rate_bytes_per_sec < 0.0 {
-            self.violation(
+            self.hop_violation(
+                hop,
                 t,
                 &format!("estimated departure rate {} is negative", st.est_rate_bytes_per_sec),
             );
         }
         if st.qdelay < Duration::ZERO {
-            self.violation(t, &format!("negative probed queue delay {}", st.qdelay));
+            self.hop_violation(hop, t, &format!("negative probed queue delay {}", st.qdelay));
         }
         if st.burst_allowance < Duration::ZERO {
-            self.violation(t, &format!("negative burst allowance {}", st.burst_allowance));
+            self.hop_violation(hop, t, &format!("negative burst allowance {}", st.burst_allowance));
         }
-        if let Some(cap) = self.squared_cap {
+        // The squaring expectation describes the primary bottleneck's
+        // AQM; other hops may run any family.
+        if let (0, Some(cap)) = (hop, self.squared_cap) {
             let want = (st.p_prime * st.p_prime).min(cap);
             if (st.prob - want).abs() > EPS {
-                self.violation(
+                self.hop_violation(
+                    hop,
                     t,
                     &format!(
                         "squaring law broken: prob = {} but min(p_prime², cap) = \
@@ -462,7 +484,7 @@ mod tests {
         a.on_event(&enq(1, 0, 0));
         a.on_event(&enq(2, 1, 0));
         a.on_event(&deq(3, 0, 0));
-        a.check_conservation(1, Time::from_millis(3));
+        a.check_conservation(0, 1, Time::from_millis(3));
         assert_eq!(a.events_seen(), 3);
     }
 
@@ -540,7 +562,7 @@ mod tests {
         a.on_event(&enq(1, 0, 1));
         let msg = panic_message(catch_unwind(AssertUnwindSafe(|| {
             // Claim the queue is empty while two packets are unaccounted.
-            a.check_conservation(0, Time::from_millis(2));
+            a.check_conservation(0, 0, Time::from_millis(2));
         })));
         assert!(msg.contains("conservation broken"), "{msg}");
         assert!(msg.contains("seed: 11"), "{msg}");
@@ -549,7 +571,7 @@ mod tests {
     #[test]
     fn negative_queue_depth_is_a_violation() {
         let mut a = AuditSink::new(3);
-        a.set_baseline_pkts(0);
+        a.set_baseline_pkts(0, 0);
         let msg = panic_message(catch_unwind(AssertUnwindSafe(|| {
             a.on_event(&deq(1, 0, 0));
         })));
@@ -572,7 +594,7 @@ mod tests {
         let seqs: Vec<u64> = kept
             .iter()
             .map(|e| match e {
-                TraceEvent::Enqueue { seq, .. } => *seq,
+                (0, TraceEvent::Enqueue { seq, .. }) => *seq,
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
@@ -599,6 +621,7 @@ mod tests {
         // Two enqueues + the violating dequeue + the context record.
         assert_eq!(lines.len(), 4, "{dump}");
         assert!(lines[0].contains("\"ev\":\"enq\""));
+        assert!(lines[0].ends_with(",\"hop\":0}"), "{dump}");
         assert!(lines[2].contains("\"ev\":\"deq\""), "violating event is last");
         assert!(lines[3].contains("\"ev\":\"violation\""));
         assert!(lines[3].contains(&format!("\"seed\":{seed}")));
@@ -606,11 +629,32 @@ mod tests {
     }
 
     #[test]
+    fn each_hop_keeps_its_own_books() {
+        let mut a = AuditSink::new(9);
+        a.set_baseline_pkts(1, 1); // one packet predates the auditor at hop 1
+        a.on_hop_event(1, &enq(1, 0, 0));
+        a.on_hop_event(1, &deq(2, 0, 7));
+        a.on_hop_event(1, &deq(3, 0, 0));
+        a.check_conservation(1, 0, Time::from_millis(3));
+        a.check_conservation(2, 0, Time::from_millis(3)); // a hop never seen is empty
+        assert_eq!(a.events_seen(), 3);
+        // Hop 1's admissions do not cover a departure at hop 2.
+        let msg = panic_message(catch_unwind(AssertUnwindSafe(|| {
+            a.on_hop_event(2, &deq(4, 0, 0));
+        })));
+        assert!(msg.contains("hop 2: "), "{msg}");
+        // Re-baselining restarts a hop's books: the counts seen so far no
+        // longer enter its conservation sum.
+        a.set_baseline_pkts(1, 4);
+        a.check_conservation(1, 4, Time::from_millis(4));
+    }
+
+    #[test]
     fn mid_run_attach_uses_its_baseline() {
         let mut a = AuditSink::new(5);
-        a.set_baseline_pkts(2); // two packets predate the auditor
+        a.set_baseline_pkts(0, 2); // two packets predate the auditor
         a.on_event(&deq(1, 0, 0));
         a.on_event(&deq(2, 0, 1));
-        a.check_conservation(0, Time::from_millis(3));
+        a.check_conservation(0, 0, Time::from_millis(3));
     }
 }

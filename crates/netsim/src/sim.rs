@@ -1,10 +1,11 @@
 //! The event-driven dumbbell simulator.
 //!
-//! [`SimCore`] owns the clock, the bottleneck queue+link, per-flow path
-//! delays, the RNG and the measurement [`Monitor`]. [`Sim`] adds the
-//! traffic sources (trait objects implementing [`Source`]) and runs the
-//! dispatch loop. The split into two structs is what lets a source receive
-//! `&mut SimCore` while the source collection itself is mutably borrowed.
+//! [`SimCore`] owns the clock, the hop vector (each hop a queue+link; hop 0
+//! is the primary bottleneck), per-flow path delays, the RNG and the
+//! measurement [`Monitor`]. [`Sim`] adds the traffic sources (trait
+//! objects implementing [`Source`]) and runs the dispatch loop. The split
+//! into two structs is what lets a source receive `&mut SimCore` while the
+//! source collection itself is mutably borrowed.
 //!
 //! ## Packet life cycle
 //!
@@ -19,20 +20,27 @@
 //!
 //! ## Multi-hop topologies
 //!
-//! [`SimCore::add_hop`] adds further store-and-forward hops (each its own
-//! qdisc+AQM+link), and [`SimCore::set_route`] steers a flow across a
-//! static hop sequence — parking-lot chains and small access/core graphs
-//! are built from exactly these two calls. A routed packet repeats the
+//! Every hop — the primary bottleneck included — is one element of the
+//! core's hop vector and runs through the same admit / transmit / dequeue
+//! / controller-update code. [`SimCore::add_hop`] adds further
+//! store-and-forward hops (each its own qdisc+AQM+link), and
+//! [`SimCore::set_route`] steers a flow across a static hop sequence —
+//! parking-lot chains and small access/core graphs are built from exactly
+//! these two calls. A routed packet repeats the
 //! `[AQM verdict] → FIFO → serialization → inter-hop propagation` cycle
 //! at every hop before the final `Deliver` leg; ACKs still travel the
 //! uncongested reverse path in one go. End-to-end flow measurement
 //! (throughput, sojourn, completion) is recorded where a packet leaves
-//! the *last* queue on its route, drop/mark verdicts are recorded at
-//! every hop, and the trace-event stream remains the primary
-//! bottleneck's (hop 0), so single-hop runs are bit-identical to what
-//! they were before hops existed.
+//! the *last* queue on its route, and drop/mark verdicts are recorded at
+//! every hop. What stays particular to hop 0 is measurement policy, not
+//! mechanism: the [`Monitor`]'s queue and control-variable series, the
+//! AQM-update counter and metrics, link-rate disturbances and the hybrid
+//! background all follow the primary bottleneck, and sinks receive hop 0
+//! through [`TraceSink::on_event`]/[`TraceSink::on_aqm_state`] and every
+//! other hop through the `on_hop_*` hooks. The invariant auditor checks
+//! every hop.
 
-use crate::aqm::{Action, Decision};
+use crate::aqm::{Action, AqmState};
 use crate::audit::AuditSink;
 use crate::background::{Background, BackgroundAggregate};
 use crate::ckpt::{read_ack, read_packet, write_ack, write_packet};
@@ -127,8 +135,9 @@ pub enum TimerKind {
 /// handler, so no handle outlives its event.
 #[derive(Debug)]
 pub enum Event {
-    /// The bottleneck link finished serializing the head packet.
-    Dequeue,
+    /// The given hop's link finished serializing its head packet (hop 0
+    /// is the primary bottleneck).
+    Dequeue(u32),
     /// A data packet reaches its receiver (handle into
     /// [`SimCore::packets`]).
     Deliver(Handle),
@@ -143,8 +152,9 @@ pub enum Event {
         /// Arming sequence number, for lazy cancellation.
         id: u64,
     },
-    /// Periodic AQM controller update (the paper's T = 32 ms).
-    AqmUpdate,
+    /// Periodic controller update of the given hop's AQM (the paper's
+    /// T = 32 ms).
+    AqmUpdate(u32),
     /// Periodic measurement sample.
     Sample,
     /// Change the bottleneck link rate (Figure 12's varying capacity).
@@ -157,22 +167,15 @@ pub enum Event {
     /// Packets and ACKs already in flight keep the delay they departed
     /// with; only subsequent departures see the new path.
     SetPath(FlowId, PathConf),
-    /// An extra hop's link (see [`SimCore::add_hop`]) finished serializing
-    /// its head packet. The primary bottleneck (hop 0) keeps using
-    /// [`Event::Dequeue`].
-    HopDequeue(u32),
-    /// A data packet arrives at an extra hop for admission (handle into
-    /// [`SimCore::packets`]).
+    /// A data packet finishes its inter-hop propagation leg and arrives
+    /// at the given hop for admission (handle into [`SimCore::packets`]).
     HopArrive(u32, Handle),
-    /// Periodic controller update for an extra hop's AQM (hop 0 keeps
-    /// using [`Event::AqmUpdate`]).
-    HopAqmUpdate(u32),
 }
 
-/// One store-and-forward hop past the primary bottleneck, created by
-/// [`SimCore::add_hop`]. Each hop owns its own qdisc+AQM+link and an
-/// ingress propagation leg; flows are steered across hops by static
-/// per-flow routes ([`SimCore::set_route`]).
+/// One store-and-forward hop, created by [`SimCore::add_hop`]: its own
+/// qdisc+AQM+link and an ingress propagation leg. Hop 0 is the primary
+/// bottleneck; flows are steered across hops by static per-flow routes
+/// ([`SimCore::set_route`]).
 struct HopState {
     /// The hop's queueing discipline and link.
     qdisc: Box<dyn Qdisc>,
@@ -182,15 +185,13 @@ struct HopState {
     prop: Duration,
     /// True while the hop's link is serializing a packet.
     transmitting: bool,
-    /// Per-hop `(size, rate) -> serialization time` cache, mirroring
-    /// [`SimCore::ser_cache`].
+    /// One-entry `(size, rate) -> serialization time` cache. Almost every
+    /// transmission is an MSS-sized packet on an unchanged link rate, so
+    /// this removes a u128 division from the per-dequeue path.
     ser_cache: (usize, u64, Duration),
-    /// Admissions the core observed (non-drop verdicts), kept separately
-    /// from the qdisc's own stats so `finish_audit` has an independent
-    /// per-hop conservation cross-check.
-    enqueued: u64,
-    /// Departures the core observed.
-    dequeued: u64,
+    /// Post-warmup egress bytes per flow id — the per-hop fairness
+    /// instrument.
+    flow_bytes: Vec<u64>,
 }
 
 /// The shared simulation state handed to sources.
@@ -199,8 +200,6 @@ pub struct SimCore {
     pub events: EventQueue<Event>,
     /// Root deterministic RNG (fork per-flow streams from it).
     pub rng: Rng,
-    /// The bottleneck queueing discipline and link.
-    pub queue: Box<dyn Qdisc>,
     /// Measurement collection.
     pub monitor: Monitor,
     /// Always-on per-flow event counters (plain integer increments; kept
@@ -217,30 +216,19 @@ pub struct SimCore {
     metrics: Option<Box<SimMetrics>>,
     impair: Option<Box<ImpairState>>,
     paths: Vec<PathConf>,
-    /// Extra hops past the primary bottleneck; hop id `h >= 1` lives at
-    /// `hops[h - 1]` (hop 0 is [`SimCore::queue`]).
+    /// Every hop, indexed by hop id; `hops[0]` is the primary bottleneck.
     hops: Vec<HopState>,
     /// Per-flow hop routes in traversal order. An empty entry means the
     /// default single-hop route `[0]` (no allocation for default flows).
     routes: Vec<Vec<u32>>,
-    /// Post-warmup per-flow egress bytes at each hop, indexed
-    /// `[hop][flow]` — the per-hop fairness instrument. Row 0 is the
-    /// primary bottleneck.
-    hop_flow_bytes: Vec<Vec<u64>>,
-    transmitting: bool,
     timer_seq: u64,
-    /// One-entry `(size, rate) -> serialization time` cache. Almost every
-    /// transmission is an MSS-sized packet on an unchanged link rate, so
-    /// this removes a u128 division from the per-dequeue path.
-    ser_cache: (usize, u64, Duration),
 }
 
 impl SimCore {
-    fn new(queue: Box<dyn Qdisc>, seed: u64, monitor_cfg: MonitorConfig) -> Self {
+    fn new(seed: u64, monitor_cfg: MonitorConfig) -> Self {
         SimCore {
             events: EventQueue::new(),
             rng: Rng::new(seed),
-            queue,
             monitor: Monitor::new(monitor_cfg),
             counters: TraceCounts::new(),
             packets: Pool::new(),
@@ -252,10 +240,7 @@ impl SimCore {
             paths: Vec::new(),
             hops: Vec::new(),
             routes: Vec::new(),
-            hop_flow_bytes: vec![Vec::new()],
-            transmitting: false,
             timer_seq: 0,
-            ser_cache: (0, 0, Duration::ZERO),
         }
     }
 
@@ -291,11 +276,22 @@ impl SimCore {
     /// Attach the runtime invariant auditor (see [`crate::audit`]). Like
     /// any sink it is a pure observer, so auditing never changes a run's
     /// outcome; unlike plain sinks it panics with the run's replayable
-    /// seed the moment the event stream breaks an invariant. If packets
-    /// are already queued the auditor starts from that baseline.
-    pub fn enable_audit(&mut self, mut audit: AuditSink) {
-        audit.set_baseline_pkts(self.queue.len_pkts());
+    /// seed the moment the event stream of any hop breaks an invariant.
+    /// Packets already queued at a hop become that hop's baseline (hops
+    /// added later are baselined by [`SimCore::add_hop`]).
+    pub fn enable_audit(&mut self, audit: AuditSink) {
         self.audit = Some(Box::new(audit));
+        self.rebaseline_audit();
+    }
+
+    /// Restart the auditor's books at every hop from the hop qdisc's
+    /// current occupancy (attach, and checkpoint restore).
+    fn rebaseline_audit(&mut self) {
+        if let Some(a) = &mut self.audit {
+            for (h, hs) in self.hops.iter().enumerate() {
+                a.set_baseline_pkts(h as u32, hs.qdisc.len_pkts());
+            }
+        }
     }
 
     /// Detach and return the auditor, disabling further audit checks.
@@ -347,35 +343,28 @@ impl SimCore {
         self.impair.as_deref()
     }
 
-    /// End-of-run audit: verify packet conservation against the qdisc's
-    /// current occupancy, and — when the impairment layer is attached —
-    /// cross-check its per-direction accounting against the dequeue
-    /// stream. No-op when auditing is off. [`Sim::run_until`] calls this
-    /// after the event loop; explicit callers stepping the sim by hand
-    /// can invoke it at any event boundary.
+    /// End-of-run audit: verify packet conservation at every hop against
+    /// the hop qdisc's current occupancy, and — when the impairment layer
+    /// is attached — cross-check its per-direction accounting against the
+    /// dequeue stream. No-op when auditing is off. [`Sim::run_until`]
+    /// calls this after the event loop; explicit callers stepping the sim
+    /// by hand can invoke it at any event boundary.
     pub fn finish_audit(&self) {
-        if let Some(a) = &self.audit {
-            a.check_conservation(self.queue.len_pkts(), self.now());
-            for (i, h) in self.hops.iter().enumerate() {
-                a.check_hop_conservation(
-                    i as u32 + 1,
-                    h.enqueued,
-                    h.dequeued,
-                    h.qdisc.len_pkts(),
-                    self.now(),
-                );
-            }
-            if let Some(imp) = &self.impair {
-                if self.hops.is_empty() {
-                    a.check_impairments(&imp.stats(), self.now());
-                } else {
-                    // The dequeue cross-check compares against the
-                    // primary bottleneck's trace stream, which no longer
-                    // sees every final-leg departure once routes span
-                    // extra hops; only the layer's internal balance is
-                    // checkable here.
-                    a.check_impairments_balance(&imp.stats(), self.now());
-                }
+        let Some(a) = &self.audit else {
+            return;
+        };
+        for (h, hs) in self.hops.iter().enumerate() {
+            a.check_conservation(h as u32, hs.qdisc.len_pkts(), self.now());
+        }
+        if let Some(imp) = &self.impair {
+            if self.hops.len() == 1 {
+                a.check_impairments(&imp.stats(), self.now());
+            } else {
+                // The dequeue cross-check compares against hop 0's
+                // stream, which no longer sees every final-leg departure
+                // once routes span further hops; only the layer's
+                // internal balance is checkable here.
+                a.check_impairments_balance(&imp.stats(), self.now());
             }
         }
     }
@@ -385,23 +374,35 @@ impl SimCore {
         self.audit.is_some() || !self.sinks.is_empty()
     }
 
-    fn emit(&mut self, ev: TraceEvent) {
+    /// Hand a packet event at `hop` to the auditor and every sink. Sinks
+    /// take hop 0 through [`TraceSink::on_event`] and the other hops
+    /// through [`TraceSink::on_hop_event`], which keeps the hop-0 stream
+    /// (and every golden file pinned to it) what it was before hops
+    /// existed; the auditor checks all hops alike.
+    fn emit(&mut self, hop: u32, ev: TraceEvent) {
         if let Some(audit) = &mut self.audit {
-            audit.on_event(&ev);
+            audit.on_hop_event(hop, &ev);
         }
         for sink in &mut self.sinks {
-            sink.on_event(&ev);
+            if hop == 0 {
+                sink.on_event(&ev);
+            } else {
+                sink.on_hop_event(hop, &ev);
+            }
         }
     }
 
-    /// Forward an extra-hop event (`hop >= 1`) to the attached sinks via
-    /// the [`TraceSink::on_hop_event`] side channel. Hop streams bypass
-    /// the auditor and the primary-stream hook, so the hop-0 trace schema
-    /// (and every golden file pinned to it) is unchanged; sinks that care
-    /// about hops (timeline exporters) opt in by overriding the hook.
-    fn emit_hop(&mut self, hop: u32, ev: TraceEvent) {
+    /// [`SimCore::emit`] for a hop's post-update AQM control state.
+    fn emit_aqm_state(&mut self, hop: u32, now: Time, state: &AqmState) {
+        if let Some(audit) = &mut self.audit {
+            audit.on_hop_aqm_state(hop, now, state);
+        }
         for sink in &mut self.sinks {
-            sink.on_hop_event(hop, &ev);
+            if hop == 0 {
+                sink.on_aqm_state(now, state);
+            } else {
+                sink.on_hop_aqm_state(hop, now, state);
+            }
         }
     }
 
@@ -412,8 +413,8 @@ impl SimCore {
         let id = FlowId(self.paths.len() as u32);
         self.paths.push(path);
         self.routes.push(Vec::new());
-        for row in &mut self.hop_flow_bytes {
-            row.push(0);
+        for h in &mut self.hops {
+            h.flow_bytes.push(0);
         }
         self.monitor.register_flow(label);
         id
@@ -435,35 +436,37 @@ impl SimCore {
         self.paths.len()
     }
 
-    /// Add a store-and-forward hop past the primary bottleneck and return
-    /// its hop id (hop 0 is the primary bottleneck, so the first call
-    /// returns 1). `prop` is the ingress propagation delay from the
-    /// previous hop on a route to this one. If the hop's qdisc runs a
-    /// periodic controller, its update tick is scheduled here.
+    /// Add a store-and-forward hop and return its hop id. The first hop
+    /// added is hop 0, the primary bottleneck — [`Sim::with_qdisc`]
+    /// installs it, so the first call on a built [`Sim`] returns 1.
+    /// `prop` is the ingress propagation delay from the previous hop on a
+    /// route to this one. If the hop's qdisc runs a periodic controller,
+    /// its update tick is scheduled here.
     ///
     /// Hops are structural configuration: add them (and set routes)
     /// before running, and rebuild the same topology before restoring a
     /// checkpoint.
     pub fn add_hop(&mut self, qdisc: Box<dyn Qdisc>, prop: Duration) -> u32 {
-        let id = (self.hops.len() + 1) as u32;
+        let id = self.hops.len() as u32;
         if let Some(iv) = qdisc.update_interval() {
-            self.events.push(self.now() + iv, Event::HopAqmUpdate(id));
+            self.events.push(self.now() + iv, Event::AqmUpdate(id));
+        }
+        if let Some(a) = &mut self.audit {
+            a.set_baseline_pkts(id, qdisc.len_pkts());
         }
         self.hops.push(HopState {
             qdisc,
             prop,
             transmitting: false,
             ser_cache: (0, 0, Duration::ZERO),
-            enqueued: 0,
-            dequeued: 0,
+            flow_bytes: vec![0; self.paths.len()],
         });
-        self.hop_flow_bytes.push(vec![0; self.paths.len()]);
         id
     }
 
-    /// Total number of hops (the primary bottleneck plus extra hops).
+    /// Total number of hops (the primary bottleneck included).
     pub fn hop_count(&self) -> usize {
-        1 + self.hops.len()
+        self.hops.len()
     }
 
     /// Steer a flow across `route`, a non-empty sequence of distinct hop
@@ -511,17 +514,17 @@ impl SimCore {
 
     /// A hop's queueing discipline (hop 0 is the primary bottleneck).
     pub fn hop_qdisc(&self, hop: u32) -> &dyn Qdisc {
-        if hop == 0 {
-            self.queue.as_ref()
-        } else {
-            self.hops[(hop - 1) as usize].qdisc.as_ref()
-        }
+        self.hops[hop as usize].qdisc.as_ref()
+    }
+
+    fn hop_qdisc_mut(&mut self, hop: u32) -> &mut dyn Qdisc {
+        self.hops[hop as usize].qdisc.as_mut()
     }
 
     /// Post-warmup per-flow egress bytes at `hop`, indexed by flow id —
     /// the raw material for per-hop fairness indices.
     pub fn hop_flow_bytes(&self, hop: u32) -> &[u64] {
-        &self.hop_flow_bytes[hop as usize]
+        &self.hops[hop as usize].flow_bytes
     }
 
     /// Hand a data packet to the first hop on its flow's route (the
@@ -530,76 +533,102 @@ impl SimCore {
     /// loss from the ACK stream).
     pub fn send_packet(&mut self, pkt: Packet) {
         let first = self.route(pkt.flow)[0];
-        if first != 0 {
-            self.send_packet_at_hop(first, pkt);
-            return;
-        }
+        self.admit(first, pkt, true);
+    }
+
+    /// Offer a packet to `hop`'s qdisc and fan the verdict out to the
+    /// monitor, the counters, the metrics and the observers. `first_hop`
+    /// says whether this is the packet's entry into the network: the send
+    /// and the admission are counted there only, so a routed packet is
+    /// sent and enqueued once however many hops it crosses, while drops
+    /// and marks count at whichever hop issues them.
+    fn admit(&mut self, hop: u32, pkt: Packet, first_hop: bool) {
         let now = self.now();
         let flow = pkt.flow;
         let size = pkt.size;
         let seq = pkt.seq;
         let ecn = pkt.ecn;
-        let decision = self.queue.offer(pkt, now, &mut self.rng);
-        self.monitor.record_send(flow, size, decision, now);
-        match decision.action {
-            Action::Drop => self.counters.note_drop(flow),
+        let hs = &mut self.hops[hop as usize];
+        let decision = hs.qdisc.offer(pkt, now, &mut self.rng);
+        let idle = !hs.transmitting;
+        if first_hop {
+            self.monitor.record_send(flow, size, decision, now);
+        } else {
+            self.monitor.record_decision(flow, decision, now);
+        }
+        let tracing = self.tracing();
+        let prob = decision.prob;
+        // The ECN field the packet was admitted with, `None` for a drop.
+        let admitted = match decision.action {
+            Action::Drop => {
+                self.counters.note_drop(flow);
+                if let Some(m) = &mut self.metrics {
+                    m.note_drop();
+                }
+                if tracing {
+                    self.emit(
+                        hop,
+                        TraceEvent::Drop {
+                            t: now,
+                            flow,
+                            seq,
+                            prob,
+                        },
+                    );
+                }
+                None
+            }
             Action::Mark => {
                 self.counters.note_mark(flow);
-                self.counters.note_enqueue(flow);
-            }
-            Action::Pass => self.counters.note_enqueue(flow),
-        }
-        if let Some(m) = &mut self.metrics {
-            match decision.action {
-                Action::Drop => m.note_drop(),
-                Action::Mark => {
+                if let Some(m) = &mut self.metrics {
                     m.note_mark();
-                    m.note_enqueue(crate::packet::Ecn::Ce);
                 }
-                Action::Pass => m.note_enqueue(ecn),
+                if tracing {
+                    self.emit(
+                        hop,
+                        TraceEvent::Mark {
+                            t: now,
+                            flow,
+                            seq,
+                            prob,
+                        },
+                    );
+                }
+                Some(crate::packet::Ecn::Ce)
+            }
+            Action::Pass => Some(ecn),
+        };
+        let Some(ecn) = admitted else {
+            return;
+        };
+        if first_hop {
+            self.counters.note_enqueue(flow);
+            if let Some(m) = &mut self.metrics {
+                m.note_enqueue(ecn);
             }
         }
-        if self.tracing() {
-            match decision.action {
-                Action::Drop => self.emit(TraceEvent::Drop {
-                    t: now,
-                    flow,
-                    seq,
-                    prob: decision.prob,
-                }),
-                Action::Mark => {
-                    self.emit(TraceEvent::Mark {
-                        t: now,
-                        flow,
-                        seq,
-                        prob: decision.prob,
-                    });
-                    self.emit(TraceEvent::Enqueue {
-                        t: now,
-                        flow,
-                        seq,
-                        ecn: crate::packet::Ecn::Ce,
-                    });
-                }
-                Action::Pass => self.emit(TraceEvent::Enqueue {
+        if tracing {
+            self.emit(
+                hop,
+                TraceEvent::Enqueue {
                     t: now,
                     flow,
                     seq,
                     ecn,
-                }),
-            }
+                },
+            );
         }
-        if decision.action != Action::Drop && !self.transmitting {
+        if idle {
             // The qdisc contract after a non-Drop verdict guarantees only
             // that the offered packet sits in *some* internal queue. A
             // multi-queue qdisc (DualPI2, fq) may legitimately hold other
             // packets that were invisible to `head_size()` while the link
             // idled, so "exactly one packet" would over-assert.
             debug_assert!(
-                !self.queue.is_empty(),
+                !self.hops[hop as usize].qdisc.is_empty(),
                 "a non-drop admission must leave the qdisc non-empty"
             );
-            self.start_transmission();
+            self.start_transmission(hop);
         }
     }
 
@@ -644,42 +673,45 @@ impl SimCore {
         self.events.push(at, event);
     }
 
-    fn start_transmission(&mut self) {
-        if let Some(size) = self.queue.head_size() {
-            self.transmitting = true;
-            let rate = self.queue.rate_bps();
-            let tx = if self.ser_cache.0 == size && self.ser_cache.1 == rate {
-                self.ser_cache.2
+    fn start_transmission(&mut self, hop: u32) {
+        let now = self.events.now();
+        let hs = &mut self.hops[hop as usize];
+        if let Some(size) = hs.qdisc.head_size() {
+            hs.transmitting = true;
+            let rate = hs.qdisc.rate_bps();
+            let tx = if hs.ser_cache.0 == size && hs.ser_cache.1 == rate {
+                hs.ser_cache.2
             } else {
                 let tx = Duration::serialization(size, rate);
-                self.ser_cache = (size, rate, tx);
+                hs.ser_cache = (size, rate, tx);
                 tx
             };
-            let at = self.now() + tx;
-            self.events.push(at, Event::Dequeue);
+            self.events.push(now + tx, Event::Dequeue(hop));
         } else {
-            self.transmitting = false;
+            hs.transmitting = false;
         }
     }
 
-    /// Handle completion of the head packet's transmission: restart the
-    /// link and forward the packet to its receiver. The `Deliver` event
-    /// takes ownership of the packet — this is the per-packet hot path,
-    /// and it performs no allocation beyond the (amortized, pre-reserved)
-    /// event-heap slot.
-    fn handle_dequeue(&mut self) {
+    /// Handle completion of `hop`'s head-packet transmission: restart the
+    /// link and forward the packet — to the next hop on its flow's route,
+    /// or onto the final propagation leg when this hop is the last. The
+    /// `Deliver`/`HopArrive` event takes ownership of the packet — this
+    /// is the per-packet hot path, and it performs no allocation beyond
+    /// the (amortized, pre-reserved) event-heap slot.
+    fn handle_dequeue(&mut self, hop: u32) {
         let now = self.now();
-        let (pkt, sojourn) = self
-            .queue
+        let hs = &mut self.hops[hop as usize];
+        let (pkt, sojourn) = hs
+            .qdisc
             .pop(now)
             .expect("Dequeue event fired on an empty queue");
         if self.monitor.postwarm_at(now) {
-            self.hop_flow_bytes[0][pkt.flow.idx()] += pkt.size as u64;
+            hs.flow_bytes[pkt.flow.idx()] += pkt.size as u64;
         }
-        let next = self.next_hop(pkt.flow, 0);
+        let next = self.next_hop(pkt.flow, hop);
         if next.is_none() {
             // End-to-end measurement happens where the packet leaves the
-            // last queue on its route; for default flows that is here.
+            // last queue on its route; for default flows that is hop 0.
             self.monitor.record_dequeue(pkt.flow, pkt.size, sojourn, now);
             self.counters.note_dequeue(pkt.flow);
             if let Some(m) = &mut self.metrics {
@@ -687,17 +719,26 @@ impl SimCore {
             }
         }
         if self.tracing() {
-            self.emit(TraceEvent::Dequeue {
-                t: now,
-                flow: pkt.flow,
-                seq: pkt.seq,
-                sojourn,
-            });
+            self.emit(
+                hop,
+                TraceEvent::Dequeue {
+                    t: now,
+                    flow: pkt.flow,
+                    seq: pkt.seq,
+                    sojourn,
+                },
+            );
         }
-        self.start_transmission();
+        self.start_transmission(hop);
         match next {
             None => self.forward_final(pkt, now),
-            Some(n) => self.forward_to_hop(n, pkt, now),
+            Some(n) => {
+                // Park the packet for its inter-hop propagation leg
+                // toward the next hop's admission point.
+                let prop = self.hops[n as usize].prop;
+                let h = self.packets.insert(pkt);
+                self.events.push(now + prop, Event::HopArrive(n, h));
+            }
         }
     }
 
@@ -710,7 +751,7 @@ impl SimCore {
             self.events.push(now + fwd, Event::Deliver(h));
             return;
         };
-        // Impairments act past the bottleneck: the AQM verdict, the queue
+        // Impairments act past the last queue: the AQM verdict, the queue
         // accounting and the trace stream above are already final, so the
         // audit's enqueue/dequeue conservation is untouched — a lost
         // packet here is invisible to everyone but the endpoints.
@@ -727,249 +768,18 @@ impl SimCore {
         }
     }
 
-    /// Park the packet for its inter-hop propagation leg toward hop
-    /// `hop`'s admission point.
-    fn forward_to_hop(&mut self, hop: u32, pkt: Packet, now: Time) {
-        let prop = self.hops[(hop - 1) as usize].prop;
-        let h = self.packets.insert(pkt);
-        self.events.push(now + prop, Event::HopArrive(hop, h));
-    }
-
-    /// First-hop admission at an extra hop: the multi-hop analogue of the
-    /// hop-0 path in [`SimCore::send_packet`]. The monitor and counters
-    /// record the send and the verdict exactly as at hop 0; events reach
-    /// sinks only through the hop side channel ([`SimCore::emit_hop`]) —
-    /// the primary trace stream stays the bottleneck's.
-    fn send_packet_at_hop(&mut self, hop: u32, pkt: Packet) {
-        let now = self.now();
-        let flow = pkt.flow;
-        let size = pkt.size;
-        let seq = pkt.seq;
-        let ecn = pkt.ecn;
-        let decision = self.hops[(hop - 1) as usize]
-            .qdisc
-            .offer(pkt, now, &mut self.rng);
-        self.monitor.record_send(flow, size, decision, now);
-        match decision.action {
-            Action::Drop => self.counters.note_drop(flow),
-            Action::Mark => {
-                self.counters.note_mark(flow);
-                self.counters.note_enqueue(flow);
-            }
-            Action::Pass => self.counters.note_enqueue(flow),
-        }
-        if let Some(m) = &mut self.metrics {
-            match decision.action {
-                Action::Drop => m.note_drop(),
-                Action::Mark => {
-                    m.note_mark();
-                    m.note_enqueue(crate::packet::Ecn::Ce);
-                }
-                Action::Pass => m.note_enqueue(ecn),
-            }
-        }
-        if !self.sinks.is_empty() {
-            self.emit_hop_verdict(hop, now, flow, seq, ecn, decision);
-        }
-        if decision.action != Action::Drop {
-            self.note_hop_admission(hop);
-        }
-    }
-
-    /// Render an admission verdict at an extra hop as hop trace events,
-    /// following the same Mark⇒Enqueue contract as the hop-0 stream.
-    fn emit_hop_verdict(
-        &mut self,
-        hop: u32,
-        now: Time,
-        flow: FlowId,
-        seq: u64,
-        ecn: crate::packet::Ecn,
-        decision: Decision,
-    ) {
-        match decision.action {
-            Action::Drop => self.emit_hop(
-                hop,
-                TraceEvent::Drop {
-                    t: now,
-                    flow,
-                    seq,
-                    prob: decision.prob,
-                },
-            ),
-            Action::Mark => {
-                self.emit_hop(
-                    hop,
-                    TraceEvent::Mark {
-                        t: now,
-                        flow,
-                        seq,
-                        prob: decision.prob,
-                    },
-                );
-                self.emit_hop(
-                    hop,
-                    TraceEvent::Enqueue {
-                        t: now,
-                        flow,
-                        seq,
-                        ecn: crate::packet::Ecn::Ce,
-                    },
-                );
-            }
-            Action::Pass => self.emit_hop(
-                hop,
-                TraceEvent::Enqueue {
-                    t: now,
-                    flow,
-                    seq,
-                    ecn,
-                },
-            ),
-        }
-    }
-
-    /// Mid-route admission at an extra hop (the handler behind
-    /// [`Event::HopArrive`]). The packet was already counted as sent at
-    /// its first hop, so only the verdict is recorded here.
-    fn hop_admit(&mut self, hop: u32, pkt: Packet) {
-        let now = self.now();
-        let flow = pkt.flow;
-        let seq = pkt.seq;
-        let ecn = pkt.ecn;
-        let decision = self.hops[(hop - 1) as usize]
-            .qdisc
-            .offer(pkt, now, &mut self.rng);
-        self.monitor.record_decision(flow, decision, now);
-        match decision.action {
-            Action::Drop => {
-                self.counters.note_drop(flow);
-                if let Some(m) = &mut self.metrics {
-                    m.note_drop();
-                }
-            }
-            Action::Mark => {
-                self.counters.note_mark(flow);
-                if let Some(m) = &mut self.metrics {
-                    m.note_mark();
-                }
-            }
-            Action::Pass => {}
-        }
-        if !self.sinks.is_empty() {
-            self.emit_hop_verdict(hop, now, flow, seq, ecn, decision);
-        }
-        if decision.action != Action::Drop {
-            self.note_hop_admission(hop);
-        }
-    }
-
-    /// Book a non-drop admission at an extra hop and kick its link if
-    /// idle.
-    fn note_hop_admission(&mut self, hop: u32) {
-        let hs = &mut self.hops[(hop - 1) as usize];
-        hs.enqueued += 1;
-        if !hs.transmitting {
-            debug_assert!(
-                !hs.qdisc.is_empty(),
-                "a non-drop admission must leave the hop qdisc non-empty"
-            );
-            self.start_hop_transmission(hop);
-        }
-    }
-
-    /// [`SimCore::start_transmission`] for an extra hop.
-    fn start_hop_transmission(&mut self, hop: u32) {
-        let now = self.events.now();
-        let hs = &mut self.hops[(hop - 1) as usize];
-        if let Some(size) = hs.qdisc.head_size() {
-            hs.transmitting = true;
-            let rate = hs.qdisc.rate_bps();
-            let tx = if hs.ser_cache.0 == size && hs.ser_cache.1 == rate {
-                hs.ser_cache.2
-            } else {
-                let tx = Duration::serialization(size, rate);
-                hs.ser_cache = (size, rate, tx);
-                tx
-            };
-            self.events.push(now + tx, Event::HopDequeue(hop));
-        } else {
-            hs.transmitting = false;
-        }
-    }
-
-    /// [`SimCore::handle_dequeue`] for an extra hop: pop, restart the
-    /// hop's link, and forward — to the next hop on the flow's route, or
-    /// onto the final propagation leg when this hop is the last.
-    fn handle_hop_dequeue(&mut self, hop: u32) {
-        let now = self.now();
-        let (pkt, sojourn) = self.hops[(hop - 1) as usize]
-            .qdisc
-            .pop(now)
-            .expect("HopDequeue event fired on an empty hop queue");
-        self.hops[(hop - 1) as usize].dequeued += 1;
-        if self.monitor.postwarm_at(now) {
-            self.hop_flow_bytes[hop as usize][pkt.flow.idx()] += pkt.size as u64;
-        }
-        let next = self.next_hop(pkt.flow, hop);
-        if next.is_none() {
-            self.monitor.record_dequeue(pkt.flow, pkt.size, sojourn, now);
-            self.counters.note_dequeue(pkt.flow);
-            if let Some(m) = &mut self.metrics {
-                m.note_dequeue(sojourn);
-            }
-        }
-        if !self.sinks.is_empty() {
-            self.emit_hop(
-                hop,
-                TraceEvent::Dequeue {
-                    t: now,
-                    flow: pkt.flow,
-                    seq: pkt.seq,
-                    sojourn,
-                },
-            );
-        }
-        self.start_hop_transmission(hop);
-        match next {
-            None => self.forward_final(pkt, now),
-            Some(n) => self.forward_to_hop(n, pkt, now),
-        }
-    }
-
-    /// Periodic controller tick for an extra hop's AQM (the handler
-    /// behind [`Event::HopAqmUpdate`]). Hop controllers are not sampled
-    /// into the monitor or the primary trace stream — those remain the
-    /// bottleneck's instruments — but their post-update state reaches
-    /// sinks through the hop side channel for timeline export. `probe()`
-    /// is a pure read of controller state, so taking it cannot perturb
-    /// the run.
-    fn handle_hop_aqm_update(&mut self, hop: u32) {
-        let now = self.now();
-        let idx = (hop - 1) as usize;
-        self.hops[idx].qdisc.update(now);
-        if !self.sinks.is_empty() {
-            let state = self.hops[idx].qdisc.probe();
-            for sink in &mut self.sinks {
-                sink.on_hop_aqm_state(hop, now, &state);
-            }
-        }
-        if let Some(iv) = self.hops[idx].qdisc.update_interval() {
-            self.events.push(now + iv, Event::HopAqmUpdate(hop));
-        }
-    }
-
     /// Serialize every piece of live core state in a fixed order: the
     /// event queue (canonical `(time, seq)`-sorted pending list plus
-    /// clock and lifetime counters), the RNG stream, the qdisc, the
-    /// monitor, the per-flow counters, both in-flight pools
-    /// (slot-positional, so `Deliver`/`AckArrive` handles inside pending
-    /// events stay valid), optional metrics and impairment state, the
-    /// link-busy flag, the timer arming counter, and the per-flow paths.
+    /// clock and lifetime counters), the RNG stream, the monitor, the
+    /// per-flow counters, both in-flight pools (slot-positional, so
+    /// `Deliver`/`HopArrive`/`AckArrive` handles inside pending events
+    /// stay valid), optional metrics and impairment state, the timer
+    /// arming counter, the per-flow paths, and every hop's mutable state
+    /// (qdisc, link-busy flag, per-flow egress bytes).
     ///
     /// Trace sinks, the auditor and the profiler are pure observers and
-    /// are not checkpointed; the one-entry serialization cache is pure
-    /// (a hit and a recompute agree) and restores cold.
+    /// are not checkpointed; each hop's one-entry serialization cache is
+    /// pure (a hit and a recompute agree) and restores cold.
     pub fn save_ckpt(&self, w: &mut CkptWriter) {
         w.time(self.events.now());
         w.u64(self.events.pushed());
@@ -984,7 +794,6 @@ impl SimCore {
         for word in self.rng.state() {
             w.u64(word);
         }
-        self.queue.save_ckpt(w);
         self.monitor.save_ckpt(w);
         self.counters.save_ckpt(w);
         self.packets.save_ckpt(w, write_packet);
@@ -1003,25 +812,20 @@ impl SimCore {
             }
             None => w.bool(false),
         }
-        w.bool(self.transmitting);
         w.u64(self.timer_seq);
         w.usize(self.paths.len());
         for p in &self.paths {
             w.duration(p.fwd);
             w.duration(p.rev);
         }
-        // Extra hops (routes and ingress delays are structural config,
-        // covered by the schema hash; only mutable state is serialized).
+        // Routes and ingress delays are structural config, covered by the
+        // schema hash; only each hop's mutable state is serialized.
         w.usize(self.hops.len());
         for h in &self.hops {
             h.qdisc.save_ckpt(w);
             w.bool(h.transmitting);
-            w.u64(h.enqueued);
-            w.u64(h.dequeued);
-        }
-        for row in &self.hop_flow_bytes {
-            w.usize(row.len());
-            for b in row {
+            w.usize(h.flow_bytes.len());
+            for b in &h.flow_bytes {
                 w.u64(*b);
             }
         }
@@ -1053,7 +857,6 @@ impl SimCore {
         self.events = EventQueue::from_parts(now, pushed, popped, entries);
         let state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
         self.rng = Rng::from_state(state);
-        self.queue.restore_ckpt(r)?;
         self.monitor.restore_ckpt(r)?;
         self.counters.restore_ckpt(r)?;
         self.packets = Pool::restore_ckpt(r, read_packet)?;
@@ -1076,7 +879,6 @@ impl SimCore {
             // same `LinkImpairments` before restoring.
             _ => return Err(CkptError::Corrupt("impairment layer presence mismatch")),
         }
-        self.transmitting = r.bool()?;
         self.timer_seq = r.u64()?;
         if r.usize()? != self.paths.len() {
             return Err(CkptError::Corrupt("flow path count mismatch"));
@@ -1091,28 +893,29 @@ impl SimCore {
         for h in &mut self.hops {
             h.qdisc.restore_ckpt(r)?;
             h.transmitting = r.bool()?;
-            h.enqueued = r.u64()?;
-            h.dequeued = r.u64()?;
             h.ser_cache = (0, 0, Duration::ZERO);
-        }
-        for row in &mut self.hop_flow_bytes {
-            if r.usize()? != row.len() {
+            if r.usize()? != h.flow_bytes.len() {
                 return Err(CkptError::Corrupt("hop flow-byte row length mismatch"));
             }
-            for b in row {
+            for b in &mut h.flow_bytes {
                 *b = r.u64()?;
             }
         }
-        self.ser_cache = (0, 0, Duration::ZERO);
         Ok(())
     }
 }
 
-/// Encode one pending event (checkpointing). Tags are append-only: new
-/// variants must take fresh numbers so old blobs keep decoding.
+/// Encode one pending event (checkpointing). The tags belong to
+/// [`CKPT_VERSION`]: `Sim::restore` accepts exactly one version, so a tag
+/// never has to stay decodable across a bump and each bump may renumber
+/// them densely (version 4 did, when it retired the per-hop duplicates of
+/// `Dequeue` and `AqmUpdate`).
 fn write_event(w: &mut CkptWriter, ev: &Event) {
     match ev {
-        Event::Dequeue => w.u8(0),
+        Event::Dequeue(hop) => {
+            w.u8(0);
+            w.u32(*hop);
+        }
         Event::Deliver(h) => {
             w.u8(1);
             w.u32(*h);
@@ -1134,7 +937,10 @@ fn write_event(w: &mut CkptWriter, ev: &Event) {
             }
             w.u64(*id);
         }
-        Event::AqmUpdate => w.u8(4),
+        Event::AqmUpdate(hop) => {
+            w.u8(4);
+            w.u32(*hop);
+        }
         Event::Sample => w.u8(5),
         Event::SetLinkRate(rate) => {
             w.u8(6);
@@ -1154,26 +960,20 @@ fn write_event(w: &mut CkptWriter, ev: &Event) {
             w.duration(p.fwd);
             w.duration(p.rev);
         }
-        Event::HopDequeue(hop) => {
+        Event::HopArrive(hop, h) => {
             w.u8(10);
             w.u32(*hop);
-        }
-        Event::HopArrive(hop, h) => {
-            w.u8(11);
-            w.u32(*hop);
             w.u32(*h);
-        }
-        Event::HopAqmUpdate(hop) => {
-            w.u8(12);
-            w.u32(*hop);
         }
     }
 }
 
-/// Decode one pending event written by [`write_event`].
+/// Decode one pending event written by [`write_event`]. A tag outside
+/// the current version's table — including the retired 11 and 12 — is
+/// corruption, not an older format.
 fn read_event(r: &mut CkptReader) -> Result<Event, CkptError> {
     Ok(match r.u8()? {
-        0 => Event::Dequeue,
+        0 => Event::Dequeue(r.u32()?),
         1 => Event::Deliver(r.u32()?),
         2 => Event::AckArrive(r.u32()?),
         3 => {
@@ -1187,7 +987,7 @@ fn read_event(r: &mut CkptReader) -> Result<Event, CkptError> {
             let id = r.u64()?;
             Event::Timer { flow, kind, id }
         }
-        4 => Event::AqmUpdate,
+        4 => Event::AqmUpdate(r.u32()?),
         5 => Event::Sample,
         6 => Event::SetLinkRate(r.u64()?),
         7 => Event::SourceOn(FlowId(r.u32()?)),
@@ -1198,12 +998,10 @@ fn read_event(r: &mut CkptReader) -> Result<Event, CkptError> {
             let rev = r.duration()?;
             Event::SetPath(f, PathConf { fwd, rev })
         }
-        10 => Event::HopDequeue(r.u32()?),
-        11 => {
+        10 => {
             let hop = r.u32()?;
             Event::HopArrive(hop, r.u32()?)
         }
-        12 => Event::HopAqmUpdate(r.u32()?),
         _ => return Err(CkptError::Corrupt("unknown event tag")),
     })
 }
@@ -1275,7 +1073,7 @@ impl Default for SimConfig {
 
 /// Display names of the event classes the self-profiler attributes time
 /// to, indexed by [`event_class`]. One entry per [`Event`] variant.
-pub const EVENT_CLASSES: [&str; 13] = [
+pub const EVENT_CLASSES: [&str; 11] = [
     "dequeue",
     "deliver",
     "ack",
@@ -1286,28 +1084,24 @@ pub const EVENT_CLASSES: [&str; 13] = [
     "source_on",
     "source_off",
     "set_path",
-    "hop_dequeue",
     "hop_arrive",
-    "hop_aqm_update",
 ];
 
 /// The profiler class index of an event (an index into
 /// [`EVENT_CLASSES`]).
 pub fn event_class(ev: &Event) -> usize {
     match ev {
-        Event::Dequeue => 0,
+        Event::Dequeue(_) => 0,
         Event::Deliver(_) => 1,
         Event::AckArrive(_) => 2,
         Event::Timer { .. } => 3,
-        Event::AqmUpdate => 4,
+        Event::AqmUpdate(_) => 4,
         Event::Sample => 5,
         Event::SetLinkRate(_) => 6,
         Event::SourceOn(_) => 7,
         Event::SourceOff(_) => 8,
         Event::SetPath(..) => 9,
-        Event::HopDequeue(_) => 10,
-        Event::HopArrive(..) => 11,
-        Event::HopAqmUpdate(_) => 12,
+        Event::HopArrive(..) => 10,
     }
 }
 
@@ -1316,8 +1110,12 @@ pub fn event_class(ev: &Event) -> usize {
 /// topology section (per-hop qdisc state, admission counters and per-hop
 /// per-flow egress bytes). Version 3 added the hybrid-mode background
 /// section (presence flag, capacity-stealing bookkeeping, the aggregate
-/// rate track and the aggregate's own state).
-pub const CKPT_VERSION: u32 = 3;
+/// rate track and the aggregate's own state). Version 4 made the primary
+/// bottleneck an ordinary hop: its qdisc, link-busy flag and egress-byte
+/// row moved into the hop section, the core-side per-hop admission
+/// counters were dropped, `Dequeue`/`AqmUpdate` events gained a hop id and
+/// the event tags were renumbered (see [`write_event`]).
+pub const CKPT_VERSION: u32 = 4;
 
 /// The complete simulator: shared core + traffic sources.
 pub struct Sim {
@@ -1339,7 +1137,7 @@ impl Sim {
     /// DualQ Coupled AQM, which owns two internal queues). The rate and
     /// buffer in `cfg.queue` are ignored — the qdisc carries its own.
     pub fn with_qdisc(cfg: SimConfig, qdisc: Box<dyn Qdisc>) -> Self {
-        let mut core = SimCore::new(qdisc, cfg.seed, cfg.monitor);
+        let mut core = SimCore::new(cfg.seed, cfg.monitor);
         // Debug-default runtime auditing: debug builds audit every run
         // (set PI2_AUDIT=0 to opt out), release builds only on PI2_AUDIT=1
         // or an explicit `enable_audit`. The auditor is a pure observer,
@@ -1360,9 +1158,9 @@ impl Sim {
         // flight, ACKs in reverse flight), so size the slabs alongside.
         core.packets.reserve(2048);
         core.acks.reserve(2048);
-        if let Some(iv) = core.queue.update_interval() {
-            core.events.push(Time::ZERO + iv, Event::AqmUpdate);
-        }
+        // Hop 0, the primary bottleneck: sources inject into it directly,
+        // so it has no ingress leg.
+        core.add_hop(qdisc, Duration::ZERO);
         let sample_iv = core.monitor.sample_interval();
         core.events.push(Time::ZERO + sample_iv, Event::Sample);
         let mut sim = Sim {
@@ -1465,7 +1263,7 @@ impl Sim {
     /// running (and before `restore` — the aggregate is part of the
     /// checkpoint schema).
     pub fn attach_background(&mut self, agg: Box<dyn BackgroundAggregate>) {
-        let cap = self.core.queue.rate_bps();
+        let cap = self.core.hop_qdisc(0).rate_bps();
         self.background = Some(Background::new(agg, cap));
     }
 
@@ -1477,8 +1275,8 @@ impl Sim {
     /// Advance the attached background aggregate one coupling tick and
     /// re-split the bottleneck capacity. No-op without an attachment, so
     /// packet-only runs take no extra work (and no `probe()` read).
-    fn background_tick(&mut self, now: Time, state: &crate::aqm::AqmState) {
-        let Some(dt) = self.core.queue.update_interval() else {
+    fn background_tick(&mut self, now: Time, state: &AqmState) {
+        let Some(dt) = self.core.hop_qdisc(0).update_interval() else {
             return;
         };
         let Some(bg) = &mut self.background else {
@@ -1498,7 +1296,38 @@ impl Sim {
         // that never ramps (zero background flows) leaves the bottleneck
         // untouched, keeping the run identical to a packet-only one.
         if changed {
-            self.core.queue.set_rate_bps(fg_rate);
+            self.core.hop_qdisc_mut(0).set_rate_bps(fg_rate);
+        }
+    }
+
+    /// Periodic controller tick of `hop`'s AQM. Every hop's post-update
+    /// state reaches the auditor and the sinks; the monitor's
+    /// control-variable series, the update counter, the metrics and the
+    /// hybrid background follow the primary bottleneck only. `probe()` is
+    /// a pure read of controller state, so taking it for an observer
+    /// cannot perturb the run.
+    fn handle_aqm_update(&mut self, hop: u32) {
+        let primary = hop == 0;
+        let now = self.core.now();
+        self.core.hop_qdisc_mut(hop).update(now);
+        if primary {
+            let p = self.core.hop_qdisc(0).control_variable();
+            self.core.monitor.record_control_variable(p, now);
+            self.core.counters.note_aqm_update();
+        }
+        let consumed = primary && (self.core.metrics.is_some() || self.background.is_some());
+        if consumed || self.core.tracing() {
+            let state = self.core.hop_qdisc(hop).probe();
+            if let (true, Some(m)) = (primary, &mut self.core.metrics) {
+                m.note_aqm_update(&state);
+            }
+            self.core.emit_aqm_state(hop, now, &state);
+            if primary {
+                self.background_tick(now, &state);
+            }
+        }
+        if let Some(iv) = self.core.hop_qdisc(hop).update_interval() {
+            self.core.events.push(now + iv, Event::AqmUpdate(hop));
         }
     }
 
@@ -1611,15 +1440,12 @@ impl Sim {
         // predates the last tick (idempotent when it doesn't).
         if let Some(bg) = &self.background {
             let fg_rate = bg.capacity_bps - bg.applied_bps;
-            self.core.queue.set_rate_bps(fg_rate);
+            self.core.hop_qdisc_mut(0).set_rate_bps(fg_rate);
         }
         // The auditor (a pure observer, not checkpointed) resumes from the
-        // restored occupancy: conservation from here on is
-        // baseline + enqueued - dequeued == qlen.
-        let qlen = self.core.queue.len_pkts();
-        if let Some(a) = &mut self.core.audit {
-            a.set_baseline_pkts(qlen);
-        }
+        // restored occupancy of every hop: conservation from here on is
+        // baseline + enqueued - dequeued == qlen, hop by hop.
+        self.core.rebaseline_audit();
         Ok(())
     }
 
@@ -1646,8 +1472,8 @@ impl Sim {
             p.begin(event_class(&event));
         }
         match event {
-            Event::Dequeue => {
-                self.core.handle_dequeue();
+            Event::Dequeue(hop) => {
+                self.core.handle_dequeue(hop);
             }
             Event::Deliver(h) => {
                 let pkt = self.core.packets.take(h);
@@ -1663,37 +1489,12 @@ impl Sim {
             Event::Timer { flow, kind, id } => {
                 self.sources[flow.idx()].on_timer(kind, id, &mut self.core);
             }
-            Event::AqmUpdate => {
-                let now = self.core.now();
-                self.core.queue.update(now);
-                let p = self.core.queue.control_variable();
-                self.core.monitor.record_control_variable(p, now);
-                self.core.counters.note_aqm_update();
-                if self.core.tracing() || self.core.metrics.is_some() {
-                    // `probe()` is a pure read of controller state; taking
-                    // it for metrics or observers cannot perturb the run.
-                    let state = self.core.queue.probe();
-                    if let Some(m) = &mut self.core.metrics {
-                        m.note_aqm_update(&state);
-                    }
-                    if let Some(audit) = &mut self.core.audit {
-                        audit.on_aqm_state(now, &state);
-                    }
-                    for sink in &mut self.core.sinks {
-                        sink.on_aqm_state(now, &state);
-                    }
-                    self.background_tick(now, &state);
-                } else if self.background.is_some() {
-                    let state = self.core.queue.probe();
-                    self.background_tick(now, &state);
-                }
-                if let Some(iv) = self.core.queue.update_interval() {
-                    self.core.events.push(now + iv, Event::AqmUpdate);
-                }
+            Event::AqmUpdate(hop) => {
+                self.handle_aqm_update(hop);
             }
             Event::Sample => {
                 let now = self.core.now();
-                self.core.monitor.sample(self.core.queue.as_ref(), now);
+                self.core.monitor.sample(self.core.hops[0].qdisc.as_ref(), now);
                 let iv = self.core.monitor.sample_interval();
                 self.core.events.push(now + iv, Event::Sample);
             }
@@ -1705,9 +1506,9 @@ impl Sim {
                     bg.capacity_bps = rate;
                     let granted = bg.applied_bps.min(bg.grant_ceiling());
                     bg.applied_bps = granted;
-                    self.core.queue.set_rate_bps(rate - granted);
+                    self.core.hop_qdisc_mut(0).set_rate_bps(rate - granted);
                 } else {
-                    self.core.queue.set_rate_bps(rate);
+                    self.core.hop_qdisc_mut(0).set_rate_bps(rate);
                 }
             }
             Event::SourceOn(flow) => {
@@ -1719,15 +1520,9 @@ impl Sim {
             Event::SetPath(flow, path) => {
                 self.core.set_path(flow, path);
             }
-            Event::HopDequeue(hop) => {
-                self.core.handle_hop_dequeue(hop);
-            }
             Event::HopArrive(hop, h) => {
                 let pkt = self.core.packets.take(h);
-                self.core.hop_admit(hop, pkt);
-            }
-            Event::HopAqmUpdate(hop) => {
-                self.core.handle_hop_aqm_update(hop);
+                self.core.admit(hop, pkt, false);
             }
         }
         if let Some(p) = &mut self.profiler {
@@ -1883,7 +1678,7 @@ mod tests {
             sim.run_until(Time::from_secs(2));
             (
                 sim.core.events.popped(),
-                sim.core.queue.stats().dequeued_bytes,
+                sim.core.hop_qdisc(0).stats().dequeued_bytes,
             )
         };
         assert_eq!(run(99), run(99));
@@ -1931,7 +1726,7 @@ mod tests {
         let (mut sim, _, _log) = build(1, 1_000_000, 10);
         sim.set_rate_at(Time::from_millis(100), 5_000_000);
         sim.run_until(Time::from_secs(1));
-        assert_eq!(sim.core.queue.rate_bps(), 5_000_000);
+        assert_eq!(sim.core.hop_qdisc(0).rate_bps(), 5_000_000);
     }
 
     /// A two-queue qdisc that stages every even-seq packet internally and
@@ -2095,7 +1890,7 @@ mod tests {
         sim.run_until(Time::from_secs(5));
         assert_eq!(log.borrow().delivered, vec![0, 1, 2, 3]);
         // The primary bottleneck never saw the flow...
-        assert_eq!(sim.core.queue.stats().enqueued, 0);
+        assert_eq!(sim.core.hop_qdisc(0).stats().enqueued, 0);
         assert_eq!(sim.core.hop_flow_bytes(0)[id.idx()], 0);
         // ...but the monitor's end-to-end accounting is complete.
         let acc = sim.core.monitor.flow(id);
@@ -2112,8 +1907,9 @@ mod tests {
         let h1 = sim.add_hop(fifo_hop(5_000_000), Duration::from_millis(2));
         let h2 = sim.add_hop(fifo_hop(5_000_000), Duration::from_millis(2));
         sim.set_route(id, vec![0, h1, h2]);
-        // run_until calls finish_audit, which now includes the per-hop
-        // conservation checks; all queues drain by the end.
+        // The auditor follows every hop's event stream, and run_until's
+        // finish_audit checks conservation hop by hop; all queues drain
+        // by the end.
         sim.run_until(Time::from_secs(5));
         assert_eq!(sim.core.monitor.flow(id).delivered_pkts, 20);
         assert_eq!(sim.core.hop_qdisc(h1).len_pkts(), 0);
@@ -2135,7 +1931,7 @@ mod tests {
                 sim.core.events.popped(),
                 acc.sent_pkts,
                 acc.delivered_bytes,
-                sim.core.queue.stats().dequeued_bytes,
+                sim.core.hop_qdisc(0).stats().dequeued_bytes,
             )
         };
         assert_eq!(observe(false), observe(true));
@@ -2170,6 +1966,28 @@ mod tests {
         sim.run_until(Time::from_secs(5));
         restored.run_until(Time::from_secs(5));
         assert_eq!(sim.save(), restored.save(), "replay diverged after restore");
+    }
+
+    #[test]
+    fn event_tags_are_dense_and_retired_ones_are_corrupt() {
+        let decode = |tag: u8| {
+            let mut w = CkptWriter::new();
+            w.u8(tag);
+            w.u32(2);
+            w.u32(5);
+            let bytes = w.into_bytes();
+            read_event(&mut CkptReader::new(&bytes))
+        };
+        // The table ends at 10 (`HopArrive` since version 4)...
+        assert!(matches!(decode(10), Ok(Event::HopArrive(2, 5))));
+        // ...so the last two tags of version 3's table (11 and 12), like
+        // anything else past the end, are a damaged blob.
+        for tag in [11, 12, u8::MAX] {
+            assert!(matches!(
+                decode(tag),
+                Err(CkptError::Corrupt("unknown event tag"))
+            ));
+        }
     }
 
     #[test]

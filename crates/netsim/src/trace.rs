@@ -251,32 +251,35 @@ pub fn aqm_state_csv(t: Time, st: &AqmState) -> String {
 
 /// A consumer of the simulator's telemetry stream.
 ///
-/// The simulator calls [`TraceSink::on_event`] for every bottleneck event
-/// and [`TraceSink::on_aqm_state`] at every AQM update tick, in
-/// simulation order. Implementations must be pure observers — they see
-/// the stream, they cannot influence the run.
+/// Every hop runs the same code and emits the same events; the hooks
+/// differ only in which hop they carry. The simulator calls
+/// [`TraceSink::on_event`] for every packet event at hop 0 (the primary
+/// bottleneck) and [`TraceSink::on_aqm_state`] at each of its AQM update
+/// ticks, and the `on_hop_*` pair for the same things at every other
+/// hop, all in simulation order. Implementations must be pure observers
+/// — they see the stream, they cannot influence the run.
 pub trait TraceSink {
-    /// A bottleneck packet event occurred.
+    /// A packet event occurred at hop 0.
     fn on_event(&mut self, ev: &TraceEvent);
 
-    /// The AQM's periodic update ran; `state` is its post-update control
-    /// state. Default: ignore.
+    /// Hop 0's periodic AQM update ran; `state` is its post-update
+    /// control state. Default: ignore.
     fn on_aqm_state(&mut self, t: Time, state: &AqmState) {
         let _ = (t, state);
     }
 
-    /// A bottleneck event occurred at an extra hop (`hop >= 1`; hop-0
-    /// events arrive through [`TraceSink::on_event`], keeping the primary
-    /// stream's schema unchanged). Default: ignore — line-oriented sinks
-    /// stay pinned to the hop-0 stream their golden files cover, while
-    /// timeline sinks ([`crate::perfetto::PerfettoSink`]) build per-hop
-    /// tracks from it.
+    /// A packet event occurred at a hop other than the primary bottleneck
+    /// (`hop >= 1`). Default: ignore — line-oriented sinks stay pinned to
+    /// the hop-0 stream their golden files cover, while sinks that follow
+    /// the whole network (the invariant auditor,
+    /// [`crate::perfetto::PerfettoSink`]'s per-hop tracks) override it.
     fn on_hop_event(&mut self, hop: u32, ev: &TraceEvent) {
         let _ = (hop, ev);
     }
 
-    /// An extra hop's periodic controller ran (`hop >= 1`); `state` is its
-    /// post-update control state. Default: ignore.
+    /// The periodic controller of a hop other than the primary bottleneck
+    /// ran (`hop >= 1`); `state` is its post-update control state.
+    /// Default: ignore.
     fn on_hop_aqm_state(&mut self, hop: u32, t: Time, state: &AqmState) {
         let _ = (hop, t, state);
     }

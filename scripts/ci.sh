@@ -20,6 +20,15 @@ cargo test -q
 echo "== workspace tests (release: some tests simulate minutes of traffic)"
 cargo test --workspace --release -q
 
+echo "== frozen benchmark still builds and runs against crates/"
+# benchmark/ is its own offline package compiled against the public API
+# of crates/ and may not be edited alongside them: an API change that
+# breaks it must fail here, not in the pipeline that runs it later.
+# --release: the frozen calibration kernel sums with wrapping u64
+# arithmetic, which a debug build turns into an overflow panic.
+cargo test --offline -q --release --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --quick
+
 echo "== bench smoke run (short sims; history to a scratch file)"
 # PI2_BENCH_OUT keeps CI noise out of the repo's BENCH_pi2.json
 # trajectory by default. Opt in with PI2_BENCH_HISTORY=1 to append the
@@ -179,22 +188,22 @@ echo "== topology scenario smoke: multi-hop FCT/fairness, thread determinism"
 # The {3-hop parking lot, access-core} x {PI2, DualPI2} family with
 # heavy-tailed mice: per-hop Jain fairness, per-class throughput and
 # mice FCT percentiles must be bit-identical — table and JSONL trace —
-# for any PI2_THREADS. The t=1 arm runs with --audit so the invariant
-# auditor (including per-hop packet conservation) is active on the same
-# cells the other arms must match, proving audit purity in passing.
+# for any PI2_THREADS. Every arm runs with --audit: the invariant
+# auditor checks each event of every hop (bounds, depth, per-flow
+# dequeue <= enqueue, per-hop conservation), so each worker count also
+# proves its cells clean. (Audited == unaudited is held by
+# tests/obs_server.rs and tests/trace_streaming.rs.)
 topo_dir="$(mktemp -d -t pi2_topology_smoke.XXXXXX)"
 trap 'rm -rf "$smoke_out" "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$topo_dir"' EXIT
 for t in 1 2 4; do
-    if [ "$t" = 1 ]; then audit_arg=(--audit); else audit_arg=(); fi
     # The "trace written to <path>" confirmation embeds the per-thread
-    # path; drop it so the table diff compares only scenario output. The
-    # header line embeds audit=on/off, so drop it too — the point is
-    # that the *measurements* agree across thread counts and audit.
+    # path; drop it so the table diff compares only scenario output.
     PI2_THREADS="$t" cargo run -q -p pi2-bench --release --bin pi2sim -- \
-        --scenario topology --seed 9 "${audit_arg[@]}" \
+        --scenario topology --seed 9 --audit \
         --trace-out "$topo_dir/trace_$t.jsonl" \
-        | grep -v '^topology trace:' | grep -v '^# pi2sim:' > "$topo_dir/table_$t.txt"
+        | grep -v '^topology trace:' > "$topo_dir/table_$t.txt"
 done
+grep -q 'audit=true' "$topo_dir/table_1.txt"
 grep -q 'parking-lot-3' "$topo_dir/table_1.txt"
 grep -q 'access-core-2' "$topo_dir/table_1.txt"
 grep -q 'hop 2:' "$topo_dir/table_1.txt"         # per-hop rows present

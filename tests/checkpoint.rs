@@ -51,9 +51,9 @@ const GRID: &[Cell] = &[
     Cell { aqm: "curvy", mix: "mixed", seed: 20 },
     Cell { aqm: "taildrop", mix: "udp", seed: 21 },
     // Multi-hop + finite flows: the checkpoint must carry every extra
-    // hop's qdisc, transmit latch and admission books, the per-hop
-    // flow-byte rows, in-flight HopArrive/HopDequeue/HopAqmUpdate
-    // events, and a short flow's completion state.
+    // hop's qdisc, transmit latch and flow-byte row, in-flight
+    // HopArrive and per-hop Dequeue/AqmUpdate events, and a short
+    // flow's completion state.
     Cell { aqm: "pi2", mix: "multihop", seed: 22 },
     Cell { aqm: "dualq", mix: "multihop", seed: 23 },
     // Hybrid backend: the checkpoint must carry the fluid background's
@@ -559,4 +559,78 @@ fn restore_is_idempotent() {
         (r.core.events.popped(), r.core.counters.clone())
     };
     assert_eq!(run(), run());
+}
+
+/// Multi-hop restore with the auditor on, as `PI2_AUDIT=1` runs it: the
+/// snapshot is taken while hops 1 and 2 hold packets, and the auditor —
+/// which is not checkpointed — must resume every hop's books from that
+/// hop's restored occupancy, or the first post-restore departure at a
+/// later hop reads as a packet that was never admitted. Both attach
+/// orders are covered: before the hops exist (what `Sim::with_qdisc`
+/// does under `PI2_AUDIT`) and after. Each arm replays to the end through
+/// `run_until`'s `finish_audit` and must match the uninterrupted run.
+#[test]
+fn multihop_restore_rebaselines_the_auditor_at_every_hop() {
+    let seed = 81;
+    let build = |audit_before_hops: bool| {
+        let queue = QueueConfig {
+            rate_bps: RATE,
+            buffer_bytes: 40_000 * 1500,
+        };
+        let cfg = SimConfig {
+            queue,
+            seed,
+            monitor: MonitorConfig::default(),
+        };
+        let kind = AqmKind::Pi2(Pi2Config::default());
+        let mut sim = Sim::with_qdisc(cfg, kind.build_qdisc(queue));
+        if audit_before_hops {
+            sim.core.enable_audit(AuditSink::new(seed));
+        }
+        let topo = pi2::netsim::Topology::parking_lot(3, Duration::from_millis(3));
+        // Each hop slower than the one before, so every queue stands.
+        topo.install(&mut sim.core, |hop| {
+            kind.build_qdisc(QueueConfig {
+                rate_bps: RATE / (1 + u64::from(hop)),
+                ..queue
+            })
+        });
+        if !audit_before_hops {
+            sim.core.enable_audit(AuditSink::new(seed));
+        }
+        for (cc, ecn) in [
+            (CcKind::Cubic, EcnSetting::NotEcn),
+            (CcKind::Dctcp, EcnSetting::Scalable),
+        ] {
+            let id = sim.add_flow(
+                PathConf::symmetric(Duration::from_millis(40)),
+                "long",
+                Time::ZERO,
+                move |id| Box::new(TcpSource::new(id, cc, ecn, TcpConfig::default())),
+            );
+            sim.set_route(id, topo.path("e2e").to_vec());
+        }
+        sim
+    };
+
+    let mut straight = build(false);
+    straight.run_until(Time::from_millis(1500));
+    let blob = straight.save();
+    for hop in 1..3 {
+        assert!(
+            straight.core.hop_qdisc(hop).len_pkts() > 0,
+            "the snapshot must catch packets queued at hop {hop}"
+        );
+    }
+    straight.run_until(T_END);
+    let want = straight.save();
+
+    for audit_before_hops in [true, false] {
+        let mut restored = build(audit_before_hops);
+        restored.restore(&blob).expect("restore");
+        restored.run_until(T_END);
+        assert_eq!(restored.save(), want, "replay diverged after restore");
+        let audit = restored.core.audit().expect("auditor attached");
+        assert!(audit.events_seen() > 0 && audit.probes_seen() > 0);
+    }
 }

@@ -242,3 +242,131 @@ fn broken_aqm_violation_dumps_the_flight_recorder() {
     assert!(last.contains(&format!("\"seed\":{seed}")), "missing seed: {last}");
     let _ = std::fs::remove_file(&dump);
 }
+
+/// A FIFO hop that misreports one admission: the 30th packet offered is
+/// queued but announced as dropped, so it later leaves a queue the event
+/// stream never saw it enter.
+struct LyingQdisc {
+    inner: pi2::netsim::BottleneckQueue,
+    offers: u64,
+}
+
+impl pi2::netsim::Qdisc for LyingQdisc {
+    fn offer(&mut self, pkt: Packet, now: Time, rng: &mut pi2::simcore::Rng) -> Decision {
+        self.offers += 1;
+        let verdict = self.inner.offer(pkt, now, rng);
+        if self.offers == 30 {
+            Decision::drop(0.0)
+        } else {
+            verdict
+        }
+    }
+    fn pop(&mut self, now: Time) -> Option<(Packet, Duration)> {
+        self.inner.pop(now)
+    }
+    fn head_size(&self) -> Option<usize> {
+        self.inner.head_size()
+    }
+    fn len_bytes(&self) -> usize {
+        self.inner.len_bytes()
+    }
+    fn len_pkts(&self) -> usize {
+        self.inner.len_pkts()
+    }
+    fn rate_bps(&self) -> u64 {
+        self.inner.rate_bps()
+    }
+    fn set_rate_bps(&mut self, rate_bps: u64) {
+        self.inner.set_rate_bps(rate_bps);
+    }
+    fn update(&mut self, now: Time) {
+        self.inner.update(now);
+    }
+    fn update_interval(&self) -> Option<Duration> {
+        self.inner.update_interval()
+    }
+    fn control_variable(&self) -> f64 {
+        self.inner.control_variable()
+    }
+    fn stats(&self) -> &pi2::netsim::QueueStats {
+        self.inner.stats()
+    }
+}
+
+/// Every link of the broken-hop parking lot.
+const LOT_QUEUE: QueueConfig = QueueConfig {
+    rate_bps: 1_000_000,
+    buffer_bytes: 40_000 * 1500,
+};
+
+/// Run an audited 3-hop parking lot whose hop 2 is `broken`, under one
+/// end-to-end CBR flow, and return the auditor's panic message and the
+/// lines of its flight-recorder dump.
+fn hop2_violation(seed: u64, broken: Box<dyn pi2::netsim::Qdisc>) -> (String, Vec<String>) {
+    let dump = std::env::temp_dir().join(format!("pi2_flight_seed{seed}.jsonl"));
+    let _ = std::fs::remove_file(&dump);
+    let result = catch_unwind(AssertUnwindSafe(move || {
+        let cfg = SimConfig {
+            queue: LOT_QUEUE,
+            seed,
+            monitor: MonitorConfig::default(),
+        };
+        let mut sim = Sim::new(cfg, Box::new(PassAqm));
+        sim.core.enable_audit(AuditSink::new(seed).with_label("lot"));
+        let topo = pi2::netsim::Topology::parking_lot(3, Duration::from_millis(2));
+        let mut broken = Some(broken);
+        topo.install(&mut sim.core, |hop| match hop {
+            2 => broken.take().expect("hop 2 is built once"),
+            _ => Box::new(pi2::netsim::BottleneckQueue::new(LOT_QUEUE, Box::new(PassAqm))),
+        });
+        let e2e = sim.add_flow(
+            PathConf::symmetric(Duration::from_millis(20)),
+            "e2e",
+            Time::ZERO,
+            |id| Box::new(pi2::netsim::UdpCbrSource::new(id, 600_000, 1000, Ecn::NotEct)),
+        );
+        sim.set_route(e2e, topo.path("e2e").to_vec());
+        sim.run_until(Time::from_secs(10));
+    }));
+    let err = result.expect_err("the auditor must panic on the broken hop");
+    let msg = err
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    let body = std::fs::read_to_string(&dump).expect("flight-recorder dump exists");
+    let _ = std::fs::remove_file(&dump);
+    (msg, body.lines().map(str::to_string).collect())
+}
+
+/// What auditing every hop buys: a fault two hops past the primary
+/// bottleneck — an out-of-range probability, then a departure that was
+/// never admitted — panics through the auditor with the replayable seed,
+/// names hop 2, and leaves a flight-recorder dump whose last trace line
+/// is the violating event at that hop.
+#[test]
+fn broken_hop_two_is_caught_by_the_auditor() {
+    let bad_prob =
+        pi2::netsim::BottleneckQueue::new(LOT_QUEUE, Box::new(BrokenAqm { decisions: 0 }));
+    let phantom = LyingQdisc {
+        inner: pi2::netsim::BottleneckQueue::new(LOT_QUEUE, Box::new(PassAqm)),
+        offers: 0,
+    };
+    let cases: [(u64, Box<dyn pi2::netsim::Qdisc>, &str, &str); 2] = [
+        (0xB20_CE42, Box::new(bad_prob), "drop probability = 1.5", "\"ev\":\"drop\""),
+        (0xB20_CE43, Box::new(phantom), "queue depth went negative", "\"ev\":\"deq\""),
+    ];
+    for (seed, broken, what, last_ev) in cases {
+        let (msg, lines) = hop2_violation(seed, broken);
+        assert!(msg.contains("INVARIANT VIOLATION"), "{msg}");
+        assert!(msg.contains(&format!("hop 2: {what}")), "{msg}");
+        assert!(msg.contains(&format!("seed: {seed}")), "seed must be replayable: {msg}");
+        assert!(msg.contains("flight recorder"), "panic must name the dump: {msg}");
+        let [.., violating, closing] = lines.as_slice() else {
+            panic!("dump holds the event window: {lines:?}");
+        };
+        assert!(violating.contains(last_ev), "dump must end on the violating event: {violating}");
+        assert!(violating.ends_with(",\"hop\":2}"), "violating event is hop 2's: {violating}");
+        assert!(closing.contains("\"ev\":\"violation\""), "missing closing record: {closing}");
+    }
+}

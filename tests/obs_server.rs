@@ -264,3 +264,64 @@ fn perfetto_export_of_golden_parking_lot_round_trips() {
     assert!(report.tracks >= 4, "got {} tracks", report.tracks);
     assert_eq!(report.slices, 3, "one lifetime slice per flow");
 }
+
+/// Everything one parking-lot run leaves behind that an observer could
+/// have perturbed.
+#[derive(PartialEq)]
+struct ParkingLotOutcome {
+    hop0_trace: Vec<u8>,
+    hop_flow_bytes: Vec<Vec<u64>>,
+    metrics_json: String,
+    counters: pi2::netsim::TraceCounts,
+    events_popped: u64,
+    all_hop_events: u64,
+}
+
+/// Auditing every hop is pure and complete on the golden parking-lot
+/// scenario: the audited run's hop-0 trace, per-hop flow bytes, metrics
+/// and counters are bit-identical to the unaudited run's, and the
+/// auditor saw exactly the events the independent all-hop tally counted
+/// — not only hop 0's.
+#[test]
+fn auditing_every_hop_is_pure_and_sees_the_whole_stream() {
+    let run = |audit: bool| {
+        let jsonl = Rc::new(RefCell::new(pi2::netsim::JsonlSink::new(Vec::new())));
+        let counts = Rc::new(RefCell::new(AllHopCounts::default()));
+        let (j, c) = (Rc::clone(&jsonl), Rc::clone(&counts));
+        let mut sim = parking_lot_run(move |sim| {
+            // Explicit either way, so neither the debug-build default nor
+            // `PI2_AUDIT` decides what the arms compare.
+            drop(sim.core.take_audit());
+            if audit {
+                sim.core.enable_audit(pi2::netsim::AuditSink::new(11));
+            }
+            sim.core.enable_metrics();
+            sim.core.add_trace_sink(Box::new(j));
+            sim.core.add_trace_sink(Box::new(c));
+        });
+        sim.core.flush_trace_sinks().expect("flush");
+        drop(sim.core.take_trace_sinks());
+        let c = counts.borrow();
+        let outcome = ParkingLotOutcome {
+            hop0_trace: Rc::try_unwrap(jsonl).expect("sole owner").into_inner().into_inner(),
+            hop_flow_bytes: (0..sim.core.hop_count() as u32)
+                .map(|h| sim.core.hop_flow_bytes(h).to_vec())
+                .collect(),
+            metrics_json: sim.core.take_metrics().expect("metrics on").registry().to_json(),
+            counters: sim.core.counters.clone(),
+            events_popped: sim.core.events.popped(),
+            all_hop_events: c.drops + c.marks + c.enqueues + c.dequeues,
+        };
+        (outcome, sim.core.audit().map(|a| a.events_seen()))
+    };
+    let (plain, unaudited) = run(false);
+    let (audited, seen) = run(true);
+    assert_eq!(unaudited, None);
+    assert!(plain == audited, "attaching the auditor changed the run");
+    // The JSONL stream is hop 0's: one line per packet event plus one
+    // per controller tick.
+    let hop0_events = plain.hop0_trace.iter().filter(|&&b| b == b'\n').count() as u64
+        - plain.counters.aqm_updates;
+    assert!(plain.all_hop_events > hop0_events, "hops past the first carry traffic");
+    assert_eq!(seen, Some(plain.all_hop_events), "the auditor sees every hop's events");
+}

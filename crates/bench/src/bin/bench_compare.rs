@@ -21,17 +21,23 @@
 //! ## `PI2_PERF_GATE`
 //!
 //! `PI2_PERF_GATE=1` turns the comparison into a CI gate (exit 1) when
-//! either check fails for `sim_throughput`:
+//! any check fails for `sim_throughput`. Costs are per dequeued
+//! **packet**, not per event: a change that removes events (lazy timers
+//! dropped a quarter of them) reads as no gain, or a loss, in ns/event
+//! while the run itself got faster.
 //!
-//! * **absolute**: a `*_ns_per_event` metric worsened by more than
+//! * **absolute**: a `*_ns_per_pkt` metric worsened by more than
 //!   `PI2_PERF_TOL` (default 0.35 — generous, for the clock bimodality)
 //!   against the baseline;
-//! * **relative**: the candidate's PIE/PI2 per-event cost ratio leaves
+//! * **relative**: the candidate's PIE/PI2 per-packet cost ratio leaves
 //!   `[0.9, 2.0]`. Both AQMs run the identical engine, so host throttling
 //!   scales them together and this ratio is machine-mode-independent; it
 //!   pins down AQM-specific regressions that absolute numbers cannot
 //!   (the committed 169 → 211 ns/event "regression" was throttling: the
-//!   ratio stayed 1.44 → 1.40).
+//!   ratio stayed 1.44 → 1.40);
+//! * **work**: the PI2 case pops more than 3.1 events per dequeued packet.
+//!   A packet needs three (dequeue, deliver, ack); the count is
+//!   deterministic, so this one is exact on any host.
 
 use pi2_bench::perf::{history_path, load_history, RunRecord};
 use pi2_bench::table;
@@ -40,8 +46,11 @@ use std::process::exit;
 
 /// Metrics that participate in the absolute gate check.
 fn is_gated_metric(name: &str) -> bool {
-    name.ends_with("_ns_per_event") && !name.starts_with("profile_")
+    name.ends_with("_ns_per_pkt")
 }
+
+/// Ceiling on events popped per dequeued packet in the PI2 case.
+const MAX_EVENTS_PER_PKT: f64 = 3.1;
 
 /// Newest run of `bench`, plus (for baseline use) the per-metric minimum
 /// over the trailing `window` runs of that bench.
@@ -129,7 +138,7 @@ fn compare_bench(bench: &str, cur: &RunRecord, base: Option<&RunRecord>) -> Vec<
         rows.push(vec![k.clone(), pi2_bench::f(*b), pi2_bench::f(*v), delta]);
         if bench == "sim_throughput" && is_gated_metric(k) && *b > 0.0 && v / b > 1.0 + tol {
             violations.push(format!(
-                "{k}: {v:.1} ns/event vs baseline {b:.1} (+{:.0}%, allowed +{:.0}%)",
+                "{k}: {v:.1} ns/pkt vs baseline {b:.1} (+{:.0}%, allowed +{:.0}%)",
                 (v / b - 1.0) * 100.0,
                 tol * 100.0
             ));
@@ -147,14 +156,23 @@ fn compare_bench(bench: &str, cur: &RunRecord, base: Option<&RunRecord>) -> Vec<
                 .map(|(_, v)| *v)
         };
         if let (Some(pie), Some(pi2)) = (
-            get(cur, "pie_10flows_50mbps_ns_per_event"),
-            get(cur, "pi2_10flows_50mbps_ns_per_event"),
+            get(cur, "pie_10flows_50mbps_ns_per_pkt"),
+            get(cur, "pi2_10flows_50mbps_ns_per_pkt"),
         ) {
             let ratio = pie / pi2;
-            println!("PIE/PI2 per-event cost ratio: {ratio:.3} (band 0.9..=2.0)");
+            println!("PIE/PI2 per-packet cost ratio: {ratio:.3} (band 0.9..=2.0)");
             if !(0.9..=2.0).contains(&ratio) {
                 violations.push(format!(
-                    "PIE/PI2 ns/event ratio {ratio:.3} outside [0.9, 2.0] — AQM-specific regression"
+                    "PIE/PI2 ns/pkt ratio {ratio:.3} outside [0.9, 2.0] — AQM-specific regression"
+                ));
+            }
+        }
+        if let Some(per_pkt) = get(cur, "pi2_10flows_50mbps_events_per_pkt") {
+            println!("PI2 events per dequeued packet: {per_pkt:.3} (ceiling {MAX_EVENTS_PER_PKT})");
+            if per_pkt > MAX_EVENTS_PER_PKT {
+                violations.push(format!(
+                    "pi2_10flows_50mbps_events_per_pkt {per_pkt:.3} above {MAX_EVENTS_PER_PKT} — \
+                     the dispatch loop is popping events that move no packet"
                 ));
             }
         }

@@ -1,8 +1,15 @@
 //! End-to-end simulator throughput: how much wall-clock time one
-//! simulated second costs per AQM, in events/second. Establishes that
-//! figure regeneration is dominated by simulated traffic, not AQM
-//! overhead. `PI2_SECS` sets the simulated seconds per iteration
-//! (default 5); results append to `BENCH_pi2.json`.
+//! simulated second costs per AQM. Establishes that figure regeneration
+//! is dominated by simulated traffic, not AQM overhead. `PI2_SECS` sets
+//! the simulated seconds per iteration (default 5); results append to
+//! `BENCH_pi2.json`.
+//!
+//! The unit to compare across commits is **ns per dequeued packet**: a
+//! run simulates the same packets whatever the engine does, whereas
+//! ns/event also moves when a change adds or removes events — dropping
+//! cheap no-op events makes a run faster and its mean event dearer. The
+//! record carries both, plus the deterministic work counters behind the
+//! difference: events per packet and the pending-event high-water mark.
 
 use pi2_aqm::{Pi2, Pi2Config, Pie, PieConfig};
 use pi2_bench::alloc_count::{self, CountingAlloc};
@@ -186,24 +193,41 @@ fn main() {
         );
         std::process::exit(1);
     }
-    // Event totals from the always-on counting sink, recorded alongside
-    // the timing metrics so perf history can spot behavioral drift too.
-    let makes: [(&str, fn() -> Box<dyn Aqm>); 2] = [
-        ("pie_10flows_50mbps", || {
-            Box::new(Pie::new(PieConfig::paper_default()))
-        }),
-        ("pi2_10flows_50mbps", || {
-            Box::new(Pi2::new(Pi2Config::default()))
-        }),
+    // Work counters from one more (untimed) run per AQM: packet totals
+    // from the always-on counting sink, so perf history can spot
+    // behavioural drift, and what the engine spent on them. All of these
+    // repeat exactly for a given `PI2_SECS`. The run is cut into 1 ms
+    // slices only to read the pending-event count at each boundary.
+    let makes: [(&Measurement, fn() -> Box<dyn Aqm>); 2] = [
+        (&ms[0], || Box::new(Pie::new(PieConfig::paper_default()))),
+        (&ms[1], || Box::new(Pi2::new(Pi2Config::default()))),
     ];
-    for (name, make) in makes {
+    for (m, make) in makes {
+        let name = &m.name;
         let mut sim = build(make());
-        sim.run_until(Time::from_secs(secs));
+        let mut pending_high_water = 0;
+        for ms in 1..=secs * 1000 {
+            sim.run_until(Time::from_millis(ms));
+            pending_high_water = pending_high_water.max(sim.core.events.len());
+        }
         let t = sim.core.counters.totals();
+        let pkts = t.dequeued.max(1) as f64;
+        let ns_per_pkt = m.median_ns / pkts;
+        let events_per_pkt = sim.core.events.popped() as f64 / pkts;
         metrics.push((format!("{name}_enq_pkts"), t.enqueued as f64));
         metrics.push((format!("{name}_marked_pkts"), t.marked as f64));
         metrics.push((format!("{name}_dropped_pkts"), t.dropped as f64));
         metrics.push((format!("{name}_dequeued_pkts"), t.dequeued as f64));
+        metrics.push((format!("{name}_ns_per_pkt"), ns_per_pkt));
+        metrics.push((format!("{name}_events_per_pkt"), events_per_pkt));
+        metrics.push((
+            format!("{name}_pending_high_water"),
+            pending_high_water as f64,
+        ));
+        println!(
+            "{name}: {ns_per_pkt:.1} ns/pkt, {events_per_pkt:.3} events/pkt, \
+             {pending_high_water} events pending at most"
+        );
     }
     record_and_report("sim_throughput", metrics);
 }

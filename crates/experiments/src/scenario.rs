@@ -371,12 +371,17 @@ impl Scenario {
                 .map(|&(t, bps)| (t.as_secs_f64(), bps))
                 .collect(),
         });
+        let rate_bps = sim.core.hop_qdisc(0).rate_bps();
+        let impair = sim.core.impairments().map(|i| i.stats());
+        // The run is over: its measurements move into the result (the
+        // monitor holds a sample per packet; a copy would double the
+        // peak).
         RunResult {
             aqm: self.aqm.name(),
-            monitor: sim.core.monitor.clone(),
-            counters: sim.core.counters.clone(),
-            rate_bps: sim.core.hop_qdisc(0).rate_bps(),
-            impair: sim.core.impairments().map(|i| i.stats()),
+            monitor: sim.core.monitor,
+            counters: sim.core.counters,
+            rate_bps,
+            impair,
             metrics,
             background,
         }

@@ -30,6 +30,7 @@ pub mod pool;
 pub mod queue;
 pub mod sim;
 pub mod source;
+pub mod timer;
 pub mod topology;
 pub mod trace;
 
@@ -46,6 +47,7 @@ pub use sim::{
     event_class, Ack, Event, PathConf, Sim, SimConfig, SimCore, Source, TimerKind, EVENT_CLASSES,
 };
 pub use source::{OnOffCbrSource, UdpCbrSource};
+pub use timer::LazyTimer;
 pub use topology::Topology;
 pub use perfetto::PerfettoSink;
 pub use trace::{

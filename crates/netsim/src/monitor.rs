@@ -266,8 +266,13 @@ impl Monitor {
         if self.flow_pkts_hint > 0 {
             // A single flow can carry at most the whole link, so the
             // total-packet hint bounds any one flow; cap the per-flow
-            // reservation so many-flow scenarios don't multiply it.
-            let per_flow = self.flow_pkts_hint.min(1 << 16);
+            // reservation so many-flow scenarios don't multiply it. At
+            // 16 Ki samples (64 KB) a vector still comes out of the
+            // allocator's heap; from 32 Ki on glibc gives each one a
+            // mapping of its own, unmapped when the run ends, and a
+            // process that runs one simulation after another keeps
+            // nothing of a finished run to build the next one in.
+            let per_flow = self.flow_pkts_hint.min(1 << 14);
             if self.cfg.record_probs {
                 acc.prob_samples.reserve(per_flow);
             }

@@ -143,13 +143,15 @@ pub enum Event {
     Deliver(Handle),
     /// An ACK reaches its sender (handle into [`SimCore::acks`]).
     AckArrive(Handle),
-    /// A timer armed by a source fires.
+    /// The wheel event of a source's [`LazyTimer`](crate::timer::LazyTimer)
+    /// pops.
     Timer {
         /// Owning flow.
         flow: FlowId,
         /// Which of the flow's timers.
         kind: TimerKind,
-        /// Arming sequence number, for lazy cancellation.
+        /// The event's own tie-break sequence number, by which the timer
+        /// knows the event standing in for it.
         id: u64,
     },
     /// Periodic controller update of the given hop's AQM (the paper's
@@ -221,7 +223,6 @@ pub struct SimCore {
     /// Per-flow hop routes in traversal order. An empty entry means the
     /// default single-hop route `[0]` (no allocation for default flows).
     routes: Vec<Vec<u32>>,
-    timer_seq: u64,
 }
 
 impl SimCore {
@@ -240,7 +241,6 @@ impl SimCore {
             paths: Vec::new(),
             hops: Vec::new(),
             routes: Vec::new(),
-            timer_seq: 0,
         }
     }
 
@@ -656,17 +656,6 @@ impl SimCore {
         }
     }
 
-    /// Arm a timer for `flow`; returns the arming id. A source should keep
-    /// the id and ignore timer events whose id it no longer expects (lazy
-    /// cancellation).
-    pub fn schedule_timer(&mut self, flow: FlowId, kind: TimerKind, delay: Duration) -> u64 {
-        let id = self.timer_seq;
-        self.timer_seq += 1;
-        let at = self.now() + delay.max_zero();
-        self.events.push(at, Event::Timer { flow, kind, id });
-        id
-    }
-
     /// Schedule an arbitrary event (used by scenario scripts for rate
     /// changes and source on/off steps).
     pub fn schedule(&mut self, at: Time, event: Event) {
@@ -770,19 +759,19 @@ impl SimCore {
 
     /// Serialize every piece of live core state in a fixed order: the
     /// event queue (canonical `(time, seq)`-sorted pending list plus
-    /// clock and lifetime counters), the RNG stream, the monitor, the
-    /// per-flow counters, both in-flight pools (slot-positional, so
-    /// `Deliver`/`HopArrive`/`AckArrive` handles inside pending events
-    /// stay valid), optional metrics and impairment state, the timer
-    /// arming counter, the per-flow paths, and every hop's mutable state
-    /// (qdisc, link-busy flag, per-flow egress bytes).
+    /// clock, sequence counter and pop counter), the RNG stream, the
+    /// monitor, the per-flow counters, both in-flight pools
+    /// (slot-positional, so `Deliver`/`HopArrive`/`AckArrive` handles
+    /// inside pending events stay valid), optional metrics and impairment
+    /// state, the per-flow paths, and every hop's mutable state (qdisc,
+    /// link-busy flag, per-flow egress bytes).
     ///
     /// Trace sinks, the auditor and the profiler are pure observers and
     /// are not checkpointed; each hop's one-entry serialization cache is
     /// pure (a hit and a recompute agree) and restores cold.
     pub fn save_ckpt(&self, w: &mut CkptWriter) {
         w.time(self.events.now());
-        w.u64(self.events.pushed());
+        w.u64(self.events.next_seq());
         w.u64(self.events.popped());
         let entries = self.events.entries_sorted();
         w.usize(entries.len());
@@ -812,7 +801,6 @@ impl SimCore {
             }
             None => w.bool(false),
         }
-        w.u64(self.timer_seq);
         w.usize(self.paths.len());
         for p in &self.paths {
             w.duration(p.fwd);
@@ -838,7 +826,7 @@ impl SimCore {
     /// the snapshot was taken from.
     pub fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
         let now = r.time()?;
-        let pushed = r.u64()?;
+        let next_seq = r.u64()?;
         let popped = r.u64()?;
         let n = r.usize()?;
         let mut entries = Vec::with_capacity(n);
@@ -849,12 +837,12 @@ impl SimCore {
             if time < now {
                 return Err(CkptError::Corrupt("pending event precedes restored clock"));
             }
-            if seq >= pushed {
-                return Err(CkptError::Corrupt("pending event seq exceeds push counter"));
+            if seq >= next_seq {
+                return Err(CkptError::Corrupt("pending event seq exceeds sequence counter"));
             }
             entries.push(EventEntry { time, seq, event });
         }
-        self.events = EventQueue::from_parts(now, pushed, popped, entries);
+        self.events = EventQueue::from_parts(now, next_seq, popped, entries);
         let state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
         self.rng = Rng::from_state(state);
         self.monitor.restore_ckpt(r)?;
@@ -879,7 +867,6 @@ impl SimCore {
             // same `LinkImpairments` before restoring.
             _ => return Err(CkptError::Corrupt("impairment layer presence mismatch")),
         }
-        self.timer_seq = r.u64()?;
         if r.usize()? != self.paths.len() {
             return Err(CkptError::Corrupt("flow path count mismatch"));
         }
@@ -1027,7 +1014,10 @@ pub trait Source {
         let _ = (ack, core);
     }
 
-    /// A timer armed via [`SimCore::schedule_timer`] fired.
+    /// A timer event of this flow popped. The source hands it to its
+    /// [`LazyTimer`](crate::timer::LazyTimer) of that `kind`, whose
+    /// [`wake`](crate::timer::LazyTimer::wake) says whether the timer is
+    /// due.
     fn on_timer(&mut self, kind: TimerKind, id: u64, core: &mut SimCore) {
         let _ = (kind, id, core);
     }
@@ -1114,8 +1104,13 @@ pub fn event_class(ev: &Event) -> usize {
 /// bottleneck an ordinary hop: its qdisc, link-busy flag and egress-byte
 /// row moved into the hop section, the core-side per-hop admission
 /// counters were dropped, `Dequeue`/`AqmUpdate` events gained a hop id and
-/// the event tags were renumbered (see [`write_event`]).
-pub const CKPT_VERSION: u32 = 4;
+/// the event tags were renumbered (see [`write_event`]). Version 5 came
+/// with lazy timers: the queue section stores the tie-break sequence
+/// counter (no longer the push count), the core's timer-arming counter is
+/// gone (a timer event's id is its own sequence number), and every
+/// timer-id field of a source (TCP's two, a CBR source's one) became a
+/// [`LazyTimer`](crate::timer::LazyTimer) record.
+pub const CKPT_VERSION: u32 = 5;
 
 /// The complete simulator: shared core + traffic sources.
 pub struct Sim {
@@ -1537,6 +1532,7 @@ mod tests {
     use super::*;
     use crate::aqm::PassAqm;
     use crate::packet::Ecn;
+    use crate::timer::LazyTimer;
 
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -1687,18 +1683,17 @@ mod tests {
     #[test]
     fn timers_fire_for_the_right_flow() {
         struct TimerProbe {
-            id: FlowId,
-            fired: Rc<RefCell<Vec<(TimerKind, u64)>>>,
-            armed: u64,
+            timer: LazyTimer,
+            fired: Rc<RefCell<Vec<(TimerKind, Time)>>>,
         }
         impl Source for TimerProbe {
             fn on_start(&mut self, core: &mut SimCore) {
-                self.armed = core.schedule_timer(self.id, TimerKind::Send, Duration::from_millis(5));
+                self.timer.arm(core, Duration::from_millis(5));
             }
             fn on_deliver(&mut self, _pkt: Packet, _core: &mut SimCore) {}
-            fn on_timer(&mut self, kind: TimerKind, id: u64, _core: &mut SimCore) {
-                assert_eq!(id, self.armed, "stale timer id delivered");
-                self.fired.borrow_mut().push((kind, id));
+            fn on_timer(&mut self, kind: TimerKind, id: u64, core: &mut SimCore) {
+                assert!(self.timer.wake(core, id), "a timer armed once wakes once, due");
+                self.fired.borrow_mut().push((kind, core.now()));
             }
         }
         let fired = Rc::new(RefCell::new(Vec::new()));
@@ -1710,15 +1705,13 @@ mod tests {
             Time::ZERO,
             move |id| {
                 Box::new(TimerProbe {
-                    id,
+                    timer: LazyTimer::new(id, TimerKind::Send),
                     fired: fired2,
-                    armed: 0,
                 })
             },
         );
         sim.run_until(Time::from_secs(1));
-        assert_eq!(fired.borrow().len(), 1);
-        assert_eq!(fired.borrow()[0].0, TimerKind::Send);
+        assert_eq!(*fired.borrow(), [(TimerKind::Send, Time::from_millis(5))]);
     }
 
     #[test]

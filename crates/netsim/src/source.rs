@@ -8,21 +8,8 @@
 
 use crate::packet::{Ecn, FlowId, Packet};
 use crate::sim::{SimCore, Source, TimerKind};
+use crate::timer::LazyTimer;
 use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Time};
-
-/// Encode an `Option<u64>` timer-arming id (presence flag + value, zero
-/// placeholder when absent) — shared by the CBR sources' checkpoints.
-fn write_opt_timer(w: &mut CkptWriter, t: Option<u64>) {
-    w.bool(t.is_some());
-    w.u64(t.unwrap_or(0));
-}
-
-/// Decode the counterpart of [`write_opt_timer`].
-fn read_opt_timer(r: &mut CkptReader) -> Result<Option<u64>, CkptError> {
-    let present = r.bool()?;
-    let v = r.u64()?;
-    Ok(present.then_some(v))
-}
 
 /// A constant-bit-rate UDP sender. It never reacts to congestion: packets
 /// are emitted on a fixed tick regardless of drops, like `iperf -u`.
@@ -33,7 +20,7 @@ pub struct UdpCbrSource {
     ecn: Ecn,
     seq: u64,
     active: bool,
-    expected_timer: Option<u64>,
+    send_timer: LazyTimer,
 }
 
 impl UdpCbrSource {
@@ -50,7 +37,7 @@ impl UdpCbrSource {
             ecn,
             seq: 0,
             active: false,
-            expected_timer: None,
+            send_timer: LazyTimer::new(id, TimerKind::Send),
         }
     }
 
@@ -62,8 +49,8 @@ impl UdpCbrSource {
         let pkt = Packet::data(self.id, self.seq, self.pkt_size, self.ecn, core.now());
         self.seq += 1;
         core.send_packet(pkt);
-        let id = core.schedule_timer(self.id, TimerKind::Send, self.interval());
-        self.expected_timer = Some(id);
+        let interval = self.interval();
+        self.send_timer.arm(core, interval);
     }
 }
 
@@ -78,7 +65,7 @@ impl Source for UdpCbrSource {
 
     fn on_stop(&mut self, _core: &mut SimCore) {
         self.active = false;
-        self.expected_timer = None;
+        self.send_timer.cancel();
     }
 
     fn on_deliver(&mut self, _pkt: Packet, _core: &mut SimCore) {
@@ -86,23 +73,21 @@ impl Source for UdpCbrSource {
     }
 
     fn on_timer(&mut self, kind: TimerKind, id: u64, core: &mut SimCore) {
-        if kind != TimerKind::Send || !self.active || self.expected_timer != Some(id) {
-            return; // stale timer from before a stop/restart
+        if kind == TimerKind::Send && self.send_timer.wake(core, id) {
+            self.send_and_rearm(core);
         }
-        self.send_and_rearm(core);
     }
 
     fn save_ckpt(&self, w: &mut CkptWriter) {
         w.u64(self.seq);
         w.bool(self.active);
-        write_opt_timer(w, self.expected_timer);
+        self.send_timer.save_ckpt(w);
     }
 
     fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
         self.seq = r.u64()?;
         self.active = r.bool()?;
-        self.expected_timer = read_opt_timer(r)?;
-        Ok(())
+        self.send_timer.restore_ckpt(r)
     }
 }
 
@@ -120,7 +105,7 @@ pub struct OnOffCbrSource {
     /// True while inside an ON period.
     bursting: bool,
     period_start: Time,
-    expected_timer: Option<u64>,
+    send_timer: LazyTimer,
 }
 
 impl OnOffCbrSource {
@@ -138,7 +123,7 @@ impl OnOffCbrSource {
             active: false,
             bursting: false,
             period_start: Time::ZERO,
-            expected_timer: None,
+            send_timer: LazyTimer::new(id, TimerKind::Send),
         }
     }
 
@@ -153,15 +138,14 @@ impl OnOffCbrSource {
                 // Burst over: sleep until the next period.
                 self.bursting = false;
                 self.period_start = now;
-                let id = core.schedule_timer(self.id, TimerKind::Send, self.off);
-                self.expected_timer = Some(id);
+                self.send_timer.arm(core, self.off);
                 return;
             }
             let pkt = Packet::data(self.id, self.seq, self.pkt_size, Ecn::NotEct, now);
             self.seq += 1;
             core.send_packet(pkt);
-            let id = core.schedule_timer(self.id, TimerKind::Send, self.interval());
-            self.expected_timer = Some(id);
+            let interval = self.interval();
+            self.send_timer.arm(core, interval);
         } else {
             // Waking from the OFF period.
             self.bursting = true;
@@ -184,16 +168,15 @@ impl Source for OnOffCbrSource {
 
     fn on_stop(&mut self, _core: &mut SimCore) {
         self.active = false;
-        self.expected_timer = None;
+        self.send_timer.cancel();
     }
 
     fn on_deliver(&mut self, _pkt: Packet, _core: &mut SimCore) {}
 
     fn on_timer(&mut self, kind: TimerKind, id: u64, core: &mut SimCore) {
-        if kind != TimerKind::Send || !self.active || self.expected_timer != Some(id) {
-            return;
+        if kind == TimerKind::Send && self.send_timer.wake(core, id) {
+            self.tick(core);
         }
-        self.tick(core);
     }
 
     fn save_ckpt(&self, w: &mut CkptWriter) {
@@ -201,7 +184,7 @@ impl Source for OnOffCbrSource {
         w.bool(self.active);
         w.bool(self.bursting);
         w.time(self.period_start);
-        write_opt_timer(w, self.expected_timer);
+        self.send_timer.save_ckpt(w);
     }
 
     fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
@@ -209,8 +192,7 @@ impl Source for OnOffCbrSource {
         self.active = r.bool()?;
         self.bursting = r.bool()?;
         self.period_start = r.time()?;
-        self.expected_timer = read_opt_timer(r)?;
-        Ok(())
+        self.send_timer.restore_ckpt(r)
     }
 }
 

@@ -116,10 +116,14 @@ impl<E> HeapEventQueue<E> {
         self.popped
     }
 
-    /// Number of events pushed over the queue's lifetime (the tie-break
-    /// sequence counter doubles as this). `pushed() - popped()` is the
-    /// pending count plus any events dropped with the queue.
+    /// Number of events pushed over the queue's lifetime: every event
+    /// popped or still pending.
     pub fn pushed(&self) -> u64 {
+        self.popped + self.heap.len() as u64
+    }
+
+    /// The tie-break sequence number the next push or reservation gets.
+    pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
@@ -139,14 +143,36 @@ impl<E> HeapEventQueue<E> {
     /// Panics if `at` is earlier than the current clock — scheduling into
     /// the past is always a bug in the caller.
     pub fn push(&mut self, at: Time, event: E) {
+        let seq = self.reserve_seq();
+        self.push_reserved(at, seq, event);
+    }
+
+    /// Take the next tie-break sequence number without pushing anything
+    /// (see [`crate::EventQueue::reserve_seq`]).
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `event` at `at` under a reserved sequence number (see
+    /// [`crate::EventQueue::push_reserved`]).
+    ///
+    /// # Panics
+    /// Panics if `at` is earlier than the current clock, or if `seq` was
+    /// never issued.
+    pub fn push_reserved(&mut self, at: Time, seq: u64, event: E) {
         assert!(
             at >= self.now,
             "attempted to schedule an event in the past: {:?} < {:?}",
             at,
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        assert!(
+            seq < self.next_seq,
+            "seq {seq} was never reserved (next is {})",
+            self.next_seq
+        );
         self.heap.push(EventEntry { time: at, seq, event });
     }
 

@@ -188,10 +188,16 @@ impl<E> EventQueue<E> {
         self.popped
     }
 
-    /// Number of events pushed over the queue's lifetime (the tie-break
-    /// sequence counter doubles as this). `pushed() - popped()` is the
-    /// pending count plus any events dropped with the queue.
+    /// Number of events pushed over the queue's lifetime: every event
+    /// popped or still pending, since nothing leaves the queue any other
+    /// way. Not the tie-break sequence counter, which
+    /// [`reserve_seq`](Self::reserve_seq) advances without a push.
     pub fn pushed(&self) -> u64 {
+        self.popped + self.pending as u64
+    }
+
+    /// The tie-break sequence number the next push or reservation gets.
+    pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
@@ -211,14 +217,44 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is earlier than the current clock — scheduling into
     /// the past is always a bug in the caller.
     pub fn push(&mut self, at: Time, event: E) {
+        let seq = self.reserve_seq();
+        self.push_reserved(at, seq, event);
+    }
+
+    /// Take the next tie-break sequence number without pushing anything.
+    ///
+    /// This is how a timer that is re-armed far more often than it fires
+    /// stays out of the queue: each arming reserves the slot a push would
+    /// have taken — so every other event keeps the `seq` it would have had
+    /// — and only the arming still current at its deadline is ever pushed,
+    /// with [`push_reserved`](Self::push_reserved).
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `event` at `at` under a sequence number obtained from
+    /// [`reserve_seq`](Self::reserve_seq). Against events at the same
+    /// instant it pops in reservation order, not push order. The caller
+    /// pushes each reserved number at most once at a time: two pending
+    /// entries must never share a `(time, seq)` key.
+    ///
+    /// # Panics
+    /// Panics if `at` is earlier than the current clock, or if `seq` was
+    /// never issued.
+    pub fn push_reserved(&mut self, at: Time, seq: u64, event: E) {
         assert!(
             at >= self.now,
             "attempted to schedule an event in the past: {:?} < {:?}",
             at,
             self.now
         );
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        assert!(
+            seq < self.next_seq,
+            "seq {seq} was never reserved (next is {})",
+            self.next_seq
+        );
         self.place(EventEntry { time: at, seq, event });
         if self.ready.is_empty() {
             // The queue was empty before this push: re-establish the
@@ -228,11 +264,12 @@ impl<E> EventQueue<E> {
     }
 
     /// Route one entry into ready / L0 / L1 / far relative to the current
-    /// drain cursor, preserving its existing `seq`. Shared by [`push`] and
-    /// checkpoint restore ([`EventQueue::from_parts`]); does *not*
-    /// re-establish the "ready non-empty" invariant — callers do.
+    /// drain cursor, preserving its existing `seq`. Shared by
+    /// [`push_reserved`] and checkpoint restore
+    /// ([`EventQueue::from_parts`]); does *not* re-establish the "ready
+    /// non-empty" invariant — callers do.
     ///
-    /// [`push`]: EventQueue::push
+    /// [`push_reserved`]: EventQueue::push_reserved
     fn place(&mut self, entry: EventEntry<E>) {
         self.pending += 1;
         let t0 = tick0(entry.time);
@@ -282,12 +319,12 @@ impl<E> EventQueue<E> {
         v
     }
 
-    /// Rebuild a queue from checkpointed parts: the clock, the lifetime
-    /// push/pop counters, and every pending entry (each keeping its
-    /// original tie-break `seq`). The drain cursor restarts at `now`'s
-    /// tick — any placement satisfying the wheel invariants yields the
-    /// same observable pop stream, so the cursor position itself is not
-    /// part of the canonical state.
+    /// Rebuild a queue from checkpointed parts: the clock, the sequence
+    /// counter, the lifetime pop counter, and every pending entry (each
+    /// keeping its original tie-break `seq`). The drain cursor restarts at
+    /// `now`'s tick — any placement satisfying the wheel invariants yields
+    /// the same observable pop stream, so the cursor position itself is
+    /// not part of the canonical state.
     ///
     /// # Panics
     /// Panics if an entry precedes `now` or carries a `seq` the restored
@@ -625,8 +662,9 @@ mod tests {
 
         let entries: Vec<EventEntry<&str>> =
             q.entries_sorted().into_iter().cloned().collect();
-        let mut r = EventQueue::from_parts(q.now(), q.pushed(), q.popped(), entries);
+        let mut r = EventQueue::from_parts(q.now(), q.next_seq(), q.popped(), entries);
         assert_eq!(r.now(), q.now());
+        assert_eq!(r.next_seq(), q.next_seq());
         assert_eq!(r.pushed(), q.pushed());
         assert_eq!(r.popped(), q.popped());
         assert_eq!(r.len(), q.len());
@@ -649,8 +687,10 @@ mod tests {
         let mut r: EventQueue<u8> = EventQueue::from_parts(Time::from_secs(5), 9, 9, Vec::new());
         assert!(r.is_empty());
         assert_eq!(r.pop(), None);
+        assert_eq!(r.pushed(), 9, "nothing pending: every push was popped");
         r.push(Time::from_secs(6), 1);
         assert_eq!(r.pop(), Some((Time::from_secs(6), 1)));
+        assert_eq!(r.next_seq(), 10);
         assert_eq!(r.pushed(), 10);
         assert_eq!(r.popped(), 10);
     }
@@ -660,6 +700,48 @@ mod tests {
     fn from_parts_rejects_past_entries() {
         let entries = vec![EventEntry { time: Time::from_secs(1), seq: 0, event: () }];
         let _ = EventQueue::from_parts(Time::from_secs(2), 1, 0, entries);
+    }
+
+    /// A reservation takes a tie-break slot, not a place in the queue: the
+    /// reserved push pops where a push made at reservation time would
+    /// have, later pushes keep the numbers they would have had, and only
+    /// real pushes count as pushed.
+    #[test]
+    fn reserved_seq_pops_in_reservation_order() {
+        let mut q = EventQueue::new();
+        let t = Time::from_millis(5);
+        q.push(t, "a");
+        let slot = q.reserve_seq();
+        q.push(t, "c");
+        assert_eq!((q.next_seq(), q.pushed(), q.len()), (3, 2, 2));
+        q.push_reserved(t, slot, "b");
+        assert_eq!((q.next_seq(), q.pushed(), q.len()), (3, 3, 3));
+        assert_eq!(q.pop().unwrap().1, "a");
+        assert_eq!(q.pop().unwrap().1, "b");
+        assert_eq!(q.pop().unwrap().1, "c");
+        assert_eq!(q.pushed() - q.popped(), 0);
+    }
+
+    /// A reserved push may land behind the drain cursor, in the ready
+    /// buffer, ahead of an entry with a later number at the same instant.
+    #[test]
+    fn reserved_push_into_the_ready_buffer_keeps_key_order() {
+        let mut q = EventQueue::new();
+        let t = Time::from_millis(5);
+        q.push(t, 0);
+        let slot = q.reserve_seq();
+        q.push(t, 2);
+        assert_eq!(q.pop().unwrap().1, 0); // tick promoted; 2 sits in ready
+        q.push_reserved(t, slot, 1);
+        assert_eq!(q.pop().unwrap().1, 1);
+        assert_eq!(q.pop().unwrap().1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "never reserved")]
+    fn pushing_an_unissued_seq_panics() {
+        let mut q = EventQueue::new();
+        q.push_reserved(Time::from_secs(1), 0, ());
     }
 
     /// An L1-boundary hazard: an overflow-wheel event must not be

@@ -20,7 +20,7 @@ fn ckpt_roundtrip(q: &EventQueue<usize>) -> EventQueue<usize> {
             event: e.event,
         })
         .collect();
-    EventQueue::from_parts(q.now(), q.pushed(), q.popped(), entries)
+    EventQueue::from_parts(q.now(), q.next_seq(), q.popped(), entries)
 }
 
 /// Drain both queues, asserting identical `(time, event)` pop streams and
@@ -30,6 +30,7 @@ fn assert_same_pop_stream(
     mut b: EventQueue<usize>,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.len(), b.len());
+    prop_assert_eq!(a.next_seq(), b.next_seq());
     prop_assert_eq!(a.pushed(), b.pushed());
     prop_assert_eq!(a.popped(), b.popped());
     loop {
@@ -102,6 +103,68 @@ proptest! {
             prop_assert_eq!(wheel.pop(), Some(popped));
         }
         prop_assert!(wheel.is_empty());
+    }
+
+    /// The same equivalence when sequence numbers are reserved without a
+    /// push, the way lazy timers arm: some reservations are pushed later
+    /// (at or after the clock, possibly at an instant other entries
+    /// already occupy, where the reserved number decides the order), some
+    /// never. Only real pushes count as pushed, on both implementations,
+    /// and a checkpoint of what is left replays the same stream.
+    #[test]
+    fn wheel_matches_heap_with_reserved_seqs(seed in any::<u64>(), steps in 1usize..400) {
+        let mut rng = Rng::new(seed);
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapEventQueue::new();
+        let mut reserved: Vec<u64> = Vec::new();
+        let mut pushes = 0u64;
+        for _ in 0..steps {
+            for _ in 0..rng.range_u64(0, 4) {
+                // Offsets of 0 and a handful of coarse instants force
+                // same-time ties between plain and reserved entries.
+                let offset = match rng.range_u64(0, 4) {
+                    0 => 0,
+                    1 => rng.range_u64(0, 4) << 20,
+                    2 => rng.range_u64(0, 1 << 28),
+                    _ => rng.range_u64(0, 40_000_000_000),
+                };
+                let at = Time::from_nanos(wheel.now().as_nanos() + offset);
+                match rng.range_u64(0, 3) {
+                    0 => {
+                        let seq = wheel.reserve_seq();
+                        prop_assert_eq!(seq, heap.reserve_seq());
+                        reserved.push(seq);
+                    }
+                    1 if !reserved.is_empty() => {
+                        let i = rng.range_u64(0, reserved.len() as u64) as usize;
+                        let seq = reserved.swap_remove(i);
+                        wheel.push_reserved(at, seq, seq as usize);
+                        heap.push_reserved(at, seq, seq as usize);
+                        pushes += 1;
+                    }
+                    _ => {
+                        let id = wheel.next_seq() as usize;
+                        wheel.push(at, id);
+                        heap.push(at, id);
+                        pushes += 1;
+                    }
+                }
+            }
+            prop_assert_eq!(wheel.next_seq(), heap.next_seq());
+            prop_assert_eq!(wheel.pushed(), pushes);
+            prop_assert_eq!(heap.pushed(), pushes);
+            prop_assert_eq!(wheel.pushed() - wheel.popped(), wheel.len() as u64);
+            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+            prop_assert_eq!(wheel.pop(), heap.pop());
+        }
+        let mut restored = ckpt_roundtrip(&wheel);
+        prop_assert_eq!(restored.pushed(), pushes);
+        while let Some(popped) = heap.pop() {
+            prop_assert_eq!(wheel.pop(), Some(popped));
+            prop_assert_eq!(restored.pop(), Some(popped));
+        }
+        prop_assert!(wheel.is_empty() && restored.is_empty());
+        prop_assert_eq!(wheel.pushed(), wheel.popped());
     }
 
     /// Checkpoint round trip with events straddling the L0→L1 boundary:

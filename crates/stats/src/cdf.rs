@@ -51,7 +51,7 @@ impl Cdf {
 
     /// Inverse CDF (quantile), `q` in `[0, 1]`.
     pub fn quantile(&self, q: f64) -> f64 {
-        crate::summary::percentile(&self.sorted, q)
+        crate::summary::percentile_sorted(&self.sorted, q)
     }
 
     /// Evaluate at `n` evenly spaced abscissae spanning the sample range,

@@ -12,5 +12,8 @@ pub mod table;
 
 pub use cdf::Cdf;
 pub use series::{excursions_above, peak_in, settle_time, settling_time, time_above};
-pub use summary::{jain_fairness, mean, percentile, stddev, variance, variance_from_moments, Summary};
+pub use summary::{
+    jain_fairness, mean, percentile, percentile_sorted, stddev, variance, variance_from_moments,
+    Summary,
+};
 pub use table::{format_csv, format_table, Align};

@@ -15,21 +15,40 @@ pub fn mean(samples: &[f64]) -> f64 {
 /// # Panics
 /// Panics if `q` is outside `[0, 1]`.
 pub fn percentile(samples: &[f64], q: f64) -> f64 {
+    percentile_sorted(&sorted(samples), q)
+}
+
+/// [`percentile`] of samples already in ascending order: two lookups, no
+/// sort. What [`percentile`], [`Summary::of`] and `Cdf::quantile` share,
+/// so each pays for one sort however many quantiles it reads. Takes
+/// either sample width: an `f32` widens exactly, at the lookup.
+///
+/// # Panics
+/// Panics if `q` is outside `[0, 1]`.
+pub fn percentile_sorted<T: Copy + Into<f64>>(sorted: &[T], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
-    if samples.is_empty() {
+    if sorted.is_empty() {
         return 0.0;
     }
-    let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
     let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     if lo == hi {
-        sorted[lo]
+        sorted[lo].into()
     } else {
         let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        sorted[lo].into() * (1.0 - frac) + sorted[hi].into() * frac
     }
+}
+
+/// An ascending copy of `samples`. The sort is stable under
+/// `partial_cmp`, which orders `-0.0` and `0.0` as equal: which of the two
+/// an order statistic lands on is then a property of the input order, not
+/// of the sort algorithm.
+fn sorted<T: Copy + PartialOrd>(samples: &[T]) -> Vec<T> {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+    sorted
 }
 
 /// Population variance; 0 for an empty slice.
@@ -114,6 +133,18 @@ pub struct Summary {
 impl Summary {
     /// Summarize a sample set (empty input gives all zeros).
     pub fn of(samples: &[f64]) -> Summary {
+        Summary::over(samples)
+    }
+
+    /// The same for `f32` sample buffers (the monitor stores `f32`),
+    /// sorted as `f32` and widened only where a value is read.
+    pub fn of_f32(samples: &[f32]) -> Summary {
+        Summary::over(samples)
+    }
+
+    /// One sort serves all four order statistics; mean and max fold over
+    /// the samples in their given order, as they always have.
+    fn over<T: Copy + PartialOrd + Into<f64>>(samples: &[T]) -> Summary {
         if samples.is_empty() {
             return Summary {
                 n: 0,
@@ -125,21 +156,17 @@ impl Summary {
                 max: 0.0,
             };
         }
+        let widened = || samples.iter().map(|&x| x.into());
+        let sorted = sorted(samples);
         Summary {
             n: samples.len(),
-            mean: mean(samples),
-            p1: percentile(samples, 0.01),
-            p25: percentile(samples, 0.25),
-            p50: percentile(samples, 0.50),
-            p99: percentile(samples, 0.99),
-            max: samples.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+            mean: widened().sum::<f64>() / samples.len() as f64,
+            p1: percentile_sorted(&sorted, 0.01),
+            p25: percentile_sorted(&sorted, 0.25),
+            p50: percentile_sorted(&sorted, 0.50),
+            p99: percentile_sorted(&sorted, 0.99),
+            max: widened().fold(f64::NEG_INFINITY, f64::max),
         }
-    }
-
-    /// Convenience for `f32` sample buffers (the monitor stores `f32`).
-    pub fn of_f32(samples: &[f32]) -> Summary {
-        let v: Vec<f64> = samples.iter().map(|&x| x as f64).collect();
-        Summary::of(&v)
     }
 }
 

@@ -4,11 +4,30 @@
 // the offline build cannot fetch. See the `proptests` feature in Cargo.toml.
 #![cfg(feature = "proptests")]
 
-use pi2_stats::{jain_fairness, mean, percentile, stddev, Cdf, Summary};
+use pi2_stats::{jain_fairness, mean, percentile, percentile_sorted, stddev, Cdf, Summary};
 use proptest::prelude::*;
 
 fn finite_samples() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, 1..200)
+}
+
+/// Samples drawn from eight `f32` values, so runs of duplicates and of
+/// zeros of both signs are the rule; `short` 0 and 1 cut the vector to one
+/// and two samples.
+fn tied_samples() -> impl Strategy<Value = Vec<f32>> {
+    const PALETTE: [f32; 8] = [-0.0, 0.0, 0.0, -0.0, 1.5, -3.25, 0.1, 7.0];
+    (prop::collection::vec(0usize..8, 2..200), 0usize..6).prop_map(|(picks, short)| {
+        let mut v: Vec<f32> = picks.into_iter().map(|i| PALETTE[i]).collect();
+        if short < 2 {
+            v.truncate(short + 1);
+        }
+        v
+    })
+}
+
+/// The bit pattern of every field, so `-0.0` and `0.0` differ.
+fn bits(s: &Summary) -> (usize, [u64; 6]) {
+    (s.n, [s.mean, s.p1, s.p25, s.p50, s.p99, s.max].map(f64::to_bits))
 }
 
 proptest! {
@@ -83,6 +102,39 @@ proptest! {
             let q = i as f64 / 10.0;
             prop_assert!(cdf.at(cdf.quantile(q)) >= q - slack - 1e-9);
         }
+    }
+
+    /// One sort or five: `Summary::of` is, to the bit, the mean, the four
+    /// `percentile` calls (each sorting a copy of its own) and the max
+    /// fold it used to be made of, and `of_f32` is `of` over the widened
+    /// samples — on inputs where ties and signed zeros make the order
+    /// statistics depend on which equal element a sort puts where.
+    #[test]
+    fn summary_equals_its_per_quantile_definition(narrow in tied_samples()) {
+        let wide: Vec<f64> = narrow.iter().map(|&x| f64::from(x)).collect();
+        let want = Summary {
+            n: wide.len(),
+            mean: mean(&wide),
+            p1: percentile(&wide, 0.01),
+            p25: percentile(&wide, 0.25),
+            p50: percentile(&wide, 0.50),
+            p99: percentile(&wide, 0.99),
+            max: wide.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+        };
+        prop_assert_eq!(bits(&Summary::of(&wide)), bits(&want));
+        prop_assert_eq!(bits(&Summary::of_f32(&narrow)), bits(&want));
+    }
+
+    /// A CDF's quantile is the percentile of its samples, to the bit,
+    /// without sorting them again.
+    #[test]
+    fn cdf_quantile_equals_percentile(narrow in tied_samples(), q in 0.0f64..1.0) {
+        let wide: Vec<f64> = narrow.iter().map(|&x| f64::from(x)).collect();
+        let cdf = Cdf::from_f32(&narrow);
+        prop_assert_eq!(cdf.quantile(q).to_bits(), percentile(&wide, q).to_bits());
+        let mut sorted = wide.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        prop_assert_eq!(percentile_sorted(&sorted, q).to_bits(), percentile(&wide, q).to_bits());
     }
 
     /// Summary percentiles are internally ordered.

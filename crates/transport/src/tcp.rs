@@ -18,7 +18,7 @@
 use crate::cc::{CcKind, CongestionControl};
 use crate::rangeset::RangeSet;
 use crate::seqset::SeqSet;
-use pi2_netsim::{Ack, Ecn, FlowId, Packet, SimCore, Source, TimerKind};
+use pi2_netsim::{Ack, Ecn, FlowId, LazyTimer, Packet, SimCore, Source, TimerKind};
 use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Time};
 
 /// Encode an optional value as a presence flag plus the value (a fixed
@@ -206,7 +206,8 @@ pub struct TcpSource {
     /// sequence (one reaction per window in flight — the RFC 5681 /
     /// RFC 3168 rule).
     cong_gate: u64,
-    rto_timer: Option<u64>,
+    /// Re-armed on every ACK of new data; almost never comes due.
+    rto_timer: LazyTimer,
     rto_backoff: u32,
     srtt: Option<Duration>,
     rttvar: Duration,
@@ -229,7 +230,7 @@ pub struct TcpSource {
     /// CE state of the previous data packet, for the DCTCP receiver's
     /// immediate-ACK-on-change rule.
     last_ce_state: bool,
-    delack_timer: Option<u64>,
+    delack_timer: LazyTimer,
 
     /// Set when a size-limited flow finishes (all data acknowledged).
     pub completed_at: Option<Time>,
@@ -271,7 +272,7 @@ impl TcpSource {
             lost_below: 0,
             repair_from: 0,
             cong_gate: 0,
-            rto_timer: None,
+            rto_timer: LazyTimer::new(id, TimerKind::Rto),
             rto_backoff: 0,
             srtt: None,
             rttvar: Duration::ZERO,
@@ -286,7 +287,7 @@ impl TcpSource {
             ece_pending: false,
             pending_echo: None,
             last_ce_state: false,
-            delack_timer: None,
+            delack_timer: LazyTimer::new(id, TimerKind::User(DELACK_TIMER)),
             completed_at: None,
             started_at: Time::ZERO,
         }
@@ -344,8 +345,8 @@ impl TcpSource {
     }
 
     fn arm_rto(&mut self, core: &mut SimCore) {
-        let id = core.schedule_timer(self.id, TimerKind::Rto, self.rto());
-        self.rto_timer = Some(id);
+        let rto = self.rto();
+        self.rto_timer.arm(core, rto);
     }
 
     fn effective_cwnd(&self) -> u64 {
@@ -497,7 +498,7 @@ impl TcpSource {
                 self.send_segment(core, seq, false);
             }
         }
-        if self.rto_timer.is_none() && self.snd_nxt > self.snd_una {
+        if !self.rto_timer.is_armed() && self.snd_nxt > self.snd_una {
             self.arm_rto(core);
         }
     }
@@ -551,9 +552,8 @@ impl TcpSource {
         self.last_ce_state = was_ce;
         if must_ack_now {
             self.emit_ack(pkt.seq, core);
-        } else if self.delack_timer.is_none() {
-            let id = core.schedule_timer(self.id, TimerKind::User(DELACK_TIMER), DELACK_DELAY);
-            self.delack_timer = Some(id);
+        } else if !self.delack_timer.is_armed() {
+            self.delack_timer.arm(core, DELACK_DELAY);
         }
     }
 
@@ -577,7 +577,7 @@ impl TcpSource {
         self.unacked_segs = 0;
         self.ece_pending = false;
         self.pending_echo = None;
-        self.delack_timer = None;
+        self.delack_timer.cancel();
     }
 
     /// RFC 2018 block selection: the block containing the most recently
@@ -620,7 +620,7 @@ impl Source for TcpSource {
 
     fn on_stop(&mut self, _core: &mut SimCore) {
         self.active = false;
-        self.rto_timer = None;
+        self.rto_timer.cancel();
     }
 
     fn on_deliver(&mut self, pkt: Packet, core: &mut SimCore) {
@@ -683,14 +683,14 @@ impl Source for TcpSource {
             if self.snd_nxt > self.snd_una {
                 self.arm_rto(core);
             } else {
-                self.rto_timer = None;
+                self.rto_timer.cancel();
             }
             if let Some(limit) = self.cfg.data_limit {
                 if self.snd_una >= limit && self.completed_at.is_none() {
                     self.completed_at = Some(now);
                     core.monitor.record_completion(self.id, self.started_at, now);
                     self.active = false;
-                    self.rto_timer = None;
+                    self.rto_timer.cancel();
                     return;
                 }
             }
@@ -744,15 +744,18 @@ impl Source for TcpSource {
     fn on_timer(&mut self, kind: TimerKind, id: u64, core: &mut SimCore) {
         if kind == TimerKind::User(DELACK_TIMER) {
             // Delayed-ACK timeout: flush the pending ACK, if still pending.
-            if self.delack_timer == Some(id) && self.unacked_segs > 0 {
+            if self.delack_timer.wake(core, id) && self.unacked_segs > 0 {
                 self.emit_ack(self.rcv_nxt.saturating_sub(1), core);
             }
             return;
         }
-        if kind != TimerKind::Rto || self.rto_timer != Some(id) || !self.active {
+        // A timeout that finds the flow stopped is left standing: the
+        // restarted flow then sends without a timer until recovery or the
+        // next ACK of new data arms one.
+        if kind != TimerKind::Rto || !self.rto_timer.wake(core, id) || !self.active {
             return;
         }
-        self.rto_timer = None;
+        self.rto_timer.cancel();
         if self.snd_nxt == self.snd_una {
             return; // nothing outstanding
         }
@@ -793,7 +796,7 @@ impl Source for TcpSource {
         w.u64(self.lost_below);
         w.u64(self.repair_from);
         w.u64(self.cong_gate);
-        write_opt(w, self.rto_timer, CkptWriter::u64, 0);
+        self.rto_timer.save_ckpt(w);
         w.u32(self.rto_backoff);
         write_opt(w, self.srtt, CkptWriter::duration, Duration::ZERO);
         w.duration(self.rttvar);
@@ -816,7 +819,7 @@ impl Source for TcpSource {
             (Time::ZERO, false),
         );
         w.bool(self.last_ce_state);
-        write_opt(w, self.delack_timer, CkptWriter::u64, 0);
+        self.delack_timer.save_ckpt(w);
         write_opt(w, self.completed_at, CkptWriter::time, Time::ZERO);
         w.time(self.started_at);
     }
@@ -836,7 +839,7 @@ impl Source for TcpSource {
         self.lost_below = r.u64()?;
         self.repair_from = r.u64()?;
         self.cong_gate = r.u64()?;
-        self.rto_timer = read_opt(r, |r| r.u64())?;
+        self.rto_timer.restore_ckpt(r)?;
         self.rto_backoff = r.u32()?;
         self.srtt = read_opt(r, |r| r.duration())?;
         self.rttvar = r.duration()?;
@@ -855,7 +858,7 @@ impl Source for TcpSource {
             Ok((t, rtx))
         })?;
         self.last_ce_state = r.bool()?;
-        self.delack_timer = read_opt(r, |r| r.u64())?;
+        self.delack_timer.restore_ckpt(r)?;
         self.completed_at = read_opt(r, |r| r.time())?;
         self.started_at = r.time()?;
         if self.snd_una > self.snd_nxt {
@@ -1366,6 +1369,157 @@ mod tests {
             "{ecn_events} ECE reactions in 100 RTTs"
         );
         assert_eq!(events.iter().filter(|e| **e == "loss").count(), 0);
+    }
+
+    // --- lazy timers: what sits in the wheel on the RTO's behalf.
+
+    /// Times of the pending RTO events, in pop order.
+    fn pending_rto_events(sim: &Sim) -> Vec<Time> {
+        sim.core
+            .events
+            .entries_sorted()
+            .into_iter()
+            .filter(|e| {
+                matches!(
+                    e.event,
+                    pi2_netsim::Event::Timer {
+                        kind: TimerKind::Rto,
+                        ..
+                    }
+                )
+            })
+            .map(|e| e.time)
+            .collect()
+    }
+
+    /// Step until the pending RTO events differ from `from`.
+    fn step_until_rto_events_change(sim: &mut Sim, from: &[Time]) -> Vec<Time> {
+        loop {
+            assert!(sim.step(), "the run ended with RTO events still {from:?}");
+            let now = pending_rto_events(sim);
+            if now != from {
+                return now;
+            }
+        }
+    }
+
+    /// A sender without an RTT sample arms a 1 s RTO; its first ACK brings
+    /// the RTO down to the 200 ms floor, a deadline *before* the event
+    /// standing in for the timer. That is the one case where arming must
+    /// push at once. With everything after the first window lost, the
+    /// timeout must then fire at exactly the last ACK plus the RTO, and
+    /// the superseded 1 s stand-in must pass as a no-op.
+    #[test]
+    fn rto_shrinking_below_a_pending_standin_fires_at_the_earlier_deadline() {
+        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let log2 = std::rc::Rc::clone(&log);
+        let mut sim = sim_with(
+            10_000_000,
+            usize::MAX,
+            Box::new(BurstLoss {
+                from: 10,
+                to: u64::MAX,
+            }),
+        );
+        sim.add_flow(
+            PathConf::symmetric(Duration::from_millis(40)),
+            "f",
+            Time::ZERO,
+            move |id| {
+                Box::new(TcpSource::with_cc(
+                    id,
+                    Box::new(SpyCc {
+                        inner: crate::cc::Reno::new(10.0),
+                        log: log2,
+                    }),
+                    EcnSetting::NotEcn,
+                    TcpConfig::default(),
+                ))
+            },
+        );
+        let armed = step_until_rto_events_change(&mut sim, &[]);
+        assert_eq!(armed, [Time::from_secs(1)], "initial RTO without an RTT sample");
+        let shrunk = step_until_rto_events_change(&mut sim, &armed);
+        let first_ack = sim.core.now();
+        let floor = TcpConfig::default().min_rto;
+        assert_eq!(shrunk, [first_ack + floor, Time::from_secs(1)]);
+        // Nine more ACKs move the deadline, not the wheel.
+        while log.borrow().is_empty() {
+            assert_eq!(pending_rto_events(&sim).len(), 2);
+            assert!(sim.step());
+        }
+        assert_eq!(*log.borrow(), ["rto"]);
+        // Ten 1500-byte packets drain at 1.2 ms each: the last ACK of the
+        // window arrives 10.8 ms after the first.
+        let last_ack = first_ack + Duration::from_micros(10_800);
+        assert_eq!(sim.core.now(), last_ack + floor);
+        // The backed-off timer is re-armed past the superseded stand-in,
+        // which pops at 1 s without a second timeout to its name.
+        sim.run_until(Time::from_secs(1));
+        let rtos = log.borrow().iter().filter(|e| **e == "rto").count();
+        assert!(pending_rto_events(&sim).iter().all(|&t| t > Time::from_secs(1)));
+        sim.run_until(Time::from_secs(3));
+        let later = log.borrow().iter().filter(|e| **e == "rto").count();
+        assert!(later > rtos, "the backed-off timer must keep firing");
+        assert_eq!(pending_rto_events(&sim).len(), 1);
+    }
+
+    /// Stopping a flow cancels its RTO but cannot recall the stand-in;
+    /// restarting it while that stand-in is pending arms the timer again
+    /// without a second event.
+    #[test]
+    fn restart_with_a_standin_pending_pushes_no_second_event() {
+        let mut sim = sim_with(10_000_000, usize::MAX, Box::new(PassAqm));
+        let id = add_tcp(&mut sim, CcKind::Reno, EcnSetting::NotEcn, 40, "reno");
+        // Off and on at one instant: no ACK arms the timer in between, so
+        // it is the restart's own `try_send` that finds it unarmed.
+        sim.stop_flow_at(id, Time::from_millis(1500));
+        sim.start_flow_at(id, Time::from_millis(1500));
+        sim.run_until(Time::from_millis(1490));
+        // Event by event across the stop and the restart: the one stand-in
+        // is all the wheel ever holds for this timer.
+        while sim.core.now() < Time::from_millis(1540) {
+            assert_eq!(pending_rto_events(&sim).len(), 1, "at {}", sim.core.now());
+            assert!(sim.step());
+        }
+        sim.run_until(Time::from_secs(4));
+        assert_eq!(pending_rto_events(&sim).len(), 1);
+        let mbps = sim.core.monitor.flow(id).dequeued_bytes as f64 * 8.0 / 4.0 / 1e6;
+        assert!(mbps > 8.0, "the restarted flow stalled: {mbps:.2} Mb/s");
+    }
+
+    /// A finished flow leaves one stand-in behind; it wakes once, finds
+    /// nothing armed and is gone.
+    #[test]
+    fn an_idle_flow_leaves_one_noop_wakeup_behind() {
+        let mut sim = sim_with(10_000_000, usize::MAX, Box::new(PassAqm));
+        sim.add_flow(
+            PathConf::symmetric(Duration::from_millis(40)),
+            "f",
+            Time::ZERO,
+            |id| {
+                Box::new(TcpSource::new(
+                    id,
+                    CcKind::Reno,
+                    EcnSetting::NotEcn,
+                    TcpConfig {
+                        data_limit: Some(1500),
+                        ..TcpConfig::default()
+                    },
+                ))
+            },
+        );
+        while sim.core.monitor.completions.is_empty() {
+            assert!(sim.step(), "the flow never completed");
+        }
+        let done = sim.core.now();
+        assert!(done > Time::from_secs(1), "finished before the 1 s stand-in passed");
+        let left = pending_rto_events(&sim);
+        assert_eq!(left.len(), 1, "{left:?}");
+        assert!(left[0] <= done + TcpConfig::default().min_rto);
+        // After it: only the 1 s sample tick keeps the queue alive.
+        sim.run_until(left[0]);
+        assert_eq!(sim.core.events.len(), 1);
     }
 
     #[test]

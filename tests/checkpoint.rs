@@ -23,7 +23,7 @@ use pi2::aqm::{
 };
 use pi2::experiments::runner::par_map_threads;
 use pi2::experiments::{AqmKind, BgGroup, FluidBackground};
-use pi2::netsim::{AuditSink, JsonlSink, Qdisc};
+use pi2::netsim::{AuditSink, Event, JsonlSink, Qdisc, QueueSnapshot, TimerKind};
 use pi2::prelude::*;
 use pi2::simcore::CkptError;
 use std::cell::RefCell;
@@ -62,10 +62,37 @@ const GRID: &[Cell] = &[
     // and with them the foreground's link rate — diverge.
     Cell { aqm: "pi2", mix: "hybrid", seed: 24 },
     Cell { aqm: "dualq", mix: "hybrid", seed: 25 },
+    // Lazy timers: a source's timer is a deadline plus the one wheel event
+    // standing in for it, and both must round-trip. The outage leaves
+    // every flow inside an RTO backoff episode at the 2.1 s snapshot;
+    // delayed ACKs keep a second timer per flow armed and cancelled.
+    Cell { aqm: "outage", mix: "classic", seed: 26 },
+    Cell { aqm: "pi2", mix: "delack", seed: 27 },
 ];
 
 const RATE: u64 = 10_000_000;
 const T_END: Time = Time::from_secs(4);
+
+/// Drops every packet offered inside `[from, to)`: with no ACKs coming
+/// back, each flow's retransmission timer fires and backs off until the
+/// outage ends.
+struct Outage {
+    from: Time,
+    to: Time,
+}
+
+impl Aqm for Outage {
+    fn on_enqueue(&mut self, _: &Packet, _: &QueueSnapshot, now: Time, _: &mut Rng) -> Decision {
+        if (self.from..self.to).contains(&now) {
+            Decision::drop(1.0)
+        } else {
+            Decision::pass(0.0)
+        }
+    }
+    fn name(&self) -> &'static str {
+        "outage"
+    }
+}
 
 /// A small two-class fluid background for the hybrid cells.
 fn background(aqm: &str) -> FluidBackground {
@@ -109,15 +136,23 @@ fn build_sim(cell: &Cell) -> Sim {
                 "codel" => Box::new(Codel::new(CodelConfig::default())),
                 "curvy" => Box::new(CurvyRed::new(CurvyRedConfig::default())),
                 "taildrop" => Box::new(PassAqm),
+                "outage" => Box::new(Outage {
+                    from: Time::from_millis(1300),
+                    to: Time::from_millis(2800),
+                }),
                 other => panic!("unknown AQM {other}"),
             };
             Sim::new(cfg, aqm)
         }
     };
     let rtt = Duration::from_millis(40);
+    let cfg = TcpConfig {
+        delayed_ack: cell.mix == "delack",
+        ..TcpConfig::default()
+    };
     let tcp = |sim: &mut Sim, label: &str, cc: CcKind, ecn: EcnSetting| {
         sim.add_flow(PathConf::symmetric(rtt), label, Time::ZERO, move |id| {
-            Box::new(TcpSource::new(id, cc, ecn, TcpConfig::default()))
+            Box::new(TcpSource::new(id, cc, ecn, cfg))
         });
     };
     match cell.mix {
@@ -130,7 +165,7 @@ fn build_sim(cell: &Cell) -> Sim {
             tcp(&mut sim, "dctcp", CcKind::Dctcp, EcnSetting::Scalable);
             tcp(&mut sim, "dctcp", CcKind::Dctcp, EcnSetting::Scalable);
         }
-        "mixed" => {
+        "mixed" | "delack" => {
             tcp(&mut sim, "cubic", CcKind::Cubic, EcnSetting::NotEcn);
             tcp(&mut sim, "ecn-cubic", CcKind::Cubic, EcnSetting::Classic);
             tcp(&mut sim, "dctcp", CcKind::Dctcp, EcnSetting::Scalable);
@@ -270,13 +305,19 @@ fn observables(mut sim: Sim, sink: Rc<RefCell<JsonlSink<Vec<u8>>>>) -> Observabl
 /// of the first divergence, or `None` when the restored replay is
 /// bit-identical to the straight-through run.
 fn oracle(cell: &Cell, snap_at: Time) -> Option<String> {
-    let tag = format!("{}×{} @ {snap_at}", cell.aqm, cell.mix);
+    oracle_from(cell, &format!("@ {snap_at}"), |sim| sim.run_until(snap_at))
+}
 
-    // Arm P: run to the snapshot time, save. Its trace is the prefix the
+/// [`oracle`] with the snapshot taken wherever `advance` leaves a freshly
+/// built simulator.
+fn oracle_from(cell: &Cell, at: &str, advance: impl Fn(&mut Sim)) -> Option<String> {
+    let tag = format!("{}×{} {at}", cell.aqm, cell.mix);
+
+    // Arm P: run to the snapshot point, save. Its trace is the prefix the
     // restored arm must never re-emit.
     let mut p_sim = build_sim(cell);
     let p_sink = observe(&mut p_sim, cell.seed);
-    p_sim.run_until(snap_at);
+    advance(&mut p_sim);
     // run_until stops on the last event at or before `snap_at`; the
     // restored clock must match the clock at save time, not the nominal
     // snapshot instant.
@@ -389,6 +430,90 @@ fn restore_replay_is_bit_identical_across_the_grid() {
             failures.join("\n")
         );
     }
+}
+
+/// Pending timer events of `flow` that satisfy `kind`, in pop order.
+fn pending_timers(sim: &Sim, flow: FlowId, kind: impl Fn(TimerKind) -> bool) -> Vec<Time> {
+    sim.core
+        .events
+        .entries_sorted()
+        .into_iter()
+        .filter(|e| matches!(e.event, Event::Timer { flow: f, kind: k, .. } if f == flow && kind(k)))
+        .map(|e| e.time)
+        .collect()
+}
+
+/// Step until an ACK of `flow` has just been handled.
+fn step_past_an_ack_of(sim: &mut Sim, flow: FlowId) {
+    loop {
+        let next = sim.core.events.entries_sorted()[0];
+        let acks_flow =
+            matches!(next.event, Event::AckArrive(h) if sim.core.acks.get(h).flow == flow);
+        assert!(sim.step(), "the run ended before an ACK of {flow:?}");
+        if acks_flow {
+            return;
+        }
+    }
+}
+
+/// The grid's snapshot times catch lazy timers in whatever state they
+/// happen to be in. These three snapshots are taken in states the test
+/// first proves from the pending-event list, because each is a way for a
+/// restore to go wrong that a running flow's steady state hides: a
+/// stand-in that must wake *before* its deadline and move itself (restore
+/// the stand-in but not the deadline, or the reverse, and the timer is
+/// lost or fires early); a backed-off RTO, whose deadline lies further out
+/// than any un-backed-off arming can; and a pending delayed-ACK timer.
+#[test]
+fn snapshots_in_named_timer_states_replay_bit_identically() {
+    let min_rto = TcpConfig::default().min_rto;
+    let rto = |k| k == TimerKind::Rto;
+
+    // Just after an ACK of new data re-armed flow 0's RTO: the deadline is
+    // at least min_rto away, so a stand-in due sooner wakes before it.
+    // (Past 1 s, when the stand-in of the flow's first arming — the 1 s
+    // RTO of a sender without an RTT sample, superseded by the first ACK
+    // — has popped and been ignored.)
+    let cell = Cell { aqm: "pi2", mix: "classic", seed: 11 };
+    let advance = |sim: &mut Sim| {
+        sim.run_until(Time::from_millis(1500));
+        step_past_an_ack_of(sim, FlowId(0));
+    };
+    let mut sim = build_sim(&cell);
+    advance(&mut sim);
+    let standins = pending_timers(&sim, FlowId(0), rto);
+    assert_eq!(standins.len(), 1, "one stand-in per armed timer");
+    assert!(
+        standins[0] < sim.core.now() + min_rto,
+        "stand-in at {} is not ahead of a deadline past {}",
+        standins[0],
+        sim.core.now() + min_rto
+    );
+    assert_eq!(oracle_from(&cell, "after an ACK", advance), None);
+
+    // 800 ms into the outage every flow has timed out several times: the
+    // next timeout is further away than an RTO without backoff can be.
+    let cell = Cell { aqm: "outage", mix: "classic", seed: 26 };
+    let at = Time::from_millis(2100);
+    let mut sim = build_sim(&cell);
+    sim.run_until(at);
+    let next_rto = pending_timers(&sim, FlowId(0), rto);
+    assert!(
+        next_rto.last().is_some_and(|&t| t > at + min_rto),
+        "no backed-off RTO pending at {at}: {next_rto:?}"
+    );
+    assert_eq!(oracle(&cell, at), None);
+
+    // A delayed-ACK timer (the source's `User` kind) pending at the
+    // snapshot, on top of the RTO's.
+    let cell = Cell { aqm: "pi2", mix: "delack", seed: 27 };
+    let mut sim = build_sim(&cell);
+    sim.run_until(at);
+    let delack = (0..3)
+        .flat_map(|f| pending_timers(&sim, FlowId(f), |k| matches!(k, TimerKind::User(_))))
+        .count();
+    assert!(delack > 0, "no delayed-ACK stand-in pending at {at}");
+    assert_eq!(oracle(&cell, at), None);
 }
 
 /// Weather (the fault-injection layer) carries its own RNG and stats —
@@ -517,6 +642,19 @@ fn header_mismatches_are_rejected_with_the_right_error() {
     assert!(matches!(
         target.restore(&bad),
         Err(CkptError::VersionMismatch { .. })
+    ));
+
+    // The previous version: a v4 blob held a timer id where v5 holds a
+    // lazy-timer record, and is refused by number.
+    let mut bad = blob.clone();
+    bad[8..12].copy_from_slice(&4u32.to_le_bytes());
+    let mut target = build_sim(&cell);
+    assert!(matches!(
+        target.restore(&bad),
+        Err(CkptError::VersionMismatch {
+            found: 4,
+            expected: 5
+        })
     ));
 
     // Schema mismatch: a sim with a different flow set.

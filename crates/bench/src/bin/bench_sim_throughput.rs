@@ -10,8 +10,14 @@
 //! cheap no-op events makes a run faster and its mean event dearer. The
 //! record carries both, plus the deterministic work counters behind the
 //! difference: events per packet and the pending-event high-water mark.
+//!
+//! One more case prices a loss episode instead of a steady state:
+//! `overshoot_1flow_1gbps`, whose cost is the SACK scoreboard's. Its size
+//! (`*_drops_per_kpkt`) repeats exactly; its `*_ns_per_pkt` is held by the
+//! same gate as the others and grows six- to ninefold when a scoreboard
+//! operation costs a pass over the holes.
 
-use pi2_aqm::{Pi2, Pi2Config, Pie, PieConfig};
+use pi2_aqm::{FixedProb, Pi2, Pi2Config, Pie, PieConfig};
 use pi2_bench::alloc_count::{self, CountingAlloc};
 use pi2_bench::perf::{bench, measurement_rows, record_and_report, Measurement};
 use pi2_bench::{header, run_secs, table};
@@ -91,6 +97,39 @@ fn bench_pi2_metrics_on(secs: u64) -> Measurement {
     })
 }
 
+/// One unclamped Reno flow on 1 Gb/s × 20 ms into a 4 000-packet buffer
+/// (the second cell of `tests/sack_recovery.rs`), for one simulated second
+/// whatever `PI2_SECS` says: slow start overshoots the buffer once and
+/// recovery repairs 5 671 holes.
+fn build_overshoot() -> Sim {
+    let mut sim = Sim::new(
+        SimConfig {
+            queue: QueueConfig {
+                rate_bps: 1_000_000_000,
+                buffer_bytes: 4_000 * 1500,
+            },
+            seed: 7,
+            monitor: MonitorConfig::default(),
+        },
+        Box::new(FixedProb::new(0.0)),
+    );
+    sim.add_flow(
+        PathConf::symmetric(Duration::from_millis(20)),
+        "reno",
+        Time::ZERO,
+        |id| {
+            Box::new(TcpSource::new(
+                id,
+                CcKind::Reno,
+                EcnSetting::NotEcn,
+                TcpConfig::default(),
+            ))
+        },
+    );
+    sim.run_until(Time::from_secs(1));
+    sim
+}
+
 /// Default ceiling for the `PI2_OVERHEAD_GATE` check: metrics-on may cost
 /// at most this fraction more per event than metrics-off. Documented in
 /// EXPERIMENTS.md; override with `PI2_OVERHEAD_TOL` (e.g. `0.25`).
@@ -111,6 +150,9 @@ fn main() {
             Box::new(Pi2::new(Pi2Config::default()))
         }),
         bench_pi2_metrics_on(secs),
+        bench("overshoot_1flow_1gbps", 1, 5, || {
+            std::hint::black_box(build_overshoot().core.events.popped())
+        }),
     ];
     table(&measurement_rows("event", &ms));
 
@@ -227,6 +269,22 @@ fn main() {
         println!(
             "{name}: {ns_per_pkt:.1} ns/pkt, {events_per_pkt:.3} events/pkt, \
              {pending_high_water} events pending at most"
+        );
+    }
+    // The loss episode: its cost per packet, and its size from the
+    // monitor's account of the one flow.
+    {
+        let m = &ms[3];
+        let name = &m.name;
+        let sim = build_overshoot();
+        let flow = &sim.core.monitor.flows[0];
+        let pkts = flow.dequeued_pkts.max(1) as f64;
+        let ns_per_pkt = m.median_ns / pkts;
+        let drops_per_kpkt = 1000.0 * flow.dropped as f64 / pkts;
+        metrics.push((format!("{name}_ns_per_pkt"), ns_per_pkt));
+        metrics.push((format!("{name}_drops_per_kpkt"), drops_per_kpkt));
+        println!(
+            "{name}: {ns_per_pkt:.1} ns/pkt repairing {drops_per_kpkt:.3} drops per 1000 packets"
         );
     }
     record_and_report("sim_throughput", metrics);

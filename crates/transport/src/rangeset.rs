@@ -1,9 +1,17 @@
 //! A set of `u64` sequence numbers stored as disjoint half-open ranges.
 //!
 //! Used by the TCP receiver for its out-of-order store (from which SACK
-//! blocks are generated) — O(log n) insertion with neighbour merging,
-//! compact even when thousands of sequence numbers are buffered during a
-//! burst-loss episode.
+//! blocks are generated) and by the sender for its SACK scoreboard —
+//! compact even when tens of thousands of sequence numbers are buffered
+//! during a burst-loss episode.
+//!
+//! The ranges sit in a ring buffer, so with `n` ranges held every lookup
+//! is a binary search, O(log n); an edit at either end — appending or
+//! extending the highest range, consuming or trimming the lowest — is
+//! O(1) on top of that; and an edit in the middle moves the shorter side,
+//! O(min(i, n − i)). Operations that absorb or drop `k` ranges add O(k).
+
+use std::collections::VecDeque;
 
 /// Disjoint, sorted `[start, end)` ranges of sequence numbers.
 ///
@@ -17,7 +25,7 @@
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct RangeSet {
-    ranges: Vec<(u64, u64)>,
+    ranges: VecDeque<(u64, u64)>,
     /// Cached total of contained sequence numbers, so [`RangeSet::len`] is
     /// O(1) — it sits on TCP's per-ACK `pipe()` estimate.
     total: u64,
@@ -26,10 +34,7 @@ pub struct RangeSet {
 impl RangeSet {
     /// An empty set.
     pub fn new() -> Self {
-        RangeSet {
-            ranges: Vec::new(),
-            total: 0,
-        }
+        RangeSet::default()
     }
 
     /// Number of disjoint ranges.
@@ -54,8 +59,15 @@ impl RangeSet {
     }
 
     /// The ranges, sorted ascending.
-    pub fn ranges(&self) -> &[(u64, u64)] {
+    pub fn ranges(&self) -> &VecDeque<(u64, u64)> {
         &self.ranges
+    }
+
+    /// Index of the lowest range ending above `seq`: the one containing
+    /// `seq` if any does, else the first one past it. Ranges are disjoint
+    /// and sorted, so their ends ascend too. O(log n).
+    fn first_ending_above(&self, seq: u64) -> usize {
+        self.ranges.partition_point(|&(_, e)| e <= seq)
     }
 
     /// True if `seq` is contained.
@@ -65,48 +77,47 @@ impl RangeSet {
 
     /// The range containing `seq`, if any.
     pub fn find(&self, seq: u64) -> Option<(u64, u64)> {
-        match self.ranges.binary_search_by(|&(s, _)| s.cmp(&seq)) {
-            Ok(i) => Some(self.ranges[i]),
-            Err(0) => None,
-            Err(i) => {
-                let (s, e) = self.ranges[i - 1];
-                (seq >= s && seq < e).then_some((s, e))
-            }
-        }
+        let &(s, e) = self.ranges.get(self.first_ending_above(seq))?;
+        (s <= seq).then_some((s, e))
     }
 
     /// Insert a single sequence number, merging with neighbours.
     /// Returns false if it was already present.
     pub fn insert(&mut self, seq: u64) -> bool {
-        let i = match self.ranges.binary_search_by(|&(s, _)| s.cmp(&seq)) {
-            Ok(_) => return false, // starts a range => present
-            Err(i) => i,
-        };
-        // Inside the previous range?
+        // Fast path: in-order arrival past a hole appends to or extends
+        // the highest range.
+        if self.ranges.back().is_none_or(|&(_, e)| seq >= e) {
+            match self.ranges.back_mut() {
+                Some(last) if last.1 == seq => last.1 += 1,
+                _ => self.ranges.push_back((seq, seq + 1)),
+            }
+            self.total += 1;
+            return true;
+        }
+        // `i` ranges start at or below `seq`; only the last can hold it.
+        let i = self.ranges.partition_point(|&(s, _)| s <= seq);
+        let next_start = self.ranges.get(i).map(|&(s, _)| s);
         if i > 0 {
-            let (ps, pe) = self.ranges[i - 1];
+            let pe = self.ranges[i - 1].1;
             if seq < pe {
                 return false;
             }
             if seq == pe {
                 // Extend the previous range; maybe merge with the next.
                 self.ranges[i - 1].1 = pe + 1;
-                if i < self.ranges.len() && self.ranges[i].0 == pe + 1 {
+                if next_start == Some(pe + 1) {
                     self.ranges[i - 1].1 = self.ranges[i].1;
                     self.ranges.remove(i);
                 }
-                let _ = ps;
                 self.total += 1;
                 return true;
             }
         }
-        // Prepend to the next range?
-        if i < self.ranges.len() && self.ranges[i].0 == seq + 1 {
-            self.ranges[i].0 = seq;
-            self.total += 1;
-            return true;
+        if next_start == Some(seq + 1) {
+            self.ranges[i].0 = seq; // prepend to the next range
+        } else {
+            self.ranges.insert(i, (seq, seq + 1));
         }
-        self.ranges.insert(i, (seq, seq + 1));
         self.total += 1;
         true
     }
@@ -116,76 +127,91 @@ impl RangeSet {
         if start >= end {
             return;
         }
-        // Find the insertion window: all ranges overlapping or adjacent to
-        // [start, end).
-        let mut lo = match self.ranges.binary_search_by(|&(s, _)| s.cmp(&start)) {
-            Ok(i) => i,
-            Err(i) => i,
-        };
-        // The previous range may touch us.
-        if lo > 0 && self.ranges[lo - 1].1 >= start {
-            lo -= 1;
-        }
+        // The window `lo..hi` of ranges overlapping or adjacent to
+        // `[start, end)`: from the first one ending at or after `start`.
+        let lo = self.ranges.partition_point(|&(_, e)| e < start);
         let mut hi = lo;
-        let mut new_start = start;
-        let mut new_end = end;
+        let mut merged = (start, end);
         let mut absorbed = 0;
-        while hi < self.ranges.len() && self.ranges[hi].0 <= end {
-            new_start = new_start.min(self.ranges[hi].0);
-            new_end = new_end.max(self.ranges[hi].1);
-            absorbed += self.ranges[hi].1 - self.ranges[hi].0;
+        while let Some(&(s, e)) = self.ranges.get(hi).filter(|&&(s, _)| s <= end) {
+            merged = (merged.0.min(s), merged.1.max(e));
+            absorbed += e - s;
             hi += 1;
         }
-        self.total += (new_end - new_start) - absorbed;
-        self.ranges.splice(lo..hi, [(new_start, new_end)]);
+        self.total += (merged.1 - merged.0) - absorbed;
+        if hi == lo {
+            self.ranges.insert(lo, merged);
+        } else {
+            // Overwrite the first absorbed range; drop the rest, if any.
+            self.ranges[lo] = merged;
+            if hi > lo + 1 {
+                self.ranges.drain(lo + 1..hi);
+            }
+        }
     }
 
     /// Remove everything strictly below `cutoff`; returns how many
-    /// sequence numbers were removed.
+    /// sequence numbers were removed. O(1) per range dropped.
     pub fn remove_below(&mut self, cutoff: u64) -> u64 {
         let mut removed = 0;
-        self.ranges.retain_mut(|r| {
-            if r.1 <= cutoff {
-                removed += r.1 - r.0;
-                false
-            } else {
-                if r.0 < cutoff {
-                    removed += cutoff - r.0;
-                    r.0 = cutoff;
+        while let Some(front) = self.ranges.front_mut() {
+            if front.1 > cutoff {
+                if front.0 < cutoff {
+                    removed += cutoff - front.0;
+                    front.0 = cutoff;
                 }
-                true
+                break;
             }
-        });
+            removed += front.1 - front.0;
+            self.ranges.pop_front();
+        }
         self.total -= removed;
         removed
     }
 
     /// If the lowest range starts exactly at `start`, remove and return
-    /// it (used by the receiver to consume newly contiguous data).
+    /// it (used by the receiver to consume newly contiguous data). O(1).
     pub fn take_leading(&mut self, start: u64) -> Option<(u64, u64)> {
-        if let Some(&(s, e)) = self.ranges.first() {
-            if s == start {
-                self.ranges.remove(0);
-                self.total -= e - s;
-                return Some((s, e));
-            }
-        }
-        None
+        let &(s, e) = self.ranges.front().filter(|&&(s, _)| s == start)?;
+        self.ranges.pop_front();
+        self.total -= e - s;
+        Some((s, e))
     }
 
     /// The lowest contained sequence ≥ `from`, if any.
     pub fn first_at_or_after(&self, from: u64) -> Option<u64> {
-        for &(s, e) in &self.ranges {
-            if e > from {
-                return Some(s.max(from));
+        let &(s, _) = self.ranges.get(self.first_ending_above(from))?;
+        Some(s.max(from))
+    }
+
+    /// The maximal runs of `[start, end)` that are *not* contained,
+    /// ascending: O(log n) to reach the window, then one step per range
+    /// inside it.
+    pub fn gaps(&self, start: u64, end: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let mut next = self.first_ending_above(start);
+        let mut cur = start;
+        std::iter::from_fn(move || {
+            while cur < end {
+                // The next covered stretch, or the window's end if none
+                // is left inside it.
+                let (s, e) = match self.ranges.get(next) {
+                    Some(&(s, e)) if s < end => (s, e),
+                    _ => (end, end),
+                };
+                next += 1;
+                let gap = (cur, s);
+                cur = e;
+                if gap.0 < gap.1 {
+                    return Some(gap);
+                }
             }
-        }
-        None
+            None
+        })
     }
 
     /// The highest contained sequence number, if any.
     pub fn max(&self) -> Option<u64> {
-        self.ranges.last().map(|&(_, e)| e - 1)
+        self.ranges.back().map(|&(_, e)| e - 1)
     }
 }
 
@@ -312,8 +338,8 @@ mod tests {
             assert_eq!(rs.contains(x), model.contains(&x), "at {x}");
         }
         // Ranges are disjoint and sorted.
-        for w in rs.ranges().windows(2) {
-            assert!(w[0].1 < w[1].0);
+        for (a, b) in rs.ranges().iter().zip(rs.ranges().iter().skip(1)) {
+            assert!(a.1 < b.0);
         }
     }
 

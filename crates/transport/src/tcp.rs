@@ -368,23 +368,24 @@ impl TcpSource {
     }
 
     /// Fold a SACK-block update into the scoreboard.
+    ///
+    /// Between ACKs `lost` never overlaps `sacked` (holes are marked only
+    /// where nothing is SACKed, and a timeout clears both) and `rtx_out`
+    /// is a subset of `lost`. So the only losses a block can repair are
+    /// among the sequences it newly covers: the gaps it closes.
     fn apply_sack(&mut self, ack: &Ack) {
-        // Steady-state ACKs carry no blocks; nothing below can change.
-        if ack.sack.iter().all(Option::is_none) {
-            return;
-        }
-        for block in ack.sack.iter().flatten() {
-            let (s, e) = *block;
-            let s = s.max(self.snd_una);
-            if s < e {
-                self.sacked.insert_range(s, e.min(self.snd_nxt));
+        for &(s, e) in ack.sack.iter().flatten() {
+            let (s, e) = (s.max(self.snd_una), e.min(self.snd_nxt));
+            // A hole that gets SACKed was repaired: it is no longer lost.
+            for (gs, ge) in self.sacked.gaps(s, e) {
+                self.lost.remove_range(gs, ge);
+                self.rtx_out.remove_range(gs, ge);
             }
-        }
-        // A hole that later gets SACKed was repaired: it is no longer lost.
-        if !self.lost.is_empty() {
-            let sacked = &self.sacked;
-            self.lost.retain(|&seq| !sacked.contains(seq));
-            self.rtx_out.retain(|&seq| !sacked.contains(seq));
+            self.sacked.insert_range(s, e);
+            debug_assert!(
+                self.lost.first_at_or_after(s).is_none_or(|seq| seq >= e),
+                "a lost sequence inside SACKed [{s}, {e})"
+            );
         }
     }
 
@@ -415,29 +416,45 @@ impl TcpSource {
         // (and holes that got SACKed since were pulled out of `lost` by
         // `apply_sack` — they must not return). Only the newly-eligible
         // window needs scanning, as whole hole runs between SACK ranges.
-        let mut cur = self.snd_una.max(self.lost_below);
-        if cur >= cutoff {
+        let from = self.snd_una.max(self.lost_below);
+        if from >= cutoff {
             return;
         }
-        for &(s, e) in self.sacked.ranges() {
-            if e <= cur {
-                continue;
-            }
-            if s >= cutoff {
-                break;
-            }
-            if s > cur {
-                self.lost.insert_run(cur, s.min(cutoff));
-            }
-            cur = e;
-            if cur >= cutoff {
-                break;
-            }
-        }
-        if cur < cutoff {
-            self.lost.insert_run(cur, cutoff);
+        for (s, e) in self.sacked.gaps(from, cutoff) {
+            self.lost.insert_run(s, e);
         }
         self.lost_below = cutoff;
+    }
+
+    /// What holds between ACKs and `apply_sack` relies on. A checkpoint
+    /// that says otherwise would not fail, it would repair the wrong
+    /// segments — so restoring one is an error.
+    fn check_invariants(&self) -> Result<(), &'static str> {
+        let in_window = |lo: Option<u64>, hi: Option<u64>| {
+            lo.is_none_or(|lo| lo >= self.snd_una) && hi.is_none_or(|hi| hi < self.snd_nxt)
+        };
+        if self.snd_una > self.snd_nxt {
+            Err("snd_una ahead of snd_nxt")
+        } else if !in_window(self.sacked.first_at_or_after(0), self.sacked.max())
+            || !in_window(
+                self.lost.first_at_or_after(0),
+                self.lost.iter().next_back().copied(),
+            )
+        {
+            Err("scoreboard entry outside [snd_una, snd_nxt)")
+        } else if self.lost.iter().any(|&seq| self.sacked.contains(seq)) {
+            Err("lost sequence is also SACKed")
+        } else if self.rtx_out.iter().any(|&seq| !self.lost.contains(seq)) {
+            Err("retransmission in flight for a sequence not lost")
+        } else if self
+            .ooo
+            .first_at_or_after(0)
+            .is_some_and(|seq| seq <= self.rcv_nxt)
+        {
+            Err("out-of-order store reaches down to rcv_nxt")
+        } else {
+            Ok(())
+        }
     }
 
     /// The lowest lost sequence whose retransmission is not in flight.
@@ -861,10 +878,7 @@ impl Source for TcpSource {
         self.delack_timer.restore_ckpt(r)?;
         self.completed_at = read_opt(r, |r| r.time())?;
         self.started_at = r.time()?;
-        if self.snd_una > self.snd_nxt {
-            return Err(CkptError::Corrupt("snd_una ahead of snd_nxt"));
-        }
-        Ok(())
+        self.check_invariants().map_err(CkptError::Corrupt)
     }
 }
 
@@ -1697,6 +1711,189 @@ mod tests {
         assert!(acc.dropped > 0, "30 kB buffer must overflow");
         assert_eq!(acc.delivered_pkts, 2000, "exactly-once delivery broken");
         assert_eq!(sim.core.monitor.completions.len(), 1);
+    }
+
+    // --- the scoreboard's invariants: checked against the whole-set
+    // --- filter `apply_sack` used to run, and enforced on restore.
+
+    /// What `apply_sack` did before it learnt to look only at the gaps a
+    /// block closes: insert every block, then drop from `lost` and
+    /// `rtx_out` whatever the whole of `sacked` now covers.
+    fn apply_sack_by_filtering(src: &TcpSource, ack: &Ack) -> (Vec<u64>, Vec<u64>) {
+        let mut sacked = src.sacked.clone();
+        for &(s, e) in ack.sack.iter().flatten() {
+            sacked.insert_range(s.max(src.snd_una), e.min(src.snd_nxt));
+        }
+        let keep = |set: &SeqSet| {
+            set.iter()
+                .copied()
+                .filter(|&seq| !sacked.contains(seq))
+                .collect()
+        };
+        (keep(&src.lost), keep(&src.rtx_out))
+    }
+
+    /// A sender that checks itself against the reference on every ACK.
+    struct Checked {
+        inner: TcpSource,
+        /// ACKs that carried blocks, and sequences they took out of `lost`.
+        seen: std::rc::Rc<std::cell::Cell<(u64, u64)>>,
+    }
+
+    impl Source for Checked {
+        fn on_start(&mut self, core: &mut SimCore) {
+            self.inner.on_start(core);
+        }
+        fn on_stop(&mut self, core: &mut SimCore) {
+            self.inner.on_stop(core);
+        }
+        fn on_deliver(&mut self, pkt: Packet, core: &mut SimCore) {
+            self.inner.on_deliver(pkt, core);
+        }
+        fn on_timer(&mut self, kind: TimerKind, id: u64, core: &mut SimCore) {
+            self.inner.on_timer(kind, id, core);
+        }
+        fn on_ack(&mut self, ack: Ack, core: &mut SimCore) {
+            let src = &mut self.inner;
+            // Applying an ACK's blocks a second time changes nothing, so
+            // doing it here, ahead of `on_ack`, leaves the run as it was.
+            let expected = apply_sack_by_filtering(src, &ack);
+            let lost_before = src.lost.len();
+            src.apply_sack(&ack);
+            let members = |set: &SeqSet| set.iter().copied().collect::<Vec<_>>();
+            assert_eq!((members(&src.lost), members(&src.rtx_out)), expected);
+            if ack.sack[0].is_some() {
+                let (acks, repaired) = self.seen.get();
+                let repaired = repaired + (lost_before - src.lost.len()) as u64;
+                self.seen.set((acks + 1, repaired));
+            }
+            src.on_ack(ack, core);
+            assert_eq!(src.check_invariants(), Ok(()));
+            let in_network = (src.snd_una..src.snd_nxt)
+                .filter(|&seq| !src.sacked.contains(seq))
+                .filter(|&seq| !src.lost.contains(seq) || src.rtx_out.contains(seq))
+                .count();
+            assert_eq!(src.pipe(), in_network as u64);
+        }
+    }
+
+    /// A lossy bottleneck under a path that loses, duplicates and
+    /// reorders in both directions: after every ACK the scoreboard is what
+    /// filtering the whole of it would have left, its invariants hold and
+    /// `pipe()` matches a recount from nothing.
+    #[test]
+    fn scoreboard_matches_the_whole_set_filter_on_every_ack() {
+        use pi2_netsim::{ImpairmentConf, LinkImpairments};
+        let mut sim = sim_with(50_000_000, 150_000, Box::new(PassAqm));
+        // Mild on the data path, or spurious recoveries keep the windows
+        // too small to overflow the buffer; rough on the ACK path.
+        sim.core.set_impairments(
+            LinkImpairments::new(0x5eed)
+                .forward(ImpairmentConf {
+                    loss: 0.001,
+                    dup: 0.005,
+                    jitter: Duration::from_micros(300),
+                })
+                .reverse(ImpairmentConf {
+                    loss: 0.05,
+                    dup: 0.05,
+                    jitter: Duration::from_millis(4),
+                }),
+        );
+        let seen = std::rc::Rc::new(std::cell::Cell::new((0, 0)));
+        for cc in [CcKind::Reno, CcKind::Cubic] {
+            let seen = std::rc::Rc::clone(&seen);
+            sim.add_flow(
+                PathConf::symmetric(Duration::from_millis(30)),
+                "checked",
+                Time::ZERO,
+                move |id| {
+                    let inner = TcpSource::new(id, cc, EcnSetting::NotEcn, TcpConfig::default());
+                    Box::new(Checked { inner, seen })
+                },
+            );
+        }
+        sim.run_until(Time::from_secs(20));
+        let (acks, repaired) = seen.get();
+        assert!(
+            sim.core.counters.totals().dropped > 300,
+            "buffer never overflowed"
+        );
+        assert!(acks > 4_000, "only {acks} ACKs carried blocks");
+        assert!(
+            repaired > 400,
+            "only {repaired} losses were repaired by a block"
+        );
+    }
+
+    /// A sender in the middle of a recovery: `[4, 7)` and `[8, 10)` SACKed,
+    /// 3 and 7 lost, 3 resent.
+    fn mid_recovery() -> TcpSource {
+        let (mut sim, mut src) = bench_sender(CcKind::Reno);
+        // The second, duplicate ACK enters recovery.
+        for _ in 0..2 {
+            let sack = [Some((4, 7)), Some((8, 10)), None];
+            src.on_ack(
+                Ack {
+                    sack,
+                    ..ack(3, 0, 8, false)
+                },
+                &mut sim.core,
+            );
+        }
+        assert!(src.in_recovery && src.lost.contains(3));
+        src.lost.insert(7);
+        src.rtx_out.insert(3);
+        assert_eq!(src.check_invariants(), Ok(()));
+        src.ooo.insert_range(4, 7);
+        src.rcv_nxt = 3;
+        src
+    }
+
+    fn restored(from: &TcpSource) -> Result<(), CkptError> {
+        let mut w = CkptWriter::new();
+        from.save_ckpt(&mut w);
+        let blob = w.into_bytes();
+        let mut into = TcpSource::new(FlowId(0), CcKind::Reno, EcnSetting::Scalable, from.cfg);
+        into.restore_ckpt(&mut CkptReader::new(&blob))
+    }
+
+    /// One blob per rule `apply_sack` leans on, each saved from a state
+    /// bent just far enough to break it: restore must name the rule, not
+    /// carry on with a scoreboard that repairs the wrong segments.
+    #[test]
+    fn restore_rejects_a_scoreboard_that_breaks_its_invariants() {
+        assert_eq!(restored(&mid_recovery()), Ok(()));
+        type Bend = fn(&mut TcpSource);
+        let bent: [(Bend, &str); 7] = [
+            (|s| s.snd_una = s.snd_nxt + 1, "snd_una ahead of snd_nxt"),
+            (|s| s.lost.insert_run(4, 5), "lost sequence is also SACKed"),
+            (
+                |s| s.rtx_out.insert_run(5, 6),
+                "retransmission in flight for a sequence not lost",
+            ),
+            (
+                |s| s.lost.insert_run(2, 3),
+                "scoreboard entry outside [snd_una, snd_nxt)",
+            ),
+            (
+                |s| s.sacked.insert_range(s.snd_nxt, s.snd_nxt + 1),
+                "scoreboard entry outside [snd_una, snd_nxt)",
+            ),
+            (
+                |s| s.ooo.insert_range(3, 4),
+                "out-of-order store reaches down to rcv_nxt",
+            ),
+            (
+                |s| s.rcv_nxt = 5,
+                "out-of-order store reaches down to rcv_nxt",
+            ),
+        ];
+        for (bend, rule) in bent {
+            let mut src = mid_recovery();
+            bend(&mut src);
+            assert_eq!(restored(&src), Err(CkptError::Corrupt(rule)));
+        }
     }
 
     /// DCTCP's α derives from cumulative receiver counters, so losing a

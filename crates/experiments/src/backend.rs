@@ -276,6 +276,9 @@ impl BackgroundAggregate for FluidBackground {
             w.f64(wi);
         }
         w.u64(s.alloc_events);
+        for &b in &s.binding {
+            w.bool(b);
+        }
     }
 
     fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
@@ -293,6 +296,10 @@ impl BackgroundAggregate for FluidBackground {
             w.push(r.f64()?);
         }
         let alloc_events = r.u64()?;
+        let mut binding = Vec::with_capacity(n);
+        for _ in 0..n {
+            binding.push(r.bool()?);
+        }
         self.sim.restore_state(&FlowLevelState {
             t,
             steps,
@@ -301,6 +308,7 @@ impl BackgroundAggregate for FluidBackground {
             prev_qdelay,
             w,
             alloc_events,
+            binding,
         });
         Ok(())
     }
@@ -428,6 +436,9 @@ pub struct FluidRunResult {
     pub samples: Vec<FlowLevelSample>,
     /// Rate reallocation events taken by the engine.
     pub alloc_events: u64,
+    /// Entries the engine's kept water-filling order shifted over the run
+    /// ([`FlowLevelSim::order_moves`]).
+    pub order_moves: u64,
     /// The measurement-window conformance metrics.
     pub summary: BackendSummary,
 }
@@ -510,6 +521,7 @@ pub fn run_fluid(sc: &Scenario) -> Result<FluidRunResult, String> {
         class_rates_pps,
         flow_count,
         alloc_events: sim.alloc_events(),
+        order_moves: sim.order_moves(),
         samples,
         summary: BackendSummary {
             utilization,

@@ -5,12 +5,28 @@
 //! homogeneous flow population as a *cross-check*, this module is an
 //! *execution backend*: it carries an arbitrary mix of flow classes
 //! (Reno/Scalable, per-class RTT, optional application rate caps, staggered
-//! start/stop) over one bottleneck. Cost per integration step is
-//! O(classes · log classes) regardless of how many flows each class
-//! represents, so a 1M-flow sweep costs the same as a 10-flow one. The
-//! only "events" are rate reallocations — recomputations of the max-min
-//! share whenever the set of binding constraints changes — and controller
-//! ticks; there are no per-packet events at all.
+//! start/stop) over one bottleneck. Cost per integration step depends on
+//! the class count only, never on how many flows each class represents, so
+//! a 1M-flow sweep costs the same as a 10-flow one. The only "events" are
+//! rate reallocations — recomputations of the max-min share whenever the
+//! set of binding constraints changes — and controller ticks; there are no
+//! per-packet events at all.
+//!
+//! A step is one pass over the classes (demand and window law together),
+//! a repair of the water-filling order and one fill: O(classes) plus the
+//! entries the repair has to move, and no allocation. The engine keeps the
+//! order (classes sorted by per-flow demand) from step to step instead of
+//! sorting from scratch, because it hardly changes: windows drift smoothly,
+//! so neighbours in demand order rarely swap within one `dt`
+//! ([`FlowLevelSim::order_moves`] counts the entries that did). On a
+//! 1 000-class mix of 5–200 ms RTTs the repair moves ~140 entries per step
+//! in the first simulated second, under one in the third and none from the
+//! fifth on. A step that scrambles the order (classes activating together,
+//! a restore into a fresh engine) is bounded by a full sort:
+//! O(classes · log classes), the cost every step used to pay. The order
+//! under `(demand, index)` is a strict total order, so the sorted
+//! permutation is unique and the fill rounds the same whichever way it was
+//! reached — [`max_min_weighted`] from scratch returns the same bits.
 //!
 //! The same window laws as the ODE integrator apply (undelayed form, so
 //! the equilibrium operating points of eqs. (19)/(23) are preserved while
@@ -27,6 +43,7 @@
 
 use crate::ode::{FluidControllerKind, FluidTcpKind};
 use crate::tf::{pie_tune_factor, PiGains};
+use std::cmp::Ordering;
 
 /// Max-min-fair (water-filling) allocation of `capacity` across flows
 /// with the given `demands`.
@@ -51,28 +68,77 @@ pub fn max_min_allocation(capacity: f64, demands: &[f64]) -> Vec<f64> {
 /// Weighted water-filling: entry `i` stands for `count_i` identical flows
 /// each demanding `demand_i`; returns the *per-flow* rate of each entry.
 ///
-/// This is the allocator the flow-level engine runs every step — classes
-/// aggregate millions of flows into one entry, so allocation cost is
-/// independent of population size.
+/// This is the allocation the flow-level engine computes every step —
+/// classes aggregate millions of flows into one entry, so allocation cost
+/// is independent of population size. The engine reaches the same fill
+/// through the order it keeps between steps; this function sorts from
+/// scratch.
 pub fn max_min_weighted(capacity: f64, classes: &[(f64, f64)]) -> Vec<f64> {
-    let n = classes.len();
-    let mut alloc = vec![0.0; n];
-    if n == 0 || !(capacity > 0.0) {
-        return alloc;
+    let mut order = identity_order(classes.len());
+    order.sort_by(|&a, &b| fill_order(classes, a, b));
+    let mut alloc = vec![0.0; classes.len()];
+    water_fill(capacity, classes, &order, &mut alloc);
+    alloc
+}
+
+/// The fill visits entries by per-flow demand ascending, index as
+/// tie-break: a strict total order, so the sorted permutation is unique
+/// and the fill's float rounding does not depend on how it was sorted.
+#[inline]
+fn fill_order(classes: &[(f64, f64)], a: u32, b: u32) -> Ordering {
+    classes[a as usize]
+        .0
+        .total_cmp(&classes[b as usize].0)
+        .then(a.cmp(&b))
+}
+
+fn identity_order(n: usize) -> Vec<u32> {
+    let n = u32::try_from(n).expect("the fill order indexes entries with u32");
+    (0..n).collect()
+}
+
+/// Re-sort `order`, sorted under last step's demands, for this step's.
+/// Returns how many entries it shifted.
+///
+/// Insertion costs one shift per inversion, which is what a smoothly
+/// drifting population produces a handful of. Once the shifts exceed what
+/// a full sort of `n` entries costs (n · log₂ n), the rest is handed to
+/// one, so a step that reverses the whole order still costs O(n log n).
+fn repair_order(order: &mut [u32], classes: &[(f64, f64)]) -> u64 {
+    let n = order.len();
+    let budget = n * (usize::BITS - n.leading_zeros()) as usize;
+    let mut moved = 0;
+    for i in 1..n {
+        let cur = order[i];
+        let mut j = i;
+        while j > 0 && fill_order(classes, cur, order[j - 1]) == Ordering::Less {
+            order[j] = order[j - 1];
+            j -= 1;
+        }
+        order[j] = cur;
+        moved += i - j;
+        if moved > budget {
+            order.sort_unstable_by(|&a, &b| fill_order(classes, a, b));
+            break;
+        }
     }
-    // Sort indices by per-flow demand ascending, index as tie-break so the
-    // fill order (and thus float rounding) is reproducible.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        classes[a]
-            .0
-            .total_cmp(&classes[b].0)
-            .then(a.cmp(&b))
-    });
+    moved as u64
+}
+
+/// Water-fill `capacity` over `classes` visited in `order` (sorted by
+/// [`fill_order`]), writing each entry's per-flow rate to `alloc`.
+fn water_fill(capacity: f64, classes: &[(f64, f64)], order: &[u32], alloc: &mut [f64]) {
+    alloc.fill(0.0);
+    if !(capacity > 0.0) {
+        return;
+    }
     let mut remaining_cap = capacity;
-    let mut remaining_flows: f64 = classes.iter().map(|&(d, c)| if d > 0.0 && c > 0.0 { c } else { 0.0 }).sum();
+    let mut remaining_flows: f64 = classes
+        .iter()
+        .map(|&(d, c)| if d > 0.0 && c > 0.0 { c } else { 0.0 })
+        .sum();
     for (pos, &i) in order.iter().enumerate() {
-        let (demand, count) = classes[i];
+        let (demand, count) = classes[i as usize];
         if !(demand > 0.0) || !(count > 0.0) {
             continue;
         }
@@ -81,22 +147,21 @@ pub fn max_min_weighted(capacity: f64, classes: &[(f64, f64)]) -> Vec<f64> {
         }
         let fair = remaining_cap / remaining_flows;
         if demand <= fair {
-            alloc[i] = demand;
+            alloc[i as usize] = demand;
             remaining_cap -= demand * count;
             remaining_flows -= count;
         } else {
             // Every remaining entry demands more than the fair share:
             // split the rest equally per flow.
             for &j in &order[pos..] {
-                let (dj, cj) = classes[j];
+                let (dj, cj) = classes[j as usize];
                 if dj > 0.0 && cj > 0.0 {
-                    alloc[j] = fair;
+                    alloc[j as usize] = fair;
                 }
             }
             break;
         }
     }
-    alloc
 }
 
 /// One class of identical flows in the flow-level engine.
@@ -131,6 +196,26 @@ impl FlowClass {
 
     fn active(&self, t: f64) -> bool {
         t >= self.start && self.stop.map_or(true, |s| t < s) && self.count > 0.0
+    }
+
+    /// Per-flow offered rate at window `w` and round-trip time `r`.
+    #[inline]
+    fn demand(&self, w: f64, r: f64) -> f64 {
+        let d = w / r;
+        self.rate_cap_pps.map_or(d, |cap| d.min(cap))
+    }
+
+    /// The window after `dt` seconds of the undelayed fluid law under
+    /// applied signal `s`.
+    #[inline]
+    fn next_window(&self, w: f64, r: f64, s: f64, dt: f64) -> f64 {
+        let decrease = match self.tcp {
+            FluidTcpKind::Reno => 0.5 * w * w / r * s,
+            FluidTcpKind::Scalable => 0.5 * w / r * s,
+        };
+        let next = (w + (1.0 / r - decrease) * dt).max(1e-3);
+        // App-limited: the window never builds past the cap.
+        self.rate_cap_pps.map_or(next, |cap| next.min(cap * r))
     }
 }
 
@@ -206,6 +291,9 @@ pub struct FlowLevelState {
     pub w: Vec<f64>,
     /// Rate reallocation events so far.
     pub alloc_events: u64,
+    /// Per class: was it demand-bound (vs fair-share-bound) at the last
+    /// step. The next reallocation event is a change against this.
+    pub binding: Vec<bool>,
 }
 
 /// The flow-level engine.
@@ -232,7 +320,15 @@ pub struct FlowLevelSim {
     alloc_events: u64,
     /// Which classes were demand-bound (vs fair-share-bound) last step;
     /// a change is one "rate reallocation event".
-    binding: Vec<u8>,
+    binding: Vec<bool>,
+    /// `(per-flow demand, flow count)` of each class at the last step.
+    demand: Vec<(f64, f64)>,
+    /// Per-flow max-min share of each class at the last step.
+    share: Vec<f64>,
+    /// Class indices sorted by [`fill_order`] on the last step's demands;
+    /// always a permutation, repaired (not rebuilt) every step.
+    order: Vec<u32>,
+    order_moves: u64,
     /// Per-flow rate time-integral per class since `begin_measurement`.
     rate_integral: Vec<f64>,
     meas_from: Option<f64>,
@@ -257,7 +353,11 @@ impl FlowLevelSim {
             steps: 0,
             ctrl_every,
             alloc_events: 0,
-            binding: vec![0; n],
+            binding: vec![false; n],
+            demand: vec![(0.0, 0.0); n],
+            share: vec![0.0; n],
+            order: identity_order(n),
+            order_moves: 0,
             rate_integral: vec![0.0; n],
             meas_from: None,
             cfg,
@@ -280,13 +380,31 @@ impl FlowLevelSim {
         self.alloc_events
     }
 
-    /// The applied signal for one class at the current p'.
-    fn class_signal(&self, tcp: FluidTcpKind) -> f64 {
-        match (self.cfg.encoder, tcp) {
-            (FluidControllerKind::Squared, FluidTcpKind::Reno) => self.p_prime * self.p_prime,
-            (FluidControllerKind::Squared, FluidTcpKind::Scalable) => {
-                (self.cfg.coupling * self.p_prime).min(1.0)
-            }
+    /// Entries the kept water-filling order had to shift so far, over all
+    /// steps: a deterministic count of how much the demand order changes
+    /// (a step that falls back to a full sort adds the shifts made up to
+    /// that point). Zero per step once the population has settled.
+    pub fn order_moves(&self) -> u64 {
+        self.order_moves
+    }
+
+    /// `(per-flow demand, flow count)` of each class as the last
+    /// [`Self::step`] (or [`Self::class_rates_pps`]) saw them; inactive
+    /// classes read `(0, 0)`.
+    pub fn last_demands(&self) -> &[(f64, f64)] {
+        &self.demand
+    }
+
+    /// The per-flow max-min shares computed from [`Self::last_demands`].
+    pub fn last_shares(&self) -> &[f64] {
+        &self.share
+    }
+
+    /// The scalable-side signal at the current p' (the DualPI2 coupling
+    /// under a squared encoder).
+    fn scalable_signal(&self) -> f64 {
+        match self.cfg.encoder {
+            FluidControllerKind::Squared => (self.cfg.coupling * self.p_prime).min(1.0),
             _ => self.p_prime,
         }
     }
@@ -314,33 +432,38 @@ impl FlowLevelSim {
         self.rate_integral.iter().map(|&r| r / span).collect()
     }
 
-    /// Per-flow max-min allocation (pps) of each class right now.
-    pub fn class_rates_pps(&self) -> Vec<f64> {
+    /// Per-flow max-min allocation (pps) of each class right now, computed
+    /// into the engine's own rows (the next step overwrites them).
+    pub fn class_rates_pps(&mut self) -> &[f64] {
         let qdelay = self.q / self.cfg.capacity_pps;
-        let demands: Vec<(f64, f64)> = self
-            .cfg
-            .classes
-            .iter()
-            .enumerate()
-            .map(|(i, cl)| {
-                if cl.active(self.t) {
-                    let r = cl.base_rtt + qdelay;
-                    let mut d = self.w[i] / r;
-                    if let Some(cap) = cl.rate_cap_pps {
-                        d = d.min(cap);
-                    }
-                    (d, cl.count)
-                } else {
-                    (0.0, 0.0)
-                }
-            })
-            .collect();
-        max_min_weighted(self.cfg.capacity_pps, &demands)
+        for (i, cl) in self.cfg.classes.iter().enumerate() {
+            self.demand[i] = if cl.active(self.t) {
+                (cl.demand(self.w[i], cl.base_rtt + qdelay), cl.count)
+            } else {
+                (0.0, 0.0)
+            };
+        }
+        self.allocate();
+        &self.share
+    }
+
+    /// Max-min shares of the demand row: repair the kept order, fill.
+    /// Returns the entries the repair shifted.
+    fn allocate(&mut self) -> u64 {
+        let moved = repair_order(&mut self.order, &self.demand);
+        water_fill(
+            self.cfg.capacity_pps,
+            &self.demand,
+            &self.order,
+            &mut self.share,
+        );
+        moved
     }
 
     /// Integrate one step; returns the sample after the step.
     pub fn step(&mut self) -> FlowLevelSample {
         let c = self.cfg.capacity_pps;
+        let dt = self.cfg.dt;
         let qdelay = self.q / c;
 
         // Controller tick, identical to the delay-ODE integrator.
@@ -355,80 +478,62 @@ impl FlowLevelSim {
             self.prev_qdelay = qdelay;
         }
 
-        // Offered demand per class, then the max-min shares.
-        let n = self.cfg.classes.len();
-        let mut demands = vec![(0.0, 0.0); n];
+        // One pass per class: offered demand, then the window dynamics
+        // (undelayed fluid laws), which depend on the demand but not on
+        // the share. The sample's `signal` is the traffic-weighted applied
+        // signal — the fluid analogue of the packet side's (marked +
+        // dropped) / sent, which weights each class by its share of the
+        // arrivals.
+        let classic = self.classic_signal();
+        let scalable = self.scalable_signal();
         let mut arrival = 0.0;
+        let mut sig_rate = 0.0;
+        let mut rate_sum = 0.0;
         for (i, cl) in self.cfg.classes.iter().enumerate() {
             if !cl.active(self.t) {
                 // Restart fresh when (re)activated.
                 self.w[i] = 1.0;
+                self.demand[i] = (0.0, 0.0);
                 continue;
             }
             let r = cl.base_rtt + qdelay;
-            let mut d = self.w[i] / r;
-            if let Some(cap) = cl.rate_cap_pps {
-                d = d.min(cap);
-            }
-            demands[i] = (d, cl.count);
-            arrival += d * cl.count;
+            let w = self.w[i];
+            let rate = cl.demand(w, r);
+            self.demand[i] = (rate, cl.count);
+            arrival += rate * cl.count;
+            let s = match cl.tcp {
+                FluidTcpKind::Reno => classic,
+                FluidTcpKind::Scalable => scalable,
+            };
+            sig_rate += cl.count * rate * s;
+            rate_sum += cl.count * rate;
+            self.w[i] = cl.next_window(w, r, s, dt);
         }
-        let shares = max_min_weighted(c, &demands);
+        self.order_moves += self.allocate();
 
         // A class is demand-bound when its share equals its demand;
         // count binding-set flips as reallocation events.
         let mut flipped = false;
-        for i in 0..n {
-            let bound = (demands[i].0 > 0.0 && shares[i] >= demands[i].0 * (1.0 - 1e-12)) as u8;
-            if bound != self.binding[i] {
-                flipped = true;
-                self.binding[i] = bound;
-            }
+        for ((&(demand, _), &share), was_bound) in
+            self.demand.iter().zip(&self.share).zip(&mut self.binding)
+        {
+            let bound = demand > 0.0 && share >= demand * (1.0 - 1e-12);
+            flipped |= bound != *was_bound;
+            *was_bound = bound;
         }
         if flipped {
             self.alloc_events += 1;
         }
 
         if self.meas_from.is_some() {
-            for i in 0..n {
-                self.rate_integral[i] += shares[i] * self.cfg.dt;
+            for (integral, &share) in self.rate_integral.iter_mut().zip(&self.share) {
+                *integral += share * dt;
             }
-        }
-
-        // Window dynamics (undelayed fluid laws) and queue integration.
-        // The sample's `signal` is the traffic-weighted applied signal —
-        // the fluid analogue of the packet side's (marked + dropped) /
-        // sent, which weights each class by its share of the arrivals.
-        let mut sig_rate = 0.0;
-        let mut rate_sum = 0.0;
-        for (i, cl) in self.cfg.classes.iter().enumerate() {
-            if !cl.active(self.t) {
-                continue;
-            }
-            let r = cl.base_rtt + qdelay;
-            let s = self.class_signal(cl.tcp);
-            let w = self.w[i];
-            let mut rate = w / r;
-            if let Some(cap) = cl.rate_cap_pps {
-                rate = rate.min(cap);
-            }
-            sig_rate += cl.count * rate * s;
-            rate_sum += cl.count * rate;
-            let decrease = match cl.tcp {
-                FluidTcpKind::Reno => 0.5 * w * w / r * s,
-                FluidTcpKind::Scalable => 0.5 * w / r * s,
-            };
-            let mut next = (w + (1.0 / r - decrease) * self.cfg.dt).max(1e-3);
-            if let Some(cap) = cl.rate_cap_pps {
-                // App-limited: the window never builds past the cap.
-                next = next.min(cap * r);
-            }
-            self.w[i] = next;
         }
 
         let served = if self.q > 0.0 { c } else { arrival.min(c) };
-        self.q = (self.q + (arrival - c) * self.cfg.dt).max(0.0);
-        self.t += self.cfg.dt;
+        self.q = (self.q + (arrival - c) * dt).max(0.0);
+        self.t += dt;
         self.steps += 1;
 
         FlowLevelSample {
@@ -484,21 +589,11 @@ impl FlowLevelSim {
                     self.w[i] = 1.0;
                     continue;
                 }
-                let r = cl.base_rtt + qdelay;
                 let s = match cl.tcp {
                     FluidTcpKind::Reno => classic_signal,
                     FluidTcpKind::Scalable => scalable_signal,
                 };
-                let w = self.w[i];
-                let decrease = match cl.tcp {
-                    FluidTcpKind::Reno => 0.5 * w * w / r * s,
-                    FluidTcpKind::Scalable => 0.5 * w / r * s,
-                };
-                let mut next = (w + (1.0 / r - decrease) * h).max(1e-3);
-                if let Some(cap) = cl.rate_cap_pps {
-                    next = next.min(cap * r);
-                }
-                self.w[i] = next;
+                self.w[i] = cl.next_window(self.w[i], cl.base_rtt + qdelay, s, h);
             }
             self.t += h;
             self.steps += 1;
@@ -506,12 +601,7 @@ impl FlowLevelSim {
         let mut offered = 0.0;
         for (i, cl) in self.cfg.classes.iter().enumerate() {
             if cl.active(self.t) {
-                let r = cl.base_rtt + qdelay;
-                let mut d = self.w[i] / r;
-                if let Some(cap) = cl.rate_cap_pps {
-                    d = d.min(cap);
-                }
-                offered += d * cl.count;
+                offered += cl.demand(self.w[i], cl.base_rtt + qdelay) * cl.count;
             }
         }
         offered
@@ -527,25 +617,26 @@ impl FlowLevelSim {
             prev_qdelay: self.prev_qdelay,
             w: self.w.clone(),
             alloc_events: self.alloc_events,
+            binding: self.binding.clone(),
         }
     }
 
     /// Restore state exported by [`Self::state`]. The class count must
-    /// match the configuration this engine was built with.
+    /// match the configuration this engine was built with. The kept
+    /// water-filling order is not state: whatever permutation this engine
+    /// holds, the next step's repair sorts it for the restored windows.
     pub fn restore_state(&mut self, s: &FlowLevelState) {
-        assert_eq!(
-            s.w.len(),
-            self.cfg.classes.len(),
-            "checkpoint class count mismatch"
-        );
+        let n = self.cfg.classes.len();
+        assert_eq!(s.w.len(), n, "checkpoint class count mismatch");
+        assert_eq!(s.binding.len(), n, "checkpoint class count mismatch");
         self.t = s.t;
         self.steps = s.steps;
         self.q = s.q;
         self.p_prime = s.p_prime;
         self.prev_qdelay = s.prev_qdelay;
-        self.w = s.w.clone();
+        self.w.clone_from(&s.w);
         self.alloc_events = s.alloc_events;
-        self.binding.iter_mut().for_each(|b| *b = 0);
+        self.binding.clone_from(&s.binding);
         self.rate_integral.iter_mut().for_each(|r| *r = 0.0);
         self.meas_from = None;
     }
@@ -688,19 +779,99 @@ mod tests {
         assert!(last.qdelay.is_finite() && last.p_prime.is_finite());
     }
 
+    fn capped_mix() -> FlowLevelConfig {
+        FlowLevelConfig {
+            classes: vec![
+                FlowClass {
+                    rate_cap_pps: Some(50.0),
+                    ..FlowClass::new(2.0, FluidTcpKind::Reno, 0.1)
+                },
+                FlowClass::new(5.0, FluidTcpKind::Reno, 0.1),
+            ],
+            ..FlowLevelConfig::default()
+        }
+    }
+
+    fn bits(s: &FlowLevelSample) -> [u64; 6] {
+        [s.t, s.qdelay, s.p_prime, s.signal, s.util, s.arrival_pps].map(f64::to_bits)
+    }
+
     #[test]
     fn state_round_trip_is_bit_identical() {
-        let mut a = FlowLevelSim::new(FlowLevelConfig::default());
+        // The capped class is demand-bound when the snapshot is taken, so a
+        // restore that forgot the binding row would count a flip here.
+        let mut a = FlowLevelSim::new(capped_mix());
         a.run(30.0, 1.0);
         let snap = a.state();
-        let mut b = FlowLevelSim::new(FlowLevelConfig::default());
+        assert!(snap.binding.contains(&true));
+        let mut b = FlowLevelSim::new(capped_mix());
         b.restore_state(&snap);
+        assert_eq!(b.state(), snap);
         for _ in 0..5_000 {
-            let sa = a.step();
-            let sb = b.step();
-            assert_eq!(sa.qdelay.to_bits(), sb.qdelay.to_bits());
-            assert_eq!(sa.p_prime.to_bits(), sb.p_prime.to_bits());
+            assert_eq!(bits(&a.step()), bits(&b.step()));
+            assert_eq!(a.alloc_events(), b.alloc_events());
+            let (ra, rb) = (a.class_rates_pps(), b.class_rates_pps());
+            assert!(ra.iter().zip(rb).all(|(x, y)| x.to_bits() == y.to_bits()));
         }
+        assert_eq!(a.state(), b.state());
+    }
+
+    fn is_permutation(order: &[u32]) -> bool {
+        let mut seen = vec![false; order.len()];
+        order
+            .iter()
+            .all(|&i| !std::mem::replace(&mut seen[i as usize], true))
+    }
+
+    #[test]
+    fn restore_into_a_scrambled_order_keeps_it_a_valid_permutation() {
+        // The kept order is not part of the state: a restore leaves whatever
+        // the engine had, and the next step's repair sorts it from there.
+        let classes: Vec<FlowClass> = (0..64)
+            .map(|i| FlowClass::new(3.0, FluidTcpKind::Reno, 0.01 + 0.003 * f64::from(i)))
+            .collect();
+        let cfg = FlowLevelConfig {
+            capacity_pps: 20_000.0,
+            classes,
+            ..FlowLevelConfig::default()
+        };
+        let mut a = FlowLevelSim::new(cfg.clone());
+        a.run(5.0, 1.0);
+        let mut b = FlowLevelSim::new(cfg);
+        b.order.reverse();
+        b.restore_state(&a.state());
+        assert!(is_permutation(&b.order));
+        for _ in 0..100 {
+            assert_eq!(bits(&a.step()), bits(&b.step()));
+            assert_eq!(a.order, b.order);
+            assert_eq!(a.last_shares(), b.last_shares());
+        }
+    }
+
+    #[test]
+    fn repair_reaches_the_sorted_order_from_any_permutation() {
+        // Distinct demands, ties and zeros; n large enough that a reversal
+        // exhausts the insertion budget and takes the full-sort exit.
+        let n = 500u32;
+        let classes: Vec<(f64, f64)> = (0..n)
+            .map(|i| (f64::from((i * 7919) % 97), f64::from(i % 3)))
+            .collect();
+        let mut sorted = identity_order(n as usize);
+        sorted.sort_by(|&a, &b| fill_order(&classes, a, b));
+
+        let mut kept = sorted.clone();
+        assert_eq!(repair_order(&mut kept, &classes), 0, "sorted input");
+
+        kept.swap(10, 11);
+        kept.swap(300, 301);
+        assert_eq!(repair_order(&mut kept, &classes), 2, "two inversions");
+        assert_eq!(kept, sorted);
+
+        kept.reverse();
+        let budget = u64::from(n) * 9; // 500 has nine bits
+        let moved = repair_order(&mut kept, &classes);
+        assert!(moved > budget && moved <= budget + u64::from(n));
+        assert_eq!(kept, sorted);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 #![cfg(feature = "proptests")]
 
 use pi2_fluid::{
-    margins, max_min_allocation, Complex, FluidConfig, FluidSim, LoopKind, LoopTf, PiGains,
+    margins, max_min_allocation, max_min_weighted, Complex, FlowClass, FlowLevelConfig,
+    FlowLevelSim, FluidConfig, FluidSim, FluidTcpKind, LoopKind, LoopTf, PiGains,
 };
 use proptest::prelude::*;
 
@@ -13,7 +14,59 @@ fn finite(re: f64, im: f64) -> Complex {
     Complex::new(re, im)
 }
 
+/// One class of the differential test, drawn from small palettes so that
+/// identical classes (tied demands), zero-count classes, binding and slack
+/// rate caps and mid-run activations all turn up in most mixes.
+fn palette_class(
+    (rtt, count, law, (start_ms, stop_ms)): (usize, usize, u32, (u32, u32)),
+) -> FlowClass {
+    let tcp = [FluidTcpKind::Reno, FluidTcpKind::Scalable][(law & 1) as usize];
+    let mut cl = FlowClass::new(
+        [0.0, 1.0, 1.0, 2.5, 7.0][count],
+        tcp,
+        [0.005, 0.005, 0.02, 0.02, 0.08, 0.2][rtt],
+    );
+    cl.rate_cap_pps = [None, None, Some(40.0), Some(900.0)][(law >> 1) as usize];
+    if start_ms >= 200 {
+        cl.start = f64::from(start_ms - 200) / 1000.0;
+    }
+    if stop_ms >= 200 {
+        cl.stop = Some(cl.start + f64::from(stop_ms - 200) / 1000.0);
+    }
+    cl
+}
+
 proptest! {
+    /// The shares a step uses, reached by repairing the order the engine
+    /// keeps, are bit for bit what `max_min_weighted` computes from scratch
+    /// on the same demands — at every step, through activations and stops
+    /// that scramble the order.
+    #[test]
+    fn kept_order_shares_equal_from_scratch_shares(
+        capacity in 100.0f64..5_000.0,
+        classes in prop::collection::vec(
+            (0usize..6, 0usize..5, 0u32..8, (0u32..400, 0u32..400)),
+            1..24,
+        ),
+    ) {
+        let cfg = FlowLevelConfig {
+            capacity_pps: capacity,
+            classes: classes.into_iter().map(palette_class).collect(),
+            ..FlowLevelConfig::default()
+        };
+        let mut sim = FlowLevelSim::new(cfg);
+        for step in 0..600 {
+            sim.step();
+            let scratch = max_min_weighted(capacity, sim.last_demands());
+            for (i, (kept, fresh)) in sim.last_shares().iter().zip(&scratch).enumerate() {
+                prop_assert!(
+                    kept.to_bits() == fresh.to_bits(),
+                    "step {step} class {i}: kept order gave {kept}, from scratch {fresh}"
+                );
+            }
+        }
+    }
+
     /// Field axioms (numerically): commutativity, associativity,
     /// distributivity.
     #[test]

@@ -1109,8 +1109,11 @@ pub fn event_class(ev: &Event) -> usize {
 /// counter (no longer the push count), the core's timer-arming counter is
 /// gone (a timer event's id is its own sequence number), and every
 /// timer-id field of a source (TCP's two, a CBR source's one) became a
-/// [`LazyTimer`](crate::timer::LazyTimer) record.
-pub const CKPT_VERSION: u32 = 5;
+/// [`LazyTimer`](crate::timer::LazyTimer) record. Version 6 added the
+/// fluid background's per-class binding row (which classes its last
+/// allocation left demand-bound), without which a restored aggregate
+/// counted a reallocation the straight run never saw.
+pub const CKPT_VERSION: u32 = 6;
 
 /// The complete simulator: shared core + traffic sources.
 pub struct Sim {

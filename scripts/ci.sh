@@ -69,14 +69,20 @@ echo "== perf gate: fresh sim_throughput vs the committed trajectory"
 # binaries, which track each other exactly), so a tight absolute gate
 # would flake — the ratio and the event count are the
 # machine-mode-independent regression pins.
-if [ "${PI2_BENCH_HISTORY:-0}" = "1" ]; then
-    PI2_PERF_GATE=1 PI2_PERF_TOL="${PI2_PERF_TOL:-7.0}" \
-        cargo run -q -p pi2-bench --release --bin bench_compare -- --bench sim_throughput
-else
-    PI2_PERF_GATE=1 PI2_PERF_TOL="${PI2_PERF_TOL:-7.0}" \
-        cargo run -q -p pi2-bench --release --bin bench_compare -- \
-        --bench sim_throughput --baseline BENCH_pi2.json --candidate "$smoke_out"
-fi
+# perf_gate <bench>: the newest run of <bench> against the committed
+# trajectory — the scratch file's run, or with PI2_BENCH_HISTORY=1 the
+# one just appended to BENCH_pi2.json against its predecessor.
+perf_gate() {
+    if [ "${PI2_BENCH_HISTORY:-0}" = "1" ]; then
+        PI2_PERF_GATE=1 PI2_PERF_TOL="${PI2_PERF_TOL:-7.0}" \
+            cargo run -q -p pi2-bench --release --bin bench_compare -- --bench "$1"
+    else
+        PI2_PERF_GATE=1 PI2_PERF_TOL="${PI2_PERF_TOL:-7.0}" \
+            cargo run -q -p pi2-bench --release --bin bench_compare -- \
+            --bench "$1" --baseline BENCH_pi2.json --candidate "$smoke_out"
+    fi
+}
+perf_gate sim_throughput
 
 echo "== traced+audited smoke run: JSONL sink parses, invariants hold"
 trace_out="$(mktemp -t pi2_trace_smoke.XXXXXX.jsonl)"
@@ -336,11 +342,32 @@ timeout 60 "$bin/pi2sim" --backend fluid --aqm pi2 --rate 10G \
     --flows 100000xreno --secs 20 --warmup 5 --seed 7 > "$hyb_dir/fluid.txt"
 grep -q '^# pi2sim: backend=fluid' "$hyb_dir/fluid.txt"
 grep -q '^flows: 100000 across' "$hyb_dir/fluid.txt"
+# 1 001 classes (mixed counts, Reno and DCTCP alternating, one capped
+# UDP class): the one-class runs above never exercise the allocator's
+# order. Its stdout, trajectory included, must stay byte-equal to
+# results/fluid_1kclass_ref.txt, captured from the build before the
+# engine started keeping its water-filling order between steps — so a
+# change in how the fill rounds cannot land silently. Only the wall time
+# on the "flows:" line is dropped.
+kclass_flows=""
+for i in $(seq 1 500); do
+    kclass_flows+="$((5 + i % 7))xreno,$((3 + i % 11))xdctcp,"
+done
+"$bin/pi2sim" --backend fluid --aqm coupled --rate 40G --rtt 20ms \
+    --flows "${kclass_flows%,}" --udp 2M --secs 10 --warmup 5 --seed 7 --csv \
+    | sed 's/, wall [0-9.]* s$//' > "$hyb_dir/fluid_1kclass.txt"
+grep -q '^flows: 7988 across 1001 classes' "$hyb_dir/fluid_1kclass.txt"
+cmp "$hyb_dir/fluid_1kclass.txt" results/fluid_1kclass_ref.txt
 # Backend scaling bench: gates the headline claim (fluid at 100k flows
-# beats packet at 1k) and records the "hybrid" trajectory entry in the
-# committed BENCH_pi2.json when PI2_BENCH_HISTORY=1.
+# beats packet at 1k) and records a "hybrid" entry — in the scratch file,
+# or in the committed BENCH_pi2.json when PI2_BENCH_HISTORY=1.
+# bench_compare then holds the 1 000-class cell's cost per class-step to
+# PI2_PERF_TOL of the committed baseline and its order-move count to the
+# baseline exactly (see bench_compare's module docs; at 7x the cost check
+# is a smoke alarm — tests/fluid_order.rs and the count are the pins).
 env "${bench_out_env[@]}" \
     cargo run -q -p pi2-bench --release --bin hybrid_bench
+perf_gate hybrid
 rm -rf "$hyb_dir"
 
 echo "== randomized proptests (vendored shim; time-boxed via PROPTEST_CASES)"

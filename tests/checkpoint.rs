@@ -644,16 +644,16 @@ fn header_mismatches_are_rejected_with_the_right_error() {
         Err(CkptError::VersionMismatch { .. })
     ));
 
-    // The previous version: a v4 blob held a timer id where v5 holds a
-    // lazy-timer record, and is refused by number.
+    // The previous version: a v5 blob lacks the fluid background's
+    // binding row, and is refused by number.
     let mut bad = blob.clone();
-    bad[8..12].copy_from_slice(&4u32.to_le_bytes());
+    bad[8..12].copy_from_slice(&5u32.to_le_bytes());
     let mut target = build_sim(&cell);
     assert!(matches!(
         target.restore(&bad),
         Err(CkptError::VersionMismatch {
-            found: 4,
-            expected: 5
+            found: 5,
+            expected: 6
         })
     ));
 

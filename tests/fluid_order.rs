@@ -1,0 +1,68 @@
+//! The flow-level engine repairs the water-filling order it keeps from
+//! the last step instead of sorting from scratch. That is cheap because
+//! the order hardly moves; this test holds the other end: an order that
+//! moves as much as it can must cost a sort, not a quadratic repair.
+
+use pi2::fluid::{max_min_weighted, FlowClass, FlowLevelConfig, FlowLevelSim, FluidTcpKind};
+use std::time::{Duration, Instant};
+
+/// 10 000 classes on one RTT, so a class's demand is its window over a
+/// common divisor, and the windows are restored to an ascending ramp and
+/// a descending one in turn: every step but the first finds the kept
+/// order exactly reversed (n·(n−1)/2 = 50 M inversions).
+#[test]
+fn an_order_that_reverses_every_step_costs_a_sort_per_step() {
+    const N: usize = 10_000;
+    const STEPS: u64 = 100;
+    let cfg = FlowLevelConfig {
+        capacity_pps: 1.0e6,
+        classes: vec![FlowClass::new(1.0, FluidTcpKind::Reno, 0.05); N],
+        ..FlowLevelConfig::default()
+    };
+    let mut sim = FlowLevelSim::new(cfg);
+    let mut state = sim.state();
+    let up: Vec<f64> = (0..N).map(|i| 1.0 + i as f64).collect();
+    let down: Vec<f64> = up.iter().rev().copied().collect();
+
+    // The repair gives up on insertion after n·⌈log₂ n⌉ shifts (10 000 is
+    // a 14-bit number) plus at most the one insertion that crossed the
+    // line, and finishes with a full sort. The first step finds the
+    // identity order already sorted.
+    let budget = (N * 14) as u64;
+    let wall = Instant::now();
+    for step in 0..STEPS {
+        state.w.clone_from(if step % 2 == 0 { &up } else { &down });
+        sim.restore_state(&state);
+        let before = sim.order_moves();
+        sim.step();
+        let moved = sim.order_moves() - before;
+        if step == 0 {
+            assert_eq!(moved, 0);
+        } else {
+            assert!(
+                moved > budget && moved <= budget + N as u64,
+                "step {step} shifted {moved} entries; a reversal should cost \
+                 {budget}..={} and then a sort",
+                budget + N as u64
+            );
+        }
+        if step % 10 == 9 {
+            let scratch = max_min_weighted(1.0e6, sim.last_demands());
+            assert!(
+                sim.last_shares()
+                    .iter()
+                    .zip(&scratch)
+                    .all(|(kept, fresh)| kept.to_bits() == fresh.to_bits()),
+                "step {step}: the repaired order and a fresh sort fill differently"
+            );
+        }
+    }
+    let wall = wall.elapsed();
+
+    // ~0.7 s in a debug build, ~0.05 s in release; a repair without the
+    // full-sort exit shifts 50 M entries per step.
+    assert!(
+        wall < Duration::from_secs(20),
+        "100 reversing steps of 10 000 classes took {wall:?}"
+    );
+}

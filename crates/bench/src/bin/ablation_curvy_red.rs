@@ -5,70 +5,25 @@
 //! standing queue must grow with load, RED's original sin), while PI2's
 //! integral action moves only `p'` and pins the delay at the target.
 
+use pi2_aqm::CurvyRedConfig;
 use pi2_bench::{f, header, table};
-use pi2_experiments::scenario::{AqmKind, FlowGroup, Scenario};
-use pi2_aqm::{CurvyRed, CurvyRedConfig};
-use pi2_netsim::Aqm;
+use pi2_experiments::scenario::{AqmKind, FlowGroup, RunResult, Scenario};
 use pi2_simcore::{Duration, Time};
 use pi2_transport::{CcKind, EcnSetting};
 
-fn run(curvy: bool, flows: usize) -> (f64, f64) {
-    // Scenario has no Curvy variant; run it via the generic path by
-    // constructing the AQM directly for the curvy case.
-    if curvy {
-        use pi2_netsim::{MonitorConfig, PathConf, QueueConfig, Sim, SimConfig};
-        use pi2_transport::{TcpConfig, TcpSource};
-        let mut sim = Sim::new(
-            SimConfig {
-                queue: QueueConfig {
-                    rate_bps: 10_000_000,
-                    buffer_bytes: 40_000 * 1500,
-                },
-                seed: 0xc0,
-                monitor: MonitorConfig {
-                    warmup: Duration::from_secs(20),
-                    ..MonitorConfig::default()
-                },
-            },
-            Box::new(CurvyRed::new(CurvyRedConfig::default())) as Box<dyn Aqm>,
-        );
-        for _ in 0..flows {
-            sim.add_flow(
-                PathConf::symmetric(Duration::from_millis(100)),
-                "reno",
-                Time::ZERO,
-                |id| {
-                    Box::new(TcpSource::new(
-                        id,
-                        CcKind::Reno,
-                        EcnSetting::NotEcn,
-                        TcpConfig::default(),
-                    ))
-                },
-            );
-        }
-        sim.run_until(Time::from_secs(80));
-        let m = &sim.core.monitor;
-        let s: Vec<f64> = m.sojourn_ms.iter().map(|&x| x as f64).collect();
-        let util_samples = m.util_samples();
-        let util: f64 = util_samples.iter().map(|&x| x as f64).sum::<f64>()
-            / util_samples.len() as f64;
-        (pi2_stats::mean(&s), util * 100.0)
-    } else {
-        let mut sc = Scenario::new(AqmKind::pi2_default(), 10_000_000);
-        sc.tcp.push(FlowGroup::new(
-            flows,
-            CcKind::Reno,
-            EcnSetting::NotEcn,
-            "reno",
-            Duration::from_millis(100),
-        ));
-        sc.duration = Time::from_secs(80);
-        sc.warmup = Duration::from_secs(20);
-        sc.seed = 0xc0;
-        let r = sc.run();
-        (r.delay_summary().mean, r.util_summary().mean)
-    }
+fn run(aqm: AqmKind, flows: usize) -> RunResult {
+    let mut sc = Scenario::new(aqm, 10_000_000);
+    sc.tcp.push(FlowGroup::new(
+        flows,
+        CcKind::Reno,
+        EcnSetting::NotEcn,
+        "reno",
+        Duration::from_millis(100),
+    ));
+    sc.duration = Time::from_secs(80);
+    sc.warmup = Duration::from_secs(20);
+    sc.seed = 0xc0;
+    sc.run()
 }
 
 fn main() {
@@ -84,14 +39,19 @@ fn main() {
         "pi2 util %".into(),
     ]];
     for &n in &[2usize, 5, 15, 40] {
-        let (cd, cu) = run(true, n);
-        let (pd, pu) = run(false, n);
+        let curvy = run(AqmKind::Curvy(CurvyRedConfig::default()), n);
+        let pi2 = run(AqmKind::pi2_default(), n);
+        // The Curvy RED column has always been the raw mean of the
+        // utilization samples, the PI2 column the mean of the samples
+        // capped at 100 %; they differ in the second decimal.
+        let raw = curvy.monitor.util_samples();
+        let cu = raw.iter().map(|&x| x as f64).sum::<f64>() / raw.len() as f64 * 100.0;
         rows.push(vec![
             n.to_string(),
-            f(cd),
+            f(curvy.delay_summary().mean),
             f(cu),
-            f(pd),
-            f(pu),
+            f(pi2.delay_summary().mean),
+            f(pi2.util_summary().mean),
         ]);
     }
     table(&rows);

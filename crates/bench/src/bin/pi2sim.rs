@@ -7,95 +7,111 @@
 //! ```
 
 use pi2_aqm::{
-    Codel, CodelConfig, CoupledPi2, CoupledPi2Config, CurvyRed, CurvyRedConfig, DualPi2,
-    DualPi2Config, FqConfig, FqDrr, Pi, PiConfig, Pi2, Pi2Config, Pie, PieConfig, Red, RedConfig,
+    CodelConfig, CoupledPi2Config, CurvyRedConfig, DualPi2Config, FqConfig, Pi2Config, PiConfig,
+    PieConfig, RedConfig,
 };
 use pi2_bench::cli::{parse_args, usage, CliArgs, MetricsFormat, TraceFormat};
 use pi2_bench::perf::Json;
 use pi2_experiments::{
-    dynamics, run_fluid, topology, AqmKind, BgGroup, FlowGroup, FluidBackground, Scenario,
-    SweepObserver, UdpGroup,
+    dynamics, run_fluid, summarize_scenario_run, topology, AqmKind, Backend, BgGroup, FlowGroup,
+    Scenario, SweepObserver, UdpGroup,
 };
 use pi2_netsim::{
-    csv_field, Aqm, AuditSink, CsvSink, Ecn, ImpairmentConf, JsonlSink, LinkImpairments,
-    MemorySink, MonitorConfig, PassAqm, PathConf, PerfettoSink, Qdisc, QueueConfig, Sim,
-    SimConfig, SimMetrics, UdpCbrSource,
+    csv_field, AuditSink, CsvSink, ImpairmentConf, JsonlSink, LinkImpairments, MemorySink,
+    Monitor, PerfettoSink, Sim, SimMetrics,
 };
 use pi2_obs::ObsServer;
 use pi2_simcore::{Duration, Time};
 use pi2_stats::Summary;
-use pi2_transport::{TcpConfig, TcpSource};
 use std::cell::RefCell;
 use std::fs::File;
 use std::io::BufWriter;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
-fn build_sim(a: &CliArgs) -> Sim {
-    let cfg = SimConfig {
-        queue: QueueConfig {
-            rate_bps: a.rate_bps,
-            buffer_bytes: 40_000 * 1500,
-        },
-        seed: a.seed,
-        monitor: MonitorConfig {
-            warmup: Duration::from_secs(a.warmup_secs as i64),
-            record_flow_sojourns: true,
-            ..MonitorConfig::default()
-        },
-    };
+/// The `--aqm` table: every name [`pi2_bench::cli::AQMS`] lists, as the
+/// configuration `--target` and `--rate` give it.
+fn aqm_kind(a: &CliArgs) -> AqmKind {
     let target = a.target;
     match a.aqm.as_str() {
-        "dualq" => {
-            let mut dq = DualPi2Config::for_link(a.rate_bps);
-            dq.target = target;
-            Sim::with_qdisc(cfg, Box::new(DualPi2::new(dq)) as Box<dyn Qdisc>)
-        }
-        "fq" => Sim::with_qdisc(
-            cfg,
-            Box::new(FqDrr::new(FqConfig::for_link(a.rate_bps))) as Box<dyn Qdisc>,
-        ),
-        name => {
-            let aqm: Box<dyn Aqm> = match name {
-                "pi2" => Box::new(Pi2::new(Pi2Config {
-                    target,
-                    ..Pi2Config::default()
-                })),
-                "pie" => Box::new(Pie::new(PieConfig {
-                    target,
-                    ..PieConfig::paper_default()
-                })),
-                "bare-pie" => Box::new(Pie::new(PieConfig {
-                    target,
-                    ..PieConfig::bare()
-                })),
-                "pi" => Box::new(Pi::new(PiConfig {
-                    target,
-                    ..PiConfig::untuned_pie_gains()
-                })),
-                "coupled" => Box::new(CoupledPi2::new(CoupledPi2Config {
-                    target,
-                    ..CoupledPi2Config::default()
-                })),
-                "red" => Box::new(Red::new(RedConfig::for_link(
-                    a.rate_bps,
-                    target / 2,
-                    target * 3,
-                ))),
-                "codel" => Box::new(Codel::new(CodelConfig {
-                    target: target / 4,
-                    ..CodelConfig::default()
-                })),
-                "curvy" => Box::new(CurvyRed::new(CurvyRedConfig {
-                    range: target * 3,
-                    ..CurvyRedConfig::default()
-                })),
-                "taildrop" => Box::new(PassAqm),
-                other => unreachable!("validated AQM {other}"),
-            };
-            Sim::new(cfg, aqm)
-        }
+        "pi2" => AqmKind::Pi2(Pi2Config {
+            target,
+            ..Pi2Config::default()
+        }),
+        "pie" => AqmKind::Pie(PieConfig {
+            target,
+            ..PieConfig::paper_default()
+        }),
+        "bare-pie" => AqmKind::Pie(PieConfig {
+            target,
+            ..PieConfig::bare()
+        }),
+        "pi" => AqmKind::Pi(PiConfig {
+            target,
+            ..PiConfig::untuned_pie_gains()
+        }),
+        "coupled" => AqmKind::Coupled(CoupledPi2Config {
+            target,
+            ..CoupledPi2Config::default()
+        }),
+        "red" => AqmKind::Red(RedConfig::for_link(a.rate_bps, target / 2, target * 3)),
+        "codel" => AqmKind::Codel(CodelConfig {
+            target: target / 4,
+            ..CodelConfig::default()
+        }),
+        "curvy" => AqmKind::Curvy(CurvyRedConfig {
+            range: target * 3,
+            ..CurvyRedConfig::default()
+        }),
+        "taildrop" => AqmKind::TailDrop,
+        "dualq" => AqmKind::DualQ(DualPi2Config {
+            target,
+            ..DualPi2Config::for_link(a.rate_bps)
+        }),
+        "fq" => AqmKind::Fq(FqConfig::for_link(a.rate_bps)),
+        other => unreachable!("validated AQM {other}"),
     }
+}
+
+/// The dumbbell the command line describes, for whichever backend runs it.
+fn scenario_from(a: &CliArgs) -> Scenario {
+    let mut sc = Scenario::new(aqm_kind(a), a.rate_bps);
+    for spec in &a.flows {
+        sc.tcp
+            .push(FlowGroup::new(spec.count, spec.cc, spec.ecn, &spec.label, a.rtt));
+    }
+    if let Some(rate_bps) = a.udp_bps {
+        sc.udp.push(UdpGroup {
+            rate_bps,
+            ..UdpGroup::paper_probes(1, a.rtt)
+        });
+    }
+    sc.duration = Time::from_secs(a.secs);
+    sc.warmup = Duration::from_secs(a.warmup_secs as i64);
+    sc.seed = a.seed;
+    sc.per_flow_sojourns = true;
+    sc.impairments = weather(a);
+    sc.backend = Backend::parse(&a.backend).expect("validated backend");
+    sc.background = a
+        .bg_flows
+        .iter()
+        .map(|s| BgGroup::new(s.count, s.cc, a.rtt, &s.label))
+        .collect();
+    // The fluid trajectory (`--csv`) is sampled every 100 ms; packet runs
+    // keep the monitor's 1 s tick.
+    if sc.backend == Backend::Fluid {
+        sc.sample_interval = Duration::from_millis(100);
+    }
+    sc
+}
+
+/// [`Scenario::build`], with a description it rejects reported as a usage
+/// error.
+fn build_or_exit(sc: &Scenario) -> Sim {
+    sc.build().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 /// Decorrelates the weather layer's RNG stream from the simulator's root
@@ -243,7 +259,21 @@ fn run_dynamics(a: &CliArgs) {
     print!("{}", dynamics::render_table(&runs));
     if let Some(path) = &a.trace_out {
         if a.trace_format == TraceFormat::Perfetto {
-            export_dynamics_perfetto(a, path);
+            // Rerun one representative cell serially with the timeline
+            // sink attached: PI2 under the rate-step disturbance, its
+            // edges annotated.
+            let mut sc = dynamics::scenario_for(
+                AqmKind::pi2_default(),
+                dynamics::Disturbance::RateStep,
+                a.seed,
+            );
+            sc.impairments = weather(a);
+            let marks = [
+                (dynamics::STEP_DOWN_S, "rate-step: 40 -> 10 Mb/s"),
+                (dynamics::STEP_UP_S, "rate-step: 10 -> 40 Mb/s"),
+            ];
+            observe_and_run(a, &sc, &mut build_or_exit(&sc), None, None, &marks);
+            println!("dynamics perfetto trace: rate-step/pi2 cell written to {path}");
         } else {
             let mut body = String::new();
             for r in &runs {
@@ -283,42 +313,6 @@ fn run_dynamics(a: &CliArgs) {
     if let Some(obs) = obs {
         hold_for_quit(&obs.srv);
     }
-}
-
-/// `--scenario dynamics --trace-format perfetto`: rerun one representative
-/// cell (PI2 under the rate-step disturbance) serially with the Perfetto
-/// timeline sink attached, annotating the scheduled disturbance edges on
-/// the bottleneck's track.
-fn export_dynamics_perfetto(a: &CliArgs, path: &str) {
-    let mut sc = dynamics::scenario_for(
-        AqmKind::pi2_default(),
-        dynamics::Disturbance::RateStep,
-        a.seed,
-    );
-    sc.impairments = weather(a);
-    let f = File::create(path).unwrap_or_else(|e| {
-        eprintln!("cannot create trace file {path}: {e}");
-        std::process::exit(2);
-    });
-    let sink = Rc::new(RefCell::new(PerfettoSink::new(BufWriter::new(f))));
-    {
-        let mut s = sink.borrow_mut();
-        s.instant(
-            Time::from_secs(dynamics::STEP_DOWN_S),
-            "rate-step: 40 -> 10 Mb/s",
-        );
-        s.instant(
-            Time::from_secs(dynamics::STEP_UP_S),
-            "rate-step: 10 -> 40 Mb/s",
-        );
-    }
-    let h = Rc::clone(&sink);
-    let _ = sc.run_prepared(move |sim| sim.core.add_trace_sink(Box::new(h)));
-    if let Err(e) = sink.borrow_mut().finish() {
-        eprintln!("cannot write perfetto trace {path}: {e}");
-        std::process::exit(1);
-    }
-    println!("dynamics perfetto trace: rate-step/pi2 cell written to {path}");
 }
 
 /// `--scenario topology`: multi-hop parking-lot / access-core layouts
@@ -361,7 +355,21 @@ fn run_topology(a: &CliArgs) {
     }
     if let Some(path) = &a.trace_out {
         if a.trace_format == TraceFormat::Perfetto {
-            export_topology_perfetto(a, path);
+            // Rerun one representative cell serially with the timeline
+            // sink attached: the 3-hop parking lot under PI2, the mice
+            // window annotated; hop tracks beyond the bottleneck come
+            // from the sim's hop-event side channel.
+            let kind = topology::TopologyKind::ParkingLot3;
+            let sc = topology::scenario_for(kind, AqmKind::pi2_default(), a.seed);
+            let audit = a
+                .audit
+                .then(|| AuditSink::new(a.seed).with_label(kind.name()));
+            let marks = [
+                (topology::MICE_START_S, "mice arrivals start"),
+                (topology::MICE_STOP_S, "mice arrivals stop"),
+            ];
+            observe_and_run(a, &sc, &mut build_or_exit(&sc), audit, None, &marks);
+            println!("topology perfetto trace: parking-lot3/pi2 cell written to {path}");
         } else {
             export_topology_jsonl(&runs, path);
         }
@@ -386,162 +394,47 @@ fn run_topology(a: &CliArgs) {
 /// The `--trace-out` JSONL body for the topology family (one line per
 /// topology × AQM cell).
 fn export_topology_jsonl(runs: &[topology::TopologyRun], path: &str) {
-    {
-        let mut body = String::new();
-        for r in runs {
-            let hops: Vec<String> = r
-                .hops
-                .iter()
-                .map(|h| {
-                    format!(
-                        "{{\"hop\":{},\"jain\":{},\"classic_mbps\":{},\
-                         \"scalable_mbps\":{},\"mice_mbps\":{}}}",
-                        h.hop, h.fairness, h.classic_mbps, h.scalable_mbps, h.mice_mbps
-                    )
-                })
-                .collect();
-            body.push_str(&format!(
-                "{{\"scenario\":\"topology\",\"topology\":\"{}\",\"aqm\":\"{}\",\
-                 \"mice_launched\":{},\"mice_completed\":{},\
-                 \"fct_ms\":[{},{},{}],\"rate_ratio\":{},\"hops\":[{}]}}\n",
-                r.topology,
-                r.aqm,
-                r.mice_launched,
-                r.mice_completed,
-                r.fct_ms.0,
-                r.fct_ms.1,
-                r.fct_ms.2,
-                r.rate_ratio,
-                hops.join(",")
-            ));
-        }
-        if let Err(e) = std::fs::write(path, &body) {
-            eprintln!("cannot write topology trace {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("topology trace: {} runs written to {path}", runs.len());
+    let mut body = String::new();
+    for r in runs {
+        let hops: Vec<String> = r
+            .hops
+            .iter()
+            .map(|h| {
+                format!(
+                    "{{\"hop\":{},\"jain\":{},\"classic_mbps\":{},\
+                     \"scalable_mbps\":{},\"mice_mbps\":{}}}",
+                    h.hop, h.fairness, h.classic_mbps, h.scalable_mbps, h.mice_mbps
+                )
+            })
+            .collect();
+        body.push_str(&format!(
+            "{{\"scenario\":\"topology\",\"topology\":\"{}\",\"aqm\":\"{}\",\
+             \"mice_launched\":{},\"mice_completed\":{},\
+             \"fct_ms\":[{},{},{}],\"rate_ratio\":{},\"hops\":[{}]}}\n",
+            r.topology,
+            r.aqm,
+            r.mice_launched,
+            r.mice_completed,
+            r.fct_ms.0,
+            r.fct_ms.1,
+            r.fct_ms.2,
+            r.rate_ratio,
+            hops.join(",")
+        ));
     }
-}
-
-/// `--scenario topology --trace-format perfetto`: rerun one representative
-/// cell (the 3-hop parking lot under PI2) serially with the Perfetto
-/// timeline sink attached, annotating the mice arrival window. Hop tracks
-/// beyond the bottleneck come from the sim's hop-event side channel.
-fn export_topology_perfetto(a: &CliArgs, path: &str) {
-    let f = File::create(path).unwrap_or_else(|e| {
-        eprintln!("cannot create trace file {path}: {e}");
-        std::process::exit(2);
-    });
-    let sink = Rc::new(RefCell::new(PerfettoSink::new(BufWriter::new(f))));
-    {
-        let mut s = sink.borrow_mut();
-        s.instant(
-            Time::from_secs(topology::MICE_START_S),
-            "mice arrivals start",
-        );
-        s.instant(Time::from_secs(topology::MICE_STOP_S), "mice arrivals stop");
-    }
-    let h = Rc::clone(&sink);
-    let _ = topology::run_one_prepared(
-        topology::TopologyKind::ParkingLot3,
-        AqmKind::pi2_default(),
-        a.seed,
-        a.audit,
-        move |sim| sim.core.add_trace_sink(Box::new(h)),
-    );
-    if let Err(e) = sink.borrow_mut().finish() {
-        eprintln!("cannot write perfetto trace {path}: {e}");
+    if let Err(e) = std::fs::write(path, &body) {
+        eprintln!("cannot write topology trace {path}: {e}");
         std::process::exit(1);
     }
-    println!("topology perfetto trace: parking-lot3/pi2 cell written to {path}");
-}
-
-/// The CLI AQM as an experiments [`AqmKind`], for the fluid and hybrid
-/// backends (the flow-level engine compiles the controller's gains and
-/// probability encoder; schemes without a PI core have no fluid law).
-fn aqm_kind(a: &CliArgs) -> Result<AqmKind, String> {
-    let target = a.target;
-    Ok(match a.aqm.as_str() {
-        "pi2" => AqmKind::Pi2(Pi2Config {
-            target,
-            ..Pi2Config::default()
-        }),
-        "pie" => AqmKind::Pie(PieConfig {
-            target,
-            ..PieConfig::paper_default()
-        }),
-        "bare-pie" => AqmKind::Pie(PieConfig {
-            target,
-            ..PieConfig::bare()
-        }),
-        "pi" => AqmKind::Pi(PiConfig {
-            target,
-            ..PiConfig::untuned_pie_gains()
-        }),
-        "coupled" => AqmKind::Coupled(CoupledPi2Config {
-            target,
-            ..CoupledPi2Config::default()
-        }),
-        "dualq" => {
-            let mut dq = DualPi2Config::for_link(a.rate_bps);
-            dq.target = target;
-            AqmKind::DualQ(dq)
-        }
-        other => {
-            return Err(format!(
-                "--backend {} does not support --aqm {other} \
-                 (PI-family controllers only: pi2, pie, bare-pie, pi, coupled, dualq)",
-                a.backend
-            ))
-        }
-    })
+    println!("topology trace: {} runs written to {path}", runs.len());
 }
 
 /// `--backend fluid`: compile the dumbbell onto the flow-level engine and
 /// integrate it — no packets, no per-packet events, so flow counts in the
 /// millions finish in seconds.
 fn run_fluid_backend(a: &CliArgs) {
-    for (flag, given) in [
-        ("--trace-out", a.trace_out.is_some()),
-        ("--checkpoint-out", a.checkpoint_out.is_some()),
-        ("--restore", a.restore.is_some()),
-        ("--serve", a.serve.is_some()),
-        ("--trace", a.trace > 0),
-    ] {
-        if given {
-            eprintln!("--backend fluid does not support {flag} (packet machinery only)");
-            std::process::exit(2);
-        }
-    }
-    let kind = aqm_kind(a).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    let mut sc = Scenario::new(kind, a.rate_bps);
-    for spec in &a.flows {
-        sc.tcp
-            .push(FlowGroup::new(spec.count, spec.cc, spec.ecn, &spec.label, a.rtt));
-    }
-    if let Some(bps) = a.udp_bps {
-        sc.udp.push(UdpGroup {
-            count: 1,
-            rate_bps: bps,
-            pkt_size: 1500,
-            label: "udp".to_string(),
-            rtt: a.rtt,
-            start: Time::ZERO,
-            stop: None,
-        });
-    }
-    sc.duration = Time::from_secs(a.secs);
-    sc.warmup = Duration::from_secs(a.warmup_secs as i64);
-    sc.seed = a.seed;
-    sc.sample_interval = Duration::from_millis(100);
-    if let Some(w) = weather(a) {
-        sc.impairments = Some(w);
-    }
     let wall = std::time::Instant::now();
-    let r = run_fluid(&sc).unwrap_or_else(|e| {
+    let r = run_fluid(&scenario_from(a)).unwrap_or_else(|e| {
         eprintln!("--backend fluid: {e}");
         std::process::exit(2);
     });
@@ -588,57 +481,54 @@ fn main() {
             std::process::exit(if msg == usage() { 0 } else { 2 });
         }
     };
-    if a.scenario.as_deref() == Some("dynamics") {
-        run_dynamics(&a);
-        return;
+    match a.scenario.as_deref() {
+        Some("dynamics") => run_dynamics(&a),
+        Some(_) => run_topology(&a),
+        None if a.backend == "fluid" => run_fluid_backend(&a),
+        None => run_single(&a),
     }
-    if a.scenario.as_deref() == Some("topology") {
-        run_topology(&a);
-        return;
-    }
-    if a.backend == "fluid" {
-        run_fluid_backend(&a);
-        return;
-    }
+}
 
-    // `--serve`: bind the observability endpoint before the run starts so
-    // a harness can watch from t=0. Serving implies metrics (the /metrics
-    // body) — both are pure observers, the run's bits don't change.
-    let serve = a.serve.as_deref().map(bind_server);
-    let mut sim = build_sim(&a);
-    if let Some(w) = weather(&a) {
-        sim.core.set_impairments(w);
+/// Attach every observer the command line asks for to a built `Sim`,
+/// apply `--restore`/`--checkpoint-out`, run it to the scenario's end
+/// (in served slices under `--serve`) and flush the sinks. `marks` are
+/// timeline annotations `(second, label)` for a Perfetto `--trace-out`.
+/// Every observer is pure, so whatever is attached the run's bits are
+/// those of a bare [`Scenario::run`]. Returns the `--trace N` sink.
+fn observe_and_run(
+    a: &CliArgs,
+    sc: &Scenario,
+    sim: &mut Sim,
+    audit: Option<AuditSink>,
+    serve: Option<&ObsServer>,
+    marks: &[(u64, &str)],
+) -> Option<Rc<RefCell<MemorySink>>> {
+    // A checkpoint carries what the sim carries, and `build` leaves two
+    // things on it that would change the blob this command line writes:
+    // the registry, kept only when asked for (`--metrics-out`, or
+    // `--serve` for the /metrics body), and the monitor's reservation
+    // hint, spent once every flow is registered (a zero reservation
+    // clears it).
+    if a.metrics_out.is_none() && serve.is_none() {
+        sim.core.take_metrics();
     }
-    // `--metrics-out`: record the run into a `pi2_obs` registry (a pure
-    // observer — the snapshot comes for free, the run's bits don't change).
-    if a.metrics_out.is_some() || serve.is_some() {
-        sim.core.enable_metrics();
-    }
-    // `--profile`: attach the event-loop self-profiler (PI2_PROFILE=1
-    // enables it too, inside Sim construction).
+    sim.core.monitor.reserve(0, 0);
+    // `--profile` (PI2_PROFILE=1 enables it too, inside Sim construction).
     if a.profile {
         sim.enable_profiler();
     }
-    // `--audit`: attach the invariant auditor even in release builds
-    // (debug builds attach an unlabelled one by default). Standalone PI2
-    // also gets the squaring-law check, since its probe exposes both p'
-    // and the applied p = min(p'², 0.25).
-    if a.audit {
-        let mut audit = AuditSink::new(a.seed).with_label(&a.aqm);
-        if a.aqm == "pi2" {
-            audit = audit.expect_squared(0.25);
-        }
+    // `--audit`: even in release builds (debug builds attach an
+    // unlabelled auditor by default).
+    if let Some(audit) = audit {
         sim.core.enable_audit(audit);
     }
     // `--trace N`: a bounded in-memory sink we keep a handle to for the
     // post-run rendering.
-    let mem_trace = if a.trace > 0 {
+    let mem_trace = (a.trace > 0).then(|| {
         let h = Rc::new(RefCell::new(MemorySink::new(a.trace)));
         sim.core.add_trace_sink(Box::new(Rc::clone(&h)));
-        Some(h)
-    } else {
-        None
-    };
+        h
+    });
     // `--trace-out PATH`: stream every event and AQM probe to disk.
     if let Some(path) = &a.trace_out {
         let f = File::create(path).unwrap_or_else(|e| {
@@ -651,48 +541,17 @@ fn main() {
             TraceFormat::Csv => sim.core.add_trace_sink(Box::new(CsvSink::new(w))),
             // The flush at end-of-run finalizes the timeline (flow
             // lifetime slices, track metadata, the closing bracket).
-            TraceFormat::Perfetto => sim.core.add_trace_sink(Box::new(PerfettoSink::new(w))),
-        }
-    }
-    for spec in &a.flows {
-        for _ in 0..spec.count {
-            let cc = spec.cc;
-            let ecn = spec.ecn;
-            sim.add_flow(PathConf::symmetric(a.rtt), &spec.label, Time::ZERO, {
-                move |id| Box::new(TcpSource::new(id, cc, ecn, TcpConfig::default()))
-            });
-        }
-    }
-    if let Some(bps) = a.udp_bps {
-        sim.add_flow(PathConf::symmetric(a.rtt), "udp", Time::ZERO, move |id| {
-            Box::new(UdpCbrSource::new(id, bps, 1500, Ecn::NotEct))
-        });
-    }
-    // `--backend hybrid`: attach the fluid background aggregate. Must come
-    // before any restore — the checkpoint schema hash covers the
-    // background's presence and shape. With no `--bg-flows` the run is the
-    // packet path, bit for bit (nothing is attached at all).
-    if a.backend == "hybrid" && !a.bg_flows.is_empty() {
-        let kind = aqm_kind(&a).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-        let groups: Vec<BgGroup> = a
-            .bg_flows
-            .iter()
-            .map(|s| BgGroup::new(s.count, s.cc, a.rtt, &s.label))
-            .collect();
-        match FluidBackground::new(&groups, &kind, a.rate_bps) {
-            Ok(bg) => sim.attach_background(Box::new(bg)),
-            Err(e) => {
-                eprintln!("--backend hybrid: {e}");
-                std::process::exit(2);
+            TraceFormat::Perfetto => {
+                let mut sink = PerfettoSink::new(w);
+                for &(at_s, label) in marks {
+                    sink.instant(Time::from_secs(at_s), label);
+                }
+                sim.core.add_trace_sink(Box::new(sink));
             }
         }
     }
-    // `--restore`: replace the freshly built state with the checkpoint's.
-    // Must come after every flow is added — the blob's schema hash covers
-    // the flow set, and per-source state lands in the matching sources.
+    // `--restore`: replace the freshly built state with the checkpoint's
+    // (the blob's schema hash covers the flow set and the background).
     if let Some(path) = &a.restore {
         let blob = std::fs::read(path).unwrap_or_else(|e| {
             eprintln!("cannot read checkpoint {path}: {e}");
@@ -704,7 +563,7 @@ fn main() {
         }
         println!("# restored {path} at t={}", sim.core.now());
     }
-    let end = Time::from_secs(a.secs);
+    let end = sc.duration;
     // `--checkpoint-out`: pause mid-run (default: at the end), snapshot,
     // then keep running — saving is read-only, the run's bits don't change.
     if let Some(path) = &a.checkpoint_out {
@@ -717,19 +576,43 @@ fn main() {
         }
         println!("# checkpoint: {} bytes written to {path} at t={}", blob.len(), sim.core.now());
     }
-    match &serve {
+    match serve {
         None => sim.run_until(end),
-        Some(srv) => run_served(&a, srv, &mut sim, end),
+        Some(srv) => run_served(a, srv, sim, end),
     }
     if let Err(e) = sim.core.flush_trace_sinks() {
         eprintln!("trace sink error: {e}");
         std::process::exit(1);
     }
-    // Detach the observers before borrowing the monitor for the summary.
-    let profiler = sim.take_profiler();
-    let metrics = sim.core.take_metrics();
+    mem_trace
+}
 
-    let m = &sim.core.monitor;
+/// The default mode: one dumbbell run on the packet or hybrid backend,
+/// observed as asked, then the summary report.
+fn run_single(a: &CliArgs) {
+    // `--serve`: bind the observability endpoint before the run starts so
+    // a harness can watch from t=0.
+    let serve = a.serve.as_deref().map(bind_server);
+    let sc = scenario_from(a);
+    let mut sim = build_or_exit(&sc);
+    // Standalone PI2 also gets the squaring-law check, since its probe
+    // exposes both p' and the applied p = min(p'², 0.25).
+    let audit = a.audit.then(|| {
+        let audit = AuditSink::new(a.seed).with_label(&a.aqm);
+        if a.aqm == "pi2" {
+            audit.expect_squared(0.25)
+        } else {
+            audit
+        }
+    });
+    let mem_trace = observe_and_run(a, &sc, &mut sim, audit, serve.as_ref(), &[]);
+    // Detach the observers the report reads before the run's measurements
+    // move into the result.
+    let profiler = sim.take_profiler();
+    let audit = sim.core.take_audit();
+    let r = sc.finish(sim);
+
+    let m = &r.monitor;
     println!(
         "# pi2sim: aqm={} rate={} rtt={} secs={} seed={}",
         a.aqm,
@@ -738,49 +621,26 @@ fn main() {
         a.secs,
         a.seed
     );
-    let delay = Summary::of_f32(&m.sojourn_ms);
+    let delay = r.delay_summary();
     println!(
         "queue delay [ms]: mean {:.2}  p50 {:.2}  p99 {:.2}  max {:.2}",
         delay.mean, delay.p50, delay.p99, delay.max
     );
-    let util_samples = m.util_samples();
-    let mut util: f64 = if util_samples.is_empty() {
-        0.0
-    } else {
-        util_samples.iter().map(|&x| x as f64).sum::<f64>() / util_samples.len() as f64
-    };
     // Hybrid runs: the monitor's samples normalize by the residual
     // foreground rate (capacity minus the background grant), which can
     // exceed 1 while the foreground drains queue. Report the shared link
     // instead — foreground plus granted background bits over nominal
-    // capacity — matching `summarize_run`.
-    if let Some(bg) = sim.background() {
-        let span = m.measurement_span();
-        let span_s = span.as_secs_f64();
-        if span_s > 0.0 && a.rate_bps > 0 {
-            let fg_bits: f64 = m
-                .flows
-                .iter()
-                .map(|f| f.mean_tput_mbps(span) * 1e6 * span_s)
-                .sum();
-            let warm = Time::ZERO + Duration::from_secs(a.warmup_secs as i64);
-            let mut bg_bits = 0.0;
-            for i in 0..bg.series.len() {
-                let (t, bps) = bg.series[i];
-                let dt = if i + 1 < bg.series.len() {
-                    (bg.series[i + 1].0 - t).as_secs_f64()
-                } else if i > 0 {
-                    (t - bg.series[i - 1].0).as_secs_f64()
-                } else {
-                    0.0
-                };
-                if t >= warm {
-                    bg_bits += bps as f64 * dt;
-                }
-            }
-            util = ((fg_bits + bg_bits) / (a.rate_bps as f64 * span_s)).min(1.0);
+    // capacity.
+    let util = if r.background.is_some() {
+        summarize_scenario_run(&sc, &r).utilization
+    } else {
+        let util_samples = m.util_samples();
+        if util_samples.is_empty() {
+            0.0
+        } else {
+            util_samples.iter().map(|&x| x as f64).sum::<f64>() / util_samples.len() as f64
         }
-    }
+    };
     println!("utilization: {:.1} %", 100.0 * util);
     // Per-label rows.
     let mut labels: Vec<String> = m.flows.iter().map(|f| f.label.clone()).collect();
@@ -803,28 +663,25 @@ fn main() {
         );
     }
     // The always-on counting sink, full-run (warmup included).
-    let tot = sim.core.counters.totals();
+    let tot = r.counters.totals();
     println!(
         "counters: enq {} mark {} drop {} deq {}  aqm updates {}",
-        tot.enqueued, tot.marked, tot.dropped, tot.dequeued, sim.core.counters.aqm_updates
+        tot.enqueued, tot.marked, tot.dropped, tot.dequeued, r.counters.aqm_updates
     );
-    if let Some(bg) = sim.background() {
+    if let Some(bg) = &r.background {
         let mean_mbps = bg.bg_bytes * 8.0 / a.secs.max(1) as f64 / 1e6;
         println!(
             "background: {} fluid flows, mean {:.2} Mb/s served, {} controller grants",
-            bg.agg.flow_count(),
-            mean_mbps,
-            bg.ticks
+            bg.flow_count, mean_mbps, bg.ticks
         );
     }
-    if let Some(imp) = sim.core.impairments() {
-        let s = imp.stats();
+    if let Some(s) = &r.impair {
         println!(
             "weather: fwd {}/{} lost, {} dup; rev {}/{} lost, {} dup",
             s.fwd_lost, s.fwd_offered, s.fwd_dup, s.rev_lost, s.rev_offered, s.rev_dup
         );
     }
-    if let Some(audit) = sim.core.audit() {
+    if let Some(audit) = &audit {
         println!(
             "audit: all invariants held over {} events, {} state probes",
             audit.events_seen(),
@@ -836,7 +693,12 @@ fn main() {
         print!("{}", prof.render_table());
     }
     if let Some(path) = &a.metrics_out {
-        let snap = metrics.as_deref().expect("metrics were enabled for --metrics-out");
+        // Only a restored checkpoint can take the registry away: its
+        // metrics section is all or nothing.
+        let Some(snap) = r.metrics.as_deref() else {
+            eprintln!("--metrics-out needs a checkpoint saved with --metrics-out; --restore found no metrics in it");
+            std::process::exit(2);
+        };
         let body = match a.metrics_format {
             MetricsFormat::Json => snap.registry().to_json(),
             MetricsFormat::Prom => {
@@ -865,7 +727,7 @@ fn main() {
     }
     if a.csv {
         println!("t_s,qdelay_ms");
-        for (t, d) in m.qdelay_series() {
+        for (t, d) in r.qdelay_series() {
             println!("{t},{d}");
         }
     }
@@ -875,7 +737,7 @@ fn main() {
     }
     if let Some(path) = &a.trace_out {
         if a.trace_format == TraceFormat::Jsonl {
-            match verify_jsonl_trace(path, &sim) {
+            match verify_jsonl_trace(path, m) {
                 Ok(n) => println!("trace verified: {n} events, per-flow totals match monitor"),
                 Err(e) => {
                     eprintln!("trace verification FAILED: {e}");
@@ -887,7 +749,7 @@ fn main() {
     if let Some(srv) = &serve {
         // Final snapshots carry the post-run registry (which includes the
         // event totals stamped at detach time), then optionally hold.
-        if let Some(snap) = &metrics {
+        if let Some(snap) = &r.metrics {
             srv.publish_metrics(snap.registry().to_prometheus());
         }
         hold_for_quit(srv);
@@ -952,12 +814,11 @@ fn publish_single(srv: &ObsServer, sim: &Sim, start: Time, end: Time, wall_secs:
 
 /// Re-parse a JSONL trace and check its per-flow mark/drop/dequeue totals
 /// against the Monitor's independent accounting. Returns the event count.
-fn verify_jsonl_trace(path: &str, sim: &Sim) -> Result<usize, String> {
+fn verify_jsonl_trace(path: &str, m: &Monitor) -> Result<usize, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     if text.is_empty() {
         return Err("trace file is empty".to_string());
     }
-    let m = &sim.core.monitor;
     let nflows = m.flows.len();
     let mut marks = vec![0u64; nflows];
     let mut drops = vec![0u64; nflows];

@@ -384,6 +384,29 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
     if out.backend != "packet" && out.scenario.is_some() {
         return Err("--scenario only runs on the packet backend".to_string());
     }
+    // A flag a mode has no implementation for is an error, not a silent
+    // no-op: the families run their cells through the sweep runner, the
+    // fluid engine has no packets to observe. Rows: flag, given, and
+    // whether the selected mode lacks it.
+    let family = out.scenario.as_deref();
+    let fluid = out.backend == "fluid";
+    let not_a_single_run = family.is_some() || fluid;
+    let unsupported = [
+        ("--metrics-out", out.metrics_out.is_some(), not_a_single_run),
+        ("--profile", out.profile, not_a_single_run),
+        ("--checkpoint-out", out.checkpoint_out.is_some(), not_a_single_run),
+        ("--restore", out.restore.is_some(), not_a_single_run),
+        ("--trace", out.trace > 0, not_a_single_run),
+        ("--audit", out.audit, family == Some("dynamics") || fluid),
+        ("--loss/--dup/--jitter", out.impaired(), family == Some("topology") || fluid),
+        ("--trace-format csv", out.trace_format == TraceFormat::Csv, family.is_some()),
+        ("--trace-out", out.trace_out.is_some(), fluid),
+        ("--serve", out.serve.is_some(), fluid),
+    ];
+    if let Some((flag, ..)) = unsupported.iter().find(|(_, given, lacks)| *given && *lacks) {
+        let mode = family.map_or("--backend fluid".to_string(), |f| format!("--scenario {f}"));
+        return Err(format!("{mode} does not support {flag}"));
+    }
     Ok(out)
 }
 
@@ -615,6 +638,44 @@ mod tests {
         assert!(e.contains("--backend hybrid"));
         let e = parse_args(&args("--backend fluid --scenario dynamics")).unwrap_err();
         assert!(e.contains("packet backend"));
+    }
+
+    /// One test per flag × mode pair `parse_args` rejects; each error
+    /// must name the mode and the flag.
+    macro_rules! rejected {
+        ($($name:ident: $line:expr => $mode:expr, $flag:expr;)*) => {$(
+            #[test]
+            fn $name() {
+                let e = parse_args(&args($line)).unwrap_err();
+                assert_eq!(e, format!("{} does not support {}", $mode, $flag));
+            }
+        )*};
+    }
+
+    rejected! {
+        dynamics_rejects_metrics_out: "--scenario dynamics --metrics-out m.json" => "--scenario dynamics", "--metrics-out";
+        dynamics_rejects_profile: "--scenario dynamics --profile" => "--scenario dynamics", "--profile";
+        dynamics_rejects_checkpoint_out: "--scenario dynamics --checkpoint-out c.ckpt --checkpoint-at 3s" => "--scenario dynamics", "--checkpoint-out";
+        dynamics_rejects_restore: "--scenario dynamics --restore c.ckpt" => "--scenario dynamics", "--restore";
+        dynamics_rejects_trace: "--scenario dynamics --trace 20" => "--scenario dynamics", "--trace";
+        dynamics_rejects_audit: "--scenario dynamics --audit" => "--scenario dynamics", "--audit";
+        topology_rejects_metrics_out: "--scenario topology --metrics-out m.json" => "--scenario topology", "--metrics-out";
+        topology_rejects_profile: "--scenario topology --profile" => "--scenario topology", "--profile";
+        topology_rejects_checkpoint_out: "--scenario topology --checkpoint-out c.ckpt" => "--scenario topology", "--checkpoint-out";
+        topology_rejects_restore: "--scenario topology --restore c.ckpt" => "--scenario topology", "--restore";
+        topology_rejects_trace: "--scenario topology --trace 20" => "--scenario topology", "--trace";
+        topology_rejects_weather: "--scenario topology --loss 1%" => "--scenario topology", "--loss/--dup/--jitter";
+        dynamics_rejects_csv_traces: "--scenario dynamics --trace-out t.csv --trace-format csv" => "--scenario dynamics", "--trace-format csv";
+        topology_rejects_csv_traces: "--scenario topology --trace-out t.csv --trace-format csv" => "--scenario topology", "--trace-format csv";
+        fluid_rejects_weather: "--backend fluid --jitter 2ms" => "--backend fluid", "--loss/--dup/--jitter";
+        fluid_rejects_metrics_out: "--backend fluid --metrics-out m.json" => "--backend fluid", "--metrics-out";
+        fluid_rejects_audit: "--backend fluid --audit" => "--backend fluid", "--audit";
+        fluid_rejects_profile: "--backend fluid --profile" => "--backend fluid", "--profile";
+        fluid_rejects_trace_out: "--backend fluid --trace-out t.jsonl" => "--backend fluid", "--trace-out";
+        fluid_rejects_checkpoint_out: "--backend fluid --checkpoint-out c.ckpt" => "--backend fluid", "--checkpoint-out";
+        fluid_rejects_restore: "--backend fluid --restore c.ckpt" => "--backend fluid", "--restore";
+        fluid_rejects_serve: "--backend fluid --serve 127.0.0.1:0" => "--backend fluid", "--serve";
+        fluid_rejects_trace: "--backend fluid --trace 20" => "--backend fluid", "--trace";
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //! * `square_mode` — `p'·p'` vs `max(Y₁,Y₂)` decision equivalence at the
 //!   system level.
 
+use crate::appendix_a::{law_scenario, mean_window, LAW_RTT};
 use crate::fig11::{run_one as fig11_run, TrafficMix};
 use crate::grid::{run_cell, Pair};
-use crate::scenario::{AqmKind, FlowGroup, Scenario};
-use pi2_aqm::{CoupledPi2Config, FixedProb, Pi2Config, PieConfig, SquareMode};
-use pi2_netsim::{MonitorConfig, PathConf, QueueConfig, Sim, SimConfig};
+use crate::scenario::{AqmKind, FlowGroup, Scenario, UdpGroup};
+use pi2_aqm::{CoupledPi2Config, Pi2Config, PieConfig, SquareMode};
 use pi2_simcore::{Duration, Time};
 use pi2_stats::Summary;
-use pi2_transport::{CcKind, EcnSetting, TcpConfig, TcpSource};
+use pi2_transport::{CcKind, EcnSetting, TcpConfig};
 
 /// One coupling-factor measurement.
 #[derive(Clone, Debug)]
@@ -90,51 +90,36 @@ pub fn bare_pie(seed: u64) -> Vec<(&'static str, Summary, Summary)> {
         .collect()
 }
 
-/// Bursty-traffic variant of the bare-PIE comparison: an on-off CBR
-/// source (8 Mb/s bursts, 100 ms on / 900 ms off) rides over two light
-/// TCP flows. This is the workload PIE's burst allowance was written
-/// for; the paper notes the PI core's incremental probability already
-/// filters such bursts, making the heuristic redundant. Returns
+/// The bursty cell of the bare-PIE comparison: an on-off CBR source
+/// (8 Mb/s bursts, 100 ms on / 900 ms off) rides over two light TCP
+/// flows behind PIE configured by `cfg`.
+pub fn burst_scenario(cfg: PieConfig, seed: u64) -> Scenario {
+    let rtt = Duration::from_millis(40);
+    let mut sc = Scenario::new(AqmKind::Pie(cfg), 10_000_000);
+    sc.tcp
+        .push(FlowGroup::new(2, CcKind::Reno, EcnSetting::NotEcn, "tcp", rtt));
+    sc.udp.push(UdpGroup {
+        rate_bps: 8_000_000,
+        pkt_size: 1000,
+        label: "burst".to_string(),
+        on_off: Some((Duration::from_millis(100), Duration::from_millis(900))),
+        ..UdpGroup::paper_probes(1, rtt)
+    });
+    sc.duration = Time::from_secs(60);
+    sc.warmup = Duration::from_secs(5);
+    sc.seed = seed;
+    sc
+}
+
+/// Bursty-traffic variant of the bare-PIE comparison
+/// ([`burst_scenario`]). This is the workload PIE's burst allowance was
+/// written for; the paper notes the PI core's incremental probability
+/// already filters such bursts, making the heuristic redundant. Returns
 /// `(full-PIE burst loss fraction, bare-PIE burst loss fraction)`.
 pub fn bare_pie_bursts(seed: u64) -> (f64, f64) {
-    use pi2_netsim::{MonitorConfig, OnOffCbrSource, PathConf, QueueConfig, Sim, SimConfig};
     let run = |cfg: PieConfig| {
-        let mut sim = Sim::new(
-            SimConfig {
-                queue: QueueConfig {
-                    rate_bps: 10_000_000,
-                    buffer_bytes: 40_000 * 1500,
-                },
-                seed,
-                monitor: MonitorConfig {
-                    warmup: Duration::from_secs(5),
-                    ..MonitorConfig::default()
-                },
-            },
-            Box::new(pi2_aqm::Pie::new(cfg)),
-        );
-        let rtt = Duration::from_millis(40);
-        for _ in 0..2 {
-            sim.add_flow(PathConf::symmetric(rtt), "tcp", Time::ZERO, |id| {
-                Box::new(TcpSource::new(
-                    id,
-                    CcKind::Reno,
-                    EcnSetting::NotEcn,
-                    TcpConfig::default(),
-                ))
-            });
-        }
-        let burst = sim.add_flow(PathConf::symmetric(rtt), "burst", Time::ZERO, |id| {
-            Box::new(OnOffCbrSource::new(
-                id,
-                8_000_000,
-                1000,
-                Duration::from_millis(100),
-                Duration::from_millis(900),
-            ))
-        });
-        sim.run_until(Time::from_secs(60));
-        let acc = sim.core.monitor.flow(burst);
+        let r = burst_scenario(cfg, seed).run();
+        let acc = &r.monitor.flows[2];
         acc.dropped as f64 / acc.sent_pkts.max(1) as f64
     };
     (run(PieConfig::paper_default()), run(PieConfig::bare()))
@@ -175,38 +160,12 @@ pub fn square_mode(seed: u64) -> (Summary, Summary) {
 /// transports' dynamic response (DCTCP's EWMA lag) rather than in ACK
 /// policy.
 pub fn delayed_ack_constant(p: f64, delayed: bool, seed: u64) -> f64 {
-    let rtt = Duration::from_millis(40);
-    let mut sim = Sim::new(
-        SimConfig {
-            queue: QueueConfig {
-                rate_bps: 2_000_000_000,
-                buffer_bytes: usize::MAX,
-            },
-            seed,
-            monitor: MonitorConfig {
-                warmup: Duration::from_secs(30),
-                record_probs: false,
-                ..MonitorConfig::default()
-            },
-        },
-        Box::new(FixedProb::new(p)),
-    );
-    let id = sim.add_flow(PathConf::symmetric(rtt), "flow", Time::ZERO, move |id| {
-        Box::new(TcpSource::new(
-            id,
-            CcKind::Cubic,
-            EcnSetting::NotEcn,
-            TcpConfig {
-                delayed_ack: delayed,
-                ..TcpConfig::default()
-            },
-        ))
-    });
-    sim.run_until(Time::from_secs(120));
-    let span = sim.core.monitor.measurement_span();
-    let tput_bps = sim.core.monitor.flow(id).mean_tput_mbps(span) * 1e6;
-    let w = tput_bps * rtt.as_secs_f64() / (1500.0 * 8.0);
-    w * p.sqrt()
+    let tcp = TcpConfig {
+        delayed_ack: delayed,
+        ..TcpConfig::default()
+    };
+    let r = law_scenario(CcKind::Cubic, EcnSetting::NotEcn, tcp, p, seed).run();
+    mean_window(&r, LAW_RTT.as_secs_f64()) * p.sqrt()
 }
 
 /// Coexistence balance with Linux-like delayed ACKs on the Classic side

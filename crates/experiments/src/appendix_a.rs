@@ -14,10 +14,9 @@
 //! | Scalable half-packet | `2/p` |
 
 use crate::scenario::{AqmKind, FlowGroup, RunResult, Scenario};
-use pi2_aqm::FixedProb;
-use pi2_netsim::{MonitorConfig, PathConf, QueueConfig, Sim, SimConfig};
+use pi2_aqm::StepMarkConfig;
 use pi2_simcore::{Duration, Time};
-use pi2_transport::{CcKind, EcnSetting, TcpConfig, TcpSource};
+use pi2_transport::{CcKind, EcnSetting, TcpConfig};
 
 /// One law-validation measurement.
 #[derive(Clone, Debug)]
@@ -34,35 +33,37 @@ pub struct LawPoint {
     pub rel_err: f64,
 }
 
-/// Measure the steady-state window of `cc` at fixed probability `p`.
-pub fn measure(cc: CcKind, ecn: EcnSetting, p: f64, seed: u64) -> LawPoint {
-    let rtt = Duration::from_millis(40);
+/// Base RTT of the law-validation cells.
+pub const LAW_RTT: Duration = Duration::from_millis(40);
+
+/// One `cc` flow under fixed signal probability `p`, 120 s.
+pub fn law_scenario(cc: CcKind, ecn: EcnSetting, tcp: TcpConfig, p: f64, seed: u64) -> Scenario {
     // Over-provisioned link: the window never fills the pipe, so RTT stays
     // at base and W = rate·RTT/mss.
-    let rate_bps: u64 = 2_000_000_000;
-    let mut sim = Sim::new(
-        SimConfig {
-            queue: QueueConfig {
-                rate_bps,
-                buffer_bytes: usize::MAX,
-            },
-            seed,
-            monitor: MonitorConfig {
-                warmup: Duration::from_secs(30),
-                ..MonitorConfig::default()
-            },
-        },
-        Box::new(FixedProb::new(p)),
-    );
-    let id = sim.add_flow(PathConf::symmetric(rtt), "flow", Time::ZERO, move |id| {
-        Box::new(TcpSource::new(id, cc, ecn, TcpConfig::default()))
-    });
-    sim.run_until(Time::from_secs(120));
-    let span = sim.core.monitor.measurement_span();
-    let tput_bps = sim.core.monitor.flow(id).mean_tput_mbps(span) * 1e6;
-    let measured_w = tput_bps * rtt.as_secs_f64() / (1500.0 * 8.0);
+    let mut sc = Scenario::new(AqmKind::FixedProb(p), 2_000_000_000);
+    sc.buffer_bytes = usize::MAX;
+    let mut flow = FlowGroup::new(1, cc, ecn, "flow", LAW_RTT);
+    flow.tcp = tcp;
+    sc.tcp.push(flow);
+    sc.duration = Time::from_secs(120);
+    sc.warmup = Duration::from_secs(30);
+    sc.seed = seed;
+    sc
+}
+
+/// Mean post-warm-up window of a run's first flow, in packets, at round
+/// trip `rtt_s`.
+pub fn mean_window(r: &RunResult, rtt_s: f64) -> f64 {
+    let tput_bps = r.monitor.flows[0].mean_tput_mbps(r.monitor.measurement_span()) * 1e6;
+    tput_bps * rtt_s / (1500.0 * 8.0)
+}
+
+/// Measure the steady-state window of `cc` at fixed probability `p`.
+pub fn measure(cc: CcKind, ecn: EcnSetting, p: f64, seed: u64) -> LawPoint {
+    let r = law_scenario(cc, ecn, TcpConfig::default(), p, seed).run();
+    let measured_w = mean_window(&r, LAW_RTT.as_secs_f64());
     let probe = cc.build(10.0);
-    let predicted_w = probe.steady_state_window(p, rtt).unwrap_or(f64::NAN);
+    let predicted_w = probe.steady_state_window(p, LAW_RTT).unwrap_or(f64::NAN);
     LawPoint {
         cc: probe.name(),
         p,
@@ -86,6 +87,26 @@ pub fn appendix_a() -> Vec<LawPoint> {
     out
 }
 
+/// Base RTT of the [`step_vs_probabilistic`] cells.
+const MARKING_RTT: Duration = Duration::from_millis(20);
+
+/// One DCTCP flow saturating a 40 Mb/s bottleneck marked by `aqm`, 80 s.
+pub fn marking_scenario(aqm: AqmKind, seed: u64) -> Scenario {
+    let mut sc = Scenario::new(aqm, 40_000_000);
+    sc.buffer_bytes = usize::MAX;
+    sc.tcp.push(FlowGroup::new(
+        1,
+        CcKind::Dctcp,
+        EcnSetting::Scalable,
+        "dctcp",
+        MARKING_RTT,
+    ));
+    sc.duration = Time::from_secs(80);
+    sc.warmup = Duration::from_secs(20);
+    sc.seed = seed;
+    sc
+}
+
 /// Eq. (11) vs eq. (12): DCTCP's window law depends on *how* it is
 /// marked. Run one DCTCP flow over a bottleneck it saturates, marked
 /// either by a step threshold (eq. (12): `W = 2/p²`, i.e. `p = √(2/W)`)
@@ -93,52 +114,17 @@ pub fn appendix_a() -> Vec<LawPoint> {
 /// (eq. (11): `W = 2/p`). Returns
 /// `(realized step fraction, W under step, W under probabilistic)`.
 pub fn step_vs_probabilistic(seed: u64) -> (f64, f64, f64) {
-    use pi2_aqm::{StepMark, StepMarkConfig};
-    let rate_bps: u64 = 40_000_000;
-    let rtt = Duration::from_millis(20);
-    let run = |aqm: Box<dyn pi2_netsim::Aqm>, seed: u64| -> (f64, f64) {
-        let mut sim = Sim::new(
-            SimConfig {
-                queue: QueueConfig {
-                    rate_bps,
-                    buffer_bytes: usize::MAX,
-                },
-                seed,
-                monitor: MonitorConfig {
-                    warmup: Duration::from_secs(20),
-                    ..MonitorConfig::default()
-                },
-            },
-            aqm,
-        );
-        let id = sim.add_flow(PathConf::symmetric(rtt), "dctcp", Time::ZERO, |id| {
-            Box::new(TcpSource::new(
-                id,
-                CcKind::Dctcp,
-                EcnSetting::Scalable,
-                TcpConfig::default(),
-            ))
-        });
-        sim.run_until(Time::from_secs(80));
-        let m = &sim.core.monitor;
-        let span = m.measurement_span();
-        let tput_bps = m.flow(id).mean_tput_mbps(span) * 1e6;
+    let run = |aqm: AqmKind, seed: u64| -> (f64, f64) {
+        let r = marking_scenario(aqm, seed).run();
         // Effective RTT = base + mean queue delay.
-        let sojourns: Vec<f64> = m.sojourn_ms.iter().map(|&x| x as f64).collect();
-        let eff_rtt = rtt.as_secs_f64() + pi2_stats::mean(&sojourns) / 1000.0;
-        let w = tput_bps * eff_rtt / (1500.0 * 8.0);
-        let frac = {
-            let f = m.flow(id);
-            f.marked as f64 / f.sent_pkts.max(1) as f64
-        };
-        (frac, w)
+        let sojourns: Vec<f64> = r.monitor.sojourn_ms.iter().map(|&x| x as f64).collect();
+        let eff_rtt = MARKING_RTT.as_secs_f64() + pi2_stats::mean(&sojourns) / 1000.0;
+        let f = &r.monitor.flows[0];
+        (f.marked as f64 / f.sent_pkts.max(1) as f64, mean_window(&r, eff_rtt))
     };
-    let (p_step, w_step) = run(
-        Box::new(StepMark::new(StepMarkConfig::default())),
-        seed,
-    );
+    let (p_step, w_step) = run(AqmKind::StepMark(StepMarkConfig::default()), seed);
     // Probabilistic marking at the same fraction.
-    let (_, w_prob) = run(Box::new(FixedProb::new(p_step)), seed + 1);
+    let (_, w_prob) = run(AqmKind::FixedProb(p_step), seed + 1);
     (p_step, w_step, w_prob)
 }
 

@@ -7,11 +7,10 @@
 //! DCTCP packets see sub-millisecond-to-low-millisecond queuing and the
 //! Cubic packets their usual near-target delay.
 
-use pi2_aqm::{DualPi2, DualPi2Config};
-use pi2_netsim::{MonitorConfig, PathConf, Sim, SimConfig};
-use pi2_simcore::{Duration, Time};
+use crate::isolation::scenario;
+use crate::scenario::AqmKind;
+use pi2_simcore::Duration;
 use pi2_stats::Summary;
-use pi2_transport::{CcKind, EcnSetting, TcpConfig, TcpSource};
 
 /// Result of one DualQ run.
 #[derive(Clone, Debug)]
@@ -37,48 +36,9 @@ pub fn run(
     duration_s: u64,
     seed: u64,
 ) -> DualQResult {
-    let mut sim = Sim::with_qdisc(
-        SimConfig {
-            seed,
-            monitor: MonitorConfig {
-                warmup: Duration::from_secs(duration_s as i64 / 3),
-                record_flow_sojourns: true,
-                ..MonitorConfig::default()
-            },
-            ..SimConfig::default()
-        },
-        Box::new(DualPi2::new(DualPi2Config::for_link(rate_bps))),
-    );
-    for _ in 0..n_cubic {
-        sim.add_flow(PathConf::symmetric(rtt), "cubic", Time::ZERO, |id| {
-            Box::new(TcpSource::new(
-                id,
-                CcKind::Cubic,
-                EcnSetting::NotEcn,
-                TcpConfig::default(),
-            ))
-        });
-    }
-    for _ in 0..n_dctcp {
-        sim.add_flow(PathConf::symmetric(rtt), "dctcp", Time::ZERO, |id| {
-            Box::new(TcpSource::new(
-                id,
-                CcKind::Dctcp,
-                EcnSetting::Scalable,
-                TcpConfig::default(),
-            ))
-        });
-    }
-    sim.run_until(Time::from_secs(duration_s));
-    let m = &sim.core.monitor;
-    let span = m.measurement_span();
-    let per_flow = |label: &str, n: usize| {
-        if n == 0 {
-            0.0
-        } else {
-            m.pooled_mean_tput_mbps(label) / n as f64
-        }
-    };
+    let aqm = AqmKind::dualq_default(rate_bps);
+    let r = scenario(aqm, rate_bps, rtt, (n_cubic, n_dctcp), duration_s, seed).run();
+    let m = &r.monitor;
     let util_samples = m.util_samples();
     let util: f64 = if util_samples.is_empty() {
         0.0
@@ -86,10 +46,9 @@ pub fn run(
         100.0 * util_samples.iter().map(|&x| x as f64).sum::<f64>()
             / util_samples.len() as f64
     };
-    let _ = span;
     DualQResult {
-        cubic_mbps: per_flow("cubic", n_cubic),
-        dctcp_mbps: per_flow("dctcp", n_dctcp),
+        cubic_mbps: r.per_flow_tput_mbps("cubic"),
+        dctcp_mbps: r.per_flow_tput_mbps("dctcp"),
         l_delay: Summary::of_f32(&m.pooled_sojourns("dctcp")),
         c_delay: Summary::of_f32(&m.pooled_sojourns("cubic")),
         util_pct: util,

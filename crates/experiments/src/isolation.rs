@@ -9,12 +9,11 @@
 //! and its own queue), the coupled AQM balances by signalling in one
 //! FIFO.
 
-use crate::scenario::AqmKind;
-use pi2_aqm::{FqConfig, FqDrr};
-use pi2_netsim::{MonitorConfig, PathConf, Sim, SimConfig};
+use crate::scenario::{AqmKind, FlowGroup, RunResult, Scenario};
+use pi2_aqm::FqConfig;
 use pi2_simcore::{Duration, Time};
 use pi2_stats::Summary;
-use pi2_transport::{CcKind, EcnSetting, TcpConfig, TcpSource};
+use pi2_transport::{CcKind, EcnSetting};
 
 /// Result of one isolation run.
 #[derive(Clone, Debug)]
@@ -29,76 +28,49 @@ pub struct IsolationResult {
     pub dctcp_delay: Summary,
 }
 
-fn coexistence_flows(sim: &mut Sim, rtt: Duration) {
-    sim.add_flow(PathConf::symmetric(rtt), "cubic", Time::ZERO, |id| {
-        Box::new(TcpSource::new(
-            id,
-            CcKind::Cubic,
-            EcnSetting::NotEcn,
-            TcpConfig::default(),
-        ))
-    });
-    sim.add_flow(PathConf::symmetric(rtt), "dctcp", Time::ZERO, |id| {
-        Box::new(TcpSource::new(
-            id,
-            CcKind::Dctcp,
-            EcnSetting::Scalable,
-            TcpConfig::default(),
-        ))
-    });
+/// The coexistence cell: `flows.0` Cubic and `flows.1` DCTCP flows behind
+/// `aqm`, sojourns recorded per flow, the first third of the run warm-up.
+pub fn scenario(
+    aqm: AqmKind,
+    rate_bps: u64,
+    rtt: Duration,
+    flows: (usize, usize),
+    duration_s: u64,
+    seed: u64,
+) -> Scenario {
+    let mut sc = Scenario::new(aqm, rate_bps);
+    sc.tcp
+        .push(FlowGroup::new(flows.0, CcKind::Cubic, EcnSetting::NotEcn, "cubic", rtt));
+    sc.tcp
+        .push(FlowGroup::new(flows.1, CcKind::Dctcp, EcnSetting::Scalable, "dctcp", rtt));
+    sc.duration = Time::from_secs(duration_s);
+    sc.warmup = Duration::from_secs(duration_s as i64 / 3);
+    sc.per_flow_sojourns = true;
+    sc.seed = seed;
+    sc
 }
 
-fn harvest(sim: &Sim, scheme: &'static str) -> IsolationResult {
-    let m = &sim.core.monitor;
+fn harvest(r: &RunResult) -> IsolationResult {
+    let m = &r.monitor;
     let c = m.pooled_mean_tput_mbps("cubic");
     let d = m.pooled_mean_tput_mbps("dctcp");
     IsolationResult {
-        scheme,
+        scheme: r.aqm,
         ratio: if d > 0.0 { c / d } else { f64::INFINITY },
         cubic_delay: Summary::of_f32(&m.pooled_sojourns("cubic")),
         dctcp_delay: Summary::of_f32(&m.pooled_sojourns("dctcp")),
     }
 }
 
-fn monitor_cfg(duration_s: u64) -> MonitorConfig {
-    MonitorConfig {
-        warmup: Duration::from_secs(duration_s as i64 / 3),
-        record_flow_sojourns: true,
-        ..MonitorConfig::default()
-    }
-}
-
 /// Run Cubic vs DCTCP over FQ-DRR.
 pub fn run_fq(rate_bps: u64, rtt: Duration, duration_s: u64, seed: u64) -> IsolationResult {
-    let mut sim = Sim::with_qdisc(
-        SimConfig {
-            seed,
-            monitor: monitor_cfg(duration_s),
-            ..SimConfig::default()
-        },
-        Box::new(FqDrr::new(FqConfig::for_link(rate_bps))),
-    );
-    coexistence_flows(&mut sim, rtt);
-    sim.run_until(Time::from_secs(duration_s));
-    harvest(&sim, "fq-drr")
+    let aqm = AqmKind::Fq(FqConfig::for_link(rate_bps));
+    harvest(&scenario(aqm, rate_bps, rtt, (1, 1), duration_s, seed).run())
 }
 
 /// Run the same workload over the coupled single-queue PI2.
 pub fn run_coupled(rate_bps: u64, rtt: Duration, duration_s: u64, seed: u64) -> IsolationResult {
-    let mut sim = Sim::new(
-        SimConfig {
-            queue: pi2_netsim::QueueConfig {
-                rate_bps,
-                buffer_bytes: 40_000 * 1500,
-            },
-            seed,
-            monitor: monitor_cfg(duration_s),
-        },
-        AqmKind::coupled_default().build(),
-    );
-    coexistence_flows(&mut sim, rtt);
-    sim.run_until(Time::from_secs(duration_s));
-    harvest(&sim, "coupled-pi2")
+    harvest(&scenario(AqmKind::coupled_default(), rate_bps, rtt, (1, 1), duration_s, seed).run())
 }
 
 #[cfg(test)]

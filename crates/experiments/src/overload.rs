@@ -55,6 +55,7 @@ pub fn run_point(aqm: AqmKind, udp_load: f64, seed: u64) -> OverloadPoint {
         rtt,
         start: Time::ZERO,
         stop: None,
+        on_off: None,
     });
     sc.duration = Time::from_secs(60);
     sc.warmup = Duration::from_secs(20);

@@ -3,12 +3,14 @@
 
 use crate::backend::{Backend, BackgroundRun, BgGroup, FluidBackground};
 use pi2_aqm::{
-    Codel, CodelConfig, CoupledPi2, CoupledPi2Config, DualPi2, DualPi2Config, Pi, Pi2, Pi2Config,
-    PiConfig, Pie, PieConfig, Red, RedConfig,
+    Codel, CodelConfig, CoupledPi2, CoupledPi2Config, CurvyRed, CurvyRedConfig, DualPi2,
+    DualPi2Config, FixedProb, FqConfig, FqDrr, Pi, Pi2, Pi2Config, PiConfig, Pie, PieConfig, Red,
+    RedConfig, StepMark, StepMarkConfig,
 };
 use pi2_netsim::{
-    Aqm, BottleneckQueue, Ecn, ImpairStats, LinkImpairments, Monitor, MonitorConfig, PassAqm,
-    PathConf, Qdisc, QueueConfig, Sim, SimConfig, SimMetrics, TraceCounts, UdpCbrSource,
+    Aqm, BottleneckQueue, Ecn, ImpairStats, LinkImpairments, Monitor, MonitorConfig,
+    OnOffCbrSource, PassAqm, PathConf, Qdisc, QueueConfig, Sim, SimConfig, SimMetrics, Source,
+    Topology, TraceCounts, UdpCbrSource,
 };
 use pi2_simcore::{Duration, Time};
 use pi2_stats::Summary;
@@ -35,14 +37,23 @@ pub enum AqmKind {
     /// deployment). A full qdisc rather than a FIFO-attached [`Aqm`]:
     /// only [`AqmKind::build_qdisc`] can instantiate it.
     DualQ(DualPi2Config),
+    /// Per-flow queuing (DRR), the isolation alternative of the paper's
+    /// §1. A full qdisc like [`AqmKind::DualQ`].
+    Fq(FqConfig),
+    /// Curvy RED, the DualQ draft's example AQM (paper §3).
+    Curvy(CurvyRedConfig),
+    /// A constant signal probability (Appendix A law validation).
+    FixedProb(f64),
+    /// The original DCTCP step-threshold marker (eq. (12)).
+    StepMark(StepMarkConfig),
 }
 
 impl AqmKind {
     /// Instantiate the AQM for a FIFO bottleneck.
     ///
     /// # Panics
-    /// For [`AqmKind::DualQ`], which owns its own queues and cannot sit
-    /// behind a FIFO — use [`AqmKind::build_qdisc`] instead.
+    /// For [`AqmKind::DualQ`] and [`AqmKind::Fq`], which own their queues
+    /// and cannot sit behind a FIFO — use [`AqmKind::build_qdisc`] instead.
     pub fn build(&self) -> Box<dyn Aqm> {
         match self {
             AqmKind::Pie(cfg) => Box::new(Pie::new(*cfg)),
@@ -52,15 +63,20 @@ impl AqmKind {
             AqmKind::Red(cfg) => Box::new(Red::new(*cfg)),
             AqmKind::Codel(cfg) => Box::new(Codel::new(*cfg)),
             AqmKind::TailDrop => Box::new(PassAqm),
-            AqmKind::DualQ(_) => panic!("DualQ is a full qdisc; use AqmKind::build_qdisc"),
+            AqmKind::Curvy(cfg) => Box::new(CurvyRed::new(*cfg)),
+            AqmKind::FixedProb(p) => Box::new(FixedProb::new(*p)),
+            AqmKind::StepMark(cfg) => Box::new(StepMark::new(*cfg)),
+            AqmKind::DualQ(_) | AqmKind::Fq(_) => {
+                panic!("{} is a full qdisc; use AqmKind::build_qdisc", self.name())
+            }
         }
     }
 
     /// Instantiate the complete queueing discipline for `queue`. Single-
     /// queue AQMs are wrapped in the standard FIFO [`BottleneckQueue`];
-    /// the DualQ carries its own internal queues, taking `queue`'s rate
-    /// and buffer in place of whatever its config was built with (so a
-    /// scenario's `rate_bps` is authoritative for every variant).
+    /// the DualQ and FQ carry their own internal queues, taking `queue`'s
+    /// rate and buffer in place of whatever their config was built with
+    /// (so a scenario's `rate_bps` is authoritative for every variant).
     pub fn build_qdisc(&self, queue: QueueConfig) -> Box<dyn Qdisc> {
         match self {
             AqmKind::DualQ(cfg) => {
@@ -68,6 +84,12 @@ impl AqmKind {
                 cfg.rate_bps = queue.rate_bps;
                 cfg.buffer_bytes = queue.buffer_bytes;
                 Box::new(DualPi2::new(cfg))
+            }
+            AqmKind::Fq(cfg) => {
+                let mut cfg = *cfg;
+                cfg.rate_bps = queue.rate_bps;
+                cfg.buffer_bytes = queue.buffer_bytes;
+                Box::new(FqDrr::new(cfg))
             }
             other => Box::new(BottleneckQueue::new(queue, other.build())),
         }
@@ -84,6 +106,10 @@ impl AqmKind {
             AqmKind::Codel(_) => "codel",
             AqmKind::TailDrop => "taildrop",
             AqmKind::DualQ(_) => "dualpi2",
+            AqmKind::Fq(_) => "fq-drr",
+            AqmKind::Curvy(_) => "curvy-red",
+            AqmKind::FixedProb(_) => "fixed-prob",
+            AqmKind::StepMark(_) => "step",
         }
     }
 
@@ -128,6 +154,9 @@ pub struct FlowGroup {
     pub stop: Option<Time>,
     /// Per-flow TCP configuration.
     pub tcp: TcpConfig,
+    /// Named path of [`Scenario::topology`] the flows are routed over;
+    /// `None` is the default route (the primary bottleneck only).
+    pub path: Option<String>,
 }
 
 impl FlowGroup {
@@ -142,6 +171,7 @@ impl FlowGroup {
             start: Time::ZERO,
             stop: None,
             tcp: TcpConfig::default(),
+            path: None,
         }
     }
 
@@ -170,6 +200,9 @@ pub struct UdpGroup {
     pub start: Time,
     /// Optional stop time.
     pub stop: Option<Time>,
+    /// `(on, off)` burst cycle: send at `rate_bps` for `on`, stay silent
+    /// for `off`. `None` is constant bit rate.
+    pub on_off: Option<(Duration, Duration)>,
 }
 
 impl UdpGroup {
@@ -183,6 +216,7 @@ impl UdpGroup {
             rtt,
             start: Time::ZERO,
             stop: None,
+            on_off: None,
         }
     }
 }
@@ -228,6 +262,14 @@ pub struct Scenario {
     /// Ignored (and the run is pure packet-level, bit for bit) unless
     /// `backend` is [`Backend::Hybrid`] and the total count is non-zero.
     pub background: Vec<BgGroup>,
+    /// Also record sojourns per flow (per-class delay distributions).
+    pub per_flow_sojourns: bool,
+    /// Multi-hop layout; `None` is the dumbbell. Hop 0 is the primary
+    /// bottleneck at `rate_bps`; every further hop runs the same AQM at
+    /// its entry of `hop_rates_bps`.
+    pub topology: Option<Topology>,
+    /// Link rate of each hop past the primary bottleneck, hop 1 first.
+    pub hop_rates_bps: Vec<u64>,
 }
 
 impl Scenario {
@@ -248,20 +290,31 @@ impl Scenario {
             seed: 1,
             backend: Backend::Packet,
             background: Vec::new(),
+            per_flow_sojourns: false,
+            topology: None,
+            hop_rates_bps: Vec::new(),
         }
     }
 
-    /// Execute the scenario.
+    /// Execute the scenario: [`build`](Self::build), run to `duration`,
+    /// [`finish`](Self::finish).
+    ///
+    /// # Panics
+    /// When [`build`](Self::build) rejects the description.
     pub fn run(&self) -> RunResult {
-        self.run_prepared(|_| {})
+        let mut sim = self.build().unwrap_or_else(|e| panic!("{e}"));
+        sim.run_until(self.duration);
+        self.finish(sim)
     }
 
-    /// [`Scenario::run`] with a hook that runs on the freshly built `Sim`
-    /// before any flow is added — the seam where a driver attaches trace
-    /// sinks (e.g. a Perfetto timeline exporter). Sinks are pure
-    /// observers, so a prepared run's results are bit-identical to a bare
-    /// [`Scenario::run`].
-    pub fn run_prepared(&self, prepare: impl FnOnce(&mut Sim)) -> RunResult {
+    /// Assemble the simulator: everything [`run`](Self::run) does before
+    /// its first event. Observers (trace sinks, the auditor, the
+    /// profiler) attach to the returned `Sim`; nothing has been emitted
+    /// yet and they are pure, so an observed run stays bit-identical to a
+    /// bare one. `Err` names a description no simulator can be built
+    /// from: a hybrid background behind an AQM with no fluid law, or
+    /// routes that do not fit the topology.
+    pub fn build(&self) -> Result<Sim, String> {
         let queue = QueueConfig {
             rate_bps: self.rate_bps,
             buffer_bytes: self.buffer_bytes,
@@ -273,6 +326,7 @@ impl Scenario {
                 monitor: MonitorConfig {
                     sample_interval: self.sample_interval,
                     warmup: self.warmup,
+                    record_flow_sojourns: self.per_flow_sojourns,
                     ..MonitorConfig::default()
                 },
             },
@@ -295,10 +349,25 @@ impl Scenario {
             && self.background.iter().map(|g| g.count).sum::<usize>() > 0
         {
             let agg = FluidBackground::new(&self.background, &self.aqm, self.rate_bps)
-                .unwrap_or_else(|e| panic!("hybrid backend: {e}"));
+                .map_err(|e| format!("hybrid backend: {e}"))?;
             sim.attach_background(Box::new(agg));
         }
-        prepare(&mut sim);
+        let hops = self.topology.as_ref().map_or(1, Topology::hop_count);
+        if self.hop_rates_bps.len() + 1 != hops {
+            return Err(format!(
+                "{hops} hops need {} entries in hop_rates_bps, got {}",
+                hops - 1,
+                self.hop_rates_bps.len()
+            ));
+        }
+        if let Some(topo) = &self.topology {
+            topo.install(&mut sim.core, |hop| {
+                self.aqm.build_qdisc(QueueConfig {
+                    rate_bps: self.hop_rates_bps[hop as usize - 1],
+                    buffer_bytes: self.buffer_bytes,
+                })
+            });
+        }
         // Pre-size the measurement vectors so per-packet recording never
         // reallocates mid-run (before add_flow, so per-flow vectors pick
         // up the same hints). The packet estimate assumes MTU-sized
@@ -308,11 +377,17 @@ impl Scenario {
             (self.duration.as_secs_f64() / self.sample_interval.as_secs_f64()).ceil() as usize + 2;
         let expected_pkts =
             (self.rate_bps as f64 * self.duration.as_secs_f64() / (8.0 * 1500.0)) as usize;
-        sim.core
-            .monitor
-            .reserve(expected_samples, expected_pkts.min(1 << 21));
+        let expected_pkts = expected_pkts.min(1 << 21);
+        sim.core.monitor.reserve(expected_samples, expected_pkts);
+        // Each flow pre-sizes its own sample vectors from the hint the
+        // monitor is left with: its fair share of the link, so a thousand
+        // mice do not each reserve for all of it.
+        let flows: usize = self.tcp.iter().map(|g| g.count).sum::<usize>()
+            + self.udp.iter().map(|g| g.count).sum::<usize>();
+        sim.core.monitor.reserve(0, expected_pkts / flows.max(1));
         let mut flow_ids = Vec::new();
         for group in &self.tcp {
+            let route = group.path.as_deref().map(|name| self.route(name)).transpose()?;
             for _ in 0..group.count {
                 let cc = group.cc;
                 let ecn = group.ecn;
@@ -323,6 +398,9 @@ impl Scenario {
                     group.start,
                     move |id| Box::new(TcpSource::new(id, cc, ecn, tcp)),
                 );
+                if let Some(route) = route {
+                    sim.set_route(id, route.to_vec());
+                }
                 if let Some(stop) = group.stop {
                     sim.stop_flow_at(id, stop);
                 }
@@ -333,11 +411,17 @@ impl Scenario {
             for _ in 0..group.count {
                 let rate = group.rate_bps;
                 let size = group.pkt_size;
+                let on_off = group.on_off;
                 let id = sim.add_flow(
                     PathConf::symmetric(group.rtt),
                     &group.label,
                     group.start,
-                    move |id| Box::new(UdpCbrSource::new(id, rate, size, Ecn::NotEct)),
+                    move |id| -> Box<dyn Source> {
+                        match on_off {
+                            Some((on, off)) => Box::new(OnOffCbrSource::new(id, rate, size, on, off)),
+                            None => Box::new(UdpCbrSource::new(id, rate, size, Ecn::NotEct)),
+                        }
+                    },
                 );
                 if let Some(stop) = group.stop {
                     sim.stop_flow_at(id, stop);
@@ -353,7 +437,22 @@ impl Scenario {
                 sim.set_rtt_at(id, at, rtt);
             }
         }
-        sim.run_until(self.duration);
+        Ok(sim)
+    }
+
+    /// The hop sequence of a named topology path.
+    fn route(&self, name: &str) -> Result<&[u32], String> {
+        self.topology
+            .as_ref()
+            .and_then(|t| t.paths().find(|(n, _)| *n == name))
+            .map(|(_, hops)| hops)
+            .ok_or_else(|| format!("the scenario's topology has no path named {name:?}"))
+    }
+
+    /// Harvest a simulator [`build`](Self::build) assembled, once it has
+    /// run: its measurements move into the result (the monitor holds a
+    /// sample per packet; a copy would double the peak).
+    pub fn finish(&self, mut sim: Sim) -> RunResult {
         let metrics = sim.core.take_metrics();
         if let Some(m) = &metrics {
             // Pure read of the finished run's registry: a live-ops
@@ -373,9 +472,9 @@ impl Scenario {
         });
         let rate_bps = sim.core.hop_qdisc(0).rate_bps();
         let impair = sim.core.impairments().map(|i| i.stats());
-        // The run is over: its measurements move into the result (the
-        // monitor holds a sample per packet; a copy would double the
-        // peak).
+        let hop_flow_bytes = (0..sim.core.hop_count() as u32)
+            .map(|hop| sim.core.hop_flow_bytes(hop).to_vec())
+            .collect();
         RunResult {
             aqm: self.aqm.name(),
             monitor: sim.core.monitor,
@@ -384,6 +483,7 @@ impl Scenario {
             impair,
             metrics,
             background,
+            hop_flow_bytes,
         }
     }
 }
@@ -409,6 +509,9 @@ pub struct RunResult {
     /// Hybrid-mode background accounting (aggregate flow count, served
     /// volume, the rate track); `None` for pure packet runs.
     pub background: Option<BackgroundRun>,
+    /// Post-warm-up egress bytes per hop (hop 0 first), indexed by flow
+    /// id within each hop.
+    pub hop_flow_bytes: Vec<Vec<u64>>,
 }
 
 impl RunResult {
@@ -570,6 +673,54 @@ mod tests {
             b.monitor.flows[0].dequeued_bytes
         );
         assert_eq!(a.monitor.sojourn_ms.len(), b.monitor.sojourn_ms.len());
+    }
+
+    #[test]
+    fn build_run_finish_is_run() {
+        let mut sc = Scenario::new(AqmKind::coupled_default(), 20_000_000);
+        let rtt = Duration::from_millis(20);
+        sc.tcp
+            .push(FlowGroup::new(2, CcKind::Cubic, EcnSetting::NotEcn, "cubic", rtt));
+        sc.udp.push(UdpGroup::paper_probes(1, rtt));
+        sc.duration = Time::from_secs(6);
+        sc.warmup = Duration::from_secs(2);
+        sc.per_flow_sojourns = true;
+        let whole = sc.run();
+        let mut sim = sc.build().unwrap();
+        // In two legs: `run_until` in steps is one call.
+        sim.run_until(Time::from_secs(3));
+        sim.run_until(sc.duration);
+        let pieces = sc.finish(sim);
+        assert_eq!(whole.counters.totals(), pieces.counters.totals());
+        assert_eq!(whole.monitor.sojourn_ms, pieces.monitor.sojourn_ms);
+        for (a, b) in whole.monitor.flows.iter().zip(&pieces.monitor.flows) {
+            assert_eq!(a.dequeued_bytes, b.dequeued_bytes);
+            assert_eq!(a.sojourn_ms, b.sojourn_ms);
+            assert!(!a.sojourn_ms.is_empty(), "per-flow sojourns were asked for");
+        }
+        assert_eq!(whole.hop_flow_bytes, pieces.hop_flow_bytes);
+        let json = |r: &RunResult| r.metrics.as_ref().unwrap().registry().to_json();
+        assert_eq!(json(&whole), json(&pieces));
+    }
+
+    #[test]
+    fn descriptions_no_simulator_can_be_built_from_are_errors_not_panics() {
+        // A hybrid background behind an AQM with no fluid law.
+        let mut sc = Scenario::new(AqmKind::Red(RedConfig::default()), 10_000_000);
+        sc.backend = Backend::Hybrid;
+        sc.background = vec![BgGroup::new(8, CcKind::Reno, Duration::from_millis(50), "bg")];
+        let e = sc.build().err().expect("RED has no fluid law");
+        assert!(e.contains("hybrid backend") && e.contains("red"), "{e}");
+        // Hop rates that do not fit the topology, a path it does not have.
+        let mut sc = Scenario::new(AqmKind::pi2_default(), 10_000_000);
+        sc.topology = Some(Topology::parking_lot(3, Duration::from_millis(5)));
+        sc.hop_rates_bps = vec![10_000_000];
+        assert!(sc.build().err().expect("one rate for two hops").contains("hop_rates_bps"));
+        sc.hop_rates_bps = vec![10_000_000; 2];
+        let mut g = FlowGroup::new(1, CcKind::Reno, EcnSetting::NotEcn, "reno", Duration::from_millis(20));
+        g.path = Some("detour".to_string());
+        sc.tcp.push(g);
+        assert!(sc.build().err().expect("no such path").contains("detour"));
     }
 
     #[test]

@@ -9,11 +9,10 @@
 //! classic heavy-tailed web-object model) over a long-running background
 //! flow that keeps the AQM active.
 
-use crate::scenario::AqmKind;
-use pi2_netsim::{MonitorConfig, PathConf, QueueConfig, Sim, SimConfig};
+use crate::scenario::{AqmKind, FlowGroup, Scenario};
 use pi2_simcore::{Duration, Rng, Time};
 use pi2_stats::Summary;
-use pi2_transport::{CcKind, EcnSetting, TcpConfig, TcpSource};
+use pi2_transport::{CcKind, EcnSetting};
 
 /// Web workload parameters.
 #[derive(Clone, Debug)]
@@ -74,40 +73,24 @@ pub struct FctResult {
     pub qdelay_ms: f64,
 }
 
-/// Run the workload under one AQM.
-pub fn run_one(aqm: AqmKind, w: &WebWorkload) -> FctResult {
-    let mut sim = Sim::new(
-        SimConfig {
-            queue: QueueConfig {
-                rate_bps: w.rate_bps,
-                buffer_bytes: 40_000 * 1500,
-            },
-            seed: w.seed,
-            monitor: MonitorConfig {
-                warmup: Duration::from_secs(5),
-                record_probs: false,
-                ..MonitorConfig::default()
-            },
-        },
-        aqm.build(),
-    );
-    for _ in 0..w.background {
-        sim.add_flow(PathConf::symmetric(w.rtt), "bg", Time::ZERO, |id| {
-            Box::new(TcpSource::new(
-                id,
-                CcKind::Cubic,
-                EcnSetting::NotEcn,
-                TcpConfig::default(),
-            ))
-        });
-    }
+/// The workload under one AQM: the background flows, then one
+/// size-limited Cubic flow per arrival (`"short"` up to 20 packets,
+/// `"long"` beyond).
+pub fn scenario(aqm: AqmKind, w: &WebWorkload) -> Scenario {
+    let mut sc = Scenario::new(aqm, w.rate_bps);
+    sc.duration = w.duration;
+    sc.warmup = Duration::from_secs(5);
+    sc.seed = w.seed;
+    let flow = |label| FlowGroup::new(1, CcKind::Cubic, EcnSetting::NotEcn, label, w.rtt);
+    sc.tcp.push(FlowGroup {
+        count: w.background,
+        ..flow("bg")
+    });
     // Pre-generate the Poisson arrivals and Pareto sizes so the flow set
     // is identical across AQMs (paired comparison).
     let mut gen = Rng::new(w.seed ^ 0xF10E5);
     let mut t = 0.0;
     let horizon = w.duration.as_secs_f64() - 10.0; // let late flows finish
-    let mut launched = 0;
-    let mut sizes = Vec::new();
     while t < horizon {
         t += gen.exponential(1.0 / w.arrivals_per_sec);
         if t >= horizon {
@@ -115,33 +98,26 @@ pub fn run_one(aqm: AqmKind, w: &WebWorkload) -> FctResult {
         }
         let (alpha, lo, hi) = w.size_dist;
         let pkts = gen.bounded_pareto(alpha, lo, hi).round().max(1.0) as u64;
-        sizes.push(pkts);
-        let start = Time::from_secs_f64(t);
-        let label = if pkts <= 20 { "short" } else { "long" };
-        sim.add_flow(PathConf::symmetric(w.rtt), label, start, move |id| {
-            Box::new(TcpSource::new(
-                id,
-                CcKind::Cubic,
-                EcnSetting::NotEcn,
-                TcpConfig {
-                    data_limit: Some(pkts),
-                    ..TcpConfig::default()
-                },
-            ))
-        });
-        launched += 1;
+        let mut mouse = flow(if pkts <= 20 { "short" } else { "long" });
+        mouse.start = Time::from_secs_f64(t);
+        mouse.tcp.data_limit = Some(pkts);
+        sc.tcp.push(mouse);
     }
-    sim.run_until(w.duration);
-    let m = &sim.core.monitor;
-    let short: Vec<f64> = m.completion_times("short");
-    let long: Vec<f64> = m.completion_times("long");
+    sc
+}
+
+/// Run the workload under one AQM.
+pub fn run_one(aqm: AqmKind, w: &WebWorkload) -> FctResult {
+    let sc = scenario(aqm, w);
+    let r = sc.run();
+    let m = &r.monitor;
     let sojourns: Vec<f64> = m.sojourn_ms.iter().map(|&x| x as f64).collect();
     FctResult {
-        aqm: aqm.name(),
-        short_fct: Summary::of(&short),
-        long_fct: Summary::of(&long),
+        aqm: r.aqm,
+        short_fct: Summary::of(&m.completion_times("short")),
+        long_fct: Summary::of(&m.completion_times("long")),
         completed: m.completions.len(),
-        launched,
+        launched: sc.tcp.len() - 1,
         qdelay_ms: pi2_stats::mean(&sojourns),
     }
 }

@@ -19,15 +19,13 @@
 //! mice flow-completion-time P50/P95/P99 through a [`pi2_obs::Histogram`]
 //! — exposed on the command line as `pi2sim --scenario topology`.
 
-use crate::scenario::AqmKind;
+use crate::scenario::{AqmKind, FlowGroup, RunResult, Scenario};
 use crate::workload::{mice_arrivals, MiceWorkload};
-use pi2_netsim::{
-    AuditSink, FlowId, MonitorConfig, PathConf, QueueConfig, Sim, SimConfig, Topology,
-};
+use pi2_netsim::{AuditSink, Sim, Topology};
 use pi2_obs::Histogram;
 use pi2_simcore::{Duration, Time};
 use pi2_stats::jain_fairness;
-use pi2_transport::{CcKind, EcnSetting, TcpConfig, TcpSource};
+use pi2_transport::{CcKind, EcnSetting};
 
 /// Total simulated time, seconds.
 pub const DURATION_S: u64 = 60;
@@ -162,6 +160,49 @@ pub struct TopologyRun {
     pub events_processed: u64,
 }
 
+/// The scenario of one topology × AQM cell: the long flows on their
+/// named paths (flow ids `0..4`), then one data-limited Cubic flow per
+/// mouse (web/RPC objects), entry path by entry path.
+pub fn scenario_for(kind: TopologyKind, aqm: AqmKind, seed: u64) -> Scenario {
+    let topo = kind.build();
+    let mut sc = Scenario::new(aqm, kind.hop_rate_bps(0));
+    sc.hop_rates_bps = (1..topo.hop_count() as u32)
+        .map(|hop| kind.hop_rate_bps(hop))
+        .collect();
+    sc.topology = Some(topo);
+    sc.duration = Time::from_secs(DURATION_S);
+    sc.warmup = Duration::from_secs(WARMUP_S as i64);
+    sc.sample_interval = Duration::from_millis(100);
+    sc.seed = seed;
+    for (label, cc, ecn, path, rtt) in kind.long_flows() {
+        let mut g = FlowGroup::new(1, cc, ecn, label, rtt);
+        g.path = Some(path.to_string());
+        sc.tcp.push(g);
+    }
+    // One pre-generated heavy-tailed arrival stream per entry path.
+    for (k, path) in kind.mice_paths().iter().enumerate() {
+        let w = MiceWorkload::web(
+            Time::from_secs(MICE_START_S),
+            Time::from_secs(MICE_STOP_S),
+            seed ^ (k as u64).wrapping_mul(MICE_PATH_STRIDE),
+        );
+        for m in mice_arrivals(&w) {
+            let mut g = FlowGroup::new(
+                1,
+                CcKind::Cubic,
+                EcnSetting::NotEcn,
+                "mice",
+                Duration::from_millis(20),
+            );
+            g.start = m.at;
+            g.tcp.data_limit = Some(m.size_pkts);
+            g.path = Some(path.to_string());
+            sc.tcp.push(g);
+        }
+    }
+    sc
+}
+
 /// Run one topology × AQM cell. With `audit`, the invariant auditor —
 /// including per-hop packet conservation — rides along and panics on any
 /// violation when the run finishes.
@@ -169,11 +210,9 @@ pub fn run_one(kind: TopologyKind, aqm: AqmKind, seed: u64, audit: bool) -> Topo
     run_one_prepared(kind, aqm, seed, audit, |_| {})
 }
 
-/// [`run_one`] with a hook that runs after the topology is installed and
-/// before any flow is added — the seam where a driver attaches trace
-/// sinks (e.g. a Perfetto timeline exporter) to the fully-built `Sim`.
-/// Sinks are pure observers, so a prepared run's results are
-/// bit-identical to a bare [`run_one`].
+/// [`run_one`] with a hook that runs on the built `Sim` before its first
+/// event — where a driver attaches trace sinks. Sinks are pure observers,
+/// so a prepared run's results are bit-identical to a bare [`run_one`].
 pub fn run_one_prepared(
     kind: TopologyKind,
     aqm: AqmKind,
@@ -181,80 +220,23 @@ pub fn run_one_prepared(
     audit: bool,
     prepare: impl FnOnce(&mut Sim),
 ) -> TopologyRun {
-    let topo = kind.build();
-    let buffer_bytes = 40_000 * 1500;
-    let hop0 = QueueConfig {
-        rate_bps: kind.hop_rate_bps(0),
-        buffer_bytes,
-    };
-    let mut sim = Sim::with_qdisc(
-        SimConfig {
-            queue: hop0,
-            seed,
-            monitor: MonitorConfig {
-                sample_interval: Duration::from_millis(100),
-                warmup: Duration::from_secs(WARMUP_S as i64),
-                ..MonitorConfig::default()
-            },
-        },
-        aqm.build_qdisc(hop0),
-    );
+    let sc = scenario_for(kind, aqm, seed);
+    let mut sim = sc.build().unwrap_or_else(|e| panic!("{e}"));
     if audit {
         sim.core
             .enable_audit(AuditSink::new(seed).with_label(kind.name()));
     }
-    sim.core.enable_metrics();
-    topo.install(&mut sim.core, |hop| {
-        aqm.build_qdisc(QueueConfig {
-            rate_bps: kind.hop_rate_bps(hop),
-            buffer_bytes,
-        })
-    });
     prepare(&mut sim);
+    sim.run_until(sc.duration);
+    report(kind, &sc, &sc.finish(sim))
+}
 
-    // Long flows, pinned to their named paths.
-    let mut long: Vec<(FlowId, &'static str, Vec<u32>)> = Vec::new();
-    for (label, cc, ecn, path, rtt) in kind.long_flows() {
-        let id = sim.add_flow(PathConf::symmetric(rtt), label, Time::ZERO, move |id| {
-            Box::new(TcpSource::new(id, cc, ecn, TcpConfig::default()))
-        });
-        let route = topo.path(path).to_vec();
-        sim.set_route(id, route.clone());
-        long.push((id, label, route));
-    }
-
-    // Mice: one pre-generated heavy-tailed arrival stream per entry path,
-    // each flow a data-limited Cubic source (web/RPC objects).
-    let mice_rtt = Duration::from_millis(20);
-    let mut mice_launched = 0usize;
-    for (k, path) in kind.mice_paths().iter().enumerate() {
-        let w = MiceWorkload::web(
-            Time::from_secs(MICE_START_S),
-            Time::from_secs(MICE_STOP_S),
-            seed ^ (k as u64).wrapping_mul(MICE_PATH_STRIDE),
-        );
-        let route = topo.path(path).to_vec();
-        for m in mice_arrivals(&w) {
-            let tcp = TcpConfig {
-                data_limit: Some(m.size_pkts),
-                ..TcpConfig::default()
-            };
-            let id = sim.add_flow(PathConf::symmetric(mice_rtt), "mice", m.at, move |id| {
-                Box::new(TcpSource::new(id, CcKind::Cubic, EcnSetting::NotEcn, tcp))
-            });
-            sim.set_route(id, route.clone());
-            mice_launched += 1;
-        }
-    }
-
-    sim.run_until(Time::from_secs(DURATION_S));
-    if audit {
-        sim.core.finish_audit();
-    }
-
+/// Reduce a finished cell to its [`TopologyRun`].
+fn report(kind: TopologyKind, sc: &Scenario, r: &RunResult) -> TopologyRun {
     // Mice FCTs (seconds, post-warm-up by construction) through the
     // log-linear histogram in nanoseconds.
-    let fcts = sim.core.monitor.completion_times("mice");
+    let m = &r.monitor;
+    let fcts = m.completion_times("mice");
     let mut h = Histogram::new();
     for s in &fcts {
         h.record((s * 1e9) as u64);
@@ -263,23 +245,30 @@ pub fn run_one_prepared(
     let fct_ms = (p50 as f64 / 1e6, p95 as f64 / 1e6, p99 as f64 / 1e6);
 
     // Per-hop egress accounting from the simulator's per-hop, per-flow
-    // post-warm-up byte counters.
-    let m = &sim.core.monitor;
+    // post-warm-up byte counters. The long flows lead the flow table.
+    let topo = sc.topology.as_ref().expect("a topology cell");
+    let long: Vec<(&str, &[u32])> = kind
+        .long_flows()
+        .iter()
+        .map(|&(label, _, _, path, _)| (label, topo.path(path)))
+        .collect();
     let postwarm_s = (DURATION_S - WARMUP_S) as f64;
     let mbps = |bytes: u64| bytes as f64 * 8.0 / postwarm_s / 1e6;
     let mice_idx = m.flows_labelled("mice");
     let mut hops = Vec::new();
-    for hop in 0..sim.core.hop_count() as u32 {
-        let bytes = sim.core.hop_flow_bytes(hop);
+    for (hop, bytes) in r.hop_flow_bytes.iter().enumerate() {
+        let hop = hop as u32;
         let crossing: Vec<f64> = long
             .iter()
-            .filter(|(_, _, route)| route.contains(&hop))
-            .map(|(id, _, _)| bytes[id.idx()] as f64)
+            .enumerate()
+            .filter(|(_, (_, route))| route.contains(&hop))
+            .map(|(id, _)| bytes[id] as f64)
             .collect();
         let class_bytes = |label: &str| -> u64 {
             long.iter()
-                .filter(|(_, l, route)| *l == label && route.contains(&hop))
-                .map(|(id, _, _)| bytes[id.idx()])
+                .enumerate()
+                .filter(|(_, (l, route))| *l == label && route.contains(&hop))
+                .map(|(id, _)| bytes[id])
                 .sum()
         };
         let mice_bytes: u64 = mice_idx.iter().map(|&i| bytes[i]).sum();
@@ -292,33 +281,26 @@ pub fn run_one_prepared(
         });
     }
 
-    let classic_n = m.flows_labelled("classic").len().max(1) as f64;
-    let scalable_n = m.flows_labelled("scalable").len().max(1) as f64;
-    let classic_per_flow_mbps = m.pooled_mean_tput_mbps("classic") / classic_n;
-    let scalable_per_flow_mbps = m.pooled_mean_tput_mbps("scalable") / scalable_n;
+    let classic_per_flow_mbps = r.per_flow_tput_mbps("classic");
+    let scalable_per_flow_mbps = r.per_flow_tput_mbps("scalable");
     let rate_ratio = if scalable_per_flow_mbps > 0.0 {
         classic_per_flow_mbps / scalable_per_flow_mbps
     } else {
         f64::INFINITY
     };
-    let mice_completed = fcts.len();
-    let events_processed = sim.core.take_metrics().map_or(0, |mx| {
-        crate::runner::notify_cell_metrics(&mx);
-        mx.events_processed()
-    });
 
     TopologyRun {
         topology: kind.name(),
-        aqm: aqm.name(),
-        hop_count: sim.core.hop_count(),
-        mice_launched,
-        mice_completed,
+        aqm: r.aqm,
+        hop_count: r.hop_flow_bytes.len(),
+        mice_launched: sc.tcp.len() - long.len(),
+        mice_completed: fcts.len(),
         fct_ms,
         classic_per_flow_mbps,
         scalable_per_flow_mbps,
         rate_ratio,
         hops,
-        events_processed,
+        events_processed: r.metrics.as_ref().map_or(0, |mx| mx.events_processed()),
     }
 }
 

@@ -60,6 +60,7 @@ proptest! {
                 rtt,
                 start: Time::ZERO,
                 stop: None,
+                on_off: None,
             });
         }
         sc.duration = Time::from_secs(8);

@@ -11,6 +11,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== structure: Scenario::build is the only place a packet Sim is assembled"
+# Experiment families fill a Scenario and binaries run one; a hand-built
+# Sim there is a second pipeline that misses weather, hybrid background,
+# metrics, pre-sizing and every observer. bench_sim_throughput measures
+# the bare engine and is the one exception (DESIGN.md "How a run is
+# built"). \b keeps FlowLevelSim::new out of the match.
+if grep -rnE '\bSim::(new|with_qdisc)\(' crates/experiments/src crates/bench/src/bin \
+    | grep -vE '^crates/(experiments/src/scenario|bench/src/bin/bench_sim_throughput)\.rs:'; then
+    echo "FAIL: a Sim is assembled outside Scenario::build (fill a Scenario instead)" >&2
+    exit 1
+fi
+
 echo "== tier-1: release build"
 cargo build --release
 
@@ -101,6 +113,19 @@ grep -q '^{"ev":' "$trace_out"
 grep -q '"ev":"aqm"' "$trace_out"
 grep -q 'trace verified:' "$trace_log"
 grep -q 'audit: all invariants held' "$trace_log"
+
+echo "== every --aqm name builds, runs and audits clean"
+# pi2sim holds one --aqm name -> configuration table and cli::AQMS the
+# accepted names; a name in one and not the other must fail here, not at
+# a user's prompt. The usage text lists AQMS joined by '|'.
+aqm_names="$(cargo run -q -p pi2-bench --release --bin pi2sim -- --help 2>&1 \
+    | sed -n 's/^ *--aqm <name> *one of \([^ ]*\) .*/\1/p' | tr '|' ' ')"
+test "$(echo $aqm_names | wc -w)" -ge 11
+for aqm in $aqm_names; do
+    aqm_log="$(cargo run -q -p pi2-bench --release --bin pi2sim -- \
+        --aqm "$aqm" --secs 2 --warmup 1 --audit)"
+    grep -q 'audit: all invariants held' <<< "$aqm_log"
+done
 
 echo "== metrics+profile smoke run: snapshot parses, exposition lints"
 metrics_json="$(mktemp -t pi2_metrics_smoke.XXXXXX.json)"

@@ -22,7 +22,7 @@
 use pi2::experiments::runner::par_map_threads;
 use pi2::experiments::{
     run_fluid, summarize_scenario_run, AqmKind, Backend, BackendSummary, BgGroup, FlowGroup,
-    Scenario,
+    RunResult, Scenario,
 };
 use pi2::netsim::JsonlSink;
 use pi2::prelude::*;
@@ -182,12 +182,12 @@ fn all_backends_agree_inside_the_validate_bands() {
     );
 }
 
-/// Everything a packet/hybrid run observably produces, for bit-identity.
-fn fingerprint(sc: &Scenario) -> (Vec<u8>, String, Vec<(u64, u64, u64, u64)>, Vec<f32>, Vec<(f64, u64)>) {
-    let sink = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
-    let h = Rc::clone(&sink);
-    let run = sc.run_prepared(move |sim| sim.core.add_trace_sink(Box::new(h)));
-    let trace = Rc::try_unwrap(sink).expect("sim dropped").into_inner().into_inner();
+/// Everything a packet/hybrid run observably produces, for bit-identity:
+/// the JSONL event stream, the metrics JSON, the per-flow accounts, the
+/// sojourn samples and the background's rate track.
+type Fingerprint = (Vec<u8>, String, Vec<(u64, u64, u64, u64)>, Vec<f32>, Vec<(f64, u64)>);
+
+fn fingerprint_of(trace: Vec<u8>, run: RunResult) -> Fingerprint {
     let metrics_json = run.metrics.as_ref().expect("scenario runs record metrics").registry().to_json();
     let flows = run
         .monitor
@@ -196,7 +196,49 @@ fn fingerprint(sc: &Scenario) -> (Vec<u8>, String, Vec<(u64, u64, u64, u64)>, Ve
         .map(|f| (f.sent_pkts, f.dequeued_bytes, f.marked, f.dropped))
         .collect();
     let bg_series = run.background.map_or(Vec::new(), |b| b.series);
-    (trace, metrics_json, flows, run.monitor.sojourn_ms.clone(), bg_series)
+    (trace, metrics_json, flows, run.monitor.sojourn_ms, bg_series)
+}
+
+/// Build, attach a JSONL sink to the built simulator, run, finish.
+fn fingerprint(sc: &Scenario) -> Fingerprint {
+    let sink = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
+    let mut sim = sc.build().expect("grid cells build");
+    sim.core.add_trace_sink(Box::new(Rc::clone(&sink)));
+    sim.run_until(sc.duration);
+    let run = sc.finish(sim);
+    let trace = Rc::try_unwrap(sink).expect("sim dropped").into_inner().into_inner();
+    fingerprint_of(trace, run)
+}
+
+/// A sink attached to a built simulator sees the run from its first
+/// event, and the observed run is the bare `run()`, bit for bit.
+#[test]
+fn a_sink_attached_after_build_sees_the_whole_run_and_changes_nothing() {
+    let mut sc = hybrid_scenario(&GRID[0]);
+    sc.duration = Time::from_secs(8);
+    sc.warmup = Duration::from_secs(2);
+    sc.seed = 55;
+    let observed = fingerprint(&sc);
+    let bare = sc.run();
+    let (totals, aqm_updates) = (bare.counters.totals(), bare.counters.aqm_updates);
+    let bare = fingerprint_of(Vec::new(), bare);
+    assert_eq!(observed.1, bare.1, "metrics JSON");
+    assert_eq!(observed.2, bare.2, "flow accounts");
+    assert_eq!(observed.3, bare.3, "sojourn samples");
+    assert_eq!(observed.4, bare.4, "background rate track");
+    assert!(!bare.4.is_empty(), "the cell must be a hybrid one");
+    // The stream is complete: it holds every event the always-on
+    // counters saw, from t = 0 on.
+    let text = String::from_utf8(observed.0).expect("JSONL is UTF-8");
+    let count = |ev: &str| {
+        let tag = format!("{{\"ev\":\"{ev}\"");
+        text.lines().filter(|l| l.starts_with(&tag)).count() as u64
+    };
+    assert_eq!(count("deq"), totals.dequeued);
+    assert_eq!(count("drop"), totals.dropped);
+    assert_eq!(count("mark"), totals.marked);
+    assert_eq!(count("aqm"), aqm_updates);
+    assert!(totals.dequeued > 1000 && totals.dropped > 0);
 }
 
 /// A hybrid scenario with zero background flows must be the packet run,

@@ -1,19 +1,25 @@
 //! # pi2-bench — figure regeneration and microbenchmarks
 //!
-//! One binary per table/figure of the paper (see `DESIGN.md` for the
-//! index), e.g.
+//! Every table and figure of the paper, the ablations and the extensions
+//! are rows of one table, [`figures::FIGURES`], printed by one binary
+//! (`DESIGN.md` §4 has the index; `results/<id>.txt` is each row's
+//! archived output, which `scripts/ci.sh` regenerates and compares byte
+//! for byte):
 //!
 //! ```text
-//! cargo run -p pi2-bench --release --bin fig06_varying_intensity_100m
-//! cargo run -p pi2-bench --release --bin fig15_rate_balance_grid
-//! cargo run -p pi2-bench --release --bin grid_all     # figs 15–18 in one run
+//! cargo run -p pi2-bench --release --bin pi2fig -- list
+//! cargo run -p pi2-bench --release --bin pi2fig -- fig06 abl_k
+//! cargo run -p pi2-bench --release --bin pi2fig -- fig15 fig16   # one grid run feeds both
+//! cargo run -p pi2-bench --release --bin pi2fig -- all           # the archived set
 //! ```
 //!
 //! Environment knobs:
 //!
-//! * `PI2_SECS=<n>` — per-run duration for the grid/combination sweeps
-//!   (default 60; lower it for a quick pass);
-//! * `PI2_SEED=<n>` — override the experiment seed;
+//! * `PI2_SECS=<n>` — simulated seconds per run, for the figures whose
+//!   `pi2fig list` row has a default (the others run the paper's fixed
+//!   length and say so on stderr when it is set);
+//! * `PI2_SEED=<n>` — the seed, for the figures whose row has a default
+//!   one (likewise);
 //! * `PI2_THREADS=<n>` — worker count for the parallel sweep executor
 //!   (default: available parallelism; output is bit-identical to serial
 //!   for any value — see `pi2_experiments::runner`);
@@ -33,38 +39,53 @@
 //! throughput, print a median/P10/P90 table, and append each run to
 //! `BENCH_pi2.json` so the numbers form a trajectory across commits.
 
+use std::io::{self, Write};
+
 use pi2_stats::{format_table, Align};
 
-/// Read the per-run duration knob.
+/// The per-run duration knob (`PI2_SECS`), or `default` when unset.
 pub fn run_secs(default: u64) -> u64 {
-    std::env::var("PI2_SECS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    figures::Knobs::from_env().secs.unwrap_or(default)
 }
 
-/// Read the seed knob.
-pub fn seed(default: u64) -> u64 {
-    std::env::var("PI2_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Print a standard experiment header with the Table 1 defaults in force.
-pub fn header(figure: &str, what: &str) {
-    println!("== {figure}: {what}");
-    println!(
+/// Write a standard experiment header with the Table 1 defaults in force.
+pub(crate) fn write_header(out: &mut dyn Write, title: &str) -> io::Result<()> {
+    writeln!(out, "== {title}")?;
+    writeln!(
+        out,
         "   defaults (paper Table 1): target 20 ms, T = 32 ms, buffer 40000 pkt, \
          PIE α=2/16 β=20/16, PI2 α=5/16 β=50/16, coupled-PI α=10/16 β=100/16, k=2"
-    );
-    println!();
+    )?;
+    writeln!(out)
 }
 
-/// Print rows as an aligned table with the first column left-aligned.
+/// [`write_header`] to stdout.
+pub fn header(figure: &str, what: &str) {
+    write_header(&mut io::stdout(), &format!("{figure}: {what}"))
+        .expect("failed printing to stdout");
+}
+
+/// Write rows as an aligned table with the first column left-aligned.
+pub(crate) fn write_table(out: &mut dyn Write, rows: &[Vec<String>]) -> io::Result<()> {
+    writeln!(out, "{}", format_table(rows, &[Align::Left]))
+}
+
+/// Write a table of `cols` and one row per item. The array lengths make
+/// a row with a cell missing or to spare a compile error.
+pub(crate) fn write_rows<T, const N: usize>(
+    out: &mut dyn Write,
+    cols: [&str; N],
+    items: impl IntoIterator<Item = T>,
+    row: impl FnMut(T) -> [String; N],
+) -> io::Result<()> {
+    let mut rows = vec![cols.map(String::from).to_vec()];
+    rows.extend(items.into_iter().map(row).map(Vec::from));
+    write_table(out, &rows)
+}
+
+/// [`write_table`] to stdout.
 pub fn table(rows: &[Vec<String>]) {
-    print!("{}", format_table(rows, &[Align::Left]));
-    println!();
+    write_table(&mut io::stdout(), rows).expect("failed printing to stdout");
 }
 
 /// Format a float with sensible width.
@@ -115,6 +136,6 @@ mod tests {
 
 pub mod alloc_count;
 pub mod cli;
-pub mod gridview;
+pub mod figures;
 pub mod perf;
 pub mod perfetto_check;

@@ -12,12 +12,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== structure: Scenario::build is the only place a packet Sim is assembled"
-# Experiment families fill a Scenario and binaries run one; a hand-built
-# Sim there is a second pipeline that misses weather, hybrid background,
-# metrics, pre-sizing and every observer. bench_sim_throughput measures
-# the bare engine and is the one exception (DESIGN.md "How a run is
-# built"). \b keeps FlowLevelSim::new out of the match.
-if grep -rnE '\bSim::(new|with_qdisc)\(' crates/experiments/src crates/bench/src/bin \
+# Experiment families fill a Scenario, and binaries and figure renderers
+# run one; a hand-built Sim there is a second pipeline that misses
+# weather, hybrid background, metrics, pre-sizing and every observer.
+# bench_sim_throughput measures the bare engine and is the one exception
+# (DESIGN.md "How a run is built"). \b keeps FlowLevelSim::new out of
+# the match.
+if grep -rnE '\bSim::(new|with_qdisc)\(' crates/experiments/src crates/bench/src \
     | grep -vE '^crates/(experiments/src/scenario|bench/src/bin/bench_sim_throughput)\.rs:'; then
     echo "FAIL: a Sim is assembled outside Scenario::build (fill a Scenario instead)" >&2
     exit 1
@@ -166,10 +167,61 @@ fi
 rm -rf "$lint_dir"
 
 echo "== grid determinism smoke: serial vs parallel must match bit-for-bit"
-PI2_SECS=2 PI2_THREADS=1 cargo run -q -p pi2-bench --release --bin grid_all > /tmp/pi2_grid_serial.txt
-PI2_SECS=2 PI2_THREADS=4 cargo run -q -p pi2-bench --release --bin grid_all > /tmp/pi2_grid_par.txt
+PI2_SECS=2 PI2_THREADS=1 cargo run -q -p pi2-bench --release --bin pi2fig -- grid_all > /tmp/pi2_grid_serial.txt
+PI2_SECS=2 PI2_THREADS=4 cargo run -q -p pi2-bench --release --bin pi2fig -- grid_all > /tmp/pi2_grid_par.txt
 diff /tmp/pi2_grid_serial.txt /tmp/pi2_grid_par.txt
 rm -f /tmp/pi2_grid_serial.txt /tmp/pi2_grid_par.txt
+
+echo "== archive matches code: every archived figure, full scale, byte for byte"
+# results/<id>.txt is what `pi2fig <id>` prints at the default knobs, for
+# every row `pi2fig list` marks archived (id is the first field, the mark
+# the fourth). Each is regenerated at full scale — about 20 s of wall
+# time on two cores for all 26, which is why this is an exact cmp and
+# not a reduced-length shape comparison — with PI2_SECS / PI2_SEED unset
+# whatever the caller exported. A mismatch means a change moved a
+# figure's numbers: regenerate the file with the command printed below
+# and re-read every number README / EXPERIMENTS.md quote from it.
+fig_list="$(env -u PI2_SECS -u PI2_SEED target/release/pi2fig list)"
+fig_ids="$(awk '{ print $1 }' <<< "$fig_list")"
+archived_ids="$(awk '$4 == "archived" { print $1 }' <<< "$fig_list")"
+test "$(wc -w <<< "$archived_ids")" -ge 26
+fig_out="$(mktemp -t pi2_fig.XXXXXX.txt)"
+for id in $archived_ids; do
+    env -u PI2_SECS -u PI2_SEED target/release/pi2fig "$id" > "$fig_out" 2> /dev/null
+    if ! cmp -s "$fig_out" "results/$id.txt"; then
+        echo "FAIL: results/$id.txt is not what the code prints (first differences below);" >&2
+        echo "      regenerate: env -u PI2_SECS -u PI2_SEED target/release/pi2fig $id > results/$id.txt" >&2
+        diff "results/$id.txt" "$fig_out" | head -20 >&2 || true
+        rm -f "$fig_out"
+        exit 1
+    fi
+done
+rm -f "$fig_out"
+# An id that is not in the table is a usage error (exit 2), not a panic.
+rc=0; target/release/pi2fig no_such_figure > /dev/null 2>&1 || rc=$?
+test "$rc" -eq 2
+
+echo "== DESIGN.md index: every figure id is a bench target, every target exists"
+# DESIGN.md §4's "Bench target" column (the last one of its tables) names
+# `pi2fig <id>` rows and microbench binaries. Every id the table has must
+# be named there, and every name there must be an id or a binary.
+targets="$(sed -n '/^## 4\. /,/^## 5\. /p' DESIGN.md \
+    | awk -F'|' '/^\|/ { print $(NF-1) }' | grep -oE '`[^`]+`' | tr -d '`')"
+for id in $fig_ids; do
+    if ! grep -qx "pi2fig $id" <<< "$targets"; then
+        echo "FAIL: DESIGN.md section 4 has no bench target \`pi2fig $id\`" >&2
+        exit 1
+    fi
+done
+while read -r target; do
+    case "$target" in
+        "pi2fig "*) grep -qx "${target#pi2fig }" <<< "$fig_ids" ;;
+        *) test -f "crates/bench/src/bin/$target.rs" ;;
+    esac || {
+        echo "FAIL: DESIGN.md section 4 names bench target \`$target\`, which does not exist" >&2
+        exit 1
+    }
+done <<< "$targets"
 
 echo "== checkpoint round-trip smoke: save at t/2, restore, diff vs straight-through"
 # The restore⇄replay determinism oracle (tests/checkpoint.rs) in CLI

@@ -1,10 +1,12 @@
 //! Smoke tests for every figure runner: scaled-down versions of each
 //! experiment must execute and produce structurally sane data, so the
-//! bench-binary code paths stay green under `cargo test` even though the
-//! binaries themselves run at full scale.
+//! code paths `pi2fig` drives stay green under `cargo test` even though
+//! it runs them at full scale. The second half holds the figure table
+//! itself: ids, archive, knobs, and the analytic figures byte for byte.
 
 use pi2::experiments::scenario::AqmKind;
 use pi2::simcore::Duration;
+use pi2_bench::figures::{select, Knobs, Session, FIGURES};
 
 #[test]
 fn fig06_13_runner_smoke() {
@@ -166,4 +168,104 @@ fn ablation_runners_smoke() {
     assert!(gs[0].peak_ms > 0.0);
     let (a, b) = square_mode(10);
     assert!(a.n > 0 && b.n > 0);
+}
+
+// ---- the figure table (`pi2fig`) --------------------------------------
+
+fn rendered(id: &str, knobs: Knobs) -> Vec<u8> {
+    let picked = select(&[id.to_string()]).expect("id is in the table");
+    let mut out = Vec::new();
+    picked[0]
+        .render(&Session::new(knobs), &mut out)
+        .expect("a Vec takes every write");
+    out
+}
+
+fn results_dir() -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results")
+}
+
+/// The analytic figures run in milliseconds, so tier-1 can hold them to
+/// the archive byte for byte: header, table and capture plumbing are
+/// under test here, the simulated figures under `scripts/ci.sh`.
+#[test]
+fn analytic_figures_equal_their_archive() {
+    for id in ["fig04", "fig05", "fig07"] {
+        let archived = std::fs::read(results_dir().join(format!("{id}.txt"))).unwrap();
+        assert!(
+            rendered(id, Knobs::default()) == archived,
+            "pi2fig {id} no longer prints results/{id}.txt"
+        );
+    }
+}
+
+#[test]
+fn archived_rows_are_the_results_directory() {
+    let mut ids: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
+    ids.sort_unstable();
+    assert!(ids.windows(2).all(|w| w[0] != w[1]), "duplicate id: {ids:?}");
+
+    let mut archived: Vec<String> = FIGURES
+        .iter()
+        .filter(|f| f.archived)
+        .map(|f| f.id.to_string())
+        .collect();
+    archived.sort_unstable();
+    let mut stems: Vec<String> = std::fs::read_dir(results_dir())
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "txt"))
+        .map(|p| p.file_stem().unwrap().to_str().unwrap().to_string())
+        .filter(|stem| stem != "fluid_1kclass_ref")
+        .collect();
+    stems.sort_unstable();
+    assert_eq!(archived, stems);
+}
+
+#[test]
+fn unknown_figure_is_an_error_listing_the_ids() {
+    let err = select(&["fig99".to_string()]).err().expect("not an id");
+    assert!(err.contains("fig99"), "{err}");
+    for fig in FIGURES {
+        assert!(err.contains(fig.id), "{} missing from: {err}", fig.id);
+    }
+    assert!(select(&[]).is_err(), "no arguments is a usage error");
+    let all = select(&["all".to_string()]).unwrap();
+    assert_eq!(all.len(), FIGURES.iter().filter(|f| f.archived).count());
+}
+
+/// A renderer that dropped the knobs it is handed would print the same
+/// table at any length.
+#[test]
+fn a_simulated_figure_follows_its_knobs() {
+    let at = |secs| {
+        rendered(
+            "abl_k",
+            Knobs {
+                secs: Some(secs),
+                seed: None,
+            },
+        )
+    };
+    let two = at(2);
+    assert!(two == at(2), "abl_k at 2 s is not deterministic");
+    assert!(two != at(3), "abl_k prints the same at 2 s and 3 s");
+}
+
+#[test]
+fn a_set_knob_a_figure_ignores_is_named_with_what_runs_instead() {
+    let fig11 = select(&["fig11".to_string()]).unwrap()[0];
+    let both = Knobs {
+        secs: Some(5),
+        seed: Some(3),
+    };
+    assert_eq!(
+        fig11.ignored(&both).as_deref(),
+        Some("fig11 ignores PI2_SECS (it runs 100 s) and PI2_SEED (it runs seed 11)")
+    );
+    assert_eq!(fig11.ignored(&Knobs::default()), None);
+    // abl_k reads PI2_SECS, so only the seed is worth a note.
+    let abl_k = select(&["abl_k".to_string()]).unwrap()[0];
+    let note = abl_k.ignored(&both).expect("its seeds are fixed");
+    assert!(note.contains("PI2_SEED") && !note.contains("PI2_SECS"), "{note}");
 }

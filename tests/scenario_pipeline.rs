@@ -2,9 +2,9 @@
 //! and `Scenario::build` is the only place its `Sim` is assembled.
 //!
 //! Before that, `isolation`, `dualq`, `shortflows`, `ablation`,
-//! `appendix_a`, `topology` and `ablation_curvy_red` each assembled a
-//! `Sim` by hand. The digests below were captured from those hand
-//! builders at commit 096c7a5 (each printed the digest of its finished
+//! `appendix_a`, `topology` and the Curvy RED ablation (`pi2fig
+//! abl_curvy`) each assembled a `Sim` by hand. The digests below were
+//! captured from those hand builders at commit 096c7a5 (each printed the digest of its finished
 //! `Sim` for one short cell), before any of them was converted. A
 //! `Scenario`-built cell has to reproduce its hand-built run in everything
 //! it computes: the always-on counters, every per-flow account, the bits
@@ -204,7 +204,7 @@ fn topology_cells_are_pinned_per_hop_bytes_included() {
     assert_eq!(r.monitor.flows.len(), 374);
 }
 
-/// The five-flow row of `ablation_curvy_red`.
+/// The five-flow row of `pi2fig abl_curvy`.
 #[test]
 fn curvy_red_cell_is_pinned() {
     let mut sc = Scenario::new(AqmKind::Curvy(CurvyRedConfig::default()), 10_000_000);
@@ -218,5 +218,5 @@ fn curvy_red_cell_is_pinned() {
     sc.duration = Time::from_secs(80);
     sc.warmup = Duration::from_secs(20);
     sc.seed = 0xc0;
-    pinned("ablation_curvy_red", &sc, 0xc9d5_e012_61a9_dce0);
+    pinned("abl_curvy", &sc, 0xc9d5_e012_61a9_dce0);
 }

@@ -225,7 +225,8 @@ fn parking_lot_run(prepare: impl FnOnce(&mut Sim)) -> Sim {
 /// The Perfetto export of the golden parking-lot scenario round-trips
 /// through the structural validator (valid JSON, per-track monotonic
 /// timestamps), its drop instants match an independent all-hop tally,
-/// and attaching the exporter does not perturb the run.
+/// attaching the exporter does not perturb the run, and the file matches
+/// its checked-in golden.
 #[test]
 fn perfetto_export_of_golden_parking_lot_round_trips() {
     let plain = parking_lot_run(|_| {});
@@ -263,6 +264,21 @@ fn perfetto_export_of_golden_parking_lot_round_trips() {
     // Three hop processes plus the flow process, each with tracks.
     assert!(report.tracks >= 4, "got {} tracks", report.tracks);
     assert_eq!(report.slices, 3, "one lifetime slice per flow");
+
+    // Byte for byte: the `on_hop_*` path (pid = hop + 1, `"hop":2` drop
+    // instants) has no other golden. Regenerate with
+    // `PI2_BLESS=1 cargo test --test obs_server perfetto`.
+    assert!(body.contains("\"pid\":3,") && body.contains("\"hop\":2,"));
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/trace_parking_lot.perfetto.json"
+    );
+    if std::env::var_os("PI2_BLESS").is_some() {
+        std::fs::write(path, &body).expect("bless golden");
+        return;
+    }
+    let want = std::fs::read_to_string(path).expect("golden file (PI2_BLESS=1 to create)");
+    assert!(body == want, "timeline diverged from golden file {path}");
 }
 
 /// Everything one parking-lot run leaves behind that an observer could

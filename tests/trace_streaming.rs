@@ -38,6 +38,18 @@ fn build_sim(seed: u64) -> Sim {
     sim
 }
 
+/// Compare `got` with `tests/golden/<file>` byte for byte, or rewrite the
+/// file when `PI2_BLESS` is set.
+fn check_golden(file: &str, got: &str) {
+    let path = format!("{}/tests/golden/{file}", env!("CARGO_MANIFEST_DIR"));
+    if std::env::var_os("PI2_BLESS").is_some() {
+        std::fs::write(&path, got).expect("bless golden");
+        return;
+    }
+    let want = std::fs::read_to_string(&path).expect("golden file (PI2_BLESS=1 to create)");
+    assert!(got == want, "output diverged from golden file {path}");
+}
+
 /// Attaching sinks must not change the simulation: sinks never touch the
 /// RNG or the event queue, so a traced run and an untraced run of the
 /// same seed are the same run.
@@ -205,12 +217,14 @@ fn audited_trace_matches_unaudited_trace_byte_for_byte() {
     assert_eq!(unaudited, audited);
 }
 
-/// Golden-file regression: a tiny seeded scenario's JSONL trace is stable
-/// byte for byte. Regenerate with
-/// `PI2_BLESS=1 cargo test --test trace_streaming golden` after an
-/// intentional behavior change.
+/// Golden-file regression: a tiny seeded scenario's trace is stable byte
+/// for byte in all three export formats (JSONL, CSV, Perfetto JSON).
+/// Regenerate with `PI2_BLESS=1 cargo test --test trace_streaming golden`
+/// after an intentional behavior change.
 #[test]
 fn golden_trace_for_small_scenario() {
+    use pi2::netsim::{CsvSink, PerfettoSink};
+
     let mut sim = Sim::new(
         SimConfig {
             queue: QueueConfig {
@@ -223,7 +237,11 @@ fn golden_trace_for_small_scenario() {
         Box::new(Pi2::new(Pi2Config::default())),
     );
     let jsonl = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
+    let csv = Rc::new(RefCell::new(CsvSink::new(Vec::new())));
+    let perfetto = Rc::new(RefCell::new(PerfettoSink::new(Vec::new())));
     sim.core.add_trace_sink(Box::new(Rc::clone(&jsonl)));
+    sim.core.add_trace_sink(Box::new(Rc::clone(&csv)));
+    sim.core.add_trace_sink(Box::new(Rc::clone(&perfetto)));
     sim.add_flow(
         PathConf::symmetric(Duration::from_millis(20)),
         "udp",
@@ -233,19 +251,22 @@ fn golden_trace_for_small_scenario() {
     sim.run_until(Time::from_millis(200));
     sim.core.flush_trace_sinks().expect("flush");
     drop(sim.core.take_trace_sinks());
-    let got = String::from_utf8(
-        Rc::try_unwrap(jsonl).expect("sole owner").into_inner().into_inner(),
-    )
-    .expect("utf8");
-    assert!(!got.is_empty(), "scenario produced no events");
+    let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("utf8");
+    let jsonl = text(Rc::try_unwrap(jsonl).expect("sole owner").into_inner().into_inner());
+    let csv = text(Rc::try_unwrap(csv).expect("sole owner").into_inner().into_inner());
+    let Ok(perfetto) = Rc::try_unwrap(perfetto) else {
+        panic!("sole owner of the perfetto sink");
+    };
+    let perfetto = text(perfetto.into_inner().into_inner());
+    assert!(!jsonl.is_empty(), "scenario produced no events");
+    assert!(
+        jsonl.contains("\"ev\":\"drop\"") && jsonl.contains("\"ev\":\"aqm\""),
+        "the golden must cover drops and AQM probes"
+    );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/trace_small.jsonl");
-    if std::env::var_os("PI2_BLESS").is_some() {
-        std::fs::write(path, &got).expect("bless golden");
-        return;
-    }
-    let want = std::fs::read_to_string(path).expect("golden file (PI2_BLESS=1 to create)");
-    assert_eq!(got, want, "trace diverged from golden file {path}");
+    check_golden("trace_small.jsonl", &jsonl);
+    check_golden("trace_small.csv", &csv);
+    check_golden("trace_small.perfetto.json", &perfetto);
 }
 
 /// Golden-file regression for the fault-injection layer: a tiny seeded
@@ -310,16 +331,7 @@ fn golden_trace_for_impaired_scenario() {
         s.fwd_offered, s.fwd_lost, s.fwd_dup, s.rev_offered, s.rev_lost, s.rev_dup
     );
 
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/trace_small_impaired.jsonl"
-    );
-    if std::env::var_os("PI2_BLESS").is_some() {
-        std::fs::write(path, &got).expect("bless golden");
-        return;
-    }
-    let want = std::fs::read_to_string(path).expect("golden file (PI2_BLESS=1 to create)");
-    assert_eq!(got, want, "impaired trace diverged from golden file {path}");
+    check_golden("trace_small_impaired.jsonl", &got);
 }
 
 /// Golden-file regression for a 3-hop parking-lot chain: an end-to-end
@@ -401,16 +413,7 @@ fn golden_trace_for_parking_lot_scenario() {
         .collect();
     let got = format!("{trace}{{\"hop_flow_bytes\":[{}]}}\n", rows.join(","));
 
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/trace_parking_lot.jsonl"
-    );
-    if std::env::var_os("PI2_BLESS").is_some() {
-        std::fs::write(path, &got).expect("bless golden");
-        return;
-    }
-    let want = std::fs::read_to_string(path).expect("golden file (PI2_BLESS=1 to create)");
-    assert_eq!(got, want, "parking-lot trace diverged from golden file {path}");
+    check_golden("trace_parking_lot.jsonl", &got);
 }
 
 /// RFC 4180 regression: `csv_field` escaping survives a round trip

@@ -10,51 +10,13 @@
 //! Kept in its own integration-test binary so no concurrently running
 //! test can contribute to the process-global counters.
 
-use pi2_aqm::{Pi2, Pi2Config};
+mod common;
+
 use pi2_bench::alloc_count::{self, CountingAlloc};
-use pi2_netsim::{MonitorConfig, PathConf, QueueConfig, Sim, SimConfig};
-use pi2_simcore::{Duration, Time};
-use pi2_transport::{CcKind, EcnSetting, TcpConfig, TcpSource};
+use pi2_simcore::Time;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// The bench-harness topology: ten Reno flows into a 50 Mb/s PI2
-/// bottleneck, recording trimmed to counters.
-fn build() -> Sim {
-    let mut sim = Sim::new(
-        SimConfig {
-            queue: QueueConfig {
-                rate_bps: 50_000_000,
-                buffer_bytes: 60_000_000,
-            },
-            seed: 7,
-            monitor: MonitorConfig {
-                record_sojourns: false,
-                record_probs: false,
-                record_flow_tput: false,
-                ..MonitorConfig::default()
-            },
-        },
-        Box::new(Pi2::new(Pi2Config::default())),
-    );
-    for _ in 0..10 {
-        sim.add_flow(
-            PathConf::symmetric(Duration::from_millis(20)),
-            "reno",
-            Time::ZERO,
-            |id| {
-                Box::new(TcpSource::new(
-                    id,
-                    CcKind::Reno,
-                    EcnSetting::NotEcn,
-                    TcpConfig::default(),
-                ))
-            },
-        );
-    }
-    sim
-}
 
 #[test]
 fn steady_state_loop_is_allocation_free() {
@@ -62,7 +24,7 @@ fn steady_state_loop_is_allocation_free() {
     // pure observer but its ring buffer allocates. The contract under
     // test is the engine's, so pin auditing off for this process.
     std::env::set_var("PI2_AUDIT", "0");
-    let mut sim = build();
+    let mut sim = common::build();
     // Pre-size for far more samples/packets than the run produces
     // (over-reservation only costs address space) and warm up past one
     // full overflow-wheel rotation (~34.4 s): RTO timers land in L1

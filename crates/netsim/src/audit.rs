@@ -42,6 +42,7 @@ use crate::impair::ImpairStats;
 use crate::trace::{TraceCounts, TraceEvent, TraceSink};
 use pi2_obs::RingBuffer;
 use pi2_simcore::{Duration, Time};
+use std::io::Write as _;
 
 /// Slack for floating-point identity checks (the squaring law is computed
 /// in one multiply, so this only absorbs cross-platform rounding).
@@ -176,21 +177,27 @@ impl AuditSink {
             Some(p) => std::path::PathBuf::from(p),
             None => std::env::temp_dir().join(format!("pi2_flight_seed{}.jsonl", self.seed)),
         };
-        let mut body = String::new();
-        for (hop, ev) in self.flight.iter() {
-            let line = ev.jsonl();
-            body.push_str(&format!("{},\"hop\":{hop}}}\n", &line[..line.len() - 1]));
-        }
-        body.push_str(&format!(
-            "{{\"ev\":\"violation\",\"t_ns\":{},\"seed\":{},\"events_seen\":{},\
-             \"probes_seen\":{},\"ring_evicted\":{}}}\n",
-            t.as_nanos(),
-            self.seed,
-            self.events_seen,
-            self.probes_seen,
-            self.flight.total_pushed() - self.flight.len() as u64,
-        ));
-        std::fs::write(&path, body).ok().map(|_| path)
+        let dump = || -> std::io::Result<()> {
+            let mut body = Vec::new();
+            for (hop, ev) in self.flight.iter() {
+                ev.write_jsonl(&mut body);
+                // Reopen the object to append the hop.
+                body.pop();
+                writeln!(body, ",\"hop\":{hop}}}")?;
+            }
+            writeln!(
+                body,
+                "{{\"ev\":\"violation\",\"t_ns\":{},\"seed\":{},\"events_seen\":{},\
+                 \"probes_seen\":{},\"ring_evicted\":{}}}",
+                t.as_nanos(),
+                self.seed,
+                self.events_seen,
+                self.probes_seen,
+                self.flight.total_pushed() - self.flight.len() as u64,
+            )?;
+            std::fs::write(&path, body)
+        };
+        dump().ok().map(|_| path)
     }
 
     fn violation(&self, t: Time, what: &str) -> ! {

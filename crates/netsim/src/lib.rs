@@ -30,6 +30,7 @@ pub mod pool;
 pub mod queue;
 pub mod sim;
 pub mod source;
+mod textbuf;
 pub mod timer;
 pub mod topology;
 pub mod trace;

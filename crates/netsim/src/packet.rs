@@ -39,6 +39,16 @@ pub enum Ecn {
 }
 
 impl Ecn {
+    /// The codepoint's name in serialized traces (its `Debug` text).
+    pub fn name(self) -> &'static str {
+        match self {
+            Ecn::NotEct => "NotEct",
+            Ecn::Ect0 => "Ect0",
+            Ecn::Ect1 => "Ect1",
+            Ecn::Ce => "Ce",
+        }
+    }
+
     /// True if the packet may be CE-marked instead of dropped.
     pub fn is_ect(self) -> bool {
         !matches!(self, Ecn::NotEct)
@@ -105,6 +115,13 @@ mod tests {
         assert!(Ecn::Ect0.is_ect());
         assert!(Ecn::Ect1.is_ect());
         assert!(Ecn::Ce.is_ect());
+    }
+
+    #[test]
+    fn names_are_the_debug_text() {
+        for ecn in [Ecn::NotEct, Ecn::Ect0, Ecn::Ect1, Ecn::Ce] {
+            assert_eq!(ecn.name(), format!("{ecn:?}"));
+        }
     }
 
     #[test]

@@ -24,33 +24,35 @@
 //! untraced one.
 
 use crate::aqm::AqmState;
+use crate::textbuf::{put, text, Fixed, Put};
 use crate::trace::{TraceEvent, TraceSink};
-use pi2_simcore::Time;
+use pi2_simcore::{Duration, Time};
 use std::io::{self, Write};
 
 /// The synthetic process id hosting all per-flow tracks. Hop processes
 /// occupy `1..=hops`, so any hop count below 99 stays clear of it.
 pub const FLOW_PID: u32 = 100;
 
-/// Microseconds with fixed three-digit nanosecond fraction, integer math
-/// only (no float rounding → deterministic output).
-fn ts_us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+/// A nanosecond timestamp as microseconds with a fixed three-digit
+/// fraction, integer math only (no float rounding → deterministic output).
+fn ts_us(ns: u64) -> Fixed<3> {
+    Fixed(ns)
 }
 
-/// Milliseconds with fixed six-digit fraction from a nanosecond count.
-fn ms_from_ns(ns: u64) -> String {
-    format!("{}.{:06}", ns / 1_000_000, ns % 1_000_000)
+/// A nanosecond span as milliseconds with a fixed six-digit fraction
+/// (negative spans clamp to zero).
+fn ms(span: Duration) -> Fixed<6> {
+    Fixed(span.as_nanos().max(0) as u64)
 }
 
 /// A finite JSON number; non-finite values clamp to 0 (Perfetto rejects
 /// `null` samples in counter tracks, and the controllers never legitimately
 /// produce them).
-fn num(v: f64) -> String {
+fn num(v: f64) -> f64 {
     if v.is_finite() {
-        format!("{v}")
+        v
     } else {
-        "0".to_string()
+        0.0
     }
 }
 
@@ -80,14 +82,18 @@ struct FlowSpan {
 }
 
 /// Streaming Chrome-JSON trace writer (see the module docs for the track
-/// schema). Write errors are sticky and reported by [`TraceSink::flush`];
-/// the first `flush` finalizes the file (flow lifetime slices, track
-/// metadata, closing bracket) and further events are ignored.
+/// schema). Every record is built in one buffer the sink reuses and handed
+/// to the writer in one `write_all`, so a sink past its first records
+/// never allocates. Write errors are sticky and reported by
+/// [`TraceSink::flush`]; the first `flush` finalizes the file (flow
+/// lifetime slices, track metadata, closing bracket) and further events
+/// are ignored.
 pub struct PerfettoSink<W: Write> {
     w: W,
     err: Option<io::Error>,
     records: u64,
     closed: bool,
+    buf: Vec<u8>,
     /// Running queue depth per hop (admissions minus departures), the
     /// source of the `queue_depth_pkts` counter track.
     depth: Vec<i64>,
@@ -103,6 +109,7 @@ impl<W: Write> PerfettoSink<W> {
             err: None,
             records: 0,
             closed: false,
+            buf: Vec::with_capacity(256),
             depth: Vec::new(),
             spans: Vec::new(),
         };
@@ -122,42 +129,39 @@ impl<W: Write> PerfettoSink<W> {
         self.w
     }
 
-    fn write_record(&mut self, body: &str) {
+    /// Write one trace record: the separator from the previous record,
+    /// then whatever `body` appends.
+    fn record(&mut self, body: impl FnOnce(&mut Vec<u8>)) {
         if self.err.is_some() || self.closed {
             return;
         }
-        let sep: &[u8] = if self.records == 0 { b"\n" } else { b",\n" };
-        if let Err(e) = self
-            .w
-            .write_all(sep)
-            .and_then(|_| self.w.write_all(body.as_bytes()))
-        {
-            self.err = Some(e);
-        } else {
-            self.records += 1;
+        self.buf.clear();
+        put!(&mut self.buf, if self.records == 0 { "\n" } else { ",\n" });
+        body(&mut self.buf);
+        match self.w.write_all(&self.buf) {
+            Ok(()) => self.records += 1,
+            Err(e) => self.err = Some(e),
         }
     }
 
-    fn counter(&mut self, pid: u32, t_ns: u64, name: &str, value: &str) {
-        let rec = format!(
-            "{{\"ph\":\"C\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"name\":\"{}\",\
-             \"args\":{{\"value\":{value}}}}}",
-            ts_us(t_ns),
-            esc(name)
-        );
-        self.write_record(&rec);
+    /// One sample on the counter track `name` (a literal that needs no
+    /// JSON escaping) of the hop's process.
+    fn counter(&mut self, hop: u32, t_ns: u64, name: &str, value: impl Put) {
+        let pid = u64::from(hop) + 1;
+        self.record(|buf| {
+            put!(buf, "{\"ph\":\"C\",\"pid\":", pid, ",\"tid\":0,\"ts\":", ts_us(t_ns));
+            put!(buf, ",\"name\":\"", name, "\",\"args\":{\"value\":", value, "}}");
+        });
     }
 
+    /// A `mark` or `drop` instant (`name`, a literal) on the flow's track.
     fn flow_instant(&mut self, flow: u32, t_ns: u64, name: &str, hop: u32, prob: f64) {
-        let rec = format!(
-            "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":{FLOW_PID},\"tid\":{},\"ts\":{},\
-             \"name\":\"{}\",\"args\":{{\"hop\":{hop},\"prob\":{}}}}}",
-            flow + 1,
-            ts_us(t_ns),
-            esc(name),
-            num(prob)
-        );
-        self.write_record(&rec);
+        let (pid, tid) = (u64::from(FLOW_PID), u64::from(flow) + 1);
+        self.record(|buf| {
+            put!(buf, "{\"ph\":\"i\",\"s\":\"t\",\"pid\":", pid, ",\"tid\":", tid);
+            put!(buf, ",\"ts\":", ts_us(t_ns), ",\"name\":\"", name);
+            put!(buf, "\",\"args\":{\"hop\":", u64::from(hop), ",\"prob\":", num(prob), "}}");
+        });
     }
 
     /// Emit a global instant event (scope `g`) on the annotation track —
@@ -165,12 +169,21 @@ impl<W: Write> PerfettoSink<W> {
     /// same-named instants in non-decreasing time order to keep the
     /// per-track monotonicity guarantee.
     pub fn instant(&mut self, t: Time, name: &str) {
+        let name = esc(name);
+        self.record(|buf| {
+            put!(buf, "{\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\"ts\":", ts_us(t.as_nanos()));
+            put!(buf, ",\"name\":\"", name.as_str(), "\"}");
+        });
+    }
+
+    /// A `process_name` / `thread_name` record naming a track (written
+    /// at finalization only, so it may allocate).
+    fn metadata(&mut self, pid: u32, tid: usize, kind: &str, label: &str) {
         let rec = format!(
-            "{{\"ph\":\"i\",\"s\":\"g\",\"pid\":1,\"tid\":0,\"ts\":{},\"name\":\"{}\"}}",
-            ts_us(t.as_nanos()),
-            esc(name)
+            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{kind}\",\
+             \"args\":{{\"name\":\"{label}\"}}}}"
         );
-        self.write_record(&rec);
+        self.record(|buf| put!(buf, rec.as_str()));
     }
 
     fn touch_flow(&mut self, flow: u32, t_ns: u64) {
@@ -178,15 +191,8 @@ impl<W: Write> PerfettoSink<W> {
         if idx >= self.spans.len() {
             self.spans.resize(idx + 1, None);
         }
-        match &mut self.spans[idx] {
-            Some(span) => span.last_ns = t_ns,
-            slot @ None => {
-                *slot = Some(FlowSpan {
-                    first_ns: t_ns,
-                    last_ns: t_ns,
-                })
-            }
-        }
+        let first_seen = FlowSpan { first_ns: t_ns, last_ns: t_ns };
+        self.spans[idx].get_or_insert(first_seen).last_ns = t_ns;
     }
 
     fn depth_at(&mut self, hop: u32, delta: i64) -> i64 {
@@ -198,68 +204,21 @@ impl<W: Write> PerfettoSink<W> {
         self.depth[idx]
     }
 
-    fn event_at_hop(&mut self, hop: u32, ev: &TraceEvent) {
-        let pid = hop + 1;
-        match *ev {
-            TraceEvent::Enqueue { t, flow, .. } => {
-                let t_ns = t.as_nanos();
-                let d = self.depth_at(hop, 1);
-                self.counter(pid, t_ns, "queue_depth_pkts", &d.to_string());
-                self.touch_flow(flow.0, t_ns);
-            }
-            TraceEvent::Dequeue {
-                t, flow, sojourn, ..
-            } => {
-                let t_ns = t.as_nanos();
-                let d = self.depth_at(hop, -1);
-                self.counter(pid, t_ns, "queue_depth_pkts", &d.to_string());
-                let soj = ms_from_ns(sojourn.as_nanos().max(0) as u64);
-                self.counter(pid, t_ns, "sojourn_ms", &soj);
-                self.touch_flow(flow.0, t_ns);
-            }
-            TraceEvent::Mark { t, flow, prob, .. } => {
-                let t_ns = t.as_nanos();
-                self.flow_instant(flow.0, t_ns, "mark", hop, prob);
-                self.touch_flow(flow.0, t_ns);
-            }
-            TraceEvent::Drop { t, flow, prob, .. } => {
-                let t_ns = t.as_nanos();
-                self.flow_instant(flow.0, t_ns, "drop", hop, prob);
-                self.touch_flow(flow.0, t_ns);
-            }
-        }
-    }
-
-    fn aqm_state_at_hop(&mut self, hop: u32, t: Time, st: &AqmState) {
-        let pid = hop + 1;
-        let t_ns = t.as_nanos();
-        self.counter(
-            pid,
-            t_ns,
-            "qdelay_ms",
-            &ms_from_ns(st.qdelay.as_nanos().max(0) as u64),
-        );
-        self.counter(pid, t_ns, "p_prime", &num(st.p_prime));
-        self.counter(pid, t_ns, "prob", &num(st.prob));
-        self.counter(pid, t_ns, "scalable_prob", &num(st.scalable_prob));
-    }
-
     /// Finalize the trace: per-flow lifetime slices, process/thread
     /// metadata, the closing bracket. Idempotent — later calls (and
     /// [`TraceSink::flush`]) are no-ops beyond flushing the writer.
     pub fn finish(&mut self) -> io::Result<()> {
         if !self.closed {
-            for (idx, span) in self.spans.clone().iter().enumerate() {
-                let Some(span) = span else { continue };
-                let dur_ns = span.last_ns - span.first_ns;
+            for idx in 0..self.spans.len() {
+                let Some(span) = self.spans[idx] else { continue };
+                let ts = text(|buf| put!(buf, ts_us(span.first_ns)));
+                let dur = text(|buf| put!(buf, ts_us(span.last_ns - span.first_ns)));
                 let rec = format!(
-                    "{{\"ph\":\"X\",\"pid\":{FLOW_PID},\"tid\":{},\"ts\":{},\"dur\":{},\
+                    "{{\"ph\":\"X\",\"pid\":{FLOW_PID},\"tid\":{},\"ts\":{ts},\"dur\":{dur},\
                      \"name\":\"flow {idx}\"}}",
-                    idx + 1,
-                    ts_us(span.first_ns),
-                    ts_us(dur_ns)
+                    idx + 1
                 );
-                self.write_record(&rec);
+                self.record(|buf| put!(buf, rec.as_str()));
             }
             for hop in 0..self.depth.len() {
                 let label = if hop == 0 {
@@ -267,29 +226,14 @@ impl<W: Write> PerfettoSink<W> {
                 } else {
                     format!("hop {hop}")
                 };
-                let rec = format!(
-                    "{{\"ph\":\"M\",\"pid\":{},\"tid\":0,\"name\":\"process_name\",\
-                     \"args\":{{\"name\":\"{label}\"}}}}",
-                    hop + 1
-                );
-                self.write_record(&rec);
+                self.metadata(hop as u32 + 1, 0, "process_name", &label);
             }
             if !self.spans.is_empty() {
-                let rec = format!(
-                    "{{\"ph\":\"M\",\"pid\":{FLOW_PID},\"tid\":0,\"name\":\"process_name\",\
-                     \"args\":{{\"name\":\"flows\"}}}}"
-                );
-                self.write_record(&rec);
+                self.metadata(FLOW_PID, 0, "process_name", "flows");
                 for idx in 0..self.spans.len() {
-                    if self.spans[idx].is_none() {
-                        continue;
+                    if self.spans[idx].is_some() {
+                        self.metadata(FLOW_PID, idx + 1, "thread_name", &format!("flow {idx}"));
                     }
-                    let rec = format!(
-                        "{{\"ph\":\"M\",\"pid\":{FLOW_PID},\"tid\":{},\"name\":\"thread_name\",\
-                         \"args\":{{\"name\":\"flow {idx}\"}}}}",
-                        idx + 1
-                    );
-                    self.write_record(&rec);
                 }
             }
             if self.err.is_none() {
@@ -306,19 +250,46 @@ impl<W: Write> PerfettoSink<W> {
     }
 }
 
+/// Every hop renders the same way: hop 0's hooks are the `on_hop_*` pair
+/// at `hop` = 0.
 impl<W: Write> TraceSink for PerfettoSink<W> {
     fn on_event(&mut self, ev: &TraceEvent) {
-        self.event_at_hop(0, ev);
+        self.on_hop_event(0, ev);
     }
     fn on_aqm_state(&mut self, t: Time, state: &AqmState) {
-        self.aqm_state_at_hop(0, t, state);
+        self.on_hop_aqm_state(0, t, state);
     }
+
     fn on_hop_event(&mut self, hop: u32, ev: &TraceEvent) {
-        self.event_at_hop(hop, ev);
+        let t_ns = ev.time().as_nanos();
+        match *ev {
+            TraceEvent::Enqueue { .. } => {
+                let depth = self.depth_at(hop, 1);
+                self.counter(hop, t_ns, "queue_depth_pkts", depth);
+            }
+            TraceEvent::Dequeue { sojourn, .. } => {
+                let depth = self.depth_at(hop, -1);
+                self.counter(hop, t_ns, "queue_depth_pkts", depth);
+                self.counter(hop, t_ns, "sojourn_ms", ms(sojourn));
+            }
+            TraceEvent::Mark { flow, prob, .. } => {
+                self.flow_instant(flow.0, t_ns, "mark", hop, prob);
+            }
+            TraceEvent::Drop { flow, prob, .. } => {
+                self.flow_instant(flow.0, t_ns, "drop", hop, prob);
+            }
+        }
+        self.touch_flow(ev.flow().0, t_ns);
     }
-    fn on_hop_aqm_state(&mut self, hop: u32, t: Time, state: &AqmState) {
-        self.aqm_state_at_hop(hop, t, state);
+
+    fn on_hop_aqm_state(&mut self, hop: u32, t: Time, st: &AqmState) {
+        let t_ns = t.as_nanos();
+        self.counter(hop, t_ns, "qdelay_ms", ms(st.qdelay));
+        self.counter(hop, t_ns, "p_prime", num(st.p_prime));
+        self.counter(hop, t_ns, "prob", num(st.prob));
+        self.counter(hop, t_ns, "scalable_prob", num(st.scalable_prob));
     }
+
     fn flush(&mut self) -> io::Result<()> {
         self.finish()
     }
@@ -328,7 +299,6 @@ impl<W: Write> TraceSink for PerfettoSink<W> {
 mod tests {
     use super::*;
     use crate::packet::{Ecn, FlowId};
-    use pi2_simcore::Duration;
 
     fn events() -> Vec<TraceEvent> {
         vec![
@@ -431,13 +401,38 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_samples_clamp_to_zero() {
+        let mut sink = PerfettoSink::new(Vec::new());
+        sink.on_event(&TraceEvent::Drop {
+            t: Time::from_millis(1),
+            flow: FlowId(0),
+            seq: 0,
+            prob: f64::NAN,
+        });
+        let st = AqmState {
+            p_prime: f64::INFINITY,
+            prob: f64::NEG_INFINITY,
+            ..AqmState::default()
+        };
+        sink.on_aqm_state(Time::from_millis(2), &st);
+        let text = String::from_utf8(sink.into_inner()).unwrap();
+        assert!(text.contains("\"name\":\"drop\",\"args\":{\"hop\":0,\"prob\":0}}"));
+        assert!(text.contains("\"name\":\"p_prime\",\"args\":{\"value\":0}}"));
+        assert!(text.contains("\"name\":\"prob\",\"args\":{\"value\":0}}"));
+        assert!(!text.contains("NaN") && !text.contains("inf"));
+    }
+
+    #[test]
     fn timestamps_are_integer_exact_microseconds() {
-        assert_eq!(ts_us(0), "0.000");
-        assert_eq!(ts_us(1), "0.001");
-        assert_eq!(ts_us(999), "0.999");
-        assert_eq!(ts_us(1_000), "1.000");
-        assert_eq!(ts_us(1_234_567), "1234.567");
-        assert_eq!(ms_from_ns(1_500_000), "1.500000");
-        assert_eq!(ms_from_ns(42), "0.000042");
+        let ts = |ns| text(|buf| put!(buf, ts_us(ns)));
+        assert_eq!(ts(0), "0.000");
+        assert_eq!(ts(1), "0.001");
+        assert_eq!(ts(999), "0.999");
+        assert_eq!(ts(1_000), "1.000");
+        assert_eq!(ts(1_234_567), "1234.567");
+        let ms = |ns| text(|buf| put!(buf, ms(Duration::from_nanos(ns))));
+        assert_eq!(ms(1_500_000), "1.500000");
+        assert_eq!(ms(42), "0.000042");
+        assert_eq!(ms(-42), "0.000000");
     }
 }

@@ -19,9 +19,11 @@
 
 use crate::aqm::AqmState;
 use crate::packet::{Ecn, FlowId};
+use crate::textbuf::{put, text, Put};
 use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Time};
 use std::cell::RefCell;
 use std::io::{self, Write};
+use std::marker::PhantomData;
 use std::rc::Rc;
 
 /// One traced bottleneck event.
@@ -87,23 +89,33 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
+    /// What every variant carries: timestamp, owning flow, sequence number.
+    fn ids(&self) -> (Time, FlowId, u64) {
+        match *self {
+            TraceEvent::Enqueue { t, flow, seq, .. }
+            | TraceEvent::Mark { t, flow, seq, .. }
+            | TraceEvent::Drop { t, flow, seq, .. }
+            | TraceEvent::Dequeue { t, flow, seq, .. } => (t, flow, seq),
+        }
+    }
+
     /// The event's timestamp.
     pub fn time(&self) -> Time {
-        match *self {
-            TraceEvent::Enqueue { t, .. }
-            | TraceEvent::Mark { t, .. }
-            | TraceEvent::Drop { t, .. }
-            | TraceEvent::Dequeue { t, .. } => t,
-        }
+        self.ids().0
     }
 
     /// The owning flow.
     pub fn flow(&self) -> FlowId {
-        match *self {
-            TraceEvent::Enqueue { flow, .. }
-            | TraceEvent::Mark { flow, .. }
-            | TraceEvent::Drop { flow, .. }
-            | TraceEvent::Dequeue { flow, .. } => flow,
+        self.ids().1
+    }
+
+    /// The event's tag in the JSONL `ev` field and the CSV `event` column.
+    fn kind(&self) -> &'static str {
+        match self {
+            TraceEvent::Enqueue { .. } => "enq",
+            TraceEvent::Mark { .. } => "mark",
+            TraceEvent::Drop { .. } => "drop",
+            TraceEvent::Dequeue { .. } => "deq",
         }
     }
 
@@ -128,64 +140,46 @@ impl TraceEvent {
         }
     }
 
-    /// One JSON object, no trailing newline. See `EXPERIMENTS.md` for the
-    /// schema; floats use Rust's shortest-roundtrip formatting, so the
-    /// output is deterministic and parses back exactly.
-    pub fn jsonl(&self) -> String {
+    /// Append the event as one JSON object, no trailing newline. See
+    /// `EXPERIMENTS.md` for the schema; floats use Rust's
+    /// shortest-roundtrip formatting, so the output is deterministic and
+    /// parses back exactly.
+    pub fn write_jsonl(&self, buf: &mut Vec<u8>) {
+        let (t, flow, seq) = self.ids();
+        put!(buf, "{\"ev\":\"", self.kind(), "\",\"t_ns\":", t.as_nanos());
+        put!(buf, ",\"flow\":", u64::from(flow.0), ",\"seq\":", seq);
         match *self {
-            TraceEvent::Enqueue { t, flow, seq, ecn } => format!(
-                "{{\"ev\":\"enq\",\"t_ns\":{},\"flow\":{},\"seq\":{seq},\"ecn\":\"{ecn:?}\"}}",
-                t.as_nanos(),
-                flow.0
-            ),
-            TraceEvent::Mark { t, flow, seq, prob } => format!(
-                "{{\"ev\":\"mark\",\"t_ns\":{},\"flow\":{},\"seq\":{seq},\"prob\":{prob}}}",
-                t.as_nanos(),
-                flow.0
-            ),
-            TraceEvent::Drop { t, flow, seq, prob } => format!(
-                "{{\"ev\":\"drop\",\"t_ns\":{},\"flow\":{},\"seq\":{seq},\"prob\":{prob}}}",
-                t.as_nanos(),
-                flow.0
-            ),
-            TraceEvent::Dequeue {
-                t,
-                flow,
-                seq,
-                sojourn,
-            } => format!(
-                "{{\"ev\":\"deq\",\"t_ns\":{},\"flow\":{},\"seq\":{seq},\"sojourn_ns\":{}}}",
-                t.as_nanos(),
-                flow.0,
-                sojourn.as_nanos()
-            ),
+            TraceEvent::Enqueue { ecn, .. } => put!(buf, ",\"ecn\":\"", ecn.name(), "\"}"),
+            TraceEvent::Mark { prob, .. } | TraceEvent::Drop { prob, .. } => {
+                put!(buf, ",\"prob\":", prob, "}")
+            }
+            TraceEvent::Dequeue { sojourn, .. } => put!(buf, ",\"sojourn_ns\":", sojourn, "}"),
         }
     }
 
-    /// One CSV row matching [`CSV_HEADER`], no trailing newline.
-    pub fn csv(&self) -> String {
+    /// [`TraceEvent::write_jsonl`] as a `String`.
+    pub fn jsonl(&self) -> String {
+        text(|buf| self.write_jsonl(buf))
+    }
+
+    /// Append the event as one CSV row matching [`CSV_HEADER`], no
+    /// trailing newline.
+    pub fn write_csv(&self, buf: &mut Vec<u8>) {
+        let (t, flow, seq) = self.ids();
+        put!(buf, self.kind(), ",", t.as_nanos(), ",", u64::from(flow.0), ",", seq);
+        // Fifteen columns: each arm fills its own and leaves the rest blank.
         match *self {
-            TraceEvent::Enqueue { t, flow, seq, ecn } => {
-                format!("enq,{},{},{seq},{ecn:?},,,,,,,,,,", t.as_nanos(), flow.0)
+            TraceEvent::Enqueue { ecn, .. } => put!(buf, ",", ecn.name(), ",,,,,,,,,,"),
+            TraceEvent::Mark { prob, .. } | TraceEvent::Drop { prob, .. } => {
+                put!(buf, ",,", prob, ",,,,,,,,,")
             }
-            TraceEvent::Mark { t, flow, seq, prob } => {
-                format!("mark,{},{},{seq},,{prob},,,,,,,,,", t.as_nanos(), flow.0)
-            }
-            TraceEvent::Drop { t, flow, seq, prob } => {
-                format!("drop,{},{},{seq},,{prob},,,,,,,,,", t.as_nanos(), flow.0)
-            }
-            TraceEvent::Dequeue {
-                t,
-                flow,
-                seq,
-                sojourn,
-            } => format!(
-                "deq,{},{},{seq},,,{},,,,,,,,",
-                t.as_nanos(),
-                flow.0,
-                sojourn.as_nanos()
-            ),
+            TraceEvent::Dequeue { sojourn, .. } => put!(buf, ",,,", sojourn, ",,,,,,,,"),
         }
+    }
+
+    /// [`TraceEvent::write_csv`] as a `String`.
+    pub fn csv(&self) -> String {
+        text(|buf| self.write_csv(buf))
     }
 }
 
@@ -216,37 +210,48 @@ pub fn csv_field(s: &str) -> String {
     }
 }
 
-/// The `"ev":"aqm"` JSONL line for a control-state snapshot at `t`.
-pub fn aqm_state_jsonl(t: Time, st: &AqmState) -> String {
-    format!(
-        "{{\"ev\":\"aqm\",\"t_ns\":{},\"p_prime\":{},\"prob\":{},\"scalable_prob\":{},\
-         \"alpha_term\":{},\"beta_term\":{},\"burst_ns\":{},\"est_rate_Bps\":{},\"qdelay_ns\":{}}}",
-        t.as_nanos(),
-        st.p_prime,
-        st.prob,
-        st.scalable_prob,
-        st.alpha_term,
-        st.beta_term,
-        st.burst_allowance.as_nanos(),
-        st.est_rate_bytes_per_sec,
-        st.qdelay.as_nanos()
-    )
+/// The snapshot's serialized fields: JSONL key and value, in the order
+/// of the [`CSV_HEADER`] columns they fill.
+fn aqm_fields(st: &AqmState) -> [(&'static str, &dyn Put); 8] {
+    [
+        ("p_prime", &st.p_prime),
+        ("prob", &st.prob),
+        ("scalable_prob", &st.scalable_prob),
+        ("alpha_term", &st.alpha_term),
+        ("beta_term", &st.beta_term),
+        ("burst_ns", &st.burst_allowance),
+        ("est_rate_Bps", &st.est_rate_bytes_per_sec),
+        ("qdelay_ns", &st.qdelay),
+    ]
 }
 
-/// The `aqm` CSV row for a control-state snapshot at `t`.
+/// Append the `"ev":"aqm"` JSONL line for a control-state snapshot at `t`.
+pub fn write_aqm_state_jsonl(t: Time, st: &AqmState, buf: &mut Vec<u8>) {
+    put!(buf, "{\"ev\":\"aqm\",\"t_ns\":", t.as_nanos());
+    for (key, value) in aqm_fields(st) {
+        put!(buf, ",\"", key, "\":");
+        value.put(buf);
+    }
+    put!(buf, "}");
+}
+
+/// [`write_aqm_state_jsonl`] as a `String`.
+pub fn aqm_state_jsonl(t: Time, st: &AqmState) -> String {
+    text(|buf| write_aqm_state_jsonl(t, st, buf))
+}
+
+/// Append the `aqm` CSV row for a control-state snapshot at `t`.
+pub fn write_aqm_state_csv(t: Time, st: &AqmState, buf: &mut Vec<u8>) {
+    put!(buf, "aqm,", t.as_nanos(), ",,,,,");
+    for (_, value) in aqm_fields(st) {
+        put!(buf, ",");
+        value.put(buf);
+    }
+}
+
+/// [`write_aqm_state_csv`] as a `String`.
 pub fn aqm_state_csv(t: Time, st: &AqmState) -> String {
-    format!(
-        "aqm,{},,,,,,{},{},{},{},{},{},{},{}",
-        t.as_nanos(),
-        st.p_prime,
-        st.prob,
-        st.scalable_prob,
-        st.alpha_term,
-        st.beta_term,
-        st.burst_allowance.as_nanos(),
-        st.est_rate_bytes_per_sec,
-        st.qdelay.as_nanos()
-    )
+    text(|buf| write_aqm_state_csv(t, st, buf))
 }
 
 /// A consumer of the simulator's telemetry stream.
@@ -536,28 +541,79 @@ impl TraceSink for MemorySink {
     }
 }
 
-/// A streaming JSONL writer: one JSON object per line, packet events and
-/// AQM snapshots interleaved in simulation order. Wrap the writer in a
-/// [`std::io::BufWriter`] for file output. Write errors are sticky and
-/// reported by [`TraceSink::flush`].
+/// How a [`LineSink`] renders the stream: an optional header row, and
+/// the writers of one line (no trailing newline) per packet event and per
+/// AQM snapshot.
+pub trait LineFormat {
+    /// Written as the first line on construction, if any.
+    const HEADER: Option<&'static str>;
+    /// Appends one packet event.
+    const EVENT: fn(&TraceEvent, &mut Vec<u8>);
+    /// Appends one control-state snapshot.
+    const AQM_STATE: fn(Time, &AqmState, &mut Vec<u8>);
+}
+
+/// One JSON object per line (the [`JsonlSink`] format).
 #[derive(Debug)]
-pub struct JsonlSink<W: Write> {
+pub struct Jsonl;
+
+impl LineFormat for Jsonl {
+    const HEADER: Option<&'static str> = None;
+    const EVENT: fn(&TraceEvent, &mut Vec<u8>) = TraceEvent::write_jsonl;
+    const AQM_STATE: fn(Time, &AqmState, &mut Vec<u8>) = write_aqm_state_jsonl;
+}
+
+/// One table under [`CSV_HEADER`] (the [`CsvSink`] format); packet events
+/// and AQM snapshots share it, blank where a column does not apply.
+#[derive(Debug)]
+pub struct Csv;
+
+impl LineFormat for Csv {
+    const HEADER: Option<&'static str> = Some(CSV_HEADER);
+    const EVENT: fn(&TraceEvent, &mut Vec<u8>) = TraceEvent::write_csv;
+    const AQM_STATE: fn(Time, &AqmState, &mut Vec<u8>) = write_aqm_state_csv;
+}
+
+/// A streaming line writer over any [`Write`]: packet events and AQM
+/// snapshots interleaved in simulation order, one line each, rendered by
+/// `F`. Every line is built in one buffer the sink reuses and handed to
+/// the writer in one `write_all`, so a sink past its first lines never
+/// allocates; wrap the writer in a [`std::io::BufWriter`] for file
+/// output. Write errors are sticky and reported by [`TraceSink::flush`].
+#[derive(Debug)]
+pub struct LineSink<F, W: Write> {
     w: W,
     lines: u64,
     err: Option<io::Error>,
+    buf: Vec<u8>,
+    format: PhantomData<F>,
 }
 
-impl<W: Write> JsonlSink<W> {
-    /// Stream onto `w`.
+/// A streaming JSONL writer: one JSON object per line.
+pub type JsonlSink<W> = LineSink<Jsonl, W>;
+
+/// A streaming CSV writer with the [`CSV_HEADER`] columns (written on
+/// construction).
+pub type CsvSink<W> = LineSink<Csv, W>;
+
+impl<F: LineFormat, W: Write> LineSink<F, W> {
+    /// Stream onto `w`, writing the format's header row (if it has one)
+    /// immediately.
     pub fn new(w: W) -> Self {
-        JsonlSink {
+        let mut sink = LineSink {
             w,
             lines: 0,
             err: None,
+            buf: Vec::with_capacity(256),
+            format: PhantomData,
+        };
+        if let Some(header) = F::HEADER {
+            sink.write_line(|buf| put!(buf, header));
         }
+        sink
     }
 
-    /// Lines successfully written so far.
+    /// Lines successfully written so far (including the header).
     pub fn lines(&self) -> u64 {
         self.lines
     }
@@ -567,83 +623,26 @@ impl<W: Write> JsonlSink<W> {
         self.w
     }
 
-    fn write_line(&mut self, line: &str) {
+    fn write_line(&mut self, line: impl FnOnce(&mut Vec<u8>)) {
         if self.err.is_some() {
             return;
         }
-        if let Err(e) = self.w.write_all(line.as_bytes()).and_then(|_| self.w.write_all(b"\n")) {
-            self.err = Some(e);
-        } else {
-            self.lines += 1;
+        self.buf.clear();
+        line(&mut self.buf);
+        self.buf.push(b'\n');
+        match self.w.write_all(&self.buf) {
+            Ok(()) => self.lines += 1,
+            Err(e) => self.err = Some(e),
         }
     }
 }
 
-impl<W: Write> TraceSink for JsonlSink<W> {
+impl<F: LineFormat, W: Write> TraceSink for LineSink<F, W> {
     fn on_event(&mut self, ev: &TraceEvent) {
-        self.write_line(&ev.jsonl());
+        self.write_line(|buf| (F::EVENT)(ev, buf));
     }
     fn on_aqm_state(&mut self, t: Time, state: &AqmState) {
-        self.write_line(&aqm_state_jsonl(t, state));
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        if let Some(e) = self.err.take() {
-            return Err(e);
-        }
-        self.w.flush()
-    }
-}
-
-/// A streaming CSV writer with the [`CSV_HEADER`] columns (written on
-/// construction); packet events and AQM snapshots share the one table,
-/// blank where a column does not apply.
-#[derive(Debug)]
-pub struct CsvSink<W: Write> {
-    w: W,
-    lines: u64,
-    err: Option<io::Error>,
-}
-
-impl<W: Write> CsvSink<W> {
-    /// Stream onto `w`, writing the header row immediately.
-    pub fn new(w: W) -> Self {
-        let mut sink = CsvSink {
-            w,
-            lines: 0,
-            err: None,
-        };
-        sink.write_line(CSV_HEADER);
-        sink
-    }
-
-    /// Rows successfully written so far (including the header).
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// Unwrap the underlying writer.
-    pub fn into_inner(self) -> W {
-        self.w
-    }
-
-    fn write_line(&mut self, line: &str) {
-        if self.err.is_some() {
-            return;
-        }
-        if let Err(e) = self.w.write_all(line.as_bytes()).and_then(|_| self.w.write_all(b"\n")) {
-            self.err = Some(e);
-        } else {
-            self.lines += 1;
-        }
-    }
-}
-
-impl<W: Write> TraceSink for CsvSink<W> {
-    fn on_event(&mut self, ev: &TraceEvent) {
-        self.write_line(&ev.csv());
-    }
-    fn on_aqm_state(&mut self, t: Time, state: &AqmState) {
-        self.write_line(&aqm_state_csv(t, state));
+        self.write_line(|buf| (F::AQM_STATE)(t, state, buf));
     }
     fn flush(&mut self) -> io::Result<()> {
         if let Some(e) = self.err.take() {
@@ -830,6 +829,65 @@ mod tests {
         assert!(lines[1].starts_with("enq,1000000,0,1,NotEct,"));
         assert!(lines[2].starts_with("deq,2000000,0,1,,,1200000,"));
         assert!(lines[3].starts_with("aqm,32000000,,,,,,0,0,0,"));
+    }
+
+    #[test]
+    fn write_forms_append_and_equal_the_string_wrappers() {
+        let (t, flow, seq) = (Time::from_millis(7), FlowId(3), 41);
+        let events = [
+            TraceEvent::Enqueue { t, flow, seq, ecn: Ecn::Ect1 },
+            TraceEvent::Mark { t, flow, seq, prob: 0.1 + 0.2 },
+            TraceEvent::Drop { t, flow, seq, prob: 1.0 },
+            TraceEvent::Dequeue { t, flow, seq, sojourn: Duration::from_micros(-3) },
+        ];
+        let st = AqmState {
+            p_prime: 0.125,
+            burst_allowance: Duration::from_millis(100),
+            ..AqmState::default()
+        };
+        let appended = |put: &dyn Fn(&mut Vec<u8>)| {
+            let mut buf = b"prefix|".to_vec();
+            put(&mut buf);
+            String::from_utf8(buf).unwrap()
+        };
+        for ev in &events {
+            assert_eq!(appended(&|b| ev.write_jsonl(b)), format!("prefix|{}", ev.jsonl()));
+            assert_eq!(appended(&|b| ev.write_csv(b)), format!("prefix|{}", ev.csv()));
+        }
+        assert_eq!(
+            appended(&|b| write_aqm_state_jsonl(t, &st, b)),
+            format!("prefix|{}", aqm_state_jsonl(t, &st))
+        );
+        assert_eq!(
+            appended(&|b| write_aqm_state_csv(t, &st, b)),
+            format!("prefix|{}", aqm_state_csv(t, &st))
+        );
+        assert_eq!(
+            events[3].jsonl(),
+            "{\"ev\":\"deq\",\"t_ns\":7000000,\"flow\":3,\"seq\":41,\"sojourn_ns\":-3000}"
+        );
+        assert_eq!(events[1].csv(), "mark,7000000,3,41,,0.30000000000000004,,,,,,,,,");
+    }
+
+    /// Pinned, not endorsed: a non-finite value reaches the line formats
+    /// as Rust prints it (the auditor is what rejects it upstream).
+    #[test]
+    fn non_finite_values_keep_their_display_text() {
+        let drop = |prob| TraceEvent::Drop {
+            t: Time::ZERO,
+            flow: FlowId(0),
+            seq: 0,
+            prob,
+        };
+        assert!(drop(f64::NAN).jsonl().ends_with("\"prob\":NaN}"));
+        assert!(drop(f64::INFINITY).jsonl().ends_with("\"prob\":inf}"));
+        assert_eq!(drop(f64::NEG_INFINITY).csv(), "drop,0,0,0,,-inf,,,,,,,,,");
+        let st = AqmState {
+            alpha_term: f64::NAN,
+            ..AqmState::default()
+        };
+        assert!(aqm_state_jsonl(Time::ZERO, &st).contains("\"alpha_term\":NaN,"));
+        assert!(aqm_state_csv(Time::ZERO, &st).contains(",NaN,"));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use pi2_netsim::{
     Action, Aqm, AuditSink, BottleneckQueue, Decision, Ecn, FlowId, ImpairStats, ImpairmentConf,
     LinkImpairments, MonitorConfig, Packet, PassAqm, PathConf, Qdisc, QueueConfig, QueueSnapshot,
-    Sim, SimConfig, UdpCbrSource,
+    Sim, SimConfig, TraceEvent, UdpCbrSource,
 };
 use pi2_simcore::{Duration, Rng, Time};
 use proptest::prelude::*;
@@ -379,5 +379,242 @@ proptest! {
             );
         }
         prop_assert_eq!(run_chain_sim(hops, &rates, seed), bytes, "determinism");
+    }
+}
+
+/// Integers of every digit count, with the values where a decimal writer
+/// changes width (or sign, read as `i64`) visited often.
+fn arb_decimal() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        Just(9),
+        Just(10),
+        Just(99),
+        Just(100),
+        Just(999),
+        Just(1_000),
+        Just(999_999),
+        Just(u64::from(u32::MAX)),
+        Just(u64::MAX),
+        Just(i64::MIN as u64),
+        (any::<u64>(), 0u32..64).prop_map(|(v, shift)| v >> shift),
+    ]
+}
+
+/// Floats by bit pattern (subnormals, huge exponents, NaN payloads), with
+/// the values the shortest-round-trip printer is known for.
+fn arb_float() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0f64),
+        Just(-0.0),
+        Just(0.1 + 0.2),
+        Just(1e-7),
+        Just(1e21),
+        Just(f64::MIN_POSITIVE),
+        Just(f64::MAX),
+        Just(f64::NAN),
+        Just(f64::INFINITY),
+        any::<u64>().prop_map(f64::from_bits),
+        0.0f64..1.0,
+    ]
+}
+
+/// The trace formats as the sinks rendered them with `format!` before
+/// they wrote into a reused buffer: the reference the writers must equal
+/// byte for byte.
+mod reference {
+    use super::*;
+    use pi2_netsim::AqmState;
+
+    pub fn jsonl(ev: &TraceEvent) -> String {
+        match *ev {
+            TraceEvent::Enqueue { t, flow, seq, ecn } => format!(
+                "{{\"ev\":\"enq\",\"t_ns\":{},\"flow\":{},\"seq\":{seq},\"ecn\":\"{ecn:?}\"}}",
+                t.as_nanos(),
+                flow.0
+            ),
+            TraceEvent::Mark { t, flow, seq, prob } => format!(
+                "{{\"ev\":\"mark\",\"t_ns\":{},\"flow\":{},\"seq\":{seq},\"prob\":{prob}}}",
+                t.as_nanos(),
+                flow.0
+            ),
+            TraceEvent::Drop { t, flow, seq, prob } => format!(
+                "{{\"ev\":\"drop\",\"t_ns\":{},\"flow\":{},\"seq\":{seq},\"prob\":{prob}}}",
+                t.as_nanos(),
+                flow.0
+            ),
+            TraceEvent::Dequeue { t, flow, seq, sojourn } => format!(
+                "{{\"ev\":\"deq\",\"t_ns\":{},\"flow\":{},\"seq\":{seq},\"sojourn_ns\":{}}}",
+                t.as_nanos(),
+                flow.0,
+                sojourn.as_nanos()
+            ),
+        }
+    }
+
+    pub fn csv(ev: &TraceEvent) -> String {
+        match *ev {
+            TraceEvent::Enqueue { t, flow, seq, ecn } => {
+                format!("enq,{},{},{seq},{ecn:?},,,,,,,,,,", t.as_nanos(), flow.0)
+            }
+            TraceEvent::Mark { t, flow, seq, prob } => {
+                format!("mark,{},{},{seq},,{prob},,,,,,,,,", t.as_nanos(), flow.0)
+            }
+            TraceEvent::Drop { t, flow, seq, prob } => {
+                format!("drop,{},{},{seq},,{prob},,,,,,,,,", t.as_nanos(), flow.0)
+            }
+            TraceEvent::Dequeue { t, flow, seq, sojourn } => format!(
+                "deq,{},{},{seq},,,{},,,,,,,,",
+                t.as_nanos(),
+                flow.0,
+                sojourn.as_nanos()
+            ),
+        }
+    }
+
+    pub fn aqm_jsonl(t: Time, st: &AqmState) -> String {
+        format!(
+            "{{\"ev\":\"aqm\",\"t_ns\":{},\"p_prime\":{},\"prob\":{},\"scalable_prob\":{},\
+             \"alpha_term\":{},\"beta_term\":{},\"burst_ns\":{},\"est_rate_Bps\":{},\"qdelay_ns\":{}}}",
+            t.as_nanos(),
+            st.p_prime,
+            st.prob,
+            st.scalable_prob,
+            st.alpha_term,
+            st.beta_term,
+            st.burst_allowance.as_nanos(),
+            st.est_rate_bytes_per_sec,
+            st.qdelay.as_nanos()
+        )
+    }
+
+    pub fn aqm_csv(t: Time, st: &AqmState) -> String {
+        format!(
+            "aqm,{},,,,,,{},{},{},{},{},{},{},{}",
+            t.as_nanos(),
+            st.p_prime,
+            st.prob,
+            st.scalable_prob,
+            st.alpha_term,
+            st.beta_term,
+            st.burst_allowance.as_nanos(),
+            st.est_rate_bytes_per_sec,
+            st.qdelay.as_nanos()
+        )
+    }
+
+    fn ts_us(ns: u64) -> String {
+        format!("{}.{:03}", ns / 1_000, ns % 1_000)
+    }
+
+    fn ms(d: Duration) -> String {
+        let ns = d.as_nanos().max(0) as u64;
+        format!("{}.{:06}", ns / 1_000_000, ns % 1_000_000)
+    }
+
+    fn num(v: f64) -> String {
+        if v.is_finite() {
+            format!("{v}")
+        } else {
+            "0".to_string()
+        }
+    }
+
+    pub fn counter(hop: u32, t: Time, name: &str, value: &str) -> String {
+        format!(
+            "{{\"ph\":\"C\",\"pid\":{},\"tid\":0,\"ts\":{},\"name\":\"{name}\",\
+             \"args\":{{\"value\":{value}}}}}",
+            hop + 1,
+            ts_us(t.as_nanos())
+        )
+    }
+
+    /// The records an enqueue, its dequeue, a mark, a drop and one AQM
+    /// probe at `hop` produce, in that order.
+    pub fn perfetto_records(
+        hop: u32,
+        t: Time,
+        flow: FlowId,
+        sojourn: Duration,
+        prob: f64,
+        st: &AqmState,
+    ) -> Vec<String> {
+        let instant = |name: &str| {
+            format!(
+                "{{\"ph\":\"i\",\"s\":\"t\",\"pid\":100,\"tid\":{},\"ts\":{},\
+                 \"name\":\"{name}\",\"args\":{{\"hop\":{hop},\"prob\":{}}}}}",
+                u64::from(flow.0) + 1,
+                ts_us(t.as_nanos()),
+                num(prob)
+            )
+        };
+        vec![
+            counter(hop, t, "queue_depth_pkts", "1"),
+            counter(hop, t, "queue_depth_pkts", "0"),
+            counter(hop, t, "sojourn_ms", &ms(sojourn)),
+            instant("mark"),
+            instant("drop"),
+            counter(hop, t, "qdelay_ms", &ms(st.qdelay)),
+            counter(hop, t, "p_prime", &num(st.p_prime)),
+            counter(hop, t, "prob", &num(st.prob)),
+            counter(hop, t, "scalable_prob", &num(st.scalable_prob)),
+        ]
+    }
+}
+
+proptest! {
+    /// The buffer writers behind every trace format equal the `format!`
+    /// renderings they replaced: `{}` on unsigned and signed integers of
+    /// every width, `{:03}` / `{:06}` in Perfetto's fixed-point stamps,
+    /// and `{}` on any float bit pattern — non-finite values still print
+    /// as `NaN` / `inf` in JSONL and CSV and as `0` in Perfetto.
+    #[test]
+    fn trace_writers_equal_the_format_reference(
+        ints in (arb_decimal(), arb_decimal(), arb_decimal(), arb_decimal()),
+        floats in (arb_float(), arb_float(), arb_float(), arb_float()),
+        ecn in arb_ecn(),
+        hop in 0u32..98,
+    ) {
+        use pi2_netsim::trace::{aqm_state_csv, aqm_state_jsonl};
+        use pi2_netsim::{AqmState, PerfettoSink, TraceSink};
+
+        let (t_ns, seq, span, flow) = ints;
+        let t = Time::from_nanos(t_ns);
+        let sojourn = Duration::from_nanos(span as i64);
+        let (prob, p_prime, beta_term, est_rate) = floats;
+        let events = |flow| [
+            TraceEvent::Enqueue { t, flow, seq, ecn },
+            TraceEvent::Dequeue { t, flow, seq, sojourn },
+            TraceEvent::Mark { t, flow, seq, prob },
+            TraceEvent::Drop { t, flow, seq, prob },
+        ];
+        for ev in &events(FlowId(flow as u32)) {
+            prop_assert_eq!(ev.jsonl(), reference::jsonl(ev));
+            prop_assert_eq!(ev.csv(), reference::csv(ev));
+        }
+        let st = AqmState {
+            p_prime,
+            prob,
+            scalable_prob: -prob,
+            alpha_term: p_prime * 1e9,
+            beta_term,
+            burst_allowance: Duration::from_nanos(seq as i64),
+            est_rate_bytes_per_sec: est_rate,
+            qdelay: sojourn,
+        };
+        prop_assert_eq!(aqm_state_jsonl(t, &st), reference::aqm_jsonl(t, &st));
+        prop_assert_eq!(aqm_state_csv(t, &st), reference::aqm_csv(t, &st));
+
+        // The Perfetto sink keeps a table indexed by flow id: keep it small.
+        let flow = FlowId(flow as u32 % 512);
+        let mut sink = PerfettoSink::new(Vec::new());
+        for ev in &events(flow) {
+            if hop == 0 { sink.on_event(ev) } else { sink.on_hop_event(hop, ev) }
+        }
+        if hop == 0 { sink.on_aqm_state(t, &st) } else { sink.on_hop_aqm_state(hop, t, &st) }
+        let want = reference::perfetto_records(hop, t, flow, sojourn, prob, &st);
+        prop_assert_eq!(sink.records(), want.len() as u64);
+        let got = String::from_utf8(sink.into_inner()).expect("utf8");
+        prop_assert_eq!(got, format!("{{\"traceEvents\":[\n{}", want.join(",\n")));
     }
 }

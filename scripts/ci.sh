@@ -31,6 +31,9 @@ echo "== tier-1: tests"
 cargo test -q
 
 echo "== workspace tests (release: some tests simulate minutes of traffic)"
+# Includes the allocation contract, one test binary each: zero_alloc (the
+# engine's steady-state loop makes no allocator call) and zero_alloc_sinks
+# (nor does it with the JSONL, CSV and Perfetto sinks attached).
 cargo test --workspace --release -q
 
 echo "== frozen benchmark still builds and runs against crates/"
@@ -97,10 +100,10 @@ perf_gate() {
 }
 perf_gate sim_throughput
 
-echo "== traced+audited smoke run: JSONL sink parses, invariants hold"
+echo "== traced+audited smoke run: every trace format parses, invariants hold"
 trace_out="$(mktemp -t pi2_trace_smoke.XXXXXX.jsonl)"
 trace_log="$(mktemp -t pi2_trace_smoke.XXXXXX.log)"
-trap 'rm -f "$smoke_out" "$trace_out" "$trace_log"' EXIT
+trap 'rm -f "$smoke_out" "$trace_out" "$trace_out.csv" "$trace_out.perfetto.json" "$trace_log"' EXIT
 # --audit attaches the runtime invariant auditor even in this release
 # build: conservation, clock monotonicity, probability bounds, and (for
 # pi2) the squaring law are checked on every event, and any violation
@@ -114,6 +117,22 @@ grep -q '^{"ev":' "$trace_out"
 grep -q '"ev":"aqm"' "$trace_out"
 grep -q 'trace verified:' "$trace_log"
 grep -q 'audit: all invariants held' "$trace_log"
+# The same run in the other two formats: the CSV is one rectangular table
+# under pi2_netsim::trace::CSV_HEADER, the timeline passes perfetto_lint.
+smoke_trace() {  # <format> <file>
+    cargo run -q -p pi2-bench --release --bin pi2sim -- \
+        --aqm pi2 --rate 10M --flows 2xreno --secs 8 --warmup 2 \
+        --trace-format "$1" --trace-out "$2" > /dev/null
+}
+smoke_trace csv "$trace_out.csv"
+smoke_trace perfetto "$trace_out.perfetto.json"
+test "$(head -n 1 "$trace_out.csv")" = \
+    "event,t_ns,flow,seq,ecn,prob,sojourn_ns,p_prime,aqm_prob,scalable_prob,alpha_term,beta_term,burst_ns,est_rate_Bps,qdelay_ns"
+awk -F, 'NF != 15 { print "ragged CSV row " NR ": " $0; exit 1 }' "$trace_out.csv"
+# The header, then one row per JSONL line.
+test "$(wc -l < "$trace_out.csv")" -eq "$(( $(wc -l < "$trace_out") + 1 ))"
+cargo run -q -p pi2-bench --release --bin perfetto_lint -- "$trace_out.perfetto.json"
+rm -f "$trace_out.csv" "$trace_out.perfetto.json"
 
 echo "== every --aqm name builds, runs and audits clean"
 # pi2sim holds one --aqm name -> configuration table and cli::AQMS the

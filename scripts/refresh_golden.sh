@@ -2,12 +2,14 @@
 # Re-bless the golden traces after an INTENTIONAL behavior change.
 #
 # The golden tests (`tests/trace_streaming.rs::golden_trace_for_small_scenario`,
-# `::golden_trace_for_impaired_scenario` and
-# `::golden_trace_for_parking_lot_scenario`) pin a tiny seeded scenario's
-# JSONL trace byte for byte — on a clean single-hop path, under the
-# seeded fault-injection weather layer, and on a 3-hop parking-lot chain
-# (hop-0 event stream plus per-hop flow-byte rows). When a change
-# legitimately moves a
+# `::golden_trace_for_impaired_scenario`,
+# `::golden_trace_for_parking_lot_scenario` and
+# `tests/obs_server.rs::perfetto_export_of_golden_parking_lot_round_trips`)
+# pin a tiny seeded scenario's trace byte for byte — on a clean
+# single-hop path in all three export formats (JSONL, CSV, Perfetto
+# JSON), under the seeded fault-injection weather layer, and on a 3-hop
+# parking-lot chain (hop-0 event stream plus per-hop flow-byte rows, and
+# the all-hop Perfetto timeline). When a change legitimately moves a
 # trace (new event field, AQM retune, impairment draw-order change), run
 # this script: it saves the old goldens, regenerates under PI2_BLESS=1,
 # prints the diffs for review, and refuses to commit anything itself —
@@ -20,8 +22,11 @@ cd "$(dirname "$0")/.."
 
 goldens=(
     tests/golden/trace_small.jsonl
+    tests/golden/trace_small.csv
+    tests/golden/trace_small.perfetto.json
     tests/golden/trace_small_impaired.jsonl
     tests/golden/trace_parking_lot.jsonl
+    tests/golden/trace_parking_lot.perfetto.json
 )
 
 tmpdir="$(mktemp -d -t pi2_golden_old.XXXXXX)"
@@ -37,6 +42,7 @@ for golden in "${goldens[@]}"; do
 done
 
 PI2_BLESS=1 cargo test -q --test trace_streaming golden
+PI2_BLESS=1 cargo test -q --test obs_server perfetto
 
 changed=0
 for golden in "${goldens[@]}"; do

@@ -47,7 +47,12 @@ fn check_golden(file: &str, got: &str) {
         return;
     }
     let want = std::fs::read_to_string(&path).expect("golden file (PI2_BLESS=1 to create)");
-    assert!(got == want, "output diverged from golden file {path}");
+    // Not `assert_eq!`: a Perfetto golden is thousands of lines.
+    let first = got.lines().zip(want.lines()).enumerate().find(|(_, (g, w))| g != w);
+    assert!(
+        got == want,
+        "output diverged from golden file {path}; first differing line (got, want): {first:?}"
+    );
 }
 
 /// Attaching sinks must not change the simulation: sinks never touch the

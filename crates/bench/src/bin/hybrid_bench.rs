@@ -1,7 +1,7 @@
 //! Backend scaling bench: wall-clock cost of the packet backend at
 //! 1 000 flows vs the fluid backend from 1 000 up to 1 000 000 flows,
-//! one 1 000-class fluid cell, plus one hybrid cell (packet foreground +
-//! fluid background).
+//! one 1 000-class fluid cell, plus two hybrid cells (packet foreground +
+//! fluid background): one class of 990 flows, and the 1 000 classes.
 //!
 //! The fluid engine's cost per step depends on the class count and not on
 //! the flow population, so the headline claim — a 100 000-flow fluid run
@@ -18,7 +18,10 @@
 //! entries it did move (deterministic: `bench_compare` diffs it exactly)
 //! and `fluid_1kclass_ns_per_class_step` is the cost (gated like
 //! `*_ns_per_pkt`). Sorting from scratch every step, as the engine once
-//! did, reads about three times dearer.
+//! did, reads about three times dearer. The same population as the
+//! background of a hybrid cell under ten UDP probes is the coupling's row:
+//! the packet side is ten CBR flows, so `hybrid_1kclass_ns_per_class_step`
+//! (wall over classes × 1 ms sub-steps) is `FlowLevelSim::tick_external`.
 //!
 //! Recorded under the `hybrid` bench name in the history file
 //! (`PI2_BENCH_OUT`, default the committed `BENCH_pi2.json`).
@@ -27,6 +30,7 @@ use pi2_aqm::Pi2Config;
 use pi2_bench::header;
 use pi2_experiments::{
     run_fluid, summarize_scenario_run, AqmKind, BgGroup, FlowGroup, FluidRunResult, Scenario,
+    UdpGroup,
 };
 use pi2_simcore::{Duration, Rng, Time};
 use pi2_transport::{CcKind, EcnSetting};
@@ -190,6 +194,38 @@ fn main() {
     );
     metrics.push(("hybrid_1k_wall_secs".to_string(), hybrid_wall));
     metrics.push(("hybrid_1k_utilization".to_string(), s.utilization));
+
+    // The 1 000 classes again, as the background of ten UDP probes: the
+    // packet side does next to nothing, so this is the cost of the
+    // coupling — every class advanced in 1 ms sub-steps, tick by tick.
+    let mut sc = many_class_scenario(secs);
+    sc.backend = pi2_experiments::Backend::Hybrid;
+    let classes = std::mem::take(&mut sc.tcp);
+    let as_background = |g: &FlowGroup| BgGroup::new(g.count, g.cc, g.rtt, "bg");
+    sc.background = classes.iter().map(as_background).collect();
+    let probes = UdpGroup::paper_probes(10, Duration::from_millis(50));
+    sc.udp.push(probes);
+    let wall = Instant::now();
+    let run = sc.run();
+    let hybrid_wall = wall.elapsed().as_secs_f64();
+    let s = summarize_scenario_run(&sc, &run);
+    let bg = run
+        .background
+        .as_ref()
+        .expect("hybrid run carries background");
+    let ns_per_class_step = hybrid_wall * 1e9 / class_steps;
+    println!(
+        "hybrid   {:>9} flows  wall {hybrid_wall:>8.3} s   util {:>5.1} %  qdelay {:>6.2} ms  \
+         ({KCLASS_CLASSES} classes: {ns_per_class_step:.1} ns per class-step, {} ticks)",
+        bg.flow_count,
+        100.0 * s.utilization,
+        s.qdelay_s * 1e3,
+        bg.ticks
+    );
+    metrics.push((
+        "hybrid_1kclass_ns_per_class_step".to_string(),
+        ns_per_class_step,
+    ));
 
     let speedup = packet_wall / fluid_100k_wall.max(1e-9);
     metrics.push(("fluid_100k_speedup_vs_packet_1k".to_string(), speedup));

@@ -187,6 +187,36 @@ pub fn fluid_encoding(aqm: &AqmKind) -> Result<FluidEncoding, String> {
     }
 }
 
+/// The engine configuration both fluid constructors build, with what
+/// [`FlowLevelSim::new`] asserts on checked first: the link rate and the
+/// class RTTs come straight from the command line (`--rtt 0ms`), and a
+/// description the engine cannot run is the user's error, not a panic.
+fn engine_config(
+    encoding: &FluidEncoding,
+    rate_bps: u64,
+    classes: Vec<FlowClass>,
+) -> Result<FlowLevelConfig, String> {
+    if rate_bps == 0 {
+        return Err("the link rate must be positive".to_string());
+    }
+    let bad_rtt = |cl: &&FlowClass| !(cl.base_rtt > 0.0 && cl.base_rtt.is_finite());
+    if let Some(cl) = classes.iter().find(bad_rtt) {
+        return Err(format!(
+            "every flow class needs a positive base RTT, got {} s",
+            cl.base_rtt
+        ));
+    }
+    Ok(FlowLevelConfig {
+        capacity_pps: rate_bps as f64 / 8.0 / PKT_BYTES,
+        classes,
+        encoder: encoding.encoder,
+        gains: encoding.gains,
+        target: encoding.target,
+        coupling: encoding.coupling,
+        dt: 0.001,
+    })
+}
+
 /// The fluid background aggregate for hybrid mode: wraps the flow-level
 /// engine and implements the capacity-stealing coupling contract of
 /// [`pi2_netsim::background::BackgroundAggregate`].
@@ -220,15 +250,7 @@ impl FluidBackground {
             h.update_str(&g.label);
         }
         let flows = groups.iter().map(|g| g.count as u64).sum();
-        let cfg = FlowLevelConfig {
-            capacity_pps: rate_bps as f64 / 8.0 / PKT_BYTES,
-            classes,
-            encoder: encoding.encoder,
-            gains: encoding.gains,
-            target: encoding.target,
-            coupling: encoding.coupling,
-            dt: 0.001,
-        };
+        let cfg = engine_config(&encoding, rate_bps, classes)?;
         Ok(FluidBackground {
             sim: FlowLevelSim::new(cfg),
             coupled: encoding.coupled,
@@ -282,18 +304,30 @@ impl BackgroundAggregate for FluidBackground {
     }
 
     fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        let t = r.f64()?;
+        // Every float of the state is a time, a backlog, a probability or
+        // a window. The law would clamp a NaN or negative window to its
+        // floor and run on with different numbers: refuse it here.
+        let sane = |x: f64| {
+            if x.is_finite() && x >= 0.0 {
+                Ok(x)
+            } else {
+                Err(CkptError::Corrupt(
+                    "background state holds a negative or non-finite value",
+                ))
+            }
+        };
+        let t = sane(r.f64()?)?;
         let steps = r.u64()?;
-        let q = r.f64()?;
-        let p_prime = r.f64()?;
-        let prev_qdelay = r.f64()?;
+        let q = sane(r.f64()?)?;
+        let p_prime = sane(r.f64()?)?;
+        let prev_qdelay = sane(r.f64()?)?;
         let n = r.usize()?;
         if n != self.sim.config().classes.len() {
             return Err(CkptError::Corrupt("background class count mismatch"));
         }
         let mut w = Vec::with_capacity(n);
         for _ in 0..n {
-            w.push(r.f64()?);
+            w.push(sane(r.f64()?)?);
         }
         let alloc_events = r.u64()?;
         let mut binding = Vec::with_capacity(n);
@@ -484,16 +518,7 @@ pub fn run_fluid(sc: &Scenario) -> Result<FluidRunResult, String> {
     }
     let counts: Vec<f64> = classes.iter().map(|c| c.count).collect();
     let flow_count = counts.iter().sum::<f64>() as u64;
-    let cfg = FlowLevelConfig {
-        capacity_pps: sc.rate_bps as f64 / 8.0 / PKT_BYTES,
-        classes,
-        encoder: encoding.encoder,
-        gains: encoding.gains,
-        target: encoding.target,
-        coupling: encoding.coupling,
-        dt: 0.001,
-    };
-    let mut sim = FlowLevelSim::new(cfg);
+    let mut sim = FlowLevelSim::new(engine_config(&encoding, sc.rate_bps, classes)?);
     let warmup = sc.warmup.as_secs_f64();
     let t_end = sc.duration.as_secs_f64();
     let sample_every = sc.sample_interval.as_secs_f64();
@@ -588,6 +613,76 @@ mod tests {
         let mut sc = base_scenario();
         sc.aqm = AqmKind::TailDrop;
         assert!(run_fluid(&sc).is_err());
+    }
+
+    #[test]
+    fn fluid_backend_rejects_a_zero_rtt_and_a_zero_rate() {
+        // `pi2sim --backend fluid --rtt 0ms` used to reach the engine's
+        // assert; it is a usage error.
+        let mut sc = base_scenario();
+        sc.tcp[0].rtt = Duration::ZERO;
+        let err = run_fluid(&sc).unwrap_err();
+        assert!(err.contains("positive base RTT"), "{err}");
+        let mut sc = base_scenario();
+        sc.rate_bps = 0;
+        let err = run_fluid(&sc).unwrap_err();
+        assert!(err.contains("link rate"), "{err}");
+    }
+
+    #[test]
+    fn hybrid_background_rejects_a_zero_rtt_and_a_zero_rate() {
+        let aqm = AqmKind::pi2_default();
+        let bg = |rtt| [BgGroup::new(100, CcKind::Reno, rtt, "bg")];
+        let err = FluidBackground::new(&bg(Duration::ZERO), &aqm, 12_000_000)
+            .err()
+            .expect("a zero RTT is refused");
+        assert!(err.contains("positive base RTT"), "{err}");
+        let err = FluidBackground::new(&bg(Duration::from_millis(-5)), &aqm, 12_000_000)
+            .err()
+            .expect("a negative RTT is refused");
+        assert!(err.contains("positive base RTT"), "{err}");
+        let err = FluidBackground::new(&bg(Duration::from_millis(50)), &aqm, 0)
+            .err()
+            .expect("a zero link rate is refused");
+        assert!(err.contains("link rate"), "{err}");
+        // And through the scenario, as `pi2sim --backend hybrid` builds it.
+        let mut sc = base_scenario();
+        sc.backend = Backend::Hybrid;
+        sc.background = bg(Duration::ZERO).to_vec();
+        assert!(sc.build().is_err());
+    }
+
+    #[test]
+    fn a_checkpoint_with_a_hostile_window_is_a_typed_error() {
+        // A real hybrid run, saved mid-way. The aggregate is the last thing
+        // in the blob and ends `w[n], alloc_events: u64, binding[n]: u8`.
+        let mut sc = base_scenario();
+        sc.backend = Backend::Hybrid;
+        sc.tcp[0].count = 2;
+        sc.background = vec![
+            BgGroup::new(3, CcKind::Reno, Duration::from_millis(50), "bg-reno"),
+            BgGroup::new(2, CcKind::Dctcp, Duration::from_millis(20), "bg-dctcp"),
+        ];
+        let n = sc.background.len();
+        let mut sim = sc.build().unwrap();
+        sim.run_until(Time::from_secs(2));
+        let blob = sim.save();
+        let window = |i: usize| blob.len() - n - 8 - 8 * (n - i);
+        for i in 0..n {
+            let at = window(i);
+            let w = f64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+            assert!(w > 1.0 && w < 1e4, "class {i}: not a window at {at}: {w}");
+        }
+        let restored = sc.build().unwrap().restore(&blob);
+        assert!(restored.is_ok(), "the blob as saved restores: {restored:?}");
+        for hostile in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut bad = blob.clone();
+            bad[window(1)..window(1) + 8].copy_from_slice(&hostile.to_le_bytes());
+            match sc.build().unwrap().restore(&bad) {
+                Err(CkptError::Corrupt(_)) => {}
+                other => panic!("window = {hostile}: expected Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! set of binding constraints changes — and controller ticks; there are no
 //! per-packet events at all.
 //!
-//! A step is one pass over the classes (demand and window law together),
-//! a repair of the water-filling order and one fill: O(classes) plus the
-//! entries the repair has to move, and no allocation. The engine keeps the
+//! A step is a few passes over the class columns (round trips, demands,
+//! the window law), a repair of the water-filling order and one fill:
+//! O(classes) plus the entries the repair has to move, and no allocation.
+//! The engine keeps the
 //! order (classes sorted by per-flow demand) from step to step instead of
 //! sorting from scratch, because it hardly changes: windows drift smoothly,
 //! so neighbours in demand order rarely swap within one `dt`
@@ -40,6 +41,49 @@
 //! with `s` the applied signal: `p'²` for classic flows under a squared
 //! encoder, `min(k·p', 1)` for scalable flows under the same (the DualPI2
 //! coupling), `p'` under direct encoders.
+//!
+//! # The class law as column kernels
+//!
+//! [`FlowLevelSim::new`] lays the class table out once as columns
+//! (`ClassColumns`: `base_rtt`, `count`, `cap`, `start`, `stop` as
+//! `Vec<f64>` with `+∞` for "no cap" and "never stops", the law's kind as a
+//! `Vec<u64>` mask), and the engine keeps scratch rows beside them: the
+//! round trip `r`, `1/r` and `cap·r` of every class, its applied `signal`,
+//! and a `live` mask of the classes active at the current clock. The law is
+//! written once, for both kinds, as a body without branches
+//! (`advance_windows`): the kind picks a factor `w` or `1.0`, the floor and
+//! the cap are compare-selects, and an idle class's restart to W = 1 is a
+//! bit-mask select. [`FlowLevelSim::step`], [`FlowLevelSim::tick_external`]
+//! and [`FlowLevelSim::class_rates_pps`] all go through the same handful of
+//! kernels. A coupling tick fills `r`, `1/r`, `cap·r` and `signal` once —
+//! they are constant over its 32 sub-steps — and works the `live` row out
+//! again only when the clock passes the next `start`/`stop`, so a sub-step
+//! is one division per class, and that one packed.
+//!
+//! The kernels are free functions over equal-length slices, kept out of
+//! line: written as loops over `self.` fields the same bodies did not
+//! vectorise, because the compiler cannot see that two `Vec`s of one struct
+//! do not overlap, while `&mut [f64]` and `&[f64]` arguments cannot.
+//!
+//! Every result is bit for bit what the per-class scalar form gave (kept
+//! under `#[cfg(test)]` as the oracle of
+//! `column_kernels_equal_the_scalar_law_bit_for_bit`): the operations and
+//! their order are the same, IEEE division and multiplication round each
+//! lane on its own, Rust never contracts `a*b + c` to a fused multiply-add,
+//! and multiplying by `1.0`, `min` against `+∞` and the mask selects are
+//! exact. The three sums (`arrival` and the signal-weighted rate in `step`,
+//! the offered rate of a tick) stay sequential and in class order, because
+//! a float sum rounds by its order; an idle class adds `+0.0`, which leaves
+//! a sum that started from `+0.0` as it was.
+//!
+//! Deliberately not built: a second, `#[target_feature(enable = "avx2")]`
+//! instantiation of the kernel (a whole build at `+avx2` read a tick
+//! ×1.4–1.7 faster, but it needs an `unsafe` dispatch whose other side no
+//! host here would run); `f64::mul_add` or a multiply by `1/r` in place of
+//! `x / r` (either changes the rounding, hence every hybrid run); and a
+//! division-free test in `water_fill` (its branch is well predicted, which
+//! hides the division: a prototype with an exact error-bounded filter
+//! moved nothing).
 
 use crate::ode::{FluidControllerKind, FluidTcpKind};
 use crate::tf::{pie_tune_factor, PiGains};
@@ -193,30 +237,6 @@ impl FlowClass {
             stop: None,
         }
     }
-
-    fn active(&self, t: f64) -> bool {
-        t >= self.start && self.stop.map_or(true, |s| t < s) && self.count > 0.0
-    }
-
-    /// Per-flow offered rate at window `w` and round-trip time `r`.
-    #[inline]
-    fn demand(&self, w: f64, r: f64) -> f64 {
-        let d = w / r;
-        self.rate_cap_pps.map_or(d, |cap| d.min(cap))
-    }
-
-    /// The window after `dt` seconds of the undelayed fluid law under
-    /// applied signal `s`.
-    #[inline]
-    fn next_window(&self, w: f64, r: f64, s: f64, dt: f64) -> f64 {
-        let decrease = match self.tcp {
-            FluidTcpKind::Reno => 0.5 * w * w / r * s,
-            FluidTcpKind::Scalable => 0.5 * w / r * s,
-        };
-        let next = (w + (1.0 / r - decrease) * dt).max(1e-3);
-        // App-limited: the window never builds past the cap.
-        self.rate_cap_pps.map_or(next, |cap| next.min(cap * r))
-    }
 }
 
 /// Flow-level engine configuration.
@@ -296,6 +316,160 @@ pub struct FlowLevelState {
     pub binding: Vec<bool>,
 }
 
+/// `a` where `mask` is all ones, `b` where it is zero. Exact: no
+/// arithmetic touches the chosen value.
+#[inline(always)]
+fn select(mask: u64, a: f64, b: f64) -> f64 {
+    f64::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
+}
+
+/// `f64::min(a, b)` for a `b` that is not NaN, as one compare-select
+/// (`minpd`). A NaN `b` — only a NaN window, which no step produces, makes
+/// one — is returned as it is.
+#[inline(always)]
+fn min_select(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// The class table as columns: one `Vec` per field, index = class, built
+/// once by [`FlowLevelSim::new`] from [`FlowLevelConfig::classes`].
+struct ClassColumns {
+    base_rtt: Vec<f64>,
+    count: Vec<f64>,
+    /// Per-flow rate cap; `+∞` for a class without one, against which
+    /// `min` is the identity.
+    cap: Vec<f64>,
+    start: Vec<f64>,
+    /// `+∞` for a class that never stops.
+    stop: Vec<f64>,
+    /// The window law as a mask: all ones for Reno, zero for Scalable.
+    reno: Vec<u64>,
+}
+
+impl ClassColumns {
+    fn new(classes: &[FlowClass]) -> Self {
+        let column = |f: fn(&FlowClass) -> f64| classes.iter().map(f).collect();
+        ClassColumns {
+            base_rtt: column(|cl| cl.base_rtt),
+            count: column(|cl| cl.count),
+            cap: column(|cl| cl.rate_cap_pps.unwrap_or(f64::INFINITY)),
+            start: column(|cl| cl.start),
+            stop: column(|cl| cl.stop.unwrap_or(f64::INFINITY)),
+            reno: classes
+                .iter()
+                .map(|cl| match cl.tcp {
+                    FluidTcpKind::Reno => !0,
+                    FluidTcpKind::Scalable => 0,
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Round trip of every class at queue delay `qdelay`, with the two values
+/// the window law derives from it. They hold for as long as `qdelay`
+/// does — all the sub-steps of a coupling tick.
+#[inline(never)]
+fn fill_round_trips(
+    base_rtt: &[f64],
+    cap: &[f64],
+    qdelay: f64,
+    r: &mut [f64],
+    inv_r: &mut [f64],
+    cap_r: &mut [f64],
+) {
+    let n = base_rtt.len();
+    let (cap, r, inv_r, cap_r) = (&cap[..n], &mut r[..n], &mut inv_r[..n], &mut cap_r[..n]);
+    for i in 0..n {
+        let ri = base_rtt[i] + qdelay;
+        r[i] = ri;
+        inv_r[i] = 1.0 / ri;
+        cap_r[i] = cap[i] * ri;
+    }
+}
+
+/// The signal each class's law applies: `classic` for Reno, `scalable`
+/// for Scalable.
+#[inline(never)]
+fn fill_signals(reno: &[u64], classic: f64, scalable: f64, signal: &mut [f64]) {
+    for (s, &mask) in signal.iter_mut().zip(reno) {
+        *s = select(mask, classic, scalable);
+    }
+}
+
+/// `(per-flow offered rate, flow count)` of every class: `min(W/R, cap)`
+/// for a live class, `(0, 0)` for an idle one.
+#[inline(never)]
+fn fill_demands(
+    w: &[f64],
+    r: &[f64],
+    cap: &[f64],
+    count: &[f64],
+    live: &[u64],
+    demand: &mut [(f64, f64)],
+) {
+    let n = w.len();
+    let (r, cap, count) = (&r[..n], &cap[..n], &count[..n]);
+    let (live, demand) = (&live[..n], &mut demand[..n]);
+    for i in 0..n {
+        let rate = min_select(cap[i], w[i] / r[i]);
+        demand[i] = (select(live[i], rate, 0.0), select(live[i], count[i], 0.0));
+    }
+}
+
+/// The window law, for both kinds, over every class: `h` seconds of the
+/// undelayed fluid law under each class's applied signal; an idle class
+/// restarts from W = 1 when it (re)activates.
+///
+/// Operation for operation what the per-class form computed —
+/// `w + (1/r − ½·w·m / r · s)·h` with `m` = `w` for Reno and `1.0` (an
+/// exact factor) for Scalable, floored at 1e-3 (a NaN goes to the floor,
+/// as with `f64::max`) and, app-limited, never built past `cap·r` — but
+/// with selects for branches, so the loop compiles to packed
+/// `divpd`/`maxpd`/`minpd`. Out of line so that it keeps a symbol and its
+/// slices stay `noalias`.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn advance_windows(
+    w: &mut [f64],
+    r: &[f64],
+    inv_r: &[f64],
+    cap_r: &[f64],
+    signal: &[f64],
+    reno: &[u64],
+    live: &[u64],
+    h: f64,
+) {
+    let n = w.len();
+    let (r, inv_r, cap_r) = (&r[..n], &inv_r[..n], &cap_r[..n]);
+    let (signal, reno, live) = (&signal[..n], &reno[..n], &live[..n]);
+    for i in 0..n {
+        let wi = w[i];
+        let m = select(reno[i], wi, 1.0);
+        let next = wi + (inv_r[i] - 0.5 * wi * m / r[i] * signal[i]) * h;
+        let next = if next > 1e-3 { next } else { 1e-3 };
+        w[i] = select(live[i], min_select(cap_r[i], next), 1.0);
+    }
+}
+
+/// Σ count·min(W/R, cap) over the live classes, in class order: a float
+/// sum rounds by its order, so this one stays sequential.
+fn offered_rate(w: &[f64], r: &[f64], cap: &[f64], count: &[f64], live: &[u64]) -> f64 {
+    let n = w.len();
+    let (r, cap, count, live) = (&r[..n], &cap[..n], &count[..n], &live[..n]);
+    let mut offered = 0.0;
+    for i in 0..n {
+        let rate = min_select(cap[i], w[i] / r[i]);
+        // An idle class adds +0.0, which leaves any sum from +0.0 as it is.
+        offered += select(live[i], rate * count[i], 0.0);
+    }
+    offered
+}
+
 /// The flow-level engine.
 ///
 /// ```
@@ -310,6 +484,7 @@ pub struct FlowLevelState {
 /// ```
 pub struct FlowLevelSim {
     cfg: FlowLevelConfig,
+    cols: ClassColumns,
     w: Vec<f64>,
     q: f64,
     p_prime: f64,
@@ -329,6 +504,18 @@ pub struct FlowLevelSim {
     /// always a permutation, repaired (not rebuilt) every step.
     order: Vec<u32>,
     order_moves: u64,
+    /// Scratch rows of [`fill_round_trips`] and [`fill_signals`], refilled
+    /// by every step and tick.
+    r: Vec<f64>,
+    inv_r: Vec<f64>,
+    cap_r: Vec<f64>,
+    signal: Vec<f64>,
+    /// All ones for each class that is active (started, not stopped,
+    /// count > 0) at any clock value in `live_from..live_until`; see
+    /// [`Self::refresh_live`].
+    live: Vec<u64>,
+    live_from: f64,
+    live_until: f64,
     /// Per-flow rate time-integral per class since `begin_measurement`.
     rate_integral: Vec<f64>,
     meas_from: Option<f64>,
@@ -345,6 +532,7 @@ impl FlowLevelSim {
         let ctrl_every = (cfg.gains.t_update / cfg.dt).round().max(1.0) as u64;
         let n = cfg.classes.len();
         FlowLevelSim {
+            cols: ClassColumns::new(&cfg.classes),
             w: vec![1.0; n],
             q: 0.0,
             p_prime: 0.0,
@@ -358,6 +546,14 @@ impl FlowLevelSim {
             share: vec![0.0; n],
             order: identity_order(n),
             order_moves: 0,
+            r: vec![0.0; n],
+            inv_r: vec![0.0; n],
+            cap_r: vec![0.0; n],
+            signal: vec![0.0; n],
+            live: vec![0; n],
+            // An empty interval: the first use works the row out.
+            live_from: f64::INFINITY,
+            live_until: f64::NEG_INFINITY,
             rate_integral: vec![0.0; n],
             meas_from: None,
             cfg,
@@ -435,16 +631,89 @@ impl FlowLevelSim {
     /// Per-flow max-min allocation (pps) of each class right now, computed
     /// into the engine's own rows (the next step overwrites them).
     pub fn class_rates_pps(&mut self) -> &[f64] {
-        let qdelay = self.q / self.cfg.capacity_pps;
-        for (i, cl) in self.cfg.classes.iter().enumerate() {
-            self.demand[i] = if cl.active(self.t) {
-                (cl.demand(self.w[i], cl.base_rtt + qdelay), cl.count)
-            } else {
-                (0.0, 0.0)
-            };
-        }
+        self.fill_round_trips(self.q / self.cfg.capacity_pps);
+        self.fill_demands();
         self.allocate();
         &self.share
+    }
+
+    /// Bring the `live` row up to the current clock. Which classes are
+    /// active changes only when the clock crosses a `start` or `stop`, so
+    /// the row is kept together with the interval of clock values it holds
+    /// for — up to the nearest boundary still ahead — and a call inside
+    /// that interval is two compares. The row is a function of the clock
+    /// and the class table alone: a restore that moves the clock out of the
+    /// interval (or back into it) needs no other invalidation.
+    fn refresh_live(&mut self) {
+        let t = self.t;
+        if self.live_from <= t && t < self.live_until {
+            return;
+        }
+        let cols = &self.cols;
+        let mut until = f64::INFINITY;
+        for (i, live) in self.live.iter_mut().enumerate() {
+            let (start, stop) = (cols.start[i], cols.stop[i]);
+            *live = if t >= start && t < stop && cols.count[i] > 0.0 {
+                !0
+            } else {
+                0
+            };
+            for edge in [start, stop] {
+                if edge > t && edge < until {
+                    until = edge;
+                }
+            }
+        }
+        self.live_from = t;
+        self.live_until = until;
+    }
+
+    // The kernels bound to this engine's rows. They are free functions
+    // over slices, not loops over `self.` fields, because only so does the
+    // compiler see rows that cannot overlap.
+
+    fn fill_round_trips(&mut self, qdelay: f64) {
+        fill_round_trips(
+            &self.cols.base_rtt,
+            &self.cols.cap,
+            qdelay,
+            &mut self.r,
+            &mut self.inv_r,
+            &mut self.cap_r,
+        );
+    }
+
+    fn fill_signals(&mut self, classic: f64, scalable: f64) {
+        fill_signals(&self.cols.reno, classic, scalable, &mut self.signal);
+    }
+
+    /// The demand row at the current clock, from the round-trip rows.
+    fn fill_demands(&mut self) {
+        self.refresh_live();
+        fill_demands(
+            &self.w,
+            &self.r,
+            &self.cols.cap,
+            &self.cols.count,
+            &self.live,
+            &mut self.demand,
+        );
+    }
+
+    /// `h` seconds of the window law at the current clock, from the
+    /// round-trip and signal rows.
+    fn advance_windows(&mut self, h: f64) {
+        self.refresh_live();
+        advance_windows(
+            &mut self.w,
+            &self.r,
+            &self.inv_r,
+            &self.cap_r,
+            &self.signal,
+            &self.cols.reno,
+            &self.live,
+            h,
+        );
     }
 
     /// Max-min shares of the demand row: repair the kept order, fill.
@@ -478,46 +747,35 @@ impl FlowLevelSim {
             self.prev_qdelay = qdelay;
         }
 
-        // One pass per class: offered demand, then the window dynamics
+        // Offered demand of every class, then the window dynamics
         // (undelayed fluid laws), which depend on the demand but not on
-        // the share. The sample's `signal` is the traffic-weighted applied
-        // signal — the fluid analogue of the packet side's (marked +
-        // dropped) / sent, which weights each class by its share of the
-        // arrivals.
+        // the share.
         let classic = self.classic_signal();
-        let scalable = self.scalable_signal();
-        let mut arrival = 0.0;
-        let mut sig_rate = 0.0;
-        let mut rate_sum = 0.0;
-        for (i, cl) in self.cfg.classes.iter().enumerate() {
-            if !cl.active(self.t) {
-                // Restart fresh when (re)activated.
-                self.w[i] = 1.0;
-                self.demand[i] = (0.0, 0.0);
-                continue;
-            }
-            let r = cl.base_rtt + qdelay;
-            let w = self.w[i];
-            let rate = cl.demand(w, r);
-            self.demand[i] = (rate, cl.count);
-            arrival += rate * cl.count;
-            let s = match cl.tcp {
-                FluidTcpKind::Reno => classic,
-                FluidTcpKind::Scalable => scalable,
-            };
-            sig_rate += cl.count * rate * s;
-            rate_sum += cl.count * rate;
-            self.w[i] = cl.next_window(w, r, s, dt);
-        }
+        self.fill_signals(classic, self.scalable_signal());
+        self.fill_round_trips(qdelay);
+        self.fill_demands();
+        self.advance_windows(dt);
         self.order_moves += self.allocate();
 
-        // A class is demand-bound when its share equals its demand;
-        // count binding-set flips as reallocation events.
+        // What is left takes one pass in class order. The two sums (the
+        // sample's `signal` is the traffic-weighted applied signal — the
+        // fluid analogue of the packet side's (marked + dropped) / sent,
+        // which weights each class by its share of the arrivals) round by
+        // their order, so each is a sequential chain of adds, to which an
+        // idle class's `(0, 0)` demand adds +0.0. The binding test rides
+        // along under their latency: a class is demand-bound when its
+        // share equals its demand, and a flip of the binding set counts as
+        // one reallocation event.
+        let mut arrival = 0.0;
+        let mut sig_rate = 0.0;
         let mut flipped = false;
-        for ((&(demand, _), &share), was_bound) in
-            self.demand.iter().zip(&self.share).zip(&mut self.binding)
-        {
-            let bound = demand > 0.0 && share >= demand * (1.0 - 1e-12);
+        let signals = self.demand.iter().zip(&self.signal);
+        let shares = self.share.iter().zip(&mut self.binding);
+        for ((&(rate, count), &s), (&share, was_bound)) in signals.zip(shares) {
+            let offered = rate * count;
+            arrival += offered;
+            sig_rate += offered * s;
+            let bound = rate > 0.0 && share >= rate * (1.0 - 1e-12);
             flipped |= bound != *was_bound;
             *was_bound = bound;
         }
@@ -540,10 +798,10 @@ impl FlowLevelSim {
             t: self.t,
             qdelay: self.q / c,
             p_prime: self.p_prime,
-            signal: if rate_sum > 0.0 {
-                sig_rate / rate_sum
+            signal: if arrival > 0.0 {
+                sig_rate / arrival
             } else {
-                self.classic_signal()
+                classic
             },
             util: (served / c).min(1.0),
             arrival_pps: arrival,
@@ -583,28 +841,18 @@ impl FlowLevelSim {
         let sub = self.cfg.dt.min(dt.max(1e-9));
         let steps = (dt / sub).round().max(1.0) as u64;
         let h = dt / steps as f64;
+        // Signals and queue delay hold for the whole tick: every row the
+        // law reads is filled once, not once per sub-step.
+        self.fill_signals(classic_signal, scalable_signal);
+        self.fill_round_trips(qdelay);
         for _ in 0..steps {
-            for (i, cl) in self.cfg.classes.iter().enumerate() {
-                if !cl.active(self.t) {
-                    self.w[i] = 1.0;
-                    continue;
-                }
-                let s = match cl.tcp {
-                    FluidTcpKind::Reno => classic_signal,
-                    FluidTcpKind::Scalable => scalable_signal,
-                };
-                self.w[i] = cl.next_window(self.w[i], cl.base_rtt + qdelay, s, h);
-            }
+            self.advance_windows(h);
             self.t += h;
             self.steps += 1;
         }
-        let mut offered = 0.0;
-        for (i, cl) in self.cfg.classes.iter().enumerate() {
-            if cl.active(self.t) {
-                offered += cl.demand(self.w[i], cl.base_rtt + qdelay) * cl.count;
-            }
-        }
-        offered
+        self.refresh_live();
+        let cols = &self.cols;
+        offered_rate(&self.w, &self.r, &cols.cap, &cols.count, &self.live)
     }
 
     /// Export the complete dynamic state for checkpointing.
@@ -625,6 +873,8 @@ impl FlowLevelSim {
     /// match the configuration this engine was built with. The kept
     /// water-filling order is not state: whatever permutation this engine
     /// holds, the next step's repair sorts it for the restored windows.
+    /// Nor is the `live` row: it is worked out again as soon as the
+    /// restored clock is outside the interval it was worked out for.
     pub fn restore_state(&mut self, s: &FlowLevelState) {
         let n = self.cfg.classes.len();
         assert_eq!(s.w.len(), n, "checkpoint class count mismatch");
@@ -872,6 +1122,370 @@ mod tests {
         let moved = repair_order(&mut kept, &classes);
         assert!(moved > budget && moved <= budget + u64::from(n));
         assert_eq!(kept, sorted);
+    }
+
+    /// The window law one class at a time, as the engine computed it before
+    /// the column kernels: the scalar half of [`ScalarOracle`].
+    impl FlowClass {
+        fn active(&self, t: f64) -> bool {
+            t >= self.start && self.stop.map_or(true, |s| t < s) && self.count > 0.0
+        }
+
+        /// Per-flow offered rate at window `w` and round-trip time `r`.
+        fn demand(&self, w: f64, r: f64) -> f64 {
+            let d = w / r;
+            self.rate_cap_pps.map_or(d, |cap| d.min(cap))
+        }
+
+        /// The window after `dt` seconds of the undelayed fluid law under
+        /// applied signal `s`.
+        fn next_window(&self, w: f64, r: f64, s: f64, dt: f64) -> f64 {
+            let decrease = match self.tcp {
+                FluidTcpKind::Reno => 0.5 * w * w / r * s,
+                FluidTcpKind::Scalable => 0.5 * w / r * s,
+            };
+            let next = (w + (1.0 / r - decrease) * dt).max(1e-3);
+            // App-limited: the window never builds past the cap.
+            self.rate_cap_pps.map_or(next, |cap| next.min(cap * r))
+        }
+    }
+
+    /// The per-class scalar engine the column kernels replaced, kept as
+    /// the reference they are held to bit for bit: one class at a time,
+    /// `f64::max`/`f64::min` clamps, an early `continue` for idle classes,
+    /// shares sorted from scratch.
+    struct ScalarOracle {
+        cfg: FlowLevelConfig,
+        w: Vec<f64>,
+        q: f64,
+        p_prime: f64,
+        prev_qdelay: f64,
+        t: f64,
+        steps: u64,
+        demand: Vec<(f64, f64)>,
+        share: Vec<f64>,
+    }
+
+    impl ScalarOracle {
+        fn new(cfg: FlowLevelConfig) -> Self {
+            let n = cfg.classes.len();
+            ScalarOracle {
+                w: vec![1.0; n],
+                q: 0.0,
+                p_prime: 0.0,
+                prev_qdelay: 0.0,
+                t: 0.0,
+                steps: 0,
+                demand: vec![(0.0, 0.0); n],
+                share: vec![0.0; n],
+                cfg,
+            }
+        }
+
+        fn restore(&mut self, s: &FlowLevelState) {
+            self.t = s.t;
+            self.steps = s.steps;
+            self.q = s.q;
+            self.p_prime = s.p_prime;
+            self.prev_qdelay = s.prev_qdelay;
+            self.w.clone_from(&s.w);
+        }
+
+        fn step(&mut self) -> FlowLevelSample {
+            let c = self.cfg.capacity_pps;
+            let dt = self.cfg.dt;
+            let qdelay = self.q / c;
+            let ctrl_every = (self.cfg.gains.t_update / dt).round().max(1.0) as u64;
+            if self.steps % ctrl_every == 0 {
+                let err = qdelay - self.cfg.target;
+                let growth = qdelay - self.prev_qdelay;
+                let mut delta = self.cfg.gains.alpha * err + self.cfg.gains.beta * growth;
+                if self.cfg.encoder == FluidControllerKind::TunedDirect {
+                    delta *= pie_tune_factor(self.p_prime);
+                }
+                self.p_prime = (self.p_prime + delta).clamp(0.0, 1.0);
+                self.prev_qdelay = qdelay;
+            }
+            let (classic, scalable) = match self.cfg.encoder {
+                FluidControllerKind::Squared => (
+                    self.p_prime * self.p_prime,
+                    (self.cfg.coupling * self.p_prime).min(1.0),
+                ),
+                _ => (self.p_prime, self.p_prime),
+            };
+            let mut arrival = 0.0;
+            let mut sig_rate = 0.0;
+            let mut rate_sum = 0.0;
+            for (i, cl) in self.cfg.classes.iter().enumerate() {
+                if !cl.active(self.t) {
+                    self.w[i] = 1.0;
+                    self.demand[i] = (0.0, 0.0);
+                    continue;
+                }
+                let r = cl.base_rtt + qdelay;
+                let w = self.w[i];
+                let rate = cl.demand(w, r);
+                self.demand[i] = (rate, cl.count);
+                arrival += rate * cl.count;
+                let s = match cl.tcp {
+                    FluidTcpKind::Reno => classic,
+                    FluidTcpKind::Scalable => scalable,
+                };
+                sig_rate += cl.count * rate * s;
+                rate_sum += cl.count * rate;
+                self.w[i] = cl.next_window(w, r, s, dt);
+            }
+            self.share = max_min_weighted(c, &self.demand);
+            let served = if self.q > 0.0 { c } else { arrival.min(c) };
+            self.q = (self.q + (arrival - c) * dt).max(0.0);
+            self.t += dt;
+            self.steps += 1;
+            FlowLevelSample {
+                t: self.t,
+                qdelay: self.q / c,
+                p_prime: self.p_prime,
+                signal: if rate_sum > 0.0 {
+                    sig_rate / rate_sum
+                } else {
+                    classic
+                },
+                util: (served / c).min(1.0),
+                arrival_pps: arrival,
+            }
+        }
+
+        fn tick_external(&mut self, dt: f64, classic: f64, scalable: f64, qdelay: f64) -> f64 {
+            let sub = self.cfg.dt.min(dt.max(1e-9));
+            let steps = (dt / sub).round().max(1.0) as u64;
+            let h = dt / steps as f64;
+            for _ in 0..steps {
+                for (i, cl) in self.cfg.classes.iter().enumerate() {
+                    if !cl.active(self.t) {
+                        self.w[i] = 1.0;
+                        continue;
+                    }
+                    let s = match cl.tcp {
+                        FluidTcpKind::Reno => classic,
+                        FluidTcpKind::Scalable => scalable,
+                    };
+                    self.w[i] = cl.next_window(self.w[i], cl.base_rtt + qdelay, s, h);
+                }
+                self.t += h;
+                self.steps += 1;
+            }
+            let mut offered = 0.0;
+            for (i, cl) in self.cfg.classes.iter().enumerate() {
+                if cl.active(self.t) {
+                    offered += cl.demand(self.w[i], cl.base_rtt + qdelay) * cl.count;
+                }
+            }
+            offered
+        }
+    }
+
+    /// The engine's clock after every sub-step of ticks of the lengths
+    /// `dts`, summed the way `tick_external` sums it (a `step` is a tick of
+    /// one sub-step) — so a boundary can sit exactly on one of its values.
+    fn clock_grid(dts: impl Iterator<Item = f64>) -> Vec<f64> {
+        let mut t = 0.0;
+        let mut grid = Vec::new();
+        for dt in dts {
+            let steps = (dt / 0.001f64.min(dt)).round();
+            for _ in 0..steps as u64 {
+                t += dt / steps;
+                grid.push(t);
+            }
+        }
+        grid
+    }
+
+    /// A random mix of `n` classes whose `start`/`stop` boundaries fall
+    /// inside `grid` (the clock's values over the run): both laws, no cap
+    /// or a binding or a slack one, zero-count classes, boundaries exactly
+    /// on a clock value and strictly between two.
+    fn random_mix(rng: &mut pi2_simcore::Rng, n: usize, grid: &[f64]) -> FlowLevelConfig {
+        let edge = |rng: &mut pi2_simcore::Rng| {
+            let k = rng.range_u64(1, grid.len() as u64 - 1) as usize;
+            if rng.chance(0.5) {
+                grid[k]
+            } else {
+                grid[k] + rng.next_f64() * (grid[k + 1] - grid[k])
+            }
+        };
+        let classes: Vec<FlowClass> = (0..n)
+            .map(|_| {
+                let tcp = if rng.chance(0.5) {
+                    FluidTcpKind::Reno
+                } else {
+                    FluidTcpKind::Scalable
+                };
+                let count = if rng.chance(0.15) {
+                    0.0
+                } else {
+                    rng.range_f64(0.5, 40.0)
+                };
+                let mut cl = FlowClass::new(count, tcp, rng.range_f64(0.002, 0.25));
+                cl.rate_cap_pps = match rng.range_u64(0, 3) {
+                    0 => None,
+                    1 => Some(rng.range_f64(20.0, 400.0)),
+                    _ => Some(1.0e7),
+                };
+                if rng.chance(0.6) {
+                    cl.start = edge(rng);
+                }
+                if rng.chance(0.5) {
+                    // Some stop before they start: never active.
+                    cl.stop = Some(edge(rng));
+                }
+                cl
+            })
+            .collect();
+        let flows: f64 = classes.iter().map(|c| c.count).sum();
+        FlowLevelConfig {
+            capacity_pps: 150.0 * flows.max(1.0),
+            classes,
+            encoder: [
+                FluidControllerKind::Squared,
+                FluidControllerKind::Direct,
+                FluidControllerKind::TunedDirect,
+            ][rng.range_u64(0, 3) as usize],
+            ..FlowLevelConfig::default()
+        }
+    }
+
+    fn assert_rows_equal(sim: &FlowLevelSim, oracle: &ScalarOracle, at: &str) {
+        let same = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+        assert!(same(&sim.state().w, &oracle.w), "{at}: windows differ");
+        assert_eq!(sim.now().to_bits(), oracle.t.to_bits(), "{at}: clock");
+        assert_eq!(sim.last_demands().len(), oracle.demand.len());
+        for (i, (a, b)) in sim.last_demands().iter().zip(&oracle.demand).enumerate() {
+            assert_eq!(
+                (a.0.to_bits(), a.1.to_bits()),
+                (b.0.to_bits(), b.1.to_bits()),
+                "{at}: demand of class {i}"
+            );
+        }
+        assert!(same(sim.last_shares(), &oracle.share), "{at}: shares");
+    }
+
+    #[test]
+    fn column_kernels_equal_the_scalar_law_bit_for_bit() {
+        const STEPS: usize = 600;
+        const TICKS: usize = 200;
+        let mut rng = pi2_simcore::Rng::new(0xC01_0A11);
+        // 1–67 classes: every vector width leaves every possible remainder.
+        for n in 1..=67 {
+            let grid = clock_grid((0..STEPS).map(|_| 0.001));
+            let cfg = random_mix(&mut rng, n, &grid);
+            let mut sim = FlowLevelSim::new(cfg.clone());
+            let mut oracle = ScalarOracle::new(cfg);
+            for k in 0..STEPS {
+                let at = format!("{n} classes, step {k}");
+                assert_eq!(bits(&sim.step()), bits(&oracle.step()), "{at}: sample");
+                assert_rows_equal(&sim, &oracle, &at);
+            }
+            assert_eq!(sim.now().to_bits(), grid[STEPS - 1].to_bits());
+
+            // The hybrid coupling: 32 sub-steps per 32 ms tick (now and
+            // then a tick of another length, so `h` is not always the same
+            // 1 ms), signals and queue delay moving every tick.
+            let tick_dt = |k: usize| if k % 9 == 4 { 0.0165 } else { 0.032 };
+            let grid = clock_grid((0..TICKS).map(tick_dt));
+            let cfg = random_mix(&mut rng, n, &grid);
+            let mut sim = FlowLevelSim::new(cfg.clone());
+            let mut oracle = ScalarOracle::new(cfg);
+            for k in 0..TICKS {
+                let classic = rng.next_f64() * rng.next_f64() * 0.2;
+                let scalable = rng.next_f64() * 0.5;
+                let qdelay = rng.next_f64() * 0.04;
+                let dt = tick_dt(k);
+                let at = format!("{n} classes, tick {k}");
+                let offered = sim.tick_external(dt, classic, scalable, qdelay);
+                let expected = oracle.tick_external(dt, classic, scalable, qdelay);
+                assert_eq!(offered.to_bits(), expected.to_bits(), "{at}: offered");
+                assert_rows_equal(&sim, &oracle, &at);
+            }
+            assert_eq!(sim.now().to_bits(), grid[grid.len() - 1].to_bits());
+            // A step after the ticks: the rows a tick leaves behind do not
+            // leak into the next step.
+            assert_eq!(bits(&sim.step()), bits(&oracle.step()));
+            assert_rows_equal(&sim, &oracle, &format!("{n} classes, step after ticks"));
+            let rates = sim.class_rates_pps().to_vec();
+            let qdelay = oracle.q / oracle.cfg.capacity_pps;
+            let demand: Vec<(f64, f64)> = (oracle.cfg.classes.iter().zip(&oracle.w))
+                .map(|(cl, &w)| match cl.active(oracle.t) {
+                    true => (cl.demand(w, cl.base_rtt + qdelay), cl.count),
+                    false => (0.0, 0.0),
+                })
+                .collect();
+            let fresh = max_min_weighted(oracle.cfg.capacity_pps, &demand);
+            let same = |(a, b): (&f64, &f64)| a.to_bits() == b.to_bits();
+            assert!(rates.iter().zip(&fresh).all(same));
+        }
+    }
+
+    #[test]
+    fn a_nan_window_clamps_to_the_floor_as_f64_max_did() {
+        // `f64::max(NaN, 1e-3)` is 1e-3; the kernels' compare-select must
+        // pick the same side, in both laws, capped or not.
+        let mut cfg = capped_mix();
+        cfg.classes[1].tcp = FluidTcpKind::Scalable;
+        let mut sim = FlowLevelSim::new(cfg.clone());
+        let mut oracle = ScalarOracle::new(cfg);
+        let mut snap = sim.state();
+        snap.w = vec![f64::NAN; 2];
+        sim.restore_state(&snap);
+        oracle.restore(&snap);
+        sim.tick_external(0.001, 0.01, 0.02, 0.005);
+        oracle.tick_external(0.001, 0.01, 0.02, 0.005);
+        for w in [&sim.state().w, &oracle.w] {
+            assert_eq!(w[0].to_bits(), 1e-3f64.to_bits());
+            assert_eq!(w[1].to_bits(), 1e-3f64.to_bits());
+        }
+        // Through `step` too. (Only the windows: the demand a NaN window
+        // offers is NaN, as an uncapped class's always was, where the
+        // scalar `f64::min` gave a capped class its cap.)
+        sim.restore_state(&snap);
+        oracle.restore(&snap);
+        sim.step();
+        oracle.step();
+        for w in [&sim.state().w, &oracle.w] {
+            assert_eq!(w[0].to_bits(), 1e-3f64.to_bits());
+            assert_eq!(w[1].to_bits(), 1e-3f64.to_bits());
+        }
+    }
+
+    #[test]
+    fn a_restore_between_two_boundaries_replays_bit_identically() {
+        // Class 0 starts at 50 ms, class 1 stops at 200 ms, both inside a
+        // tick. The snapshot is taken between the two; the engine it is
+        // restored into has run past the second, so the set of live
+        // classes it last worked out is the wrong one for the restored
+        // clock and must not be used.
+        let mut cfg = capped_mix();
+        cfg.classes[0].start = 0.050;
+        cfg.classes[1].stop = Some(0.200);
+        let always_on = FlowClass::new(3.0, FluidTcpKind::Scalable, 0.02);
+        cfg.classes.push(always_on);
+        let tick = |sim: &mut FlowLevelSim, k: u32| {
+            let offered = sim.tick_external(0.032, 0.001 * f64::from(k), 0.01, 0.002);
+            (offered.to_bits(), sim.state())
+        };
+        let mut a = FlowLevelSim::new(cfg.clone());
+        for k in 0..3 {
+            tick(&mut a, k);
+        }
+        let snap = a.state();
+        assert!(snap.t > 0.050 && snap.t < 0.200);
+        let replay: Vec<_> = (3..12).map(|k| tick(&mut a, k)).collect();
+        assert!(a.now() > 0.200);
+
+        let mut fresh = FlowLevelSim::new(cfg);
+        for sim in [&mut a, &mut fresh] {
+            sim.restore_state(&snap);
+            let again: Vec<_> = (3..12).map(|k| tick(sim, k)).collect();
+            assert_eq!(again, replay);
+        }
     }
 
     #[test]

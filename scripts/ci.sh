@@ -33,7 +33,10 @@ cargo test -q
 echo "== workspace tests (release: some tests simulate minutes of traffic)"
 # Includes the allocation contract, one test binary each: zero_alloc (the
 # engine's steady-state loop makes no allocator call) and zero_alloc_sinks
-# (nor does it with the JSONL, CSV and Perfetto sinks attached).
+# (nor does it with the JSONL, CSV and Perfetto sinks attached). And, in
+# pi2-fluid, column_kernels_equal_the_scalar_law_bit_for_bit: the one pin
+# on how the hybrid coupling's tick_external rounds (the 1 001-class cmp
+# below covers step only, and a hybrid CLI cell prints two decimals).
 cargo test --workspace --release -q
 
 echo "== frozen benchmark still builds and runs against crates/"
@@ -431,6 +434,19 @@ trap 'rm -rf "$smoke_out" "$trace_out" "$trace_log" "$metrics_json" "$metrics_pr
 "$bin/pi2sim" --aqm pi2 --rate 10M --flows 2xreno --secs 8 --warmup 2 \
     --seed 7 --backend hybrid --bg-flows 8xreno > "$hyb_dir/hybrid.txt"
 grep -q '^background: 8 fluid flows' "$hyb_dir/hybrid.txt"
+# A zero RTT reaches the flow-level engine from the command line: it is a
+# usage error (exit 2, one line on stderr) on both paths, not the engine's
+# assert.
+zero_rtt_is_a_usage_error() {
+    local rc=0
+    "$bin/pi2sim" "$@" --rtt 0ms --secs 20 \
+        > /dev/null 2> "$hyb_dir/zero_rtt.stderr" || rc=$?
+    test "$rc" -eq 2
+    test "$(wc -l < "$hyb_dir/zero_rtt.stderr")" -eq 1
+    grep -q 'positive base RTT' "$hyb_dir/zero_rtt.stderr"
+}
+zero_rtt_is_a_usage_error --backend fluid
+zero_rtt_is_a_usage_error --backend hybrid --bg-flows 100xreno
 # Time-boxed 100k-flow fluid run: a population 100x beyond the packet
 # backend's practical reach must finish within a 60 s wall budget (it
 # takes milliseconds — the engine's cost is per class, not per flow).

@@ -654,7 +654,7 @@ fn run_single(a: &CliArgs) {
             .map(|&i| m.flows[i].signal_fraction())
             .sum::<f64>()
             / idxs.len().max(1) as f64;
-        let sj = Summary::of_f32(&m.pooled_sojourns(label));
+        let sj = Summary::over(m.pooled_sojourns(label), f64::from);
         println!(
             "{label:>10}: {} flows, {tput:.2} Mb/s total, signal {:.3} %, delay p99 {:.1} ms",
             idxs.len(),

@@ -250,7 +250,8 @@ impl Qdisc for FqDrr {
         for _ in 0..flows {
             let flow = FlowId(r.u32()?);
             let deficit = r.i64()?;
-            let pkts = r.usize()?;
+            // Each queued packet is followed by its 8-byte enqueue time.
+            let pkts = r.len_of(8)?;
             if pkts == 0 {
                 return Err(CkptError::Corrupt("backlogged flow with empty queue"));
             }
@@ -311,6 +312,23 @@ mod tests {
             assert_eq!(p.seq, i);
         }
         assert!(q.pop(Time::from_millis(1)).is_none());
+    }
+
+    #[test]
+    fn a_corrupt_queue_length_is_truncated_not_an_allocation() {
+        let mut q = fq();
+        let mut rng = Rng::new(1);
+        for i in 0..5 {
+            q.offer(pkt(3, i, 1000), Time::ZERO, &mut rng);
+        }
+        let mut w = CkptWriter::new();
+        q.save_ckpt(&mut w);
+        let mut blob = w.into_bytes();
+        fq().restore_ckpt(&mut CkptReader::new(&blob)).expect("the untouched blob restores");
+        // Flow count, flow id, deficit: then the flow's packet count.
+        let at = 8 + 4 + 8;
+        blob[at..at + 8].copy_from_slice(&(u64::MAX >> 1).to_le_bytes());
+        assert_eq!(fq().restore_ckpt(&mut CkptReader::new(&blob)), Err(CkptError::Truncated));
     }
 
     #[test]

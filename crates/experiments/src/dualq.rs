@@ -49,8 +49,8 @@ pub fn run(
     DualQResult {
         cubic_mbps: r.per_flow_tput_mbps("cubic"),
         dctcp_mbps: r.per_flow_tput_mbps("dctcp"),
-        l_delay: Summary::of_f32(&m.pooled_sojourns("dctcp")),
-        c_delay: Summary::of_f32(&m.pooled_sojourns("cubic")),
+        l_delay: Summary::over(m.pooled_sojourns("dctcp"), f64::from),
+        c_delay: Summary::over(m.pooled_sojourns("cubic"), f64::from),
         util_pct: util,
     }
 }

@@ -371,12 +371,14 @@ impl Scenario {
         // Pre-size the measurement vectors so per-packet recording never
         // reallocates mid-run (before add_flow, so per-flow vectors pick
         // up the same hints). The packet estimate assumes MTU-sized
-        // segments at full utilization, capped to bound the up-front
-        // footprint for very long/fast runs.
+        // segments at full utilization over the span the monitor keeps
+        // per-packet samples for, which starts where warm-up ends; capped
+        // to bound the up-front footprint for very long/fast runs.
         let expected_samples =
             (self.duration.as_secs_f64() / self.sample_interval.as_secs_f64()).ceil() as usize + 2;
+        let recorded_s = (self.duration.as_secs_f64() - self.warmup.as_secs_f64()).max(0.0);
         let expected_pkts =
-            (self.rate_bps as f64 * self.duration.as_secs_f64() / (8.0 * 1500.0)) as usize;
+            (self.rate_bps as f64 * recorded_s / (8.0 * 1500.0)).ceil() as usize + 2;
         let expected_pkts = expected_pkts.min(1 << 21);
         sim.core.monitor.reserve(expected_samples, expected_pkts);
         // Each flow pre-sizes its own sample vectors from the hint the
@@ -537,24 +539,12 @@ impl RunResult {
 
     /// Applied-probability summary for a label (percent).
     pub fn prob_summary(&self, label: &str) -> Summary {
-        let samples: Vec<f64> = self
-            .monitor
-            .pooled_probs(label)
-            .iter()
-            .map(|&p| p as f64 * 100.0)
-            .collect();
-        Summary::of(&samples)
+        Summary::over(self.monitor.pooled_probs(label), |p| p as f64 * 100.0)
     }
 
     /// Link-utilization summary (percent of capacity).
     pub fn util_summary(&self) -> Summary {
-        let samples: Vec<f64> = self
-            .monitor
-            .util_samples()
-            .iter()
-            .map(|&u| (u as f64 * 100.0).min(100.0))
-            .collect();
-        Summary::of(&samples)
+        Summary::over(self.monitor.util_samples(), |u| (u as f64 * 100.0).min(100.0))
     }
 
     /// The `(t, queue delay ms)` series.
@@ -623,6 +613,22 @@ mod tests {
         assert_eq!(t.marked, m_marks);
         assert_eq!(t.dequeued, m_deqs);
         assert!(r.counter_summary().contains("aqm updates"));
+    }
+
+    #[test]
+    fn the_sojourn_column_is_reserved_for_the_recorded_span_and_a_full_link_fits() {
+        // One unclamped flow keeps a 40 Mb/s link busy; samples are kept
+        // for the 4 s after warm-up: 40e6 × 4 / (8 × 1500) packets.
+        let mut sc = Scenario::new(AqmKind::coupled_default(), 40_000_000);
+        let rtt = Duration::from_millis(10);
+        sc.tcp.push(FlowGroup::new(1, CcKind::Dctcp, EcnSetting::Scalable, "dctcp", rtt));
+        sc.duration = Time::from_secs(6);
+        sc.warmup = Duration::from_secs(2);
+        let r = sc.run();
+        let reserved = 13_334 + 2;
+        assert!(r.util_summary().mean > 95.0, "the link must be full for this to bind");
+        assert!(r.monitor.sojourn_ms.len() > reserved * 95 / 100);
+        assert_eq!(r.monitor.sojourn_ms.capacity(), reserved, "the column grew or was over-sized");
     }
 
     #[test]

@@ -241,7 +241,7 @@ impl SimMetrics {
             return Err(CkptError::Corrupt("metrics histogram count mismatch"));
         }
         for i in 0..nh {
-            let nonzero = r.usize()?;
+            let nonzero = r.len_of(8 + 8)?;
             let mut pairs = Vec::with_capacity(nonzero);
             for _ in 0..nonzero {
                 let idx = r.usize()?;

@@ -149,7 +149,7 @@ impl<T> Pool<T> {
     where
         F: FnMut(&mut CkptReader) -> Result<T, CkptError>,
     {
-        let n = r.usize()?;
+        let n = r.len_of(1)?;
         let mut slots = Vec::with_capacity(n);
         for _ in 0..n {
             if r.bool()? {
@@ -158,7 +158,7 @@ impl<T> Pool<T> {
                 slots.push(None);
             }
         }
-        let free_n = r.usize()?;
+        let free_n = r.len_of(4)?;
         let mut free = Vec::with_capacity(free_n);
         for _ in 0..free_n {
             let h = r.u32()?;

@@ -828,7 +828,8 @@ impl SimCore {
         let now = r.time()?;
         let next_seq = r.u64()?;
         let popped = r.u64()?;
-        let n = r.usize()?;
+        // An entry is a time, a sequence number and at least an event tag.
+        let n = r.len_of(8 + 8 + 1)?;
         let mut entries = Vec::with_capacity(n);
         for _ in 0..n {
             let time = r.time()?;
@@ -1962,6 +1963,51 @@ mod tests {
         sim.run_until(Time::from_secs(5));
         restored.run_until(Time::from_secs(5));
         assert_eq!(sim.save(), restored.save(), "replay diverged after restore");
+    }
+
+    #[test]
+    fn a_corrupt_list_length_is_truncated_not_an_allocation() {
+        // Mid-run, metrics on: pending events, live and vacant pool slots
+        // and non-empty histograms are all in the blob.
+        let build_metered = || {
+            let (mut sim, _id, _log) = build(40, 2_000_000, 10);
+            sim.core.enable_metrics();
+            sim
+        };
+        let mut sim = build_metered();
+        sim.run_until(Time::from_millis(30));
+        let blob = sim.save();
+        // Where a component's own bytes sit in the whole blob.
+        let find = |save: &dyn Fn(&mut CkptWriter)| {
+            let mut w = CkptWriter::new();
+            save(&mut w);
+            let part = w.into_bytes();
+            let at = blob.windows(part.len()).position(|w| w == part);
+            (at.expect("the component is in the blob"), part.len())
+        };
+        let packets = &sim.core.packets;
+        let (packets_at, packets_len) = find(&|w| packets.save_ckpt(w, write_packet));
+        let vacant = packets.capacity() - packets.in_use();
+        assert!(packets.in_use() > 0 && vacant > 0);
+        let metrics = sim.core.metrics.as_ref().expect("enabled above");
+        let (metrics_at, _) = find(&|w| metrics.save_ckpt(w));
+        let (counters, gauges, _) = metrics.registry().instrument_counts();
+        let lengths = [
+            // Magic, version, schema hash; clock, next seq, popped.
+            ("pending events", 8 + 4 + 8 + 3 * 8),
+            ("pool slots", packets_at),
+            // The pool ends: free count, free handles, high-water mark.
+            ("pool free list", packets_at + packets_len - 8 - 4 * vacant - 8),
+            // Counter count and counters, gauge count and gauges, histogram
+            // count: then the first histogram's non-zero bucket count.
+            ("histogram buckets", metrics_at + 8 * (1 + counters + 1 + gauges + 1)),
+        ];
+        build_metered().restore(&blob).expect("the untouched blob restores");
+        for (what, at) in lengths {
+            let mut bad = blob.clone();
+            bad[at..at + 8].copy_from_slice(&(u64::MAX >> 1).to_le_bytes());
+            assert_eq!(build_metered().restore(&bad), Err(CkptError::Truncated), "{what}");
+        }
     }
 
     #[test]

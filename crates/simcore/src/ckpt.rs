@@ -257,6 +257,19 @@ impl<'a> CkptReader<'a> {
         usize::try_from(v).map_err(|_| CkptError::Corrupt("length exceeds host usize"))
     }
 
+    /// The length prefix of a list whose elements each take at least
+    /// `min_element_bytes` (> 0) of the blob: [`CkptError::Truncated`] if
+    /// that many cannot follow, so a caller can allocate `len` slots before
+    /// decoding them and a corrupt length is an error, not an allocation
+    /// the process dies of.
+    pub fn len_of(&mut self, min_element_bytes: usize) -> Result<usize, CkptError> {
+        let len = self.usize()?;
+        match len.checked_mul(min_element_bytes) {
+            Some(bytes) if bytes <= self.remaining() => Ok(len),
+            _ => Err(CkptError::Truncated),
+        }
+    }
+
     pub fn f64(&mut self) -> Result<f64, CkptError> {
         Ok(f64::from_bits(self.u64()?))
     }
@@ -344,6 +357,24 @@ mod tests {
         let blob = w.into_bytes();
         let mut r = CkptReader::new(&blob[..5]);
         assert_eq!(r.u64(), Err(CkptError::Truncated));
+    }
+
+    #[test]
+    fn len_of_admits_only_lengths_the_blob_can_hold() {
+        let blob_with = |len: u64, payload: usize| {
+            let mut w = CkptWriter::new();
+            w.u64(len);
+            w.raw(&vec![0; payload]);
+            w.into_bytes()
+        };
+        // Three 4-byte elements fit in 12 bytes exactly, not in 11.
+        assert_eq!(CkptReader::new(&blob_with(3, 12)).len_of(4), Ok(3));
+        assert_eq!(CkptReader::new(&blob_with(3, 11)).len_of(4), Err(CkptError::Truncated));
+        assert_eq!(CkptReader::new(&blob_with(0, 0)).len_of(17), Ok(0));
+        // A product past usize is a length no blob holds, not a wrap-around.
+        for len in [u64::MAX >> 1, (usize::MAX / 4 + 1) as u64] {
+            assert_eq!(CkptReader::new(&blob_with(len, 64)).len_of(4), Err(CkptError::Truncated));
+        }
     }
 
     #[test]

@@ -15,40 +15,97 @@ pub fn mean(samples: &[f64]) -> f64 {
 /// # Panics
 /// Panics if `q` is outside `[0, 1]`.
 pub fn percentile(samples: &[f64], q: f64) -> f64 {
-    percentile_sorted(&sorted(samples), q)
+    fold_select(&mut samples.to_vec(), &|x| x, [q]).2[0]
 }
 
 /// [`percentile`] of samples already in ascending order: two lookups, no
-/// sort. What [`percentile`], [`Summary::of`] and `Cdf::quantile` share,
-/// so each pays for one sort however many quantiles it reads. Takes
-/// either sample width: an `f32` widens exactly, at the lookup.
+/// sort. What `Cdf::quantile` reads (a CDF answers many queries, so it
+/// keeps its samples sorted) and what selection is held to, bit for bit.
+/// Takes either sample width: an `f32` widens exactly, at the lookup.
 ///
 /// # Panics
 /// Panics if `q` is outside `[0, 1]`.
 pub fn percentile_sorted<T: Copy + Into<f64>>(sorted: &[T], q: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
+    let (lo, hi, frac) = ranks(sorted.len(), q);
     if sorted.is_empty() {
         return 0.0;
     }
-    let pos = q * (sorted.len() - 1) as f64;
+    lerp(sorted[lo].into(), sorted[hi].into(), frac)
+}
+
+/// The ranks `lo <= hi <= lo + 1` of the order statistics the `q`-quantile
+/// of `n` samples lies between, and how far it is from the lower one.
+fn ranks(n: usize, q: f64) -> (usize, usize, f64) {
+    assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
+    let pos = q * n.saturating_sub(1) as f64;
     let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        sorted[lo].into()
+    (lo, pos.ceil() as usize, pos - lo as f64)
+}
+
+/// `frac` of the way from `lo` to `hi`; at 0 (`lo` and `hi` are then the
+/// same rank) `lo` as it is, which an infinity would not survive below.
+fn lerp(lo: f64, hi: f64, frac: f64) -> f64 {
+    if frac == 0.0 {
+        lo
     } else {
-        let frac = pos - lo as f64;
-        sorted[lo].into() * (1.0 - frac) + sorted[hi].into() * frac
+        lo * (1.0 - frac) + hi * frac
     }
 }
 
-/// An ascending copy of `samples`. The sort is stable under
-/// `partial_cmp`, which orders `-0.0` and `0.0` as equal: which of the two
-/// an order statistic lands on is then a property of the input order, not
-/// of the sort algorithm.
-fn sorted<T: Copy + PartialOrd>(samples: &[T]) -> Vec<T> {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    sorted
+/// The sum, the maximum and the `qs`-quantiles (`qs` ascending) of `map`
+/// over `col`, each to the bit what a fold in input order and
+/// [`percentile_sorted`] on a stable sort of the mapped column give, in
+/// O(n) and inside `col`, which is left permuted. One pass folds the sum
+/// (from `-0.0`, where `Iterator::sum` starts: a column of `-0.0` sums to
+/// `-0.0`) and the maximum (the first of equal ones); then, from the top
+/// quantile down, each rank is selected in the prefix the one before left
+/// behind. `map` must be monotone non-decreasing, so that an order
+/// statistic of the mapped column is `map` of the same one of `col`, and
+/// only the picked values are mapped.
+///
+/// Values equal under `partial_cmp` have equal bits, except `-0.0 == 0.0`.
+/// A stable sort leaves the zeros in input order behind the `neg` negative
+/// values, so rank `k` holds the `k - neg`-th zero of the input: looked up
+/// before `col` is permuted, for a column that maps to a `-0.0` anywhere.
+fn fold_select<T: Copy + PartialOrd, const N: usize>(
+    col: &mut [T],
+    map: &impl Fn(T) -> f64,
+    qs: [f64; N],
+) -> (f64, f64, [f64; N]) {
+    let picks = qs.map(|q| ranks(col.len(), q));
+    let mapped = || col.iter().map(|&x| map(x));
+    let (mut sum, mut max, mut neg_zero) = (-0.0, f64::NEG_INFINITY, false);
+    for v in mapped() {
+        sum += v;
+        max = if v > max { v } else { max };
+        neg_zero |= v == 0.0 && v.is_sign_negative();
+    }
+    let mut zeros = [[0.0; 2]; N];
+    if neg_zero {
+        let neg = mapped().filter(|&v| v < 0.0).count();
+        let zero_at = |k: usize| mapped().filter(|&v| v == 0.0).nth(k.wrapping_sub(neg));
+        zeros = picks.map(|(lo, hi, _)| [lo, hi].map(|k| zero_at(k).unwrap_or(0.0)));
+    }
+    let read = |x: T, zero: f64| match map(x) {
+        0.0 => zero, // either zero: a float pattern compares with `==`
+        v => v,
+    };
+    let cmp = |a: &T, b: &T| a.partial_cmp(b).expect("NaN in percentile input");
+    let (mut out, mut end) = ([0.0; N], col.len());
+    if col.is_empty() {
+        return (sum, max, out);
+    }
+    for i in (0..N).rev() {
+        let ((lo, hi, frac), [zero_lo, zero_hi]) = (picks[i], zeros[i]);
+        let (below, &mut at, _) = col[..end].select_nth_unstable_by(hi, cmp);
+        let under = match lo < hi {
+            true => below.iter().copied().max_by(cmp).expect("hi > 0"),
+            false => at,
+        };
+        out[i] = lerp(read(under, zero_lo), read(at, zero_hi), frac);
+        end = hi + 1;
+    }
+    (sum, max, out)
 }
 
 /// Population variance; 0 for an empty slice.
@@ -126,46 +183,40 @@ pub struct Summary {
     pub p50: f64,
     /// 99th percentile (the paper's headline tail statistic).
     pub p99: f64,
-    /// Maximum.
+    /// Maximum; where that is a zero, the first one in the input (which of
+    /// `-0.0` and `0.0` `f64::max` keeps is the compiler's choice).
     pub max: f64,
 }
 
 impl Summary {
     /// Summarize a sample set (empty input gives all zeros).
     pub fn of(samples: &[f64]) -> Summary {
-        Summary::over(samples)
+        Summary::over(samples.to_vec(), |x| x)
     }
 
-    /// The same for `f32` sample buffers (the monitor stores `f32`),
-    /// sorted as `f32` and widened only where a value is read.
+    /// The same for `f32` sample buffers (the monitor stores `f32`):
+    /// copied and selected from as `f32`, widened only where a value is
+    /// read.
     pub fn of_f32(samples: &[f32]) -> Summary {
-        Summary::over(samples)
+        Summary::over(samples.to_vec(), f64::from)
     }
 
-    /// One sort serves all four order statistics; mean and max fold over
-    /// the samples in their given order, as they always have.
-    fn over<T: Copy + PartialOrd + Into<f64>>(samples: &[T]) -> Summary {
-        if samples.is_empty() {
-            return Summary {
-                n: 0,
-                mean: 0.0,
-                p1: 0.0,
-                p25: 0.0,
-                p50: 0.0,
-                p99: 0.0,
-                max: 0.0,
-            };
-        }
-        let widened = || samples.iter().map(|&x| x.into());
-        let sorted = sorted(samples);
+    /// Summarize `map` over an owned column: to the bit `Summary::of` of
+    /// the mapped column, which is never built. Mean and max fold over the
+    /// mapped values in input order, the four order statistics are selected
+    /// inside `col`, and nothing is allocated (see `fold_select`).
+    /// `map` must be monotone non-decreasing.
+    pub fn over<T: Copy + PartialOrd>(mut col: Vec<T>, map: impl Fn(T) -> f64) -> Summary {
+        let n = col.len();
+        let (sum, max, [p1, p25, p50, p99]) = fold_select(&mut col, &map, [0.01, 0.25, 0.50, 0.99]);
         Summary {
-            n: samples.len(),
-            mean: widened().sum::<f64>() / samples.len() as f64,
-            p1: percentile_sorted(&sorted, 0.01),
-            p25: percentile_sorted(&sorted, 0.25),
-            p50: percentile_sorted(&sorted, 0.50),
-            p99: percentile_sorted(&sorted, 0.99),
-            max: widened().fold(f64::NEG_INFINITY, f64::max),
+            n,
+            mean: if n == 0 { 0.0 } else { sum / n as f64 },
+            p1,
+            p25,
+            p50,
+            p99,
+            max: if n == 0 { 0.0 } else { max },
         }
     }
 }
@@ -173,6 +224,16 @@ impl Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An ascending copy of `samples`: the stable sort selection replaced,
+    /// kept as what the tests hold it to. Stable under `partial_cmp`, which
+    /// orders `-0.0` and `0.0` as equal: which of the two an order statistic
+    /// lands on is a property of the input order, not of the algorithm.
+    fn sorted<T: Copy + PartialOrd>(samples: &[T]) -> Vec<T> {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+        sorted
+    }
 
     #[test]
     fn mean_of_simple_sequence() {
@@ -261,6 +322,171 @@ mod tests {
         let a = Summary::of_f32(&f32s);
         let b = Summary::of(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(a, b);
+    }
+
+    /// Every field's bit pattern, so `-0.0` and `0.0` differ.
+    fn bits(s: &Summary) -> (usize, [u64; 6]) {
+        (
+            s.n,
+            [s.mean, s.p1, s.p25, s.p50, s.p99, s.max].map(f64::to_bits),
+        )
+    }
+
+    /// `Summary::of` as it was before selection: one stable sort, four
+    /// lookups, mean and max folded in input order.
+    fn of_by_sort(samples: &[f64]) -> Summary {
+        let sorted = sorted(samples);
+        Summary {
+            n: samples.len(),
+            mean: mean(samples),
+            p1: percentile_sorted(&sorted, 0.01),
+            p25: percentile_sorted(&sorted, 0.25),
+            p50: percentile_sorted(&sorted, 0.50),
+            p99: percentile_sorted(&sorted, 0.99),
+            max: samples
+                .iter()
+                .fold(f64::NEG_INFINITY, |max, &v| if v > max { v } else { max }),
+        }
+    }
+
+    /// A fixed shuffle (Fisher-Yates on an LCG), so ties and zeros meet
+    /// the selection in an order that is not the sorted one.
+    fn shuffled(mut v: Vec<f32>, seed: u64) -> Vec<f32> {
+        let mut state = seed.wrapping_mul(2).wrapping_add(1);
+        for i in (1..v.len()).rev() {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            v.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        v
+    }
+
+    /// The sizes where a picked rank is exact (`lo == hi`: 101, 201), where
+    /// one quantile's `hi` is the next one's `lo` (3), and the edges.
+    const SIZES: [usize; 6] = [1, 2, 3, 100, 101, 201];
+
+    fn assert_selects_what_the_sort_gave(narrow: &[f32]) {
+        let wide: Vec<f64> = narrow.iter().map(|&x| f64::from(x)).collect();
+        let want = of_by_sort(&wide);
+        assert_eq!(bits(&Summary::of(&wide)), bits(&want), "of {narrow:?}");
+        assert_eq!(
+            bits(&Summary::of_f32(narrow)),
+            bits(&want),
+            "of_f32 {narrow:?}"
+        );
+        let sorted = sorted(&wide);
+        for q in [0.0, 0.01, 0.25, 0.5, 0.77, 0.99, 1.0] {
+            assert_eq!(
+                percentile(&wide, q).to_bits(),
+                percentile_sorted(&sorted, q).to_bits(),
+                "q={q} of {narrow:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_column_of_negative_zeros_keeps_its_sign() {
+        for n in SIZES {
+            let col = vec![-0.0f32; n];
+            assert_selects_what_the_sort_gave(&col);
+            let s = Summary::of_f32(&col);
+            for v in [s.mean, s.p1, s.p50, s.p99, s.max] {
+                assert_eq!(v.to_bits(), (-0.0f64).to_bits(), "n={n}: {s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_zeros_land_where_the_input_order_puts_them() {
+        // The two orders of one pair differ in every order statistic.
+        assert_eq!(percentile(&[-0.0, 0.0], 0.0).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(percentile(&[0.0, -0.0], 0.0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(percentile(&[-0.0, 0.0], 1.0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(percentile(&[0.0, -0.0], 1.0).to_bits(), (-0.0f64).to_bits());
+        for n in SIZES {
+            for seed in 0..8 {
+                // Zeros of both signs across the middle ranks, negatives
+                // below them (so the zeros do not start at rank 0) and
+                // positives above.
+                let col: Vec<f32> = (0..n)
+                    .map(|i| match (i * 5 / n, i % 2) {
+                        (0, _) => -1.5 - i as f32,
+                        (4, _) => 2.5,
+                        (_, 0) => -0.0,
+                        _ => 0.0,
+                    })
+                    .collect();
+                let col = shuffled(col, seed);
+                assert_selects_what_the_sort_gave(&col);
+                let reversed: Vec<f32> = col.iter().rev().copied().collect();
+                assert_selects_what_the_sort_gave(&reversed);
+            }
+        }
+    }
+
+    #[test]
+    fn ties_straddling_every_picked_rank_select_what_the_sort_gave() {
+        for n in SIZES {
+            for block in [1, 2, 3, 7, 64, 1000] {
+                for seed in 0..4 {
+                    // Runs of `block` equal values: for block >= 2 some
+                    // run covers both sides of each picked rank.
+                    let col = (0..n).map(|i| (i / block) as f32 * 0.37 - 4.0).collect();
+                    assert_selects_what_the_sort_gave(&shuffled(col, seed));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn over_an_owned_column_is_of_the_mapped_column_for_both_production_maps() {
+        let to_percent = |p: f32| p as f64 * 100.0;
+        let to_capped_percent = |u: f32| (u as f64 * 100.0).min(100.0);
+        for n in SIZES.into_iter().chain([5000]) {
+            for seed in 0..4 {
+                // Probabilities and utilizations: zeros of both signs, ties,
+                // and samples past 1.0, which the cap folds into one value.
+                let col: Vec<f32> = (0..n)
+                    .map(|i| match i % 7 {
+                        0 => -0.0,
+                        1 => 0.0,
+                        2 => 1.25,
+                        _ => (i % 50) as f32 / 47.0,
+                    })
+                    .collect();
+                let col = shuffled(col, seed);
+                let probs: Vec<f64> = col.iter().map(|&p| to_percent(p)).collect();
+                assert_eq!(
+                    bits(&Summary::over(col.clone(), to_percent)),
+                    bits(&of_by_sort(&probs)),
+                    "n={n} seed={seed}"
+                );
+                let utils: Vec<f64> = col.iter().map(|&u| to_capped_percent(u)).collect();
+                assert_eq!(
+                    bits(&Summary::over(col, to_capped_percent)),
+                    bits(&of_by_sort(&utils)),
+                    "n={n} seed={seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_among_two_or_more_samples_panics_wherever_it_sits() {
+        for n in [2, 3, 20, 21, 500] {
+            for at in [0, 1, n / 2, n - 2, n - 1] {
+                let mut col: Vec<f64> = (0..n).map(|i| (i * 7 % n) as f64).collect();
+                col[at] = f64::NAN;
+                let panic = std::panic::catch_unwind(|| Summary::of(&col))
+                    .expect_err("a NaN must not be summarized");
+                let message = panic.downcast_ref::<String>().expect("expect()'s message");
+                assert!(message.contains("NaN in percentile input"), "{message}");
+                assert!(std::panic::catch_unwind(|| percentile(&col, 0.5)).is_err());
+            }
+        }
+        // One sample is never compared with anything, sorted or selected.
+        assert!(Summary::of(&[f64::NAN]).p50.is_nan());
     }
 
     #[test]

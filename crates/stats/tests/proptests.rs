@@ -11,18 +11,35 @@ fn finite_samples() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, 1..200)
 }
 
-/// Samples drawn from eight `f32` values, so runs of duplicates and of
-/// zeros of both signs are the rule; `short` 0 and 1 cut the vector to one
-/// and two samples.
+/// Up to 5 000 samples (selection is an insertion sort below a few dozen,
+/// so short columns alone would test little of it), drawn either from
+/// eight `f32` values, so runs of duplicates and of zeros of both signs
+/// are the rule, or from those eight plus four thousand distinct ones;
+/// `short` 0 and 1 cut the vector to one and two samples.
 fn tied_samples() -> impl Strategy<Value = Vec<f32>> {
     const PALETTE: [f32; 8] = [-0.0, 0.0, 0.0, -0.0, 1.5, -3.25, 0.1, 7.0];
-    (prop::collection::vec(0usize..8, 2..200), 0usize..6).prop_map(|(picks, short)| {
-        let mut v: Vec<f32> = picks.into_iter().map(|i| PALETTE[i]).collect();
+    let picks = prop::collection::vec(0usize..4096, 2..5000);
+    (picks, 0usize..6, 0usize..2).prop_map(|(picks, short, distinct)| {
+        let mut v: Vec<f32> = picks
+            .into_iter()
+            .map(|i| match i {
+                8.. if distinct == 1 => (i as f32 - 2000.0) * 0.173,
+                _ => PALETTE[i % 8],
+            })
+            .collect();
         if short < 2 {
             v.truncate(short + 1);
         }
         v
     })
+}
+
+/// [`percentile`] as it was before it selected: a stable sort of a copy,
+/// then the two lookups.
+fn percentile_by_sort(samples: &[f64], q: f64) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+    percentile_sorted(&sorted, q)
 }
 
 /// The bit pattern of every field, so `-0.0` and `0.0` differ.
@@ -104,25 +121,38 @@ proptest! {
         }
     }
 
-    /// One sort or five: `Summary::of` is, to the bit, the mean, the four
-    /// `percentile` calls (each sorting a copy of its own) and the max
-    /// fold it used to be made of, and `of_f32` is `of` over the widened
-    /// samples — on inputs where ties and signed zeros make the order
-    /// statistics depend on which equal element a sort puts where.
+    /// Selecting or sorting: `Summary::of` is, to the bit, the mean, four
+    /// order statistics read off a stable sort and the max fold, `of_f32`
+    /// is `of` over the widened samples, `percentile` agrees one quantile
+    /// at a time, and `over` with either map the experiments pass is `of`
+    /// over the mapped column — on inputs where ties and signed zeros make
+    /// the order statistics depend on which equal element lands where.
     #[test]
     fn summary_equals_its_per_quantile_definition(narrow in tied_samples()) {
-        let wide: Vec<f64> = narrow.iter().map(|&x| f64::from(x)).collect();
-        let want = Summary {
+        let by_sort = |wide: &[f64]| Summary {
             n: wide.len(),
-            mean: mean(&wide),
-            p1: percentile(&wide, 0.01),
-            p25: percentile(&wide, 0.25),
-            p50: percentile(&wide, 0.50),
-            p99: percentile(&wide, 0.99),
-            max: wide.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+            mean: mean(wide),
+            p1: percentile_by_sort(wide, 0.01),
+            p25: percentile_by_sort(wide, 0.25),
+            p50: percentile_by_sort(wide, 0.50),
+            p99: percentile_by_sort(wide, 0.99),
+            // The first of several equal maxima: `f64::max` may keep either
+            // of `-0.0` and `0.0`.
+            max: wide.iter().fold(f64::NEG_INFINITY, |max, &v| if v > max { v } else { max }),
         };
+        let wide: Vec<f64> = narrow.iter().map(|&x| f64::from(x)).collect();
+        let want = by_sort(&wide);
         prop_assert_eq!(bits(&Summary::of(&wide)), bits(&want));
         prop_assert_eq!(bits(&Summary::of_f32(&narrow)), bits(&want));
+        for (q, p) in [(0.01, want.p1), (0.25, want.p25), (0.50, want.p50), (0.99, want.p99)] {
+            prop_assert_eq!(percentile(&wide, q).to_bits(), p.to_bits());
+        }
+        let percent = |p: f32| p as f64 * 100.0;
+        let probs: Vec<f64> = narrow.iter().map(|&p| percent(p)).collect();
+        prop_assert_eq!(bits(&Summary::over(narrow.clone(), percent)), bits(&by_sort(&probs)));
+        let capped = |u: f32| (u as f64 * 100.0).min(100.0);
+        let utils: Vec<f64> = narrow.iter().map(|&u| capped(u)).collect();
+        prop_assert_eq!(bits(&Summary::over(narrow, capped)), bits(&by_sort(&utils)));
     }
 
     /// A CDF's quantile is the percentile of its samples, to the bit,
@@ -132,9 +162,7 @@ proptest! {
         let wide: Vec<f64> = narrow.iter().map(|&x| f64::from(x)).collect();
         let cdf = Cdf::from_f32(&narrow);
         prop_assert_eq!(cdf.quantile(q).to_bits(), percentile(&wide, q).to_bits());
-        let mut sorted = wide.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        prop_assert_eq!(percentile_sorted(&sorted, q).to_bits(), percentile(&wide, q).to_bits());
+        prop_assert_eq!(percentile_by_sort(&wide, q).to_bits(), percentile(&wide, q).to_bits());
     }
 
     /// Summary percentiles are internally ordered.

@@ -94,6 +94,13 @@ fn read_rangeset(r: &mut CkptReader) -> Result<RangeSet, CkptError> {
     Ok(s)
 }
 
+/// A window in whole packets, at least one. `as u64` truncates and
+/// `max(1.0)` absorbs a negative or NaN window, so no `floor` first: that
+/// is a libm call per ACK and send at the x86-64 baseline (no SSE4.1).
+fn whole_packets(window: f64) -> u64 {
+    window.max(1.0) as u64
+}
+
 /// How the flow uses ECN.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EcnSetting {
@@ -350,7 +357,7 @@ impl TcpSource {
     }
 
     fn effective_cwnd(&self) -> u64 {
-        let base = self.cc.cwnd().min(self.cfg.max_cwnd).floor().max(1.0) as u64;
+        let base = whole_packets(self.cc.cwnd().min(self.cfg.max_cwnd));
         if self.cfg.sack {
             base
         } else {
@@ -912,6 +919,17 @@ mod tests {
             Time::ZERO,
             move |id| Box::new(TcpSource::new(id, cc, ecn, TcpConfig::default())),
         )
+    }
+
+    #[test]
+    fn whole_packets_is_the_floored_window_it_replaced() {
+        let windows = [f64::NAN, -1.5, -0.0, 0.0, 0.99, 1.0, 1.99, 2.0, 1e30, f64::INFINITY];
+        for w in windows.into_iter().chain((0..4000).map(|i| i as f64 * 0.37 - 3.0)) {
+            assert_eq!(whole_packets(w), w.floor().max(1.0) as u64, "window {w}");
+        }
+        assert_eq!(whole_packets(f64::NAN), 1);
+        assert_eq!(whole_packets(1.99), 1);
+        assert_eq!(whole_packets(f64::INFINITY), u64::MAX);
     }
 
     #[test]

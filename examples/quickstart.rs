@@ -52,12 +52,11 @@ fn main() {
         }
     }
 
-    let sojourns: Vec<f64> = m.sojourn_ms.iter().map(|&x| x as f64).collect();
+    let delay = pi2::stats::Summary::of_f32(&m.sojourn_ms);
     println!();
     println!(
         "per-packet queue delay: mean {:.1} ms, p99 {:.1} ms (target 20 ms)",
-        pi2::stats::mean(&sojourns),
-        pi2::stats::percentile(&sojourns, 0.99),
+        delay.mean, delay.p99,
     );
     let tput = m.pooled_mean_tput_mbps("reno");
     println!("aggregate goodput: {tput:.2} Mb/s of 10 Mb/s");

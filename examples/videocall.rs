@@ -50,7 +50,7 @@ fn run(aqm: Box<dyn Aqm>, name: &'static str) {
     }
     sim.run_until(Time::from_secs(60));
     let m = &sim.core.monitor;
-    let sojourns: Vec<f64> = m.sojourn_ms.iter().map(|&x| x as f64).collect();
+    let delay = pi2::stats::Summary::of_f32(&m.sojourn_ms);
     let call = m.flow(FlowId(0));
     let loss_pct = 100.0
         * (call.sent_pkts - call.dequeued_pkts) as f64
@@ -58,8 +58,8 @@ fn run(aqm: Box<dyn Aqm>, name: &'static str) {
     println!(
         "{:<9} queue delay mean {:>6.1} ms  p99 {:>6.1} ms | call loss {:>5.2} % | bulk {:>5.2} Mb/s",
         name,
-        pi2::stats::mean(&sojourns),
-        pi2::stats::percentile(&sojourns, 0.99),
+        delay.mean,
+        delay.p99,
         loss_pct,
         m.pooled_mean_tput_mbps("bulk"),
     );

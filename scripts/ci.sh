@@ -24,6 +24,16 @@ if grep -rnE '\bSim::(new|with_qdisc)\(' crates/experiments/src crates/bench/src
     exit 1
 fi
 
+echo "== structure: summaries select; only the test oracle sorts"
+# Summary::over and percentile() read order statistics by selection inside
+# the column they are handed (DESIGN.md section 6, "Summaries"); the sort they
+# replaced survives as `sorted()` under #[cfg(test)], which every item
+# from the first #[cfg(test)] line on is.
+if sed '/^#\[cfg(test)\]/,$d' crates/stats/src/summary.rs | grep -n '\.sort'; then
+    echo "FAIL: crates/stats/src/summary.rs sorts outside #[cfg(test)] (select instead)" >&2
+    exit 1
+fi
+
 echo "== tier-1: release build"
 cargo build --release
 
@@ -486,9 +496,15 @@ echo "== randomized proptests (vendored shim; time-boxed via PROPTEST_CASES)"
 # Each case can simulate minutes of traffic, so CI clamps the case count;
 # nightly / local runs can raise it (PROPTEST_CASES=32 scripts/ci.sh).
 for p in pi2-aqm pi2-experiments pi2-fluid pi2-netsim pi2-simcore \
-         pi2-stats pi2-transport pi2-validate; do
+         pi2-transport pi2-validate; do
     PROPTEST_CASES="${PROPTEST_CASES:-2}" \
         cargo test -q -p "$p" --release --features proptests --test proptests
 done
+# pi2-stats simulates nothing: a case is microseconds, two of them test
+# nothing, and selection against the stable sort is decided on columns of
+# thousands of samples. A fixed 2 000 cases, under a second, whatever the
+# clamp.
+PROPTEST_CASES=2000 \
+    cargo test -q -p pi2-stats --release --features proptests --test proptests
 
 echo "== ci.sh: all green"

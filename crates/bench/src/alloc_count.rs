@@ -1,4 +1,4 @@
-//! Process-wide allocation accounting for the bench harness.
+//! Process-wide allocation accounting for tests and `benchmark/`.
 //!
 //! The simulator's hot-path contract is that steady-state operation
 //! performs **zero heap allocations per event**: the timing wheel
@@ -6,17 +6,16 @@
 //! monitor's series are pre-sized by [`pi2_netsim::Monitor::reserve`].
 //! Timing alone cannot prove that — an occasional `Vec` doubling hides
 //! inside the noise floor. This module provides a counting
-//! `GlobalAlloc` wrapper; a bench binary (or test) registers it with
+//! `GlobalAlloc` wrapper; a test binary (or `benchmark/`) registers it with
 //!
 //! ```ignore
 //! #[global_allocator]
 //! static ALLOC: pi2_bench::alloc_count::CountingAlloc = CountingAlloc;
 //! ```
 //!
-//! and then brackets a steady-state region with [`stats`] snapshots.
-//! `bench_sim_throughput` records the resulting `allocs/event` in the
-//! perf history, and `tests/zero_alloc.rs` asserts the delta is exactly
-//! zero after warm-up.
+//! and then brackets a steady-state region with [`stats`] snapshots:
+//! `tests/zero_alloc.rs` asserts the delta is exactly zero after warm-up,
+//! and `benchmark/` reports allocator calls per thousand packets.
 //!
 //! Counters are relaxed atomics: the accounting adds one uncontended
 //! atomic add per allocator call, which is negligible next to the

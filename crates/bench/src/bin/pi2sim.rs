@@ -326,33 +326,13 @@ fn run_topology(a: &CliArgs) {
         "# pi2sim: scenario=topology seed={} audit={}",
         a.seed, a.audit
     );
-    let wall = std::time::Instant::now();
     let runs = topology::topology(a.seed, a.audit);
-    let wall_s = wall.elapsed().as_secs_f64();
     // The optional Perfetto rerun below re-executes one cell; detach the
     // observer first so it cannot leak an extra cell into /metrics.
     if obs.is_some() {
         pi2_experiments::clear_observer();
     }
     print!("{}", topology::render_table(&runs));
-    // Leave a BENCH trajectory entry when opted in (same knob ci.sh
-    // uses for the microbenches): the multi-hop event-loop throughput
-    // plus the deterministic headline statistics per cell, so the
-    // history can show both perf drift and behavior drift over time.
-    if std::env::var("PI2_BENCH_HISTORY").as_deref() == Ok("1") {
-        let total_events: u64 = runs.iter().map(|r| r.events_processed).sum();
-        let mut metrics = vec![
-            ("wall_secs".to_string(), wall_s),
-            ("events_per_sec".to_string(), total_events as f64 / wall_s),
-        ];
-        for r in &runs {
-            let cell = format!("{}_{}", r.topology.replace('-', "_"), r.aqm);
-            metrics.push((format!("{cell}_events"), r.events_processed as f64));
-            metrics.push((format!("{cell}_fct_p99_ms"), r.fct_ms.2));
-            metrics.push((format!("{cell}_rate_ratio"), r.rate_ratio));
-        }
-        pi2_bench::perf::record_and_report("topology", metrics);
-    }
     if let Some(path) = &a.trace_out {
         if a.trace_format == TraceFormat::Perfetto {
             // Rerun one representative cell serially with the timeline

@@ -19,30 +19,38 @@
 use pi2_validate::differential::{default_grid, run_config};
 use std::io::Write;
 
+const USAGE: &str = "usage: validate_grid [--out report.jsonl] [--tighten F] [--only NAME]";
+
+/// A command-line mistake: say what, print the usage line, exit 2.
+fn usage_error(what: &str) -> ! {
+    eprintln!("validate_grid: {what}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut out_path: Option<String> = None;
     let mut tighten: f64 = 1.0;
     let mut only: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage_error(&format!("{a} needs a value")))
+        };
         match a.as_str() {
-            "--out" => out_path = Some(args.next().expect("--out needs a path")),
+            "--out" => out_path = Some(value()),
             "--tighten" => {
-                tighten = args
-                    .next()
-                    .expect("--tighten needs a factor")
-                    .parse()
-                    .expect("--tighten factor must be a number")
+                let v = value();
+                tighten = v.parse().unwrap_or_else(|_| {
+                    usage_error(&format!("--tighten factor must be a number, got '{v}'"))
+                });
             }
-            "--only" => only = Some(args.next().expect("--only needs a config name")),
+            "--only" => only = Some(value()),
             "--help" | "-h" => {
-                eprintln!("usage: validate_grid [--out report.jsonl] [--tighten F] [--only NAME]");
+                eprintln!("{USAGE}");
                 return;
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument: {other}")),
         }
     }
 
@@ -50,8 +58,7 @@ fn main() {
     if let Some(name) = &only {
         grid.retain(|c| &c.name == name);
         if grid.is_empty() {
-            eprintln!("no such config: {name}");
-            std::process::exit(2);
+            usage_error(&format!("no such config: {name}"));
         }
     }
     for cfg in &mut grid {

@@ -1,4 +1,4 @@
-//! # pi2-bench — figure regeneration and microbenchmarks
+//! # pi2-bench — figure regeneration, `pi2sim`, and the cost-ratio tests
 //!
 //! Every table and figure of the paper, the ablations and the extensions
 //! are rows of one table, [`figures::FIGURES`], printed by one binary
@@ -22,31 +22,18 @@
 //!   one (likewise);
 //! * `PI2_THREADS=<n>` — worker count for the parallel sweep executor
 //!   (default: available parallelism; output is bit-identical to serial
-//!   for any value — see `pi2_experiments::runner`);
-//! * `PI2_BENCH_OUT=<path>` — where the microbench history is appended
-//!   (default: `BENCH_pi2.json` at the repo root).
+//!   for any value — see `pi2_experiments::runner`).
 //!
-//! Microbenchmarks run through the std-only harness in [`perf`] (no
-//! Criterion — the workspace builds with zero registry dependencies):
-//!
-//! ```text
-//! cargo run -p pi2-bench --release --bin bench_aqm_decision
-//! cargo run -p pi2-bench --release --bin bench_sim_throughput
-//! ```
-//!
-//! They measure the per-packet drop-decision cost of PIE vs PI2 (the
-//! paper's "less computationally expensive" claim) and raw simulator
-//! throughput, print a median/P10/P90 table, and append each run to
-//! `BENCH_pi2.json` so the numbers form a trajectory across commits.
+//! Costs are measured by one instrument, the `benchmark/` package at the
+//! repository root (`BENCHMARK.json` declares its workloads and per-layer
+//! rows). What this crate keeps of measurement is what holds on any host,
+//! as tests: `tests/cost_ratios.rs` (metrics-on / metrics-off, PIE / PI2,
+//! fluid / packet — paired ratios in one process) and `tests/zero_alloc*.rs`
+//! (allocator calls, counted by [`alloc_count`]).
 
 use std::io::{self, Write};
 
 use pi2_stats::{format_table, Align};
-
-/// The per-run duration knob (`PI2_SECS`), or `default` when unset.
-pub fn run_secs(default: u64) -> u64 {
-    figures::Knobs::from_env().secs.unwrap_or(default)
-}
 
 /// Write a standard experiment header with the Table 1 defaults in force.
 pub(crate) fn write_header(out: &mut dyn Write, title: &str) -> io::Result<()> {
@@ -57,12 +44,6 @@ pub(crate) fn write_header(out: &mut dyn Write, title: &str) -> io::Result<()> {
          PIE α=2/16 β=20/16, PI2 α=5/16 β=50/16, coupled-PI α=10/16 β=100/16, k=2"
     )?;
     writeln!(out)
-}
-
-/// [`write_header`] to stdout.
-pub fn header(figure: &str, what: &str) {
-    write_header(&mut io::stdout(), &format!("{figure}: {what}"))
-        .expect("failed printing to stdout");
 }
 
 /// Write rows as an aligned table with the first column left-aligned.
@@ -81,11 +62,6 @@ pub(crate) fn write_rows<T, const N: usize>(
     let mut rows = vec![cols.map(String::from).to_vec()];
     rows.extend(items.into_iter().map(row).map(Vec::from));
     write_table(out, &rows)
-}
-
-/// [`write_table`] to stdout.
-pub fn table(rows: &[Vec<String>]) {
-    write_table(&mut io::stdout(), rows).expect("failed printing to stdout");
 }
 
 /// Format a float with sensible width.
@@ -113,12 +89,6 @@ pub fn series_row(series: &[(f64, f64)], stride: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn knobs_fall_back_to_defaults() {
-        std::env::remove_var("PI2_SECS");
-        assert_eq!(run_secs(60), 60);
-    }
 
     #[test]
     fn float_formatting_scales() {

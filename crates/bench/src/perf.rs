@@ -1,160 +1,34 @@
-//! A self-contained, std-only microbenchmark harness.
+//! The two std-only helpers the workspace's measuring code shares.
 //!
-//! The workspace builds with no registry access, so this replaces the
-//! usual Criterion setup with the minimum that still yields trustworthy
-//! numbers:
+//! * [`Json`] — a hand-rolled JSON value with a parser and a compact
+//!   writer (std has none and the build is offline). `pi2sim`,
+//!   `metrics_lint` and the `benchmark/` package read and write their
+//!   documents through it.
+//! * [`median`] — of per-repetition or per-pair samples; robust to the
+//!   odd scheduler hiccup that makes single-shot timings useless.
 //!
-//! * [`bench`] runs a closure for a warmup phase and then N timed
-//!   iterations on [`std::time::Instant`], reporting the median, P10 and
-//!   P90 of per-iteration wall-clock — the median is robust to the odd
-//!   scheduler hiccup that makes single-shot timings useless;
-//! * the closure returns how many *work units* (AQM decisions, simulator
-//!   events) the iteration performed, so results carry throughput
-//!   (units/second at the median) alongside latency;
-//! * [`append_run`] records every run in `BENCH_pi2.json` at the repo
-//!   root (override with `PI2_BENCH_OUT=<path>`), building a perf
-//!   trajectory across commits, and [`previous_run`] +
-//!   [`format_comparison`] print the delta against the last recorded run
-//!   of the same bench.
-//!
-//! The JSON layer is hand-rolled (std has none and the build is
-//! offline); it covers exactly the subset the schema needs.
-//!
-//! # `BENCH_pi2.json` schema
-//!
-//! ```json
-//! {
-//!   "schema": 1,
-//!   "runs": [
-//!     {
-//!       "timestamp_unix": 1723000000,
-//!       "bench": "aqm_decision",
-//!       "metrics": { "pie_ns": 41.2, "pi2_multiply_ns": 17.8 }
-//!     }
-//!   ]
-//! }
-//! ```
-//!
-//! `runs` is append-only and ordered by insertion; `metrics` keys are
-//! bench-specific (`*_ns` medians, `*_per_sec` throughputs).
+//! Nothing here touches the file system. Costs are measured in one place,
+//! the `benchmark/` package (`BENCHMARK.json` declares it); the checks
+//! that hold on any host are tests: `crates/bench/tests/cost_ratios.rs`
+//! and `zero_alloc*.rs`, `tests/lazy_timers.rs`, `tests/sack_recovery.rs`,
+//! `tests/fluid_order.rs`.
 
-use std::path::{Path, PathBuf};
-use std::time::Instant;
-
-// ---------------------------------------------------------------------------
-// Timing + statistics
-// ---------------------------------------------------------------------------
-
-/// One benchmark's timing result.
-#[derive(Clone, Debug)]
-pub struct Measurement {
-    /// Bench-local name of the measured case (e.g. `pi2_multiply`).
-    pub name: String,
-    /// Timed iterations (after warmup).
-    pub iters: usize,
-    /// Median per-iteration wall-clock, nanoseconds.
-    pub median_ns: f64,
-    /// 10th percentile per-iteration wall-clock, nanoseconds.
-    pub p10_ns: f64,
-    /// 90th percentile per-iteration wall-clock, nanoseconds.
-    pub p90_ns: f64,
-    /// Work units (decisions, events, …) one iteration performs.
-    pub units_per_iter: f64,
-}
-
-impl Measurement {
-    /// Throughput at the median iteration: work units per second.
-    pub fn units_per_sec(&self) -> f64 {
-        if self.median_ns <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.units_per_iter * 1e9 / self.median_ns
-    }
-
-    /// Median cost of one work unit, nanoseconds.
-    pub fn ns_per_unit(&self) -> f64 {
-        if self.units_per_iter <= 0.0 {
-            return f64::NAN;
-        }
-        self.median_ns / self.units_per_iter
-    }
-}
-
-/// Linear-interpolated percentile of an ascending-sorted slice,
-/// `q` ∈ [0, 1]. Empty input yields NaN.
-pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * frac
-}
-
-/// Median of an unsorted slice (NaN when empty).
+/// Median of an unsorted slice, halfway between the middle two when the
+/// length is even (NaN when empty).
 pub fn median(samples: &[f64]) -> f64 {
     let mut s = samples.to_vec();
     s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    percentile_sorted(&s, 0.5)
-}
-
-/// Run `f` `warmup` times untimed, then `iters` times timed. `f` returns
-/// the number of work units the iteration performed (it should
-/// [`std::hint::black_box`] its computation so the optimizer cannot
-/// delete it).
-pub fn bench<F: FnMut() -> u64>(name: &str, warmup: usize, iters: usize, mut f: F) -> Measurement {
-    let iters = iters.max(1);
-    for _ in 0..warmup {
-        std::hint::black_box(f());
+    match s.len() {
+        0 => f64::NAN,
+        n => {
+            let (lo, hi) = (s[(n - 1) / 2], s[n / 2]);
+            lo + (hi - lo) * 0.5
+        }
     }
-    let mut samples_ns = Vec::with_capacity(iters);
-    let mut units = 0u64;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        units = std::hint::black_box(f());
-        samples_ns.push(t0.elapsed().as_nanos() as f64);
-    }
-    samples_ns.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    Measurement {
-        name: name.to_string(),
-        iters,
-        median_ns: percentile_sorted(&samples_ns, 0.5),
-        p10_ns: percentile_sorted(&samples_ns, 0.1),
-        p90_ns: percentile_sorted(&samples_ns, 0.9),
-        units_per_iter: units as f64,
-    }
-}
-
-/// Render measurements as table rows (pair with [`crate::table`]):
-/// name, median/P10/P90 per work unit, and units/second.
-pub fn measurement_rows(unit: &str, ms: &[Measurement]) -> Vec<Vec<String>> {
-    let mut rows = vec![vec![
-        "case".to_string(),
-        format!("ns/{unit} (median)"),
-        "P10".into(),
-        "P90".into(),
-        format!("{unit}s/sec"),
-    ]];
-    for m in ms {
-        let per = m.units_per_iter.max(1.0);
-        rows.push(vec![
-            m.name.clone(),
-            crate::f(m.median_ns / per),
-            crate::f(m.p10_ns / per),
-            crate::f(m.p90_ns / per),
-            format!("{:.3e}", m.units_per_sec()),
-        ]);
-    }
-    rows
 }
 
 // ---------------------------------------------------------------------------
-// Minimal JSON (exactly the subset BENCH_pi2.json needs)
+// Minimal JSON
 // ---------------------------------------------------------------------------
 
 /// A JSON value. Objects preserve insertion order.
@@ -433,241 +307,16 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// BENCH_pi2.json history
-// ---------------------------------------------------------------------------
-
-/// One recorded benchmark run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunRecord {
-    /// Seconds since the Unix epoch when the run was recorded.
-    pub timestamp_unix: u64,
-    /// Which bench produced it (`aqm_decision`, `sim_throughput`, …).
-    pub bench: String,
-    /// Metric name → value, insertion-ordered.
-    pub metrics: Vec<(String, f64)>,
-}
-
-impl RunRecord {
-    /// Build a record stamped with the current wall clock.
-    pub fn now(bench: &str, metrics: Vec<(String, f64)>) -> RunRecord {
-        let ts = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_secs());
-        RunRecord {
-            timestamp_unix: ts,
-            bench: bench.to_string(),
-            metrics,
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "timestamp_unix".into(),
-                Json::Num(self.timestamp_unix as f64),
-            ),
-            ("bench".into(), Json::Str(self.bench.clone())),
-            (
-                "metrics".into(),
-                Json::Obj(
-                    self.metrics
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn from_json(v: &Json) -> Result<RunRecord, String> {
-        let ts = v
-            .get("timestamp_unix")
-            .and_then(Json::as_f64)
-            .ok_or("run missing timestamp_unix")? as u64;
-        let bench = v
-            .get("bench")
-            .and_then(Json::as_str)
-            .ok_or("run missing bench")?
-            .to_string();
-        let metrics = match v.get("metrics") {
-            Some(Json::Obj(fields)) => fields
-                .iter()
-                .map(|(k, m)| {
-                    m.as_f64()
-                        .map(|x| (k.clone(), x))
-                        .ok_or_else(|| format!("metric '{k}' is not a number"))
-                })
-                .collect::<Result<Vec<_>, _>>()?,
-            _ => return Err("run missing metrics object".into()),
-        };
-        Ok(RunRecord {
-            timestamp_unix: ts,
-            bench,
-            metrics,
-        })
-    }
-}
-
-/// Where the history lives: `PI2_BENCH_OUT` if set, else
-/// `BENCH_pi2.json` at the repository root (two levels up from this
-/// crate's manifest).
-pub fn history_path() -> PathBuf {
-    if let Ok(p) = std::env::var("PI2_BENCH_OUT") {
-        return PathBuf::from(p);
-    }
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..")
-        .join("BENCH_pi2.json")
-}
-
-/// Load every recorded run. A missing file is an empty history; a
-/// malformed file or wrong schema version is an error.
-pub fn load_history(path: &Path) -> Result<Vec<RunRecord>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(format!("{}: {e}", path.display())),
-    };
-    // An empty file (e.g. fresh from mktemp) is an empty history, same
-    // as a missing one.
-    if text.trim().is_empty() {
-        return Ok(Vec::new());
-    }
-    let doc = Json::parse(&text)?;
-    match doc.get("schema").and_then(Json::as_f64) {
-        Some(s) if s == 1.0 => {}
-        other => return Err(format!("unsupported BENCH_pi2.json schema: {other:?}")),
-    }
-    doc.get("runs")
-        .and_then(Json::as_arr)
-        .ok_or("missing runs array")?
-        .iter()
-        .map(RunRecord::from_json)
-        .collect()
-}
-
-/// Append `record` to the history at `path` (read–modify–write of the
-/// whole file; the history is small).
-pub fn append_run(path: &Path, record: &RunRecord) -> Result<(), String> {
-    let mut runs = load_history(path)?;
-    runs.push(record.clone());
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::Num(1.0)),
-        (
-            "runs".into(),
-            Json::Arr(runs.iter().map(RunRecord::to_json).collect()),
-        ),
-    ]);
-    std::fs::write(path, doc.to_json() + "\n").map_err(|e| format!("{}: {e}", path.display()))
-}
-
-/// The most recent run of the same bench, if any.
-pub fn previous_run<'a>(history: &'a [RunRecord], bench: &str) -> Option<&'a RunRecord> {
-    history.iter().rev().find(|r| r.bench == bench)
-}
-
-/// Per-metric current/previous ratios for metrics present in both runs.
-pub fn compare(current: &RunRecord, previous: &RunRecord) -> Vec<(String, f64)> {
-    current
-        .metrics
-        .iter()
-        .filter_map(|(k, v)| {
-            previous
-                .metrics
-                .iter()
-                .find(|(pk, _)| pk == k)
-                .map(|(_, pv)| {
-                    // A zero baseline has no meaningful ratio; report 1.0
-                    // (no change) when the current value is also zero.
-                    let ratio = if *pv != 0.0 {
-                        v / pv
-                    } else if *v == 0.0 {
-                        1.0
-                    } else {
-                        f64::INFINITY
-                    };
-                    (k.clone(), ratio)
-                })
-        })
-        .collect()
-}
-
-/// Human-readable delta lines against the previous run (empty when there
-/// is no previous run).
-pub fn format_comparison(current: &RunRecord, previous: Option<&RunRecord>) -> String {
-    let Some(prev) = previous else {
-        return String::new();
-    };
-    let mut out = format!(
-        "vs previous run (timestamp_unix {}):\n",
-        prev.timestamp_unix
-    );
-    for (k, ratio) in compare(current, prev) {
-        out.push_str(&format!("  {k}: {:+.1}%\n", (ratio - 1.0) * 100.0));
-    }
-    out
-}
-
-/// Record a finished bench in the history file and print where it went
-/// plus the delta against the previous run. Errors are reported, not
-/// fatal — a read-only checkout must not fail the bench itself.
-pub fn record_and_report(bench: &str, metrics: Vec<(String, f64)>) {
-    let path = history_path();
-    let record = RunRecord::now(bench, metrics);
-    let prev = load_history(&path).ok().and_then(|h| {
-        let p = previous_run(&h, bench).cloned();
-        p
-    });
-    print!("{}", format_comparison(&record, prev.as_ref()));
-    match append_run(&path, &record) {
-        Ok(()) => println!("recorded in {}", path.display()),
-        Err(e) => println!("note: could not record history: {e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn percentiles_interpolate() {
-        let s = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile_sorted(&s, 0.0), 1.0);
-        assert_eq!(percentile_sorted(&s, 0.5), 3.0);
-        assert_eq!(percentile_sorted(&s, 1.0), 5.0);
-        assert_eq!(percentile_sorted(&s, 0.25), 2.0);
-        assert!((percentile_sorted(&s, 0.1) - 1.4).abs() < 1e-12);
-        assert!(percentile_sorted(&[], 0.5).is_nan());
-        assert_eq!(percentile_sorted(&[7.0], 0.9), 7.0);
-    }
-
-    #[test]
     fn median_of_unsorted() {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
-    }
-
-    #[test]
-    fn bench_measures_and_counts_units() {
-        let mut calls = 0u64;
-        let m = bench("spin", 2, 11, || {
-            calls += 1;
-            let mut acc = 0u64;
-            for i in 0..1000u64 {
-                acc = acc.wrapping_add(std::hint::black_box(i));
-            }
-            std::hint::black_box(acc);
-            1000
-        });
-        assert_eq!(calls, 13, "warmup + timed iterations");
-        assert_eq!(m.iters, 11);
-        assert_eq!(m.units_per_iter, 1000.0);
-        assert!(m.median_ns > 0.0);
-        assert!(m.p10_ns <= m.median_ns && m.median_ns <= m.p90_ns);
-        assert!(m.units_per_sec() > 0.0);
-        assert!((m.ns_per_unit() - m.median_ns / 1000.0).abs() < 1e-9);
+        assert_eq!(median(&[7.0]), 7.0);
+        assert!(median(&[]).is_nan());
     }
 
     #[test]
@@ -708,83 +357,5 @@ mod tests {
         assert!(Json::parse("[1, ]").is_err());
         assert!(Json::parse("{\"a\": 1} extra").is_err());
         assert!(Json::parse("{1: 2}").is_err());
-    }
-
-    #[test]
-    fn history_append_parse_compare_round_trip() {
-        let path = std::env::temp_dir().join(format!(
-            "pi2_bench_history_test_{}.json",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-
-        assert_eq!(load_history(&path).unwrap(), Vec::new(), "missing = empty");
-        std::fs::write(&path, "").unwrap();
-        assert_eq!(load_history(&path).unwrap(), Vec::new(), "empty = empty");
-
-        let first = RunRecord {
-            timestamp_unix: 100,
-            bench: "aqm_decision".into(),
-            metrics: vec![("pie_ns".into(), 40.0), ("pi2_ns".into(), 20.0)],
-        };
-        append_run(&path, &first).unwrap();
-        let other = RunRecord {
-            timestamp_unix: 150,
-            bench: "sim_throughput".into(),
-            metrics: vec![("events_per_sec".into(), 1e6)],
-        };
-        append_run(&path, &other).unwrap();
-        let second = RunRecord {
-            timestamp_unix: 200,
-            bench: "aqm_decision".into(),
-            metrics: vec![("pie_ns".into(), 50.0), ("new_ns".into(), 1.0)],
-        };
-        append_run(&path, &second).unwrap();
-
-        let history = load_history(&path).unwrap();
-        assert_eq!(history, vec![first.clone(), other.clone(), second.clone()]);
-
-        // previous_run finds the latest record of the *same* bench.
-        assert_eq!(previous_run(&history, "sim_throughput"), Some(&other));
-        assert_eq!(previous_run(&history, "aqm_decision"), Some(&second));
-        assert_eq!(previous_run(&history[..2], "aqm_decision"), Some(&first));
-        assert_eq!(previous_run(&history, "nope"), None);
-
-        // compare keeps only shared metrics, as current/previous ratios.
-        let deltas = compare(&second, &first);
-        assert_eq!(deltas, vec![("pie_ns".to_string(), 50.0 / 40.0)]);
-        let report = format_comparison(&second, Some(&first));
-        assert!(report.contains("pie_ns: +25.0%"), "{report}");
-        assert_eq!(format_comparison(&second, None), "");
-
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn history_rejects_unknown_schema() {
-        let path = std::env::temp_dir().join(format!(
-            "pi2_bench_schema_test_{}.json",
-            std::process::id()
-        ));
-        std::fs::write(&path, "{\"schema\": 2, \"runs\": []}").unwrap();
-        assert!(load_history(&path).is_err());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn measurement_rows_have_header_and_cases() {
-        let m = Measurement {
-            name: "pie".into(),
-            iters: 5,
-            median_ns: 1000.0,
-            p10_ns: 900.0,
-            p90_ns: 1100.0,
-            units_per_iter: 100.0,
-        };
-        let rows = measurement_rows("decision", &[m]);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0][0], "case");
-        assert_eq!(rows[1][0], "pie");
-        assert_eq!(rows[1][1], "10.00"); // 1000 ns / 100 decisions
     }
 }

@@ -1,13 +1,21 @@
-//! What the two zero-allocation test binaries share.
+//! What the zero-allocation and cost-ratio test binaries share.
 
 use pi2_aqm::{Pi2, Pi2Config};
-use pi2_netsim::{MonitorConfig, PathConf, QueueConfig, Sim, SimConfig};
+use pi2_netsim::{Aqm, MonitorConfig, PathConf, QueueConfig, Sim, SimConfig};
 use pi2_simcore::{Duration, Time};
 use pi2_transport::{CcKind, EcnSetting, TcpConfig, TcpSource};
 
-/// The bench-harness topology: ten Reno flows into a 50 Mb/s PI2
-/// bottleneck, recording trimmed to counters.
-pub fn build() -> Sim {
+/// PI2 at the paper's defaults, the AQM every test here runs.
+pub fn pi2() -> Box<dyn Aqm> {
+    Box::new(Pi2::new(Pi2Config::default()))
+}
+
+/// The bare cell: ten Reno flows into a 50 Mb/s bottleneck under `aqm`,
+/// recording trimmed to counters so a run measures the engine and not
+/// sample recording. Assembled by hand: monitor pre-sizing and metrics,
+/// which `Scenario::build` would add, are what these tests switch on or
+/// leave off themselves.
+pub fn build(aqm: Box<dyn Aqm>) -> Sim {
     let mut sim = Sim::new(
         SimConfig {
             queue: QueueConfig {
@@ -22,7 +30,7 @@ pub fn build() -> Sim {
                 ..MonitorConfig::default()
             },
         },
-        Box::new(Pi2::new(Pi2Config::default())),
+        aqm,
     );
     for _ in 0..10 {
         sim.add_flow(

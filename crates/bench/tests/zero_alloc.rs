@@ -24,7 +24,7 @@ fn steady_state_loop_is_allocation_free() {
     // pure observer but its ring buffer allocates. The contract under
     // test is the engine's, so pin auditing off for this process.
     std::env::set_var("PI2_AUDIT", "0");
-    let mut sim = common::build();
+    let mut sim = common::build(common::pi2());
     // Pre-size for far more samples/packets than the run produces
     // (over-reservation only costs address space) and warm up past one
     // full overflow-wheel rotation (~34.4 s): RTO timers land in L1

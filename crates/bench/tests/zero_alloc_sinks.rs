@@ -26,7 +26,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn steady_state_loop_with_sinks_is_allocation_free() {
     // As in `zero_alloc.rs`: the debug-build flight recorder allocates.
     std::env::set_var("PI2_AUDIT", "0");
-    let mut sim = common::build();
+    let mut sim = common::build(common::pi2());
     let jsonl = Rc::new(RefCell::new(JsonlSink::new(std::io::sink())));
     let csv = Rc::new(RefCell::new(CsvSink::new(std::io::sink())));
     let perfetto = Rc::new(RefCell::new(PerfettoSink::new(std::io::sink())));

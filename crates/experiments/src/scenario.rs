@@ -557,21 +557,6 @@ impl RunResult {
         self.monitor.total_tput_series()
     }
 
-    /// One-line metrics summary for sweep/grid output: sojourn P50/P99
-    /// (ms) from the registry histogram plus the dispatch-loop event
-    /// total. Empty string when metrics were not collected.
-    pub fn metrics_summary(&self) -> String {
-        let Some(m) = self.metrics.as_deref() else {
-            return String::new();
-        };
-        format!(
-            "sojourn p50 {:.2} ms p99 {:.2} ms ({} events)",
-            m.sojourn().quantile(0.5) as f64 / 1e6,
-            m.sojourn().quantile(0.99) as f64 / 1e6,
-            m.events_processed(),
-        )
-    }
-
     /// One-line event-counter summary for sweep output.
     pub fn counter_summary(&self) -> String {
         let t = self.counters.totals();

@@ -15,17 +15,22 @@
 //! * `POST/GET /quit` — like `/cancel`, but also releases a driver
 //!   blocked in [`ObsServer::wait_quit`] (CI hold mode).
 //!
+//! Connections are handled one at a time, so each gets a deadline and a
+//! size cap for its request (`408` / `431` past them): a client that
+//! stalls cannot keep the next one's `/cancel` from being heard.
+//!
 //! The server never touches the simulation: it only reads strings the
 //! driver hands it and flips an `AtomicBool` the driver chooses when to
 //! poll. A run with the server attached is therefore bit-identical to one
 //! without — the same pure-observer contract every sink in this workspace
 //! obeys, asserted by `tests/obs_server.rs`.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Shared state between the handler thread and the publishing driver.
 struct Shared {
@@ -144,21 +149,72 @@ fn serve(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-fn handle(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    let path = request_line.split_whitespace().nth(1).unwrap_or("/");
-    // Drain headers so keep-alive clients see a well-formed exchange.
+/// How long a client has to deliver its request, and to take the answer.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Request line plus headers; every request this server answers fits in
+/// a fraction of it.
+const MAX_REQUEST_BYTES: u64 = 8 * 1024;
+
+/// Reads from a stream until a fixed instant, however the bytes trickle
+/// in: a per-read timeout alone lets a client feeding one byte at a time
+/// hold the only handler thread for as long as it likes.
+struct Until<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for Until<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
+/// The path of one request, its headers drained, or the status that
+/// refuses it: `408` when the client stalls past [`REQUEST_DEADLINE`],
+/// `431` when it sends [`MAX_REQUEST_BYTES`] without finishing its headers.
+fn read_request(stream: &TcpStream) -> Result<String, &'static str> {
+    let bounded = Until {
+        stream,
+        deadline: Instant::now() + REQUEST_DEADLINE,
+    }
+    .take(MAX_REQUEST_BYTES);
+    let mut reader = BufReader::new(bounded);
+    let mut path = None;
     let mut line = String::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
-            break;
+        match reader.read_line(&mut line) {
+            // The client stopped sending: answer what it asked so far.
+            Ok(0) if reader.get_ref().limit() > 0 => break,
+            Ok(0) => return Err("431 Request Header Fields Too Large"),
+            Ok(_) if line == "\r\n" || line == "\n" => break,
+            Ok(_) => {
+                path.get_or_insert_with(|| {
+                    line.split_whitespace().nth(1).unwrap_or("/").to_string()
+                });
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Err("408 Request Timeout")
+            }
+            Err(_) => return Err("400 Bad Request"),
         }
     }
-    let mut stream = reader.into_inner();
-    let (status, content_type, body) = match path {
+    Ok(path.unwrap_or_else(|| "/".to_string()))
+}
+
+const TEXT: &str = "text/plain; charset=utf-8";
+
+/// Status, content type and body for `path`, flipping the flags `/cancel`
+/// and `/quit` stand for.
+fn route(path: &str, shared: &Shared) -> (&'static str, &'static str, String) {
+    match path {
         "/metrics" => (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
@@ -169,23 +225,27 @@ fn handle(stream: TcpStream, shared: &Arc<Shared>) -> std::io::Result<()> {
             "application/json",
             shared.progress.lock().unwrap().clone(),
         ),
-        "/healthz" => ("200 OK", "text/plain; charset=utf-8", "ok\n".to_string()),
+        "/healthz" => ("200 OK", TEXT, "ok\n".to_string()),
         "/cancel" => {
             shared.cancel.store(true, Ordering::SeqCst);
-            ("200 OK", "text/plain; charset=utf-8", "cancelling\n".to_string())
+            ("200 OK", TEXT, "cancelling\n".to_string())
         }
         "/quit" => {
             shared.cancel.store(true, Ordering::SeqCst);
             shared.quit.store(true, Ordering::SeqCst);
             let _guard = shared.quit_mx.lock().unwrap();
             shared.quit_cv.notify_all();
-            ("200 OK", "text/plain; charset=utf-8", "quitting\n".to_string())
+            ("200 OK", TEXT, "quitting\n".to_string())
         }
-        _ => (
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            "not found\n".to_string(),
-        ),
+        _ => ("404 Not Found", TEXT, "not found\n".to_string()),
+    }
+}
+
+fn handle(mut stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
+    stream.set_write_timeout(Some(REQUEST_DEADLINE))?;
+    let (status, content_type, body) = match read_request(&stream) {
+        Ok(path) => route(&path, shared),
+        Err(refusal) => (refusal, TEXT, format!("{refusal}\n")),
     };
     let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\n\

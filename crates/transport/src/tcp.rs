@@ -317,11 +317,6 @@ impl TcpSource {
         self.srtt
     }
 
-    /// The congestion-control algorithm, for observability.
-    pub fn congestion_control(&self) -> &dyn CongestionControl {
-        self.cc.as_ref()
-    }
-
     fn rtt_estimate(&self) -> Duration {
         self.srtt.unwrap_or(self.base_rtt)
     }

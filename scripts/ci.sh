@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The offline tier-1 gate plus a microbench smoke run.
+# The offline gate: tier-1, every workspace test, and the end-to-end smokes.
 #
 # Everything here must pass with NO network access: the workspace has
 # zero registry dependencies (the randomized proptest suites are gated
@@ -11,26 +11,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== structure: Scenario::build is the only place a packet Sim is assembled"
-# Experiment families fill a Scenario, and binaries and figure renderers
-# run one; a hand-built Sim there is a second pipeline that misses
-# weather, hybrid background, metrics, pre-sizing and every observer.
-# bench_sim_throughput measures the bare engine and is the one exception
-# (DESIGN.md "How a run is built"). \b keeps FlowLevelSim::new out of
-# the match.
-if grep -rnE '\bSim::(new|with_qdisc)\(' crates/experiments/src crates/bench/src \
-    | grep -vE '^crates/(experiments/src/scenario|bench/src/bin/bench_sim_throughput)\.rs:'; then
-    echo "FAIL: a Sim is assembled outside Scenario::build (fill a Scenario instead)" >&2
-    exit 1
-fi
-
-echo "== structure: summaries select; only the test oracle sorts"
-# Summary::over and percentile() read order statistics by selection inside
-# the column they are handed (DESIGN.md section 6, "Summaries"); the sort they
-# replaced survives as `sorted()` under #[cfg(test)], which every item
-# from the first #[cfg(test)] line on is.
-if sed '/^#\[cfg(test)\]/,$d' crates/stats/src/summary.rs | grep -n '\.sort'; then
-    echo "FAIL: crates/stats/src/summary.rs sorts outside #[cfg(test)] (select instead)" >&2
+echo "== line budget: crates/*/src may not grow"
+# ROADMAP item 9: the same behaviour from less code. The first count is
+# held to its value when this stage was added (PR 21). A PR that shrinks
+# crates/*/src lowers the constant; one that has to grow it raises the
+# constant and says why on this line.
+src_budget=34477
+src_lines="$(find crates/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+all_lines="$(find crates tests examples src -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+echo "Rust lines: crates/*/src $src_lines (budget $src_budget), crates tests examples src $all_lines"
+if [ "$src_lines" -gt "$src_budget" ]; then
+    echo "FAIL: crates/*/src grew past its budget of $src_budget lines" >&2
     exit 1
 fi
 
@@ -38,12 +29,18 @@ echo "== tier-1: release build"
 cargo build --release
 
 echo "== tier-1: tests"
+# tests/repo_invariants.rs holds the structure guards (no Sim assembled
+# outside Scenario::build, no sort in Summary, one perf instrument).
 cargo test -q
 
 echo "== workspace tests (release: some tests simulate minutes of traffic)"
 # Includes the allocation contract, one test binary each: zero_alloc (the
 # engine's steady-state loop makes no allocator call) and zero_alloc_sinks
-# (nor does it with the JSONL, CSV and Perfetto sinks attached). And, in
+# (nor does it with the JSONL, CSV and Perfetto sinks attached). And the
+# cost ratios that hold on any host, crates/bench/tests/cost_ratios.rs:
+# metrics on / off <= 1.15 and PIE / PI2 in [0.9, 2.0] per packet, fluid at
+# 100 000 flows faster than packet at 1 000 -- each the median of paired
+# runs in one process. Absolute cost is benchmark/'s business. And, in
 # pi2-fluid, column_kernels_equal_the_scalar_law_bit_for_bit: the one pin
 # on how the hybrid coupling's tick_external rounds (the 1 001-class cmp
 # below covers step only, and a hybrid CLI cell prints two decimals).
@@ -58,65 +55,10 @@ echo "== frozen benchmark still builds and runs against crates/"
 cargo test --offline -q --release --manifest-path benchmark/Cargo.toml
 bash benchmark/run.sh --quick
 
-echo "== bench smoke run (short sims; history to a scratch file)"
-# PI2_BENCH_OUT keeps CI noise out of the repo's BENCH_pi2.json
-# trajectory by default. Opt in with PI2_BENCH_HISTORY=1 to append the
-# smoke-run metrics (including the per-event-class profile numbers and
-# the metrics_overhead_ratio) to the committed BENCH_pi2.json instead —
-# useful when a commit should leave a perf data point behind.
-smoke_out="$(mktemp -t pi2_bench_smoke.XXXXXX.json)"
-trap 'rm -f "$smoke_out"' EXIT
-if [ "${PI2_BENCH_HISTORY:-0}" = "1" ]; then
-    bench_out_env=()  # record into the repo's committed BENCH_pi2.json
-else
-    bench_out_env=(PI2_BENCH_OUT="$smoke_out")
-fi
-# PI2_OVERHEAD_GATE: bench_sim_throughput exits non-zero when the
-# metrics-on run costs more per event than the documented tolerance
-# (15%; see EXPERIMENTS.md "Metrics & profiling", PI2_OVERHEAD_TOL).
-PI2_SECS=2 PI2_OVERHEAD_GATE=1 env "${bench_out_env[@]}" \
-    cargo run -q -p pi2-bench --release --bin bench_sim_throughput
-env "${bench_out_env[@]}" \
-    cargo run -q -p pi2-bench --release --bin bench_aqm_decision
-
-echo "== perf gate: fresh sim_throughput vs the committed trajectory"
-# bench_compare diffs the smoke run above against the committed
-# BENCH_pi2.json baseline (trailing-min of the last 5 runs) and, with
-# PI2_PERF_GATE=1, fails on regressions. Three checks (see the binary's
-# module docs): ns per dequeued packet within PI2_PERF_TOL of baseline
-# (per packet, not per event: removing no-op events speeds a run up and
-# makes its mean event dearer; the overshoot_1flow_1gbps case puts the
-# cost of a SACK recovery episode under the same check, where a
-# scoreboard that scans its holes per ACK reads 6-9x -- at the edge of
-# this tolerance, so tests/sack_recovery.rs carries the hard limit),
-# the PIE/PI2 per-packet cost ratio inside
-# [0.9, 2.0], and the PI2 case popping at most 3.1 events per packet — a
-# deterministic work counter, exact on any host. The default tolerance
-# here is deliberately loose: this host's clock throttles bimodally and
-# same-binary runs differ by up to ~6x (fast-mode ~60 ns/event vs
-# throttled ~390 — measured with interleaved A/B runs of two commits'
-# binaries, which track each other exactly), so a tight absolute gate
-# would flake — the ratio and the event count are the
-# machine-mode-independent regression pins.
-# perf_gate <bench>: the newest run of <bench> against the committed
-# trajectory — the scratch file's run, or with PI2_BENCH_HISTORY=1 the
-# one just appended to BENCH_pi2.json against its predecessor.
-perf_gate() {
-    if [ "${PI2_BENCH_HISTORY:-0}" = "1" ]; then
-        PI2_PERF_GATE=1 PI2_PERF_TOL="${PI2_PERF_TOL:-7.0}" \
-            cargo run -q -p pi2-bench --release --bin bench_compare -- --bench "$1"
-    else
-        PI2_PERF_GATE=1 PI2_PERF_TOL="${PI2_PERF_TOL:-7.0}" \
-            cargo run -q -p pi2-bench --release --bin bench_compare -- \
-            --bench "$1" --baseline BENCH_pi2.json --candidate "$smoke_out"
-    fi
-}
-perf_gate sim_throughput
-
 echo "== traced+audited smoke run: every trace format parses, invariants hold"
 trace_out="$(mktemp -t pi2_trace_smoke.XXXXXX.jsonl)"
 trace_log="$(mktemp -t pi2_trace_smoke.XXXXXX.log)"
-trap 'rm -f "$smoke_out" "$trace_out" "$trace_out.csv" "$trace_out.perfetto.json" "$trace_log"' EXIT
+trap 'rm -f "$trace_out" "$trace_out.csv" "$trace_out.perfetto.json" "$trace_log"' EXIT
 # --audit attaches the runtime invariant auditor even in this release
 # build: conservation, clock monotonicity, probability bounds, and (for
 # pi2) the squaring law are checked on every event, and any violation
@@ -164,7 +106,7 @@ echo "== metrics+profile smoke run: snapshot parses, exposition lints"
 metrics_json="$(mktemp -t pi2_metrics_smoke.XXXXXX.json)"
 metrics_prom="$(mktemp -t pi2_metrics_smoke.XXXXXX.prom)"
 profile_log="$(mktemp -t pi2_profile_smoke.XXXXXX.log)"
-trap 'rm -f "$smoke_out" "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log"' EXIT
+trap 'rm -f "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log"' EXIT
 cargo run -q -p pi2-bench --release --bin pi2sim -- \
     --aqm pi2 --rate 10M --flows 2xreno --secs 5 --warmup 1 \
     --profile --metrics-out "$metrics_json" | tee "$profile_log"
@@ -184,7 +126,7 @@ echo "== lint gates fail loudly: bad inputs must exit non-zero"
 # that directly (not by grepping output) with deliberately broken
 # inputs. A bad file must fail the run even when a good file follows it.
 lint_dir="$(mktemp -d -t pi2_lint_gate.XXXXXX)"
-trap 'rm -rf "$smoke_out" "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$lint_dir"' EXIT
+trap 'rm -rf "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$lint_dir"' EXIT
 printf '{' > "$lint_dir/truncated.json"
 if cargo run -q -p pi2-bench --release --bin metrics_lint -- \
     "$lint_dir/truncated.json" "$metrics_json" > /dev/null 2>&1; then
@@ -196,6 +138,18 @@ if cargo run -q -p pi2-bench --release --bin perfetto_lint -- \
     echo "FAIL: perfetto_lint accepted a truncated timeline" >&2
     exit 1
 fi
+# validate_grid's own command line: a flag with its value missing or not
+# a number is a usage error (exit 2, the usage line), not a panic (101).
+for bad in "--out" "--only" "--tighten" "--tighten tight"; do
+    rc=0
+    # shellcheck disable=SC2086  # $bad is a flag and maybe its value
+    cargo run -q -p pi2-bench --release --bin validate_grid -- $bad \
+        > /dev/null 2> "$lint_dir/usage.stderr" || rc=$?
+    if [ "$rc" -ne 2 ] || ! grep -q '^usage: validate_grid' "$lint_dir/usage.stderr"; then
+        echo "FAIL: validate_grid $bad exited $rc, not 2 with the usage line" >&2
+        exit 1
+    fi
+done
 rm -rf "$lint_dir"
 
 echo "== grid determinism smoke: serial vs parallel must match bit-for-bit"
@@ -235,8 +189,8 @@ test "$rc" -eq 2
 
 echo "== DESIGN.md index: every figure id is a bench target, every target exists"
 # DESIGN.md §4's "Bench target" column (the last one of its tables) names
-# `pi2fig <id>` rows and microbench binaries. Every id the table has must
-# be named there, and every name there must be an id or a binary.
+# `pi2fig <id>` rows and binaries. Every id the table has must be named
+# there, and every name there must be an id or a binary.
 targets="$(sed -n '/^## 4\. /,/^## 5\. /p' DESIGN.md \
     | awk -F'|' '/^\|/ { print $(NF-1) }' | grep -oE '`[^`]+`' | tr -d '`')"
 for id in $fig_ids; do
@@ -262,7 +216,7 @@ echo "== checkpoint round-trip smoke: save at t/2, restore, diff vs straight-thr
 # The audited restore leg also re-verifies every invariant from the
 # restored state onward.
 ckpt_dir="$(mktemp -d -t pi2_ckpt_smoke.XXXXXX)"
-trap 'rm -rf "$smoke_out" "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$ckpt_dir"' EXIT
+trap 'rm -rf "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$ckpt_dir"' EXIT
 ckpt_args=(--aqm pi2 --rate 10M --flows 2xreno,1xdctcp --secs 8 --warmup 2 --seed 7 --audit)
 cargo run -q -p pi2-bench --release --bin pi2sim -- \
     "${ckpt_args[@]}" --metrics-out "$ckpt_dir/straight.json" > /dev/null
@@ -286,7 +240,7 @@ echo "== dynamics scenario smoke: step-response table, weather determinism"
 # sweep must be bit-identical — table and JSONL trace — for any
 # PI2_THREADS, like every other sweep.
 dyn_dir="$(mktemp -d -t pi2_dynamics_smoke.XXXXXX)"
-trap 'rm -rf "$smoke_out" "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$dyn_dir"' EXIT
+trap 'rm -rf "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$dyn_dir"' EXIT
 for t in 1 2 4; do
     # The "trace written to <path>" confirmation embeds the per-thread
     # path; drop it so the table diff compares only scenario output.
@@ -316,7 +270,7 @@ echo "== topology scenario smoke: multi-hop FCT/fairness, thread determinism"
 # proves its cells clean. (Audited == unaudited is held by
 # tests/obs_server.rs and tests/trace_streaming.rs.)
 topo_dir="$(mktemp -d -t pi2_topology_smoke.XXXXXX)"
-trap 'rm -rf "$smoke_out" "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$topo_dir"' EXIT
+trap 'rm -rf "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$topo_dir"' EXIT
 for t in 1 2 4; do
     # The "trace written to <path>" confirmation embeds the per-thread
     # path; drop it so the table diff compares only scenario output.
@@ -347,7 +301,7 @@ echo "== live ops smoke: served dynamics sweep, perfetto export, bit-identity"
 # PI2_SERVE_HOLD keeps the final snapshots alive until GET /quit so the
 # end-of-run scrapes are race-free.
 live_dir="$(mktemp -d -t pi2_live_smoke.XXXXXX)"
-trap 'rm -rf "$smoke_out" "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$live_dir"' EXIT
+trap 'rm -rf "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$live_dir"' EXIT
 "$bin/pi2sim" --scenario dynamics --seed 4 \
     --trace-out "$live_dir/ref.perfetto.json" --trace-format perfetto \
     > "$live_dir/ref.stdout" 2> /dev/null
@@ -396,7 +350,7 @@ echo "== served cancel/resume audit: /cancel checkpoints, exit 130, restore matc
 # in the working directory — run from the scratch dir), and restoring it
 # must land on the exact metrics of the run that was never cancelled.
 cxl_dir="$(mktemp -d -t pi2_cancel_smoke.XXXXXX)"
-trap 'rm -rf "$smoke_out" "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$cxl_dir"' EXIT
+trap 'rm -rf "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$cxl_dir"' EXIT
 # 3 sim-hours ≈ a few wall-seconds: long enough that the /cancel issued
 # right after bind always lands mid-run (it typically hits t ≈ 2 sim-min,
 # ~1% in), short enough to keep the straight and resumed legs cheap.
@@ -438,7 +392,7 @@ echo "== hybrid/fluid backend smoke: conformance, CLI sweep, 100k-flow fluid run
 # self-contained when invoked piecemeal.
 cargo test -q --release --test hybrid
 hyb_dir="$(mktemp -d -t pi2_hybrid_smoke.XXXXXX)"
-trap 'rm -rf "$smoke_out" "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$hyb_dir"' EXIT
+trap 'rm -rf "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$hyb_dir"' EXIT
 # Small hybrid sweep over the CLI: 2 packet foreground flows riding on an
 # 8-flow fluid background; the summary must report the aggregate served.
 "$bin/pi2sim" --aqm pi2 --rate 10M --flows 2xreno --secs 8 --warmup 2 \
@@ -480,16 +434,6 @@ done
     | sed 's/, wall [0-9.]* s$//' > "$hyb_dir/fluid_1kclass.txt"
 grep -q '^flows: 7988 across 1001 classes' "$hyb_dir/fluid_1kclass.txt"
 cmp "$hyb_dir/fluid_1kclass.txt" results/fluid_1kclass_ref.txt
-# Backend scaling bench: gates the headline claim (fluid at 100k flows
-# beats packet at 1k) and records a "hybrid" entry — in the scratch file,
-# or in the committed BENCH_pi2.json when PI2_BENCH_HISTORY=1.
-# bench_compare then holds the 1 000-class cell's cost per class-step to
-# PI2_PERF_TOL of the committed baseline and its order-move count to the
-# baseline exactly (see bench_compare's module docs; at 7x the cost check
-# is a smoke alarm — tests/fluid_order.rs and the count are the pins).
-env "${bench_out_env[@]}" \
-    cargo run -q -p pi2-bench --release --bin hybrid_bench
-perf_gate hybrid
 rm -rf "$hyb_dir"
 
 echo "== randomized proptests (vendored shim; time-boxed via PROPTEST_CASES)"

@@ -148,6 +148,56 @@ fn concurrent_scrapes_see_a_stable_schema() {
     assert!(st.contains("200") && body.contains("ok"));
 }
 
+/// `GET /cancel` from a fresh client, on a thread of its own so that a
+/// handler stuck on somebody else's connection fails the test instead of
+/// hanging it.
+fn cancel_is_answered_promptly(srv: &ObsServer) {
+    let addr = srv.addr();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(http_get(addr, "/cancel")));
+    let (status, _) = rx
+        .recv_timeout(std::time::Duration::from_secs(5))
+        .expect("/cancel unanswered after 5 s: a stalled client holds the handler")
+        .expect("cancel");
+    assert!(status.contains("200"), "{status}");
+    assert!(srv.cancel_requested());
+}
+
+/// The server has one handler thread. A client that connects and says
+/// nothing is refused with 408 after the request deadline, and the next
+/// client's `/cancel` gets through.
+#[test]
+fn a_silent_client_cannot_hold_cancel_off() {
+    use std::io::Read;
+    let srv = ObsServer::bind("127.0.0.1:0").expect("bind");
+    let mut silent = std::net::TcpStream::connect(srv.addr()).expect("connect");
+    cancel_is_answered_promptly(&srv);
+    let mut answer = String::new();
+    silent.read_to_string(&mut answer).expect("the refusal");
+    assert!(answer.starts_with("HTTP/1.1 408 "), "{answer}");
+}
+
+/// Nor can a client whose header line never ends: the server stops
+/// reading at its request-size cap and drops the connection, which is
+/// what ends the writer below.
+#[test]
+fn an_endless_header_line_cannot_hold_cancel_off() {
+    use std::io::Write;
+    let srv = ObsServer::bind("127.0.0.1:0").expect("bind");
+    let mut endless = std::net::TcpStream::connect(srv.addr()).expect("connect");
+    let writer = std::thread::spawn(move || -> std::io::Error {
+        let mut chunk: &[u8] = b"GET /metrics HTTP/1.1\r\nX-Filler: ";
+        loop {
+            if let Err(gone) = endless.write_all(chunk) {
+                return gone;
+            }
+            chunk = &[b'a'; 1024];
+        }
+    });
+    cancel_is_answered_promptly(&srv);
+    writer.join().expect("the writer ends once the server hangs up");
+}
+
 /// Counts every drop/mark the sim reports on any hop — the independent
 /// tally the Perfetto instants must match.
 #[derive(Default)]

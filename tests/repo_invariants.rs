@@ -1,0 +1,119 @@
+//! Structure guards: things the source tree must not contain, checked by
+//! reading it. Each row of [`RULES`] says what, where, which files are
+//! exempt, and why; a new guard is a new row.
+
+use std::fs;
+use std::path::Path;
+
+struct Rule {
+    /// None of these may appear. One that starts with a letter matches
+    /// only at the start of a word, so `Sim::new(` lets
+    /// `FlowLevelSim::new(` pass.
+    needles: &'static [&'static str],
+    /// Files and directories searched, relative to the repository root.
+    roots: &'static [&'static str],
+    /// Files under `roots` where the needles may appear.
+    allowed: &'static [&'static str],
+    /// A file is searched up to the first line equal to this.
+    up_to: Option<&'static str>,
+    why: &'static str,
+}
+
+const RULES: &[Rule] = &[
+    Rule {
+        needles: &["Sim::new(", "Sim::with_qdisc("],
+        roots: &["crates/experiments/src", "crates/bench/src"],
+        allowed: &["crates/experiments/src/scenario.rs"],
+        up_to: None,
+        why: "Scenario::build is the only place a packet Sim is assembled: a hand-built one \
+              is a second pipeline that misses weather, hybrid background, metrics, \
+              pre-sizing and every observer (fill a Scenario instead)",
+    },
+    Rule {
+        needles: &[".sort"],
+        roots: &["crates/stats/src/summary.rs"],
+        allowed: &[],
+        up_to: Some("#[cfg(test)]"),
+        why: "summaries read order statistics by selection inside the column they are \
+              handed; the sort they replaced survives only as the test oracle",
+    },
+    Rule {
+        needles: &[
+            "BENCH_pi2",
+            "PI2_BENCH_OUT",
+            "PI2_BENCH_HISTORY",
+            "PI2_PERF_GATE",
+            "PI2_PERF_TOL",
+            "PI2_OVERHEAD_GATE",
+            "PI2_OVERHEAD_TOL",
+        ],
+        roots: &["crates", "scripts", "tests", "examples", "src"],
+        allowed: &["tests/repo_invariants.rs"],
+        up_to: None,
+        why: "there is one perf instrument, benchmark/; the second one's history file is a \
+              frozen record no code reads or writes, and its knobs are gone",
+    },
+];
+
+/// Whether `line` holds `needle`, under the word-start rule.
+fn holds(line: &str, needle: &str) -> bool {
+    let word = needle.starts_with(|c: char| c.is_alphanumeric());
+    line.match_indices(needle).any(|(at, _)| {
+        let before = line[..at].chars().next_back();
+        !(word && before.is_some_and(|c| c.is_alphanumeric() || c == '_'))
+    })
+}
+
+/// Every regular file at or under `path`, as paths relative to `root`.
+fn files_under(root: &Path, path: &str, out: &mut Vec<String>) {
+    let full = root.join(path);
+    if full.is_dir() {
+        let mut names: Vec<String> = fs::read_dir(&full)
+            .unwrap_or_else(|e| panic!("{path}: {e}"))
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        for name in names {
+            files_under(root, &format!("{path}/{name}"), out);
+        }
+    } else {
+        assert!(full.is_file(), "{path}: a rule names a path that is not there");
+        out.push(path.to_string());
+    }
+}
+
+#[test]
+fn the_tree_holds_none_of_what_the_rules_forbid() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut report = String::new();
+    for rule in RULES {
+        let mut files = Vec::new();
+        for path in rule.roots {
+            files_under(root, path, &mut files);
+        }
+        let mut hits = Vec::new();
+        for file in files.iter().filter(|f| !rule.allowed.contains(&f.as_str())) {
+            let bytes = fs::read(root.join(file)).unwrap_or_else(|e| panic!("{file}: {e}"));
+            let text = String::from_utf8_lossy(&bytes);
+            let searched = text.lines().take_while(|l| Some(*l) != rule.up_to);
+            for (n, line) in searched.enumerate() {
+                if rule.needles.iter().any(|needle| holds(line, needle)) {
+                    hits.push(format!("  {file}:{}: {}\n", n + 1, line.trim()));
+                }
+            }
+        }
+        if !hits.is_empty() {
+            report += &format!("\n{}:\n{}", rule.why, hits.concat());
+        }
+    }
+    assert!(report.is_empty(), "{report}");
+}
+
+#[test]
+fn a_needle_that_starts_a_word_matches_only_there() {
+    assert!(holds("let sim = Sim::new(cfg);", "Sim::new("));
+    assert!(!holds("FlowLevelSim::new(cfg)", "Sim::new("));
+    assert!(holds("FlowLevelSim::new(a); Sim::new(b)", "Sim::new("));
+    assert!(holds("xs.sort_by(f64::total_cmp)", ".sort"));
+    assert!(holds("env::var(\"PI2_PERF_TOL\")", "PI2_PERF_TOL"));
+}

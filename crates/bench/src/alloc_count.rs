@@ -28,22 +28,11 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static DEALLOCS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static TRAP: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Debug aid: arm a one-shot panic on the next counted allocation, so
-/// the panic backtrace names the allocation site. The trap disarms
-/// itself before panicking (panicking allocates).
-pub fn trap_next_alloc(on: bool) {
-    TRAP.store(on, Relaxed);
-}
 
 #[inline]
 fn note_alloc(bytes: usize) {
     ALLOCS.fetch_add(1, Relaxed);
     ALLOC_BYTES.fetch_add(bytes as u64, Relaxed);
-    if TRAP.swap(false, Relaxed) {
-        panic!("trapped allocation of {bytes} bytes");
-    }
 }
 
 /// A `System`-backed allocator that counts every call.

@@ -6,10 +6,6 @@
 //!     --aqm coupled --rate 40M --rtt 10ms --flows 1xcubic,1xdctcp --secs 60
 //! ```
 
-use pi2_aqm::{
-    CodelConfig, CoupledPi2Config, CurvyRedConfig, DualPi2Config, FqConfig, Pi2Config, PiConfig,
-    PieConfig, RedConfig,
-};
 use pi2_bench::cli::{parse_args, usage, CliArgs, MetricsFormat, TraceFormat};
 use pi2_bench::perf::Json;
 use pi2_experiments::{
@@ -29,53 +25,9 @@ use std::io::BufWriter;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
-/// The `--aqm` table: every name [`pi2_bench::cli::AQMS`] lists, as the
-/// configuration `--target` and `--rate` give it.
-fn aqm_kind(a: &CliArgs) -> AqmKind {
-    let target = a.target;
-    match a.aqm.as_str() {
-        "pi2" => AqmKind::Pi2(Pi2Config {
-            target,
-            ..Pi2Config::default()
-        }),
-        "pie" => AqmKind::Pie(PieConfig {
-            target,
-            ..PieConfig::paper_default()
-        }),
-        "bare-pie" => AqmKind::Pie(PieConfig {
-            target,
-            ..PieConfig::bare()
-        }),
-        "pi" => AqmKind::Pi(PiConfig {
-            target,
-            ..PiConfig::untuned_pie_gains()
-        }),
-        "coupled" => AqmKind::Coupled(CoupledPi2Config {
-            target,
-            ..CoupledPi2Config::default()
-        }),
-        "red" => AqmKind::Red(RedConfig::for_link(a.rate_bps, target / 2, target * 3)),
-        "codel" => AqmKind::Codel(CodelConfig {
-            target: target / 4,
-            ..CodelConfig::default()
-        }),
-        "curvy" => AqmKind::Curvy(CurvyRedConfig {
-            range: target * 3,
-            ..CurvyRedConfig::default()
-        }),
-        "taildrop" => AqmKind::TailDrop,
-        "dualq" => AqmKind::DualQ(DualPi2Config {
-            target,
-            ..DualPi2Config::for_link(a.rate_bps)
-        }),
-        "fq" => AqmKind::Fq(FqConfig::for_link(a.rate_bps)),
-        other => unreachable!("validated AQM {other}"),
-    }
-}
-
 /// The dumbbell the command line describes, for whichever backend runs it.
 fn scenario_from(a: &CliArgs) -> Scenario {
-    let mut sc = Scenario::new(aqm_kind(a), a.rate_bps);
+    let mut sc = Scenario::new(a.aqm_kind(), a.rate_bps);
     for spec in &a.flows {
         sc.tcp
             .push(FlowGroup::new(spec.count, spec.cc, spec.ecn, &spec.label, a.rtt));
@@ -493,7 +445,6 @@ fn observe_and_run(
         sim.core.take_metrics();
     }
     sim.core.monitor.reserve(0, 0);
-    // `--profile` (PI2_PROFILE=1 enables it too, inside Sim construction).
     if a.profile {
         sim.enable_profiler();
     }

@@ -1,10 +1,12 @@
-//! Differential fluid ⇄ packet validation over the standard grid.
+//! Model-agreement validation over the one grid.
 //!
-//! Runs every matched configuration ({PI, PI2, PIE} × {Reno, Scalable})
-//! through both the packet simulator and the fluid ODE, prints the
-//! side-by-side comparison, and writes the machine-readable JSONL
-//! agreement report. Exits non-zero if any tolerance is violated, so it
-//! can gate CI.
+//! Runs every cell of `pi2_validate::grid()` once on the packet engine
+//! and judges each model listed for it (delay-ODE, flow-level engine,
+//! hybrid mode) against that run, prints the side-by-side comparison with
+//! the achieved disagreement beside each band, and writes the
+//! machine-readable JSONL agreement report. Exits non-zero if any
+//! tolerance is violated, so it can gate CI. `results/validate_grid.txt`
+//! is what it prints with no flags.
 //!
 //! ```text
 //! validate_grid [--out report.jsonl] [--tighten F] [--only NAME]
@@ -13,10 +15,10 @@
 //!                 after the human-readable table)
 //!   --tighten F   scale every tolerance by F (e.g. 0.01 demonstrates
 //!                 that a deliberately failed tolerance exits non-zero)
-//!   --only NAME   run just the named configuration (e.g. pi2-reno)
+//!   --only NAME   run just the named cell (e.g. pi2-reno), all its models
 //! ```
 
-use pi2_validate::differential::{default_grid, run_config};
+use pi2_validate::{bands, grid, run_grid};
 use std::io::Write;
 
 const USAGE: &str = "usage: validate_grid [--out report.jsonl] [--tighten F] [--only NAME]";
@@ -54,68 +56,40 @@ fn main() {
         }
     }
 
-    let mut grid = default_grid();
+    let mut cells = grid();
     if let Some(name) = &only {
-        grid.retain(|c| &c.name == name);
-        if grid.is_empty() {
+        cells.retain(|c| c.name == name);
+        if cells.is_empty() {
             usage_error(&format!("no such config: {name}"));
         }
     }
-    for cfg in &mut grid {
-        cfg.tol = cfg.tol.scaled(tighten);
-    }
 
-    // Stream the human-readable table as configs finish; collect JSONL.
+    // The table streams to stdout as cells finish; the JSONL follows it
+    // there, or goes to --out.
     let mut jsonl: Vec<u8> = Vec::new();
-    let mut all_pass = true;
-    let mut reports = Vec::new();
-    for cfg in &grid {
-        let report = run_config(cfg);
-        print!("{}", report.table());
-        all_pass &= report.pass;
-        reports.push(report);
-    }
-    // Re-emit through run_grid's writer path for the summary line without
-    // re-running: serialize what we already have.
-    for r in &reports {
-        writeln!(jsonl, "{}", r.jsonl()).unwrap();
-    }
-    let failed: Vec<String> = reports
-        .iter()
-        .filter(|c| !c.pass)
-        .map(|c| format!("\"{}\"", c.name))
-        .collect();
-    writeln!(
-        jsonl,
-        "{{\"summary\":{{\"configs\":{},\"pass\":{},\"failed\":[{}]}}}}",
-        reports.len(),
-        all_pass,
-        failed.join(",")
-    )
-    .unwrap();
-
+    let (tol, mut table) = (bands().scaled(tighten), std::io::stdout());
+    let report = run_grid(&cells, &tol, &mut table, &mut jsonl).expect("stdout is writable");
     match &out_path {
         Some(p) => std::fs::write(p, &jsonl).unwrap_or_else(|e| {
             eprintln!("cannot write {p}: {e}");
             std::process::exit(2);
         }),
-        None => std::io::stdout().write_all(&jsonl).unwrap(),
+        None => table.write_all(&jsonl).expect("stdout is writable"),
     }
 
     // One-line verdict on stderr either way, so harnesses that keep
     // stdout for the report still see the outcome next to the exit code.
-    if all_pass {
+    let (failed, pairs) = (report.failed(), report.pairs().count());
+    if failed.is_empty() {
         eprintln!(
-            "validate_grid: OK — {}/{} configs within tolerance",
-            reports.len(),
-            reports.len()
+            "validate_grid: OK — {pairs}/{pairs} (cell, model) pairs within tolerance over {} packet runs",
+            report.cells.len()
         );
     } else {
         eprintln!(
-            "validate_grid: FAIL — {} of {} configs out of tolerance: [{}]",
+            "validate_grid: FAIL — {} of {pairs} (cell, model) pairs out of tolerance: {}",
             failed.len(),
-            reports.len(),
-            failed.join(",")
+            failed.join(", ")
         );
         std::process::exit(1);
     }

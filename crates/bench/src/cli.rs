@@ -5,6 +5,11 @@
 //! `500us`), flow-list syntax (`5xreno,1xdctcp,2xecn-cubic`), and helpful
 //! errors.
 
+use pi2_aqm::{
+    CodelConfig, CoupledPi2Config, CurvyRedConfig, DualPi2Config, FqConfig, Pi2Config, PiConfig,
+    PieConfig, RedConfig,
+};
+use pi2_experiments::AqmKind;
 use pi2_simcore::Duration;
 use pi2_transport::{CcKind, EcnSetting};
 
@@ -59,7 +64,7 @@ pub struct CliArgs {
     /// On-disk snapshot format for `--metrics-out`.
     pub metrics_format: MetricsFormat,
     /// Attach the event-loop self-profiler and print the per-class
-    /// breakdown (env `PI2_PROFILE=1` does the same).
+    /// breakdown.
     pub profile: bool,
     /// Named scenario family to run instead of a single dumbbell run:
     /// `dynamics` (step-response disturbances for PIE vs PI2 vs DualPI2)
@@ -118,10 +123,46 @@ pub enum MetricsFormat {
     Prom,
 }
 
-/// The AQMs `pi2sim` accepts.
-pub const AQMS: &[&str] = &[
-    "pi2", "pie", "bare-pie", "pi", "coupled", "red", "codel", "curvy", "taildrop", "dualq", "fq",
+/// A `--aqm` name and the configuration `--target` and `--rate` give it.
+pub type AqmRow = (&'static str, fn(&CliArgs) -> AqmKind);
+
+/// The `--aqm` table: every name `pi2sim` accepts.
+pub const AQMS: &[AqmRow] = &[
+    ("pi2", |a| AqmKind::Pi2(Pi2Config { target: a.target, ..Pi2Config::default() })),
+    ("pie", |a| AqmKind::Pie(PieConfig { target: a.target, ..PieConfig::paper_default() })),
+    ("bare-pie", |a| AqmKind::Pie(PieConfig { target: a.target, ..PieConfig::bare() })),
+    ("pi", |a| AqmKind::Pi(PiConfig { target: a.target, ..PiConfig::untuned_pie_gains() })),
+    ("coupled", |a| {
+        AqmKind::Coupled(CoupledPi2Config { target: a.target, ..CoupledPi2Config::default() })
+    }),
+    ("red", |a| AqmKind::Red(RedConfig::for_link(a.rate_bps, a.target / 2, a.target * 3))),
+    ("codel", |a| AqmKind::Codel(CodelConfig { target: a.target / 4, ..CodelConfig::default() })),
+    ("curvy", |a| {
+        AqmKind::Curvy(CurvyRedConfig { range: a.target * 3, ..CurvyRedConfig::default() })
+    }),
+    ("taildrop", |_| AqmKind::TailDrop),
+    ("dualq", |a| {
+        AqmKind::DualQ(DualPi2Config { target: a.target, ..DualPi2Config::for_link(a.rate_bps) })
+    }),
+    ("fq", |a| AqmKind::Fq(FqConfig::for_link(a.rate_bps))),
 ];
+
+/// The `--aqm` names, in table order.
+fn aqm_names() -> Vec<&'static str> {
+    AQMS.iter().map(|(name, _)| *name).collect()
+}
+
+impl CliArgs {
+    /// The AQM `--aqm`, `--target` and `--rate` describe.
+    ///
+    /// # Panics
+    /// If `aqm` was set by hand to a name [`AQMS`] does not list
+    /// ([`parse_args`] refuses those).
+    pub fn aqm_kind(&self) -> AqmKind {
+        let row = AQMS.iter().find(|(name, _)| *name == self.aqm);
+        row.unwrap_or_else(|| panic!("no --aqm named '{}'", self.aqm)).1(self)
+    }
+}
 
 impl Default for CliArgs {
     fn default() -> Self {
@@ -284,8 +325,8 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
         match arg.as_str() {
             "--aqm" => {
                 let v = value("--aqm")?;
-                if !AQMS.contains(&v.as_str()) {
-                    return Err(format!("unknown AQM '{v}' (one of {})", AQMS.join(", ")));
+                if !aqm_names().contains(&v.as_str()) {
+                    return Err(format!("unknown AQM '{v}' (one of {})", aqm_names().join(", ")));
                 }
                 out.aqm = v.clone();
             }
@@ -436,7 +477,7 @@ pub fn usage() -> String {
          \x20                   histogram quantiles) to this file\n\
          \x20 --metrics-format <f> json (default) or prom, for --metrics-out\n\
          \x20 --profile         time the event loop per event class and print the\n\
-         \x20                   breakdown (env PI2_PROFILE=1 does the same)\n\
+         \x20                   breakdown\n\
          \x20 --scenario <name> run a scenario family instead ({}):\n\
          \x20                   dynamics = rate-step + flow-churn disturbances\n\
          \x20                   for PIE vs PI2 vs DualPI2, with spike/settle table\n\
@@ -455,7 +496,7 @@ pub fn usage() -> String {
          \x20                   or hybrid (packet foreground + fluid background)\n\
          \x20 --bg-flows <list> hybrid only: fluid background population in --flows\n\
          \x20                   syntax, e.g. 1000xreno or 50000xreno,50000xdctcp",
-        AQMS.join("|"),
+        aqm_names().join("|"),
         SCENARIOS.join(", ")
     )
 }

@@ -359,12 +359,7 @@ impl Qdisc for DualPi2 {
             }
         }
         w.u64(self.rate_bps);
-        w.u64(self.stats.enqueued);
-        w.u64(self.stats.dequeued);
-        w.u64(self.stats.dequeued_bytes);
-        w.u64(self.stats.aqm_dropped);
-        w.u64(self.stats.aqm_marked);
-        w.u64(self.stats.overflowed);
+        self.stats.save_ckpt(w);
         w.u64(self.l_dequeued_bytes);
         w.u64(self.c_dequeued_bytes);
     }
@@ -390,12 +385,7 @@ impl Qdisc for DualPi2 {
         if self.rate_bps == 0 {
             return Err(CkptError::Corrupt("zero link rate"));
         }
-        self.stats.enqueued = r.u64()?;
-        self.stats.dequeued = r.u64()?;
-        self.stats.dequeued_bytes = r.u64()?;
-        self.stats.aqm_dropped = r.u64()?;
-        self.stats.aqm_marked = r.u64()?;
-        self.stats.overflowed = r.u64()?;
+        self.stats.restore_ckpt(r)?;
         self.l_dequeued_bytes = r.u64()?;
         self.c_dequeued_bytes = r.u64()?;
         Ok(())

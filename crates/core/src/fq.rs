@@ -234,12 +234,7 @@ impl Qdisc for FqDrr {
             }
         }
         w.u64(self.rate_bps);
-        w.u64(self.stats.enqueued);
-        w.u64(self.stats.dequeued);
-        w.u64(self.stats.dequeued_bytes);
-        w.u64(self.stats.aqm_dropped);
-        w.u64(self.stats.aqm_marked);
-        w.u64(self.stats.overflowed);
+        self.stats.save_ckpt(w);
     }
 
     fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
@@ -274,12 +269,7 @@ impl Qdisc for FqDrr {
         if self.rate_bps == 0 {
             return Err(CkptError::Corrupt("zero link rate"));
         }
-        self.stats.enqueued = r.u64()?;
-        self.stats.dequeued = r.u64()?;
-        self.stats.dequeued_bytes = r.u64()?;
-        self.stats.aqm_dropped = r.u64()?;
-        self.stats.aqm_marked = r.u64()?;
-        self.stats.overflowed = r.u64()?;
+        self.stats.restore_ckpt(r)?;
         Ok(())
     }
 }

@@ -75,11 +75,6 @@ impl Red {
         }
     }
 
-    /// The current averaged queue estimate in bytes.
-    pub fn avg_bytes(&self) -> f64 {
-        self.avg
-    }
-
     fn base_prob(&self) -> f64 {
         let c = &self.cfg;
         if self.avg < c.min_th_bytes {
@@ -183,7 +178,7 @@ mod tests {
         for _ in 0..5000 {
             red.on_enqueue(&pkt(), &snap(40_000), Time::ZERO, &mut rng);
         }
-        assert!((red.avg_bytes() - 40_000.0).abs() < 1_000.0, "avg {}", red.avg_bytes());
+        assert!((red.avg - 40_000.0).abs() < 1_000.0, "avg {}", red.avg);
     }
 
     #[test]

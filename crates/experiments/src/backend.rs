@@ -15,9 +15,9 @@
 //!
 //! [`BackendSummary`] reduces any backend's output to the four
 //! band-checked conformance metrics (utilization, mean queue delay,
-//! signal probability, per-flow rate ratio) so `tests/hybrid.rs` can hold
-//! the hybrid inside the `pi2-validate` tolerance bands against pure
-//! packet runs.
+//! signal probability, per-flow rate ratio), which is what `pi2-validate`
+//! judges the flow-level engine, hybrid mode and the delay-ODE on against
+//! pure packet runs.
 
 use crate::scenario::{AqmKind, RunResult, Scenario};
 use pi2_fluid::{
@@ -116,10 +116,11 @@ pub struct FluidEncoding {
     pub coupled: bool,
 }
 
-/// Derive the fluid encoding from the scenario's actual AQM
-/// configuration (gains, target, update interval, coupling — not the
-/// presets), following the `pi2-validate` mapping table. RED, CoDel,
-/// tail-drop and FQ have no PI-family fluid model: `Err` names them.
+/// Which fluid law an AQM is — the one AQM → fluid table, read by both
+/// fluid constructors here and by every model half `pi2-validate` judges.
+/// Derived from the scenario's actual AQM configuration (gains, target,
+/// update interval, coupling), not from presets. RED, CoDel, tail-drop
+/// and FQ have no PI-family fluid model: `Err` names them.
 pub fn fluid_encoding(aqm: &AqmKind) -> Result<FluidEncoding, String> {
     let enc = |encoder, alpha_hz: f64, beta_hz: f64, t_update: Duration, target: Duration, coupling: f64, coupled| {
         FluidEncoding {
@@ -390,7 +391,7 @@ pub struct BackendSummary {
     /// (hybrid: foreground + background against nominal capacity).
     pub utilization: f64,
     /// Mean queue delay in seconds (packet: mean sojourn minus one
-    /// serialization time, as in `pi2-validate`).
+    /// serialization time).
     pub qdelay_s: f64,
     /// Congestion-signal probability (marked+dropped over sent).
     pub signal: f64,
@@ -402,18 +403,34 @@ pub struct BackendSummary {
 /// `capacity_bps` is the scenario's nominal bottleneck rate; `warmup_s`
 /// the measurement-window start.
 pub fn summarize_run(run: &RunResult, capacity_bps: u64, warmup_s: f64) -> BackendSummary {
+    summarize_flows(run, 0..run.monitor.flows.len(), capacity_bps, warmup_s)
+}
+
+/// [`summarize_run`] over a subset of the run's flows (monitor indices,
+/// e.g. `run.monitor.flows_labelled(..)`): the one body of the
+/// steady-state reduction. Signal, rate ratio and the foreground share of
+/// the utilization count only `flows`; the queue delay is the shared
+/// queue's.
+pub fn summarize_flows(
+    run: &RunResult,
+    flows: impl IntoIterator<Item = usize>,
+    capacity_bps: u64,
+    warmup_s: f64,
+) -> BackendSummary {
     let span = run.monitor.measurement_span();
     let span_s = span.as_secs_f64();
     let (mut sent, mut signalled) = (0u64, 0u64);
-    let mut tputs: Vec<f64> = Vec::new();
+    let (mut min, mut max) = (f64::INFINITY, 0.0f64);
     let mut fg_bits = 0.0;
-    for f in &run.monitor.flows {
+    for i in flows {
+        let f = &run.monitor.flows[i];
         sent += f.sent_pkts_postwarm;
         signalled += f.dropped_postwarm + f.marked_postwarm;
         let t = f.mean_tput_mbps(span);
         fg_bits += t * 1e6 * span_s;
         if t > 0.0 {
-            tputs.push(t);
+            min = min.min(t);
+            max = max.max(t);
         }
     }
     let signal = if sent == 0 {
@@ -421,8 +438,9 @@ pub fn summarize_run(run: &RunResult, capacity_bps: u64, warmup_s: f64) -> Backe
     } else {
         signalled as f64 / sent as f64
     };
-    // Sojourns include one serialization time at the (possibly reduced)
-    // foreground drain rate; remove it, as the validate harness does.
+    // Sojourns are recorded when a packet finishes transmitting, at the
+    // (possibly reduced) foreground drain rate; the fluid q/C is the wait
+    // before transmission, so remove one serialization time.
     let serialization = PKT_BYTES * 8.0 / run.rate_bps.max(1) as f64;
     let qdelay_s = if run.monitor.sojourn_ms.is_empty() {
         0.0
@@ -440,18 +458,20 @@ pub fn summarize_run(run: &RunResult, capacity_bps: u64, warmup_s: f64) -> Backe
     } else {
         0.0
     };
-    let rate_ratio = match (
-        tputs.iter().cloned().fold(f64::INFINITY, f64::min),
-        tputs.iter().cloned().fold(0.0f64, f64::max),
-    ) {
-        (min, max) if min.is_finite() && min > 0.0 => max / min,
-        _ => f64::INFINITY,
-    };
     BackendSummary {
         utilization,
         qdelay_s,
         signal,
-        rate_ratio,
+        rate_ratio: max_over_min(min, max),
+    }
+}
+
+/// Max/min of the positive rates seen; infinite when there were none.
+fn max_over_min(min: f64, max: f64) -> f64 {
+    if min.is_finite() && min > 0.0 {
+        max / min
+    } else {
+        f64::INFINITY
     }
 }
 
@@ -532,14 +552,11 @@ pub fn run_fluid(sc: &Scenario) -> Result<FluidRunResult, String> {
     let utilization = meas.iter().map(|s| s.util).sum::<f64>() / n;
     let qdelay_s = meas.iter().map(|s| s.qdelay).sum::<f64>() / n;
     let signal = meas.iter().map(|s| s.signal).sum::<f64>() / n;
-    let active: Vec<f64> = class_rates_pps.iter().cloned().filter(|&r| r > 0.0).collect();
-    let rate_ratio = match (
-        active.iter().cloned().fold(f64::INFINITY, f64::min),
-        active.iter().cloned().fold(0.0f64, f64::max),
-    ) {
-        (min, max) if min.is_finite() && min > 0.0 => max / min,
-        _ => f64::INFINITY,
-    };
+    let (min, max) = class_rates_pps
+        .iter()
+        .filter(|&&r| r > 0.0)
+        .fold((f64::INFINITY, 0.0f64), |(lo, hi), &r| (lo.min(r), hi.max(r)));
+    let rate_ratio = max_over_min(min, max);
     Ok(FluidRunResult {
         labels,
         counts,

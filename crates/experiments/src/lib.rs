@@ -41,8 +41,9 @@ pub mod topology;
 pub mod workload;
 
 pub use backend::{
-    run_fluid, summarize_run, summarize_scenario_run, Backend, BackendSummary, BackgroundRun,
-    BgGroup, FluidBackground, FluidRunResult,
+    cc_fluid_kind, fluid_encoding, run_fluid, summarize_flows, summarize_run,
+    summarize_scenario_run, Backend, BackendSummary, BackgroundRun, BgGroup, FluidBackground,
+    FluidEncoding, FluidRunResult,
 };
 pub use runner::{clear_observer, install_observer, merged_metrics, par_map, run_all, SweepObserver};
 pub use scenario::{AqmKind, FlowGroup, RunResult, Scenario, UdpGroup};

@@ -556,15 +556,6 @@ impl RunResult {
     pub fn tput_series(&self) -> Vec<(f64, f64)> {
         self.monitor.total_tput_series()
     }
-
-    /// One-line event-counter summary for sweep output.
-    pub fn counter_summary(&self) -> String {
-        let t = self.counters.totals();
-        format!(
-            "enq {} mark {} drop {} deq {} ({} aqm updates)",
-            t.enqueued, t.marked, t.dropped, t.dequeued, self.counters.aqm_updates
-        )
-    }
 }
 
 #[cfg(test)]
@@ -597,7 +588,6 @@ mod tests {
         assert_eq!(t.dropped, m_drops);
         assert_eq!(t.marked, m_marks);
         assert_eq!(t.dequeued, m_deqs);
-        assert!(r.counter_summary().contains("aqm updates"));
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl Complex {
         self.im.atan2(self.re)
     }
 
-    /// Complex conjugate.
-    pub fn conj(self) -> Complex {
-        Complex::new(self.re, -self.im)
-    }
-
     /// Complex exponential `e^z`.
     pub fn exp(self) -> Complex {
         let r = self.re.exp();
@@ -181,13 +176,6 @@ mod tests {
         let a = Complex::new(1.0, 2.0);
         let b = Complex::new(-0.5, 3.0);
         assert!(close(a / b * b, a));
-    }
-
-    #[test]
-    fn conjugate_properties() {
-        let z = Complex::new(2.0, 5.0);
-        assert!(close(z * z.conj(), Complex::real(z.abs() * z.abs())));
-        assert_eq!(z.conj().arg(), -z.arg());
     }
 
     #[test]

@@ -105,20 +105,6 @@ impl AuditSink {
         }
     }
 
-    /// Resize the flight recorder (discards anything already retained).
-    ///
-    /// # Panics
-    /// Panics if `capacity` is 0.
-    pub fn with_flight_capacity(mut self, capacity: usize) -> Self {
-        self.flight = RingBuffer::new(capacity);
-        self
-    }
-
-    /// The flight recorder's retained `(hop, event)` pairs, oldest first.
-    pub fn flight_events(&self) -> Vec<(u32, TraceEvent)> {
-        self.flight.iter().copied().collect()
-    }
-
     /// Attach a context label used in violation messages.
     pub fn with_label(mut self, label: &str) -> Self {
         self.label = label.to_string();
@@ -591,31 +577,13 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_wraps_and_keeps_the_newest_window() {
-        let mut a = AuditSink::new(21).with_flight_capacity(4);
-        for seq in 0..10 {
-            a.on_event(&enq(seq + 1, 0, seq));
-        }
-        let kept = a.flight_events();
-        assert_eq!(kept.len(), 4, "ring must cap at its capacity");
-        let seqs: Vec<u64> = kept
-            .iter()
-            .map(|e| match e {
-                (0, TraceEvent::Enqueue { seq, .. }) => *seq,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(seqs, vec![6, 7, 8, 9], "oldest evicted, order preserved");
-    }
-
-    #[test]
     fn violation_dumps_the_flight_recorder_as_jsonl() {
         // Unique seed → unique default dump path, so this test needs no
         // env mutation (which would race parallel tests).
         let seed = 0xF11_887_u64;
         let path = std::env::temp_dir().join(format!("pi2_flight_seed{seed}.jsonl"));
         let _ = std::fs::remove_file(&path);
-        let mut a = AuditSink::new(seed).with_flight_capacity(8);
+        let mut a = AuditSink::new(seed);
         a.on_event(&enq(1, 0, 0));
         a.on_event(&enq(2, 0, 1));
         let msg = panic_message(catch_unwind(AssertUnwindSafe(|| {

@@ -301,21 +301,10 @@ impl Monitor {
         self.postwarm(now)
     }
 
-    /// Record a packet being offered to the bottleneck.
-    pub fn record_sent(&mut self, flow: FlowId, bytes: usize, now: Time) {
-        let postwarm = self.postwarm(now);
-        let acc = &mut self.flows[flow.idx()];
-        acc.sent_pkts += 1;
-        acc.sent_bytes += bytes as u64;
-        if postwarm {
-            acc.sent_pkts_postwarm += 1;
-        }
-    }
-
     /// Record a packet being offered to the bottleneck together with the
-    /// AQM's verdict on it — the fused form of
-    /// [`Monitor::record_sent`] + [`Monitor::record_decision`] the send
-    /// path uses, so the warm-up check and account lookup happen once.
+    /// AQM's verdict on it: the send accounting fused with
+    /// [`Monitor::record_decision`], so the warm-up check and account
+    /// lookup happen once on the send path.
     pub fn record_send(&mut self, flow: FlowId, bytes: usize, decision: Decision, now: Time) {
         let postwarm = self.postwarm(now);
         let acc = &mut self.flows[flow.idx()];
@@ -730,8 +719,8 @@ mod tests {
         // Flows registered after the hint pre-size their prob vector.
         assert!(m.flows[1].prob_samples.capacity() >= 50_000.min(1 << 14));
         // Behaviour is unchanged: recording still works for both flows.
-        m.record_decision(FlowId(0), Decision::pass(0.1), Time::from_secs(1));
-        m.record_decision(FlowId(1), Decision::pass(0.2), Time::from_secs(1));
+        m.record_send(FlowId(0), 1500, Decision::pass(0.1), Time::from_secs(1));
+        m.record_send(FlowId(1), 1500, Decision::pass(0.2), Time::from_secs(1));
         assert_eq!(m.flows[0].prob_samples.len(), 1);
         assert_eq!(m.flows[1].prob_samples.len(), 1);
     }
@@ -741,10 +730,8 @@ mod tests {
         let mut m = monitor();
         m.register_flow("cubic");
         m.register_flow("dctcp");
-        m.record_sent(FlowId(0), 1500, Time::ZERO);
-        m.record_sent(FlowId(0), 1500, Time::ZERO);
-        m.record_decision(FlowId(0), Decision::drop(0.25), Time::ZERO);
-        m.record_decision(FlowId(0), Decision::pass(0.25), Time::ZERO);
+        m.record_send(FlowId(0), 1500, Decision::drop(0.25), Time::ZERO);
+        m.record_send(FlowId(0), 1500, Decision::pass(0.25), Time::ZERO);
         let f = m.flow(FlowId(0));
         assert_eq!(f.sent_pkts, 2);
         assert_eq!(f.dropped, 1);
@@ -780,20 +767,14 @@ mod tests {
         let pre = Time::from_secs(1);
         let post = Time::from_secs(11);
         // Before warm-up: 3 sent, 2 dropped, 1 delivered.
-        for _ in 0..3 {
-            m.record_sent(FlowId(0), 1500, pre);
-        }
-        m.record_decision(FlowId(0), Decision::drop(0.9), pre);
-        m.record_decision(FlowId(0), Decision::drop(0.9), pre);
-        m.record_decision(FlowId(0), Decision::pass(0.9), pre);
+        m.record_send(FlowId(0), 1500, Decision::drop(0.9), pre);
+        m.record_send(FlowId(0), 1500, Decision::drop(0.9), pre);
+        m.record_send(FlowId(0), 1500, Decision::pass(0.9), pre);
         m.record_delivered(FlowId(0), 1500, pre);
         // After warm-up: 4 sent, 1 marked, 3 delivered.
-        for _ in 0..4 {
-            m.record_sent(FlowId(0), 1500, post);
-        }
-        m.record_decision(FlowId(0), Decision::mark(0.1), post);
+        m.record_send(FlowId(0), 1500, Decision::mark(0.1), post);
         for _ in 0..3 {
-            m.record_decision(FlowId(0), Decision::pass(0.1), post);
+            m.record_send(FlowId(0), 1500, Decision::pass(0.1), post);
             m.record_delivered(FlowId(0), 1500, post);
         }
         let f = m.flow(FlowId(0));
@@ -858,8 +839,8 @@ mod tests {
         m.register_flow("dctcp");
         m.register_flow("cubic");
         assert_eq!(m.flows_labelled("cubic"), vec![0, 2]);
-        m.record_decision(FlowId(0), Decision::pass(0.1), Time::from_secs(1));
-        m.record_decision(FlowId(2), Decision::pass(0.3), Time::from_secs(1));
+        m.record_send(FlowId(0), 1500, Decision::pass(0.1), Time::from_secs(1));
+        m.record_send(FlowId(2), 1500, Decision::pass(0.3), Time::from_secs(1));
         let pooled = m.pooled_probs("cubic");
         assert_eq!(pooled.len(), 2);
     }

@@ -50,6 +50,35 @@ pub struct QueueStats {
     pub overflowed: u64,
 }
 
+impl QueueStats {
+    /// Write the six counters, in field order.
+    pub fn save_ckpt(&self, w: &mut CkptWriter) {
+        for v in [
+            self.enqueued,
+            self.dequeued,
+            self.dequeued_bytes,
+            self.aqm_dropped,
+            self.aqm_marked,
+            self.overflowed,
+        ] {
+            w.u64(v);
+        }
+    }
+
+    /// Read back what [`save_ckpt`](Self::save_ckpt) wrote.
+    pub fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+        *self = QueueStats {
+            enqueued: r.u64()?,
+            dequeued: r.u64()?,
+            dequeued_bytes: r.u64()?,
+            aqm_dropped: r.u64()?,
+            aqm_marked: r.u64()?,
+            overflowed: r.u64()?,
+        };
+        Ok(())
+    }
+}
+
 /// A queueing discipline attached to the bottleneck link.
 ///
 /// The simulator interacts with the bottleneck only through this trait,
@@ -317,12 +346,7 @@ impl Qdisc for BottleneckQueue {
         w.u64(self.rate_bps);
         w.bool(self.last_sojourn.is_some());
         w.duration(self.last_sojourn.unwrap_or(Duration::ZERO));
-        w.u64(self.stats.enqueued);
-        w.u64(self.stats.dequeued);
-        w.u64(self.stats.dequeued_bytes);
-        w.u64(self.stats.aqm_dropped);
-        w.u64(self.stats.aqm_marked);
-        w.u64(self.stats.overflowed);
+        self.stats.save_ckpt(w);
         self.aqm.save_ckpt(w);
     }
     fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
@@ -342,12 +366,7 @@ impl Qdisc for BottleneckQueue {
         let has_sojourn = r.bool()?;
         let sojourn = r.duration()?;
         self.last_sojourn = has_sojourn.then_some(sojourn);
-        self.stats.enqueued = r.u64()?;
-        self.stats.dequeued = r.u64()?;
-        self.stats.dequeued_bytes = r.u64()?;
-        self.stats.aqm_dropped = r.u64()?;
-        self.stats.aqm_marked = r.u64()?;
-        self.stats.overflowed = r.u64()?;
+        self.stats.restore_ckpt(r)?;
         self.aqm.restore_ckpt(r)
     }
 }

@@ -200,7 +200,7 @@ struct HopState {
 pub struct SimCore {
     /// The pending-event queue; also the simulation clock.
     pub events: EventQueue<Event>,
-    /// Root deterministic RNG (fork per-flow streams from it).
+    /// Root deterministic RNG.
     pub rng: Rng,
     /// Measurement collection.
     pub monitor: Monitor,
@@ -1162,22 +1162,12 @@ impl Sim {
         core.add_hop(qdisc, Duration::ZERO);
         let sample_iv = core.monitor.sample_interval();
         core.events.push(Time::ZERO + sample_iv, Event::Sample);
-        let mut sim = Sim {
+        Sim {
             core,
             sources: Vec::new(),
             profiler: None,
             background: None,
-        };
-        // PI2_PROFILE=1 turns on the event-loop self-profiler (same as
-        // `pi2sim --profile` / `enable_profiler`). Off is free: without a
-        // profiler the dispatch loop performs no clock reads at all.
-        if matches!(
-            std::env::var("PI2_PROFILE").ok().as_deref(),
-            Some(v) if !matches!(v, "0" | "off" | "false")
-        ) {
-            sim.enable_profiler();
         }
-        sim
     }
 
     /// Attach the event-loop self-profiler: every subsequent event's

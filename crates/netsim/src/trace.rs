@@ -512,11 +512,6 @@ impl MemorySink {
         &self.aqm_states
     }
 
-    /// True once the event buffer has hit capacity.
-    pub fn is_full(&self) -> bool {
-        self.events.len() >= self.capacity
-    }
-
     /// Render the recorded events, one per line.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -672,7 +667,6 @@ mod tests {
             tr.on_event(&enq(i));
         }
         assert_eq!(tr.events().len(), 2);
-        assert!(tr.is_full());
         assert_eq!(tr.events()[1].time(), Time::from_millis(1));
     }
 

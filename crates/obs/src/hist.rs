@@ -225,15 +225,6 @@ impl Histogram {
         self.min = min_raw;
         self.max = max;
     }
-
-    /// Non-empty buckets as `(low, high, count)` ranges, for exporters.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_low(i), bucket_high(i), c))
-    }
 }
 
 #[cfg(test)]
@@ -312,7 +303,6 @@ mod tests {
         assert_eq!(h.stddev(), 0.0);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
-        assert_eq!(h.nonzero_buckets().count(), 0);
     }
 
     #[test]

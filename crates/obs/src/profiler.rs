@@ -168,21 +168,6 @@ impl LoopProfiler {
         ));
         out
     }
-
-    /// `(metric_name, ns_per_event)` pairs for the bench history, named
-    /// `profile_<class>_ns_per_event`. Classes that never ran are
-    /// omitted.
-    pub fn metric_pairs(&self) -> Vec<(String, f64)> {
-        self.rows()
-            .iter()
-            .map(|r| {
-                (
-                    format!("profile_{}_ns_per_event", r.class.to_ascii_lowercase()),
-                    r.ns_per_event,
-                )
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -209,16 +194,13 @@ mod tests {
     }
 
     #[test]
-    fn table_and_metrics_cover_active_classes() {
+    fn table_covers_active_classes() {
         let mut p = LoopProfiler::new(&["dequeue", "ack"]);
         p.begin(1);
         p.end();
         let table = p.render_table();
         assert!(table.contains("ack"), "{table}");
         assert!(!table.lines().any(|l| l.starts_with("dequeue")), "{table}");
-        let metrics = p.metric_pairs();
-        assert_eq!(metrics.len(), 1);
-        assert_eq!(metrics[0].0, "profile_ack_ns_per_event");
     }
 
     #[test]

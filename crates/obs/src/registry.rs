@@ -91,11 +91,6 @@ impl Registry {
         self.gauges[id.0].1 = v;
     }
 
-    /// Read a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].1
-    }
-
     /// Record a histogram observation.
     #[inline]
     pub fn observe(&mut self, id: HistId, v: u64) {
@@ -493,7 +488,7 @@ mod tests {
             r.observe(h, v);
         }
         assert_eq!(r.counter_value(c), 5);
-        assert_eq!(r.gauge_value(g), 0.25);
+        assert_eq!(r.gauge_at(0), 0.25);
         assert_eq!(r.hist(h).count(), 3);
     }
 
@@ -509,7 +504,7 @@ mod tests {
         b.observe(h, 7);
         a.merge(&b);
         assert_eq!(a.counter_value(c), 3);
-        assert_eq!(a.gauge_value(g), 0.9, "gauge takes the later run's value");
+        assert_eq!(a.gauge_at(0), 0.9, "gauge takes the later run's value");
         assert_eq!(a.hist(h).count(), 2);
     }
 

@@ -92,16 +92,10 @@ impl ObsServer {
         *self.shared.progress.lock().unwrap() = body;
     }
 
-    /// True once a client hit `/cancel` (or `/quit`), or the driver called
-    /// [`ObsServer::request_cancel`]. Poll this at deterministic work
-    /// boundaries only.
+    /// True once a client hit `/cancel` (or `/quit`). Poll this at
+    /// deterministic work boundaries only.
     pub fn cancel_requested(&self) -> bool {
         self.shared.cancel.load(Ordering::Relaxed)
-    }
-
-    /// Set the cancel flag from the driver side (e.g. on SIGINT).
-    pub fn request_cancel(&self) {
-        self.shared.cancel.store(true, Ordering::SeqCst);
     }
 
     /// Block until a client hits `/quit`. CI hold mode: the driver

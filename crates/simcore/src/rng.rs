@@ -46,13 +46,6 @@ impl Rng {
         Rng { s }
     }
 
-    /// Derive an independent child generator; used to give each flow or
-    /// component its own stream so adding a flow does not perturb the
-    /// variates seen by others.
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64())
-    }
-
     /// The raw 256-bit generator state, for checkpointing. Restoring it
     /// with [`Rng::from_state`] resumes the stream exactly where it was.
     pub fn state(&self) -> [u64; 4] {
@@ -255,14 +248,5 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = Rng::new(21);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        let same = (0..64).filter(|_| c1.next_u64() == c2.next_u64()).count();
-        assert_eq!(same, 0);
     }
 }

@@ -24,7 +24,7 @@ mod scalable;
 pub use cubic::Cubic;
 pub use dctcp::Dctcp;
 pub use reno::Reno;
-pub use scalable::{Relentless, ScalableHalfPkt, ScalableTcp};
+use scalable::Scalable;
 
 use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Time};
 
@@ -122,9 +122,9 @@ impl CcKind {
             CcKind::Reno => Box::new(Reno::new(initial_cwnd)),
             CcKind::Cubic => Box::new(Cubic::new(initial_cwnd)),
             CcKind::Dctcp => Box::new(Dctcp::new(initial_cwnd)),
-            CcKind::ScalableHalfPkt => Box::new(ScalableHalfPkt::new(initial_cwnd)),
-            CcKind::Relentless => Box::new(Relentless::new(initial_cwnd)),
-            CcKind::ScalableTcp => Box::new(ScalableTcp::new(initial_cwnd)),
+            CcKind::ScalableHalfPkt => Box::new(Scalable::new(&scalable::HALF_PKT, initial_cwnd)),
+            CcKind::Relentless => Box::new(Scalable::new(&scalable::RELENTLESS, initial_cwnd)),
+            CcKind::ScalableTcp => Box::new(Scalable::new(&scalable::STCP, initial_cwnd)),
         }
     }
 

@@ -1,14 +1,25 @@
-//! The idealized Scalable control of Appendix B.
+//! The Scalable family of the paper's Section 5: controls whose window
+//! law is `W = c/p` (response exponent B = 1).
 //!
-//! The paper's stability analysis models "a congestion control that
-//! reduces its window by half a packet per mark" (eq. (22)) — a good
-//! approximation of DCTCP under probabilistic marking, minus DCTCP's
-//! extra EWMA smoothing. Balance per RTT: `+1` additive increase against
-//! `p·W·½` decrease gives the same `W = 2/p` law as eq. (11).
+//! One struct, one [`Law`] row per member:
 //!
-//! This control is useful in its own right (it is essentially Relentless
-//! TCP's response) and as the cleanest experimental subject for the
-//! `scal pi` Bode plots of Figure 7.
+//! | `CcKind`          | name         | per ACK (CA) | per mark | per loss | `W`      |
+//! |-------------------|--------------|--------------|----------|----------|----------|
+//! | `ScalableHalfPkt` | `scal`       | `+1/W`       | `−½`     | `×½`     | `2/p`    |
+//! | `Relentless`      | `relentless` | `+1/W`       | `−1`     | `−1`     | `1/p`    |
+//! | `ScalableTcp`     | `stcp`       | `+0.01`      | `×⅞`     | `×⅞`     | `0.08/p` |
+//!
+//! The half-packet control is the idealized one of Appendix B: the
+//! stability analysis models "a congestion control that reduces its
+//! window by half a packet per mark" (eq. (22)) — a good approximation of
+//! DCTCP under probabilistic marking, minus DCTCP's extra EWMA smoothing.
+//! Balance per RTT: `+1` additive increase against `p·W·½` decrease gives
+//! the same `W = 2/p` law as eq. (11); it is the cleanest experimental
+//! subject for the `scal pi` Bode plots of Figure 7. Relentless TCP
+//! (Mathis) loses exactly one segment per lost/marked packet: `1 = p·W·1`
+//! gives `W = 1/p`. Scalable TCP (Kelly) is MIMD with per-ACK increase
+//! `a = 0.01` and decrease `b = 1/8` per congestion event; events arrive
+//! at rate `p·W` per RTT, so `a·W = p·W·b·W` gives `W = a/(b·p)`.
 
 use super::CongestionControl;
 use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Time};
@@ -16,25 +27,86 @@ use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Time};
 /// Minimum congestion window, in packets.
 const MIN_CWND: f64 = 2.0;
 
-/// A scalable control: −½ packet per mark, +1 packet per RTT.
+/// A window reduction.
+#[derive(Clone, Copy, Debug)]
+enum Cut {
+    /// Lose this many packets per event, all events of an ACK at once.
+    Packets(f64),
+    /// Lose this fraction of the window per event, one event at a time.
+    Fraction(f64),
+}
+
+impl Cut {
+    fn apply(self, cwnd: f64, events: u64) -> f64 {
+        match self {
+            Cut::Packets(d) => (cwnd - d * events as f64).max(MIN_CWND),
+            Cut::Fraction(b) => (0..events).fold(cwnd, |w, _| (w * (1.0 - b)).max(MIN_CWND)),
+        }
+    }
+}
+
+/// What tells one member of the family from another.
+#[derive(Debug)]
+pub(crate) struct Law {
+    name: &'static str,
+    /// Congestion-avoidance increase per ACK: `Some(a)` is a flat `+a`,
+    /// `None` the standard `+1/W` (one packet per RTT).
+    per_ack: Option<f64>,
+    per_mark: Cut,
+    per_loss: Cut,
+    /// `W = c/p`.
+    c: f64,
+}
+
+/// −½ packet per mark, +1 packet per RTT.
+pub(crate) const HALF_PKT: Law = Law {
+    name: "scal",
+    per_ack: None,
+    per_mark: Cut::Packets(0.5),
+    per_loss: Cut::Fraction(0.5),
+    c: 2.0,
+};
+
+/// Losses and marks cost exactly their own count, not a multiplicative
+/// collapse.
+pub(crate) const RELENTLESS: Law = Law {
+    name: "relentless",
+    per_ack: None,
+    per_mark: Cut::Packets(1.0),
+    per_loss: Cut::Packets(1.0),
+    c: 1.0,
+};
+
+/// MIMD(0.01, 1/8).
+pub(crate) const STCP: Law = Law {
+    name: "stcp",
+    per_ack: Some(0.01),
+    per_mark: Cut::Fraction(0.125),
+    per_loss: Cut::Fraction(0.125),
+    c: 0.01 / 0.125,
+};
+
+/// A Scalable control following one [`Law`].
 #[derive(Clone, Debug)]
-pub struct ScalableHalfPkt {
+pub(crate) struct Scalable {
+    law: &'static Law,
     cwnd: f64,
     ssthresh: f64,
 }
 
-impl ScalableHalfPkt {
+impl Scalable {
     /// A fresh instance starting in slow start.
-    pub fn new(initial_cwnd: f64) -> Self {
+    pub(crate) fn new(law: &'static Law, initial_cwnd: f64) -> Self {
         assert!(initial_cwnd >= 1.0, "initial cwnd must be at least 1");
-        ScalableHalfPkt {
+        Scalable {
+            law,
             cwnd: initial_cwnd,
             ssthresh: f64::INFINITY,
         }
     }
 }
 
-impl CongestionControl for ScalableHalfPkt {
+impl CongestionControl for Scalable {
     fn cwnd(&self) -> f64 {
         self.cwnd
     }
@@ -48,21 +120,21 @@ impl CongestionControl for ScalableHalfPkt {
             if self.cwnd < self.ssthresh {
                 self.cwnd += 1.0;
             } else {
-                self.cwnd += 1.0 / self.cwnd;
+                self.cwnd += self.law.per_ack.unwrap_or(1.0 / self.cwnd);
             }
         }
         if marked > 0 {
-            self.cwnd = (self.cwnd - 0.5 * marked as f64).max(MIN_CWND);
+            self.cwnd = self.law.per_mark.apply(self.cwnd, marked);
             // End slow start at the *reduced* window: leaving ssthresh
             // above cwnd would let slow-start growth (+1/ACK) outrun the
-            // −½/mark decrease — a runaway.
+            // per-mark decrease — a runaway.
             self.ssthresh = self.ssthresh.min(self.cwnd);
         }
     }
 
     fn on_loss(&mut self, _now: Time) {
-        self.ssthresh = (self.cwnd / 2.0).max(MIN_CWND);
-        self.cwnd = self.ssthresh;
+        self.cwnd = self.law.per_loss.apply(self.cwnd, 1);
+        self.ssthresh = self.cwnd;
     }
 
     fn on_ecn(&mut self, _now: Time) {
@@ -75,173 +147,11 @@ impl CongestionControl for ScalableHalfPkt {
     }
 
     fn name(&self) -> &'static str {
-        "scal"
+        self.law.name
     }
 
     fn steady_state_window(&self, p: f64, _rtt: Duration) -> Option<f64> {
-        Some(2.0 / p)
-    }
-
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.f64(self.cwnd);
-        w.f64(self.ssthresh);
-    }
-
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.cwnd = r.f64()?;
-        self.ssthresh = r.f64()?;
-        Ok(())
-    }
-}
-
-/// Relentless TCP (Mathis): decrease the window by exactly one segment
-/// per lost/marked packet, keep the standard +1/RTT increase. Balance
-/// `1 = p·W·1` per RTT gives `W = 1/p` — scalable with B = 1. One of the
-/// family members the paper's Section 5 names alongside DCTCP.
-#[derive(Clone, Debug)]
-pub struct Relentless {
-    cwnd: f64,
-    ssthresh: f64,
-}
-
-impl Relentless {
-    /// A fresh instance starting in slow start.
-    pub fn new(initial_cwnd: f64) -> Self {
-        assert!(initial_cwnd >= 1.0);
-        Relentless {
-            cwnd: initial_cwnd,
-            ssthresh: f64::INFINITY,
-        }
-    }
-}
-
-impl CongestionControl for Relentless {
-    fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> f64 {
-        self.ssthresh
-    }
-
-    fn on_ack(&mut self, acked: u64, marked: u64, _received: u64, _rtt: Duration, _now: Time) {
-        for _ in 0..acked {
-            if self.cwnd < self.ssthresh {
-                self.cwnd += 1.0;
-            } else {
-                self.cwnd += 1.0 / self.cwnd;
-            }
-        }
-        if marked > 0 {
-            self.cwnd = (self.cwnd - marked as f64).max(MIN_CWND);
-            // See ScalableHalfPkt: exit slow start at the reduced window.
-            self.ssthresh = self.ssthresh.min(self.cwnd);
-        }
-    }
-
-    fn on_loss(&mut self, _now: Time) {
-        // Relentless's defining property: losses cost exactly their own
-        // count, not a multiplicative collapse.
-        self.cwnd = (self.cwnd - 1.0).max(MIN_CWND);
-        self.ssthresh = self.cwnd;
-    }
-
-    fn on_ecn(&mut self, _now: Time) {}
-
-    fn on_rto(&mut self, _now: Time) {
-        self.ssthresh = (self.cwnd / 2.0).max(MIN_CWND);
-        self.cwnd = 1.0;
-    }
-
-    fn name(&self) -> &'static str {
-        "relentless"
-    }
-
-    fn steady_state_window(&self, p: f64, _rtt: Duration) -> Option<f64> {
-        Some(1.0 / p)
-    }
-
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.f64(self.cwnd);
-        w.f64(self.ssthresh);
-    }
-
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.cwnd = r.f64()?;
-        self.ssthresh = r.f64()?;
-        Ok(())
-    }
-}
-
-/// Scalable TCP (Kelly): MIMD with per-ACK increase `a = 0.01` and
-/// multiplicative decrease `b = 1/8` per congestion event. Events arrive
-/// at rate `p·W` per RTT, so `0.01·W = p·W·(W/8)` gives `W = 0.08/p` —
-/// scalable with B = 1, the other Section 5 family member.
-#[derive(Clone, Debug)]
-pub struct ScalableTcp {
-    cwnd: f64,
-    ssthresh: f64,
-}
-
-impl ScalableTcp {
-    /// Per-ACK additive increase.
-    pub const A: f64 = 0.01;
-    /// Multiplicative decrease per congestion event.
-    pub const B: f64 = 0.125;
-
-    /// A fresh instance starting in slow start.
-    pub fn new(initial_cwnd: f64) -> Self {
-        assert!(initial_cwnd >= 1.0);
-        ScalableTcp {
-            cwnd: initial_cwnd,
-            ssthresh: f64::INFINITY,
-        }
-    }
-}
-
-impl CongestionControl for ScalableTcp {
-    fn cwnd(&self) -> f64 {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> f64 {
-        self.ssthresh
-    }
-
-    fn on_ack(&mut self, acked: u64, marked: u64, _received: u64, _rtt: Duration, _now: Time) {
-        for _ in 0..acked {
-            if self.cwnd < self.ssthresh {
-                self.cwnd += 1.0;
-            } else {
-                self.cwnd += Self::A;
-            }
-        }
-        for _ in 0..marked {
-            self.cwnd = (self.cwnd * (1.0 - Self::B)).max(MIN_CWND);
-            // See ScalableHalfPkt: exit slow start at the reduced window.
-            self.ssthresh = self.ssthresh.min(self.cwnd);
-        }
-    }
-
-    fn on_loss(&mut self, _now: Time) {
-        self.cwnd = (self.cwnd * (1.0 - Self::B)).max(MIN_CWND);
-        self.ssthresh = self.cwnd;
-    }
-
-    fn on_ecn(&mut self, _now: Time) {}
-
-    fn on_rto(&mut self, _now: Time) {
-        self.ssthresh = (self.cwnd / 2.0).max(MIN_CWND);
-        self.cwnd = 1.0;
-    }
-
-    fn name(&self) -> &'static str {
-        "stcp"
-    }
-
-    fn steady_state_window(&self, p: f64, _rtt: Duration) -> Option<f64> {
-        // Balance a·W = p·W·b·W per RTT ⇒ W = a/(b·p).
-        Some(Self::A / (Self::B * p))
+        Some(self.law.c / p)
     }
 
     fn save_ckpt(&self, w: &mut CkptWriter) {
@@ -266,7 +176,7 @@ mod tests {
 
     #[test]
     fn half_packet_per_mark() {
-        let mut cc = ScalableHalfPkt::new(20.0);
+        let mut cc = Scalable::new(&HALF_PKT, 20.0);
         cc.ssthresh = 20.0;
         cc.on_ack(0, 4, 4, r(), Time::ZERO);
         assert_eq!(cc.cwnd(), 18.0);
@@ -274,7 +184,7 @@ mod tests {
 
     #[test]
     fn growth_is_one_per_rtt_in_ca() {
-        let mut cc = ScalableHalfPkt::new(10.0);
+        let mut cc = Scalable::new(&HALF_PKT, 10.0);
         cc.ssthresh = 10.0;
         cc.on_ack(10, 0, 10, r(), Time::ZERO);
         assert!((cc.cwnd() - 11.0).abs() < 0.06);
@@ -282,7 +192,7 @@ mod tests {
 
     #[test]
     fn floor_at_min_cwnd() {
-        let mut cc = ScalableHalfPkt::new(2.0);
+        let mut cc = Scalable::new(&HALF_PKT, 2.0);
         cc.ssthresh = 2.0;
         cc.on_ack(0, 100, 100, r(), Time::ZERO);
         assert_eq!(cc.cwnd(), MIN_CWND);
@@ -290,7 +200,7 @@ mod tests {
 
     #[test]
     fn relentless_loses_exactly_its_losses() {
-        let mut cc = Relentless::new(50.0);
+        let mut cc = Scalable::new(&RELENTLESS, 50.0);
         cc.ssthresh = 50.0;
         cc.on_ack(0, 3, 3, r(), Time::ZERO);
         assert_eq!(cc.cwnd(), 47.0);
@@ -301,7 +211,7 @@ mod tests {
     #[test]
     fn relentless_steady_state_is_1_over_p() {
         let p = 0.05;
-        let mut cc = Relentless::new(10.0);
+        let mut cc = Scalable::new(&RELENTLESS, 10.0);
         cc.ssthresh = 10.0;
         let mut rng = pi2_simcore::Rng::new(11);
         let mut sum = 0.0;
@@ -320,7 +230,7 @@ mod tests {
 
     #[test]
     fn stcp_mimd_parameters() {
-        let mut cc = ScalableTcp::new(100.0);
+        let mut cc = Scalable::new(&STCP, 100.0);
         cc.ssthresh = 100.0;
         cc.on_ack(1, 0, 1, r(), Time::ZERO);
         assert!((cc.cwnd() - 100.01).abs() < 1e-12);
@@ -331,7 +241,7 @@ mod tests {
     #[test]
     fn stcp_steady_state_is_a_over_bp() {
         let p = 0.01;
-        let mut cc = ScalableTcp::new(8.0);
+        let mut cc = Scalable::new(&STCP, 8.0);
         cc.ssthresh = 8.0;
         let mut rng = pi2_simcore::Rng::new(13);
         let mut sum = 0.0;
@@ -357,7 +267,7 @@ mod tests {
     #[test]
     fn steady_state_is_2_over_p() {
         let p = 0.1;
-        let mut cc = ScalableHalfPkt::new(10.0);
+        let mut cc = Scalable::new(&HALF_PKT, 10.0);
         cc.ssthresh = 10.0;
         let mut rng = pi2_simcore::Rng::new(7);
         let mut sum = 0.0;
@@ -381,9 +291,9 @@ mod tests {
     #[test]
     fn window_response_exponent_is_minus_one_for_all_scalable_controls() {
         let ccs: [Box<dyn CongestionControl>; 3] = [
-            Box::new(ScalableHalfPkt::new(10.0)),
-            Box::new(Relentless::new(10.0)),
-            Box::new(ScalableTcp::new(10.0)),
+            Box::new(Scalable::new(&HALF_PKT, 10.0)),
+            Box::new(Scalable::new(&RELENTLESS, 10.0)),
+            Box::new(Scalable::new(&STCP, 10.0)),
         ];
         let ps = [1e-4, 1e-3, 1e-2, 1e-1];
         for cc in &ccs {

@@ -18,6 +18,6 @@ pub mod rangeset;
 pub mod seqset;
 pub mod tcp;
 
-pub use cc::{CcKind, CongestionControl, Cubic, Dctcp, Reno, ScalableHalfPkt};
+pub use cc::{CcKind, CongestionControl, Cubic, Dctcp, Reno};
 pub use rangeset::RangeSet;
 pub use tcp::{EcnSetting, TcpConfig, TcpSource};

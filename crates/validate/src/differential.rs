@@ -1,88 +1,70 @@
-//! The fluid ⇄ packet differential harness.
+//! The model-agreement harness: one grid, one judge.
 //!
-//! One [`MatchedConfig`] describes a single physical situation — an AQM
-//! at a bottleneck rate, a homogeneous set of long-running flows at a
-//! base RTT — and knows how to express it in both formalisms:
+//! The packet-level simulator is the ground truth of this reproduction.
+//! Three cheaper models claim to describe the same system, and each is
+//! judged against a packet run here — nowhere else:
 //!
-//! * packet level: a `pi2_experiments::Scenario` (the AQM implementations
-//!   under test, real TCP machinery, stochastic mark/drop decisions);
-//! * fluid level: a `pi2_fluid::FluidConfig` (the deterministic delay-ODE
-//!   of Misra et al. with the paper's controller variants).
+//! * [`Model::Ode`] — the Appendix B delay-ODE of Misra et al. with the
+//!   paper's controller variants (`pi2_fluid::FluidSim`);
+//! * [`Model::FlowLevel`] — the whole scenario compiled onto the
+//!   flow-level engine, no packet events at all (`run_fluid`);
+//! * [`Model::Hybrid`] — 2 of the 5 flows stay packet-level, the rest
+//!   ride in the fluid background aggregate coupled to the real AQM.
 //!
-//! The mapping follows the paper's Table 1 / Figure 7 pairings:
+//! A [`Cell`] is a name, the AQM and the homogeneous traffic class it
+//! runs at the shared operating point, and the models judged on it. The
+//! packet reference is run **once** per cell and reduced by
+//! `summarize_scenario_run` to a `BackendSummary`; every model half is
+//! derived from the cell's actual AQM configuration through
+//! `pi2_experiments::fluid_encoding` (which fluid law an AQM is, is that
+//! function's decision alone) and `cc_fluid_kind`:
 //!
-//! | packet AQM                  | traffic      | fluid encoder + gains        |
-//! |-----------------------------|--------------|------------------------------|
-//! | `Pi` (untuned PIE gains)    | Reno         | `Direct`, `PiGains::pie()`   |
-//! | `Pi` (default = scal gains) | Scalable     | `Direct`, `PiGains::scal_pi()`|
-//! | `Pi2`                       | Reno         | `Squared`, `PiGains::pi2()`  |
-//! | `CoupledPi2` (PI2 family)   | Scalable     | `Direct`, `PiGains::scal_pi()`|
-//! | `Pie` (paper ECN rework)    | Reno         | `TunedDirect`, `PiGains::pie()`|
-//! | `Pie` (paper ECN rework)    | Scalable     | `TunedDirect`, `PiGains::pie()`|
+//! | cell         | packet AQM, traffic                | encoder, gains (α, β Hz)     | models              |
+//! |--------------|------------------------------------|------------------------------|---------------------|
+//! | `pi-reno`    | `Pi` at untuned PIE gains, Reno    | `Direct`, 0.125, 1.25        | ode                 |
+//! | `pi-scal`    | `Pi` default, Scalable             | `Direct`, 0.625, 6.25        | ode                 |
+//! | `pi2-reno`   | `Pi2`, Reno                        | `Squared`, 0.3125, 3.125     | ode, flow, hybrid   |
+//! | `pi2-scal`   | `CoupledPi2`, Scalable             | `Squared` ÷k, coupled k = 2  | ode, flow, hybrid   |
+//! | `pie-reno`   | `Pie` (paper ECN rework), Reno     | `TunedDirect`, 0.125, 1.25   | ode, flow, hybrid   |
+//! | `pie-scal`   | `Pie` (paper ECN rework), Scalable | `TunedDirect`, 0.125, 1.25   | ode                 |
+//! | `dualq-scal` | `DualPi2`, Scalable                | (probed from the real AQM)   | hybrid              |
 //!
-//! (The coupled AQM's PI core runs at 2× the Classic PI2 gains and applies
-//! `p'` directly to Scalable packets, which is exactly the `scal pi`
-//! fluid loop.)
+//! The ODE integrates one window law, so a Scalable class under a coupled
+//! encoder — which sees `k·p'` applied directly — is the `Direct` loop at
+//! k× the gains: 0.3125 · 2 = 0.625, the paper's `scal pi`.
 //!
-//! Three steady-state metrics are compared per configuration, each with
-//! its own [`Tol`]erance:
+//! Per (cell, model) the steady-state metrics compared are:
 //!
 //! * **signal probability** — the packet side's post-warm-up fraction of
-//!   offered packets that were marked or dropped, against the fluid
-//!   side's mean applied signal `s(p')` over the settled tail;
+//!   offered packets that were marked or dropped, against the model's
+//!   mean applied signal;
 //! * **mean queue delay** — post-warm-up mean packet sojourn minus one
 //!   packet serialization time (sojourns are measured at the *end* of
 //!   transmission; the fluid `q/C` is pure waiting time), against the
-//!   settled-tail mean of `q/C`;
-//! * **per-flow rate ratio** — max/min of per-flow mean throughput. The
-//!   fluid model's identical flows give exactly 1; the packet side must
-//!   stay within the stochastic-fairness band of it.
+//!   model's mean `q/C`;
+//! * **per-flow rate ratio** — max/min of per-flow mean throughput.
+//!   Identical fluid flows give exactly 1; the packet side must stay
+//!   within the stochastic-fairness band of it;
+//! * **utilization** — flow-level and hybrid only (the ODE has no link).
 //!
-//! The comparison is `|packet − fluid| ≤ abs + rel · max(|packet|, |fluid|)`
-//! per metric, and a machine-readable JSONL report (one object per
-//! configuration) records every number that went into the verdict.
+//! The comparison is `|packet − model| ≤ abs + rel · max(|packet|, |model|)`
+//! per metric under [`bands`]; the report also states the achieved
+//! `|packet − model| / max(|packet|, |model|)` beside each band. The
+//! machine-readable form is JSONL, one object per (cell, model) pair then
+//! a summary line, hand-rolled like `pi2_netsim::trace`.
 
-use pi2_aqm::{CoupledPi2Config, Pi2Config, PiConfig, PieConfig};
-use pi2_experiments::{AqmKind, FlowGroup, RunResult, Scenario};
-use pi2_fluid::{FluidConfig, FluidControllerKind, FluidSim, FluidTcpKind, PiGains};
+use pi2_aqm::PiConfig;
+use pi2_experiments::{
+    cc_fluid_kind, fluid_encoding, run_fluid, summarize_scenario_run, AqmKind, Backend,
+    BackendSummary, BgGroup, FlowGroup, Scenario,
+};
+use pi2_fluid::{FluidConfig, FluidControllerKind, FluidSim, FluidTcpKind};
 use pi2_simcore::{Duration, Time};
 use pi2_transport::{CcKind, EcnSetting};
 use std::io::{self, Write};
 
-/// Which AQM family guards the bottleneck (both sides of the check).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DiffAqm {
-    /// Plain PI: fixed PIE gains on Reno (Figure 6's straw man), the
-    /// default Scalable gains on Scalable traffic (`scal pi`).
-    Pi,
-    /// The PI2 family: standalone `Pi2` for Classic traffic, the coupled
-    /// single-queue AQM's Scalable path (`p'` applied directly) for
-    /// Scalable traffic.
-    Pi2,
-    /// Linux PIE with the paper's ECN rework (marks at any `p`).
-    Pie,
-}
-
-/// Which homogeneous traffic class drives the bottleneck.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DiffTraffic {
-    /// TCP Reno, no ECN: the Classic `W ∝ 1/√p` law.
-    Reno,
-    /// The half-packet-per-mark Scalable control on ECT(1): `W ∝ 1/p`.
-    Scalable,
-}
-
-impl DiffTraffic {
-    fn label(self) -> &'static str {
-        match self {
-            DiffTraffic::Reno => "reno",
-            DiffTraffic::Scalable => "scal",
-        }
-    }
-}
-
 /// One per-metric tolerance: passes when
-/// `|packet − fluid| ≤ abs + rel · max(|packet|, |fluid|)`.
+/// `|packet − model| ≤ abs + rel · max(|packet|, |model|)`.
 #[derive(Clone, Copy, Debug)]
 pub struct Tol {
     /// Relative term, as a fraction of the larger magnitude.
@@ -92,9 +74,9 @@ pub struct Tol {
 }
 
 impl Tol {
-    /// Does `(packet, fluid)` agree under this tolerance?
-    pub fn ok(&self, packet: f64, fluid: f64) -> bool {
-        (packet - fluid).abs() <= self.abs + self.rel * packet.abs().max(fluid.abs())
+    /// Does `(packet, model)` agree under this tolerance?
+    pub fn ok(&self, packet: f64, model: f64) -> bool {
+        (packet - model).abs() <= self.abs + self.rel * packet.abs().max(model.abs())
     }
 }
 
@@ -105,36 +87,13 @@ pub struct Tolerances {
     pub signal: Tol,
     /// Mean queue delay (seconds).
     pub qdelay: Tol,
-    /// Per-flow rate ratio (dimensionless, fluid side ≡ 1).
+    /// Per-flow rate ratio (dimensionless; identical fluid flows give 1).
     pub rate_ratio: Tol,
     /// Bottleneck utilization (fraction of capacity, 0..1).
     pub util: Tol,
 }
 
 impl Tolerances {
-    /// The documented default band.
-    ///
-    /// The packet simulator is stochastic and the fluid model is a mean
-    /// approximation that ignores slow-start, retransmission timers,
-    /// burst allowances and integer-window effects, so the bands are
-    /// deliberately loose in relative terms while still tight enough
-    /// that any mapping bug (wrong gains, wrong encoder, wrong traffic
-    /// law) lands far outside them:
-    ///
-    /// * signal probability: ±30 % relative ± 0.005 absolute — a wrong
-    ///   encoder (p' vs p'²) is off by ~1/p' ≈ 5–10×;
-    /// * queue delay: ±25 % relative ± 4 ms absolute around the 20 ms
-    ///   target — a destabilized loop overshoots by the buffer depth;
-    /// * rate ratio: ±60 % relative — identical long flows through one
-    ///   queue land well under 1.6× max/min over a 40 s window, while
-    ///   an unfair pathology (e.g. lockout) shows up as ≥3×;
-    /// * utilization: ±10 % relative ± 0.05 absolute — both formalisms
-    ///   saturate a long-flow bottleneck, so anything below ~0.85 of the
-    ///   reference flags starvation (e.g. a runaway hybrid aggregate).
-    pub fn default_band() -> Self {
-        bands()
-    }
-
     /// Scale every tolerance (both terms) by `f` — `f < 1` tightens.
     /// `validate_grid --tighten` uses this to demonstrate that a failed
     /// tolerance makes the harness exit non-zero.
@@ -149,11 +108,30 @@ impl Tolerances {
     }
 }
 
-/// The shared tolerance-band table — the single source both the
-/// `validate_grid` bin (via [`Tolerances::default_band`]) and the
-/// `tests/hybrid.rs` backend-conformance suite judge against, so the two
-/// cannot drift apart. See [`Tolerances::default_band`] for the rationale
-/// behind each band.
+/// The one tolerance-band table: every (cell, model, metric) of the grid
+/// is judged under it, and `benchmark/` reads its delay and ratio bands.
+///
+/// The packet simulator is stochastic and every model half is a mean
+/// approximation that ignores slow-start, retransmission timers, burst
+/// allowances and integer-window effects, so the bands are deliberately
+/// loose in relative terms while still tight enough that any mapping bug
+/// (wrong gains, wrong encoder, wrong traffic law) lands far outside
+/// them:
+///
+/// * signal probability: ±30 % relative ± 0.005 absolute — a wrong
+///   encoder (p' vs p'²) is off by ~1/p' ≈ 5–10×;
+/// * queue delay: ±25 % relative ± 4 ms absolute around the 20 ms
+///   target — a destabilized loop overshoots by the buffer depth;
+/// * rate ratio: ±60 % relative — identical long flows through one
+///   queue land well under 1.6× max/min over a 40 s window, while an
+///   unfair pathology (e.g. lockout) shows up as ≥3×;
+/// * utilization: ±10 % relative ± 0.05 absolute — both formalisms
+///   saturate a long-flow bottleneck, so anything below ~0.85 of the
+///   reference flags starvation (e.g. a runaway hybrid aggregate).
+///
+/// The report prints the achieved disagreement beside each band
+/// (`results/validate_grid.txt` archives it), which is what a ratchet of
+/// these numbers starts from.
 pub fn bands() -> Tolerances {
     Tolerances {
         signal: Tol { rel: 0.30, abs: 0.005 },
@@ -163,125 +141,203 @@ pub fn bands() -> Tolerances {
     }
 }
 
-/// One physical situation expressed in both formalisms.
-#[derive(Clone, Debug)]
-pub struct MatchedConfig {
-    /// Report key, e.g. `"pi2-reno"`.
-    pub name: String,
-    /// AQM family.
-    pub aqm: DiffAqm,
-    /// Traffic class.
-    pub traffic: DiffTraffic,
-    /// Number of long-running flows.
-    pub n_flows: usize,
-    /// Bottleneck rate in bits/s.
-    pub rate_bps: u64,
-    /// Two-way propagation delay (RTT excluding queuing).
-    pub base_rtt: Duration,
-    /// Packet-run length.
-    pub duration: Time,
-    /// Packet-run warm-up excluded from aggregates.
-    pub warmup: Duration,
-    /// Packet-run RNG seed.
-    pub seed: u64,
-    /// Fluid-run length; the settled tail (last third) is averaged.
-    pub fluid_t_end: f64,
-    /// Agreement bands.
-    pub tol: Tolerances,
-}
-
-/// MTU-sized segments on both sides, as everywhere else in the repo.
+/// The shared operating point: 12 Mb/s, 50 ms base RTT, 5 flows, a 60 s
+/// packet run with a 20 s warm-up, seed 7.
+///
+/// Here the Reno equilibrium sits near p ≈ 1 % (p' ≈ 10 %) and the
+/// Scalable one near p' ≈ 14 % — comfortably inside every controller's
+/// caps and far from both the `p → 0` starvation corner and the 25 %
+/// Classic drop ceiling.
+const RATE_BPS: u64 = 12_000_000;
+/// Two-way propagation delay of every flow (RTT excluding queuing).
+pub const BASE_RTT: Duration = Duration::from_millis(50);
+/// Long-running flows per cell.
+const N_FLOWS: usize = 5;
+/// Of those, the flows that stay packet-level in the hybrid half.
+const FG_FLOWS: usize = 2;
+/// ODE run length in seconds; its settled tail (last third) is averaged.
+const ODE_T_END: f64 = 120.0;
+/// MTU-sized segments on every side, as everywhere else in the repo.
 const PKT_BYTES: f64 = 1500.0;
 
-impl MatchedConfig {
-    /// A matched configuration with the harness defaults: 12 Mb/s,
-    /// 50 ms base RTT, 5 flows, 60 s packet run with 20 s warm-up.
-    ///
-    /// At this operating point the Reno equilibrium sits near p ≈ 0.8 %
-    /// (p' ≈ 9 %) and the Scalable one near p' ≈ 14 % — comfortably
-    /// inside every controller's caps and far from both the `p → 0`
-    /// starvation corner and the 25 % Classic drop ceiling.
-    pub fn new(aqm: DiffAqm, traffic: DiffTraffic) -> Self {
-        let name = format!(
-            "{}-{}",
-            match aqm {
-                DiffAqm::Pi => "pi",
-                DiffAqm::Pi2 => "pi2",
-                DiffAqm::Pie => "pie",
-            },
-            traffic.label()
-        );
-        MatchedConfig {
-            name,
-            aqm,
-            traffic,
-            n_flows: 5,
-            rate_bps: 12_000_000,
-            base_rtt: Duration::from_millis(50),
-            duration: Time::from_secs(60),
-            warmup: Duration::from_secs(20),
-            seed: 7,
-            fluid_t_end: 120.0,
-            tol: Tolerances::default_band(),
+/// A model judged against the packet engine.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Model {
+    /// The delay-ODE integrator.
+    Ode,
+    /// The flow-level engine carrying the whole population.
+    FlowLevel,
+    /// Packet foreground over a fluid background aggregate.
+    Hybrid,
+}
+
+/// One judged metric: report key, where it sits in a summary, its band.
+type Metric = (&'static str, fn(&BackendSummary) -> f64, fn(&Tolerances) -> Tol);
+
+const METRICS: [Metric; 4] = [
+    ("signal_prob", |s| s.signal, |t| t.signal),
+    ("qdelay_s", |s| s.qdelay_s, |t| t.qdelay),
+    ("rate_ratio", |s| s.rate_ratio, |t| t.rate_ratio),
+    ("utilization", |s| s.utilization, |t| t.util),
+];
+
+impl Model {
+    /// Report name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Model::Ode => "ode",
+            Model::FlowLevel => "flow-level",
+            Model::Hybrid => "hybrid",
         }
     }
 
-    /// The packet-level half: a runnable scenario.
-    pub fn scenario(&self) -> Scenario {
-        let aqm = match (self.aqm, self.traffic) {
-            (DiffAqm::Pi, DiffTraffic::Reno) => AqmKind::Pi(PiConfig::untuned_pie_gains()),
-            (DiffAqm::Pi, DiffTraffic::Scalable) => AqmKind::Pi(PiConfig::default()),
-            (DiffAqm::Pi2, DiffTraffic::Reno) => AqmKind::Pi2(Pi2Config::default()),
-            (DiffAqm::Pi2, DiffTraffic::Scalable) => {
-                AqmKind::Coupled(CoupledPi2Config::default())
-            }
-            (DiffAqm::Pie, _) => AqmKind::Pie(PieConfig::paper_default()),
-        };
-        let (cc, ecn) = match self.traffic {
-            DiffTraffic::Reno => (CcKind::Reno, EcnSetting::NotEcn),
-            DiffTraffic::Scalable => (CcKind::ScalableHalfPkt, EcnSetting::Scalable),
-        };
-        let mut sc = Scenario::new(aqm, self.rate_bps);
-        sc.tcp.push(FlowGroup::new(
-            self.n_flows,
-            cc,
-            ecn,
-            self.traffic.label(),
-            self.base_rtt,
-        ));
-        sc.duration = self.duration;
-        sc.warmup = self.warmup;
-        sc.seed = self.seed;
+    /// The metrics this model is judged on: the ODE has a queue and a
+    /// window but no link to utilize.
+    fn metrics(self) -> &'static [Metric] {
+        match self {
+            Model::Ode => &METRICS[..3],
+            Model::FlowLevel | Model::Hybrid => &METRICS,
+        }
+    }
+}
+
+/// One AQM × homogeneous traffic class at the shared operating point.
+#[derive(Clone, Debug)]
+pub struct Cell {
+    /// Report key, e.g. `"pi2-reno"`.
+    pub name: &'static str,
+    /// The AQM under test — also what every model half is derived from.
+    pub aqm: AqmKind,
+    /// Congestion control of every flow.
+    pub cc: CcKind,
+    /// Its ECN codepoint.
+    pub ecn: EcnSetting,
+    /// The models judged on this cell.
+    pub models: &'static [Model],
+}
+
+/// The grid: {PI, PI2, PIE} × {Reno, Scalable} on the ODE — every encoder
+/// (`Direct`, `Squared`, `TunedDirect`), both window laws, three gain sets
+/// — and one cell per fluid-encodable controller family on the flow-level
+/// engine and in hybrid mode. 7 cells, 13 judged pairs.
+pub fn grid() -> Vec<Cell> {
+    use Model::{FlowLevel, Hybrid, Ode};
+    let reno = (CcKind::Reno, EcnSetting::NotEcn);
+    let scal = (CcKind::ScalableHalfPkt, EcnSetting::Scalable);
+    let cell = |name, aqm, (cc, ecn): (CcKind, EcnSetting), models: &'static [Model]| Cell {
+        name,
+        aqm,
+        cc,
+        ecn,
+        models,
+    };
+    vec![
+        cell("pi-reno", AqmKind::Pi(PiConfig::untuned_pie_gains()), reno, &[Ode]),
+        cell("pi-scal", AqmKind::Pi(PiConfig::default()), scal, &[Ode]),
+        cell("pi2-reno", AqmKind::pi2_default(), reno, &[Ode, FlowLevel, Hybrid]),
+        cell("pi2-scal", AqmKind::coupled_default(), scal, &[Ode, FlowLevel, Hybrid]),
+        cell("pie-reno", AqmKind::pie_default(), reno, &[Ode, FlowLevel, Hybrid]),
+        cell("pie-scal", AqmKind::pie_default(), scal, &[Ode]),
+        // Hybrid only: DualPI2's L queue step-marks at the ~1 ms
+        // threshold, which no PI fluid law reproduces — the packet side
+        // settles an order of magnitude below the Classic target. Hybrid
+        // mode is unaffected: the background feeds on the real AQM's
+        // probed probabilities.
+        cell("dualq-scal", AqmKind::dualq_default(RATE_BPS), scal, &[Hybrid]),
+    ]
+}
+
+impl Cell {
+    /// The packet reference: every flow is a real TCP source.
+    pub fn packet_scenario(&self) -> Scenario {
+        let mut sc = Scenario::new(self.aqm.clone(), RATE_BPS);
+        sc.tcp
+            .push(FlowGroup::new(N_FLOWS, self.cc, self.ecn, "fg", BASE_RTT));
+        sc.duration = Time::from_secs(60);
+        sc.warmup = Duration::from_secs(20);
+        sc.seed = 7;
         sc
     }
 
-    /// The fluid half: the matching ODE configuration.
-    pub fn fluid(&self) -> FluidConfig {
-        let (encoder, gains) = match (self.aqm, self.traffic) {
-            (DiffAqm::Pi, DiffTraffic::Reno) => (FluidControllerKind::Direct, PiGains::pie()),
-            (DiffAqm::Pi, DiffTraffic::Scalable) => {
-                (FluidControllerKind::Direct, PiGains::scal_pi())
-            }
-            (DiffAqm::Pi2, DiffTraffic::Reno) => (FluidControllerKind::Squared, PiGains::pi2()),
-            (DiffAqm::Pi2, DiffTraffic::Scalable) => {
-                // The coupled AQM's core runs at 2× the Classic PI2 gains
-                // and applies p' unsquared to ECT(1) — the scal-pi loop.
-                (FluidControllerKind::Direct, PiGains::scal_pi())
-            }
-            (DiffAqm::Pie, _) => (FluidControllerKind::TunedDirect, PiGains::pie()),
+    /// The hybrid counterpart: the same population, but only 2 flows stay
+    /// packet-level — the rest ride in the fluid background.
+    pub fn hybrid_scenario(&self) -> Scenario {
+        let mut sc = self.packet_scenario();
+        sc.tcp[0].count = FG_FLOWS;
+        sc.backend = Backend::Hybrid;
+        sc.background = vec![BgGroup::new(N_FLOWS - FG_FLOWS, self.cc, BASE_RTT, "bg")];
+        sc
+    }
+
+    /// The delay-ODE half, from the cell's own AQM configuration.
+    ///
+    /// # Panics
+    /// For an AQM with no fluid law (`fluid_encoding` names it).
+    fn ode(&self) -> FluidConfig {
+        let enc = fluid_encoding(&self.aqm).unwrap_or_else(|e| panic!("{}: {e}", self.name));
+        let tcp = cc_fluid_kind(self.cc);
+        let (encoder, gains) = if enc.coupled && tcp == FluidTcpKind::Scalable {
+            (FluidControllerKind::Direct, enc.gains.scaled(enc.coupling))
+        } else {
+            (enc.encoder, enc.gains)
         };
         FluidConfig {
-            capacity_pps: self.rate_bps as f64 / 8.0 / PKT_BYTES,
-            base_rtt: self.base_rtt.as_secs_f64(),
-            n_flows: vec![(0.0, self.n_flows as f64)],
-            tcp: match self.traffic {
-                DiffTraffic::Reno => FluidTcpKind::Reno,
-                DiffTraffic::Scalable => FluidTcpKind::Scalable,
-            },
+            capacity_pps: RATE_BPS as f64 / 8.0 / PKT_BYTES,
+            base_rtt: BASE_RTT.as_secs_f64(),
+            n_flows: vec![(0.0, N_FLOWS as f64)],
+            tcp,
             encoder,
             gains,
-            target: 0.020,
+            target: enc.target,
             dt: 0.001,
+        }
+    }
+
+    /// Signal and queue delay of the ODE's settled tail (last third);
+    /// its identical flows share exactly.
+    fn ode_summary(&self) -> BackendSummary {
+        let cfg = self.ode();
+        let squared = cfg.encoder == FluidControllerKind::Squared;
+        let samples = FluidSim::new(cfg).run(ODE_T_END, 0.01);
+        let tail: Vec<_> = samples
+            .iter()
+            .filter(|s| s.t >= ODE_T_END * 2.0 / 3.0)
+            .collect();
+        assert!(!tail.is_empty(), "fluid run produced no tail samples");
+        let n = tail.len() as f64;
+        let applied = |p: f64| if squared { p * p } else { p };
+        BackendSummary {
+            signal: tail.iter().map(|s| applied(s.p_prime)).sum::<f64>() / n,
+            qdelay_s: tail.iter().map(|s| s.qdelay).sum::<f64>() / n,
+            rate_ratio: 1.0,
+            utilization: f64::NAN, // not modelled, never judged
+        }
+    }
+
+    /// Run one model half of this cell and reduce it.
+    fn model_summary(&self, model: Model, packet: &Scenario) -> BackendSummary {
+        match model {
+            Model::Ode => self.ode_summary(),
+            Model::FlowLevel => {
+                let s = run_fluid(packet)
+                    .unwrap_or_else(|e| panic!("{}: {e}", self.name))
+                    .summary;
+                assert!(
+                    (s.rate_ratio - 1.0).abs() < 1e-9,
+                    "{}: identical fluid flows must share exactly (ratio {})",
+                    self.name,
+                    s.rate_ratio
+                );
+                s
+            }
+            Model::Hybrid => {
+                let sc = self.hybrid_scenario();
+                let run = sc.run();
+                let bg = run.background.as_ref().expect("hybrid run has background");
+                assert_eq!(bg.flow_count, (N_FLOWS - FG_FLOWS) as u64);
+                assert!(bg.ticks > 0, "{}: background never ticked", self.name);
+                summarize_scenario_run(&sc, &run)
+            }
         }
     }
 }
@@ -289,53 +345,91 @@ impl MatchedConfig {
 /// One metric's side-by-side numbers and verdict.
 #[derive(Clone, Copy, Debug)]
 pub struct MetricReport {
-    /// Metric key (`"signal_prob"`, `"qdelay_s"`, `"rate_ratio"`).
+    /// Metric key (`"signal_prob"`, `"qdelay_s"`, `"rate_ratio"`,
+    /// `"utilization"`).
     pub metric: &'static str,
     /// Packet-level value.
     pub packet: f64,
-    /// Fluid-level value.
-    pub fluid: f64,
+    /// The model's value.
+    pub model: f64,
     /// The band it was judged under.
     pub tol: Tol,
+    /// Achieved disagreement, `|packet − model| / max(|packet|, |model|)`.
+    pub achieved: f64,
     /// Verdict.
     pub pass: bool,
 }
 
 impl MetricReport {
-    fn judge(metric: &'static str, packet: f64, fluid: f64, tol: Tol) -> Self {
+    fn judge(metric: &'static str, packet: f64, model: f64, tol: Tol) -> Self {
+        let scale = packet.abs().max(model.abs());
         MetricReport {
             metric,
             packet,
-            fluid,
+            model,
             tol,
-            pass: tol.ok(packet, fluid),
+            achieved: if packet == model {
+                0.0
+            } else if scale.is_finite() {
+                (packet - model).abs() / scale
+            } else {
+                1.0
+            },
+            pass: tol.ok(packet, model),
         }
     }
 }
 
-/// One configuration's full comparison.
+/// One (cell, model) pair's full comparison.
 #[derive(Clone, Debug)]
-pub struct ConfigReport {
-    /// The configuration's report key.
-    pub name: String,
+pub struct PairReport {
+    /// The cell's report key.
+    pub cell: &'static str,
+    /// The model judged.
+    pub model: Model,
     /// All metric comparisons.
     pub metrics: Vec<MetricReport>,
     /// True iff every metric passed.
     pub pass: bool,
 }
 
-impl ConfigReport {
-    /// One JSONL object (no trailing newline), hand-rolled like
-    /// `pi2_netsim::trace`.
+impl PairReport {
+    /// The one judge: a model's summary against the packet reference.
+    fn judge(
+        cell: &'static str,
+        model: Model,
+        packet: &BackendSummary,
+        got: &BackendSummary,
+        tol: &Tolerances,
+    ) -> Self {
+        let metrics: Vec<MetricReport> = model
+            .metrics()
+            .iter()
+            .map(|(name, pick, band)| MetricReport::judge(name, pick(packet), pick(got), band(tol)))
+            .collect();
+        PairReport {
+            cell,
+            model,
+            pass: metrics.iter().all(|m| m.pass),
+            metrics,
+        }
+    }
+
+    /// One JSONL object (no trailing newline).
     pub fn jsonl(&self) -> String {
-        let mut s = format!("{{\"config\":\"{}\",\"pass\":{},\"metrics\":[", self.name, self.pass);
+        let mut s = format!(
+            "{{\"config\":\"{}\",\"model\":\"{}\",\"pass\":{},\"metrics\":[",
+            self.cell,
+            self.model.name(),
+            self.pass
+        );
         for (i, m) in self.metrics.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
             s.push_str(&format!(
-                "{{\"metric\":\"{}\",\"packet\":{:.6},\"fluid\":{:.6},\"rel_tol\":{},\"abs_tol\":{},\"pass\":{}}}",
-                m.metric, m.packet, m.fluid, m.tol.rel, m.tol.abs, m.pass
+                "{{\"metric\":\"{}\",\"packet\":{:.6},\"fluid\":{:.6},\"rel_tol\":{},\"abs_tol\":{},\"achieved\":{:.6},\"pass\":{}}}",
+                m.metric, m.packet, m.model, m.tol.rel, m.tol.abs, m.achieved, m.pass
             ));
         }
         s.push_str("]}");
@@ -345,16 +439,18 @@ impl ConfigReport {
     /// A human-readable multi-line table for terminal output.
     pub fn table(&self) -> String {
         let mut s = format!(
-            "{:<14} {}\n",
-            self.name,
+            "{:<14} {:<11} {}\n",
+            self.cell,
+            self.model.name(),
             if self.pass { "PASS" } else { "FAIL" }
         );
         for m in &self.metrics {
             s.push_str(&format!(
-                "  {:<12} packet {:>10.5}  fluid {:>10.5}  (rel {:.0}% + abs {})  {}\n",
+                "  {:<12} packet {:>10.5}  model {:>10.5}  off {:>5.1}%  (rel {:.0}% + abs {})  {}\n",
                 m.metric,
                 m.packet,
-                m.fluid,
+                m.model,
+                m.achieved * 100.0,
                 m.tol.rel * 100.0,
                 m.tol.abs,
                 if m.pass { "ok" } else { "DISAGREE" }
@@ -364,135 +460,96 @@ impl ConfigReport {
     }
 }
 
+/// One cell: its single packet reference and every pair judged on it.
+#[derive(Clone, Debug)]
+pub struct CellReport {
+    /// The cell's report key.
+    pub name: &'static str,
+    /// The packet run's reduction every pair below was judged against.
+    pub packet: BackendSummary,
+    /// One report per model of the cell, in the cell's order.
+    pub pairs: Vec<PairReport>,
+}
+
+impl CellReport {
+    /// True iff every pair passed.
+    pub fn pass(&self) -> bool {
+        self.pairs.iter().all(|p| p.pass)
+    }
+
+    /// The pairs' tables, concatenated.
+    pub fn table(&self) -> String {
+        self.pairs.iter().map(PairReport::table).collect()
+    }
+}
+
+/// Run one cell — the packet engine once, then each of its models — and
+/// judge every pair under `tol`.
+pub fn run_cell(cell: &Cell, tol: &Tolerances) -> CellReport {
+    let sc = cell.packet_scenario();
+    let packet = summarize_scenario_run(&sc, &sc.run());
+    let pairs = cell
+        .models
+        .iter()
+        .map(|&m| PairReport::judge(cell.name, m, &packet, &cell.model_summary(m, &sc), tol))
+        .collect();
+    CellReport {
+        name: cell.name,
+        packet,
+        pairs,
+    }
+}
+
 /// A whole grid's verdict.
 #[derive(Clone, Debug)]
 pub struct GridReport {
-    /// Per-configuration reports, in input order.
-    pub configs: Vec<ConfigReport>,
-    /// True iff every configuration passed.
-    pub all_pass: bool,
+    /// Per-cell reports, in input order.
+    pub cells: Vec<CellReport>,
 }
 
-/// Extract the packet side's three steady-state metrics.
-fn packet_metrics(cfg: &MatchedConfig, run: &RunResult) -> (f64, f64, f64) {
-    let label = cfg.traffic.label();
-    let flows = run.monitor.flows_labelled(label);
-    let (mut sent, mut signalled) = (0u64, 0u64);
-    for &i in &flows {
-        let f = &run.monitor.flows[i];
-        sent += f.sent_pkts_postwarm;
-        signalled += f.dropped_postwarm + f.marked_postwarm;
+impl GridReport {
+    /// Every judged (cell, model) pair, in grid order.
+    pub fn pairs(&self) -> impl Iterator<Item = &PairReport> {
+        self.cells.iter().flat_map(|c| &c.pairs)
     }
-    let signal = if sent == 0 { 0.0 } else { signalled as f64 / sent as f64 };
 
-    // Sojourns are recorded when the packet finishes transmitting; the
-    // fluid q/C is the wait *before* transmission, so remove one
-    // serialization time.
-    let serialization = PKT_BYTES * 8.0 / cfg.rate_bps as f64;
-    let qdelay = if run.monitor.sojourn_ms.is_empty() {
-        0.0
-    } else {
-        let mean_ms = run.monitor.sojourn_ms.iter().map(|&v| v as f64).sum::<f64>()
-            / run.monitor.sojourn_ms.len() as f64;
-        (mean_ms / 1e3 - serialization).max(0.0)
-    };
-
-    let span = run.monitor.measurement_span();
-    let mut tputs: Vec<f64> = flows
-        .iter()
-        .map(|&i| run.monitor.flows[i].mean_tput_mbps(span))
-        .collect();
-    tputs.retain(|&t| t > 0.0);
-    let ratio = match (
-        tputs.iter().cloned().fold(f64::INFINITY, f64::min),
-        tputs.iter().cloned().fold(0.0f64, f64::max),
-    ) {
-        (min, max) if min.is_finite() && min > 0.0 => max / min,
-        _ => f64::INFINITY,
-    };
-    (signal, qdelay, ratio)
-}
-
-/// Extract the fluid side's metrics from the settled tail (last third).
-fn fluid_metrics(cfg: &MatchedConfig) -> (f64, f64) {
-    let fl = cfg.fluid();
-    let encoder = fl.encoder;
-    let samples = FluidSim::new(fl).run(cfg.fluid_t_end, 0.01);
-    let tail_from = cfg.fluid_t_end * 2.0 / 3.0;
-    let tail: Vec<_> = samples.iter().filter(|s| s.t >= tail_from).collect();
-    assert!(!tail.is_empty(), "fluid run produced no tail samples");
-    let n = tail.len() as f64;
-    let signal = tail
-        .iter()
-        .map(|s| match encoder {
-            FluidControllerKind::Squared => s.p_prime * s.p_prime,
-            _ => s.p_prime,
-        })
-        .sum::<f64>()
-        / n;
-    let qdelay = tail.iter().map(|s| s.qdelay).sum::<f64>() / n;
-    (signal, qdelay)
-}
-
-/// Run one matched configuration through both models and judge it.
-pub fn run_config(cfg: &MatchedConfig) -> ConfigReport {
-    let run = cfg.scenario().run();
-    let (p_signal, p_qdelay, p_ratio) = packet_metrics(cfg, &run);
-    let (f_signal, f_qdelay) = fluid_metrics(cfg);
-    let metrics = vec![
-        MetricReport::judge("signal_prob", p_signal, f_signal, cfg.tol.signal),
-        MetricReport::judge("qdelay_s", p_qdelay, f_qdelay, cfg.tol.qdelay),
-        // Identical fluid flows share the link exactly: the reference is 1.
-        MetricReport::judge("rate_ratio", p_ratio, 1.0, cfg.tol.rate_ratio),
-    ];
-    let pass = metrics.iter().all(|m| m.pass);
-    ConfigReport {
-        name: cfg.name.clone(),
-        metrics,
-        pass,
+    /// `cell/model` of every pair that left its bands.
+    pub fn failed(&self) -> Vec<String> {
+        self.pairs()
+            .filter(|p| !p.pass)
+            .map(|p| format!("{}/{}", p.cell, p.model.name()))
+            .collect()
     }
 }
 
-/// The standard grid: {PI, PI2, PIE} × {Reno, Scalable} — six matched
-/// configurations covering every encoder (`Direct`, `Squared`,
-/// `TunedDirect`), both window laws, and three distinct gain sets.
-pub fn default_grid() -> Vec<MatchedConfig> {
-    let mut out = Vec::new();
-    for aqm in [DiffAqm::Pi, DiffAqm::Pi2, DiffAqm::Pie] {
-        for traffic in [DiffTraffic::Reno, DiffTraffic::Scalable] {
-            out.push(MatchedConfig::new(aqm, traffic));
+/// Run a grid, the one report writer: each pair's table goes to `table`
+/// as its cell finishes, one JSONL line per pair to `jsonl`, followed by
+/// a `{"summary":...}` line.
+pub fn run_grid(
+    cells: &[Cell],
+    tol: &Tolerances,
+    table: &mut impl Write,
+    jsonl: &mut impl Write,
+) -> io::Result<GridReport> {
+    let mut report = GridReport { cells: Vec::with_capacity(cells.len()) };
+    for cell in cells {
+        let done = run_cell(cell, tol);
+        table.write_all(done.table().as_bytes())?;
+        for pair in &done.pairs {
+            writeln!(jsonl, "{}", pair.jsonl())?;
         }
+        report.cells.push(done);
     }
-    out
-}
-
-/// Run a grid, streaming one JSONL line per configuration to `out`,
-/// followed by a `{"summary":...}` line.
-pub fn run_grid<W: Write>(cfgs: &[MatchedConfig], out: &mut W) -> io::Result<GridReport> {
-    let mut configs = Vec::with_capacity(cfgs.len());
-    for cfg in cfgs {
-        let report = run_config(cfg);
-        writeln!(out, "{}", report.jsonl())?;
-        configs.push(report);
-    }
-    let all_pass = configs.iter().all(|c| c.pass);
-    let failed: Vec<&str> = configs
-        .iter()
-        .filter(|c| !c.pass)
-        .map(|c| c.name.as_str())
-        .collect();
+    let failed: Vec<String> = report.failed().iter().map(|n| format!("\"{n}\"")).collect();
     writeln!(
-        out,
-        "{{\"summary\":{{\"configs\":{},\"pass\":{},\"failed\":[{}]}}}}",
-        configs.len(),
-        all_pass,
-        failed
-            .iter()
-            .map(|n| format!("\"{n}\""))
-            .collect::<Vec<_>>()
-            .join(",")
+        jsonl,
+        "{{\"summary\":{{\"cells\":{},\"pairs\":{},\"pass\":{},\"failed\":[{}]}}}}",
+        report.cells.len(),
+        report.pairs().count(),
+        failed.is_empty(),
+        failed.join(",")
     )?;
-    Ok(GridReport { configs, all_pass })
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -510,56 +567,77 @@ mod tests {
 
     #[test]
     fn scaling_tolerances_tightens_both_terms() {
-        let t = Tolerances::default_band().scaled(0.01);
+        let t = bands().scaled(0.01);
         assert!(t.signal.rel < 0.01);
         assert!(t.qdelay.abs < 1e-4);
     }
 
     #[test]
-    fn grid_covers_every_aqm_traffic_pair_once() {
-        let grid = default_grid();
-        assert_eq!(grid.len(), 6);
-        let names: Vec<&str> = grid.iter().map(|c| c.name.as_str()).collect();
-        for want in ["pi-reno", "pi-scal", "pi2-reno", "pi2-scal", "pie-reno", "pie-scal"] {
-            assert!(names.contains(&want), "missing {want} in {names:?}");
-        }
+    fn the_grid_is_seven_cells_and_thirteen_pairs() {
+        let grid = grid();
+        let names: Vec<&str> = grid.iter().map(|c| c.name).collect();
+        assert_eq!(
+            names,
+            ["pi-reno", "pi-scal", "pi2-reno", "pi2-scal", "pie-reno", "pie-scal", "dualq-scal"]
+        );
+        assert_eq!(grid.iter().map(|c| c.models.len()).sum::<usize>(), 13);
+        let on = |m| grid.iter().filter(|c| c.models.contains(&m)).count();
+        assert_eq!((on(Model::Ode), on(Model::FlowLevel), on(Model::Hybrid)), (6, 3, 4));
     }
 
     #[test]
     fn jsonl_report_is_well_formed() {
-        let r = ConfigReport {
-            name: "x".into(),
-            metrics: vec![MetricReport::judge(
-                "signal_prob",
-                0.01,
-                0.011,
-                Tol { rel: 0.3, abs: 0.005 },
-            )],
-            pass: true,
-        };
+        let s = |signal| BackendSummary { utilization: 1.0, qdelay_s: 0.02, signal, rate_ratio: 1.0 };
+        let r = PairReport::judge("x", Model::Ode, &s(0.01), &s(0.011), &bands());
+        assert!(r.pass);
+        assert_eq!(r.metrics.len(), 3, "the ODE is not judged on utilization");
+        assert!((r.metrics[0].achieved - 0.001 / 0.011).abs() < 1e-12);
         let line = r.jsonl();
-        assert!(line.starts_with("{\"config\":\"x\""));
+        assert!(line.starts_with("{\"config\":\"x\",\"model\":\"ode\""));
         assert!(line.contains("\"metric\":\"signal_prob\""));
+        assert!(line.contains("\"achieved\":0.090909"));
         assert!(line.ends_with("]}"));
         assert_eq!(line.matches('{').count(), line.matches('}').count());
     }
 
     #[test]
-    fn fluid_halves_settle_near_the_target_delay() {
-        // Cheap sanity on the mapping itself: every fluid half of the
-        // grid must settle within a few ms of the 20 ms target.
-        for cfg in default_grid() {
-            let (signal, qdelay) = fluid_metrics(&cfg);
+    fn ode_halves_take_the_gains_of_the_aqm_they_model() {
+        // The mapping itself, against the paper's Figure 7 gain sets.
+        let want = [
+            ("pi-reno", FluidControllerKind::Direct, 0.125, 1.25),
+            ("pi-scal", FluidControllerKind::Direct, 0.625, 6.25),
+            ("pi2-reno", FluidControllerKind::Squared, 0.3125, 3.125),
+            ("pi2-scal", FluidControllerKind::Direct, 0.625, 6.25),
+            ("pie-reno", FluidControllerKind::TunedDirect, 0.125, 1.25),
+            ("pie-scal", FluidControllerKind::TunedDirect, 0.125, 1.25),
+        ];
+        let grid = grid();
+        for (cell, (name, encoder, alpha, beta)) in grid.iter().zip(want) {
+            let ode = cell.ode();
+            assert_eq!(cell.name, name);
+            assert_eq!(ode.encoder, encoder, "{name}");
+            assert_eq!((ode.gains.alpha, ode.gains.beta), (alpha, beta), "{name}");
+            assert_eq!((ode.gains.t_update, ode.target), (0.032, 0.020), "{name}");
+        }
+    }
+
+    #[test]
+    fn ode_halves_settle_near_the_target_delay() {
+        // Cheap sanity on the mapping itself: every ODE half of the grid
+        // must settle within a few ms of the 20 ms target.
+        for cell in grid().iter().filter(|c| c.models.contains(&Model::Ode)) {
+            let s = cell.ode_summary();
             assert!(
-                (qdelay - 0.020).abs() < 0.008,
+                (s.qdelay_s - 0.020).abs() < 0.008,
                 "{}: fluid qdelay {:.1} ms",
-                cfg.name,
-                qdelay * 1e3
+                cell.name,
+                s.qdelay_s * 1e3
             );
             assert!(
-                signal > 1e-4 && signal < 0.5,
-                "{}: fluid signal {signal}",
-                cfg.name
+                s.signal > 1e-4 && s.signal < 0.5,
+                "{}: fluid signal {}",
+                cell.name,
+                s.signal
             );
         }
     }

@@ -1,18 +1,21 @@
-//! # pi2-validate — differential and metamorphic validation
+//! # pi2-validate — model-agreement and metamorphic validation
 //!
-//! The reproduction has two independent models of the same system: the
-//! packet-level simulator (`pi2-netsim` + `pi2-aqm` + `pi2-transport`,
-//! the ground truth) and the fluid ODE integrator (`pi2-fluid::ode`, the
-//! paper's analytical model). Each can be wrong on its own; it is much
-//! harder for both to be wrong *in the same way*. This crate turns that
-//! observation into an executable cross-check:
+//! The packet-level simulator (`pi2-netsim` + `pi2-aqm` + `pi2-transport`)
+//! is the ground truth, and the reproduction has three cheaper models of
+//! the same system: the Appendix B delay-ODE (`pi2-fluid::ode`), the
+//! flow-level engine (`pi2-fluid::flow`) and hybrid mode (a packet
+//! foreground over a fluid background). Each can be wrong on its own; it
+//! is much harder for one to be wrong *in the same way* as the packet
+//! engine. This crate turns that observation into an executable
+//! cross-check with one judge:
 //!
-//! * [`differential`] — run matched configurations (AQM kind × traffic
-//!   class × RTT × rate) through both models and compare steady-state
-//!   congestion-signal probability, mean queue delay, and per-flow rate
-//!   fairness under per-metric tolerances, emitting a machine-readable
-//!   JSONL agreement report (same hand-rolled JSONL conventions as
-//!   `pi2_netsim::trace`).
+//! * [`differential`] — one grid of cells (AQM × traffic class at a
+//!   shared operating point), each run once on the packet engine and
+//!   compared with every model listed for it on steady-state
+//!   congestion-signal probability, mean queue delay, per-flow rate
+//!   fairness and utilization under the one [`bands`] table, emitting a
+//!   table and a machine-readable JSONL agreement report (same
+//!   hand-rolled JSONL conventions as `pi2_netsim::trace`).
 //! * [`metamorphic`] — properties that relate *runs to other runs* rather
 //!   than to fixed numbers: summary metrics are seed-invariant within a
 //!   band, jointly scaling link rate and packet size is a symmetry, and
@@ -29,7 +32,7 @@ pub mod differential;
 pub mod metamorphic;
 
 pub use differential::{
-    bands, default_grid, run_config, run_grid, ConfigReport, DiffAqm, DiffTraffic, GridReport,
-    MatchedConfig, MetricReport, Tol, Tolerances,
+    bands, grid, run_cell, run_grid, Cell, CellReport, GridReport, MetricReport, Model,
+    PairReport, Tol, Tolerances,
 };
 pub use metamorphic::{coupling_scenario, run_summary, standard_scenario, SummaryMetrics};

@@ -18,14 +18,17 @@
 //!   are measured from independent per-flow accounting, so the relation
 //!   cross-checks the whole mark/drop path, not the controller alone.
 
-use pi2_experiments::{AqmKind, FlowGroup, Scenario};
+use pi2_experiments::{
+    summarize_flows, AqmKind, BackendSummary, FlowGroup, RunResult, Scenario,
+};
 use pi2_simcore::{Duration, Time};
 use pi2_transport::{CcKind, EcnSetting, TcpConfig};
 
 /// Post-warm-up summary of one run, for run-to-run comparison.
 #[derive(Clone, Copy, Debug)]
 pub struct SummaryMetrics {
-    /// Mean per-packet queue delay in ms.
+    /// Mean per-packet queue delay in ms (sojourn minus one MTU's
+    /// serialization at the link rate).
     pub qdelay_ms: f64,
     /// Pooled mean throughput over the group, in Mb/s.
     pub tput_mbps: f64,
@@ -66,35 +69,21 @@ pub fn standard_scenario(
     sc
 }
 
+/// The steady-state reduction of `run` over the flows labelled `label`.
+fn label_summary(sc: &Scenario, run: &RunResult, label: &str) -> BackendSummary {
+    let flows = run.monitor.flows_labelled(label);
+    summarize_flows(run, flows, sc.rate_bps, sc.warmup.as_secs_f64())
+}
+
 /// Run a scenario and reduce it to its [`SummaryMetrics`] over [`GROUP`].
 pub fn run_summary(sc: &Scenario) -> SummaryMetrics {
     let run = sc.run();
-    let flows = run.monitor.flows_labelled(GROUP);
-    let (mut sent, mut signalled) = (0u64, 0u64);
-    for &i in &flows {
-        let f = &run.monitor.flows[i];
-        sent += f.sent_pkts_postwarm;
-        signalled += f.dropped_postwarm + f.marked_postwarm;
-    }
-    let qdelay_ms = if run.monitor.sojourn_ms.is_empty() {
-        0.0
-    } else {
-        run.monitor.sojourn_ms.iter().map(|&v| v as f64).sum::<f64>()
-            / run.monitor.sojourn_ms.len() as f64
-    };
-    let span = run.monitor.measurement_span();
-    let tputs: Vec<f64> = flows
-        .iter()
-        .map(|&i| run.monitor.flows[i].mean_tput_mbps(span))
-        .filter(|&t| t > 0.0)
-        .collect();
-    let min = tputs.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = tputs.iter().cloned().fold(0.0f64, f64::max);
+    let s = label_summary(sc, &run, GROUP);
     SummaryMetrics {
-        qdelay_ms,
+        qdelay_ms: s.qdelay_s * 1e3,
         tput_mbps: run.tput_mbps(GROUP),
-        signal: if sent == 0 { 0.0 } else { signalled as f64 / sent as f64 },
-        rate_ratio: if min.is_finite() && min > 0.0 { max / min } else { f64::INFINITY },
+        signal: s.signal,
+        rate_ratio: s.rate_ratio,
     }
 }
 
@@ -126,20 +115,10 @@ pub fn coupling_scenario(n_classic: usize, n_scal: usize, seed: u64) -> Scenario
     sc
 }
 
-/// Pooled post-warm-up signal probability of one label in a finished run.
-pub fn label_signal(run: &pi2_experiments::RunResult, label: &str) -> f64 {
-    let flows = run.monitor.flows_labelled(label);
-    let (mut sent, mut signalled) = (0u64, 0u64);
-    for &i in &flows {
-        let f = &run.monitor.flows[i];
-        sent += f.sent_pkts_postwarm;
-        signalled += f.dropped_postwarm + f.marked_postwarm;
-    }
-    if sent == 0 {
-        0.0
-    } else {
-        signalled as f64 / sent as f64
-    }
+/// Pooled post-warm-up signal probability of one label in a finished run
+/// of `sc`.
+pub fn label_signal(sc: &Scenario, run: &RunResult, label: &str) -> f64 {
+    label_summary(sc, run, label).signal
 }
 
 #[cfg(test)]

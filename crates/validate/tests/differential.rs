@@ -1,50 +1,57 @@
-//! The fluid ⇄ packet differential grid as tier-1 tests: one test per
-//! matched configuration so a disagreement names its config in the test
-//! list, plus the harness's own failure path (a deliberately tightened
-//! tolerance must fail) and the JSONL report contract.
+//! The model-agreement grid as tests: one test per cell so a disagreement
+//! names its cell in the test list, plus the harness's own failure path
+//! (a deliberately tightened tolerance must fail), the JSONL report
+//! contract and the grid's run count.
 
-use pi2_validate::differential::{
-    default_grid, run_config, run_grid, DiffAqm, DiffTraffic, MatchedConfig,
-};
+use pi2_validate::{bands, grid, run_cell, run_grid, Cell};
 
-fn check(aqm: DiffAqm, traffic: DiffTraffic) {
-    let cfg = MatchedConfig::new(aqm, traffic);
-    let report = run_config(&cfg);
+fn cell(name: &str) -> Cell {
+    let found = grid().into_iter().find(|c| c.name == name);
+    found.unwrap_or_else(|| panic!("no cell {name} in the grid"))
+}
+
+fn check(name: &str) {
+    let report = run_cell(&cell(name), &bands());
     assert!(
-        report.pass,
-        "fluid/packet disagreement:\n{}",
+        report.pass(),
+        "model/packet disagreement:\n{}",
         report.table()
     );
 }
 
 #[test]
 fn pi_reno_agrees_with_the_fluid_model() {
-    check(DiffAqm::Pi, DiffTraffic::Reno);
+    check("pi-reno");
 }
 
 #[test]
 fn pi_scalable_agrees_with_the_fluid_model() {
-    check(DiffAqm::Pi, DiffTraffic::Scalable);
+    check("pi-scal");
 }
 
 #[test]
 fn pi2_reno_agrees_with_the_fluid_model() {
-    check(DiffAqm::Pi2, DiffTraffic::Reno);
+    check("pi2-reno");
 }
 
 #[test]
 fn pi2_scalable_agrees_with_the_fluid_model() {
-    check(DiffAqm::Pi2, DiffTraffic::Scalable);
+    check("pi2-scal");
 }
 
 #[test]
 fn pie_reno_agrees_with_the_fluid_model() {
-    check(DiffAqm::Pie, DiffTraffic::Reno);
+    check("pie-reno");
 }
 
 #[test]
 fn pie_scalable_agrees_with_the_fluid_model() {
-    check(DiffAqm::Pie, DiffTraffic::Scalable);
+    check("pie-scal");
+}
+
+#[test]
+fn dualq_scalable_agrees_with_the_fluid_model() {
+    check("dualq-scal");
 }
 
 /// The acceptance criterion's negative control: the harness must be able
@@ -52,49 +59,64 @@ fn pie_scalable_agrees_with_the_fluid_model() {
 /// residual into a violation, and the report records which metric broke.
 #[test]
 fn deliberately_tightened_tolerance_fails() {
-    let mut cfg = MatchedConfig::new(DiffAqm::Pi2, DiffTraffic::Reno);
-    cfg.tol = cfg.tol.scaled(0.001);
-    let report = run_config(&cfg);
+    let report = run_cell(&cell("pi2-reno"), &bands().scaled(0.001));
     assert!(
-        !report.pass,
+        !report.pass(),
         "a 1000x tightened tolerance should not pass:\n{}",
         report.table()
     );
-    assert!(
-        report.metrics.iter().any(|m| !m.pass),
-        "the failing metric must be identified"
-    );
+    for pair in &report.pairs {
+        assert!(
+            pair.metrics.iter().any(|m| !m.pass),
+            "{}: the failing metric must be identified",
+            pair.model.name()
+        );
+    }
 }
 
-/// The grid report is one JSONL object per config plus a summary line,
-/// and its pass verdicts match the per-config reports.
+/// The whole grid through the one writer: 7 packet reference runs, 13
+/// judged pairs, one JSONL object per pair plus a summary line whose
+/// verdict matches the per-pair reports — and every pair of a cell quotes
+/// the cell's one packet reduction, bit for bit.
 #[test]
-fn grid_report_streams_parseable_jsonl() {
-    // One cheap config: the full grid is covered by the per-config tests.
-    let grid = vec![MatchedConfig::new(DiffAqm::Pi2, DiffTraffic::Scalable)];
+fn grid_report_streams_parseable_jsonl_from_one_packet_run_per_cell() {
     let mut out: Vec<u8> = Vec::new();
-    let report = run_grid(&grid, &mut out).expect("writing to a Vec cannot fail");
-    assert_eq!(report.configs.len(), 1);
+    let report = run_grid(&grid(), &bands(), &mut std::io::sink(), &mut out)
+        .expect("writing to a Vec cannot fail");
+    assert_eq!(report.cells.len(), 7, "packet reference runs");
+    assert_eq!(report.pairs().count(), 13, "judged (cell, model) pairs");
+    for cell in &report.cells {
+        let p = cell.packet;
+        let reference = [p.signal, p.qdelay_s, p.rate_ratio, p.utilization].map(f64::to_bits);
+        for pair in &cell.pairs {
+            for (m, want) in pair.metrics.iter().zip(reference) {
+                assert_eq!(
+                    m.packet.to_bits(),
+                    want,
+                    "{}/{}: {}",
+                    cell.name,
+                    pair.model.name(),
+                    m.metric
+                );
+            }
+        }
+    }
     let text = String::from_utf8(out).expect("report is UTF-8");
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 2, "one config line + one summary line");
-    assert!(lines[0].starts_with("{\"config\":\"pi2-scal\""));
-    assert!(lines[0].contains("\"metric\":\"signal_prob\""));
-    assert!(lines[0].contains("\"metric\":\"qdelay_s\""));
-    assert!(lines[0].contains("\"metric\":\"rate_ratio\""));
-    assert!(lines[1].starts_with("{\"summary\":"));
-    assert!(lines[1].contains(&format!("\"pass\":{}", report.all_pass)));
+    assert_eq!(lines.len(), 14, "one line per pair + one summary line");
+    assert!(lines[5].starts_with("{\"config\":\"pi2-scal\",\"model\":\"ode\""));
+    for metric in ["signal_prob", "qdelay_s", "rate_ratio"] {
+        assert!(lines[5].contains(&format!("\"metric\":\"{metric}\"")));
+    }
+    assert!(!lines[5].contains("utilization") && lines[6].contains("\"metric\":\"utilization\""));
+    assert!(lines[13].starts_with("{\"summary\":{\"cells\":7,\"pairs\":13,"));
+    assert!(lines[13].contains(&format!("\"pass\":{}", report.failed().is_empty())));
     for line in lines {
+        assert!(line.contains("\"achieved\":") || line.starts_with("{\"summary\""));
         assert_eq!(
             line.matches('{').count(),
             line.matches('}').count(),
             "balanced braces in {line}"
         );
     }
-}
-
-/// The standard grid covers every encoder and both window laws.
-#[test]
-fn default_grid_is_the_full_cross_product() {
-    assert_eq!(default_grid().len(), 6);
 }

@@ -86,9 +86,10 @@ fn rate_and_mss_scale_together_without_changing_dynamics() {
 /// so this cross-checks the whole decision path, not the controller.
 #[test]
 fn coupled_aqm_obeys_the_k2_coupling_law() {
-    let run = coupling_scenario(2, 2, 5).run();
-    let p_classic = label_signal(&run, "classic");
-    let p_scal = label_signal(&run, "scal");
+    let sc = coupling_scenario(2, 2, 5);
+    let run = sc.run();
+    let p_classic = label_signal(&sc, &run, "classic");
+    let p_scal = label_signal(&sc, &run, "scal");
     assert!(
         p_classic > 1e-4 && p_scal > 1e-3,
         "both classes must see congestion (classic {p_classic:.5}, scal {p_scal:.5})"
@@ -105,9 +106,10 @@ fn coupled_aqm_obeys_the_k2_coupling_law() {
 #[test]
 fn coupling_law_holds_across_seeds() {
     for seed in [1u64, 99] {
-        let run = coupling_scenario(2, 2, seed).run();
-        let p_classic = label_signal(&run, "classic");
-        let p_scal = label_signal(&run, "scal");
+        let sc = coupling_scenario(2, 2, seed);
+        let run = sc.run();
+        let p_classic = label_signal(&sc, &run, "classic");
+        let p_scal = label_signal(&sc, &run, "scal");
         let predicted = (p_scal / 2.0) * (p_scal / 2.0);
         assert!(
             (p_classic - predicted).abs() <= 0.40 * predicted + 0.002,

@@ -55,9 +55,10 @@ proptest! {
         n_scal in 1usize..4,
         seed in 0u64..1_000_000,
     ) {
-        let run = coupling_scenario(n_classic, n_scal, seed).run();
-        let p_classic = label_signal(&run, "classic");
-        let p_scal = label_signal(&run, "scal");
+        let sc = coupling_scenario(n_classic, n_scal, seed);
+        let run = sc.run();
+        let p_classic = label_signal(&sc, &run, "classic");
+        let p_scal = label_signal(&sc, &run, "scal");
         prop_assume!(p_classic > 1e-4 && p_scal > 1e-3);
         let predicted = (p_scal / 2.0) * (p_scal / 2.0);
         prop_assert!(

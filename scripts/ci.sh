@@ -16,7 +16,7 @@ echo "== line budget: crates/*/src may not grow"
 # held to its value when this stage was added (PR 21). A PR that shrinks
 # crates/*/src lowers the constant; one that has to grow it raises the
 # constant and says why on this line.
-src_budget=34477
+src_budget=34270
 src_lines="$(find crates/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 all_lines="$(find crates tests examples src -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 echo "Rust lines: crates/*/src $src_lines (budget $src_budget), crates tests examples src $all_lines"
@@ -90,12 +90,12 @@ cargo run -q -p pi2-bench --release --bin perfetto_lint -- "$trace_out.perfetto.
 rm -f "$trace_out.csv" "$trace_out.perfetto.json"
 
 echo "== every --aqm name builds, runs and audits clean"
-# pi2sim holds one --aqm name -> configuration table and cli::AQMS the
-# accepted names; a name in one and not the other must fail here, not at
-# a user's prompt. The usage text lists AQMS joined by '|'.
+# cli::AQMS is the one --aqm name -> configuration table; the usage text
+# lists its names joined by '|'. Every row must survive a short run with
+# the invariant auditor attached.
 aqm_names="$(cargo run -q -p pi2-bench --release --bin pi2sim -- --help 2>&1 \
     | sed -n 's/^ *--aqm <name> *one of \([^ ]*\) .*/\1/p' | tr '|' ' ')"
-test "$(echo $aqm_names | wc -w)" -ge 11
+test -n "$aqm_names"
 for aqm in $aqm_names; do
     aqm_log="$(cargo run -q -p pi2-bench --release --bin pi2sim -- \
         --aqm "$aqm" --secs 2 --warmup 1 --audit)"
@@ -158,7 +158,7 @@ PI2_SECS=2 PI2_THREADS=4 cargo run -q -p pi2-bench --release --bin pi2fig -- gri
 diff /tmp/pi2_grid_serial.txt /tmp/pi2_grid_par.txt
 rm -f /tmp/pi2_grid_serial.txt /tmp/pi2_grid_par.txt
 
-echo "== archive matches code: every archived figure, full scale, byte for byte"
+echo "== archive matches code: every archived figure and validate_grid, full scale, byte for byte"
 # results/<id>.txt is what `pi2fig <id>` prints at the default knobs, for
 # every row `pi2fig list` marks archived (id is the first field, the mark
 # the fourth). Each is regenerated at full scale — about 20 s of wall
@@ -172,16 +172,28 @@ fig_ids="$(awk '{ print $1 }' <<< "$fig_list")"
 archived_ids="$(awk '$4 == "archived" { print $1 }' <<< "$fig_list")"
 test "$(wc -w <<< "$archived_ids")" -ge 26
 fig_out="$(mktemp -t pi2_fig.XXXXXX.txt)"
-for id in $archived_ids; do
-    env -u PI2_SECS -u PI2_SEED target/release/pi2fig "$id" > "$fig_out" 2> /dev/null
-    if ! cmp -s "$fig_out" "results/$id.txt"; then
-        echo "FAIL: results/$id.txt is not what the code prints (first differences below);" >&2
-        echo "      regenerate: env -u PI2_SECS -u PI2_SEED target/release/pi2fig $id > results/$id.txt" >&2
-        diff "results/$id.txt" "$fig_out" | head -20 >&2 || true
+archive_matches() {  # <results file> <command...>: its stdout is the file
+    local file="$1" rc=0
+    shift
+    env -u PI2_SECS -u PI2_SEED "$@" > "$fig_out" 2> /dev/null || rc=$?
+    if [ "$rc" -ne 0 ] || ! cmp -s "$fig_out" "$file"; then
+        echo "FAIL: $file is not what the code prints (exit $rc, first differences below);" >&2
+        echo "      regenerate: env -u PI2_SECS -u PI2_SEED $* > $file" >&2
+        diff "$file" "$fig_out" | head -20 >&2 || true
         rm -f "$fig_out"
         exit 1
     fi
+}
+for id in $archived_ids; do
+    archive_matches "results/$id.txt" target/release/pi2fig "$id"
 done
+# The model-agreement grid (crates/validate/src/differential.rs): 7 cells
+# run once each on the packet engine, 13 (cell, model) pairs — delay-ODE,
+# flow-level engine, hybrid mode — judged against them. validate_grid
+# exits non-zero if any metric leaves its band; the archive holds the
+# achieved disagreement beside each band, so a validated number that
+# moves *inside* its band is a diff here, not a silent pass.
+archive_matches results/validate_grid.txt target/release/validate_grid
 rm -f "$fig_out"
 # An id that is not in the table is a usage error (exit 2), not a panic.
 rc=0; target/release/pi2fig no_such_figure > /dev/null 2>&1 || rc=$?
@@ -378,19 +390,10 @@ grep -q '^# restored' "$cxl_dir/resumed.stdout"
 diff "$cxl_dir/straight.json" "$cxl_dir/resumed.json"
 rm -rf "$cxl_dir"
 
-echo "== differential validation: packet sim vs fluid model (6 configs)"
-# Gates CI: validate_grid exits non-zero if any metric leaves its
-# documented tolerance band (see crates/validate/src/differential.rs).
-cargo run -q -p pi2-bench --release --bin validate_grid > /dev/null
-
-echo "== hybrid/fluid backend smoke: conformance, CLI sweep, 100k-flow fluid run"
-# The backend conformance suite (tests/hybrid.rs): the paper's scenario
-# grid under packet, fluid and hybrid, judged against the shared
-# pi2_validate::bands() table, plus the zero-background identity and
-# seed-determinism oracles. The binaries are already built by the
-# workspace test stage, so this re-run is seconds — it keeps the stage
-# self-contained when invoked piecemeal.
-cargo test -q --release --test hybrid
+echo "== hybrid/fluid backend smoke: CLI sweep, 100k-flow fluid run"
+# (Agreement of the fluid and hybrid backends with the packet engine is
+# the validate_grid line of the archive stage above; the identity and
+# determinism oracles of tests/hybrid.rs ran with tier-1.)
 hyb_dir="$(mktemp -d -t pi2_hybrid_smoke.XXXXXX)"
 trap 'rm -rf "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$hyb_dir"' EXIT
 # Small hybrid sweep over the CLI: 2 packet foreground flows riding on an

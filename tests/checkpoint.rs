@@ -20,12 +20,13 @@
 use pi2::aqm::{
     Codel, CodelConfig, CoupledPi2, CoupledPi2Config, CurvyRed, CurvyRedConfig, DualPi2,
     DualPi2Config, FqConfig, FqDrr, Pi, PiConfig, Pi2, Pi2Config, Pie, PieConfig, Red, RedConfig,
+    StepMarkConfig,
 };
 use pi2::experiments::runner::par_map_threads;
-use pi2::experiments::{AqmKind, BgGroup, FluidBackground};
+use pi2::experiments::{AqmKind, BgGroup, FlowGroup, FluidBackground, Scenario};
 use pi2::netsim::{AuditSink, Event, JsonlSink, Qdisc, QueueSnapshot, TimerKind};
 use pi2::prelude::*;
-use pi2::simcore::CkptError;
+use pi2::simcore::{CkptError, CkptWriter};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -312,11 +313,21 @@ fn oracle(cell: &Cell, snap_at: Time) -> Option<String> {
 /// built simulator.
 fn oracle_from(cell: &Cell, at: &str, advance: impl Fn(&mut Sim)) -> Option<String> {
     let tag = format!("{}×{} {at}", cell.aqm, cell.mix);
+    oracle_with(&tag, cell.seed, || build_sim(cell), advance)
+}
 
+/// The oracle over any way to build the simulator: `build` is called
+/// three times and must describe the same run each time.
+fn oracle_with(
+    tag: &str,
+    seed: u64,
+    build: impl Fn() -> Sim,
+    advance: impl Fn(&mut Sim),
+) -> Option<String> {
     // Arm P: run to the snapshot point, save. Its trace is the prefix the
     // restored arm must never re-emit.
-    let mut p_sim = build_sim(cell);
-    let p_sink = observe(&mut p_sim, cell.seed);
+    let mut p_sim = build();
+    let p_sink = observe(&mut p_sim, seed);
     advance(&mut p_sim);
     // run_until stops on the last event at or before `snap_at`; the
     // restored clock must match the clock at save time, not the nominal
@@ -326,8 +337,8 @@ fn oracle_from(cell: &Cell, at: &str, advance: impl Fn(&mut Sim)) -> Option<Stri
     let prefix = trace_bytes(&mut p_sim, p_sink);
 
     // Arm F: the straight-through reference.
-    let mut f_sim = build_sim(cell);
-    let f_sink = observe(&mut f_sim, cell.seed);
+    let mut f_sim = build();
+    let f_sink = observe(&mut f_sim, seed);
     f_sim.run_until(T_END);
     let f_obs = observables(f_sim, f_sink);
     if !f_obs.trace.starts_with(&prefix) {
@@ -336,8 +347,8 @@ fn oracle_from(cell: &Cell, at: &str, advance: impl Fn(&mut Sim)) -> Option<Stri
 
     // Arm R: fresh sim, restore, replay. The auditor is attached before
     // restore (it re-baselines); the trace sink only ever sees the suffix.
-    let mut r_sim = build_sim(cell);
-    let r_sink = observe(&mut r_sim, cell.seed);
+    let mut r_sim = build();
+    let r_sink = observe(&mut r_sim, seed);
     if let Err(e) = r_sim.restore(&blob) {
         return Some(format!("{tag}: restore failed: {e:?}"));
     }
@@ -430,6 +441,87 @@ fn restore_replay_is_bit_identical_across_the_grid() {
             failures.join("\n")
         );
     }
+}
+
+/// Whether a policy carries mutable state a checkpoint must hold. No
+/// wildcard arm: a thirteenth `AqmKind` does not compile until it is
+/// classified here and added to the list below.
+fn stateful(kind: &AqmKind) -> bool {
+    match kind {
+        AqmKind::TailDrop | AqmKind::FixedProb(_) => false,
+        AqmKind::Pie(_)
+        | AqmKind::Pi2(_)
+        | AqmKind::Pi(_)
+        | AqmKind::Coupled(_)
+        | AqmKind::Red(_)
+        | AqmKind::Codel(_)
+        | AqmKind::DualQ(_)
+        | AqmKind::Fq(_)
+        | AqmKind::Curvy(_)
+        | AqmKind::StepMark(_) => true,
+    }
+}
+
+/// Every `AqmKind` variant through restore ≡ replay, built the way every
+/// experiment builds it (`Scenario::build`): save at t/2, restore into a
+/// fresh build, and the replay must be the straight-through run. A
+/// stateful policy must also *write* something: one whose `save_ckpt`
+/// falls through to the trait's silent no-op default fails here by name
+/// even if the state it lost happens not to move this short cell.
+#[test]
+fn every_aqm_kind_restores_to_the_run_that_never_stopped() {
+    let kinds = [
+        AqmKind::pie_default(),
+        AqmKind::pi2_default(),
+        AqmKind::Pi(PiConfig::default()),
+        AqmKind::coupled_default(),
+        AqmKind::Red(RedConfig::default()),
+        AqmKind::Codel(CodelConfig::default()),
+        AqmKind::TailDrop,
+        AqmKind::dualq_default(RATE),
+        AqmKind::Fq(FqConfig::for_link(RATE)),
+        AqmKind::Curvy(CurvyRedConfig::default()),
+        AqmKind::FixedProb(0.02),
+        AqmKind::StepMark(StepMarkConfig::default()),
+    ];
+    let mut names: Vec<&str> = kinds.iter().map(AqmKind::name).collect();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), 12, "one cell per AqmKind variant: {names:?}");
+
+    let queue = QueueConfig { rate_bps: RATE, buffer_bytes: 40_000 * 1500 };
+    let failures: Vec<String> = par_map_threads(2, &kinds, |kind| {
+        let name = kind.name();
+        // The policy's own section of the blob: the AQM's behind a FIFO,
+        // the whole qdisc's for the two that are one.
+        let mut section = CkptWriter::new();
+        match kind {
+            AqmKind::DualQ(_) | AqmKind::Fq(_) => kind.build_qdisc(queue).save_ckpt(&mut section),
+            _ => kind.build().save_ckpt(&mut section),
+        }
+        if stateful(kind) == section.is_empty() {
+            return Some(format!(
+                "{name}: stateful = {}, but save_ckpt wrote {} bytes",
+                stateful(kind),
+                section.len()
+            ));
+        }
+        let mut sc = Scenario::new(kind.clone(), RATE);
+        let rtt = Duration::from_millis(20);
+        sc.tcp.push(FlowGroup::new(2, CcKind::Reno, EcnSetting::NotEcn, "reno", rtt));
+        sc.tcp.push(FlowGroup::new(2, CcKind::Dctcp, EcnSetting::Scalable, "dctcp", rtt));
+        sc.duration = T_END;
+        sc.warmup = Duration::from_secs(1);
+        sc.seed = 31;
+        let half = Time::from_secs(2);
+        oracle_with(name, sc.seed, || sc.build().expect("a dumbbell builds"), |sim| {
+            sim.run_until(half)
+        })
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 /// Pending timer events of `flow` that satisfy `kind`, in pop order.

@@ -1,17 +1,14 @@
-//! Backend conformance suite: the paper's scenario grid under all three
-//! execution backends (`packet`, `fluid`, `hybrid`), certified against
-//! the shared `pi2_validate::bands()` tolerance table.
+//! Backend conformance suite: the one model-agreement grid
+//! (`pi2_validate::grid()`) under all three execution backends, plus the
+//! hybrid identity and determinism oracles.
 //!
 //! The contract under test:
 //!
-//! * **fluid** — compiling a scenario onto the flow-level engine (no
-//!   packet events at all) lands inside the same per-metric bands the
-//!   fluid⇄packet differential harness uses: congestion-signal
-//!   probability, mean queue delay, utilization, and a rate ratio of
-//!   exactly 1 for identical flows;
-//! * **hybrid** — moving most of a scenario's population into the fluid
-//!   background aggregate must not move the foreground's steady state
-//!   outside those bands relative to the all-packet reference;
+//! * **agreement** — every (cell, model) pair of the grid — the delay-ODE,
+//!   the flow-level engine (no packet events at all) and hybrid mode (most
+//!   of the population moved into the fluid background aggregate) — lands
+//!   inside the `pi2_validate::bands()` table against the cell's
+//!   all-packet reference;
 //! * **identity** — a hybrid run with zero background flows is the
 //!   packet run, bit for bit (event trace, metrics registry JSON,
 //!   monitor accounts), under the parallel sweep executor at 1, 2 and
@@ -20,165 +17,33 @@
 //!   including the background's granted-rate track.
 
 use pi2::experiments::runner::par_map_threads;
-use pi2::experiments::{
-    run_fluid, summarize_scenario_run, AqmKind, Backend, BackendSummary, BgGroup, FlowGroup,
-    RunResult, Scenario,
-};
+use pi2::experiments::{Backend, BgGroup, RunResult, Scenario};
 use pi2::netsim::JsonlSink;
 use pi2::prelude::*;
-use pi2::validate::bands;
+use pi2::validate::differential::BASE_RTT;
+use pi2::validate::{bands, grid, run_grid, Cell};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// One conformance cell: an AQM family × a homogeneous traffic class,
-/// at the differential harness's operating point (12 Mb/s, 50 ms RTT,
-/// 5 flows, 60 s with a 20 s warm-up).
-#[derive(Clone, Copy, Debug)]
-struct Cell {
-    name: &'static str,
-    aqm: fn() -> AqmKind,
-    cc: CcKind,
-    ecn: EcnSetting,
-    /// Judge the pure-fluid backend against the packet reference. Off
-    /// for DualPI2: its L queue step-marks at the ~1 ms threshold, which
-    /// no PI fluid law reproduces — the packet side settles an order of
-    /// magnitude below the Classic target. (Hybrid mode is unaffected:
-    /// the background feeds on the real AQM's probed probabilities.)
-    fluid: bool,
+/// A cell of the validate grid, by name.
+fn cell(name: &str) -> Cell {
+    let found = grid().into_iter().find(|c| c.name == name);
+    found.unwrap_or_else(|| panic!("no cell {name} in the grid"))
 }
 
-/// The grid covers every fluid-encodable controller family (Squared,
-/// Direct, TunedDirect, and both coupled variants) and both window laws.
-const GRID: &[Cell] = &[
-    Cell {
-        name: "pi2-reno",
-        aqm: || AqmKind::Pi2(pi2::aqm::Pi2Config::default()),
-        cc: CcKind::Reno,
-        ecn: EcnSetting::NotEcn,
-        fluid: true,
-    },
-    Cell {
-        name: "coupled-scal",
-        aqm: || AqmKind::Coupled(pi2::aqm::CoupledPi2Config::default()),
-        cc: CcKind::ScalableHalfPkt,
-        ecn: EcnSetting::Scalable,
-        fluid: true,
-    },
-    Cell {
-        name: "pie-reno",
-        aqm: || AqmKind::Pie(pi2::aqm::PieConfig::paper_default()),
-        cc: CcKind::Reno,
-        ecn: EcnSetting::NotEcn,
-        fluid: true,
-    },
-    Cell {
-        name: "dualq-scal",
-        aqm: || AqmKind::DualQ(pi2::aqm::DualPi2Config::for_link(RATE)),
-        cc: CcKind::ScalableHalfPkt,
-        ecn: EcnSetting::Scalable,
-        fluid: false,
-    },
-];
-
-const RATE: u64 = 12_000_000;
-const N_FLOWS: usize = 5;
-const FG_FLOWS: usize = 2;
-const RTT: Duration = Duration::from_millis(50);
-
-/// The all-packet reference scenario: every flow is a real TCP source.
-fn packet_scenario(cell: &Cell) -> Scenario {
-    let mut sc = Scenario::new((cell.aqm)(), RATE);
-    sc.tcp
-        .push(FlowGroup::new(N_FLOWS, cell.cc, cell.ecn, "fg", RTT));
-    sc.duration = Time::from_secs(60);
-    sc.warmup = Duration::from_secs(20);
-    sc.seed = 7;
-    sc
-}
-
-/// The hybrid counterpart: the same population, but only `FG_FLOWS` stay
-/// packet-level — the rest ride in the fluid background aggregate.
-fn hybrid_scenario(cell: &Cell) -> Scenario {
-    let mut sc = packet_scenario(cell);
-    sc.tcp[0].count = FG_FLOWS;
-    sc.backend = Backend::Hybrid;
-    sc.background = vec![BgGroup::new(N_FLOWS - FG_FLOWS, cell.cc, RTT, "bg")];
-    sc
-}
-
-fn check(cell: &str, backend: &str, metric: &str, got: f64, reference: f64, tol: pi2::validate::Tol) -> Option<String> {
-    if tol.ok(reference, got) {
-        None
-    } else {
-        Some(format!(
-            "{cell}/{backend}: {metric} {got:.5} vs packet {reference:.5} \
-             (band rel {} abs {})",
-            tol.rel, tol.abs
-        ))
-    }
-}
-
-/// Judge a backend's summary against the packet reference under the
-/// shared validate bands. The fluid side's identical flows make its
-/// rate ratio exactly 1, so the packet reference is judged against 1 the
-/// same way the differential harness does it.
-fn judge(cell: &str, backend: &str, got: &BackendSummary, reference: &BackendSummary) -> Vec<String> {
-    let b = bands();
-    [
-        check(cell, backend, "signal", got.signal, reference.signal, b.signal),
-        check(cell, backend, "qdelay_s", got.qdelay_s, reference.qdelay_s, b.qdelay),
-        check(cell, backend, "utilization", got.utilization, reference.utilization, b.util),
-        check(cell, backend, "rate_ratio", got.rate_ratio, reference.rate_ratio, b.rate_ratio),
-    ]
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// The conformance headline: every grid cell, all three backends, every
-/// metric inside the shared tolerance bands.
+/// The conformance headline: every grid cell, every model judged on it,
+/// every metric inside the shared tolerance bands.
 #[test]
 fn all_backends_agree_inside_the_validate_bands() {
-    let failures: Vec<String> = par_map_threads(2, GRID, |cell| {
-        let mut fails = Vec::new();
-
-        let psc = packet_scenario(cell);
-        let pref = summarize_scenario_run(&psc, &psc.run());
-
-        // Fluid: the whole population on the flow-level engine.
-        if cell.fluid {
-            let fluid = run_fluid(&psc).expect("grid cells are fluid-encodable");
-            fails.extend(judge(cell.name, "fluid", &fluid.summary, &pref));
-            assert!(
-                (fluid.summary.rate_ratio - 1.0).abs() < 1e-9,
-                "{}: identical fluid flows must share exactly (ratio {})",
-                cell.name,
-                fluid.summary.rate_ratio
-            );
-        }
-
-        // Hybrid: 2 packet foreground flows + 3 in the fluid background.
-        let hsc = hybrid_scenario(cell);
-        let hrun = hsc.run();
-        let bg = hrun.background.as_ref().expect("hybrid run has background");
-        assert_eq!(bg.flow_count, (N_FLOWS - FG_FLOWS) as u64);
-        assert!(bg.ticks > 0, "{}: background never ticked", cell.name);
-        fails.extend(judge(
-            cell.name,
-            "hybrid",
-            &summarize_scenario_run(&hsc, &hrun),
-            &pref,
-        ));
-        fails
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    let mut table = Vec::new();
+    let report = run_grid(&grid(), &bands(), &mut table, &mut std::io::sink())
+        .expect("writing to a Vec cannot fail");
+    let failed = report.failed();
     assert!(
-        failures.is_empty(),
-        "{} conformance violations:\n{}",
-        failures.len(),
-        failures.join("\n")
+        failed.is_empty(),
+        "{} conformance violations: {failed:?}\n{}",
+        failed.len(),
+        String::from_utf8_lossy(&table)
     );
 }
 
@@ -214,7 +79,7 @@ fn fingerprint(sc: &Scenario) -> Fingerprint {
 /// event, and the observed run is the bare `run()`, bit for bit.
 #[test]
 fn a_sink_attached_after_build_sees_the_whole_run_and_changes_nothing() {
-    let mut sc = hybrid_scenario(&GRID[0]);
+    let mut sc = cell("pi2-reno").hybrid_scenario();
     sc.duration = Time::from_secs(8);
     sc.warmup = Duration::from_secs(2);
     sc.seed = 55;
@@ -246,16 +111,16 @@ fn a_sink_attached_after_build_sees_the_whole_run_and_changes_nothing() {
 /// under the parallel executor at 1, 2 and 4 workers.
 #[test]
 fn zero_background_hybrid_is_bit_identical_to_packet() {
-    let cells: Vec<(&Cell, u64)> = vec![(&GRID[0], 101), (&GRID[1], 102), (&GRID[3], 103)];
+    let cells = [(cell("pi2-reno"), 101u64), (cell("pi2-scal"), 102), (cell("dualq-scal"), 103)];
     for threads in [1usize, 2, 4] {
         let failures: Vec<String> = par_map_threads(threads, &cells, |(cell, seed)| {
-            let mut packet = packet_scenario(cell);
+            let mut packet = cell.packet_scenario();
             packet.duration = Time::from_secs(6);
             packet.warmup = Duration::from_secs(2);
             packet.seed = *seed;
             let mut hybrid = packet.clone();
             hybrid.backend = Backend::Hybrid;
-            hybrid.background = vec![BgGroup::new(0, cell.cc, RTT, "bg")];
+            hybrid.background = vec![BgGroup::new(0, cell.cc, BASE_RTT, "bg")];
 
             let p = fingerprint(&packet);
             let h = fingerprint(&hybrid);
@@ -289,7 +154,7 @@ fn zero_background_hybrid_is_bit_identical_to_packet() {
 #[test]
 fn hybrid_runs_are_seed_deterministic() {
     let make = || {
-        let mut sc = hybrid_scenario(&GRID[0]);
+        let mut sc = cell("pi2-reno").hybrid_scenario();
         sc.duration = Time::from_secs(8);
         sc.warmup = Duration::from_secs(2);
         sc.seed = 55;

@@ -46,12 +46,14 @@ const RULES: &[Rule] = &[
             "PI2_PERF_TOL",
             "PI2_OVERHEAD_GATE",
             "PI2_OVERHEAD_TOL",
+            "PI2_PROFILE",
         ],
         roots: &["crates", "scripts", "tests", "examples", "src"],
         allowed: &["tests/repo_invariants.rs"],
         up_to: None,
         why: "there is one perf instrument, benchmark/; the second one's history file is a \
-              frozen record no code reads or writes, and its knobs are gone",
+              frozen record no code reads or writes, and its knobs are gone — as is the \
+              environment's way to attach the profiler (--profile, Sim::enable_profiler)",
     },
 ];
 

@@ -1,4 +1,5 @@
-//! Argument parsing for the `pi2sim` command-line runner.
+//! Argument parsing for the `pi2sim` command-line runner, and the one
+//! function from the parsed line to the [`Scenario`] it describes.
 //!
 //! Hand-rolled (the workspace has no runtime dependencies) but complete:
 //! units for rates (`10M`, `2.5G`, `400k`) and times (`20ms`, `1s`,
@@ -9,8 +10,11 @@ use pi2_aqm::{
     CodelConfig, CoupledPi2Config, CurvyRedConfig, DualPi2Config, FqConfig, Pi2Config, PiConfig,
     PieConfig, RedConfig,
 };
-use pi2_experiments::AqmKind;
-use pi2_simcore::Duration;
+use pi2_experiments::dynamics::{self, Disturbance};
+use pi2_experiments::topology::{self, TopologyKind};
+use pi2_experiments::{AqmKind, Backend, BgGroup, FlowGroup, RunResult, Scenario, UdpGroup};
+use pi2_netsim::{ImpairmentConf, LinkImpairments};
+use pi2_simcore::{Duration, Time};
 use pi2_transport::{CcKind, EcnSetting};
 
 /// A parsed flow group request.
@@ -66,11 +70,11 @@ pub struct CliArgs {
     /// Attach the event-loop self-profiler and print the per-class
     /// breakdown.
     pub profile: bool,
-    /// Named scenario family to run instead of a single dumbbell run:
-    /// `dynamics` (step-response disturbances for PIE vs PI2 vs DualPI2)
-    /// or `topology` (multi-hop parking-lot / access-core layouts under
-    /// heavy-tailed mice cross-traffic).
-    pub scenario: Option<String>,
+    /// A family cell to run in place of the dumbbell `--rate`, `--rtt`,
+    /// `--flows`, `--udp`, `--secs` and `--warmup` describe; `rate_bps`
+    /// then holds the cell's link rate, so a rate-dependent `--aqm` row is
+    /// built for it.
+    pub scenario: Option<Cell>,
     /// Path impairment: per-packet random loss probability, applied
     /// symmetrically to both directions. 0 (the default) is exact
     /// identity — no impairment layer is attached at all.
@@ -91,8 +95,8 @@ pub struct CliArgs {
     pub restore: Option<String>,
     /// Serve live metrics/progress over HTTP from this address (e.g.
     /// `127.0.0.1:9100`; port 0 picks an ephemeral port, printed to
-    /// stderr). `GET /cancel` stops the run gracefully: single runs
-    /// checkpoint for `--restore`, sweeps stop at the next cell boundary.
+    /// stderr). `GET /cancel` stops the run gracefully, leaving a
+    /// checkpoint for `--restore`.
     pub serve: Option<String>,
     /// Execution backend: `packet` (default, per-packet events), `fluid`
     /// (flow-level ODE, no packets — scales to millions of flows), or
@@ -152,6 +156,11 @@ fn aqm_names() -> Vec<&'static str> {
     AQMS.iter().map(|(name, _)| *name).collect()
 }
 
+/// The `--scenario` names, in table order.
+fn cell_names() -> Vec<String> {
+    Cell::all().into_iter().map(Cell::name).collect()
+}
+
 impl CliArgs {
     /// The AQM `--aqm`, `--target` and `--rate` describe.
     ///
@@ -204,15 +213,130 @@ impl Default for CliArgs {
 }
 
 impl CliArgs {
-    /// True when any impairment knob is set (a weather layer must be
-    /// attached).
-    pub fn impaired(&self) -> bool {
-        self.loss > 0.0 || self.dup > 0.0 || self.jitter > Duration::ZERO
+    /// The `--loss/--dup/--jitter` knobs as an impairment layer; `None`
+    /// when all are zero.
+    pub fn weather(&self) -> Option<LinkImpairments> {
+        weather(
+            self.seed,
+            ImpairmentConf {
+                loss: self.loss,
+                dup: self.dup,
+                jitter: self.jitter,
+            },
+        )
+    }
+
+    /// The scenario the command line describes, for whichever backend
+    /// runs it: the `--scenario` cell as its family builds it, else the
+    /// dumbbell; sojourns recorded per flow, under the weather asked for.
+    pub fn to_scenario(&self) -> Scenario {
+        let mut sc = match self.scenario {
+            Some(cell) => cell.scenario(self.aqm_kind(), self.seed),
+            None => self.dumbbell(),
+        };
+        sc.per_flow_sojourns = true;
+        sc.impairments = self.weather();
+        sc
+    }
+
+    fn dumbbell(&self) -> Scenario {
+        let mut sc = Scenario::new(self.aqm_kind(), self.rate_bps);
+        for spec in &self.flows {
+            sc.tcp
+                .push(FlowGroup::new(spec.count, spec.cc, spec.ecn, &spec.label, self.rtt));
+        }
+        if let Some(rate_bps) = self.udp_bps {
+            sc.udp.push(UdpGroup {
+                rate_bps,
+                ..UdpGroup::paper_probes(1, self.rtt)
+            });
+        }
+        sc.duration = Time::from_secs(self.secs);
+        sc.warmup = Duration::from_secs(self.warmup_secs as i64);
+        sc.seed = self.seed;
+        sc.backend = Backend::parse(&self.backend).expect("validated backend");
+        sc.background = self
+            .bg_flows
+            .iter()
+            .map(|s| BgGroup::new(s.count, s.cc, self.rtt, &s.label))
+            .collect();
+        // The fluid trajectory (`--csv`) is sampled every 100 ms; packet runs
+        // keep the monitor's 1 s tick.
+        if sc.backend == Backend::Fluid {
+            sc.sample_interval = Duration::from_millis(100);
+        }
+        sc
     }
 }
 
-/// The scenario families `--scenario` accepts.
-pub const SCENARIOS: &[&str] = &["dynamics", "topology"];
+/// Decorrelates the weather layer's RNG stream from the simulator's root
+/// stream when both derive from the same seed.
+const WEATHER_SEED_XOR: u64 = 0x57EA_7AE5_0DD5_EED5;
+
+/// `conf` applied symmetrically to both directions of a run seeded with
+/// `seed`; `None` when every knob is zero.
+pub fn weather(seed: u64, conf: ImpairmentConf) -> Option<LinkImpairments> {
+    let imp = LinkImpairments::new(seed ^ WEATHER_SEED_XOR).symmetric(conf);
+    (!imp.is_off()).then_some(imp)
+}
+
+/// One cell of a scenario family, which `--scenario` names
+/// `<family>/<cell>`. The family's whole table is a `pi2fig` row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Cell {
+    /// A step-response disturbance (`pi2fig ext_dynamics`).
+    Dynamics(Disturbance),
+    /// A multi-hop layout under mice cross-traffic (`pi2fig ext_topology`).
+    Topology(TopologyKind),
+}
+
+impl Cell {
+    /// Every cell, from the tables that define the families.
+    pub fn all() -> Vec<Cell> {
+        let dynamics = Disturbance::ALL.map(Cell::Dynamics);
+        dynamics.into_iter().chain(TopologyKind::ALL.map(Cell::Topology)).collect()
+    }
+
+    /// What `--scenario` calls the cell.
+    pub fn name(self) -> String {
+        match self {
+            Cell::Dynamics(d) => format!("dynamics/{}", d.name()),
+            Cell::Topology(kind) => format!("topology/{}", kind.name()),
+        }
+    }
+
+    /// The link rate a rate-dependent AQM is configured for, bits/s.
+    pub fn link_bps(self) -> u64 {
+        match self {
+            Cell::Dynamics(_) => dynamics::LINK_BPS,
+            Cell::Topology(_) => topology::LINK_BPS,
+        }
+    }
+
+    /// The cell under `aqm`, as its family's sweep builds it.
+    pub fn scenario(self, aqm: AqmKind, seed: u64) -> Scenario {
+        match self {
+            Cell::Dynamics(d) => dynamics::scenario_for(aqm, d, seed),
+            Cell::Topology(kind) => topology::scenario_for(kind, aqm, seed),
+        }
+    }
+
+    /// Timeline annotations `(second, label)` for a Perfetto trace.
+    pub fn marks(self) -> [(u64, &'static str); 2] {
+        match self {
+            Cell::Dynamics(d) => d.marks(),
+            Cell::Topology(_) => topology::MARKS,
+        }
+    }
+
+    /// The finished cell as its row of the family table, header included.
+    pub fn reduce(self, sc: &Scenario, r: &RunResult) -> String {
+        match self {
+            Cell::Dynamics(d) => dynamics::render_table(&[dynamics::report(d, r)]),
+            Cell::Topology(kind) => topology::render_table(&[topology::report(kind, sc, r)]),
+        }
+    }
+}
 
 /// The execution backends `--backend` accepts.
 pub const BACKENDS: &[&str] = &["packet", "fluid", "hybrid"];
@@ -383,13 +507,14 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             "--profile" => out.profile = true,
             "--scenario" => {
                 let v = value("--scenario")?;
-                if !SCENARIOS.contains(&v.as_str()) {
-                    return Err(format!(
-                        "unknown scenario '{v}' (one of {})",
-                        SCENARIOS.join(", ")
-                    ));
-                }
-                out.scenario = Some(v.clone());
+                let cell = Cell::all().into_iter().find(|c| c.name() == *v);
+                out.scenario = Some(cell.ok_or_else(|| {
+                    format!(
+                        "no scenario cell '{v}' (one of {}; the family tables are \
+                         pi2fig ext_dynamics and pi2fig ext_topology)",
+                        cell_names().join(", ")
+                    )
+                })?);
             }
             "--loss" => out.loss = parse_prob(value("--loss")?)?,
             "--dup" => out.dup = parse_prob(value("--dup")?)?,
@@ -422,31 +547,29 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
     if !out.bg_flows.is_empty() && out.backend != "hybrid" {
         return Err("--bg-flows needs --backend hybrid".to_string());
     }
-    if out.backend != "packet" && out.scenario.is_some() {
-        return Err("--scenario only runs on the packet backend".to_string());
+    if let Some(cell) = out.scenario {
+        if out.backend != "packet" {
+            return Err("--scenario only runs on the packet backend".to_string());
+        }
+        out.rate_bps = cell.link_bps();
     }
     // A flag a mode has no implementation for is an error, not a silent
-    // no-op: the families run their cells through the sweep runner, the
-    // fluid engine has no packets to observe. Rows: flag, given, and
-    // whether the selected mode lacks it.
-    let family = out.scenario.as_deref();
-    let fluid = out.backend == "fluid";
-    let not_a_single_run = family.is_some() || fluid;
+    // no-op: the fluid engine has no packets to observe. Rows: flag and
+    // whether it was given.
     let unsupported = [
-        ("--metrics-out", out.metrics_out.is_some(), not_a_single_run),
-        ("--profile", out.profile, not_a_single_run),
-        ("--checkpoint-out", out.checkpoint_out.is_some(), not_a_single_run),
-        ("--restore", out.restore.is_some(), not_a_single_run),
-        ("--trace", out.trace > 0, not_a_single_run),
-        ("--audit", out.audit, family == Some("dynamics") || fluid),
-        ("--loss/--dup/--jitter", out.impaired(), family == Some("topology") || fluid),
-        ("--trace-format csv", out.trace_format == TraceFormat::Csv, family.is_some()),
-        ("--trace-out", out.trace_out.is_some(), fluid),
-        ("--serve", out.serve.is_some(), fluid),
+        ("--metrics-out", out.metrics_out.is_some()),
+        ("--profile", out.profile),
+        ("--checkpoint-out", out.checkpoint_out.is_some()),
+        ("--restore", out.restore.is_some()),
+        ("--trace", out.trace > 0),
+        ("--audit", out.audit),
+        ("--loss/--dup/--jitter", out.weather().is_some()),
+        ("--trace-out", out.trace_out.is_some()),
+        ("--serve", out.serve.is_some()),
     ];
-    if let Some((flag, ..)) = unsupported.iter().find(|(_, given, lacks)| *given && *lacks) {
-        let mode = family.map_or("--backend fluid".to_string(), |f| format!("--scenario {f}"));
-        return Err(format!("{mode} does not support {flag}"));
+    let fluid = out.backend == "fluid";
+    if let Some((flag, _)) = unsupported.iter().find(|(_, given)| fluid && *given) {
+        return Err(format!("--backend fluid does not support {flag}"));
     }
     Ok(out)
 }
@@ -478,9 +601,12 @@ pub fn usage() -> String {
          \x20 --metrics-format <f> json (default) or prom, for --metrics-out\n\
          \x20 --profile         time the event loop per event class and print the\n\
          \x20                   breakdown\n\
-         \x20 --scenario <name> run a scenario family instead ({}):\n\
-         \x20                   dynamics = rate-step + flow-churn disturbances\n\
-         \x20                   for PIE vs PI2 vs DualPI2, with spike/settle table\n\
+         \x20 --scenario <cell> run one cell of a scenario family, not the dumbbell:\n\
+         \x20                   {}\n\
+         \x20                   The cell fixes link, flows and run length; --aqm,\n\
+         \x20                   --target, --seed, the weather and every observer\n\
+         \x20                   apply, and its row of the family table follows the\n\
+         \x20                   report. The tables: pi2fig ext_dynamics|ext_topology\n\
          \x20 --loss <p>        network weather: random loss probability (0.01 or 1%)\n\
          \x20 --dup <p>         network weather: duplication probability\n\
          \x20 --jitter <time>   network weather: max reordering jitter, e.g. 5ms\n\
@@ -497,7 +623,7 @@ pub fn usage() -> String {
          \x20 --bg-flows <list> hybrid only: fluid background population in --flows\n\
          \x20                   syntax, e.g. 1000xreno or 50000xreno,50000xdctcp",
         aqm_names().join("|"),
-        SCENARIOS.join(", ")
+        cell_names().join("\n                    ")
     )
 }
 
@@ -637,9 +763,9 @@ mod tests {
     #[test]
     fn weather_knobs_parse_and_default_off() {
         let d = parse_args(&[]).unwrap();
-        assert!(!d.impaired(), "weather must default off");
+        assert!(d.weather().is_none(), "weather must default off");
         let a = parse_args(&args("--loss 1% --dup 0.005 --jitter 5ms")).unwrap();
-        assert!(a.impaired());
+        assert!(a.weather().is_some());
         assert_eq!(a.loss, 0.01);
         assert_eq!(a.dup, 0.005);
         assert_eq!(a.jitter, Duration::from_millis(5));
@@ -677,7 +803,7 @@ mod tests {
         assert!(e.contains("unknown backend"));
         let e = parse_args(&args("--bg-flows 10xreno")).unwrap_err();
         assert!(e.contains("--backend hybrid"));
-        let e = parse_args(&args("--backend fluid --scenario dynamics")).unwrap_err();
+        let e = parse_args(&args("--backend fluid --scenario dynamics/rate-step")).unwrap_err();
         assert!(e.contains("packet backend"));
     }
 
@@ -694,20 +820,6 @@ mod tests {
     }
 
     rejected! {
-        dynamics_rejects_metrics_out: "--scenario dynamics --metrics-out m.json" => "--scenario dynamics", "--metrics-out";
-        dynamics_rejects_profile: "--scenario dynamics --profile" => "--scenario dynamics", "--profile";
-        dynamics_rejects_checkpoint_out: "--scenario dynamics --checkpoint-out c.ckpt --checkpoint-at 3s" => "--scenario dynamics", "--checkpoint-out";
-        dynamics_rejects_restore: "--scenario dynamics --restore c.ckpt" => "--scenario dynamics", "--restore";
-        dynamics_rejects_trace: "--scenario dynamics --trace 20" => "--scenario dynamics", "--trace";
-        dynamics_rejects_audit: "--scenario dynamics --audit" => "--scenario dynamics", "--audit";
-        topology_rejects_metrics_out: "--scenario topology --metrics-out m.json" => "--scenario topology", "--metrics-out";
-        topology_rejects_profile: "--scenario topology --profile" => "--scenario topology", "--profile";
-        topology_rejects_checkpoint_out: "--scenario topology --checkpoint-out c.ckpt" => "--scenario topology", "--checkpoint-out";
-        topology_rejects_restore: "--scenario topology --restore c.ckpt" => "--scenario topology", "--restore";
-        topology_rejects_trace: "--scenario topology --trace 20" => "--scenario topology", "--trace";
-        topology_rejects_weather: "--scenario topology --loss 1%" => "--scenario topology", "--loss/--dup/--jitter";
-        dynamics_rejects_csv_traces: "--scenario dynamics --trace-out t.csv --trace-format csv" => "--scenario dynamics", "--trace-format csv";
-        topology_rejects_csv_traces: "--scenario topology --trace-out t.csv --trace-format csv" => "--scenario topology", "--trace-format csv";
         fluid_rejects_weather: "--backend fluid --jitter 2ms" => "--backend fluid", "--loss/--dup/--jitter";
         fluid_rejects_metrics_out: "--backend fluid --metrics-out m.json" => "--backend fluid", "--metrics-out";
         fluid_rejects_audit: "--backend fluid --audit" => "--backend fluid", "--audit";
@@ -719,14 +831,43 @@ mod tests {
         fluid_rejects_trace: "--backend fluid --trace 20" => "--backend fluid", "--trace";
     }
 
+    /// The flag sets behind the 14 family × flag pairs the sweep modes
+    /// used to reject, and `--serve`: a cell is a single run, so each
+    /// parses with a cell of either family. What is not a cell, a bare
+    /// family name included, is refused with the cells and the figure
+    /// rows that print the family tables.
     #[test]
-    fn scenario_flag_validates_name() {
-        let a = parse_args(&args("--scenario dynamics --seed 9")).unwrap();
-        assert_eq!(a.scenario.as_deref(), Some("dynamics"));
-        let t = parse_args(&args("--scenario topology --audit")).unwrap();
-        assert_eq!(t.scenario.as_deref(), Some("topology"));
-        assert!(t.audit);
-        let e = parse_args(&args("--scenario figure99")).unwrap_err();
-        assert!(e.contains("unknown scenario"));
+    fn a_scenario_is_one_cell_and_takes_every_observer() {
+        let observers = [
+            "--metrics-out m.json",
+            "--profile",
+            "--checkpoint-out c.ckpt --checkpoint-at 3s",
+            "--restore c.ckpt",
+            "--trace 20",
+            "--audit",
+            "--loss 1%",
+            "--trace-out t.csv --trace-format csv",
+            "--serve 127.0.0.1:0",
+        ];
+        let cells = [
+            ("dynamics/rate-step", Cell::Dynamics(Disturbance::RateStep), dynamics::LINK_BPS),
+            ("topology/parking-lot-3", Cell::Topology(TopologyKind::ParkingLot3), topology::LINK_BPS),
+        ];
+        for (name, cell, link_bps) in cells {
+            for flags in observers {
+                let line = format!("--scenario {name} --rate 1G --aqm dualq {flags}");
+                let a = parse_args(&args(&line)).unwrap_or_else(|e| panic!("{line}: {e}"));
+                assert_eq!(a.scenario, Some(cell));
+                assert_eq!(a.rate_bps, link_bps, "the AQM is built for the cell's link");
+            }
+        }
+        for bad in ["dynamics", "topology", "topology/ring-9", "figure99"] {
+            let e = parse_args(&args(&format!("--scenario {bad}"))).unwrap_err();
+            for cell in Cell::all() {
+                assert!(e.contains(&cell.name()), "{bad}: {e}");
+                assert!(usage().contains(&cell.name()), "usage lacks {}", cell.name());
+            }
+            assert!(e.contains("pi2fig ext_dynamics") && e.contains("pi2fig ext_topology"), "{e}");
+        }
     }
 }

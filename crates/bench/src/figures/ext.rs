@@ -1,14 +1,17 @@
 //! Extensions beyond the paper's own figures: DualQ, FQ, RTT fairness,
-//! the Scalable family, and the §6 short-flow claim.
+//! the Scalable family, the §6 short-flow claim, and the step-response
+//! and multi-hop families.
 
 use super::{Figure, Session};
-use crate::{f, write_rows};
-use pi2_experiments::isolation::{run_coupled, run_fq};
+use crate::{cli, f, write_rows};
+use pi2_experiments::isolation::{coexistence, run_coupled, run_fq};
 use pi2_experiments::par_map;
 use pi2_experiments::rttfair::{run_one, target_sweep};
-use pi2_experiments::scenario::{AqmKind, FlowGroup, Scenario};
+use pi2_experiments::scenario::{AqmKind, FlowGroup};
 use pi2_experiments::shortflows::{compare, WebWorkload};
-use pi2_simcore::{Duration, Time};
+use pi2_experiments::{dynamics as dynamics_family, topology as topology_family};
+use pi2_netsim::ImpairmentConf;
+use pi2_simcore::Duration;
 use pi2_transport::{CcKind, EcnSetting};
 use std::io::{self, Write};
 
@@ -130,21 +133,8 @@ pub fn rtt(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
 }
 
 fn family_run(aqm: AqmKind, cc: CcKind, secs: u64) -> (f64, f64, f64) {
-    let rtt = Duration::from_millis(10);
-    let mut sc = Scenario::new(aqm, 40_000_000);
-    sc.tcp.push(FlowGroup::new(
-        1,
-        CcKind::Cubic,
-        EcnSetting::NotEcn,
-        "cubic",
-        rtt,
-    ));
-    sc.tcp
-        .push(FlowGroup::new(1, cc, EcnSetting::Scalable, "scal", rtt));
-    sc.duration = Time::from_secs(secs);
-    sc.warmup = Duration::from_secs(secs as i64 / 3);
-    sc.seed = 0xfa1;
-    let r = sc.run();
+    let scal = FlowGroup::new(1, cc, EcnSetting::Scalable, "scal", Duration::from_millis(10));
+    let r = coexistence(aqm, 40_000_000, scal, secs, 0xfa1).run();
     let c = r.per_flow_tput_mbps("cubic");
     let s = r.per_flow_tput_mbps("scal");
     (c, s, r.monitor.flows[1].signal_fraction())
@@ -232,4 +222,35 @@ pub fn short(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
         })?;
     }
     Ok(())
+}
+
+/// The step-response family (the paper's §5 claim, Figure 12 generalised):
+/// {rate-step, flow-churn} × {PIE, PI2, DualPI2}, once on an ideal path
+/// and once under seeded weather — the layer `pi2sim --loss 1% --jitter
+/// 2ms` attaches at the same seed.
+pub fn dynamics(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
+    let seed = fig.seed(run);
+    let rough = ImpairmentConf {
+        loss: 0.01,
+        dup: 0.0,
+        jitter: Duration::from_millis(2),
+    };
+    for (sky, conf) in [
+        ("clear sky", ImpairmentConf::OFF),
+        ("weather: 1% loss, 2 ms reordering jitter", rough),
+    ] {
+        writeln!(out, "--- {sky} ---")?;
+        let runs = dynamics_family::dynamics(seed, cli::weather(seed, conf));
+        write!(out, "{}", dynamics_family::render_table(&runs))?;
+    }
+    Ok(())
+}
+
+/// The multi-hop family: {parking-lot-3, access-core-2} × {PI2, DualPI2}
+/// under heavy-tailed mice, every cell with the invariant auditor
+/// attached (a pure observer: a violation panics, a clean run prints
+/// what an unaudited one does).
+pub fn topology(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
+    let runs = topology_family::topology(fig.seed(run), true);
+    write!(out, "{}", topology_family::render_table(&runs))
 }

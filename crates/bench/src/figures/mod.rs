@@ -297,6 +297,13 @@ pub static FIGURES: &[Figure] = &[
                      utilization. Windows stay k=2-coupled; rates skew somewhat toward DCTCP\n\
                      because its RTT no longer includes the 20 ms Classic queue (the known\n\
                      window-vs-rate balance property of the DualQ, cf. RFC 9332)." },
+    Figure { id: "ext_dynamics", archived: true, render: ext::dynamics, secs: Fixed("85 s"), seed: Default(4),
+             title: "Extension: step response: spike and settling after a 40:10:40 Mb/s rate step and a 5:20:5 flow churn (50 ms)",
+             shape: "shape check: in every disturbance x weather block PI2 and DualPI2 spike\n\
+                     lower than PIE and are back inside the 0-40 ms band sooner, on gains 2.5x\n\
+                     PIE's and no tune table (the paper's section 5 claim, Figure 12\n\
+                     generalized); 1% loss and 2 ms of reordering lower every spike (the\n\
+                     senders back off on the path's losses too) without changing that order." },
     Figure { id: "ext_family", archived: true, render: ext::family, secs: Default(60), seed: Fixed("seed 0xfa1"),
              title: "Extension: the Scalable family: Cubic vs each B=1 control (40 Mb/s, 10 ms), coupled PI2 vs PIE",
              shape: "shape check: under PIE the 2/p and 1/p controls starve Cubic. Under the\n\
@@ -328,6 +335,14 @@ pub static FIGURES: &[Figure] = &[
              title: "Short flows: flow completion times under light and heavy web-like workloads",
              shape: "shape check: the three AQMs' FCT percentiles agree within noise on both\n\
                      workloads, matching the paper's 'essentially the same' finding." },
+    Figure { id: "ext_topology", archived: true, render: ext::topology, secs: Fixed("60 s"), seed: Default(9),
+             title: "Extension: multi-hop: per-hop fairness and mice FCT, parking-lot-3 and access-core-2, 2 Cubic + 2 DCTCP",
+             shape: "shape check: every mouse completes. Standalone PI2 gives DCTCP's marks the\n\
+                     same squared probability as Cubic's drops, so on every hop DCTCP takes about\n\
+                     7x Cubic's rate (c/s 0.14-0.15, Jain 0.53-0.65); DualPI2's coupling brings\n\
+                     the classes back to 0.82-0.98 (Jain 0.99 on each parking-lot hop), across\n\
+                     three bottlenecks in series as on the dumbbell, and cuts the mice FCT P99\n\
+                     more than 3x." },
 ];
 
 /// The rows a `pi2fig` command line names: any mix of ids and `all` (the

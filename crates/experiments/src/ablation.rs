@@ -11,6 +11,7 @@
 use crate::appendix_a::{law_scenario, mean_window, LAW_RTT};
 use crate::fig11::{run_one as fig11_run, TrafficMix};
 use crate::grid::{run_cell, Pair};
+use crate::isolation::coexistence;
 use crate::scenario::{AqmKind, FlowGroup, Scenario, UdpGroup};
 use pi2_aqm::{CoupledPi2Config, Pi2Config, PieConfig, SquareMode};
 use pi2_simcore::{Duration, Time};
@@ -174,16 +175,11 @@ pub fn delayed_ack_balance(k: f64, duration_s: u64, seed: u64) -> f64 {
     let rtt = Duration::from_millis(10);
     let mut cfg = CoupledPi2Config::default();
     cfg.k = k;
-    let mut sc = Scenario::new(AqmKind::Coupled(cfg), 40_000_000);
-    let mut g = FlowGroup::new(1, CcKind::Cubic, EcnSetting::NotEcn, "cubic", rtt);
-    g.tcp.delayed_ack = true;
-    sc.tcp.push(g);
-    let mut g = FlowGroup::new(1, CcKind::Dctcp, EcnSetting::Scalable, "dctcp", rtt);
-    g.tcp.delayed_ack = true;
-    sc.tcp.push(g);
-    sc.duration = Time::from_secs(duration_s);
-    sc.warmup = Duration::from_secs(duration_s as i64 / 3);
-    sc.seed = seed;
+    let dctcp = FlowGroup::new(1, CcKind::Dctcp, EcnSetting::Scalable, "dctcp", rtt);
+    let mut sc = coexistence(AqmKind::Coupled(cfg), 40_000_000, dctcp, duration_s, seed);
+    for g in &mut sc.tcp {
+        g.tcp.delayed_ack = true;
+    }
     let r = sc.run();
     r.per_flow_tput_mbps("cubic") / r.per_flow_tput_mbps("dctcp").max(1e-9)
 }

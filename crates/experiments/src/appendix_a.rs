@@ -13,6 +13,7 @@
 //! | DCTCP, probabilistic marking | `2/p` (eq. 11) |
 //! | Scalable half-packet | `2/p` |
 
+use crate::isolation::coexistence;
 use crate::scenario::{AqmKind, FlowGroup, RunResult, Scenario};
 use pi2_aqm::StepMarkConfig;
 use pi2_simcore::{Duration, Time};
@@ -134,25 +135,14 @@ pub fn step_vs_probabilistic(seed: u64) -> (f64, f64, f64) {
 pub fn coupling_check(k: f64, seed: u64) -> (RunResult, f64, f64) {
     let mut cfg = pi2_aqm::CoupledPi2Config::default();
     cfg.k = k;
-    let mut sc = Scenario::new(AqmKind::Coupled(cfg), 40_000_000);
-    sc.tcp.push(FlowGroup::new(
-        1,
-        CcKind::Cubic,
-        EcnSetting::NotEcn,
-        "cubic",
-        Duration::from_millis(10),
-    ));
-    sc.tcp.push(FlowGroup::new(
+    let dctcp = FlowGroup::new(
         1,
         CcKind::Dctcp,
         EcnSetting::Scalable,
         "dctcp",
         Duration::from_millis(10),
-    ));
-    sc.duration = Time::from_secs(60);
-    sc.warmup = Duration::from_secs(20);
-    sc.seed = seed;
-    let r = sc.run();
+    );
+    let r = coexistence(AqmKind::Coupled(cfg), 40_000_000, dctcp, 60, seed).run();
     let pc = r.monitor.flows[0].signal_fraction();
     let ps = r.monitor.flows[1].signal_fraction();
     (r, pc, ps)

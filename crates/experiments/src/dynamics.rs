@@ -15,12 +15,17 @@
 //! duplication) riding on the path. Every run is reduced to the two
 //! numbers dynamics arguments turn on: the transient **spike height**
 //! and the [`pi2_stats::settle_time`] back into the target band.
+//!
+//! The family table is `pi2fig ext_dynamics`; one cell, under any AQM and
+//! every observer, is `pi2sim --scenario dynamics/<disturbance>`.
 
-use crate::scenario::{AqmKind, FlowGroup, Scenario};
+use crate::scenario::{AqmKind, FlowGroup, RunResult, Scenario};
 use pi2_netsim::{ImpairStats, LinkImpairments};
 use pi2_simcore::{Duration, Time};
 use pi2_transport::{CcKind, EcnSetting};
 
+/// The bottleneck's undisturbed rate, bits/s.
+pub const LINK_BPS: u64 = 40_000_000;
 /// When the disturbance hits (rate drop / churn flows join), seconds.
 pub const STEP_DOWN_S: u64 = 30;
 /// When it reverts (rate restored / churn flows leave), seconds.
@@ -45,12 +50,24 @@ pub enum Disturbance {
 }
 
 impl Disturbance {
+    /// Every disturbance, in table order.
+    pub const ALL: [Disturbance; 2] = [Disturbance::RateStep, Disturbance::FlowChurn];
+
     /// Display name for tables.
     pub fn name(&self) -> &'static str {
         match self {
             Disturbance::RateStep => "rate-step",
             Disturbance::FlowChurn => "flow-churn",
         }
+    }
+
+    /// The two disturbance edges as `(second, label)` timeline marks.
+    pub fn marks(&self) -> [(u64, &'static str); 2] {
+        let (hit, revert) = match self {
+            Disturbance::RateStep => ("rate-step: 40 -> 10 Mb/s", "rate-step: 10 -> 40 Mb/s"),
+            Disturbance::FlowChurn => ("flow-churn: 15 flows join", "flow-churn: 15 flows leave"),
+        };
+        [(STEP_DOWN_S, hit), (STEP_UP_S, revert)]
     }
 }
 
@@ -76,7 +93,7 @@ pub struct DynamicsRun {
 
 /// The scenario for one AQM × disturbance cell (before any impairments).
 pub fn scenario_for(aqm: AqmKind, d: Disturbance, seed: u64) -> Scenario {
-    let mut sc = Scenario::new(aqm, 40_000_000);
+    let mut sc = Scenario::new(aqm, LINK_BPS);
     sc.duration = Time::from_secs(DURATION_S);
     sc.warmup = Duration::from_secs(5);
     sc.sample_interval = Duration::from_millis(100);
@@ -93,7 +110,7 @@ pub fn scenario_for(aqm: AqmKind, d: Disturbance, seed: u64) -> Scenario {
             ));
             sc.rate_changes = vec![
                 (Time::from_secs(STEP_DOWN_S), 10_000_000),
-                (Time::from_secs(STEP_UP_S), 40_000_000),
+                (Time::from_secs(STEP_UP_S), LINK_BPS),
             ];
         }
         Disturbance::FlowChurn => {
@@ -124,8 +141,12 @@ pub fn run_one(
 ) -> DynamicsRun {
     let mut sc = scenario_for(aqm, d, seed);
     sc.impairments = impairments;
-    let r = sc.run();
-    let series = r.qdelay_series().to_vec();
+    report(d, &sc.run())
+}
+
+/// Reduce a finished cell to its [`DynamicsRun`].
+pub fn report(d: Disturbance, r: &RunResult) -> DynamicsRun {
+    let series = r.qdelay_series();
     let hit = STEP_DOWN_S as f64;
     let revert = STEP_UP_S as f64;
     let spike_ms = pi2_stats::peak_in(&series, hit, hit + 5.0).map_or(0.0, |(_, v)| v);
@@ -148,11 +169,11 @@ pub fn run_one(
 /// results bit-identical to a serial loop for any thread count.
 pub fn dynamics(seed: u64, impairments: Option<LinkImpairments>) -> Vec<DynamicsRun> {
     let mut cells = Vec::new();
-    for d in [Disturbance::RateStep, Disturbance::FlowChurn] {
+    for d in Disturbance::ALL {
         for aqm in [
             AqmKind::pie_default(),
             AqmKind::pi2_default(),
-            AqmKind::dualq_default(40_000_000),
+            AqmKind::dualq_default(LINK_BPS),
         ] {
             cells.push((aqm, d));
         }

@@ -58,7 +58,7 @@ pub fn run_one(aqm: AqmKind, seed: u64) -> Fig12Run {
     let restore_peak_ms = pi2_stats::peak_in(&series, 100.0, 110.0).map(|(_, v)| v);
     // Settling after the 50 s capacity collapse: back inside target ± 20 ms
     // and holding for 5 s.
-    let settle_s = pi2_stats::settling_time(&series, 50.0, 20.0, 20.0, 5.0);
+    let settle_s = pi2_stats::settle_time(&series, 50.0, 20.0, 20.0, 5.0);
     Fig12Run {
         aqm: r.aqm,
         qdelay: series,

@@ -10,9 +10,10 @@
 //! * Figure 17 — applied mark/drop probability P25/mean/P99 per flow;
 //! * Figure 18 — link utilization P1/mean/P99.
 
-use crate::scenario::{AqmKind, FlowGroup, Scenario};
+use crate::isolation::coexistence;
+use crate::scenario::{AqmKind, FlowGroup};
 use pi2_netsim::FlowCounts;
-use pi2_simcore::{Duration, Time};
+use pi2_simcore::Duration;
 use pi2_stats::Summary;
 use pi2_transport::{CcKind, EcnSetting};
 
@@ -99,20 +100,8 @@ pub fn run_cell(
     duration_s: u64,
     seed: u64,
 ) -> GridCell {
-    let rtt = Duration::from_millis(rtt_ms);
-    let mut sc = Scenario::new(aqm, link_mbps * 1_000_000);
-    sc.tcp.push(FlowGroup::new(
-        1,
-        CcKind::Cubic,
-        EcnSetting::NotEcn,
-        "cubic",
-        rtt,
-    ));
-    sc.tcp.push(pair.ecn_flow(rtt));
-    sc.duration = Time::from_secs(duration_s);
-    sc.warmup = Duration::from_secs(duration_s as i64 / 3);
-    sc.seed = seed;
-    let r = sc.run();
+    let ecn = pair.ecn_flow(Duration::from_millis(rtt_ms));
+    let r = coexistence(aqm, link_mbps * 1_000_000, ecn, duration_s, seed).run();
     let c = r.per_flow_tput_mbps("cubic");
     let e = r.per_flow_tput_mbps(pair.ecn_label());
     let (sojourn_p50_ms, sojourn_p99_ms, events_processed) = match r.metrics.as_deref() {

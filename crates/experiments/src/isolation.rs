@@ -28,8 +28,27 @@ pub struct IsolationResult {
     pub dctcp_delay: Summary,
 }
 
-/// The coexistence cell: `flows.0` Cubic and `flows.1` DCTCP flows behind
-/// `aqm`, sojourns recorded per flow, the first third of the run warm-up.
+/// The one-Cubic-one-ECN coexistence cell: a Cubic flow and the `ecn`
+/// group at its RTT behind `aqm`, the first third of the run warm-up.
+pub fn coexistence(
+    aqm: AqmKind,
+    rate_bps: u64,
+    ecn: FlowGroup,
+    duration_s: u64,
+    seed: u64,
+) -> Scenario {
+    let mut sc = Scenario::new(aqm, rate_bps);
+    sc.tcp
+        .push(FlowGroup::new(1, CcKind::Cubic, EcnSetting::NotEcn, "cubic", ecn.rtt));
+    sc.tcp.push(ecn);
+    sc.duration = Time::from_secs(duration_s);
+    sc.warmup = Duration::from_secs(duration_s as i64 / 3);
+    sc.seed = seed;
+    sc
+}
+
+/// The coexistence cell with `flows.0` Cubic and `flows.1` DCTCP flows,
+/// sojourns recorded per flow.
 pub fn scenario(
     aqm: AqmKind,
     rate_bps: u64,
@@ -38,15 +57,10 @@ pub fn scenario(
     duration_s: u64,
     seed: u64,
 ) -> Scenario {
-    let mut sc = Scenario::new(aqm, rate_bps);
-    sc.tcp
-        .push(FlowGroup::new(flows.0, CcKind::Cubic, EcnSetting::NotEcn, "cubic", rtt));
-    sc.tcp
-        .push(FlowGroup::new(flows.1, CcKind::Dctcp, EcnSetting::Scalable, "dctcp", rtt));
-    sc.duration = Time::from_secs(duration_s);
-    sc.warmup = Duration::from_secs(duration_s as i64 / 3);
+    let dctcp = FlowGroup::new(flows.1, CcKind::Dctcp, EcnSetting::Scalable, "dctcp", rtt);
+    let mut sc = coexistence(aqm, rate_bps, dctcp, duration_s, seed);
+    sc.tcp[0].count = flows.0;
     sc.per_flow_sojourns = true;
-    sc.seed = seed;
     sc
 }
 

@@ -28,72 +28,7 @@ use crate::scenario::{RunResult, Scenario};
 use pi2_netsim::SimMetrics;
 use std::io::{IsTerminal, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
 use std::time::Instant;
-
-/// A process-wide hook into sweep execution, for live-ops drivers (the
-/// `pi2sim --serve` HTTP endpoint). All methods default to no-ops; with
-/// no observer installed the runner behaves exactly as before — and
-/// because an observer only *reads* results the workers already produced,
-/// installing one cannot change any run's outcome (the bit-identity
-/// contract every observer in this workspace obeys).
-pub trait SweepObserver: Send + Sync {
-    /// A work item finished; `done` of `total` items are complete. Called
-    /// from worker threads, possibly concurrently.
-    fn cell_done(&self, done: usize, total: usize) {
-        let _ = (done, total);
-    }
-
-    /// A scenario run produced its metrics registry (called by
-    /// [`Scenario::run`] and the topology runner before returning, from
-    /// worker threads). Merging these as they arrive reproduces the
-    /// [`merged_metrics`] fold commutatively — counters and histogram
-    /// buckets add — so a mid-sweep scrape sees a valid partial snapshot.
-    fn cell_metrics(&self, metrics: &SimMetrics) {
-        let _ = metrics;
-    }
-
-    /// Polled by workers at item boundaries: return true to stop claiming
-    /// new items (graceful cancel).
-    fn cancelled(&self) -> bool {
-        false
-    }
-
-    /// The sweep stopped early because [`SweepObserver::cancelled`]
-    /// returned true; `done` of `total` items completed. The process
-    /// exits with status 130 right after this returns.
-    fn on_cancel(&self, done: usize, total: usize) {
-        let _ = (done, total);
-    }
-}
-
-/// The installed observer, if any. A plain `RwLock<Option<Arc>>` — reads
-/// are one uncontended lock per work item, noise against a multi-second
-/// scenario run.
-static SWEEP_OBSERVER: RwLock<Option<Arc<dyn SweepObserver>>> = RwLock::new(None);
-
-/// Install a process-wide [`SweepObserver`] (replacing any previous one).
-pub fn install_observer(obs: Arc<dyn SweepObserver>) {
-    *SWEEP_OBSERVER.write().unwrap() = Some(obs);
-}
-
-/// Remove the installed observer.
-pub fn clear_observer() {
-    *SWEEP_OBSERVER.write().unwrap() = None;
-}
-
-/// Snapshot the installed observer handle.
-fn observer() -> Option<Arc<dyn SweepObserver>> {
-    SWEEP_OBSERVER.read().unwrap().clone()
-}
-
-/// Forward a finished run's metrics to the installed observer, if any.
-/// Called by the scenario/topology runners on their worker threads.
-pub(crate) fn notify_cell_metrics(metrics: &SimMetrics) {
-    if let Some(obs) = observer() {
-        obs.cell_metrics(metrics);
-    }
-}
 
 /// The worker count: `PI2_THREADS` if set (minimum 1), otherwise the
 /// machine's available parallelism.
@@ -138,18 +73,17 @@ impl Progress {
     }
 
     /// Record one completed item; maybe redraw the progress line.
-    /// Returns the completed-item count after this one.
-    fn note_done(&self) -> usize {
+    fn note_done(&self) {
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         if !self.enabled {
-            return done;
+            return;
         }
         let elapsed = self.start.elapsed();
         let now_ms = elapsed.as_millis() as u64;
         let last = self.last_print_ms.load(Ordering::Relaxed);
         let finished = done == self.total;
         if !finished && now_ms.saturating_sub(last) < Self::MIN_INTERVAL_MS {
-            return done;
+            return;
         }
         // One winner per interval; losers (and any race on the final
         // item's extra redraw) just skip — progress output is best-effort.
@@ -159,7 +93,7 @@ impl Progress {
             .is_err()
             && !finished
         {
-            return done;
+            return;
         }
         let mut err = std::io::stderr().lock();
         let _ = write!(
@@ -172,7 +106,6 @@ impl Progress {
             let _ = writeln!(err);
         }
         let _ = err.flush();
-        done
     }
 }
 
@@ -189,27 +122,13 @@ where
     let n = items.len();
     let workers = n_threads.clamp(1, n.max(1));
     let progress = Progress::new(n);
-    let obs = observer();
-    let note = |r: R| {
-        let done = progress.note_done();
-        if let Some(obs) = &obs {
-            obs.cell_done(done, n);
-        }
+    let run = |item: &T| {
+        let r = f(item);
+        progress.note_done();
         r
     };
-    let cancelled = || obs.as_ref().is_some_and(|o| o.cancelled());
     if workers <= 1 || n <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for item in items {
-            if cancelled() {
-                break;
-            }
-            out.push(note(f(item)));
-        }
-        if out.len() < n {
-            cancel_exit(&obs, out.len(), n);
-        }
-        return out;
+        return items.iter().map(run).collect();
     }
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
@@ -220,17 +139,11 @@ where
                 scope.spawn(|| {
                     let mut claimed = Vec::new();
                     loop {
-                        // Cancellation is polled only at item boundaries:
-                        // an in-flight run always completes, so every
-                        // produced result is a full, deterministic cell.
-                        if cancelled() {
-                            break;
-                        }
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
                         }
-                        claimed.push((i, note(f(&items[i]))));
+                        claimed.push((i, run(&items[i])));
                     }
                     claimed
                 })
@@ -241,31 +154,14 @@ where
             .map(|h| h.join().expect("runner worker panicked"))
             .collect()
     });
-    let mut filled = 0usize;
     for (i, r) in batches.into_iter().flatten() {
         debug_assert!(slots[i].is_none(), "work index {i} claimed twice");
         slots[i] = Some(r);
-        filled += 1;
-    }
-    if filled < n {
-        cancel_exit(&obs, filled, n);
     }
     slots
         .into_iter()
         .map(|s| s.expect("every work index claimed exactly once"))
         .collect()
-}
-
-/// A sweep stopped early on an observer's cancel flag: notify the
-/// observer and leave with the conventional interrupted-exit status. A
-/// partially-filled result vector never escapes — callers are spared a
-/// "which cells are real" protocol they could not honour mid-sweep.
-fn cancel_exit(obs: &Option<Arc<dyn SweepObserver>>, done: usize, total: usize) -> ! {
-    if let Some(obs) = obs {
-        obs.on_cancel(done, total);
-    }
-    eprintln!("[pi2 sweep] cancelled after {done}/{total} cells");
-    std::process::exit(130);
 }
 
 /// [`par_map_threads`] with the [`threads`] default (the `PI2_THREADS`

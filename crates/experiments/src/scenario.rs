@@ -456,12 +456,6 @@ impl Scenario {
     /// sample per packet; a copy would double the peak).
     pub fn finish(&self, mut sim: Sim) -> RunResult {
         let metrics = sim.core.take_metrics();
-        if let Some(m) = &metrics {
-            // Pure read of the finished run's registry: a live-ops
-            // observer (pi2sim --serve) folds it into its served
-            // snapshot. No observer installed → no-op.
-            crate::runner::notify_cell_metrics(m);
-        }
         let background = sim.background().map(|bg| BackgroundRun {
             flow_count: bg.agg.flow_count(),
             bg_bytes: bg.bg_bytes,

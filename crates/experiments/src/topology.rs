@@ -16,8 +16,9 @@
 //! Every run reports per-hop egress accounting (Jain fairness across the
 //! long flows crossing each hop, per-class egress rates), the end-to-end
 //! per-class throughput ratio (the Section 6 balance criterion), and the
-//! mice flow-completion-time P50/P95/P99 through a [`pi2_obs::Histogram`]
-//! — exposed on the command line as `pi2sim --scenario topology`.
+//! mice flow-completion-time P50/P95/P99 through a [`pi2_obs::Histogram`].
+//! The family table is `pi2fig ext_topology`; one cell, under any AQM and
+//! every observer, is `pi2sim --scenario topology/<layout>`.
 
 use crate::scenario::{AqmKind, FlowGroup, RunResult, Scenario};
 use crate::workload::{mice_arrivals, MiceWorkload};
@@ -37,6 +38,14 @@ pub const MICE_START_S: u64 = 10;
 pub const MICE_STOP_S: u64 = 55;
 /// Mean mice arrival rate per entry path (flows/s, Poisson).
 pub const MICE_PER_SEC: f64 = 8.0;
+/// The rate of every layout's slowest link, which a rate-dependent AQM
+/// is configured for, bits/s.
+pub const LINK_BPS: u64 = 20_000_000;
+/// The mice window as `(second, label)` timeline marks.
+pub const MARKS: [(u64, &str); 2] = [
+    (MICE_START_S, "mice arrivals start"),
+    (MICE_STOP_S, "mice arrivals stop"),
+];
 
 /// Decorrelates each entry path's arrival stream from the simulator's
 /// root RNG stream and from the other paths'.
@@ -54,6 +63,9 @@ pub enum TopologyKind {
 }
 
 impl TopologyKind {
+    /// Every layout, in table order.
+    pub const ALL: [TopologyKind; 2] = [TopologyKind::ParkingLot3, TopologyKind::AccessCore2];
+
     /// Display name for tables.
     pub fn name(&self) -> &'static str {
         match self {
@@ -73,12 +85,12 @@ impl TopologyKind {
     /// Link rate of a hop, bits/s.
     pub fn hop_rate_bps(&self, hop: u32) -> u64 {
         match self {
-            TopologyKind::ParkingLot3 => 20_000_000,
+            TopologyKind::ParkingLot3 => LINK_BPS,
             TopologyKind::AccessCore2 => {
                 if hop < 2 {
                     40_000_000
                 } else {
-                    20_000_000
+                    LINK_BPS
                 }
             }
         }
@@ -232,7 +244,7 @@ pub fn run_one_prepared(
 }
 
 /// Reduce a finished cell to its [`TopologyRun`].
-fn report(kind: TopologyKind, sc: &Scenario, r: &RunResult) -> TopologyRun {
+pub fn report(kind: TopologyKind, sc: &Scenario, r: &RunResult) -> TopologyRun {
     // Mice FCTs (seconds, post-warm-up by construction) through the
     // log-linear histogram in nanoseconds.
     let m = &r.monitor;
@@ -309,8 +321,8 @@ fn report(kind: TopologyKind, sc: &Scenario, r: &RunResult) -> TopologyRun {
 /// with results bit-identical to a serial loop for any thread count.
 pub fn topology(seed: u64, audit: bool) -> Vec<TopologyRun> {
     let mut cells = Vec::new();
-    for kind in [TopologyKind::ParkingLot3, TopologyKind::AccessCore2] {
-        for aqm in [AqmKind::pi2_default(), AqmKind::dualq_default(20_000_000)] {
+    for kind in TopologyKind::ALL {
+        for aqm in [AqmKind::pi2_default(), AqmKind::dualq_default(LINK_BPS)] {
             cells.push((kind, aqm));
         }
     }

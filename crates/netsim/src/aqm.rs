@@ -155,19 +155,13 @@ pub trait Aqm {
     fn name(&self) -> &'static str;
 
     /// Serialize all mutable controller state in a fixed field order
-    /// (checkpointing). The default writes nothing, which is correct only
-    /// for stateless policies ([`PassAqm`], test stubs) — every stateful
-    /// AQM overrides this.
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        let _ = w;
-    }
+    /// (checkpointing). Required: a policy with no state says so with an
+    /// empty body ([`PassAqm`]), so a stateful one cannot forget it.
+    fn save_ckpt(&self, w: &mut CkptWriter);
 
     /// Restore state captured by [`Aqm::save_ckpt`] into a freshly
     /// constructed instance of the same policy and configuration.
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        let _ = r;
-        Ok(())
-    }
+    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError>;
 }
 
 /// The trivial AQM: admit everything (tail-drop behaviour comes from the
@@ -188,6 +182,12 @@ impl Aqm for PassAqm {
 
     fn name(&self) -> &'static str {
         "taildrop"
+    }
+
+    fn save_ckpt(&self, _w: &mut CkptWriter) {}
+
+    fn restore_ckpt(&mut self, _r: &mut CkptReader) -> Result<(), CkptError> {
+        Ok(())
     }
 }
 

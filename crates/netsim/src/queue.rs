@@ -147,19 +147,12 @@ pub trait Qdisc {
 
     /// Serialize all mutable qdisc state — queued packets, link rate,
     /// counters and the embedded AQM's controller state — in a fixed
-    /// field order (checkpointing). The default writes nothing, which is
-    /// correct only for stateless test stubs; every real qdisc overrides
-    /// this.
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        let _ = w;
-    }
+    /// field order (checkpointing).
+    fn save_ckpt(&self, w: &mut CkptWriter);
 
     /// Restore state captured by [`Qdisc::save_ckpt`] into a freshly
     /// constructed qdisc of the same type and configuration.
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        let _ = r;
-        Ok(())
-    }
+    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError>;
 }
 
 /// A FIFO queue with AQM admission and a serializing link.
@@ -476,6 +469,10 @@ mod tests {
         }
         fn name(&self) -> &'static str {
             "markalways"
+        }
+        fn save_ckpt(&self, _w: &mut CkptWriter) {}
+        fn restore_ckpt(&mut self, _r: &mut CkptReader) -> Result<(), CkptError> {
+            Ok(())
         }
     }
 

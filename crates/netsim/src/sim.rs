@@ -1780,6 +1780,10 @@ mod tests {
         fn stats(&self) -> &crate::queue::QueueStats {
             &self.stats
         }
+        fn save_ckpt(&self, _w: &mut CkptWriter) {}
+        fn restore_ckpt(&mut self, _r: &mut CkptReader) -> Result<(), CkptError> {
+            Ok(())
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ pub mod summary;
 pub mod table;
 
 pub use cdf::Cdf;
-pub use series::{excursions_above, peak_in, settle_time, settling_time, time_above};
+pub use series::{excursions_above, peak_in, settle_time, time_above};
 pub use summary::{
     jain_fairness, mean, percentile, percentile_sorted, stddev, variance, variance_from_moments,
     Summary,

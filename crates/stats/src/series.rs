@@ -59,18 +59,6 @@ pub fn settle_time(
         .map(|s| s - from)
 }
 
-/// Alias for [`settle_time`], kept for callers written against the
-/// original name.
-pub fn settling_time(
-    series: &[(f64, f64)],
-    from: f64,
-    target: f64,
-    band: f64,
-    hold: f64,
-) -> Option<f64> {
-    settle_time(series, from, target, band, hold)
-}
-
 /// Total time the series spends above `threshold` in `[from, to)`,
 /// approximated by sample spacing (each sample accounts for the interval
 /// to its successor).
@@ -141,17 +129,17 @@ mod tests {
     }
 
     #[test]
-    fn settling_time_measures_return_to_band() {
+    fn settle_time_measures_return_to_band() {
         let s = series();
         // After the step at t=10, settle into 20±5 holding 5 s.
-        let st = settling_time(&s, 10.0, 20.0, 5.0, 5.0).unwrap();
+        let st = settle_time(&s, 10.0, 20.0, 5.0, 5.0).unwrap();
         // The decay reaches 25 at t = 14.75; settle ≈ 4.5-5 s after t=10.
         assert!((4.0..5.5).contains(&st), "settling {st}");
         // A tight band it never satisfies long enough -> but the tail is
         // flat at exactly 20, so even 0.1 bands settle.
-        assert!(settling_time(&s, 10.0, 20.0, 0.1, 5.0).is_some());
+        assert!(settle_time(&s, 10.0, 20.0, 0.1, 5.0).is_some());
         // An impossible target never settles.
-        assert!(settling_time(&s, 10.0, 500.0, 1.0, 5.0).is_none());
+        assert!(settle_time(&s, 10.0, 500.0, 1.0, 5.0).is_none());
     }
 
     #[test]
@@ -223,15 +211,6 @@ mod tests {
             .map(|i| (i as f64, 25.0 + f64::EPSILON * 64.0))
             .collect();
         assert_eq!(settle_time(&s, 0.0, 20.0, 5.0, 5.0), None);
-    }
-
-    #[test]
-    fn settling_time_alias_matches() {
-        let s = series();
-        assert_eq!(
-            settling_time(&s, 10.0, 20.0, 5.0, 5.0),
-            settle_time(&s, 10.0, 20.0, 5.0, 5.0)
-        );
     }
 
     #[test]

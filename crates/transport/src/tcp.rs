@@ -983,6 +983,10 @@ mod tests {
         fn name(&self) -> &'static str {
             "markall"
         }
+        fn save_ckpt(&self, _w: &mut CkptWriter) {}
+        fn restore_ckpt(&mut self, _r: &mut CkptReader) -> Result<(), CkptError> {
+            Ok(())
+        }
     }
 
     #[test]
@@ -1077,6 +1081,10 @@ mod tests {
             fn name(&self) -> &'static str {
                 "outage"
             }
+            fn save_ckpt(&self, _w: &mut CkptWriter) {}
+            fn restore_ckpt(&mut self, _r: &mut CkptReader) -> Result<(), CkptError> {
+                Ok(())
+            }
         }
         let mut sim = sim_with(
             10_000_000,
@@ -1153,6 +1161,10 @@ mod tests {
         }
         fn name(&self) -> &'static str {
             "burstloss"
+        }
+        fn save_ckpt(&self, _w: &mut CkptWriter) {}
+        fn restore_ckpt(&mut self, _r: &mut CkptReader) -> Result<(), CkptError> {
+            Ok(())
         }
     }
 

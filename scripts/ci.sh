@@ -16,7 +16,7 @@ echo "== line budget: crates/*/src may not grow"
 # held to its value when this stage was added (PR 21). A PR that shrinks
 # crates/*/src lowers the constant; one that has to grow it raises the
 # constant and says why on this line.
-src_budget=34270
+src_budget=34068
 src_lines="$(find crates/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 all_lines="$(find crates tests examples src -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 echo "Rust lines: crates/*/src $src_lines (budget $src_budget), crates tests examples src $all_lines"
@@ -152,17 +152,23 @@ for bad in "--out" "--only" "--tighten" "--tighten tight"; do
 done
 rm -rf "$lint_dir"
 
-echo "== grid determinism smoke: serial vs parallel must match bit-for-bit"
-PI2_SECS=2 PI2_THREADS=1 cargo run -q -p pi2-bench --release --bin pi2fig -- grid_all > /tmp/pi2_grid_serial.txt
-PI2_SECS=2 PI2_THREADS=4 cargo run -q -p pi2-bench --release --bin pi2fig -- grid_all > /tmp/pi2_grid_par.txt
-diff /tmp/pi2_grid_serial.txt /tmp/pi2_grid_par.txt
-rm -f /tmp/pi2_grid_serial.txt /tmp/pi2_grid_par.txt
+echo "== sweep determinism smoke: 1, 2 and 4 workers must match bit-for-bit"
+# The grid at 2 s per cell, and the two families whose cells are not alike
+# (ext_dynamics twice, once under seeded weather; ext_topology audited):
+# both ignore PI2_SECS and run at the archive's length.
+for t in 1 2 4; do
+    PI2_SECS=2 PI2_THREADS="$t" cargo run -q -p pi2-bench --release --bin pi2fig -- \
+        grid_all ext_dynamics ext_topology > "/tmp/pi2_sweep_$t.txt" 2> /dev/null
+done
+diff /tmp/pi2_sweep_1.txt /tmp/pi2_sweep_2.txt
+diff /tmp/pi2_sweep_1.txt /tmp/pi2_sweep_4.txt
+rm -f /tmp/pi2_sweep_1.txt /tmp/pi2_sweep_2.txt /tmp/pi2_sweep_4.txt
 
 echo "== archive matches code: every archived figure and validate_grid, full scale, byte for byte"
 # results/<id>.txt is what `pi2fig <id>` prints at the default knobs, for
 # every row `pi2fig list` marks archived (id is the first field, the mark
 # the fourth). Each is regenerated at full scale — about 20 s of wall
-# time on two cores for all 26, which is why this is an exact cmp and
+# time on two cores for all 28, which is why this is an exact cmp and
 # not a reduced-length shape comparison — with PI2_SECS / PI2_SEED unset
 # whatever the caller exported. A mismatch means a change moved a
 # figure's numbers: regenerate the file with the command printed below
@@ -170,7 +176,7 @@ echo "== archive matches code: every archived figure and validate_grid, full sca
 fig_list="$(env -u PI2_SECS -u PI2_SEED target/release/pi2fig list)"
 fig_ids="$(awk '{ print $1 }' <<< "$fig_list")"
 archived_ids="$(awk '$4 == "archived" { print $1 }' <<< "$fig_list")"
-test "$(wc -w <<< "$archived_ids")" -ge 26
+test "$(wc -w <<< "$archived_ids")" -ge 28
 fig_out="$(mktemp -t pi2_fig.XXXXXX.txt)"
 archive_matches() {  # <results file> <command...>: its stdout is the file
     local file="$1" rc=0
@@ -246,85 +252,25 @@ grep -q '^# restored' "$ckpt_dir/restore.log"
 diff "$ckpt_dir/straight.json" "$ckpt_dir/restored.json"
 rm -rf "$ckpt_dir"
 
-echo "== dynamics scenario smoke: step-response table, weather determinism"
-# The full {rate-step, flow-churn} x {PIE, PI2, DualPI2} family under a
-# seeded weather layer (1% loss, 2 ms reordering jitter). The impaired
-# sweep must be bit-identical — table and JSONL trace — for any
-# PI2_THREADS, like every other sweep.
-dyn_dir="$(mktemp -d -t pi2_dynamics_smoke.XXXXXX)"
-trap 'rm -rf "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$dyn_dir"' EXIT
-for t in 1 2 4; do
-    # The "trace written to <path>" confirmation embeds the per-thread
-    # path; drop it so the table diff compares only scenario output.
-    PI2_THREADS="$t" cargo run -q -p pi2-bench --release --bin pi2sim -- \
-        --scenario dynamics --seed 4 --loss 1% --jitter 2ms \
-        --trace-out "$dyn_dir/trace_$t.jsonl" \
-        | grep -v '^dynamics trace:' > "$dyn_dir/table_$t.txt"
-done
-grep -q 'disturbance' "$dyn_dir/table_1.txt"
-grep -q 'rate-step' "$dyn_dir/table_1.txt"
-grep -q 'lost' "$dyn_dir/table_1.txt"           # weather column populated
-grep -q '"scenario":"dynamics"' "$dyn_dir/trace_1.jsonl"
-test "$(wc -l < "$dyn_dir/trace_1.jsonl")" -eq 6  # 2 disturbances x 3 AQMs
-diff "$dyn_dir/table_1.txt" "$dyn_dir/table_2.txt"
-diff "$dyn_dir/table_1.txt" "$dyn_dir/table_4.txt"
-diff "$dyn_dir/trace_1.jsonl" "$dyn_dir/trace_2.jsonl"
-diff "$dyn_dir/trace_1.jsonl" "$dyn_dir/trace_4.jsonl"
-rm -rf "$dyn_dir"
-
-echo "== topology scenario smoke: multi-hop FCT/fairness, thread determinism"
-# The {3-hop parking lot, access-core} x {PI2, DualPI2} family with
-# heavy-tailed mice: per-hop Jain fairness, per-class throughput and
-# mice FCT percentiles must be bit-identical — table and JSONL trace —
-# for any PI2_THREADS. Every arm runs with --audit: the invariant
-# auditor checks each event of every hop (bounds, depth, per-flow
-# dequeue <= enqueue, per-hop conservation), so each worker count also
-# proves its cells clean. (Audited == unaudited is held by
-# tests/obs_server.rs and tests/trace_streaming.rs.)
-topo_dir="$(mktemp -d -t pi2_topology_smoke.XXXXXX)"
-trap 'rm -rf "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$topo_dir"' EXIT
-for t in 1 2 4; do
-    # The "trace written to <path>" confirmation embeds the per-thread
-    # path; drop it so the table diff compares only scenario output.
-    PI2_THREADS="$t" cargo run -q -p pi2-bench --release --bin pi2sim -- \
-        --scenario topology --seed 9 --audit \
-        --trace-out "$topo_dir/trace_$t.jsonl" \
-        | grep -v '^topology trace:' > "$topo_dir/table_$t.txt"
-done
-grep -q 'audit=true' "$topo_dir/table_1.txt"
-grep -q 'parking-lot-3' "$topo_dir/table_1.txt"
-grep -q 'access-core-2' "$topo_dir/table_1.txt"
-grep -q 'hop 2:' "$topo_dir/table_1.txt"         # per-hop rows present
-grep -q '"scenario":"topology"' "$topo_dir/trace_1.jsonl"
-test "$(wc -l < "$topo_dir/trace_1.jsonl")" -eq 4  # 2 topologies x 2 AQMs
-diff "$topo_dir/table_1.txt" "$topo_dir/table_2.txt"
-diff "$topo_dir/table_1.txt" "$topo_dir/table_4.txt"
-diff "$topo_dir/trace_1.jsonl" "$topo_dir/trace_2.jsonl"
-diff "$topo_dir/trace_1.jsonl" "$topo_dir/trace_4.jsonl"
-rm -rf "$topo_dir"
-
 bin="$PWD/target/release"
 
-echo "== live ops smoke: served dynamics sweep, perfetto export, bit-identity"
-# A dynamics sweep behind --serve must be scrapeable over HTTP
-# (obs_get is the workspace's std-TcpStream client — no curl in the CI
-# image) and byte-identical to the unserved run; the representative
-# cell's Perfetto timeline must validate and match across the two runs.
+echo "== live ops smoke: a served family cell, perfetto export, bit-identity"
+# A family cell is a single run: behind --serve it must be scrapeable over
+# HTTP (obs_get is the workspace's std-TcpStream client — no curl in the CI
+# image) with stdout and Perfetto timeline byte-equal to the unserved run.
 # PI2_SERVE_HOLD keeps the final snapshots alive until GET /quit so the
 # end-of-run scrapes are race-free.
 live_dir="$(mktemp -d -t pi2_live_smoke.XXXXXX)"
 trap 'rm -rf "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$live_dir"' EXIT
-"$bin/pi2sim" --scenario dynamics --seed 4 \
-    --trace-out "$live_dir/ref.perfetto.json" --trace-format perfetto \
-    > "$live_dir/ref.stdout" 2> /dev/null
-PI2_SERVE_HOLD=1 "$bin/pi2sim" --scenario dynamics --seed 4 \
-    --trace-out "$live_dir/srv.perfetto.json" --trace-format perfetto \
-    --serve 127.0.0.1:0 \
-    > "$live_dir/srv.stdout" 2> "$live_dir/srv.stderr" &
+live_cell=(--scenario dynamics/rate-step --aqm pi2 --seed 4 --trace-format perfetto)
+( cd "$live_dir" && "$bin/pi2sim" "${live_cell[@]}" --trace-out ref.perfetto.json \
+    > ref.stdout 2> /dev/null )
+( cd "$live_dir" && PI2_SERVE_HOLD=1 exec "$bin/pi2sim" "${live_cell[@]}" \
+    --trace-out srv.perfetto.json --serve 127.0.0.1:0 > srv.stdout 2> srv.stderr ) &
 srv_pid=$!
 addr=""
 for _ in $(seq 1 200); do
-    addr="$(sed -n 's|^# pi2sim: serving http://\([0-9.:]*\)/.*|\1|p' "$live_dir/srv.stderr")"
+    addr="$(sed -n 's|^# pi2sim: serving http://\([0-9.:]*\)/.*|\1|p' "$live_dir/srv.stderr" 2>/dev/null)"
     [ -n "$addr" ] && break
     sleep 0.1
 done
@@ -335,24 +281,17 @@ for _ in $(seq 1 600); do
     sleep 0.1
 done
 grep -q 'holding for GET /quit' "$live_dir/srv.stderr"
-"$bin/obs_get" "$addr" /progress > "$live_dir/progress.json"
+"$bin/obs_get" "$addr" /progress | grep -q '"fraction":1'
 "$bin/obs_get" "$addr" /metrics > "$live_dir/scraped.prom"
-grep -q '"scenario":"dynamics"' "$live_dir/progress.json"
-grep -q '"fraction":1' "$live_dir/progress.json"
 "$bin/metrics_lint" "$live_dir/scraped.prom"
 "$bin/obs_get" "$addr" /quit > /dev/null
 wait "$srv_pid"
-# Serving is pure observation: stdout identical once the trace-path
-# confirmation (it embeds the per-run temp path) is dropped, and the
-# exported timelines are byte-equal.
-diff <(grep -v '^dynamics perfetto trace:' "$live_dir/ref.stdout") \
-     <(grep -v '^dynamics perfetto trace:' "$live_dir/srv.stdout")
+cmp "$live_dir/ref.stdout" "$live_dir/srv.stdout"
 cmp "$live_dir/ref.perfetto.json" "$live_dir/srv.perfetto.json"
-# The topology family exports a valid timeline too; structurally
-# validate both (monotonic per-track timestamps, drop/mark instants).
-"$bin/pi2sim" --scenario topology --seed 9 \
-    --trace-out "$live_dir/topo.perfetto.json" --trace-format perfetto \
-    > /dev/null 2> /dev/null
+# A multi-hop cell's timeline carries a track group per hop; validate both
+# structurally (monotonic per-track timestamps, drop/mark instants).
+"$bin/pi2sim" --scenario topology/parking-lot-3 --aqm pi2 --seed 9 \
+    --trace-out "$live_dir/topo.perfetto.json" --trace-format perfetto > /dev/null
 "$bin/perfetto_lint" "$live_dir/ref.perfetto.json" "$live_dir/topo.perfetto.json"
 rm -rf "$live_dir"
 

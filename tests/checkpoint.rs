@@ -93,6 +93,11 @@ impl Aqm for Outage {
     fn name(&self) -> &'static str {
         "outage"
     }
+    // The window is configuration; there is no state to carry.
+    fn save_ckpt(&self, _: &mut CkptWriter) {}
+    fn restore_ckpt(&mut self, _: &mut pi2::simcore::CkptReader) -> Result<(), CkptError> {
+        Ok(())
+    }
 }
 
 /// A small two-class fluid background for the hybrid cells.
@@ -313,14 +318,15 @@ fn oracle(cell: &Cell, snap_at: Time) -> Option<String> {
 /// built simulator.
 fn oracle_from(cell: &Cell, at: &str, advance: impl Fn(&mut Sim)) -> Option<String> {
     let tag = format!("{}×{} {at}", cell.aqm, cell.mix);
-    oracle_with(&tag, cell.seed, || build_sim(cell), advance)
+    oracle_with(&tag, cell.seed, T_END, || build_sim(cell), advance)
 }
 
 /// The oracle over any way to build the simulator: `build` is called
-/// three times and must describe the same run each time.
+/// three times and must describe the same run, `t_end` long, each time.
 fn oracle_with(
     tag: &str,
     seed: u64,
+    t_end: Time,
     build: impl Fn() -> Sim,
     advance: impl Fn(&mut Sim),
 ) -> Option<String> {
@@ -339,7 +345,7 @@ fn oracle_with(
     // Arm F: the straight-through reference.
     let mut f_sim = build();
     let f_sink = observe(&mut f_sim, seed);
-    f_sim.run_until(T_END);
+    f_sim.run_until(t_end);
     let f_obs = observables(f_sim, f_sink);
     if !f_obs.trace.starts_with(&prefix) {
         return Some(format!("{tag}: reference trace does not extend the prefix"));
@@ -355,7 +361,7 @@ fn oracle_with(
     if r_sim.core.now() != t_save {
         return Some(format!("{tag}: restored clock {} != {t_save}", r_sim.core.now()));
     }
-    r_sim.run_until(T_END);
+    r_sim.run_until(t_end);
     let r_obs = observables(r_sim, r_sink);
 
     let suffix = &f_obs.trace[prefix.len()..];
@@ -466,8 +472,8 @@ fn stateful(kind: &AqmKind) -> bool {
 /// experiment builds it (`Scenario::build`): save at t/2, restore into a
 /// fresh build, and the replay must be the straight-through run. A
 /// stateful policy must also *write* something: one whose `save_ckpt`
-/// falls through to the trait's silent no-op default fails here by name
-/// even if the state it lost happens not to move this short cell.
+/// is an empty body fails here by name even if the state it lost happens
+/// not to move this short cell.
 #[test]
 fn every_aqm_kind_restores_to_the_run_that_never_stopped() {
     let kinds = [
@@ -514,7 +520,7 @@ fn every_aqm_kind_restores_to_the_run_that_never_stopped() {
         sc.warmup = Duration::from_secs(1);
         sc.seed = 31;
         let half = Time::from_secs(2);
-        oracle_with(name, sc.seed, || sc.build().expect("a dumbbell builds"), |sim| {
+        oracle_with(name, sc.seed, T_END, || sc.build().expect("a dumbbell builds"), |sim| {
             sim.run_until(half)
         })
     })
@@ -522,6 +528,25 @@ fn every_aqm_kind_restores_to_the_run_that_never_stopped() {
     .flatten()
     .collect();
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// What `pi2sim --scenario topology/parking-lot-3 --aqm dualq
+/// --checkpoint-out/--restore` rests on: the family's own cell — DualPI2
+/// on three hops, a thousand mice starting, finishing and still waiting
+/// in the wheel — saved at t/2 restores to the run that never stopped.
+#[test]
+fn a_topology_family_cell_restores_to_the_run_that_never_stopped() {
+    use pi2::experiments::topology::{scenario_for, TopologyKind, LINK_BPS};
+    let sc = scenario_for(TopologyKind::ParkingLot3, AqmKind::dualq_default(LINK_BPS), 9);
+    let half = Time::ZERO + (sc.duration - Time::ZERO) / 2;
+    let diverged = oracle_with(
+        "parking-lot-3×dualpi2 @ t/2",
+        sc.seed,
+        sc.duration,
+        || sc.build().expect("the family's cell builds"),
+        |sim| sim.run_until(half),
+    );
+    assert_eq!(diverged, None);
 }
 
 /// Pending timer events of `flow` that satisfy `kind`, in pop order.

@@ -235,6 +235,36 @@ fn unknown_figure_is_an_error_listing_the_ids() {
     assert_eq!(all.len(), FIGURES.iter().filter(|f| f.archived).count());
 }
 
+/// `pi2sim --scenario <cell>` and the family sweep behind `pi2fig
+/// ext_dynamics` / `ext_topology` build the same run: a cell taken alone
+/// through the command line's path (its `--aqm` row built for the cell's
+/// link, the family's reduction) prints the rows the sweep's table holds
+/// for it.
+#[test]
+fn a_cell_run_alone_is_its_row_in_the_family_table() {
+    use pi2::experiments::{dynamics, topology};
+    use pi2_bench::cli::parse_args;
+    let alone = |line: &str| {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let a = parse_args(&argv).unwrap_or_else(|e| panic!("{line}: {e}"));
+        let sc = a.to_scenario();
+        let table = a.scenario.expect("the line names a cell").reduce(&sc, &sc.run());
+        // Drop the header line the family's renderer leads with.
+        table.split_once('\n').expect("a header and a row").1.to_string()
+    };
+    let clear = dynamics::render_table(&dynamics::dynamics(4, None));
+    let lots = topology::render_table(&topology::topology(9, false));
+    for (family, line) in [
+        (&clear, "--scenario dynamics/rate-step --aqm pie --seed 4"),
+        (&clear, "--scenario dynamics/flow-churn --aqm dualq --seed 4"),
+        (&lots, "--scenario topology/parking-lot-3 --aqm dualq --seed 9"),
+        (&lots, "--scenario topology/access-core-2 --aqm pi2 --seed 9"),
+    ] {
+        let rows = alone(line);
+        assert!(family.contains(&rows), "{line} printed\n{rows}not in\n{family}");
+    }
+}
+
 /// A renderer that dropped the knobs it is handed would print the same
 /// table at any length.
 #[test]

@@ -180,6 +180,13 @@ impl Aqm for BrokenAqm {
     fn name(&self) -> &'static str {
         "broken"
     }
+    fn save_ckpt(&self, _w: &mut pi2::simcore::CkptWriter) {}
+    fn restore_ckpt(
+        &mut self,
+        _r: &mut pi2::simcore::CkptReader,
+    ) -> Result<(), pi2::simcore::CkptError> {
+        Ok(())
+    }
 }
 
 /// The acceptance scenario for the flight recorder: a deliberately broken
@@ -290,6 +297,13 @@ impl pi2::netsim::Qdisc for LyingQdisc {
     }
     fn stats(&self) -> &pi2::netsim::QueueStats {
         self.inner.stats()
+    }
+    fn save_ckpt(&self, _w: &mut pi2::simcore::CkptWriter) {}
+    fn restore_ckpt(
+        &mut self,
+        _r: &mut pi2::simcore::CkptReader,
+    ) -> Result<(), pi2::simcore::CkptError> {
+        Ok(())
     }
 }
 

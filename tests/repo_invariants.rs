@@ -55,6 +55,14 @@ const RULES: &[Rule] = &[
               frozen record no code reads or writes, and its knobs are gone — as is the \
               environment's way to attach the profiler (--profile, Sim::enable_profiler)",
     },
+    Rule {
+        needles: &["SweepObserver", "install_observer", "SWEEP_OBSERVER"],
+        roots: &["crates", "scripts", "tests", "examples", "src"],
+        allowed: &["tests/repo_invariants.rs"],
+        up_to: None,
+        why: "an observer attaches to a Sim, never to the process: what a sweep shows while \
+              it runs is pi2sim --serve on one of its cells (--scenario <family>/<cell>)",
+    },
 ];
 
 /// Whether `line` holds `needle`, under the word-start rule.

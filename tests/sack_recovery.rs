@@ -268,6 +268,16 @@ impl Aqm for BurstThenOutage {
     fn name(&self) -> &'static str {
         "burst-then-outage"
     }
+
+    // Never checkpointed: the run that uses it goes straight through.
+    fn save_ckpt(&self, _w: &mut pi2::simcore::CkptWriter) {}
+
+    fn restore_ckpt(
+        &mut self,
+        _r: &mut pi2::simcore::CkptReader,
+    ) -> Result<(), pi2::simcore::CkptError> {
+        Ok(())
+    }
 }
 
 /// Reno that logs its congestion events: `'l'` for a loss reaction (the

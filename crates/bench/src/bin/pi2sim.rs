@@ -124,16 +124,13 @@ fn observe_and_run(
     audit: Option<AuditSink>,
     serve: Option<&ObsServer>,
 ) -> Option<Rc<RefCell<MemorySink>>> {
-    // A checkpoint carries what the sim carries, and `build` leaves two
-    // things on it that would change the blob this command line writes:
-    // the registry, kept only when asked for (`--metrics-out`, or
-    // `--serve` for the /metrics body), and the monitor's reservation
-    // hint, spent once every flow is registered (a zero reservation
-    // clears it).
+    // A checkpoint carries what the sim carries, and `build` leaves the
+    // registry on it, which would change the blob this command line
+    // writes: it is kept only when asked for (`--metrics-out`, or
+    // `--serve` for the /metrics body).
     if a.metrics_out.is_none() && serve.is_none() {
         sim.core.take_metrics();
     }
-    sim.core.monitor.reserve(0, 0);
     if a.profile {
         sim.enable_profiler();
     }

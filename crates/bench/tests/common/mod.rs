@@ -26,7 +26,6 @@ pub fn build(aqm: Box<dyn Aqm>) -> Sim {
             monitor: MonitorConfig {
                 record_sojourns: false,
                 record_probs: false,
-                record_flow_tput: false,
                 ..MonitorConfig::default()
             },
         },

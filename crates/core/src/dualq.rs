@@ -194,6 +194,19 @@ impl DualPi2 {
     fn total_bytes(&self) -> usize {
         self.l_bytes + self.c_bytes
     }
+
+    /// The scheduler's one rule, `None` when both queues are empty.
+    /// Time-shifted FIFO: L's head is served unless C's has waited more
+    /// than `time_shift` longer. Both waits are measured to the same
+    /// instant, so only the enqueue times enter.
+    fn serve_l(&self) -> Option<bool> {
+        match (self.l.front(), self.c.front()) {
+            (Some((_, l_t)), Some((_, c_t))) => Some(self.cfg.time_shift >= *l_t - *c_t),
+            (Some(_), None) => Some(true),
+            (None, Some(_)) => Some(false),
+            (None, None) => None,
+        }
+    }
 }
 
 impl Qdisc for DualPi2 {
@@ -246,16 +259,7 @@ impl Qdisc for DualPi2 {
     }
 
     fn pop(&mut self, now: Time) -> Option<(Packet, Duration)> {
-        // Time-shifted FIFO: compare head waiting times, crediting L.
-        let serve_l = match (self.l.front(), self.c.front()) {
-            (Some((_, l_t)), Some((_, c_t))) => {
-                now.saturating_since(*l_t) + self.cfg.time_shift >= now.saturating_since(*c_t)
-            }
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        let (pkt, enq) = if serve_l {
+        let (pkt, enq) = if self.serve_l()? {
             let e = self.l.pop_front()?;
             self.l_bytes -= e.0.size;
             self.l_dequeued_bytes += e.0.size as u64;
@@ -273,21 +277,8 @@ impl Qdisc for DualPi2 {
     }
 
     fn head_size(&self) -> Option<usize> {
-        // The scheduler decision is taken at pop time; for serialization
-        // scheduling both candidates have the same MTU-class sizes, so
-        // report the one the scheduler would pick with zero elapsed time.
-        match (self.l.front(), self.c.front()) {
-            (Some((p, _)), None) => Some(p.size),
-            (None, Some((p, _))) => Some(p.size),
-            (Some((lp, lt)), Some((cp, ct))) => {
-                if lt <= ct || self.cfg.time_shift >= *ct - *lt {
-                    Some(lp.size)
-                } else {
-                    Some(cp.size)
-                }
-            }
-            (None, None) => None,
-        }
+        let queue = if self.serve_l()? { &self.l } else { &self.c };
+        queue.front().map(|(p, _)| p.size)
     }
 
     fn len_bytes(&self) -> usize {

@@ -5,8 +5,8 @@
 //! scaling Δp with a stepwise "tune" lookup table ([`TUNE_TABLE`]) — the
 //! table Figure 5 shows tracking `√(2p)`. On top of that the Linux
 //! implementation carries the heuristics listed in Section 5 of the paper;
-//! each is individually switchable here so that the paper's three PIE
-//! variants can all be expressed:
+//! the five the paper's three PIE variants differ in are switchable here
+//! (the tune table and the idle decay of `p` are always on):
 //!
 //! * [`PieConfig::linux_default`] — full Linux PIE;
 //! * [`PieConfig::paper_default`] — full PIE with the ECN-drop-above-10 %
@@ -42,15 +42,6 @@ pub fn tune_factor(p: f64) -> f64 {
     1.0
 }
 
-/// How Δp is scaled before integration.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum TuneMode {
-    /// The RFC 8033 lookup table (Figure 5's `tune=auto`).
-    Auto,
-    /// A fixed factor (Figure 4's `tune=1`, `½`, `⅛` curves).
-    Fixed(f64),
-}
-
 /// PIE configuration. Field defaults follow the paper's Table 1 where the
 /// paper specifies a value, and RFC 8033 / Linux otherwise.
 #[derive(Clone, Copy, Debug)]
@@ -63,8 +54,6 @@ pub struct PieConfig {
     pub alpha_hz: f64,
     /// Proportional gain β (Table 1: 20/16 Hz).
     pub beta_hz: f64,
-    /// Δp scaling mode.
-    pub tune: TuneMode,
     /// Burst allowance (Table 1: 100 ms); `None` disables the heuristic.
     pub max_burst: Option<Duration>,
     /// Heuristic: no drop/mark while `p < 20 %` and the delay estimate is
@@ -78,8 +67,6 @@ pub struct PieConfig {
     pub clamp_delta: bool,
     /// Heuristic: force Δp = 2 % when the delay estimate exceeds 250 ms.
     pub qdelay_high_rule: bool,
-    /// Exponential decay of `p` while the queue is idle (RFC 8033 §4.2).
-    pub idle_decay: bool,
     /// Queue-delay estimation strategy (Linux PIE: departure-rate).
     pub estimator: DelayEstimator,
 }
@@ -92,13 +79,11 @@ impl PieConfig {
             t_update: Duration::from_millis(32),
             alpha_hz: 2.0 / 16.0,
             beta_hz: 20.0 / 16.0,
-            tune: TuneMode::Auto,
             max_burst: Some(Duration::from_millis(100)),
             suppress_when_light: true,
             ecn_drop_above: Some(0.1),
             clamp_delta: true,
             qdelay_high_rule: true,
-            idle_decay: true,
             estimator: DelayEstimator::linux_default(),
         }
     }
@@ -214,11 +199,7 @@ impl Aqm for Pie {
         let qdelay_old = self.core.prev_qdelay();
         let p = self.core.p();
 
-        let mut delta = self.core.delta(qdelay);
-        match self.cfg.tune {
-            TuneMode::Auto => delta *= tune_factor(p),
-            TuneMode::Fixed(f) => delta *= f,
-        }
+        let mut delta = self.core.delta(qdelay) * tune_factor(p);
         if self.cfg.qdelay_high_rule && qdelay > Duration::from_millis(250) {
             delta = 0.02;
         }
@@ -227,7 +208,8 @@ impl Aqm for Pie {
         }
         self.core.integrate(delta, qdelay);
 
-        if self.cfg.idle_decay && qdelay == Duration::ZERO && qdelay_old == Duration::ZERO {
+        // Exponential decay of `p` while the queue is idle (RFC 8033 §4.2).
+        if qdelay == Duration::ZERO && qdelay_old == Duration::ZERO {
             self.core.set_p(self.core.p() * 0.98);
         }
 
@@ -296,6 +278,7 @@ impl Aqm for Pie {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pi::{Pi, PiConfig};
     use pi2_netsim::{Action, Ecn, FlowId};
 
     fn snap(qlen_bytes: usize) -> QueueSnapshot {
@@ -497,7 +480,7 @@ mod tests {
     }
 
     #[test]
-    fn idle_decay_drains_p() {
+    fn an_idle_queue_drains_p() {
         let mut pie = Pie::new(PieConfig {
             max_burst: None,
             suppress_when_light: false,
@@ -507,29 +490,26 @@ mod tests {
         pie.core.set_p(0.4);
         pie.update(&snap(0), Time::ZERO); // sets prev=0
         let p1 = pie.prob();
-        pie.update(&snap(0), Time::ZERO); // idle decay active
+        pie.update(&snap(0), Time::ZERO); // second idle update: decay
         let p2 = pie.prob();
-        assert!(p2 < p1, "idle decay should shrink p: {p1} -> {p2}");
+        assert!(p2 < p1, "an idle queue should shrink p: {p1} -> {p2}");
     }
 
     #[test]
     fn auto_tune_slows_growth_at_low_p() {
-        // Same queue state, one PIE at p≈0 with tune, one with tune fixed 1.
-        let mk = |tune| {
-            Pie::new(PieConfig {
-                max_burst: None,
-                suppress_when_light: false,
-                tune,
-                estimator: DelayEstimator::QlenOverRate,
-                ..PieConfig::linux_default()
-            })
-        };
-        let mut tuned = mk(TuneMode::Auto);
-        let mut fixed = mk(TuneMode::Fixed(1.0));
+        // Same queue state and gains at p≈0: PIE, and PIE with the table
+        // taken out (Figure 6's `pi`).
+        let mut tuned = Pie::new(PieConfig {
+            max_burst: None,
+            suppress_when_light: false,
+            estimator: DelayEstimator::QlenOverRate,
+            ..PieConfig::linux_default()
+        });
+        let mut untuned = Pi::new(PiConfig::untuned_pie_gains());
         let s = snap(75_000); // 60 ms at 10 Mb/s: well above target
         tuned.update(&s, Time::ZERO);
-        fixed.update(&s, Time::ZERO);
-        assert!(tuned.prob() < fixed.prob());
+        untuned.update(&s, Time::ZERO);
+        assert!(tuned.prob() < untuned.control_variable());
         assert!(tuned.prob() > 0.0);
     }
 
@@ -557,6 +537,5 @@ mod tests {
         assert!(cfg.ecn_drop_above.is_none());
         assert!(!cfg.clamp_delta);
         assert!(!cfg.qdelay_high_rule);
-        assert_eq!(cfg.tune, TuneMode::Auto, "tune is PIE's essence, stays on");
     }
 }

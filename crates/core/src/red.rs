@@ -15,16 +15,13 @@ use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Rng, Time};
 pub struct RedConfig {
     /// Lower threshold on the average queue (bytes): below it, no drops.
     pub min_th_bytes: f64,
-    /// Upper threshold (bytes): above it, drop probability jumps to 1
-    /// (or ramps to 1 at `2·max_th` in gentle mode).
+    /// Upper threshold (bytes): above it, drop probability ramps from
+    /// `max_p` to 1 at `2·max_th` (gentle RED).
     pub max_th_bytes: f64,
     /// Drop probability at `max_th`.
     pub max_p: f64,
     /// EWMA weight for the average queue estimate.
     pub wq: f64,
-    /// Gentle RED: ramp from `max_p` to 1 between `max_th` and `2·max_th`
-    /// instead of jumping to 1.
-    pub gentle: bool,
 }
 
 impl Default for RedConfig {
@@ -36,7 +33,6 @@ impl Default for RedConfig {
             max_th_bytes: 62_500.0,
             max_p: 0.1,
             wq: 0.002,
-            gentle: true,
         }
     }
 }
@@ -81,7 +77,7 @@ impl Red {
             0.0
         } else if self.avg < c.max_th_bytes {
             c.max_p * (self.avg - c.min_th_bytes) / (c.max_th_bytes - c.min_th_bytes)
-        } else if c.gentle && self.avg < 2.0 * c.max_th_bytes {
+        } else if self.avg < 2.0 * c.max_th_bytes {
             c.max_p + (1.0 - c.max_p) * (self.avg - c.max_th_bytes) / c.max_th_bytes
         } else {
             1.0
@@ -205,7 +201,6 @@ mod tests {
     fn hard_drop_above_gentle_region() {
         let mut red = Red::new(RedConfig {
             wq: 1.0,
-            gentle: true,
             ..RedConfig::default()
         });
         let mut rng = Rng::new(3);

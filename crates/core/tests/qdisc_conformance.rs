@@ -128,3 +128,30 @@ fn qdisc_stats_add_up() {
         assert_eq!(q.stats().dequeued, admitted);
     }
 }
+
+/// Contract 5: the size `head_size()` announces is the size of the packet
+/// the next `pop()` returns — the link serialises the announced length.
+/// `FqDrr` (last in `all_qdiscs`) is left out: its `head_size` skips the
+/// deficit top-ups that `pop` performs, by its own doc comment, and an
+/// exact answer needs the qdisc to commit to a packet when transmission
+/// starts (ROADMAP item 4).
+#[test]
+fn qdisc_announces_the_size_it_pops() {
+    for mut q in all_qdiscs().into_iter().take(2) {
+        let mut rng = Rng::new(14);
+        let mut t = Time::ZERO;
+        let mut pops = 0;
+        for i in 0..6000u64 {
+            t += Duration::from_micros(300);
+            if rng.chance(0.55) {
+                q.offer(mixed_packet(&mut rng, i), t, &mut rng);
+            } else {
+                let announced = q.head_size();
+                let popped = q.pop(t).map(|(pkt, _)| pkt.size);
+                assert_eq!(announced, popped, "pop {pops} at {t}");
+                pops += 1;
+            }
+        }
+        assert!(pops > 2000);
+    }
+}

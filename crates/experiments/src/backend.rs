@@ -500,12 +500,12 @@ pub struct FluidRunResult {
 /// Execute a scenario on the fluid backend: compile its flow groups onto
 /// the flow-level engine and integrate, no packet events at all. TCP
 /// groups become responsive classes; UDP groups become rate-capped
-/// classes (unresponsive up to their CBR rate). Scheduled rate/RTT
-/// changes and impairments have no fluid equivalent and are rejected.
+/// classes (unresponsive up to their CBR rate). Scheduled rate changes
+/// and impairments have no fluid equivalent and are rejected.
 pub fn run_fluid(sc: &Scenario) -> Result<FluidRunResult, String> {
     let encoding = fluid_encoding(&sc.aqm)?;
-    if !sc.rate_changes.is_empty() || !sc.rtt_changes.is_empty() {
-        return Err("backend fluid does not support scheduled rate/RTT changes".to_string());
+    if !sc.rate_changes.is_empty() {
+        return Err("backend fluid does not support scheduled rate changes".to_string());
     }
     if sc.impairments.is_some_and(|i| !i.is_off()) {
         return Err("backend fluid does not support path impairments".to_string());

@@ -230,10 +230,6 @@ pub struct Scenario {
     pub rate_bps: u64,
     /// Scheduled rate changes (Figure 12).
     pub rate_changes: Vec<(Time, u64)>,
-    /// Scheduled base-RTT steps applied to every flow: at each `Time`,
-    /// all paths become the symmetric split of the new `Duration`.
-    /// In-flight packets keep their old delay.
-    pub rtt_changes: Vec<(Time, Duration)>,
     /// Optional path impairment layer ("network weather"): seeded random
     /// loss, reordering jitter, and duplication per direction. `None`
     /// (the default) leaves the path ideal and the simulation byte-for-
@@ -279,7 +275,6 @@ impl Scenario {
             aqm,
             rate_bps,
             rate_changes: Vec::new(),
-            rtt_changes: Vec::new(),
             impairments: None,
             buffer_bytes: 40_000 * 1500,
             tcp: Vec::new(),
@@ -387,7 +382,6 @@ impl Scenario {
         let flows: usize = self.tcp.iter().map(|g| g.count).sum::<usize>()
             + self.udp.iter().map(|g| g.count).sum::<usize>();
         sim.core.monitor.reserve(0, expected_pkts / flows.max(1));
-        let mut flow_ids = Vec::new();
         for group in &self.tcp {
             let route = group.path.as_deref().map(|name| self.route(name)).transpose()?;
             for _ in 0..group.count {
@@ -406,7 +400,6 @@ impl Scenario {
                 if let Some(stop) = group.stop {
                     sim.stop_flow_at(id, stop);
                 }
-                flow_ids.push(id);
             }
         }
         for group in &self.udp {
@@ -428,16 +421,10 @@ impl Scenario {
                 if let Some(stop) = group.stop {
                     sim.stop_flow_at(id, stop);
                 }
-                flow_ids.push(id);
             }
         }
         for &(at, rate) in &self.rate_changes {
             sim.set_rate_at(at, rate);
-        }
-        for &(at, rtt) in &self.rtt_changes {
-            for &id in &flow_ids {
-                sim.set_rtt_at(id, at, rtt);
-            }
         }
         Ok(sim)
     }

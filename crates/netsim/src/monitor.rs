@@ -27,10 +27,6 @@ pub struct MonitorConfig {
     /// Additionally record sojourns per flow (needed for per-class delay
     /// distributions, e.g. the DualQ L-vs-C comparison).
     pub record_flow_sojourns: bool,
-    /// Record the per-flow throughput column store at each sample tick
-    /// (needed for per-flow/pooled rate series; engine microbenches turn
-    /// it off along with the other recording flags).
-    pub record_flow_tput: bool,
 }
 
 impl Default for MonitorConfig {
@@ -41,7 +37,6 @@ impl Default for MonitorConfig {
             record_sojourns: true,
             record_probs: true,
             record_flow_sojourns: false,
-            record_flow_tput: true,
         }
     }
 }
@@ -152,10 +147,6 @@ struct SampleRow {
     /// Fraction of link capacity used over the interval (valid only if
     /// `has_rate`).
     util: f64,
-    /// Interval length, seconds — kept so per-flow throughput can be
-    /// recomputed from cumulative byte counts with the exact same
-    /// floating-point operations the eager path used.
-    dt: f64,
     /// False for a zero-length interval (no rate quantities that tick).
     has_rate: bool,
     /// Whether the tick fell after the warm-up period.
@@ -165,12 +156,10 @@ struct SampleRow {
 /// Run-wide measurement state.
 #[derive(Clone, Debug)]
 /// `repr(C)` pins the field order so the state the rare sample tick
-/// reads shares cache lines with state the per-packet record paths keep
-/// warm: line one holds `warm_at` (read on every record) plus the
-/// sample-tick scalars and the `samples` header; line two holds the
-/// `flow_deq_now` header (written on every dequeue) plus the
-/// `flow_deq_bytes` header. Sample ticks run ~10^4 events apart, so
-/// without this co-location every scalar they touch is a cold miss.
+/// reads shares a cache line with state the per-packet record paths keep
+/// warm: `warm_at` (read on every record), the sample-tick scalars and
+/// the `samples` header. Sample ticks run ~10^4 events apart, so without
+/// this co-location every scalar they touch is a cold miss.
 #[repr(C)]
 pub struct Monitor {
     /// `Time::ZERO + cfg.warmup`, precomputed for the per-record warm-up
@@ -180,15 +169,6 @@ pub struct Monitor {
     last_total_bytes: u64,
     /// Periodic samples, one row per tick (see [`SampleRow`]).
     samples: Vec<SampleRow>,
-    /// Dense mirror of each flow's current `dequeued_bytes`, updated by
-    /// the (cache-warm) dequeue path so the rare sample tick reads one or
-    /// two lines instead of walking every `FlowAccount`.
-    flow_deq_now: Vec<u64>,
-    /// Cumulative `dequeued_bytes` of every flow at each rate-bearing
-    /// sample row, as a flat column store (stride = `flows.len()`).
-    /// [`Monitor::flow_tput_series`] differences consecutive rows to
-    /// recover the per-interval series.
-    flow_deq_bytes: Vec<u64>,
     cfg: MonitorConfig,
     /// Per-flow accounts, indexed by [`FlowId`].
     pub flows: Vec<FlowAccount>,
@@ -217,8 +197,6 @@ impl Monitor {
             sojourn_ms: Vec::new(),
             completions: Vec::new(),
             samples: Vec::new(),
-            flow_deq_bytes: Vec::new(),
-            flow_deq_now: Vec::new(),
             last_sample_at: Time::ZERO,
             last_total_bytes: 0,
             end_of_last_run: Time::ZERO,
@@ -246,8 +224,6 @@ impl Monitor {
             self.sojourn_ms.reserve(expected_pkts);
         }
         self.flow_pkts_hint = expected_pkts;
-        self.flow_deq_bytes
-            .reserve(expected_samples * self.flows.len().max(1));
     }
 
     /// The configured sampling interval.
@@ -281,7 +257,6 @@ impl Monitor {
             }
         }
         self.flows.push(acc);
-        self.flow_deq_now.push(0);
     }
 
     /// Access a flow's account.
@@ -360,7 +335,6 @@ impl Monitor {
     /// Record a departure from the bottleneck.
     pub fn record_dequeue(&mut self, flow: FlowId, bytes: usize, sojourn: Duration, now: Time) {
         let postwarm = self.postwarm(now);
-        self.flow_deq_now[flow.idx()] += bytes as u64;
         let acc = &mut self.flows[flow.idx()];
         acc.dequeued_pkts += 1;
         acc.dequeued_bytes += bytes as u64;
@@ -421,18 +395,12 @@ impl Monitor {
             let bits = (total - self.last_total_bytes) as f64 * 8.0;
             tput_mbps = bits / dt / 1e6;
             util = bits / dt / queue.rate_bps() as f64;
-            // Snapshot cumulative per-flow egress; the per-interval series
-            // is differenced out lazily by `flow_tput_series`.
-            if self.cfg.record_flow_tput {
-                self.flow_deq_bytes.extend_from_slice(&self.flow_deq_now);
-            }
         }
         self.samples.push(SampleRow {
             t,
             qdelay_ms,
             tput_mbps,
             util,
-            dt,
             has_rate,
             postwarm: now >= self.warm_at,
         });
@@ -472,31 +440,6 @@ impl Monitor {
             .iter()
             .filter(|r| r.has_rate && r.postwarm)
             .map(|r| r.util as f32)
-            .collect()
-    }
-
-    /// Per-interval egress throughput of flow `idx` in Mb/s, materialized
-    /// as a `(t s, Mb/s)` series by differencing the cumulative byte
-    /// snapshots. The time axis is shared with
-    /// [`Monitor::total_tput_series`]. Assumes all flows were registered
-    /// before the first sample tick (true of every scenario driver:
-    /// registration happens at setup).
-    pub fn flow_tput_series(&self, idx: usize) -> Vec<(f64, f64)> {
-        if !self.cfg.record_flow_tput {
-            return Vec::new();
-        }
-        let n = self.flows.len();
-        let mut prev = 0u64;
-        self.samples
-            .iter()
-            .filter(|r| r.has_rate)
-            .enumerate()
-            .map(|(row, r)| {
-                let cur = self.flow_deq_bytes[row * n + idx];
-                let fbits = (cur - prev) as f64 * 8.0;
-                prev = cur;
-                (r.t, fbits / r.dt / 1e6)
-            })
             .collect()
     }
 
@@ -551,24 +494,14 @@ impl Monitor {
         w.time(self.last_sample_at);
         w.u64(self.last_total_bytes);
         w.time(self.end_of_last_run);
-        w.usize(self.flow_pkts_hint);
         w.usize(self.samples.len());
         for row in &self.samples {
             w.f64(row.t);
             w.f64(row.qdelay_ms);
             w.f64(row.tput_mbps);
             w.f64(row.util);
-            w.f64(row.dt);
             w.bool(row.has_rate);
             w.bool(row.postwarm);
-        }
-        w.usize(self.flow_deq_now.len());
-        for &v in &self.flow_deq_now {
-            w.u64(v);
-        }
-        w.usize(self.flow_deq_bytes.len());
-        for &v in &self.flow_deq_bytes {
-            w.u64(v);
         }
         w.usize(self.control_series.len());
         for &(t, p) in &self.control_series {
@@ -618,7 +551,6 @@ impl Monitor {
         self.last_sample_at = r.time()?;
         self.last_total_bytes = r.u64()?;
         self.end_of_last_run = r.time()?;
-        self.flow_pkts_hint = r.usize()?;
         let n = r.usize()?;
         self.samples.clear();
         for _ in 0..n {
@@ -627,20 +559,9 @@ impl Monitor {
                 qdelay_ms: r.f64()?,
                 tput_mbps: r.f64()?,
                 util: r.f64()?,
-                dt: r.f64()?,
                 has_rate: r.bool()?,
                 postwarm: r.bool()?,
             });
-        }
-        let n = r.usize()?;
-        self.flow_deq_now.clear();
-        for _ in 0..n {
-            self.flow_deq_now.push(r.u64()?);
-        }
-        let n = r.usize()?;
-        self.flow_deq_bytes.clear();
-        for _ in 0..n {
-            self.flow_deq_bytes.push(r.u64()?);
         }
         let n = r.usize()?;
         self.control_series.clear();
@@ -824,12 +745,32 @@ mod tests {
         assert_eq!(m.total_tput_series().len(), 1);
         assert!((m.total_tput_series()[0].1 - 12.0).abs() < 1e-9);
         assert!((m.util_series()[0].1 - 1.0).abs() < 1e-9);
-        // The per-flow series shares the time axis and reconstructs the
-        // same interval rate from the cumulative snapshots.
-        let per_flow = m.flow_tput_series(0);
-        assert_eq!(per_flow.len(), 1);
-        assert!((per_flow[0].1 - 12.0).abs() < 1e-9);
         assert_eq!(m.qdelay_series().len(), 1);
+    }
+
+    #[test]
+    fn a_sample_tick_costs_the_checkpoint_the_same_bytes_for_any_flow_count() {
+        let q = BottleneckQueue::new(
+            QueueConfig {
+                rate_bps: 12_000_000,
+                buffer_bytes: usize::MAX,
+            },
+            Box::new(PassAqm),
+        );
+        let blob_len = |flows: usize, ticks: u64| {
+            let mut m = monitor();
+            for _ in 0..flows {
+                m.register_flow("f");
+            }
+            for i in 1..=ticks {
+                m.sample(&q, Time::from_secs(i));
+            }
+            let mut w = CkptWriter::new();
+            m.save_ckpt(&mut w);
+            w.into_bytes().len()
+        };
+        let per_tick = |flows| (blob_len(flows, 101) - blob_len(flows, 1)) / 100;
+        assert_eq!(per_tick(100), per_tick(1));
     }
 
     #[test]

@@ -129,7 +129,7 @@ pub enum TimerKind {
 ///
 /// `Deliver` and `AckArrive` carry 4-byte [`Pool`] handles rather than
 /// their payloads: parking the `Packet`/`Ack` in a slab keeps every
-/// event-queue entry small (the largest variant is `SetPath`), which is
+/// event-queue entry small (the largest variant is `Timer`), which is
 /// what makes the timing wheel's per-event moves cheap. The dispatch loop
 /// resolves a handle exactly once, immediately before invoking the
 /// handler, so no handle outlives its event.
@@ -165,10 +165,6 @@ pub enum Event {
     SourceOn(FlowId),
     /// Deactivate a source.
     SourceOff(FlowId),
-    /// Reconfigure a flow's path delays (scheduled RTT-step disturbances).
-    /// Packets and ACKs already in flight keep the delay they departed
-    /// with; only subsequent departures see the new path.
-    SetPath(FlowId, PathConf),
     /// A data packet finishes its inter-hop propagation leg and arrives
     /// at the given hop for admission (handle into [`SimCore::packets`]).
     HopArrive(u32, Handle),
@@ -423,12 +419,6 @@ impl SimCore {
     /// Path configuration of a registered flow.
     pub fn path(&self, flow: FlowId) -> PathConf {
         self.paths[flow.idx()]
-    }
-
-    /// Replace a flow's path delays (the handler behind
-    /// [`Event::SetPath`]). In-flight packets keep their old delay.
-    pub fn set_path(&mut self, flow: FlowId, path: PathConf) {
-        self.paths[flow.idx()] = path;
     }
 
     /// Number of registered flows.
@@ -897,7 +887,7 @@ impl SimCore {
 /// [`CKPT_VERSION`]: `Sim::restore` accepts exactly one version, so a tag
 /// never has to stay decodable across a bump and each bump may renumber
 /// them densely (version 4 did, when it retired the per-hop duplicates of
-/// `Dequeue` and `AqmUpdate`).
+/// `Dequeue` and `AqmUpdate`; version 7 did, when the RTT-step event went).
 fn write_event(w: &mut CkptWriter, ev: &Event) {
     match ev {
         Event::Dequeue(hop) => {
@@ -942,14 +932,8 @@ fn write_event(w: &mut CkptWriter, ev: &Event) {
             w.u8(8);
             w.u32(f.0);
         }
-        Event::SetPath(f, p) => {
-            w.u8(9);
-            w.u32(f.0);
-            w.duration(p.fwd);
-            w.duration(p.rev);
-        }
         Event::HopArrive(hop, h) => {
-            w.u8(10);
+            w.u8(9);
             w.u32(*hop);
             w.u32(*h);
         }
@@ -957,7 +941,7 @@ fn write_event(w: &mut CkptWriter, ev: &Event) {
 }
 
 /// Decode one pending event written by [`write_event`]. A tag outside
-/// the current version's table — including the retired 11 and 12 — is
+/// the current version's table — including the retired 10 to 12 — is
 /// corruption, not an older format.
 fn read_event(r: &mut CkptReader) -> Result<Event, CkptError> {
     Ok(match r.u8()? {
@@ -981,12 +965,6 @@ fn read_event(r: &mut CkptReader) -> Result<Event, CkptError> {
         7 => Event::SourceOn(FlowId(r.u32()?)),
         8 => Event::SourceOff(FlowId(r.u32()?)),
         9 => {
-            let f = FlowId(r.u32()?);
-            let fwd = r.duration()?;
-            let rev = r.duration()?;
-            Event::SetPath(f, PathConf { fwd, rev })
-        }
-        10 => {
             let hop = r.u32()?;
             Event::HopArrive(hop, r.u32()?)
         }
@@ -1023,22 +1001,16 @@ pub trait Source {
         let _ = (kind, id, core);
     }
 
-    /// Serialize the source's mutable state (checkpointing). The default
-    /// writes nothing, matching sources whose behaviour is a pure
-    /// function of their configuration and the events delivered to them.
-    /// A stateful source must write every field that influences future
-    /// behaviour, in a fixed order mirrored by
-    /// [`restore_ckpt`](Source::restore_ckpt).
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        let _ = w;
-    }
+    /// Serialize the source's mutable state (checkpointing): every field
+    /// that influences future behaviour, in a fixed order mirrored by
+    /// [`restore_ckpt`](Source::restore_ckpt). Required: a source whose
+    /// behaviour is a pure function of its configuration and the events
+    /// delivered to it says so with an empty body, so a stateful one
+    /// cannot forget it.
+    fn save_ckpt(&self, w: &mut CkptWriter);
 
-    /// Restore state captured by [`Source::save_ckpt`]. The default reads
-    /// nothing.
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        let _ = r;
-        Ok(())
-    }
+    /// Restore state captured by [`Source::save_ckpt`].
+    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError>;
 }
 
 /// Top-level simulation configuration.
@@ -1064,7 +1036,7 @@ impl Default for SimConfig {
 
 /// Display names of the event classes the self-profiler attributes time
 /// to, indexed by [`event_class`]. One entry per [`Event`] variant.
-pub const EVENT_CLASSES: [&str; 11] = [
+pub const EVENT_CLASSES: [&str; 10] = [
     "dequeue",
     "deliver",
     "ack",
@@ -1074,7 +1046,6 @@ pub const EVENT_CLASSES: [&str; 11] = [
     "set_link_rate",
     "source_on",
     "source_off",
-    "set_path",
     "hop_arrive",
 ];
 
@@ -1091,8 +1062,7 @@ pub fn event_class(ev: &Event) -> usize {
         Event::SetLinkRate(_) => 6,
         Event::SourceOn(_) => 7,
         Event::SourceOff(_) => 8,
-        Event::SetPath(..) => 9,
-        Event::HopArrive(..) => 10,
+        Event::HopArrive(..) => 9,
     }
 }
 
@@ -1113,8 +1083,12 @@ pub fn event_class(ev: &Event) -> usize {
 /// [`LazyTimer`](crate::timer::LazyTimer) record. Version 6 added the
 /// fluid background's per-class binding row (which classes its last
 /// allocation left demand-bound), without which a restored aggregate
-/// counted a reallocation the straight run never saw.
-pub const CKPT_VERSION: u32 = 6;
+/// counted a reallocation the straight run never saw. Version 7 dropped
+/// what nothing read or scheduled: the monitor's per-flow throughput
+/// store (a word per sample row, two lists) and its reservation hint,
+/// TCP's NewReno inflation word, and the RTT-step event, whose tag
+/// `HopArrive` took (10 → 9).
+pub const CKPT_VERSION: u32 = 7;
 
 /// The complete simulator: shared core + traffic sources.
 pub struct Sim {
@@ -1218,16 +1192,8 @@ impl Sim {
         self.core.events.push(at, Event::SetLinkRate(rate_bps));
     }
 
-    /// Schedule an RTT step for one flow: from `at`, its path becomes the
-    /// symmetric split of `rtt`. In-flight packets keep their old delay.
-    pub fn set_rtt_at(&mut self, flow: FlowId, at: Time, rtt: Duration) {
-        self.core
-            .events
-            .push(at, Event::SetPath(flow, PathConf::symmetric(rtt)));
-    }
-
-    /// Schedule an arbitrary disturbance event (rate steps, RTT steps,
-    /// flow churn) — the generic form of the helpers above, forwarding to
+    /// Schedule an arbitrary disturbance event (rate steps, flow churn) —
+    /// the generic form of the helpers above, forwarding to
     /// [`SimCore::schedule`].
     pub fn schedule(&mut self, at: Time, event: Event) {
         self.core.schedule(at, event);
@@ -1506,9 +1472,6 @@ impl Sim {
             Event::SourceOff(flow) => {
                 self.sources[flow.idx()].on_stop(&mut self.core);
             }
-            Event::SetPath(flow, path) => {
-                self.core.set_path(flow, path);
-            }
             Event::HopArrive(hop, h) => {
                 let pkt = self.core.packets.take(h);
                 self.core.admit(hop, pkt, false);
@@ -1570,6 +1533,13 @@ mod tests {
         }
         fn on_ack(&mut self, ack: Ack, _core: &mut SimCore) {
             self.log.borrow_mut().acked.push(ack.cum_seq);
+        }
+        fn save_ckpt(&self, w: &mut CkptWriter) {
+            w.u64(self.rcv_pkts);
+        }
+        fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+            self.rcv_pkts = r.u64()?;
+            Ok(())
         }
     }
 
@@ -1688,6 +1658,12 @@ mod tests {
             fn on_timer(&mut self, kind: TimerKind, id: u64, core: &mut SimCore) {
                 assert!(self.timer.wake(core, id), "a timer armed once wakes once, due");
                 self.fired.borrow_mut().push((kind, core.now()));
+            }
+            fn save_ckpt(&self, w: &mut CkptWriter) {
+                self.timer.save_ckpt(w);
+            }
+            fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+                self.timer.restore_ckpt(r)
             }
         }
         let fired = Rc::new(RefCell::new(Vec::new()));
@@ -2014,11 +1990,11 @@ mod tests {
             let bytes = w.into_bytes();
             read_event(&mut CkptReader::new(&bytes))
         };
-        // The table ends at 10 (`HopArrive` since version 4)...
-        assert!(matches!(decode(10), Ok(Event::HopArrive(2, 5))));
-        // ...so the last two tags of version 3's table (11 and 12), like
+        // The table ends at 9 (`HopArrive` since version 7)...
+        assert!(matches!(decode(9), Ok(Event::HopArrive(2, 5))));
+        // ...so the tags earlier versions had past it (10 to 12), like
         // anything else past the end, are a damaged blob.
-        for tag in [11, 12, u8::MAX] {
+        for tag in [10, 11, 12, u8::MAX] {
             assert!(matches!(
                 decode(tag),
                 Err(CkptError::Corrupt("unknown event tag"))

@@ -79,18 +79,13 @@ pub trait CongestionControl {
     fn steady_state_window(&self, p: f64, rtt: Duration) -> Option<f64>;
 
     /// Serialize all mutable controller state in a fixed field order
-    /// (checkpointing). The default writes nothing, which is correct only
-    /// for stateless test stubs — every real control overrides this.
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        let _ = w;
-    }
+    /// (checkpointing). Required: a control with no state says so with an
+    /// empty body, so a stateful one cannot forget it.
+    fn save_ckpt(&self, w: &mut CkptWriter);
 
     /// Restore state captured by [`CongestionControl::save_ckpt`] into a
     /// freshly constructed instance of the same control.
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        let _ = r;
-        Ok(())
-    }
+    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError>;
 }
 
 /// Which congestion control to instantiate, together with the Appendix A

@@ -7,7 +7,7 @@
 //! `pi2-netsim`:
 //!
 //! * [`tcp::TcpSource`] — an ACK-clocked sliding-window sender and its
-//!   receiver in one [`pi2_netsim::Source`], with slow start, NewReno fast
+//!   receiver in one [`pi2_netsim::Source`], with slow start, SACK fast
 //!   retransmit/recovery, RFC 6298 RTO estimation, and ECN feedback;
 //! * [`cc`] — the pluggable congestion-control algorithms, each carrying
 //!   its steady-state window law from Appendix A so tests can check the

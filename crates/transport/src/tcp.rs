@@ -7,8 +7,8 @@
 //! Linux stack:
 //!
 //! * sliding-window transmission clocked by cumulative ACKs;
-//! * SACK-based loss recovery (RFC 2018/6675 scoreboard, the default, as
-//!   in the paper's Linux 3.18 testbed) with a NewReno fallback;
+//! * SACK-based loss recovery (RFC 2018/6675 scoreboard, as in the
+//!   paper's Linux 3.18 testbed);
 //! * RFC 6298 RTT estimation and exponential-backoff RTO;
 //! * once-per-RTT gating of Classic congestion events (loss and ECE), with
 //!   Scalable marks delivered per-ACK through cumulative CE counters;
@@ -143,10 +143,6 @@ pub struct TcpConfig {
     /// Linux bug capping the BDP at 1 MB; setting this low reproduces that
     /// artefact, the default leaves the window effectively unclamped.
     pub max_cwnd: f64,
-    /// Use SACK-based loss recovery (RFC 2018/6675). On by default, as in
-    /// the paper's Linux testbed; off falls back to pure NewReno, which
-    /// heals only one hole per RTT after a burst loss.
-    pub sack: bool,
     /// Delayed ACKs (RFC 1122): acknowledge every second in-order segment,
     /// with a 40 ms delayed-ACK timer, immediate ACKs on out-of-order or
     /// CE-marked data (the DCTCP receiver rule). Off by default — the
@@ -165,7 +161,6 @@ impl Default for TcpConfig {
             max_rto: Duration::from_secs(60),
             data_limit: None,
             max_cwnd: 1e9,
-            sack: true,
             delayed_ack: false,
         }
     }
@@ -190,10 +185,6 @@ pub struct TcpSource {
     dupacks: u32,
     in_recovery: bool,
     recover: u64,
-    /// NewReno window inflation (RFC 6582): each duplicate ACK during
-    /// recovery signals a departure, allowing one new segment out
-    /// (non-SACK mode only).
-    recovery_inflation: u64,
     /// SACK scoreboard: sequences the receiver holds above `snd_una`.
     sacked: RangeSet,
     /// Sequences deemed lost (unsacked holes below the highest SACK; valid
@@ -272,7 +263,6 @@ impl TcpSource {
             dupacks: 0,
             in_recovery: false,
             recover: 0,
-            recovery_inflation: 0,
             sacked: RangeSet::new(),
             lost: SeqSet::new(),
             rtx_out: SeqSet::new(),
@@ -349,15 +339,6 @@ impl TcpSource {
     fn arm_rto(&mut self, core: &mut SimCore) {
         let rto = self.rto();
         self.rto_timer.arm(core, rto);
-    }
-
-    fn effective_cwnd(&self) -> u64 {
-        let base = whole_packets(self.cc.cwnd().min(self.cfg.max_cwnd));
-        if self.cfg.sack {
-            base
-        } else {
-            base + self.recovery_inflation
-        }
     }
 
     /// RFC 6675 pipe estimate: packets believed to be in the network.
@@ -493,28 +474,19 @@ impl TcpSource {
         if !self.active {
             return;
         }
-        let cwnd = self.effective_cwnd();
-        if self.cfg.sack {
-            // RFC 6675: repairs first, then new data, all bounded by pipe.
-            while self.pipe() < cwnd {
-                if let Some(seq) = self.next_repair() {
-                    self.rtx_out.insert(seq);
-                    self.repair_from = seq + 1;
-                    self.send_segment(core, seq, true);
-                } else if !self.data_exhausted() {
-                    let seq = self.snd_nxt;
-                    self.snd_nxt += 1;
-                    self.send_segment(core, seq, false);
-                } else {
-                    break;
-                }
-            }
-        } else {
-            let limit = self.snd_una + cwnd;
-            while self.snd_nxt < limit && !self.data_exhausted() {
+        let cwnd = whole_packets(self.cc.cwnd().min(self.cfg.max_cwnd));
+        // RFC 6675: repairs first, then new data, all bounded by pipe.
+        while self.pipe() < cwnd {
+            if let Some(seq) = self.next_repair() {
+                self.rtx_out.insert(seq);
+                self.repair_from = seq + 1;
+                self.send_segment(core, seq, true);
+            } else if !self.data_exhausted() {
                 let seq = self.snd_nxt;
                 self.snd_nxt += 1;
                 self.send_segment(core, seq, false);
+            } else {
+                break;
             }
         }
         if !self.rto_timer.is_armed() && self.snd_nxt > self.snd_una {
@@ -587,11 +559,7 @@ impl TcpSource {
             pkts_total: self.pkts_total,
             echo_ts,
             echo_rtx,
-            sack: if self.cfg.sack {
-                self.sack_blocks(just_received)
-            } else {
-                Ack::NO_SACK
-            },
+            sack: self.sack_blocks(just_received),
         });
         self.unacked_segs = 0;
         self.ece_pending = false;
@@ -664,9 +632,7 @@ impl Source for TcpSource {
             self.sample_rtt(now.saturating_since(ack.echo_ts));
         }
 
-        if self.cfg.sack {
-            self.apply_sack(&ack);
-        }
+        self.apply_sack(&ack);
 
         if ack.cum_seq > self.snd_una {
             // New data acknowledged.
@@ -678,18 +644,10 @@ impl Source for TcpSource {
                 if self.snd_una >= self.recover {
                     self.in_recovery = false;
                     self.dupacks = 0;
-                    self.recovery_inflation = 0;
-                } else if self.cfg.sack {
+                } else {
                     // The new hole (if any) at snd_una is below the highest
                     // SACK and will be marked lost and repaired by try_send.
                     self.mark_lost_holes();
-                } else {
-                    // NewReno partial ACK (RFC 6582): the next hole starts
-                    // at the new snd_una; retransmit it immediately and
-                    // deflate the window by the data the ACK covered.
-                    self.recovery_inflation =
-                        self.recovery_inflation.saturating_sub(acked).saturating_add(1);
-                    self.send_segment(core, self.snd_una, true);
                 }
             } else {
                 self.dupacks = 0;
@@ -716,15 +674,12 @@ impl Source for TcpSource {
         } else if ack.cum_seq == self.snd_una && self.snd_nxt > self.snd_una {
             // Duplicate ACK.
             self.dupacks += 1;
-            if self.in_recovery && !self.cfg.sack {
-                self.recovery_inflation += 1;
-            }
             // Scalable marks still arrive on duplicates.
             self.cc.on_ack(0, marked, received, self.rtt_estimate(), now);
             if ack.ece && self.ecn == EcnSetting::Classic && self.gate_open() {
                 self.classic_congestion_event(now, false);
             }
-            let sack_trigger = self.cfg.sack && self.sacked.len() >= 3;
+            let sack_trigger = self.sacked.len() >= 3;
             if !self.in_recovery && (self.dupacks >= 3 || sack_trigger) {
                 if self.gate_open() {
                     self.classic_congestion_event(now, true);
@@ -736,19 +691,14 @@ impl Source for TcpSource {
                 // so the scan cursors restart.
                 self.lost_below = 0;
                 self.repair_from = 0;
-                if self.cfg.sack {
-                    self.mark_lost_holes();
-                    // If nothing is SACKed yet (pure dupack entry), the
-                    // first unacked segment is the presumed loss.
-                    if self.lost.is_empty() {
-                        self.lost.insert(self.snd_una);
-                    }
-                } else {
-                    self.recovery_inflation = 3;
-                    self.send_segment(core, self.snd_una, true);
+                self.mark_lost_holes();
+                // If nothing is SACKed yet (pure dupack entry), the
+                // first unacked segment is the presumed loss.
+                if self.lost.is_empty() {
+                    self.lost.insert(self.snd_una);
                 }
                 self.arm_rto(core);
-            } else if self.in_recovery && self.cfg.sack {
+            } else if self.in_recovery {
                 self.mark_lost_holes();
             }
         }
@@ -783,7 +733,6 @@ impl Source for TcpSource {
         self.rto_backoff += 1;
         self.in_recovery = false;
         self.dupacks = 0;
-        self.recovery_inflation = 0;
         // The scoreboard may be stale (e.g. the retransmission itself was
         // lost); RFC 6582/6675 restart from scratch after a timeout.
         self.sacked.clear();
@@ -808,7 +757,6 @@ impl Source for TcpSource {
         w.u32(self.dupacks);
         w.bool(self.in_recovery);
         w.u64(self.recover);
-        w.u64(self.recovery_inflation);
         write_rangeset(w, &self.sacked);
         write_seqset(w, &self.lost);
         write_seqset(w, &self.rtx_out);
@@ -851,7 +799,6 @@ impl Source for TcpSource {
         self.dupacks = r.u32()?;
         self.in_recovery = r.bool()?;
         self.recover = r.u64()?;
-        self.recovery_inflation = r.u64()?;
         self.sacked = read_rangeset(r)?;
         self.lost = read_seqset(r)?;
         self.rtx_out = read_seqset(r)?;
@@ -1168,52 +1115,38 @@ mod tests {
         }
     }
 
-    /// The regression behind adding SACK: a burst of losses from one
-    /// window must heal in a handful of RTTs, not one hole per RTT.
+    /// The regression behind SACK: a burst of losses from one window must
+    /// heal in a handful of RTTs, not one hole per RTT (200 holes at
+    /// 100 ms would be ~20 s).
     #[test]
     fn sack_heals_burst_loss_quickly() {
-        let run = |sack: bool| {
-            let mut sim = sim_with(
-                100_000_000,
-                usize::MAX,
-                Box::new(BurstLoss { from: 200, to: 400 }),
-            );
-            let id = sim.add_flow(
-                PathConf::symmetric(Duration::from_millis(100)),
-                "f",
-                Time::ZERO,
-                move |id| {
-                    Box::new(TcpSource::new(
-                        id,
-                        CcKind::Cubic,
-                        EcnSetting::NotEcn,
-                        TcpConfig {
-                            data_limit: Some(2000),
-                            sack,
-                            ..TcpConfig::default()
-                        },
-                    ))
-                },
-            );
-            sim.run_until(Time::from_secs(300));
-            let _ = id;
-            sim.core
-                .monitor
-                .completions
-                .first()
-                .map(|(_, s, e)| (*e - *s).as_secs_f64())
-        };
-        let with_sack = run(true).expect("SACK flow must complete");
-        let without = run(false).expect("NewReno flow must complete");
-        // 200 holes: NewReno needs ~200 RTTs (~20 s); SACK a few RTTs
-        // once cwnd allows (bounded by cwnd ramp-up, still far faster).
-        assert!(
-            with_sack < 10.0,
-            "SACK took {with_sack:.1} s to move 2000 pkts over a 200-loss burst"
+        let mut sim = sim_with(
+            100_000_000,
+            usize::MAX,
+            Box::new(BurstLoss { from: 200, to: 400 }),
         );
+        sim.add_flow(
+            PathConf::symmetric(Duration::from_millis(100)),
+            "f",
+            Time::ZERO,
+            |id| {
+                Box::new(TcpSource::new(
+                    id,
+                    CcKind::Cubic,
+                    EcnSetting::NotEcn,
+                    TcpConfig {
+                        data_limit: Some(2000),
+                        ..TcpConfig::default()
+                    },
+                ))
+            },
+        );
+        sim.run_until(Time::from_secs(300));
+        let &(_, start, end) = sim.core.monitor.completions.first().expect("flow must complete");
+        let fct = (end - start).as_secs_f64();
         assert!(
-            without > 2.0 * with_sack,
-            "NewReno ({without:.1} s) should be much slower than SACK ({with_sack:.1} s)"
+            fct < 10.0,
+            "SACK took {fct:.1} s to move 2000 pkts over a 200-loss burst"
         );
     }
 
@@ -1372,6 +1305,12 @@ mod tests {
         }
         fn steady_state_window(&self, p: f64, rtt: Duration) -> Option<f64> {
             self.inner.steady_state_window(p, rtt)
+        }
+        fn save_ckpt(&self, w: &mut CkptWriter) {
+            self.inner.save_ckpt(w);
+        }
+        fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+            self.inner.restore_ckpt(r)
         }
     }
 
@@ -1799,6 +1738,12 @@ mod tests {
                 .filter(|&seq| !src.lost.contains(seq) || src.rtx_out.contains(seq))
                 .count();
             assert_eq!(src.pipe(), in_network as u64);
+        }
+        fn save_ckpt(&self, w: &mut CkptWriter) {
+            self.inner.save_ckpt(w);
+        }
+        fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+            self.inner.restore_ckpt(r)
         }
     }
 

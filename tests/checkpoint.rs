@@ -242,12 +242,11 @@ fn build_sim(cell: &Cell) -> Sim {
         }
         other => panic!("unknown mix {other}"),
     }
-    // Mid-run disturbances: a rate step down and back, an RTT change, and
-    // a flow stop/restart — all scheduled up front, so a snapshot taken
-    // before they fire must carry them as far-future events.
+    // Mid-run disturbances: a rate step down and back and a flow
+    // stop/restart — all scheduled up front, so a snapshot taken before
+    // they fire must carry them as far-future events.
     sim.set_rate_at(Time::from_millis(1800), RATE / 2);
     sim.set_rate_at(Time::from_millis(2600), RATE);
-    sim.set_rtt_at(FlowId(0), Time::from_millis(2200), Duration::from_millis(80));
     sim.stop_flow_at(FlowId(1), Time::from_millis(1900));
     sim.start_flow_at(FlowId(1), Time::from_millis(2800));
     sim
@@ -413,8 +412,8 @@ fn oracle_with(
 }
 
 /// Snapshot instants: mid-warmup (steady growth), mid-disturbance (the
-/// rate step at 1.8 s and the stop/RTT events are in flight — some fired,
-/// some still scheduled), and late (past every disturbance).
+/// rate step at 1.8 s and the stop/restart events are in flight — some
+/// fired, some still scheduled), and late (past every disturbance).
 const SNAPS: &[Time] = &[
     Time::from_millis(700),
     Time::from_millis(2100),
@@ -761,16 +760,16 @@ fn header_mismatches_are_rejected_with_the_right_error() {
         Err(CkptError::VersionMismatch { .. })
     ));
 
-    // The previous version: a v5 blob lacks the fluid background's
-    // binding row, and is refused by number.
+    // The previous version: a v6 blob carries the monitor's per-flow
+    // throughput store and TCP's NewReno word, and is refused by number.
     let mut bad = blob.clone();
-    bad[8..12].copy_from_slice(&5u32.to_le_bytes());
+    bad[8..12].copy_from_slice(&6u32.to_le_bytes());
     let mut target = build_sim(&cell);
     assert!(matches!(
         target.restore(&bad),
         Err(CkptError::VersionMismatch {
-            found: 5,
-            expected: 6
+            found: 6,
+            expected: 7
         })
     ));
 

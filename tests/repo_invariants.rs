@@ -63,6 +63,26 @@ const RULES: &[Rule] = &[
         why: "an observer attaches to a Sim, never to the process: what a sweep shows while \
               it runs is pi2sim --serve on one of its cells (--scenario <family>/<cell>)",
     },
+    Rule {
+        needles: &[
+            "cfg.sack",
+            "recovery_inflation",
+            "TuneMode",
+            "idle_decay",
+            "rtt_changes",
+            "set_rtt_at",
+            "SetPath",
+            "record_flow_tput",
+            "flow_tput_series",
+            "flow_deq_",
+        ],
+        roots: &["crates", "tests", "examples", "src"],
+        allowed: &["tests/repo_invariants.rs"],
+        up_to: None,
+        why: "an option only a test sets is a constant; state nobody reads is not kept \
+              (SACK is the sender, PIE's tune table and idle decay are PIE, an RTT is \
+              static, per-flow rates come from FlowAccount::dequeued_bytes_postwarm)",
+    },
 ];
 
 /// Whether `line` holds `needle`, under the word-start rule.

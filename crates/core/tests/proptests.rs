@@ -70,10 +70,10 @@ proptest! {
         let n = 20_000;
         let mut hits = [0usize; 2];
         for _ in 0..n {
-            if Pi2::squared_signal(SquareMode::Multiply, pp, &mut rng) {
+            if SquareMode::Multiply.signal(pp, &mut rng) {
                 hits[0] += 1;
             }
-            if Pi2::squared_signal(SquareMode::TwoCompare, pp, &mut rng) {
+            if SquareMode::TwoCompare.signal(pp, &mut rng) {
                 hits[1] += 1;
             }
         }
@@ -160,7 +160,6 @@ proptest! {
             popped += 1;
         }
         prop_assert_eq!(popped, admitted);
-        prop_assert_eq!(q.len_bytes(), 0);
-        prop_assert!(q.is_empty());
+        prop_assert_eq!((q.len_bytes(), q.len_pkts()), (0, 0));
     }
 }

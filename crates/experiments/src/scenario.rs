@@ -453,7 +453,7 @@ impl Scenario {
                 .map(|&(t, bps)| (t.as_secs_f64(), bps))
                 .collect(),
         });
-        let rate_bps = sim.core.hop_qdisc(0).rate_bps();
+        let rate_bps = sim.core.hop_qdisc(0).link().rate_bps();
         let impair = sim.core.impairments().map(|i| i.stats());
         let hop_flow_bytes = (0..sim.core.hop_count() as u32)
             .map(|hop| sim.core.hop_flow_bytes(hop).to_vec())

@@ -43,7 +43,7 @@ pub use metrics::SimMetrics;
 pub use monitor::{FlowAccount, Monitor, MonitorConfig};
 pub use packet::{Ecn, FlowId, Packet};
 pub use pool::Pool;
-pub use queue::{BottleneckQueue, Qdisc, QueueConfig, QueueStats};
+pub use queue::{BottleneckQueue, Fifo, Link, Qdisc, QueueConfig};
 pub use sim::{
     event_class, Ack, Event, PathConf, Sim, SimConfig, SimCore, Source, TimerKind, EVENT_CLASSES,
 };

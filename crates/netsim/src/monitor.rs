@@ -387,14 +387,14 @@ impl Monitor {
         let t = now.as_secs_f64();
         let dt = now.saturating_since(self.last_sample_at).as_secs_f64();
         let qdelay_ms = queue.monitor_delay().as_millis_f64();
-        let total = queue.stats().dequeued_bytes;
+        let total = queue.link().dequeued_bytes();
         let has_rate = dt > 0.0;
         let mut tput_mbps = 0.0;
         let mut util = 0.0;
         if has_rate {
             let bits = (total - self.last_total_bytes) as f64 * 8.0;
             tput_mbps = bits / dt / 1e6;
-            util = bits / dt / queue.rate_bps() as f64;
+            util = bits / dt / queue.link().rate_bps() as f64;
         }
         self.samples.push(SampleRow {
             t,

@@ -102,7 +102,7 @@ proptest! {
         let s = q.snapshot();
         prop_assert_eq!(s.qlen_bytes, q.len_bytes());
         prop_assert_eq!(s.qlen_pkts, q.len_pkts());
-        prop_assert_eq!(s.link_rate_bps, q.rate_bps());
+        prop_assert_eq!(s.link_rate_bps, q.link().rate_bps());
     }
 }
 

@@ -40,6 +40,22 @@ fn dualq_delivers_low_latency_without_throughput_loss() {
     assert!(total > 36.0, "total {total:.1} Mb/s of 40");
 }
 
+/// DualPI2 sends the packet it committed to when the link started: an L
+/// packet that arrives while a C packet is on the wire waits for it, so
+/// no DCTCP packet leaves sooner than its own serialisation (1500 B at
+/// 40 Mb/s: 0.3 ms). Scheduling at `pop` instead sent two in three early.
+#[test]
+fn dualq_l_packets_wait_for_the_packet_on_the_wire() {
+    use pi2::experiments::{isolation, AqmKind};
+    let rate = 40_000_000;
+    let rtt = Duration::from_millis(20);
+    let sc = isolation::scenario(AqmKind::dualq_default(rate), rate, rtt, (1, 1), 6, 7);
+    let l = sc.run().monitor.pooled_sojourns("dctcp");
+    assert!(l.len() > 5_000, "{} DCTCP packets", l.len());
+    let early = l.iter().filter(|&&ms| f64::from(ms) < 0.3).count();
+    assert_eq!(early, 0, "{early} of {} DCTCP sojourns under 0.3 ms", l.len());
+}
+
 /// FQ-DRR as a qdisc: n identical flows each get ~1/n of the link.
 #[test]
 fn fq_shares_equally_across_identical_flows() {

@@ -10,6 +10,14 @@
 //! it computes: the always-on counters, every per-flow account, the bits
 //! of every recorded sojourn (pooled and per flow), every completion and
 //! every hop's per-flow egress bytes.
+//!
+//! Three pins were re-captured since: the FQ isolation cell, the DualPI2
+//! cell and the DualPI2 topology cell, in the commit after 21d3ed2 (which
+//! still reproduced the hand-built digests). That commit made a qdisc
+//! commit to a packet when the link starts sending it (`Qdisc::start_tx`);
+//! before, DualPI2 and FQ chose again at `pop`, so the link could send a
+//! packet other than the one whose length it had serialised — an L packet
+//! that arrived while a C packet was on the wire left before it.
 
 use pi2::aqm::{CurvyRedConfig, FqConfig, PieConfig, StepMarkConfig};
 use pi2::experiments::topology::TopologyKind;
@@ -91,7 +99,7 @@ fn isolation_cells_are_pinned() {
     let r = pinned(
         "isolation::run_fq",
         &isolation::scenario(fq, 40_000_000, RTT, (1, 1), 6, 0xf0),
-        0xe052_362b_d5ad_f08f,
+        0x5452_6a47_5799_66ac,
     );
     // The per-flow recording the family relies on is on.
     assert!(r.monitor.flows.iter().all(|f| !f.sojourn_ms.is_empty()));
@@ -108,7 +116,7 @@ fn dualq_cell_is_pinned() {
     pinned(
         "dualq::run",
         &isolation::scenario(dualpi2, 40_000_000, RTT, (1, 2), 6, 0xd0a1),
-        0xe637_5802_727f_6dc7,
+        0x1a71_9661_ffa8_19c4,
     );
 }
 
@@ -198,7 +206,7 @@ fn topology_cells_are_pinned_per_hop_bytes_included() {
             AqmKind::dualq_default(20_000_000),
             7,
         ),
-        0x1654_fef9_452c_29c2,
+        0xc41a_35d7_5182_7b11,
     );
     assert_eq!(r.hop_flow_bytes.len(), 3);
     assert_eq!(r.monitor.flows.len(), 374);

@@ -83,7 +83,36 @@ const RULES: &[Rule] = &[
               (SACK is the sender, PIE's tune table and idle decay are PIE, an RTT is \
               static, per-flow rates come from FlowAccount::dequeued_bytes_postwarm)",
     },
+    Rule {
+        needles: &[
+            "QueueStats",
+            "head_size",
+            "squared_signal",
+            "l_dequeued_bytes",
+            "c_dequeued_bytes",
+            "struct Pi {",
+            "struct Pi2 {",
+            "struct CoupledPi2 {",
+        ],
+        roots: &["crates", "tests", "examples", "src"],
+        allowed: &["tests/repo_invariants.rs"],
+        up_to: None,
+        why: ONE_LOOP,
+    },
+    Rule {
+        needles: &["VecDeque<(Packet, Time)>"],
+        roots: &["crates"],
+        allowed: &["crates/netsim/src/queue.rs"],
+        up_to: Some("#[cfg(test)]"),
+        why: ONE_LOOP,
+    },
 ];
+
+/// Shared by the two rows that keep the PI loop and the qdiscs' parts single.
+const ONE_LOOP: &str = "one PI loop, one FIFO; a counter nobody reads is not kept (Pi, Pi2 and \
+                        CoupledPi2 are PiAqm under an OutputLaw, every qdisc queues through \
+                        queue::Fifo and sends over queue::Link, Qdisc::start_tx commits to \
+                        the packet the link sends)";
 
 /// Whether `line` holds `needle`, under the word-start rule.
 fn holds(line: &str, needle: &str) -> bool {

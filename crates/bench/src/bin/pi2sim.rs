@@ -11,6 +11,7 @@
 use pi2_bench::cli::{parse_args, usage, CliArgs, MetricsFormat, TraceFormat};
 use pi2_bench::perf::Json;
 use pi2_experiments::{run_fluid, summarize_scenario_run, Scenario};
+use pi2_fluid::law::CLASSIC_CAP;
 use pi2_netsim::{AuditSink, CsvSink, JsonlSink, MemorySink, Monitor, PerfettoSink, Sim};
 use pi2_obs::ObsServer;
 use pi2_simcore::{Duration, Time};
@@ -215,12 +216,12 @@ fn run_single(a: &CliArgs) {
     let sc = a.to_scenario();
     let mut sim = build_or_exit(&sc);
     // Standalone PI2 also gets the squaring-law check, since its probe
-    // exposes both p' and the applied p = min(p'², 0.25).
+    // exposes both p' and the applied p = min(p'², CLASSIC_CAP).
     let audit = a.audit.then(|| {
         let label = a.scenario.map_or(a.aqm.clone(), |cell| cell.name());
         let audit = AuditSink::new(a.seed).with_label(&label);
         if a.aqm == "pi2" {
-            audit.expect_squared(0.25)
+            audit.expect_squared(CLASSIC_CAP)
         } else {
             audit
         }

@@ -6,7 +6,8 @@ use crate::{f, series_row, write_rows, write_table};
 use pi2_experiments::appendix_a::{appendix_a, coupling_check, step_vs_probabilistic};
 use pi2_experiments::fig06::{self, IntensityRun};
 use pi2_experiments::fig19::ComboResult;
-use pi2_fluid::{margins, pie_tune_factor, LoopKind, LoopTf, PiGains};
+use pi2_fluid::law::tune_factor;
+use pi2_fluid::{margins, LoopKind, LoopTf, PiGains};
 use pi2_stats::Summary;
 use std::io::{self, Write};
 
@@ -30,7 +31,7 @@ pub fn fig04(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
         let p = 10f64.powf(-6.0 + 6.0 * i as f64 / 24.0);
         let mut row = vec![format!("{:.4}", p * 100.0)];
         for (_, tune) in tunes {
-            let factor = tune.unwrap_or_else(|| pie_tune_factor(p));
+            let factor = tune.unwrap_or_else(|| tune_factor(p));
             let tf = LoopTf {
                 kind: LoopKind::RenoOnP,
                 gains: PiGains::pie().scaled(factor),
@@ -52,7 +53,7 @@ pub fn fig05(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
     let cols = ["p", "tune (stepped)", "sqrt(2p)", "ratio"];
     write_rows(out, cols, 0..29, |i| {
         let p = 10f64.powf(-7.0 + 7.0 * i as f64 / 28.0);
-        let stepped = pie_tune_factor(p);
+        let stepped = tune_factor(p);
         let continuous = (2.0 * p).sqrt();
         [
             format!("{p:.2e}"),

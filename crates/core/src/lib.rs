@@ -4,7 +4,9 @@
 //! compared against:
 //!
 //! * [`PiCore`] — the textbook Proportional-Integral controller of eq. (4),
-//!   shared by every controller here;
+//!   shared by every controller here; its step, the Table 1 gains, PIE's
+//!   tune table and the output laws are `pi2_fluid::law`'s, the one copy
+//!   the fluid engines evaluate too;
 //! * [`PiAqm`] — that loop on the queue delay with an output law; the
 //!   paper's three PI controllers are this one type, named after their
 //!   configurations: [`Pi`] (`Direct`: the oscillating `pi` curve of
@@ -55,6 +57,6 @@ pub use fixed::FixedProb;
 pub use fq::{FqConfig, FqDrr};
 pub use pi::{Pi, PiAqm, PiConfig, PiCore};
 pub use pi2::{Pi2, Pi2Config, SquareMode};
-pub use pie::{Pie, PieConfig, TUNE_TABLE};
+pub use pie::{Pie, PieConfig};
 pub use red::{Red, RedConfig};
 pub use step::{StepMark, StepMarkConfig};

@@ -14,6 +14,7 @@ use crate::grid::{run_cell, Pair};
 use crate::isolation::coexistence;
 use crate::scenario::{AqmKind, FlowGroup, Scenario, UdpGroup};
 use pi2_aqm::{CoupledPi2Config, Pi2Config, PieConfig, SquareMode};
+use pi2_fluid::PiGains;
 use pi2_simcore::{Duration, Time};
 use pi2_stats::Summary;
 use pi2_transport::{CcKind, EcnSetting, TcpConfig};
@@ -64,9 +65,10 @@ pub struct GainSweepPoint {
 /// run in parallel via [`crate::runner::par_map`].
 pub fn gain_sweep(multipliers: &[f64], seed: u64) -> Vec<GainSweepPoint> {
     crate::runner::par_map(multipliers, |&m| {
+        let gains = PiGains::pie().scaled(m);
         let cfg = Pi2Config {
-            alpha_hz: (2.0 / 16.0) * m,
-            beta_hz: (20.0 / 16.0) * m,
+            alpha_hz: gains.alpha,
+            beta_hz: gains.beta,
             ..Pi2Config::default()
         };
         let run = fig11_run(AqmKind::Pi2(cfg), TrafficMix::Light, seed);

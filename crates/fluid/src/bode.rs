@@ -112,7 +112,8 @@ pub fn margins(tf: &LoopTf) -> Margins {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tf::{LoopKind, LoopTf, PiGains};
+    use crate::law::PiGains;
+    use crate::tf::{LoopKind, LoopTf};
 
     #[test]
     fn pi2_margins_positive_over_full_load_range() {

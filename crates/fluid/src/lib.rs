@@ -5,6 +5,9 @@
 //! Reno on `p`, Reno on `p'²` and a scalable control on `p'`, closed with
 //! the PI controller. This crate reproduces that analysis:
 //!
+//! * [`law`] — the one control law every engine evaluates: the Table 1
+//!   gains, the step of eq. (4), PIE's tune table and the output law with
+//!   its Classic cap; the packet AQMs in `pi2-aqm` import it from here;
 //! * [`complex`] — minimal complex arithmetic (no external dependency);
 //! * [`tf`] — the loop transfer functions (35)–(37) with their operating
 //!   points, plus PIE's tune-scaled gains;
@@ -19,6 +22,7 @@
 pub mod bode;
 pub mod complex;
 pub mod flow;
+pub mod law;
 pub mod nyquist;
 pub mod ode;
 pub mod tf;
@@ -30,5 +34,6 @@ pub use flow::{
     FlowLevelSim, FlowLevelState,
 };
 pub use nyquist::{nyquist, winding_number, Stability};
+pub use law::{OutputLaw, PiGains};
 pub use ode::{FluidConfig, FluidControllerKind, FluidSim, FluidTcpKind};
-pub use tf::{pie_tune_factor, LoopKind, LoopTf, PiGains};
+pub use tf::{LoopKind, LoopTf};

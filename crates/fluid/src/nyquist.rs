@@ -63,7 +63,8 @@ pub fn nyquist(tf: &LoopTf) -> Stability {
 mod tests {
     use super::*;
     use crate::bode::margins;
-    use crate::tf::{LoopKind, PiGains};
+    use crate::law::PiGains;
+    use crate::tf::LoopKind;
 
     #[test]
     fn pi2_is_nyquist_stable_over_the_load_range() {

@@ -9,79 +9,11 @@
 //!
 //! and differ in the TCP/marking block (eqs. (32)–(34)). The `W₀` factors
 //! cancel in the complete loops (35)–(37), which is what this module
-//! evaluates on the `s = jω` axis.
+//! evaluates on the `s = jω` axis. The gains and PIE's tune table are the
+//! ones every engine runs, from [`crate::law`].
 
 use crate::complex::Complex;
-
-/// PI gains and timing, as used in the analysis.
-#[derive(Clone, Copy, Debug)]
-pub struct PiGains {
-    /// Integral gain α in Hz.
-    pub alpha: f64,
-    /// Proportional gain β in Hz.
-    pub beta: f64,
-    /// Update interval T in seconds.
-    pub t_update: f64,
-}
-
-impl PiGains {
-    /// PIE's Table 1 gains.
-    pub fn pie() -> Self {
-        PiGains {
-            alpha: 2.0 / 16.0,
-            beta: 20.0 / 16.0,
-            t_update: 0.032,
-        }
-    }
-
-    /// PI2's Figure 7 gains (×2.5 PIE).
-    pub fn pi2() -> Self {
-        PiGains {
-            alpha: 0.3125,
-            beta: 3.125,
-            t_update: 0.032,
-        }
-    }
-
-    /// The Scalable-PI Figure 7 gains (×2 PI2).
-    pub fn scal_pi() -> Self {
-        PiGains {
-            alpha: 0.625,
-            beta: 6.25,
-            t_update: 0.032,
-        }
-    }
-
-    /// Scale both gains by a factor (PIE's tune, or ablation sweeps).
-    pub fn scaled(self, f: f64) -> Self {
-        PiGains {
-            alpha: self.alpha * f,
-            beta: self.beta * f,
-            ..self
-        }
-    }
-}
-
-/// The stepwise PIE tune factor of Figure 5, re-exported here for the
-/// analytic plots so `pi2-fluid` stays independent of the AQM crate.
-/// Identical to `pi2_aqm::pie::tune_factor` (a cross-crate test pins them
-/// together).
-pub fn pie_tune_factor(p: f64) -> f64 {
-    const TABLE: &[(f64, f64)] = &[
-        (0.000001, 2048.0),
-        (0.00001, 512.0),
-        (0.0001, 128.0),
-        (0.001, 32.0),
-        (0.01, 8.0),
-        (0.1, 2.0),
-    ];
-    for &(bound, div) in TABLE {
-        if p < bound {
-            return 1.0 / div;
-        }
-    }
-    1.0
-}
+use crate::law::{tune_factor, PiGains};
 
 /// Which of the paper's three loops to evaluate.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -179,7 +111,7 @@ impl LoopTf {
     pub fn pie_auto(p: f64, r0: f64) -> LoopTf {
         LoopTf {
             kind: LoopKind::RenoOnP,
-            gains: PiGains::pie().scaled(pie_tune_factor(p)),
+            gains: PiGains::pie().scaled(tune_factor(p)),
             r0,
             p0_prime: p.sqrt(),
         }
@@ -296,29 +228,10 @@ mod tests {
     }
 
     #[test]
-    fn tune_factor_steps_match_aqm_crate_values() {
-        assert_eq!(pie_tune_factor(1e-7), 1.0 / 2048.0);
-        assert_eq!(pie_tune_factor(0.005), 1.0 / 8.0);
-        assert_eq!(pie_tune_factor(0.5), 1.0);
-    }
-
-    #[test]
     fn delay_term_has_unit_magnitude() {
         let tf = LoopTf::pi2(0.1, 0.1);
         // Sanity via linearity: |L(jω)| continuous, finite at moderate ω.
         let g = tf.eval(1.0);
         assert!(g.abs().is_finite());
-    }
-
-    #[test]
-    fn gains_presets_match_figure_7_caption() {
-        let pie = PiGains::pie();
-        assert!((pie.alpha - 0.125).abs() < 1e-12);
-        assert!((pie.beta - 1.25).abs() < 1e-12);
-        let pi2 = PiGains::pi2();
-        assert!((pi2.alpha - 0.3125).abs() < 1e-12);
-        let sc = PiGains::scal_pi();
-        assert!((sc.alpha - 0.625).abs() < 1e-12);
-        assert!((sc.beta - 6.25).abs() < 1e-12);
     }
 }

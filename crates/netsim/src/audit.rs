@@ -112,8 +112,8 @@ impl AuditSink {
     }
 
     /// Require the PI2 squaring law `prob = min(p_prime², cap)` on every
-    /// probe of the primary bottleneck (hop 0). Use the AQM's configured
-    /// `max_classic_prob` as `cap` (0.25 for the paper's defaults).
+    /// probe of the primary bottleneck (hop 0). For PI2, `cap` is the
+    /// output law's `pi2_fluid::law::CLASSIC_CAP` (0.25).
     pub fn expect_squared(mut self, cap: f64) -> Self {
         self.squared_cap = Some(cap);
         self

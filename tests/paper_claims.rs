@@ -5,7 +5,7 @@
 
 use pi2::experiments::grid::{run_cell, Pair};
 use pi2::experiments::scenario::AqmKind;
-use pi2::fluid::{margins, pie_tune_factor, LoopTf};
+use pi2::fluid::{margins, LoopTf};
 use pi2::simcore::Duration;
 
 /// Claim (Figures 15/19): PIE lets DCTCP starve Cubic ~10×; the coupled
@@ -113,20 +113,6 @@ fn fixed_gain_pi_oversuppresses_at_low_p() {
         "PI2 should keep more of the link: {pi2_util:.0}% vs {pi_util:.0}%"
     );
     let _ = pi2_delay;
-}
-
-/// Claim (Figure 5): the implementations of the tune table in the AQM
-/// crate and the fluid crate are identical, and both track √(2p).
-#[test]
-fn tune_tables_agree_across_crates() {
-    for i in 0..100 {
-        let p = 10f64.powf(-7.0 + 7.0 * i as f64 / 99.0);
-        assert_eq!(
-            pi2::aqm::pie::tune_factor(p),
-            pie_tune_factor(p),
-            "divergence at p = {p:e}"
-        );
-    }
 }
 
 /// Claim (Section 4): PI2's ×2.5 gains keep positive margins over the

@@ -171,7 +171,7 @@ fn audit_does_not_perturb_the_simulation() {
     let mut audited = build_sim(3);
     audited
         .core
-        .enable_audit(pi2::netsim::AuditSink::new(3).expect_squared(0.25));
+        .enable_audit(pi2::netsim::AuditSink::new(3).expect_squared(pi2::fluid::law::CLASSIC_CAP));
     audited.run_until(Time::from_secs(5));
 
     let audit = audited.core.audit().expect("auditor still attached");

@@ -17,21 +17,23 @@
 //! `summarize_scenario_run` to a `BackendSummary`; every model half is
 //! derived from the cell's actual AQM configuration through
 //! `pi2_experiments::fluid_encoding` (which fluid law an AQM is, is that
-//! function's decision alone) and `cc_fluid_kind`:
+//! function's decision alone) and `cc_fluid_kind`. Each encoder names one
+//! output law of `pi2_fluid::law` (`FluidControllerKind::law`), the law
+//! the packet AQM evaluates, with its 25 % Classic cap:
 //!
-//! | cell         | packet AQM, traffic                | encoder, gains (α, β Hz)     | models              |
-//! |--------------|------------------------------------|------------------------------|---------------------|
-//! | `pi-reno`    | `Pi` at untuned PIE gains, Reno    | `Direct`, 0.125, 1.25        | ode                 |
-//! | `pi-scal`    | `Pi` default, Scalable             | `Direct`, 0.625, 6.25        | ode                 |
-//! | `pi2-reno`   | `Pi2`, Reno                        | `Squared`, 0.3125, 3.125     | ode, flow, hybrid   |
-//! | `pi2-scal`   | `CoupledPi2`, Scalable             | `Squared` ÷k, coupled k = 2  | ode, flow, hybrid   |
-//! | `pie-reno`   | `Pie` (paper ECN rework), Reno     | `TunedDirect`, 0.125, 1.25   | ode, flow, hybrid   |
-//! | `pie-scal`   | `Pie` (paper ECN rework), Scalable | `TunedDirect`, 0.125, 1.25   | ode                 |
-//! | `dualq-scal` | `DualPi2`, Scalable                | (probed from the real AQM)   | hybrid              |
+//! | cell         | packet AQM, traffic                | encoder, gains (α, β Hz)     | fluid output law                 | models            |
+//! |--------------|------------------------------------|------------------------------|----------------------------------|-------------------|
+//! | `pi-reno`    | `Pi` at untuned PIE gains, Reno    | `Direct`, 0.125, 1.25        | `p'`                             | ode               |
+//! | `pi-scal`    | `Pi` default, Scalable             | `Direct`, 0.625, 6.25        | `p'`                             | ode               |
+//! | `pi2-reno`   | `Pi2`, Reno                        | `Squared`, 0.3125, 3.125     | `min(p'², 0.25)`                 | ode, flow, hybrid |
+//! | `pi2-scal`   | `CoupledPi2`, Scalable             | `Squared` ÷k, coupled k = 2  | `min(k·p', 1)` (ode: `Direct`)   | ode, flow, hybrid |
+//! | `pie-reno`   | `Pie` (paper ECN rework), Reno     | `TunedDirect`, 0.125, 1.25   | `p`, tuned step                  | ode, flow, hybrid |
+//! | `pie-scal`   | `Pie` (paper ECN rework), Scalable | `TunedDirect`, 0.125, 1.25   | `p`, tuned step                  | ode               |
+//! | `dualq-scal` | `DualPi2`, Scalable                | (probed from the real AQM)   | (the real AQM's)                 | hybrid            |
 //!
-//! The ODE integrates one window law, so a Scalable class under a coupled
-//! encoder — which sees `k·p'` applied directly — is the `Direct` loop at
-//! k× the gains: 0.3125 · 2 = 0.625, the paper's `scal pi`.
+//! The ODE's configuration cannot carry k, so a Scalable class under a
+//! coupled encoder — which sees `k·p'` applied directly — is the `Direct`
+//! loop at k× the gains: 0.3125 · 2 = 0.625, the paper's `scal pi`.
 //!
 //! Per (cell, model) the steady-state metrics compared are:
 //!
@@ -297,7 +299,7 @@ impl Cell {
     /// its identical flows share exactly.
     fn ode_summary(&self) -> BackendSummary {
         let cfg = self.ode();
-        let squared = cfg.encoder == FluidControllerKind::Squared;
+        let (law, _) = cfg.encoder.law(None);
         let samples = FluidSim::new(cfg).run(ODE_T_END, 0.01);
         let tail: Vec<_> = samples
             .iter()
@@ -305,9 +307,8 @@ impl Cell {
             .collect();
         assert!(!tail.is_empty(), "fluid run produced no tail samples");
         let n = tail.len() as f64;
-        let applied = |p: f64| if squared { p * p } else { p };
         BackendSummary {
-            signal: tail.iter().map(|s| applied(s.p_prime)).sum::<f64>() / n,
+            signal: tail.iter().map(|s| law.classic(s.p_prime)).sum::<f64>() / n,
             qdelay_s: tail.iter().map(|s| s.qdelay).sum::<f64>() / n,
             rate_ratio: 1.0,
             utilization: f64::NAN, // not modelled, never judged
@@ -602,7 +603,10 @@ mod tests {
 
     #[test]
     fn ode_halves_take_the_gains_of_the_aqm_they_model() {
-        // The mapping itself, against the paper's Figure 7 gain sets.
+        // The mapping itself, against the paper's Figure 7 gain sets. The
+        // pi2-scal row is the coupled-Scalable special case of `ode()`: the
+        // ODE's config cannot carry k yet, so it runs `Direct` at k× the
+        // gains instead of the coupled law.
         let want = [
             ("pi-reno", FluidControllerKind::Direct, 0.125, 1.25),
             ("pi-scal", FluidControllerKind::Direct, 0.625, 6.25),

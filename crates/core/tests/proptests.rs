@@ -8,6 +8,7 @@ use pi2_aqm::{
     CoupledPi2, CoupledPi2Config, DualPi2, DualPi2Config, Pi2, Pi2Config, PiCore, Pie, PieConfig,
     SquareMode,
 };
+use pi2_fluid::law::CLASSIC_CAP;
 use pi2_netsim::{Aqm, Ecn, FlowId, Packet, Qdisc, QueueSnapshot};
 use pi2_simcore::{Duration, Rng, Time};
 use proptest::prelude::*;
@@ -41,26 +42,20 @@ proptest! {
         }
     }
 
-    /// PI2's applied probability is always the square of (capped) p',
-    /// hence never above the classic cap.
+    /// PI2's applied probability is the square of p', never above the
+    /// Classic cap: under any run of queue delays, and at saturation.
     #[test]
-    fn pi2_applied_prob_is_capped_square(pp in 0.0f64..1.0) {
+    fn pi2_applied_prob_is_capped_square(delays_ms in prop::collection::vec(0i64..500, 1..50)) {
         let mut a = Pi2::new(Pi2Config::default());
-        // Drive p' to an arbitrary point via direct updates.
-        let mut core_driver = PiCore::new(0.3125, 3.125, Duration::from_millis(20), Duration::from_millis(32));
-        core_driver.set_p(pp);
-        // Reconstruct the expectation from the public API instead:
-        let _ = core_driver;
-        // classic_prob is (p')² clamped to 0.25 by construction.
-        let p = a.classic_prob();
-        prop_assert!(p <= 0.25 + 1e-12);
-        // After many updates with huge delays, p' saturates at 1 and the
-        // applied probability at the cap.
+        for d in delays_ms {
+            a.update(&snap(d as usize * 1250), Time::ZERO); // d ms at 10 Mb/s
+            let pp = a.p_prime();
+            prop_assert_eq!(a.classic_prob(), (pp * pp).min(CLASSIC_CAP));
+        }
         for _ in 0..2000 {
             a.update(&snap(10_000_000), Time::ZERO);
         }
-        prop_assert!((a.classic_prob() - 0.25).abs() < 1e-12);
-        prop_assert!(a.p_prime() <= 1.0);
+        prop_assert_eq!((a.p_prime(), a.classic_prob()), (1.0, CLASSIC_CAP));
     }
 
     /// The two squaring implementations agree in distribution for any p'.

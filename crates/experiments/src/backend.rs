@@ -122,70 +122,32 @@ pub struct FluidEncoding {
 /// update interval, coupling), not from presets. RED, CoDel, tail-drop
 /// and FQ have no PI-family fluid model: `Err` names them.
 pub fn fluid_encoding(aqm: &AqmKind) -> Result<FluidEncoding, String> {
-    let enc = |encoder, alpha_hz: f64, beta_hz: f64, t_update: Duration, target: Duration, coupling: f64, coupled| {
-        FluidEncoding {
-            encoder,
-            gains: PiGains {
-                alpha: alpha_hz,
-                beta: beta_hz,
-                t_update: t_update.as_secs_f64(),
-            },
-            target: target.as_secs_f64(),
-            coupling,
-            coupled,
+    use FluidControllerKind::{Direct, Squared, TunedDirect};
+    // (encoder, α, β, T, τ₀, coupling k, a distinct Scalable probability)
+    let (encoder, alpha, beta, t_update, target, coupling, coupled) = match aqm {
+        AqmKind::Pi2(c) => (Squared, c.alpha_hz, c.beta_hz, c.t_update, c.target, 2.0, false),
+        // The fluid p' is the coupled AQM's p'/k, so its gains are ÷k.
+        AqmKind::Coupled(c) => {
+            (Squared, c.alpha_hz / c.k, c.beta_hz / c.k, c.t_update, c.target, c.k, true)
+        }
+        AqmKind::DualQ(c) => (Squared, c.alpha_hz, c.beta_hz, c.t_update, c.target, c.k, true),
+        AqmKind::Pi(c) => (Direct, c.alpha_hz, c.beta_hz, c.t_update, c.target, 1.0, false),
+        AqmKind::Pie(c) => (TunedDirect, c.alpha_hz, c.beta_hz, c.t_update, c.target, 1.0, false),
+        other => {
+            return Err(format!(
+                "backend fluid/hybrid needs a PI-family AQM (pi, pi2, pie, coupled-pi2, dualpi2); '{}' has no fluid model",
+                other.name()
+            ))
         }
     };
-    match aqm {
-        AqmKind::Pi2(c) => Ok(enc(
-            FluidControllerKind::Squared,
-            c.alpha_hz,
-            c.beta_hz,
-            c.t_update,
-            c.target,
-            2.0,
-            false,
-        )),
-        AqmKind::Coupled(c) => Ok(enc(
-            FluidControllerKind::Squared,
-            c.alpha_hz / c.k,
-            c.beta_hz / c.k,
-            c.t_update,
-            c.target,
-            c.k,
-            true,
-        )),
-        AqmKind::DualQ(c) => Ok(enc(
-            FluidControllerKind::Squared,
-            c.alpha_hz,
-            c.beta_hz,
-            c.t_update,
-            c.target,
-            c.k,
-            true,
-        )),
-        AqmKind::Pi(c) => Ok(enc(
-            FluidControllerKind::Direct,
-            c.alpha_hz,
-            c.beta_hz,
-            c.t_update,
-            c.target,
-            1.0,
-            false,
-        )),
-        AqmKind::Pie(c) => Ok(enc(
-            FluidControllerKind::TunedDirect,
-            c.alpha_hz,
-            c.beta_hz,
-            c.t_update,
-            c.target,
-            1.0,
-            false,
-        )),
-        other => Err(format!(
-            "backend fluid/hybrid needs a PI-family AQM (pi, pi2, pie, coupled-pi2, dualpi2); '{}' has no fluid model",
-            other.name()
-        )),
-    }
+    let t_update = t_update.as_secs_f64();
+    Ok(FluidEncoding {
+        encoder,
+        gains: PiGains { alpha, beta, t_update },
+        target: target.as_secs_f64(),
+        coupling,
+        coupled,
+    })
 }
 
 /// The engine configuration both fluid constructors build, with what

@@ -10,12 +10,12 @@ pub fn pi2() -> Box<dyn Aqm> {
     Box::new(Pi2::new(Pi2Config::default()))
 }
 
-/// The bare cell: ten Reno flows into a 50 Mb/s bottleneck under `aqm`,
-/// recording trimmed to counters so a run measures the engine and not
-/// sample recording. Assembled by hand: monitor pre-sizing and metrics,
-/// which `Scenario::build` would add, are what these tests switch on or
-/// leave off themselves.
-pub fn build(aqm: Box<dyn Aqm>) -> Sim {
+/// The bare cell: ten Reno flows at base RTT `rtt` into a 50 Mb/s
+/// bottleneck under `aqm`, recording trimmed to counters so a run
+/// measures the engine and not sample recording. Assembled by hand:
+/// monitor pre-sizing and metrics, which `Scenario::build` would add, are
+/// what these tests switch on or leave off themselves.
+pub fn build(aqm: Box<dyn Aqm>, rtt: Duration) -> Sim {
     let mut sim = Sim::new(
         SimConfig {
             queue: QueueConfig {
@@ -33,7 +33,7 @@ pub fn build(aqm: Box<dyn Aqm>) -> Sim {
     );
     for _ in 0..10 {
         sim.add_flow(
-            PathConf::symmetric(Duration::from_millis(20)),
+            PathConf::symmetric(rtt),
             "reno",
             Time::ZERO,
             |id| {

@@ -26,6 +26,9 @@ use std::time::Instant;
 
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
+/// The bare cell's base RTT.
+const RTT: Duration = Duration::from_millis(20);
+
 /// Median of `num() / den()` over `pairs` back-to-back pairs, after one
 /// discarded warm-up pair.
 fn paired_ratio(pairs: usize, mut num: impl FnMut() -> f64, mut den: impl FnMut() -> f64) -> f64 {
@@ -62,11 +65,11 @@ fn metrics_cost_at_most_15_percent_per_packet() {
     let ratio = paired_ratio(
         15,
         || {
-            let mut sim = common::build(common::pi2());
+            let mut sim = common::build(common::pi2(), RTT);
             sim.core.enable_metrics();
             ns_per_pkt(sim)
         },
-        || ns_per_pkt(common::build(common::pi2())),
+        || ns_per_pkt(common::build(common::pi2(), RTT)),
     );
     eprintln!("metrics on / off, per packet: {ratio:.3}");
     assert!(ratio <= 1.15, "metrics on / off = {ratio:.3}, allowed 1.15");
@@ -79,8 +82,8 @@ fn metrics_cost_at_most_15_percent_per_packet() {
 fn pie_costs_between_0_9_and_2_times_pi2_per_packet() {
     let ratio = paired_ratio(
         15,
-        || ns_per_pkt(common::build(Box::new(Pie::new(PieConfig::paper_default())))),
-        || ns_per_pkt(common::build(common::pi2())),
+        || ns_per_pkt(common::build(Box::new(Pie::new(PieConfig::paper_default())), RTT)),
+        || ns_per_pkt(common::build(common::pi2(), RTT)),
     );
     eprintln!("PIE / PI2, per packet: {ratio:.3}");
     assert!(

@@ -15,7 +15,7 @@ mod common;
 
 use pi2_bench::alloc_count::{self, CountingAlloc};
 use pi2_netsim::{CsvSink, JsonlSink, PerfettoSink};
-use pi2_simcore::Time;
+use pi2_simcore::{Duration, Time};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -26,18 +26,17 @@ static ALLOC: CountingAlloc = CountingAlloc;
 fn steady_state_loop_with_sinks_is_allocation_free() {
     // As in `zero_alloc.rs`: the debug-build flight recorder allocates.
     std::env::set_var("PI2_AUDIT", "0");
-    let mut sim = common::build(common::pi2());
+    let mut sim = common::build(common::pi2(), Duration::from_millis(20));
     let jsonl = Rc::new(RefCell::new(JsonlSink::new(std::io::sink())));
     let csv = Rc::new(RefCell::new(CsvSink::new(std::io::sink())));
     let perfetto = Rc::new(RefCell::new(PerfettoSink::new(std::io::sink())));
     sim.core.add_trace_sink(Box::new(Rc::clone(&jsonl)));
     sim.core.add_trace_sink(Box::new(Rc::clone(&csv)));
     sim.core.add_trace_sink(Box::new(Rc::clone(&perfetto)));
-    // The warm-up `zero_alloc.rs` explains: past one overflow-wheel
-    // rotation, then every slot levelled to the observed peak.
+    // The warm-up `zero_alloc.rs` explains: pre-sized series, then past
+    // one overflow-wheel rotation.
     sim.core.monitor.reserve(8192, 2_000_000);
     sim.run_until(Time::from_secs(36));
-    sim.core.events.equalize_slot_capacities();
 
     let written = || {
         (

@@ -47,11 +47,11 @@
 //! a slot behind the cursor.
 //!
 //! Slot vectors recycle their capacity: promoting an L0 slot swaps it with
-//! the spent `ready` buffer, and cascading an L1 slot drains it in place so
-//! the slot keeps its own high-water capacity. After warm-up (optionally
-//! accelerated with [`EventQueue::equalize_slot_capacities`]) steady-state
-//! operation performs no heap allocation at all (verified by the
-//! allocation-counting harness in `pi2-bench`).
+//! the spent `ready` buffer, and cascading an L1 slot lends its emptied
+//! buffer, through a spare stack, to the next L1 slot that fills — so L1
+//! keeps as many buffers as it has had slots occupied at once, not one per
+//! slot. After warm-up, steady-state operation performs no heap allocation
+//! at all (verified by the allocation-counting harness in `pi2-bench`).
 
 use crate::event::EventEntry;
 use crate::time::Time;
@@ -87,6 +87,10 @@ pub struct EventQueue<E> {
     /// Overflow wheel: one bucket per L1 tick within ≈ 34.4 s.
     l1: Vec<Vec<EventEntry<E>>>,
     l1_bits: [u64; BITMAP_WORDS],
+    /// Emptied L1 buffers, lent to the next L1 slot that fills. It never
+    /// holds more than L1 has buffers, and a new buffer is made only when
+    /// it is empty, so it grows only while L1 reaches a new occupancy high.
+    spare: Vec<Vec<EventEntry<E>>>,
     /// Beyond the overflow wheel, sorted descending by `(time, seq)`.
     far: Vec<EventEntry<E>>,
     /// The L0 tick `ready` has been filled up to (invariants above).
@@ -130,6 +134,7 @@ impl<E> EventQueue<E> {
             l0_bits: [0; BITMAP_WORDS],
             l1: (0..SLOTS).map(|_| Vec::new()).collect(),
             l1_bits: [0; BITMAP_WORDS],
+            spare: Vec::new(),
             far: Vec::new(),
             ready_tick: 0,
             pending: 0,
@@ -149,32 +154,6 @@ impl<E> EventQueue<E> {
     /// operation; wheel slots manage their own recycled capacity).
     pub fn capacity(&self) -> usize {
         self.ready.capacity()
-    }
-
-    /// Raise every wheel slot's capacity to the largest capacity any
-    /// slot has reached so far.
-    ///
-    /// Slot vectors grow organically and keep their high-water capacity,
-    /// but each slot discovers its own peak load separately — under a
-    /// bursty timer pattern a handful of slots per wheel rotation keep
-    /// crossing a power-of-two boundary for the first time, so sporadic
-    /// reallocations continue long after the load is stationary. Calling
-    /// this once after a warm-up period front-loads those allocations:
-    /// every slot is levelled up to the observed global peak (with the
-    /// usual amortized headroom), after which a steady workload never
-    /// touches the allocator. The allocation-accounting harness in
-    /// `pi2-bench` relies on this, mirroring `Monitor::reserve`.
-    pub fn equalize_slot_capacities(&mut self) {
-        let cap = self
-            .l0
-            .iter()
-            .chain(self.l1.iter())
-            .map(Vec::capacity)
-            .max()
-            .unwrap_or(0);
-        for v in self.l0.iter_mut().chain(self.l1.iter_mut()) {
-            v.reserve(cap.saturating_sub(v.len()));
-        }
     }
 
     /// The time of the most recently popped event (the simulation clock).
@@ -292,6 +271,9 @@ impl<E> EventQueue<E> {
             let cur1 = self.ready_tick >> SLOT_BITS;
             if t1 - cur1 < SLOTS as u64 {
                 let slot = (t1 & (SLOTS as u64 - 1)) as usize;
+                if self.l1[slot].capacity() == 0 {
+                    self.l1[slot] = self.spare.pop().unwrap_or_default();
+                }
                 self.l1[slot].push(entry);
                 self.l1_bits[slot >> 6] |= 1 << (slot & 63);
             } else {
@@ -467,17 +449,17 @@ impl<E> EventQueue<E> {
                 self.ready_tick = (m << SLOT_BITS) - 1;
                 let slot = (m & (SLOTS as u64 - 1)) as usize;
                 self.l1_bits[slot >> 6] &= !(1 << (slot & 63));
-                // Drain in place (split field borrows) so the slot keeps
-                // its own high-water capacity: once every L1 slot has
-                // seen one fill/drain cycle (~34 s of simulated time),
-                // cascades and re-fills never allocate again.
-                let (l0, l0_bits, l1) = (&mut self.l0, &mut self.l0_bits, &mut self.l1);
-                for entry in l1[slot].drain(..) {
+                // Empty the slot's buffer into L0 and lend it to the next
+                // L1 slot that fills: the few buffers in circulation reach
+                // working size within a few cascades; an empty slot has none.
+                let mut buf = std::mem::take(&mut self.l1[slot]);
+                for entry in buf.drain(..) {
                     let t0 = tick0(entry.time);
                     let s0 = (t0 & (SLOTS as u64 - 1)) as usize;
-                    l0[s0].push(entry);
-                    l0_bits[s0 >> 6] |= 1 << (s0 & 63);
+                    self.l0[s0].push(entry);
+                    self.l0_bits[s0 >> 6] |= 1 << (s0 & 63);
                 }
+                self.spare.push(buf);
                 continue;
             }
             if far1 == Some(m) {
@@ -764,5 +746,22 @@ mod tests {
         q.push(Time::from_nanos(late), "l0-late");
         assert_eq!(q.pop().unwrap().1, "l1-early");
         assert_eq!(q.pop().unwrap().1, "l0-late");
+    }
+
+    /// On a 100 ms path every one-way event lands in L1. Over three of its
+    /// rotations the wheel keeps as many L1 buffers as it had slots
+    /// occupied at once, not one for every slot it ever filled.
+    #[test]
+    fn l1_keeps_only_the_buffers_it_occupies_at_once() {
+        let mut q = EventQueue::new();
+        for i in 0..64 {
+            q.push(Time::from_micros(i * 700), ());
+        }
+        while q.now() < Time::from_secs(100) {
+            let (t, ()) = q.pop().expect("every pop reschedules");
+            q.push(t + Duration::from_millis(50), ());
+        }
+        let held = q.l1.iter().chain(&q.spare).filter(|b| b.capacity() > 0).count();
+        assert!(held <= 4, "L1 holds {held} buffers");
     }
 }

@@ -222,25 +222,57 @@ proptest! {
         assert_same_pop_stream(q, restored)?;
     }
 
-    /// Checkpoint round trip after `equalize_slot_capacities()` has run:
-    /// capacity levelling touches only allocation, never entry placement,
-    /// so a snapshot taken after it (and another equalization on the
-    /// restored side) must still replay the identical stream.
+    /// The overflow wheel's buffers circulate: each cascade lends its
+    /// emptied buffer to the next L1 slot that fills. On a 100 ms path
+    /// nearly every event takes that route, so here each of `flows`
+    /// events is rescheduled 35–70 ms after it pops — always past the
+    /// near wheel — until the clock has gone round L1 more than three
+    /// times, with one-shot near-wheel, same-instant and far-list pushes
+    /// mixed in. The pop stream must be the heap's throughout, across a
+    /// checkpoint round trip taken midway.
     #[test]
-    fn wheel_ckpt_roundtrip_after_equalize(seed in any::<u64>(), n in 1usize..200) {
+    fn wheel_matches_heap_across_l1_rotations(seed in any::<u64>(), flows in 1usize..24) {
         let mut rng = Rng::new(seed);
-        let mut q = EventQueue::new();
-        for i in 0..n {
-            let offset = rng.range_u64(0, 40_000_000_000);
-            q.push(Time::from_nanos(q.now().as_nanos() + offset), i);
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapEventQueue::new();
+        for id in 0..flows {
+            let at = Time::from_nanos(rng.range_u64(0, 70_000_000));
+            wheel.push(at, id);
+            heap.push(at, id);
         }
-        for _ in 0..n / 4 {
-            q.pop();
+        let mut next_id = flows;
+        let mut restored = false;
+        while wheel.now() < Time::from_secs(105) {
+            let popped = heap.pop();
+            prop_assert_eq!(wheel.pop(), popped);
+            prop_assert_eq!(wheel.now(), heap.now());
+            let (now, id) = (wheel.now().as_nanos(), popped.expect("flows never end").1);
+            let mut pushes = Vec::new();
+            if id < flows {
+                pushes.push((now + rng.range_u64(35_000_000, 70_000_000), id));
+            }
+            if rng.chance(1.0 / 16.0) {
+                let offset = match rng.range_u64(0, 3) {
+                    0 => 0,
+                    1 => rng.range_u64(0, 1 << 25),
+                    _ => rng.range_u64(35_000_000_000, 60_000_000_000),
+                };
+                pushes.push((now + offset, next_id));
+                next_id += 1;
+            }
+            for (at, id) in pushes {
+                wheel.push(Time::from_nanos(at), id);
+                heap.push(Time::from_nanos(at), id);
+            }
+            if !restored && wheel.now() >= Time::from_secs(50) {
+                wheel = ckpt_roundtrip(&wheel);
+                restored = true;
+            }
         }
-        q.equalize_slot_capacities();
-        let mut restored = ckpt_roundtrip(&q);
-        restored.equalize_slot_capacities();
-        assert_same_pop_stream(q, restored)?;
+        while let Some(popped) = heap.pop() {
+            prop_assert_eq!(wheel.pop(), Some(popped));
+        }
+        prop_assert!(wheel.is_empty());
     }
 
     /// Saving is non-destructive: serializing the canonical entry list

@@ -75,13 +75,15 @@ const RULES: &[Rule] = &[
             "record_flow_tput",
             "flow_tput_series",
             "flow_deq_",
+            "equalize_slot_capacities",
         ],
         roots: &["crates", "tests", "examples", "src"],
         allowed: &["tests/repo_invariants.rs"],
         up_to: None,
         why: "an option only a test sets is a constant; state nobody reads is not kept \
               (SACK is the sender, PIE's tune table and idle decay are PIE, an RTT is \
-              static, per-flow rates come from FlowAccount::dequeued_bytes_postwarm)",
+              static, per-flow rates come from FlowAccount::dequeued_bytes_postwarm, the \
+              wheel's L1 buffers circulate through its spare stack so no test levels them)",
     },
     Rule {
         needles: &[

@@ -12,14 +12,12 @@ use pi2_bench::cli::{parse_args, usage, CliArgs, MetricsFormat, TraceFormat};
 use pi2_bench::perf::Json;
 use pi2_experiments::{run_fluid, summarize_scenario_run, Scenario};
 use pi2_fluid::law::CLASSIC_CAP;
-use pi2_netsim::{AuditSink, CsvSink, JsonlSink, MemorySink, Monitor, PerfettoSink, Sim};
+use pi2_netsim::{AuditSink, CsvSink, JsonlSink, Monitor, Sim};
 use pi2_obs::ObsServer;
 use pi2_simcore::{Duration, Time};
 use pi2_stats::Summary;
-use std::cell::RefCell;
 use std::fs::File;
 use std::io::BufWriter;
-use std::rc::Rc;
 
 /// [`Scenario::build`], with a description it rejects reported as a usage
 /// error.
@@ -117,14 +115,14 @@ fn main() {
 /// apply `--restore`/`--checkpoint-out`, run it to the scenario's end
 /// (in served slices under `--serve`) and flush the sinks. Every observer
 /// is pure, so whatever is attached the run's bits are those of a bare
-/// [`Scenario::run`]. Returns the `--trace N` sink.
+/// [`Scenario::run`].
 fn observe_and_run(
     a: &CliArgs,
     sc: &Scenario,
     sim: &mut Sim,
     audit: Option<AuditSink>,
     serve: Option<&ObsServer>,
-) -> Option<Rc<RefCell<MemorySink>>> {
+) {
     // A checkpoint carries what the sim carries, and `build` leaves the
     // registry on it, which would change the blob this command line
     // writes: it is kept only when asked for (`--metrics-out`, or
@@ -140,13 +138,6 @@ fn observe_and_run(
     if let Some(audit) = audit {
         sim.core.enable_audit(audit);
     }
-    // `--trace N`: a bounded in-memory sink we keep a handle to for the
-    // post-run rendering.
-    let mem_trace = (a.trace > 0).then(|| {
-        let h = Rc::new(RefCell::new(MemorySink::new(a.trace)));
-        sim.core.add_trace_sink(Box::new(Rc::clone(&h)));
-        h
-    });
     // `--trace-out PATH`: stream every event and AQM probe to disk.
     if let Some(path) = &a.trace_out {
         let f = File::create(path).unwrap_or_else(|e| {
@@ -158,16 +149,8 @@ fn observe_and_run(
             TraceFormat::Jsonl => sim.core.add_trace_sink(Box::new(JsonlSink::new(w))),
             TraceFormat::Csv => sim.core.add_trace_sink(Box::new(CsvSink::new(w))),
             // The flush at end-of-run finalizes the timeline (flow
-            // lifetime slices, track metadata, the closing bracket). A
-            // family cell annotates it with its disturbance or workload
-            // edges.
-            TraceFormat::Perfetto => {
-                let mut sink = PerfettoSink::new(w);
-                for (at_s, label) in a.scenario.iter().flat_map(|cell| cell.marks()) {
-                    sink.instant(Time::from_secs(at_s), label);
-                }
-                sim.core.add_trace_sink(Box::new(sink));
-            }
+            // lifetime slices, track metadata, the closing bracket).
+            TraceFormat::Perfetto => sim.core.add_trace_sink(Box::new(a.perfetto_sink(w))),
         }
     }
     // `--restore`: replace the freshly built state with the checkpoint's
@@ -204,7 +187,6 @@ fn observe_and_run(
         eprintln!("trace sink error: {e}");
         std::process::exit(1);
     }
-    mem_trace
 }
 
 /// The default mode: one scenario on the packet or hybrid backend,
@@ -226,7 +208,7 @@ fn run_single(a: &CliArgs) {
             audit
         }
     });
-    let mem_trace = observe_and_run(a, &sc, &mut sim, audit, serve.as_ref());
+    observe_and_run(a, &sc, &mut sim, audit, serve.as_ref());
     // Detach the observers the report reads before the run's measurements
     // move into the result.
     let profiler = sim.take_profiler();
@@ -363,10 +345,6 @@ fn run_single(a: &CliArgs) {
             println!("{t},{d}");
         }
     }
-    if let Some(h) = &mem_trace {
-        println!("# first {} bottleneck events:", a.trace);
-        print!("{}", h.borrow().render());
-    }
     if let (Some(path), TraceFormat::Jsonl) = (&a.trace_out, a.trace_format) {
         if sc.topology.is_some() {
             // A line sink records hop 0 only; the monitor's per-flow marks
@@ -440,14 +418,12 @@ fn publish_single(srv: &ObsServer, sim: &Sim, start: Time, end: Time, wall_secs:
         srv.publish_metrics(m.registry().to_prometheus());
     }
     let now = sim.core.now();
-    let p = pi2_simcore::progress(start, now, end, sim.core.events.popped(), wall_secs);
+    let p = pi2_simcore::progress(start, now, end, wall_secs);
     let eta = p.eta_secs.map_or("null".to_string(), |e| format!("{e:.3}"));
     srv.publish_progress(format!(
-        "{{\"cell\":\"single\",\"sim_time_s\":{:.3},\"fraction\":{:.6},\
-         \"events_per_sec\":{:.1},\"eta_secs\":{eta}}}\n",
+        "{{\"cell\":\"single\",\"sim_time_s\":{:.3},\"fraction\":{:.6},\"eta_secs\":{eta}}}\n",
         now.as_secs_f64(),
-        p.fraction,
-        p.events_per_sec
+        p.fraction
     ));
 }
 

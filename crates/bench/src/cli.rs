@@ -13,9 +13,10 @@ use pi2_aqm::{
 use pi2_experiments::dynamics::{self, Disturbance};
 use pi2_experiments::topology::{self, TopologyKind};
 use pi2_experiments::{AqmKind, Backend, BgGroup, FlowGroup, RunResult, Scenario, UdpGroup};
-use pi2_netsim::{ImpairmentConf, LinkImpairments};
+use pi2_netsim::{ImpairmentConf, LinkImpairments, PerfettoSink};
 use pi2_simcore::{Duration, Time};
 use pi2_transport::{CcKind, EcnSetting};
+use std::io::Write;
 
 /// A parsed flow group request.
 #[derive(Clone, Debug, PartialEq)]
@@ -57,8 +58,6 @@ pub struct CliArgs {
     /// regardless of build profile (debug builds attach it by default;
     /// see the `PI2_AUDIT` env knob).
     pub audit: bool,
-    /// Print the first N per-packet trace events.
-    pub trace: usize,
     /// Stream the full event trace to this file.
     pub trace_out: Option<String>,
     /// On-disk trace format for `--trace-out`.
@@ -192,7 +191,6 @@ impl Default for CliArgs {
             target: Duration::from_millis(20),
             csv: false,
             audit: false,
-            trace: 0,
             trace_out: None,
             trace_format: TraceFormat::Jsonl,
             metrics_out: None,
@@ -237,6 +235,16 @@ impl CliArgs {
         sc.per_flow_sojourns = true;
         sc.impairments = self.weather();
         sc
+    }
+
+    /// The `--trace-format perfetto` sink over `w`: a family cell's
+    /// timeline is annotated with its disturbance or workload edges.
+    pub fn perfetto_sink<W: Write>(&self, w: W) -> PerfettoSink<W> {
+        let mut sink = PerfettoSink::new(w);
+        for (at_s, label) in self.scenario.iter().flat_map(|cell| cell.marks()) {
+            sink.instant(Time::from_secs(at_s), label);
+        }
+        sink
     }
 
     fn dumbbell(&self) -> Scenario {
@@ -370,10 +378,13 @@ pub fn parse_rate(s: &str) -> Result<u64, String> {
     let v: f64 = num
         .parse()
         .map_err(|_| format!("bad rate '{s}' (try 10M, 400k, 2.5G)"))?;
-    if v <= 0.0 {
-        return Err(format!("rate must be positive, got '{s}'"));
+    // Checked after scaling: the rate is truncated to whole b/s, and a link
+    // or source at 0 b/s is a panic further in.
+    let bps = v * mult;
+    if !(bps >= 1.0) {
+        return Err(format!("rate must be at least 1 b/s, got '{s}'"));
     }
-    Ok((v * mult) as u64)
+    Ok(bps as u64)
 }
 
 /// Parse a time like `20ms`, `1s`, `500us`.
@@ -476,17 +487,12 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             "--target" => out.target = parse_time(value("--target")?)?,
             "--csv" => out.csv = true,
             "--audit" => out.audit = true,
-            "--trace" => {
-                out.trace = value("--trace")?
-                    .parse()
-                    .map_err(|_| "bad --trace".to_string())?
-            }
             "--trace-out" => out.trace_out = Some(value("--trace-out")?.clone()),
             "--trace-format" => {
                 out.trace_format = match value("--trace-format")?.as_str() {
                     "jsonl" => TraceFormat::Jsonl,
                     "csv" => TraceFormat::Csv,
-                    "perfetto" | "chrome-json" => TraceFormat::Perfetto,
+                    "perfetto" => TraceFormat::Perfetto,
                     other => {
                         return Err(format!(
                             "bad --trace-format '{other}' (jsonl, csv or perfetto)"
@@ -498,7 +504,7 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             "--metrics-format" => {
                 out.metrics_format = match value("--metrics-format")?.as_str() {
                     "json" => MetricsFormat::Json,
-                    "prom" | "prometheus" => MetricsFormat::Prom,
+                    "prom" => MetricsFormat::Prom,
                     other => {
                         return Err(format!("bad --metrics-format '{other}' (json or prom)"))
                     }
@@ -561,7 +567,6 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
         ("--profile", out.profile),
         ("--checkpoint-out", out.checkpoint_out.is_some()),
         ("--restore", out.restore.is_some()),
-        ("--trace", out.trace > 0),
         ("--audit", out.audit),
         ("--loss/--dup/--jitter", out.weather().is_some()),
         ("--trace-out", out.trace_out.is_some()),
@@ -592,7 +597,6 @@ pub fn usage() -> String {
          \x20 --csv             also print the (t, queue delay ms) series as CSV\n\
          \x20 --audit           attach the invariant auditor (always on in debug\n\
          \x20                   builds; env PI2_AUDIT=1/0 overrides either way)\n\
-         \x20 --trace <n>       print the first n per-packet bottleneck events\n\
          \x20 --trace-out <p>   stream every event + AQM state probe to this file\n\
          \x20 --trace-format <f> jsonl (default), csv, or perfetto (Chrome\n\
          \x20                   trace-event JSON for ui.perfetto.dev), for --trace-out\n\
@@ -643,6 +647,9 @@ mod tests {
         assert_eq!(parse_rate("9000").unwrap(), 9000);
         assert!(parse_rate("fast").is_err());
         assert!(parse_rate("-3M").is_err());
+        // Below 1 b/s truncates to a zero-rate link or source.
+        assert!(parse_rate("0.5").is_err());
+        assert!(parse_args(&args("--udp 0.2")).is_err());
     }
 
     #[test]
@@ -672,10 +679,9 @@ mod tests {
     #[test]
     fn full_command_line_parses() {
         let a = parse_args(&args(
-            "--aqm coupled --rate 40M --rtt 10ms --flows 1xcubic,1xdctcp --secs 30 --seed 7 --trace 50",
+            "--aqm coupled --rate 40M --rtt 10ms --flows 1xcubic,1xdctcp --secs 30 --seed 7",
         ))
         .unwrap();
-        assert_eq!(a.trace, 50);
         assert_eq!(a.aqm, "coupled");
         assert_eq!(a.rate_bps, 40_000_000);
         assert_eq!(a.rtt, Duration::from_millis(10));
@@ -693,8 +699,6 @@ mod tests {
         assert_eq!(a.trace_format, TraceFormat::Csv);
         let p = parse_args(&args("--trace-out /tmp/t.json --trace-format perfetto")).unwrap();
         assert_eq!(p.trace_format, TraceFormat::Perfetto);
-        let alias = parse_args(&args("--trace-format chrome-json")).unwrap();
-        assert_eq!(alias.trace_format, TraceFormat::Perfetto);
         let e = parse_args(&args("--trace-format xml")).unwrap_err();
         assert!(e.contains("jsonl, csv or perfetto"));
     }
@@ -828,11 +832,10 @@ mod tests {
         fluid_rejects_checkpoint_out: "--backend fluid --checkpoint-out c.ckpt" => "--backend fluid", "--checkpoint-out";
         fluid_rejects_restore: "--backend fluid --restore c.ckpt" => "--backend fluid", "--restore";
         fluid_rejects_serve: "--backend fluid --serve 127.0.0.1:0" => "--backend fluid", "--serve";
-        fluid_rejects_trace: "--backend fluid --trace 20" => "--backend fluid", "--trace";
     }
 
-    /// The flag sets behind the 14 family × flag pairs the sweep modes
-    /// used to reject, and `--serve`: a cell is a single run, so each
+    /// The observer flags the sweep modes used to reject, and `--serve`:
+    /// a cell is a single run, so each
     /// parses with a cell of either family. What is not a cell, a bare
     /// family name included, is refused with the cells and the figure
     /// rows that print the family tables.
@@ -843,7 +846,6 @@ mod tests {
             "--profile",
             "--checkpoint-out c.ckpt --checkpoint-at 3s",
             "--restore c.ckpt",
-            "--trace 20",
             "--audit",
             "--loss 1%",
             "--trace-out t.csv --trace-format csv",

@@ -1,6 +1,6 @@
 //! Extensions beyond the paper's own figures: DualQ, FQ, RTT fairness,
-//! the Scalable family, the §6 short-flow claim, and the step-response
-//! and multi-hop families.
+//! the Scalable family, the §6 short-flow claim, the step-response and
+//! multi-hop families, and the model-agreement grid.
 
 use super::{Figure, Session};
 use crate::{cli, f, write_rows};
@@ -253,4 +253,29 @@ pub fn dynamics(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<
 pub fn topology(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
     let runs = topology_family::topology(fig.seed(run), true);
     write!(out, "{}", topology_family::render_table(&runs))
+}
+
+/// The model-agreement grid (`pi2_validate::differential`): every cell
+/// run once on the packet engine, each model listed for it judged against
+/// that run, the achieved disagreement printed beside each band, then a
+/// verdict line. A pair outside its band is an error naming it, so
+/// `pi2fig` exits 1.
+pub fn validate_grid(_: &Figure, _: &Session, mut out: &mut dyn Write) -> io::Result<()> {
+    let report = pi2_validate::run_grid(&pi2_validate::grid(), &pi2_validate::bands(), &mut out)?;
+    let (failed, pairs) = (report.failed(), report.pairs().count());
+    if failed.is_empty() {
+        writeln!(
+            out,
+            "verdict: OK — {pairs}/{pairs} (cell, model) pairs within tolerance over {} packet runs",
+            report.cells.len()
+        )
+    } else {
+        let what = format!(
+            "{} of {pairs} (cell, model) pairs out of tolerance: {}",
+            failed.len(),
+            failed.join(", ")
+        );
+        writeln!(out, "verdict: FAIL — {what}")?;
+        Err(io::Error::other(what))
+    }
 }

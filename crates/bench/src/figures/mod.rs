@@ -1,5 +1,5 @@
 //! The figure table: every output this repo regenerates from the paper —
-//! figures, Appendix A, ablations, extensions — is one row of
+//! figures, Appendix A, ablations, extensions, model agreement — is one row of
 //! [`FIGURES`], and `pi2fig` is the one binary over it.
 //!
 //! A row's `id` is also the stem of its archived output,
@@ -91,7 +91,8 @@ pub struct Figure {
     /// The header line ("Figure 6: queue delay, PI (fixed gains) vs …").
     pub title: &'static str,
     /// What the numbers should show: the closing "shape check:" caption.
-    /// Empty for the grid rows, whose views caption each section themselves.
+    /// Empty for the grid rows, whose views caption each section themselves,
+    /// and for `validate_grid`, which ends on its verdict line.
     pub shape: &'static str,
     /// Simulated seconds per run.
     pub secs: Knob,
@@ -347,6 +348,9 @@ pub static FIGURES: &[Figure] = &[
                      the classes back to 0.93-1.19 (Jain 0.99 on each parking-lot hop), across\n\
                      three bottlenecks in series as on the dumbbell, and cuts the mice FCT P99\n\
                      more than 4x." },
+    Figure { id: "validate_grid", archived: true, render: ext::validate_grid, secs: Fixed("60 s per cell"), seed: Fixed("seed 7"),
+             title: "Model agreement: delay-ODE, flow-level engine and hybrid mode, each judged against one packet run per cell (12 Mb/s, 50 ms, 5 flows)",
+             shape: "" },
 ];
 
 /// The rows a `pi2fig` command line names: any mix of ids and `all` (the

@@ -1,9 +1,9 @@
 //! The two std-only helpers the workspace's measuring code shares.
 //!
 //! * [`Json`] — a hand-rolled JSON value with a parser and a compact
-//!   writer (std has none and the build is offline). `pi2sim`,
-//!   `metrics_lint` and the `benchmark/` package read and write their
-//!   documents through it.
+//!   writer (std has none and the build is offline). `pi2sim`, the
+//!   metrics and Perfetto tests and the `benchmark/` package read and
+//!   write their documents through it.
 //! * [`median`] — of per-repetition or per-pair samples; robust to the
 //!   odd scheduler hiccup that makes single-shot timings useless.
 //!

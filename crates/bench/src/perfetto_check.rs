@@ -16,8 +16,8 @@
 //! * drop/mark instants are tallied so callers can cross-check them
 //!   against an independent count of the same run.
 //!
-//! Used by the `perfetto_lint` binary and the observability integration
-//! tests.
+//! Used by the observability integration tests (`tests/obs_server.rs`),
+//! on the exporter's golden and on a family cell's annotated timeline.
 
 use crate::perf::Json;
 use std::collections::BTreeMap;

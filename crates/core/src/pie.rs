@@ -6,12 +6,12 @@
 //! [`pi2_fluid::law::tune_factor`]) — the table Figure 5 shows tracking
 //! `√(2p)`. On top of that the Linux implementation carries the
 //! heuristics listed in Section 5 of the paper;
-//! the five the paper's three PIE variants differ in are switchable here
-//! (the tune table and the idle decay of `p` are always on):
+//! the four that full and bare PIE differ in are switchable here (the tune
+//! table and the idle decay of `p` are always on):
 //!
-//! * [`PieConfig::linux_default`] — full Linux PIE;
-//! * [`PieConfig::paper_default`] — full PIE with the ECN-drop-above-10 %
-//!   rule reworked as in the paper's evaluation;
+//! * [`PieConfig::paper_default`] — full Linux PIE with its drop-ECN-above-
+//!   10 % rule reworked away, as in the paper's evaluation: an ECT packet
+//!   is always marked;
 //! * [`PieConfig::bare`] — "bare-PIE": tune only, all heuristics off.
 
 use crate::estimator::DelayEstimator;
@@ -37,10 +37,6 @@ pub struct PieConfig {
     /// Heuristic: no drop/mark while `p < 20 %` and the delay estimate is
     /// below half the target.
     pub suppress_when_light: bool,
-    /// Heuristic: drop (rather than mark) ECN packets once `p` exceeds
-    /// this threshold. Linux: `Some(0.1)`. The paper's evaluation reworked
-    /// this rule away (`None` = always mark ECT packets).
-    pub ecn_drop_above: Option<f64>,
     /// Heuristic: clamp Δp to 2 % while `p > 10 %`.
     pub clamp_delta: bool,
     /// Heuristic: force Δp = 2 % when the delay estimate exceeds 250 ms.
@@ -50,8 +46,11 @@ pub struct PieConfig {
 }
 
 impl PieConfig {
-    /// Full Linux PIE with the paper's Table 1 parameters.
-    pub fn linux_default() -> Self {
+    /// The PIE variant the paper evaluates, with its Table 1 parameters:
+    /// full Linux heuristics, but the "drop ECN above 10 %" rule removed
+    /// so ECT packets are always marked (avoiding the discontinuity in the
+    /// Classic/Scalable rate ratio).
+    pub fn paper_default() -> Self {
         let gains = PiGains::pie();
         PieConfig {
             target: Duration::from_millis(20),
@@ -60,20 +59,9 @@ impl PieConfig {
             beta_hz: gains.beta,
             max_burst: Some(Duration::from_millis(100)),
             suppress_when_light: true,
-            ecn_drop_above: Some(0.1),
             clamp_delta: true,
             qdelay_high_rule: true,
             estimator: DelayEstimator::linux_default(),
-        }
-    }
-
-    /// The PIE variant the paper evaluates: full Linux heuristics, but the
-    /// "drop ECN above 10 %" rule removed so ECT packets are always marked
-    /// (avoiding the discontinuity in the Classic/Scalable rate ratio).
-    pub fn paper_default() -> Self {
-        PieConfig {
-            ecn_drop_above: None,
-            ..PieConfig::linux_default()
         }
     }
 
@@ -84,10 +72,9 @@ impl PieConfig {
         PieConfig {
             max_burst: None,
             suppress_when_light: false,
-            ecn_drop_above: None,
             clamp_delta: false,
             qdelay_high_rule: false,
-            ..PieConfig::linux_default()
+            ..PieConfig::paper_default()
         }
     }
 }
@@ -154,12 +141,7 @@ impl Aqm for Pie {
             return Decision::pass(p);
         }
         if rng.chance(p) {
-            let may_mark = pkt.ecn.is_ect()
-                && match self.cfg.ecn_drop_above {
-                    Some(th) => p <= th,
-                    None => true,
-                };
-            if may_mark {
+            if pkt.ecn.is_ect() {
                 Decision::mark(p)
             } else {
                 Decision::drop(p)
@@ -274,7 +256,7 @@ mod tests {
             max_burst: None,
             suppress_when_light: false,
             estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::linux_default()
+            ..PieConfig::paper_default()
         });
         pie.core.set_p(p);
         pie
@@ -284,7 +266,7 @@ mod tests {
     fn burst_allowance_suppresses_early_drops() {
         let mut pie = Pie::new(PieConfig {
             estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::linux_default()
+            ..PieConfig::paper_default()
         });
         pie.core.set_p(0.9);
         let mut rng = Rng::new(1);
@@ -300,7 +282,7 @@ mod tests {
         let mut pie = Pie::new(PieConfig {
             suppress_when_light: false,
             estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::linux_default()
+            ..PieConfig::paper_default()
         });
         // 100 ms / 32 ms = 4 updates to drain; keep qdelay high so it is
         // not refilled and p grows.
@@ -319,7 +301,7 @@ mod tests {
         let mut pie = Pie::new(PieConfig {
             max_burst: None,
             estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::linux_default()
+            ..PieConfig::paper_default()
         });
         pie.core.set_p(0.19);
         // prev_qdelay is zero (< target/2), p < 0.2 -> no drops at all.
@@ -329,32 +311,6 @@ mod tests {
             let d = pie.on_enqueue(&pkt, &snap(30_000), Time::ZERO, &mut rng);
             assert_eq!(d.action, Action::Pass);
         }
-    }
-
-    #[test]
-    fn ecn_marked_below_threshold_dropped_above() {
-        let mut rng = Rng::new(1);
-        let ect = Packet::data(FlowId(0), 0, 1500, Ecn::Ect0, Time::ZERO);
-        // p = 0.05 <= 0.1: ECT gets marks.
-        let mut pie = pie_with_p(1.0);
-        pie.cfg.ecn_drop_above = Some(0.1);
-        pie.core.set_p(0.05);
-        let mut saw_mark = false;
-        for _ in 0..1000 {
-            let d = pie.on_enqueue(&ect, &snap(30_000), Time::ZERO, &mut rng);
-            assert_ne!(d.action, Action::Drop);
-            saw_mark |= d.action == Action::Mark;
-        }
-        assert!(saw_mark);
-        // p = 0.5 > 0.1: ECT gets dropped.
-        pie.core.set_p(0.5);
-        let mut saw_drop = false;
-        for _ in 0..1000 {
-            let d = pie.on_enqueue(&ect, &snap(30_000), Time::ZERO, &mut rng);
-            assert_ne!(d.action, Action::Mark);
-            saw_drop |= d.action == Action::Drop;
-        }
-        assert!(saw_drop);
     }
 
     #[test]
@@ -390,7 +346,7 @@ mod tests {
             suppress_when_light: false,
             qdelay_high_rule: false,
             estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::linux_default()
+            ..PieConfig::paper_default()
         });
         pie.core.set_p(0.5);
         // Enormous delay: unclamped delta would exceed 2%.
@@ -407,7 +363,7 @@ mod tests {
             suppress_when_light: false,
             clamp_delta: false,
             estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::linux_default()
+            ..PieConfig::paper_default()
         });
         // 400 ms of backlog at 10 Mb/s = 500 kB.
         pie.update(&snap(500_000), Time::ZERO);
@@ -422,7 +378,7 @@ mod tests {
             clamp_delta: false,
             qdelay_high_rule: false,
             estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::linux_default()
+            ..PieConfig::paper_default()
         });
         bare.update(&snap(500_000), Time::ZERO);
         assert!(bare.prob() != 0.02);
@@ -434,7 +390,7 @@ mod tests {
             max_burst: None,
             suppress_when_light: false,
             estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::linux_default()
+            ..PieConfig::paper_default()
         });
         pie.core.set_p(0.4);
         pie.update(&snap(0), Time::ZERO); // sets prev=0
@@ -452,7 +408,7 @@ mod tests {
             max_burst: None,
             suppress_when_light: false,
             estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::linux_default()
+            ..PieConfig::paper_default()
         });
         let mut untuned = Pi::new(PiConfig::untuned_pie_gains());
         let s = snap(75_000); // 60 ms at 10 Mb/s: well above target
@@ -466,7 +422,7 @@ mod tests {
     fn probe_reports_burst_allowance_and_delay() {
         let mut pie = Pie::new(PieConfig {
             estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::linux_default()
+            ..PieConfig::paper_default()
         });
         let st = pie.probe();
         assert_eq!(st.burst_allowance, Duration::from_millis(100));
@@ -483,7 +439,6 @@ mod tests {
         let cfg = PieConfig::bare();
         assert!(cfg.max_burst.is_none());
         assert!(!cfg.suppress_when_light);
-        assert!(cfg.ecn_drop_above.is_none());
         assert!(!cfg.clamp_delta);
         assert!(!cfg.qdelay_high_rule);
     }

@@ -49,13 +49,26 @@ pub enum AqmKind {
 }
 
 impl AqmKind {
-    /// Instantiate the AQM for a FIFO bottleneck.
-    ///
-    /// # Panics
-    /// For [`AqmKind::DualQ`] and [`AqmKind::Fq`], which own their queues
-    /// and cannot sit behind a FIFO — use [`AqmKind::build_qdisc`] instead.
-    pub fn build(&self) -> Box<dyn Aqm> {
-        match self {
+    /// Instantiate the complete queueing discipline for `queue`, the one
+    /// way to build an `AqmKind`. Single-queue AQMs are wrapped in the
+    /// standard FIFO [`BottleneckQueue`]; the DualQ and FQ carry their own
+    /// internal queues, taking `queue`'s rate and buffer in place of
+    /// whatever their config was built with (so a scenario's `rate_bps` is
+    /// authoritative for every variant).
+    pub fn build_qdisc(&self, queue: QueueConfig) -> Box<dyn Qdisc> {
+        let aqm: Box<dyn Aqm> = match self {
+            AqmKind::DualQ(cfg) => {
+                let mut cfg = *cfg;
+                cfg.rate_bps = queue.rate_bps;
+                cfg.buffer_bytes = queue.buffer_bytes;
+                return Box::new(DualPi2::new(cfg));
+            }
+            AqmKind::Fq(cfg) => {
+                let mut cfg = *cfg;
+                cfg.rate_bps = queue.rate_bps;
+                cfg.buffer_bytes = queue.buffer_bytes;
+                return Box::new(FqDrr::new(cfg));
+            }
             AqmKind::Pie(cfg) => Box::new(Pie::new(*cfg)),
             AqmKind::Pi2(cfg) => Box::new(Pi2::new(*cfg)),
             AqmKind::Pi(cfg) => Box::new(Pi::new(*cfg)),
@@ -66,33 +79,8 @@ impl AqmKind {
             AqmKind::Curvy(cfg) => Box::new(CurvyRed::new(*cfg)),
             AqmKind::FixedProb(p) => Box::new(FixedProb::new(*p)),
             AqmKind::StepMark(cfg) => Box::new(StepMark::new(*cfg)),
-            AqmKind::DualQ(_) | AqmKind::Fq(_) => {
-                panic!("{} is a full qdisc; use AqmKind::build_qdisc", self.name())
-            }
-        }
-    }
-
-    /// Instantiate the complete queueing discipline for `queue`. Single-
-    /// queue AQMs are wrapped in the standard FIFO [`BottleneckQueue`];
-    /// the DualQ and FQ carry their own internal queues, taking `queue`'s
-    /// rate and buffer in place of whatever their config was built with
-    /// (so a scenario's `rate_bps` is authoritative for every variant).
-    pub fn build_qdisc(&self, queue: QueueConfig) -> Box<dyn Qdisc> {
-        match self {
-            AqmKind::DualQ(cfg) => {
-                let mut cfg = *cfg;
-                cfg.rate_bps = queue.rate_bps;
-                cfg.buffer_bytes = queue.buffer_bytes;
-                Box::new(DualPi2::new(cfg))
-            }
-            AqmKind::Fq(cfg) => {
-                let mut cfg = *cfg;
-                cfg.rate_bps = queue.rate_bps;
-                cfg.buffer_bytes = queue.buffer_bytes;
-                Box::new(FqDrr::new(cfg))
-            }
-            other => Box::new(BottleneckQueue::new(queue, other.build())),
-        }
+        };
+        Box::new(BottleneckQueue::new(queue, aqm))
     }
 
     /// Display name for tables.

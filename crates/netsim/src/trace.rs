@@ -7,7 +7,7 @@
 //! with a [`TraceSink`] trait the simulator streams into:
 //!
 //! * [`MemorySink`] — a bounded in-memory buffer for tests and the
-//!   `pi2sim --trace N` debugging view (the old `Trace` behaviour);
+//!   benchmark's sink layer (the old `Trace` behaviour);
 //! * [`JsonlSink`] / [`CsvSink`] — line-oriented writers over any
 //!   [`std::io::Write`], for exporting full runs at O(1) memory;
 //! * [`CountingSink`] — per-flow event totals via [`TraceCounts`], the

@@ -51,9 +51,9 @@
 //!
 //! The comparison is `|packet − model| ≤ abs + rel · max(|packet|, |model|)`
 //! per metric under [`bands`]; the report also states the achieved
-//! `|packet − model| / max(|packet|, |model|)` beside each band. The
-//! machine-readable form is JSONL, one object per (cell, model) pair then
-//! a summary line, hand-rolled like `pi2_netsim::trace`.
+//! `|packet − model| / max(|packet|, |model|)` beside each band.
+//! `pi2fig validate_grid` prints it, and `results/validate_grid.txt`
+//! archives it.
 
 use pi2_aqm::PiConfig;
 use pi2_experiments::{
@@ -96,9 +96,8 @@ pub struct Tolerances {
 }
 
 impl Tolerances {
-    /// Scale every tolerance (both terms) by `f` — `f < 1` tightens.
-    /// `validate_grid --tighten` uses this to demonstrate that a failed
-    /// tolerance makes the harness exit non-zero.
+    /// Scale every tolerance (both terms) by `f` — `f < 1` tightens, as
+    /// the harness's negative control does to show that it can fail.
     pub fn scaled(self, f: f64) -> Self {
         let s = |t: Tol| Tol { rel: t.rel * f, abs: t.abs * f };
         Tolerances {
@@ -416,27 +415,6 @@ impl PairReport {
         }
     }
 
-    /// One JSONL object (no trailing newline).
-    pub fn jsonl(&self) -> String {
-        let mut s = format!(
-            "{{\"config\":\"{}\",\"model\":\"{}\",\"pass\":{},\"metrics\":[",
-            self.cell,
-            self.model.name(),
-            self.pass
-        );
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"metric\":\"{}\",\"packet\":{:.6},\"fluid\":{:.6},\"rel_tol\":{},\"abs_tol\":{},\"achieved\":{:.6},\"pass\":{}}}",
-                m.metric, m.packet, m.model, m.tol.rel, m.tol.abs, m.achieved, m.pass
-            ));
-        }
-        s.push_str("]}");
-        s
-    }
-
     /// A human-readable multi-line table for terminal output.
     pub fn table(&self) -> String {
         let mut s = format!(
@@ -523,33 +501,15 @@ impl GridReport {
     }
 }
 
-/// Run a grid, the one report writer: each pair's table goes to `table`
-/// as its cell finishes, one JSONL line per pair to `jsonl`, followed by
-/// a `{"summary":...}` line.
-pub fn run_grid(
-    cells: &[Cell],
-    tol: &Tolerances,
-    table: &mut impl Write,
-    jsonl: &mut impl Write,
-) -> io::Result<GridReport> {
+/// Run a grid, the one report writer: each pair's table goes to `out` as
+/// its cell finishes.
+pub fn run_grid(cells: &[Cell], tol: &Tolerances, out: &mut impl Write) -> io::Result<GridReport> {
     let mut report = GridReport { cells: Vec::with_capacity(cells.len()) };
     for cell in cells {
         let done = run_cell(cell, tol);
-        table.write_all(done.table().as_bytes())?;
-        for pair in &done.pairs {
-            writeln!(jsonl, "{}", pair.jsonl())?;
-        }
+        out.write_all(done.table().as_bytes())?;
         report.cells.push(done);
     }
-    let failed: Vec<String> = report.failed().iter().map(|n| format!("\"{n}\"")).collect();
-    writeln!(
-        jsonl,
-        "{{\"summary\":{{\"cells\":{},\"pairs\":{},\"pass\":{},\"failed\":[{}]}}}}",
-        report.cells.len(),
-        report.pairs().count(),
-        failed.is_empty(),
-        failed.join(",")
-    )?;
     Ok(report)
 }
 
@@ -587,18 +547,12 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_report_is_well_formed() {
+    fn a_pair_is_judged_on_its_models_metrics() {
         let s = |signal| BackendSummary { utilization: 1.0, qdelay_s: 0.02, signal, rate_ratio: 1.0 };
         let r = PairReport::judge("x", Model::Ode, &s(0.01), &s(0.011), &bands());
         assert!(r.pass);
         assert_eq!(r.metrics.len(), 3, "the ODE is not judged on utilization");
         assert!((r.metrics[0].achieved - 0.001 / 0.011).abs() < 1e-12);
-        let line = r.jsonl();
-        assert!(line.starts_with("{\"config\":\"x\",\"model\":\"ode\""));
-        assert!(line.contains("\"metric\":\"signal_prob\""));
-        assert!(line.contains("\"achieved\":0.090909"));
-        assert!(line.ends_with("]}"));
-        assert_eq!(line.matches('{').count(), line.matches('}').count());
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //!   shared operating point), each run once on the packet engine and
 //!   compared with every model listed for it on steady-state
 //!   congestion-signal probability, mean queue delay, per-flow rate
-//!   fairness and utilization under the one [`bands`] table, emitting a
-//!   table and a machine-readable JSONL agreement report (same
-//!   hand-rolled JSONL conventions as `pi2_netsim::trace`).
+//!   fairness and utilization under the one [`bands`] table, reported as
+//!   one table (`pi2fig validate_grid`).
 //! * [`metamorphic`] — properties that relate *runs to other runs* rather
 //!   than to fixed numbers: summary metrics are seed-invariant within a
 //!   band, jointly scaling link rate and packet size is a symmetry, and

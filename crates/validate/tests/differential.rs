@@ -1,7 +1,6 @@
 //! The model-agreement grid as tests: one test per cell so a disagreement
 //! names its cell in the test list, plus the harness's own failure path
-//! (a deliberately tightened tolerance must fail), the JSONL report
-//! contract and the grid's run count.
+//! (a deliberately tightened tolerance must fail) and the grid's run count.
 
 use pi2_validate::{bands, grid, run_cell, run_grid, Cell};
 
@@ -75,14 +74,11 @@ fn deliberately_tightened_tolerance_fails() {
 }
 
 /// The whole grid through the one writer: 7 packet reference runs, 13
-/// judged pairs, one JSONL object per pair plus a summary line whose
-/// verdict matches the per-pair reports — and every pair of a cell quotes
-/// the cell's one packet reduction, bit for bit.
+/// judged pairs, and every pair of a cell quotes the cell's one packet
+/// reduction, bit for bit.
 #[test]
-fn grid_report_streams_parseable_jsonl_from_one_packet_run_per_cell() {
-    let mut out: Vec<u8> = Vec::new();
-    let report = run_grid(&grid(), &bands(), &mut std::io::sink(), &mut out)
-        .expect("writing to a Vec cannot fail");
+fn grid_report_judges_every_pair_against_one_packet_run_per_cell() {
+    let report = run_grid(&grid(), &bands(), &mut std::io::sink()).expect("a sink takes every write");
     assert_eq!(report.cells.len(), 7, "packet reference runs");
     assert_eq!(report.pairs().count(), 13, "judged (cell, model) pairs");
     for cell in &report.cells {
@@ -100,23 +96,5 @@ fn grid_report_streams_parseable_jsonl_from_one_packet_run_per_cell() {
                 );
             }
         }
-    }
-    let text = String::from_utf8(out).expect("report is UTF-8");
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 14, "one line per pair + one summary line");
-    assert!(lines[5].starts_with("{\"config\":\"pi2-scal\",\"model\":\"ode\""));
-    for metric in ["signal_prob", "qdelay_s", "rate_ratio"] {
-        assert!(lines[5].contains(&format!("\"metric\":\"{metric}\"")));
-    }
-    assert!(!lines[5].contains("utilization") && lines[6].contains("\"metric\":\"utilization\""));
-    assert!(lines[13].starts_with("{\"summary\":{\"cells\":7,\"pairs\":13,"));
-    assert!(lines[13].contains(&format!("\"pass\":{}", report.failed().is_empty())));
-    for line in lines {
-        assert!(line.contains("\"achieved\":") || line.starts_with("{\"summary\""));
-        assert_eq!(
-            line.matches('{').count(),
-            line.matches('}').count(),
-            "balanced braces in {line}"
-        );
     }
 }

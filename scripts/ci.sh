@@ -16,7 +16,7 @@ echo "== line budget: crates/*/src may not grow"
 # held to its value when this stage was added (PR 21). A PR that shrinks
 # crates/*/src lowers the constant; one that has to grow it raises the
 # constant and says why on this line.
-src_budget=33714
+src_budget=33376
 src_lines="$(find crates/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 all_lines="$(find crates tests examples src -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 echo "Rust lines: crates/*/src $src_lines (budget $src_budget), crates tests examples src $all_lines"
@@ -73,7 +73,8 @@ grep -q '"ev":"aqm"' "$trace_out"
 grep -q 'trace verified:' "$trace_log"
 grep -q 'audit: all invariants held' "$trace_log"
 # The same run in the other two formats: the CSV is one rectangular table
-# under pi2_netsim::trace::CSV_HEADER, the timeline passes perfetto_lint.
+# under pi2_netsim::trace::CSV_HEADER. (The Perfetto timeline's structure
+# is tests/obs_server.rs's: the golden and an annotated family cell.)
 smoke_trace() {  # <format> <file>
     cargo run -q -p pi2-bench --release --bin pi2sim -- \
         --aqm pi2 --rate 10M --flows 2xreno --secs 8 --warmup 2 \
@@ -86,7 +87,7 @@ test "$(head -n 1 "$trace_out.csv")" = \
 awk -F, 'NF != 15 { print "ragged CSV row " NR ": " $0; exit 1 }' "$trace_out.csv"
 # The header, then one row per JSONL line.
 test "$(wc -l < "$trace_out.csv")" -eq "$(( $(wc -l < "$trace_out") + 1 ))"
-cargo run -q -p pi2-bench --release --bin perfetto_lint -- "$trace_out.perfetto.json"
+test -s "$trace_out.perfetto.json"
 rm -f "$trace_out.csv" "$trace_out.perfetto.json"
 
 echo "== every --aqm name builds, runs and audits clean"
@@ -102,7 +103,11 @@ for aqm in $aqm_names; do
     grep -q 'audit: all invariants held' <<< "$aqm_log"
 done
 
-echo "== metrics+profile smoke run: snapshot parses, exposition lints"
+echo "== metrics+profile smoke run: both snapshot formats are written"
+# What the two snapshots hold is judged where they are written:
+# tests/metrics_obs.rs parses Registry::to_json (schema, sections,
+# histogram fields) and lints Registry::to_prometheus, which pi2sim also
+# lints before writing it.
 metrics_json="$(mktemp -t pi2_metrics_smoke.XXXXXX.json)"
 metrics_prom="$(mktemp -t pi2_metrics_smoke.XXXXXX.prom)"
 profile_log="$(mktemp -t pi2_profile_smoke.XXXXXX.log)"
@@ -115,42 +120,8 @@ grep -q 'metrics snapshot:' "$profile_log"
 cargo run -q -p pi2-bench --release --bin pi2sim -- \
     --aqm pi2 --rate 10M --flows 2xreno --secs 5 --warmup 1 \
     --metrics-out "$metrics_prom" --metrics-format prom > /dev/null
-# metrics_lint re-parses the JSON snapshot (schema + histogram summary
-# fields) and runs the Prometheus exposition lint (no duplicate
-# HELP/TYPE, valid names, label escaping).
-cargo run -q -p pi2-bench --release --bin metrics_lint -- \
-    "$metrics_json" "$metrics_prom"
-
-echo "== lint gates fail loudly: bad inputs must exit non-zero"
-# The gates above only work because set -e sees a non-zero exit; audit
-# that directly (not by grepping output) with deliberately broken
-# inputs. A bad file must fail the run even when a good file follows it.
-lint_dir="$(mktemp -d -t pi2_lint_gate.XXXXXX)"
-trap 'rm -rf "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$lint_dir"' EXIT
-printf '{' > "$lint_dir/truncated.json"
-if cargo run -q -p pi2-bench --release --bin metrics_lint -- \
-    "$lint_dir/truncated.json" "$metrics_json" > /dev/null 2>&1; then
-    echo "FAIL: metrics_lint accepted a truncated snapshot" >&2
-    exit 1
-fi
-if cargo run -q -p pi2-bench --release --bin perfetto_lint -- \
-    "$lint_dir/truncated.json" > /dev/null 2>&1; then
-    echo "FAIL: perfetto_lint accepted a truncated timeline" >&2
-    exit 1
-fi
-# validate_grid's own command line: a flag with its value missing or not
-# a number is a usage error (exit 2, the usage line), not a panic (101).
-for bad in "--out" "--only" "--tighten" "--tighten tight"; do
-    rc=0
-    # shellcheck disable=SC2086  # $bad is a flag and maybe its value
-    cargo run -q -p pi2-bench --release --bin validate_grid -- $bad \
-        > /dev/null 2> "$lint_dir/usage.stderr" || rc=$?
-    if [ "$rc" -ne 2 ] || ! grep -q '^usage: validate_grid' "$lint_dir/usage.stderr"; then
-        echo "FAIL: validate_grid $bad exited $rc, not 2 with the usage line" >&2
-        exit 1
-    fi
-done
-rm -rf "$lint_dir"
+grep -q '^{"schema":1,' "$metrics_json"
+grep -q '^# TYPE ' "$metrics_prom"
 
 echo "== sweep determinism smoke: 1, 2 and 4 workers must match bit-for-bit"
 # The grid at 2 s per cell, and the two families whose cells are not alike
@@ -164,19 +135,25 @@ diff /tmp/pi2_sweep_1.txt /tmp/pi2_sweep_2.txt
 diff /tmp/pi2_sweep_1.txt /tmp/pi2_sweep_4.txt
 rm -f /tmp/pi2_sweep_1.txt /tmp/pi2_sweep_2.txt /tmp/pi2_sweep_4.txt
 
-echo "== archive matches code: every archived figure and validate_grid, full scale, byte for byte"
+echo "== archive matches code: every archived figure, full scale, byte for byte"
 # results/<id>.txt is what `pi2fig <id>` prints at the default knobs, for
 # every row `pi2fig list` marks archived (id is the first field, the mark
 # the fourth). Each is regenerated at full scale — about 20 s of wall
-# time on two cores for all 28, which is why this is an exact cmp and
+# time on two cores for all 29, which is why this is an exact cmp and
 # not a reduced-length shape comparison — with PI2_SECS / PI2_SEED unset
 # whatever the caller exported. A mismatch means a change moved a
 # figure's numbers: regenerate the file with the command printed below
-# and re-read every number README / EXPERIMENTS.md quote from it.
+# and re-read every number README / EXPERIMENTS.md quote from it. One row
+# is the model-agreement grid (crates/validate/src/differential.rs): 7
+# cells run once each on the packet engine, 13 (cell, model) pairs —
+# delay-ODE, flow-level engine, hybrid mode — judged against them. The
+# row exits non-zero if any metric leaves its band; its archive holds the
+# achieved disagreement beside each band, so a validated number that
+# moves *inside* its band is a diff here, not a silent pass.
 fig_list="$(env -u PI2_SECS -u PI2_SEED target/release/pi2fig list)"
 fig_ids="$(awk '{ print $1 }' <<< "$fig_list")"
 archived_ids="$(awk '$4 == "archived" { print $1 }' <<< "$fig_list")"
-test "$(wc -w <<< "$archived_ids")" -ge 28
+test "$(wc -w <<< "$archived_ids")" -ge 29
 fig_out="$(mktemp -t pi2_fig.XXXXXX.txt)"
 archive_matches() {  # <results file> <command...>: its stdout is the file
     local file="$1" rc=0
@@ -193,13 +170,6 @@ archive_matches() {  # <results file> <command...>: its stdout is the file
 for id in $archived_ids; do
     archive_matches "results/$id.txt" target/release/pi2fig "$id"
 done
-# The model-agreement grid (crates/validate/src/differential.rs): 7 cells
-# run once each on the packet engine, 13 (cell, model) pairs — delay-ODE,
-# flow-level engine, hybrid mode — judged against them. validate_grid
-# exits non-zero if any metric leaves its band; the archive holds the
-# achieved disagreement beside each band, so a validated number that
-# moves *inside* its band is a diff here, not a silent pass.
-archive_matches results/validate_grid.txt target/release/validate_grid
 rm -f "$fig_out"
 # An id that is not in the table is a usage error (exit 2), not a panic.
 rc=0; target/release/pi2fig no_such_figure > /dev/null 2>&1 || rc=$?
@@ -283,16 +253,11 @@ done
 grep -q 'holding for GET /quit' "$live_dir/srv.stderr"
 "$bin/obs_get" "$addr" /progress | grep -q '"fraction":1'
 "$bin/obs_get" "$addr" /metrics > "$live_dir/scraped.prom"
-"$bin/metrics_lint" "$live_dir/scraped.prom"
+grep -q '^# TYPE ' "$live_dir/scraped.prom"
 "$bin/obs_get" "$addr" /quit > /dev/null
 wait "$srv_pid"
 cmp "$live_dir/ref.stdout" "$live_dir/srv.stdout"
 cmp "$live_dir/ref.perfetto.json" "$live_dir/srv.perfetto.json"
-# A multi-hop cell's timeline carries a track group per hop; validate both
-# structurally (monotonic per-track timestamps, drop/mark instants).
-"$bin/pi2sim" --scenario topology/parking-lot-3 --aqm pi2 --seed 9 \
-    --trace-out "$live_dir/topo.perfetto.json" --trace-format perfetto > /dev/null
-"$bin/perfetto_lint" "$live_dir/ref.perfetto.json" "$live_dir/topo.perfetto.json"
 rm -rf "$live_dir"
 
 echo "== served cancel/resume audit: /cancel checkpoints, exit 130, restore matches"
@@ -331,7 +296,7 @@ rm -rf "$cxl_dir"
 
 echo "== hybrid/fluid backend smoke: CLI sweep, 100k-flow fluid run"
 # (Agreement of the fluid and hybrid backends with the packet engine is
-# the validate_grid line of the archive stage above; the identity and
+# the validate_grid row of the archive stage above; the identity and
 # determinism oracles of tests/hybrid.rs ran with tier-1.)
 hyb_dir="$(mktemp -d -t pi2_hybrid_smoke.XXXXXX)"
 trap 'rm -rf "$trace_out" "$trace_log" "$metrics_json" "$metrics_prom" "$profile_log" "$hyb_dir"' EXIT

@@ -8,7 +8,8 @@
 //!   the flow-level engine (no packet events at all) and hybrid mode (most
 //!   of the population moved into the fluid background aggregate) — lands
 //!   inside the `pi2_validate::bands()` table against the cell's
-//!   all-packet reference;
+//!   all-packet reference, and `pi2fig validate_grid` prints
+//!   `results/validate_grid.txt` byte for byte;
 //! * **identity** — a hybrid run with zero background flows is the
 //!   packet run, bit for bit (event trace, metrics registry JSON,
 //!   monitor accounts), under the parallel sweep executor at 1, 2 and
@@ -21,7 +22,8 @@ use pi2::experiments::{Backend, BgGroup, RunResult, Scenario};
 use pi2::netsim::JsonlSink;
 use pi2::prelude::*;
 use pi2::validate::differential::BASE_RTT;
-use pi2::validate::{bands, grid, run_grid, Cell};
+use pi2::validate::{grid, Cell};
+use pi2_bench::figures::{select, Knobs, Session};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -32,19 +34,18 @@ fn cell(name: &str) -> Cell {
 }
 
 /// The conformance headline: every grid cell, every model judged on it,
-/// every metric inside the shared tolerance bands.
+/// every metric inside the shared tolerance bands — through the figure
+/// row, which fails on a pair outside its band, and held to its archive.
 #[test]
 fn all_backends_agree_inside_the_validate_bands() {
-    let mut table = Vec::new();
-    let report = run_grid(&grid(), &bands(), &mut table, &mut std::io::sink())
-        .expect("writing to a Vec cannot fail");
-    let failed = report.failed();
-    assert!(
-        failed.is_empty(),
-        "{} conformance violations: {failed:?}\n{}",
-        failed.len(),
-        String::from_utf8_lossy(&table)
-    );
+    let row = select(&["validate_grid".to_string()]).expect("a pi2fig row")[0];
+    let mut out = Vec::new();
+    let verdict = row.render(&Session::new(Knobs::default()), &mut out);
+    let text = String::from_utf8(out).expect("the table is UTF-8");
+    assert!(verdict.is_ok(), "{verdict:?}\n{text}");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/validate_grid.txt");
+    let archived = std::fs::read_to_string(path).expect("the archive");
+    assert!(text == archived, "pi2fig validate_grid no longer prints {path}:\n{text}");
 }
 
 /// Everything a packet/hybrid run observably produces, for bit-identity:

@@ -7,6 +7,7 @@
 use pi2::netsim::aqm::QueueSnapshot;
 use pi2::netsim::AuditSink;
 use pi2::prelude::*;
+use pi2_bench::perf::Json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn build_sim(seed: u64) -> Sim {
@@ -101,7 +102,8 @@ fn profiler_does_not_perturb_the_simulation() {
 }
 
 /// A real run's exports pass their own validation: the Prometheus text
-/// lints clean and the JSON snapshot carries the registry schema.
+/// lints clean, and the JSON snapshot parses as schema 1 with its three
+/// sections and every histogram's summary fields.
 #[test]
 fn exports_from_a_real_run_validate() {
     let mut sim = build_sim(5);
@@ -113,10 +115,19 @@ fn exports_from_a_real_run_validate() {
     let samples = pi2::obs::prom_lint(&prom).expect("exposition text lints clean");
     assert!(samples >= 10, "expected a full metric set, got {samples} samples");
 
-    let json = m.registry().to_json();
-    assert!(json.starts_with("{\"schema\":1,"));
-    assert!(json.contains("\"pi2_enqueued_total\""));
-    assert!(json.contains("\"pi2_sojourn_ns\""));
+    let json = Json::parse(&m.registry().to_json()).expect("the snapshot parses");
+    assert_eq!(json.get("schema").and_then(Json::as_f64), Some(1.0));
+    for section in ["counters", "gauges", "histograms"] {
+        assert!(matches!(json.get(section), Some(Json::Obj(_))), "\"{section}\" is not an object");
+    }
+    assert!(json.get("counters").unwrap().get("pi2_enqueued_total").is_some());
+    let Some(Json::Obj(hists)) = json.get("histograms") else { unreachable!() };
+    assert!(hists.iter().any(|(name, _)| name == "pi2_sojourn_ns"));
+    for (name, h) in hists {
+        for field in ["count", "sum", "mean", "stddev", "p50", "p90", "p99"] {
+            assert!(h.get(field).is_some(), "histogram {name} lacks \"{field}\"");
+        }
+    }
 }
 
 /// Per-worker registries merged in item order are byte-identical for any

@@ -1,8 +1,8 @@
 //! Live-observability integration tests: the HTTP exposition server is a
 //! pure observer with a schema-stable /metrics body under concurrent
 //! scrapes, and the Perfetto timeline exporter round-trips the golden
-//! parking-lot scenario through the workspace's own structural validator
-//! without perturbing the run.
+//! parking-lot scenario and an annotated family cell through the
+//! workspace's own structural validator without perturbing the run.
 
 use pi2::netsim::{PerfettoSink, TraceEvent, TraceSink};
 use pi2::obs::{http_get, Histogram, ObsServer};
@@ -329,6 +329,37 @@ fn perfetto_export_of_golden_parking_lot_round_trips() {
     }
     let want = std::fs::read_to_string(path).expect("golden file (PI2_BLESS=1 to create)");
     assert!(body == want, "timeline diverged from golden file {path}");
+}
+
+/// The timeline `pi2sim --scenario dynamics/rate-step --trace-format
+/// perfetto` writes, through the structural validator: the sink `pi2sim`
+/// builds opens with the cell's two edges as instants (the golden above
+/// has drop and mark instants only). Four simulated seconds of the cell
+/// keep it cheap in a debug build; the edges lie beyond them.
+#[test]
+fn a_family_cells_timeline_with_its_marks_validates() {
+    let argv: Vec<String> = ["--scenario", "dynamics/rate-step", "--aqm", "pi2", "--seed", "4"]
+        .map(String::from)
+        .to_vec();
+    let a = pi2_bench::cli::parse_args(&argv).expect("a pi2sim command line");
+    let sink = Rc::new(RefCell::new(a.perfetto_sink(Vec::new())));
+    let mut sim = a.to_scenario().build().expect("the cell builds");
+    sim.core.add_trace_sink(Box::new(Rc::clone(&sink)));
+    sim.run_until(Time::from_secs(4));
+    sim.core.flush_trace_sinks().expect("flush finalizes");
+    drop(sim.core.take_trace_sinks());
+
+    let Ok(sink) = Rc::try_unwrap(sink) else {
+        panic!("sole owner of the perfetto sink");
+    };
+    let body = String::from_utf8(sink.into_inner().into_inner()).expect("utf8");
+    let report = check_perfetto(&body).expect("timeline validates");
+    let marks = a.scenario.expect("the line names a cell").marks();
+    for (_, label) in marks {
+        assert!(body.contains(&format!("\"name\":\"{label}\"")), "no instant {label}");
+    }
+    assert_eq!(report.instants, report.drops + report.marks + marks.len());
+    assert!(report.counters > 0 && report.slices > 0, "the run itself is on the timeline");
 }
 
 /// Everything one parking-lot run leaves behind that an observer could

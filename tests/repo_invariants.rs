@@ -124,6 +124,24 @@ const RULES: &[Rule] = &[
         why: "one law: the output law, PI step and tune table live in pi2_fluid::law (the \
               Classic cap is its constant CLASSIC_CAP, not a field of any config)",
     },
+    Rule {
+        needles: &[
+            "metrics_lint",
+            "perfetto_lint",
+            "ecn_drop_above",
+            "PieConfig::linux_default",
+            "chrome-json",
+            "--trace <n>",
+            "events_per_sec",
+        ],
+        roots: &["crates", "scripts", "tests", "examples", "src"],
+        allowed: &["tests/repo_invariants.rs"],
+        up_to: None,
+        why: "a binary, flag, alias, config field or output nobody reads is not kept (the \
+              lint binaries' judgments are tests of the library writers, validate_grid is a \
+              pi2fig row, PIE's ECN rule has one value, DESIGN.md's surface table names \
+              the reader of everything that stayed)",
+    },
 ];
 
 /// Shared by the two rows that keep the PI loop and the qdiscs' parts single.

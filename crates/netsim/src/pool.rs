@@ -12,8 +12,8 @@
 //! index recycling:
 //!
 //! * `insert` pops a free slot (or extends the slab while warming up),
-//! * `take` moves the payload out and pushes the slot back on the free
-//!   list,
+//! * `take` pushes the slot back on the free list and moves the payload
+//!   out,
 //!
 //! so after warm-up the enqueue→dequeue→deliver cycle performs **zero**
 //! heap allocations — the property the bench harness asserts with its
@@ -90,11 +90,13 @@ impl<T> Pool<T> {
     /// never does.
     #[inline]
     pub fn take(&mut self, h: Handle) -> T {
-        let val = self.slots[h as usize]
-            .take()
-            .expect("pool handle resolved twice (or never issued)");
+        // Recycle the handle first: after the move, the push (a possible
+        // call) kept the payload in a stack temporary written as overlapping
+        // 16-byte stores and read back across them, a stall on every take.
         self.free.push(h);
-        val
+        self.slots[h as usize]
+            .take()
+            .expect("pool handle resolved twice (or never issued)")
     }
 
     /// Borrow the payload behind a live handle.

@@ -170,6 +170,10 @@ pub enum Event {
     HopArrive(u32, Handle),
 }
 
+// Every push, slot sort and pool move copies these bytes; keep them small.
+const _: () = assert!(std::mem::size_of::<EventEntry<Event>>() <= 40);
+const _: () = assert!(std::mem::size_of::<Packet>() <= 32);
+
 /// One store-and-forward hop, created by [`SimCore::add_hop`]: its own
 /// qdisc+AQM+link and an ingress propagation leg. Hop 0 is the primary
 /// bottleneck; flows are steered across hops by static per-flow routes
@@ -224,7 +228,9 @@ pub struct SimCore {
 impl SimCore {
     fn new(seed: u64, monitor_cfg: MonitorConfig) -> Self {
         SimCore {
-            events: EventQueue::new(),
+            // Pending events are bounded by in-flight packets + per-flow
+            // timers, not run length: one buffer sized for them up front.
+            events: EventQueue::with_capacity(4096),
             rng: Rng::new(seed),
             monitor: Monitor::new(monitor_cfg),
             counters: TraceCounts::new(),
@@ -1128,12 +1134,9 @@ impl Sim {
         if audit_on {
             core.enable_audit(AuditSink::new(cfg.seed));
         }
-        // Pending events are bounded by in-flight packets + per-flow
-        // timers, not run length; one up-front reservation keeps the heap
-        // from regrowing on the per-event hot path.
-        core.events.reserve(4096);
-        // Pool occupancy is bounded the same way (packets in forward
-        // flight, ACKs in reverse flight), so size the slabs alongside.
+        // Pool occupancy is bounded by packets in forward flight and ACKs
+        // in reverse flight, not run length; one up-front reservation
+        // keeps the slabs from regrowing on the per-event hot path.
         core.packets.reserve(2048);
         core.acks.reserve(2048);
         // Hop 0, the primary bottleneck: sources inject into it directly,

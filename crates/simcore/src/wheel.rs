@@ -144,18 +144,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Grow the ready buffer so at least `additional` more promoted events
-    /// fit without reallocating.
-    pub fn reserve(&mut self, additional: usize) {
-        self.ready.reserve(additional);
-    }
-
-    /// Current ready-buffer capacity (diagnostics for allocation-free
-    /// operation; wheel slots manage their own recycled capacity).
-    pub fn capacity(&self) -> usize {
-        self.ready.capacity()
-    }
-
     /// The time of the most recently popped event (the simulation clock).
     pub fn now(&self) -> Time {
         self.now
@@ -195,6 +183,7 @@ impl<E> EventQueue<E> {
     /// # Panics
     /// Panics if `at` is earlier than the current clock — scheduling into
     /// the past is always a bug in the caller.
+    #[inline(always)]
     pub fn push(&mut self, at: Time, event: E) {
         let seq = self.reserve_seq();
         self.push_reserved(at, seq, event);
@@ -222,6 +211,7 @@ impl<E> EventQueue<E> {
     /// # Panics
     /// Panics if `at` is earlier than the current clock, or if `seq` was
     /// never issued.
+    #[inline(always)]
     pub fn push_reserved(&mut self, at: Time, seq: u64, event: E) {
         assert!(
             at >= self.now,
@@ -234,53 +224,68 @@ impl<E> EventQueue<E> {
             "seq {seq} was never reserved (next is {})",
             self.next_seq
         );
-        self.place(EventEntry { time: at, seq, event });
-        if self.ready.is_empty() {
-            // The queue was empty before this push: re-establish the
-            // "ready non-empty" invariant so peek stays borrow-only.
-            self.advance();
+        // Inlined, the common case builds the entry straight in its slot.
+        // Passed by reference, the event the caller just built with narrow
+        // stores is re-read with one wide load: a store-forwarding stall.
+        let entry = EventEntry { time: at, seq, event };
+        match self.near_slot(at) {
+            Some(slot) if !self.ready.is_empty() => {
+                self.pending += 1;
+                self.push_l0(slot, entry);
+            }
+            _ => self.place(entry),
         }
     }
 
+    /// The L0 slot of an event at `at`, if its tick lies in the near
+    /// wheel's window `(ready_tick, ready_tick + SLOTS)` (invariant 2).
+    #[inline(always)]
+    fn near_slot(&self, at: Time) -> Option<usize> {
+        let t0 = tick0(at);
+        (t0 > self.ready_tick && t0 - self.ready_tick < SLOTS as u64)
+            .then_some((t0 & (SLOTS as u64 - 1)) as usize)
+    }
+
+    #[inline(always)]
+    fn push_l0(&mut self, slot: usize, entry: EventEntry<E>) {
+        self.l0[slot].push(entry);
+        self.l0_bits[slot >> 6] |= 1 << (slot & 63);
+    }
+
     /// Route one entry into ready / L0 / L1 / far relative to the current
-    /// drain cursor, preserving its existing `seq`. Shared by
-    /// [`push_reserved`] and checkpoint restore
-    /// ([`EventQueue::from_parts`]); does *not* re-establish the "ready
-    /// non-empty" invariant — callers do.
+    /// drain cursor, preserving its existing `seq`, then re-establish
+    /// invariant 5 so peek stays borrow-only. The slow path of
+    /// [`push_reserved`] and the whole of checkpoint restore
+    /// ([`EventQueue::from_parts`]).
     ///
     /// [`push_reserved`]: EventQueue::push_reserved
+    #[inline(never)]
     fn place(&mut self, entry: EventEntry<E>) {
         self.pending += 1;
-        let t0 = tick0(entry.time);
-        if t0 <= self.ready_tick {
+        let t1 = tick1(entry.time);
+        if let Some(slot) = self.near_slot(entry.time) {
+            self.push_l0(slot, entry);
+        } else if tick0(entry.time) <= self.ready_tick {
             // Behind (or at) the drain cursor: binary-insert into the
             // sorted ready buffer. This is the jump-ahead case — the
             // cursor may sit past `now` after a pop skipped empty ticks.
             let key = (entry.time, entry.seq);
             let idx = self.ready.partition_point(|e| (e.time, e.seq) > key);
             self.ready.insert(idx, entry);
-            return;
-        }
-        let d0 = t0 - self.ready_tick;
-        if d0 < SLOTS as u64 {
-            let slot = (t0 & (SLOTS as u64 - 1)) as usize;
-            self.l0[slot].push(entry);
-            self.l0_bits[slot >> 6] |= 1 << (slot & 63);
-        } else {
-            let t1 = tick1(entry.time);
-            let cur1 = self.ready_tick >> SLOT_BITS;
-            if t1 - cur1 < SLOTS as u64 {
-                let slot = (t1 & (SLOTS as u64 - 1)) as usize;
-                if self.l1[slot].capacity() == 0 {
-                    self.l1[slot] = self.spare.pop().unwrap_or_default();
-                }
-                self.l1[slot].push(entry);
-                self.l1_bits[slot >> 6] |= 1 << (slot & 63);
-            } else {
-                let key = (entry.time, entry.seq);
-                let idx = self.far.partition_point(|e| (e.time, e.seq) > key);
-                self.far.insert(idx, entry);
+        } else if t1 - (self.ready_tick >> SLOT_BITS) < SLOTS as u64 {
+            let slot = (t1 & (SLOTS as u64 - 1)) as usize;
+            if self.l1[slot].capacity() == 0 {
+                self.l1[slot] = self.spare.pop().unwrap_or_default();
             }
+            self.l1[slot].push(entry);
+            self.l1_bits[slot >> 6] |= 1 << (slot & 63);
+        } else {
+            let key = (entry.time, entry.seq);
+            let idx = self.far.partition_point(|e| (e.time, e.seq) > key);
+            self.far.insert(idx, entry);
+        }
+        if self.ready.is_empty() {
+            self.advance();
         }
     }
 
@@ -337,9 +342,6 @@ impl<E> EventQueue<E> {
                 next_seq
             );
             q.place(entry);
-        }
-        if q.ready.is_empty() && q.pending > 0 {
-            q.advance();
         }
         q
     }
@@ -409,11 +411,11 @@ impl<E> EventQueue<E> {
         // Swap rather than drain: the spent ready buffer's capacity moves
         // into the slot for its next use — no allocation either way.
         std::mem::swap(&mut self.ready, &mut self.l0[slot]);
-        // All entries in a slot share `tick0`, but their full timestamps
-        // differ within the tick; sort by the determinism key. Keys are
-        // unique (`seq` is), so an unstable sort is exact.
-        self.ready
-            .sort_unstable_by(|a, b| (b.time, b.seq).cmp(&(a.time, a.seq)));
+        // Sort the slot by the determinism key (unique, so an unstable
+        // sort is exact). It fills almost in push order: insertion sort's
+        // best case ascending and worst descending, so sort up, then flip.
+        self.ready.sort_unstable_by_key(|e| (e.time, e.seq));
+        self.ready.reverse();
         self.ready_tick = t0;
     }
 
@@ -454,10 +456,7 @@ impl<E> EventQueue<E> {
                 // working size within a few cascades; an empty slot has none.
                 let mut buf = std::mem::take(&mut self.l1[slot]);
                 for entry in buf.drain(..) {
-                    let t0 = tick0(entry.time);
-                    let s0 = (t0 & (SLOTS as u64 - 1)) as usize;
-                    self.l0[s0].push(entry);
-                    self.l0_bits[s0 >> 6] |= 1 << (s0 & 63);
+                    self.push_l0((tick0(entry.time) & (SLOTS as u64 - 1)) as usize, entry);
                 }
                 self.spare.push(buf);
                 continue;
@@ -470,10 +469,7 @@ impl<E> EventQueue<E> {
                         break;
                     }
                     let entry = self.far.pop().expect("checked non-empty");
-                    let t0 = tick0(entry.time);
-                    let s0 = (t0 & (SLOTS as u64 - 1)) as usize;
-                    self.l0[s0].push(entry);
-                    self.l0_bits[s0 >> 6] |= 1 << (s0 & 63);
+                    self.push_l0((tick0(entry.time) & (SLOTS as u64 - 1)) as usize, entry);
                 }
                 continue;
             }
@@ -488,19 +484,6 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use crate::time::Duration;
-
-    #[test]
-    fn with_capacity_preallocates() {
-        let mut q: EventQueue<u32> = EventQueue::with_capacity(128);
-        assert!(q.capacity() >= 128);
-        let cap = q.capacity();
-        for i in 0..128 {
-            q.push(Time::from_millis(u64::from(i)), i);
-        }
-        assert_eq!(q.capacity(), cap, "no regrowth within the reservation");
-        q.reserve(256);
-        assert!(q.capacity() >= 256);
-    }
 
     #[test]
     fn pops_in_time_order() {

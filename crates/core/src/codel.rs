@@ -15,7 +15,7 @@
 //! machine follow the CoDel pseudocode.
 
 use pi2_netsim::{Aqm, Decision, Packet, QueueSnapshot};
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Rng, Time};
+use pi2_simcore::{ckpt_fields, Duration, Rng, Time};
 
 /// CoDel configuration.
 #[derive(Clone, Copy, Debug)]
@@ -153,29 +153,9 @@ impl Aqm for Codel {
     fn name(&self) -> &'static str {
         "codel"
     }
-
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.bool(self.first_above_time.is_some());
-        w.time(self.first_above_time.unwrap_or(Time::ZERO));
-        w.bool(self.dropping);
-        w.time(self.drop_next);
-        w.u32(self.count);
-        w.u32(self.last_count);
-        w.duration(self.sojourn);
-    }
-
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        let armed = r.bool()?;
-        let deadline = r.time()?;
-        self.first_above_time = armed.then_some(deadline);
-        self.dropping = r.bool()?;
-        self.drop_next = r.time()?;
-        self.count = r.u32()?;
-        self.last_count = r.u32()?;
-        self.sojourn = r.duration()?;
-        Ok(())
-    }
 }
+
+ckpt_fields!(Codel { first_above_time, dropping, drop_next, count, last_count, sojourn });
 
 #[cfg(test)]
 mod tests {

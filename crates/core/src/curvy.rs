@@ -13,7 +13,7 @@
 //! while PI2 holds delay at the target and moves only `p`.
 
 use pi2_netsim::{Aqm, Decision, Packet, QueueSnapshot};
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Rng, Time};
+use pi2_simcore::{ckpt_fields, Duration, Rng, Time};
 
 /// Curvy RED configuration.
 #[derive(Clone, Copy, Debug)]
@@ -107,16 +107,9 @@ impl Aqm for CurvyRed {
     fn name(&self) -> &'static str {
         "curvy-red"
     }
-
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.f64(self.avg_delay_s);
-    }
-
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.avg_delay_s = r.f64()?;
-        Ok(())
-    }
 }
+
+ckpt_fields!(CurvyRed { avg_delay_s });
 
 #[cfg(test)]
 mod tests {

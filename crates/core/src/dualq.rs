@@ -25,7 +25,7 @@ use crate::pi::{decide, PiCore};
 use crate::pi2::SquareMode;
 use pi2_fluid::law::{OutputLaw, PiGains};
 use pi2_netsim::{Action, AqmState, Decision, Ecn, Fifo, Link, Packet, Qdisc};
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Rng, Time};
+use pi2_simcore::{ckpt_fields, Duration, Rng, Time};
 
 /// DualPI2 configuration.
 #[derive(Clone, Copy, Debug)]
@@ -185,6 +185,19 @@ impl DualPi2 {
             (None, None) => None,
         }
     }
+
+    /// A restored packet on the wire must come from a queue that holds it.
+    fn check(&self) -> Result<(), &'static str> {
+        let queue = match self.on_wire {
+            Some(true) => &self.l,
+            Some(false) => &self.c,
+            None => return Ok(()),
+        };
+        if queue.is_empty() {
+            return Err("packet on the wire from an empty queue");
+        }
+        Ok(())
+    }
 }
 
 impl Qdisc for DualPi2 {
@@ -290,29 +303,9 @@ impl Qdisc for DualPi2 {
         // needs `now`, which this monitoring hook does not receive.
         Duration::serialization(self.c.bytes(), self.link.rate_bps())
     }
-
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        self.core.save_ckpt(w);
-        self.l.save_ckpt(w);
-        self.c.save_ckpt(w);
-        self.link.save_ckpt(w);
-        w.bool(self.on_wire.is_some());
-        w.bool(self.on_wire == Some(true));
-    }
-
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.core.restore_ckpt(r)?;
-        self.l.restore_ckpt(r)?;
-        self.c.restore_ckpt(r)?;
-        self.link.restore_ckpt(r)?;
-        let (on_wire, serve_l) = (r.bool()?, r.bool()?);
-        if on_wire && if serve_l { self.l.is_empty() } else { self.c.is_empty() } {
-            return Err(CkptError::Corrupt("packet on the wire from an empty queue"));
-        }
-        self.on_wire = on_wire.then_some(serve_l);
-        Ok(())
-    }
 }
+
+ckpt_fields!(DualPi2 { core, l, c, link, on_wire } check DualPi2::check);
 
 #[cfg(test)]
 mod tests {

@@ -13,7 +13,7 @@
 //!   link rate, exact in simulation when the rate is known.
 
 use pi2_netsim::QueueSnapshot;
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Time};
+use pi2_simcore::{ckpt_fields, Ckpt, CkptError, CkptReader, CkptWriter, Duration, Time};
 
 /// Measurement threshold: a rate sample is taken once this many bytes have
 /// departed (RFC 8033 `DQ_THRESHOLD`).
@@ -32,6 +32,9 @@ pub struct RateEstimator {
     /// Smoothed departure rate in bytes/s; 0 until the first sample.
     pub avg_dq_rate: f64,
 }
+
+// The measurement-cycle state.
+ckpt_fields!(RateEstimator { in_measurement, start, dq_count, avg_dq_rate });
 
 impl RateEstimator {
     /// Create an estimator with no rate history.
@@ -81,23 +84,6 @@ impl RateEstimator {
                 0
             };
         }
-    }
-
-    /// Serialize the measurement-cycle state (checkpointing).
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.bool(self.in_measurement);
-        w.time(self.start);
-        w.u64(self.dq_count);
-        w.f64(self.avg_dq_rate);
-    }
-
-    /// Restore state captured by [`RateEstimator::save_ckpt`].
-    pub fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.in_measurement = r.bool()?;
-        self.start = r.time()?;
-        self.dq_count = r.u64()?;
-        self.avg_dq_rate = r.f64()?;
-        Ok(())
     }
 
     /// Little's-law delay estimate for the given backlog.
@@ -159,26 +145,6 @@ impl DelayEstimator {
         }
     }
 
-    /// Serialize the estimator variant and any mutable state.
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.u8(self.ckpt_tag());
-        if let DelayEstimator::RateEstimate(re) = self {
-            re.save_ckpt(w);
-        }
-    }
-
-    /// Restore state captured by [`DelayEstimator::save_ckpt`]. The
-    /// checkpointed variant must match the configured one — a checkpoint
-    /// cannot change the estimation strategy.
-    pub fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        if r.u8()? != self.ckpt_tag() {
-            return Err(CkptError::Corrupt("delay estimator variant mismatch"));
-        }
-        if let DelayEstimator::RateEstimate(re) = self {
-            re.restore_ckpt(r)?;
-        }
-        Ok(())
-    }
 
     /// Estimate the current queuing delay.
     pub fn estimate(&self, snap: &QueueSnapshot) -> Duration {
@@ -195,6 +161,28 @@ impl DelayEstimator {
             }
             DelayEstimator::QlenOverRate => snap.delay_from_qlen(),
         }
+    }
+}
+
+/// The variant tag, then any mutable state. The checkpointed variant must
+/// match the configured one: a checkpoint cannot change the estimation
+/// strategy.
+impl Ckpt for DelayEstimator {
+    fn save_ckpt(&self, w: &mut CkptWriter) {
+        w.u8(self.ckpt_tag());
+        if let DelayEstimator::RateEstimate(re) = self {
+            re.save_ckpt(w);
+        }
+    }
+
+    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+        if r.u8()? != self.ckpt_tag() {
+            return Err(CkptError::Corrupt("delay estimator variant mismatch"));
+        }
+        if let DelayEstimator::RateEstimate(re) = self {
+            re.restore_ckpt(r)?;
+        }
+        Ok(())
     }
 }
 

@@ -4,7 +4,7 @@
 //! at, compare with `W(p)`.
 
 use pi2_netsim::{Aqm, Decision, Packet, QueueSnapshot};
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Rng, Time};
+use pi2_simcore::{ckpt_fields, Rng, Time};
 
 /// Applies a constant signal probability to every packet (mark if
 /// ECN-capable, drop otherwise).
@@ -48,14 +48,10 @@ impl Aqm for FixedProb {
     fn name(&self) -> &'static str {
         "fixed-prob"
     }
-
-    // `p` is configuration; there is no state to carry.
-    fn save_ckpt(&self, _w: &mut CkptWriter) {}
-
-    fn restore_ckpt(&mut self, _r: &mut CkptReader) -> Result<(), CkptError> {
-        Ok(())
-    }
 }
+
+// `p` is configuration; there is no state to carry.
+ckpt_fields!(FixedProb {});
 
 #[cfg(test)]
 mod tests {

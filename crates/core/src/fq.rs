@@ -12,7 +12,7 @@
 //! by coupled signalling in one queue.
 
 use pi2_netsim::{Decision, Fifo, FlowId, Link, Packet, Qdisc};
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Rng, Time};
+use pi2_simcore::{Ckpt, CkptError, CkptReader, CkptWriter, Duration, Rng, Time};
 use std::collections::{HashMap, VecDeque};
 
 /// FQ configuration.
@@ -204,11 +204,13 @@ impl Qdisc for FqDrr {
         // Flows currently backlogged.
         self.round.len() as f64
     }
+}
 
+/// Flows in round-robin order, then the link. Flows with an empty FIFO
+/// carry no state (deficit resets to 0 on leaving the round), so the round
+/// covers everything that matters.
+impl Ckpt for FqDrr {
     fn save_ckpt(&self, w: &mut CkptWriter) {
-        // Serialize flows in round-robin order. Flows with an empty FIFO
-        // carry no state (deficit resets to 0 on leaving the round), so the
-        // round covers everything that matters.
         w.usize(self.round.len());
         for &i in &self.round {
             let q = &self.queues[i];
@@ -224,7 +226,8 @@ impl Qdisc for FqDrr {
         self.slot.clear();
         self.round.clear();
         self.total_bytes = 0;
-        let flows = r.usize()?;
+        // A flow id, a deficit and at least its FIFO's packet count.
+        let flows = r.len_of(4 + 8 + 8)?;
         for _ in 0..flows {
             let flow = FlowId(r.u32()?);
             let deficit = r.i64()?;
@@ -236,7 +239,8 @@ impl Qdisc for FqDrr {
             if self.slot.insert(flow, self.queues.len()).is_some() {
                 return Err(CkptError::Corrupt("duplicate flow in DRR round"));
             }
-            self.total_bytes += fifo.bytes();
+            let total = self.total_bytes.checked_add(fifo.bytes());
+            self.total_bytes = total.ok_or(CkptError::Corrupt("queued bytes overflow"))?;
             self.round.push_back(self.queues.len());
             self.queues.push(FlowQueue { flow, fifo, deficit });
         }

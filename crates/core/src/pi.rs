@@ -24,7 +24,7 @@ use crate::estimator::DelayEstimator;
 use crate::pi2::SquareMode;
 use pi2_fluid::law::{OutputLaw, PiGains, PiStep};
 use pi2_netsim::{Aqm, AqmState, Decision, Packet, QueueSnapshot};
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Rng, Time};
+use pi2_simcore::{ckpt_fields, Duration, Rng, Time};
 
 /// The shared PI state machine.
 ///
@@ -114,27 +114,17 @@ impl PiCore {
         self.prev_qdelay
     }
 
-    /// Serialize the mutable controller state (checkpointing). Gains,
-    /// target and interval are configuration and stay with the instance.
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.duration(self.prev_qdelay);
-        w.f64(self.p);
-        w.f64(self.last.alpha_term);
-        w.f64(self.last.beta_term);
-    }
-
-    /// Restore state captured by [`PiCore::save_ckpt`].
-    pub fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.prev_qdelay = r.duration()?;
-        self.p = r.f64()?;
-        self.last.alpha_term = r.f64()?;
-        self.last.beta_term = r.f64()?;
+    fn check(&self) -> Result<(), &'static str> {
         if !(0.0..=1.0).contains(&self.p) {
-            return Err(CkptError::Corrupt("PI probability outside [0, 1]"));
+            return Err("PI probability outside [0, 1]");
         }
         Ok(())
     }
 }
+
+// The mutable controller state; gains, target and interval are
+// configuration and stay with the instance.
+ckpt_fields!(PiCore { prev_qdelay, p, last.alpha_term, last.beta_term } check PiCore::check);
 
 /// Configuration of the plain PI controller ([`Pi`]).
 #[derive(Clone, Copy, Debug)]
@@ -318,19 +308,11 @@ impl Aqm for PiAqm {
             OutputLaw::Squared { .. } => "coupled-pi2",
         }
     }
-
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        // The law is configuration; only the controller and the estimator
-        // carry run state.
-        self.core.save_ckpt(w);
-        self.estimator.save_ckpt(w);
-    }
-
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.core.restore_ckpt(r)?;
-        self.estimator.restore_ckpt(r)
-    }
 }
+
+// The law is configuration; only the controller and the estimator carry run
+// state.
+ckpt_fields!(PiAqm { core, estimator });
 
 #[cfg(test)]
 mod tests {

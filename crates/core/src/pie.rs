@@ -18,7 +18,7 @@ use crate::estimator::DelayEstimator;
 use crate::pi::PiCore;
 use pi2_fluid::law::{tune_factor, PiGains};
 use pi2_netsim::{Aqm, AqmState, Decision, Packet, QueueSnapshot};
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Rng, Time};
+use pi2_simcore::{ckpt_fields, Duration, Rng, Time};
 
 /// PIE configuration. Field defaults follow the paper's Table 1 where the
 /// paper specifies a value, and RFC 8033 / Linux otherwise.
@@ -219,22 +219,9 @@ impl Aqm for Pie {
     fn name(&self) -> &'static str {
         "pie"
     }
-
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        self.core.save_ckpt(w);
-        self.estimator.save_ckpt(w);
-        w.duration(self.burst_allowance);
-        w.duration(self.qdelay);
-    }
-
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.core.restore_ckpt(r)?;
-        self.estimator.restore_ckpt(r)?;
-        self.burst_allowance = r.duration()?;
-        self.qdelay = r.duration()?;
-        Ok(())
-    }
 }
+
+ckpt_fields!(Pie { core, estimator, burst_allowance, qdelay });
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,7 @@
 //! comparisons in the ablation benches.
 
 use pi2_netsim::{Aqm, Decision, Packet, QueueSnapshot};
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Rng, Time};
+use pi2_simcore::{ckpt_fields, Duration, Rng, Time};
 
 /// RED configuration (byte-based thresholds).
 #[derive(Clone, Copy, Debug)]
@@ -126,18 +126,9 @@ impl Aqm for Red {
     fn name(&self) -> &'static str {
         "red"
     }
-
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.f64(self.avg);
-        w.i64(self.count);
-    }
-
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.avg = r.f64()?;
-        self.count = r.i64()?;
-        Ok(())
-    }
 }
+
+ckpt_fields!(Red { avg, count });
 
 #[cfg(test)]
 mod tests {

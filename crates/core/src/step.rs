@@ -12,7 +12,7 @@
 //! `appendix_a::step_vs_probabilistic`).
 
 use pi2_netsim::{Aqm, Decision, Packet, QueueSnapshot};
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Rng, Time};
+use pi2_simcore::{ckpt_fields, Duration, Rng, Time};
 
 /// Step-threshold marking configuration.
 #[derive(Clone, Copy, Debug)]
@@ -88,18 +88,9 @@ impl Aqm for StepMark {
     fn name(&self) -> &'static str {
         "step-mark"
     }
-
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.u64(self.marked);
-        w.u64(self.offered);
-    }
-
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.marked = r.u64()?;
-        self.offered = r.u64()?;
-        Ok(())
-    }
 }
+
+ckpt_fields!(StepMark { marked, offered });
 
 #[cfg(test)]
 mod tests {

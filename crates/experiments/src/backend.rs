@@ -25,7 +25,7 @@ use pi2_fluid::{
     FluidControllerKind, FluidTcpKind, PiGains,
 };
 use pi2_netsim::BackgroundAggregate;
-use pi2_simcore::ckpt::{CkptError, CkptReader, CkptWriter, SchemaHasher};
+use pi2_simcore::ckpt::{Ckpt, CkptError, CkptReader, CkptWriter, SchemaHasher};
 use pi2_simcore::Duration;
 use pi2_transport::CcKind;
 
@@ -248,7 +248,12 @@ impl BackgroundAggregate for FluidBackground {
     fn schema_fingerprint(&self) -> u64 {
         self.fingerprint
     }
+}
 
+/// The flow-level engine's [`FlowLevelState`]: its scalars, then the
+/// per-class windows and binding flags, each list as long as the
+/// configured class count.
+impl Ckpt for FluidBackground {
     fn save_ckpt(&self, w: &mut CkptWriter) {
         let s = self.sim.state();
         w.f64(s.t);

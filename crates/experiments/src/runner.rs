@@ -25,7 +25,6 @@
 //! single knob governs every figure-regeneration binary.
 
 use crate::scenario::{RunResult, Scenario};
-use pi2_netsim::SimMetrics;
 use std::io::{IsTerminal, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -187,20 +186,6 @@ pub fn run_all_threads(n_threads: usize, scenarios: &[Scenario]) -> Vec<RunResul
     par_map_threads(n_threads, scenarios, Scenario::run)
 }
 
-/// Fold every run's metrics registry into one fleet-level [`SimMetrics`].
-/// Results arrive from [`run_all`]/[`par_map`] in item order regardless
-/// of thread count, and this merges in that same order, so the merged
-/// snapshot is byte-identical for any `PI2_THREADS` (asserted by
-/// `tests/metrics_obs.rs`). Returns `None` when no run carried metrics.
-pub fn merged_metrics(results: &[RunResult]) -> Option<SimMetrics> {
-    let mut iter = results.iter().filter_map(|r| r.metrics.as_deref());
-    let first = iter.next()?.clone();
-    Some(iter.fold(first, |mut acc, m| {
-        acc.merge(m);
-        acc
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,40 +222,6 @@ mod tests {
         for threads in [2, 4, 8] {
             assert_eq!(par_map_threads(threads, &seeds, work), serial);
         }
-    }
-
-    #[test]
-    fn merged_metrics_identical_across_thread_counts() {
-        use crate::scenario::{AqmKind, FlowGroup, Scenario};
-        use pi2_simcore::{Duration, Time};
-        use pi2_transport::{CcKind, EcnSetting};
-        let scenarios: Vec<Scenario> = (0..4)
-            .map(|i| {
-                let mut sc = Scenario::new(AqmKind::pi2_default(), 4_000_000);
-                sc.tcp.push(FlowGroup::new(
-                    1,
-                    CcKind::Reno,
-                    EcnSetting::NotEcn,
-                    "reno",
-                    Duration::from_millis(20),
-                ));
-                sc.duration = Time::from_secs(3);
-                sc.warmup = Duration::from_secs(1);
-                sc.seed = 100 + i;
-                sc
-            })
-            .collect();
-        let snapshot = |n_threads| {
-            let results = run_all_threads(n_threads, &scenarios);
-            merged_metrics(&results)
-                .expect("every scenario run carries metrics")
-                .registry()
-                .to_json()
-        };
-        let serial = snapshot(1);
-        assert!(serial.contains("pi2_enqueued_total"));
-        assert_eq!(serial, snapshot(2), "2 workers must merge to the serial bytes");
-        assert_eq!(serial, snapshot(4), "4 workers must merge to the serial bytes");
     }
 
     #[test]

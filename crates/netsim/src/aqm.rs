@@ -10,7 +10,7 @@
 //!   core recomputes its probability.
 
 use crate::packet::Packet;
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Rng, Time};
+use pi2_simcore::{ckpt_fields, Ckpt, Duration, Rng, Time};
 
 /// What to do with a packet at enqueue time.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -106,8 +106,10 @@ pub struct AqmState {
     pub qdelay: Duration,
 }
 
-/// A drop/mark policy attached to the bottleneck queue.
-pub trait Aqm {
+/// A drop/mark policy attached to the bottleneck queue. Its [`Ckpt`]
+/// layout is every mutable controller field; a policy with no state
+/// declares an empty one ([`PassAqm`]), so a stateful one cannot forget it.
+pub trait Aqm: Ckpt {
     /// Decide the fate of `pkt`, which the queue is about to admit.
     fn on_enqueue(
         &mut self,
@@ -153,15 +155,6 @@ pub trait Aqm {
 
     /// Human-readable name used in experiment output tables.
     fn name(&self) -> &'static str;
-
-    /// Serialize all mutable controller state in a fixed field order
-    /// (checkpointing). Required: a policy with no state says so with an
-    /// empty body ([`PassAqm`]), so a stateful one cannot forget it.
-    fn save_ckpt(&self, w: &mut CkptWriter);
-
-    /// Restore state captured by [`Aqm::save_ckpt`] into a freshly
-    /// constructed instance of the same policy and configuration.
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError>;
 }
 
 /// The trivial AQM: admit everything (tail-drop behaviour comes from the
@@ -183,13 +176,9 @@ impl Aqm for PassAqm {
     fn name(&self) -> &'static str {
         "taildrop"
     }
-
-    fn save_ckpt(&self, _w: &mut CkptWriter) {}
-
-    fn restore_ckpt(&mut self, _r: &mut CkptReader) -> Result<(), CkptError> {
-        Ok(())
-    }
 }
+
+ckpt_fields!(PassAqm {});
 
 #[cfg(test)]
 mod tests {

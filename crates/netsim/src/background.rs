@@ -15,11 +15,11 @@
 //! implementation wrapping `pi2_fluid::FlowLevelSim` lives in
 //! `pi2-experiments`.
 
-use pi2_simcore::ckpt::{CkptError, CkptReader, CkptWriter};
-use pi2_simcore::time::{Duration, Time};
+use pi2_simcore::{ckpt_fields, Ckpt, Duration, Time};
 
-/// A rate-based traffic aggregate driven by the packet-level AQM.
-pub trait BackgroundAggregate {
+/// A rate-based traffic aggregate driven by the packet-level AQM. Its
+/// [`Ckpt`] layout is the aggregate's mutable state.
+pub trait BackgroundAggregate: Ckpt {
     /// Advance the aggregate by `dt` under the AQM's current classic-side
     /// probability `classic_prob`, scalable-side probability
     /// `scalable_prob` (0 where the scheme has none) and queue delay.
@@ -40,12 +40,6 @@ pub trait BackgroundAggregate {
     /// restore must be refused when the aggregate's shape (class count,
     /// population, kinds) differs from the snapshot's.
     fn schema_fingerprint(&self) -> u64;
-
-    /// Serialize the aggregate's mutable state.
-    fn save_ckpt(&self, w: &mut CkptWriter);
-
-    /// Restore state written by [`Self::save_ckpt`].
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError>;
 }
 
 /// The fraction of nominal capacity always reserved for the foreground,
@@ -89,34 +83,21 @@ impl Background {
         self.capacity_bps.saturating_sub(floor)
     }
 
-    /// Serialize the attachment (bookkeeping + aggregate state).
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.u64(self.capacity_bps);
-        w.u64(self.applied_bps);
-        w.f64(self.bg_bytes);
-        w.u64(self.ticks);
-        w.usize(self.series.len());
-        for &(t, bps) in &self.series {
-            w.time(t);
-            w.u64(bps);
+    /// A restored grant must leave the foreground some capacity: the
+    /// simulator drains the foreground at `capacity_bps - applied_bps`.
+    fn check(&self) -> Result<(), &'static str> {
+        if self.applied_bps >= self.capacity_bps || self.applied_bps > self.grant_ceiling() {
+            return Err("background grant leaves the foreground no capacity");
         }
-        self.agg.save_ckpt(w);
-    }
-
-    /// Restore the attachment written by [`Self::save_ckpt`].
-    pub fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.capacity_bps = r.u64()?;
-        self.applied_bps = r.u64()?;
-        self.bg_bytes = r.f64()?;
-        self.ticks = r.u64()?;
-        let n = r.usize()?;
-        self.series.clear();
-        self.series.reserve(n);
-        for _ in 0..n {
-            let t = r.time()?;
-            let bps = r.u64()?;
-            self.series.push((t, bps));
-        }
-        self.agg.restore_ckpt(r)
+        Ok(())
     }
 }
+
+ckpt_fields!(Background {
+    capacity_bps,
+    applied_bps,
+    bg_bytes,
+    ticks,
+    series,
+    agg,
+} check Background::check);

@@ -34,7 +34,7 @@
 //!   extra events are scheduled, and the run is bit-identical to one
 //!   with no impairment layer attached.
 
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Rng};
+use pi2_simcore::{ckpt_fields, Duration, Rng};
 
 /// Impairments applied to one direction of a path.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -134,6 +134,8 @@ pub struct ImpairStats {
     pub rev_dup: u64,
 }
 
+ckpt_fields!(ImpairStats { fwd_offered, fwd_lost, fwd_dup, rev_offered, rev_lost, rev_dup });
+
 impl ImpairStats {
     /// Forward packets actually scheduled for delivery (originals that
     /// survived, duplicates excluded).
@@ -174,6 +176,11 @@ pub struct ImpairState {
     stats: ImpairStats,
 }
 
+// The layer's private RNG stream and its accounting; the configuration is
+// not written, so restore targets a layer built from the same
+// [`LinkImpairments`].
+ckpt_fields!(ImpairState { rng, stats });
+
 impl ImpairState {
     /// Instantiate the layer from its configuration.
     pub fn new(conf: LinkImpairments) -> Self {
@@ -192,38 +199,6 @@ impl ImpairState {
     /// Accounting so far.
     pub fn stats(&self) -> ImpairStats {
         self.stats
-    }
-
-    /// Serialize the layer's mutable state — its private RNG stream and
-    /// the per-direction accounting — in a fixed field order
-    /// (checkpointing). The configuration is not written; restore targets
-    /// a layer built from the same [`LinkImpairments`].
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        for word in self.rng.state() {
-            w.u64(word);
-        }
-        w.u64(self.stats.fwd_offered);
-        w.u64(self.stats.fwd_lost);
-        w.u64(self.stats.fwd_dup);
-        w.u64(self.stats.rev_offered);
-        w.u64(self.stats.rev_lost);
-        w.u64(self.stats.rev_dup);
-    }
-
-    /// Restore state captured by [`ImpairState::save_ckpt`].
-    pub fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.u64()?;
-        }
-        self.rng = Rng::from_state(s);
-        self.stats.fwd_offered = r.u64()?;
-        self.stats.fwd_lost = r.u64()?;
-        self.stats.fwd_dup = r.u64()?;
-        self.stats.rev_offered = r.u64()?;
-        self.stats.rev_lost = r.u64()?;
-        self.stats.rev_dup = r.u64()?;
-        Ok(())
     }
 
     /// Decide the fate of one forward (data) packet.

@@ -20,7 +20,6 @@
 pub mod aqm;
 pub mod audit;
 pub mod background;
-pub mod ckpt;
 pub mod impair;
 pub mod metrics;
 pub mod monitor;

@@ -4,9 +4,8 @@
 //! [`SimMetrics`] wraps a registry with typed handles for every
 //! instrument the simulator updates, so the hot-path call sites compile
 //! to an array index plus an add — no name lookups, no allocation. The
-//! schema is fixed at construction, which is what makes per-worker
-//! registries from the parallel sweep runner mergeable
-//! ([`SimMetrics::merge`]) into a snapshot identical to a serial run's.
+//! schema is fixed at construction, which is what makes the registries
+//! of several runs mergeable ([`SimMetrics::merge`]).
 //!
 //! Like every observer in this stack, metrics are write-only taps on
 //! state the simulator already computes: recording never touches the
@@ -16,7 +15,7 @@
 use crate::aqm::AqmState;
 use crate::packet::Ecn;
 use pi2_obs::{CounterId, GaugeId, HistId, Registry};
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration};
+use pi2_simcore::{Ckpt, CkptError, CkptReader, CkptWriter, Duration};
 
 /// All instruments one simulation run records. See the module docs.
 #[derive(Clone, Debug)]
@@ -133,8 +132,7 @@ impl SimMetrics {
     }
 
     /// Fold another run's metrics into this one (deterministic when
-    /// applied in a deterministic order; the parallel runner merges in
-    /// item order).
+    /// applied in a deterministic order).
     pub fn merge(&mut self, other: &SimMetrics) {
         self.reg.merge(&other.reg);
     }
@@ -184,11 +182,14 @@ impl SimMetrics {
         self.reg.hist(self.qdelay_ns)
     }
 
-    /// Serialize every instrument's value in registry order
-    /// (checkpointing). The schema itself is fixed at construction, so
-    /// only values are written: counters, then gauges, then histograms
-    /// (sparse non-zero buckets plus raw moments).
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
+}
+
+/// Every instrument's value in registry order. The schema itself is fixed
+/// at construction, so only values are written: counters, then gauges,
+/// then histograms (sparse non-zero buckets plus raw moments). Restore
+/// targets a freshly constructed (same-schema) instance.
+impl Ckpt for SimMetrics {
+    fn save_ckpt(&self, w: &mut CkptWriter) {
         let (nc, ng, nh) = self.reg.instrument_counts();
         w.usize(nc);
         for i in 0..nc {
@@ -219,9 +220,7 @@ impl SimMetrics {
         }
     }
 
-    /// Restore values captured by [`SimMetrics::save_ckpt`] into a
-    /// freshly constructed (same-schema) instance.
-    pub fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
         let (nc, ng, nh) = self.reg.instrument_counts();
         if r.usize()? != nc {
             return Err(CkptError::Corrupt("metrics counter count mismatch"));

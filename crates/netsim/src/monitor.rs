@@ -9,7 +9,7 @@
 use crate::aqm::{Action, Decision};
 use crate::packet::FlowId;
 use crate::queue::Qdisc;
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Time};
+use pi2_simcore::{ckpt_fields, Duration, Time};
 
 /// Monitor configuration.
 #[derive(Clone, Copy, Debug)]
@@ -81,6 +81,24 @@ pub struct FlowAccount {
     pub sojourn_ms: Vec<f32>,
 }
 
+ckpt_fields!(FlowAccount {
+    sent_pkts,
+    sent_bytes,
+    sent_pkts_postwarm,
+    dropped,
+    marked,
+    dropped_postwarm,
+    marked_postwarm,
+    dequeued_pkts,
+    dequeued_bytes,
+    dequeued_bytes_postwarm,
+    delivered_pkts,
+    delivered_bytes,
+    delivered_bytes_postwarm,
+    prob_samples,
+    sojourn_ms,
+});
+
 impl FlowAccount {
     fn new(label: &str) -> Self {
         FlowAccount {
@@ -135,7 +153,7 @@ impl FlowAccount {
 /// tail line per series. One row per tick keeps the whole tick on a single
 /// line; the familiar `(t, value)` series are materialized on demand by
 /// the accessors below.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct SampleRow {
     /// Sample instant, seconds.
     t: f64,
@@ -152,6 +170,8 @@ struct SampleRow {
     /// Whether the tick fell after the warm-up period.
     postwarm: bool,
 }
+
+ckpt_fields!(SampleRow { t, qdelay_ms, tput_mbps, util, has_rate, postwarm });
 
 /// Run-wide measurement state.
 #[derive(Clone, Debug)]
@@ -485,136 +505,22 @@ impl Monitor {
             .map(|&i| self.flows[i].mean_tput_mbps(span))
             .sum()
     }
-
-    /// Serialize all mutable measurement state in a fixed field order
-    /// (checkpointing). Configuration (`cfg`, the precomputed `warm_at`)
-    /// is not written — restore targets a monitor built from the same
-    /// [`MonitorConfig`] with the same flows registered.
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.time(self.last_sample_at);
-        w.u64(self.last_total_bytes);
-        w.time(self.end_of_last_run);
-        w.usize(self.samples.len());
-        for row in &self.samples {
-            w.f64(row.t);
-            w.f64(row.qdelay_ms);
-            w.f64(row.tput_mbps);
-            w.f64(row.util);
-            w.bool(row.has_rate);
-            w.bool(row.postwarm);
-        }
-        w.usize(self.control_series.len());
-        for &(t, p) in &self.control_series {
-            w.f64(t);
-            w.f64(p);
-        }
-        w.usize(self.sojourn_ms.len());
-        for &v in &self.sojourn_ms {
-            w.f32(v);
-        }
-        w.usize(self.completions.len());
-        for &(flow, started, completed) in &self.completions {
-            w.u32(flow.0);
-            w.time(started);
-            w.time(completed);
-        }
-        w.usize(self.flows.len());
-        for acc in &self.flows {
-            w.u64(acc.sent_pkts);
-            w.u64(acc.sent_bytes);
-            w.u64(acc.sent_pkts_postwarm);
-            w.u64(acc.dropped);
-            w.u64(acc.marked);
-            w.u64(acc.dropped_postwarm);
-            w.u64(acc.marked_postwarm);
-            w.u64(acc.dequeued_pkts);
-            w.u64(acc.dequeued_bytes);
-            w.u64(acc.dequeued_bytes_postwarm);
-            w.u64(acc.delivered_pkts);
-            w.u64(acc.delivered_bytes);
-            w.u64(acc.delivered_bytes_postwarm);
-            w.usize(acc.prob_samples.len());
-            for &v in &acc.prob_samples {
-                w.f32(v);
-            }
-            w.usize(acc.sojourn_ms.len());
-            for &v in &acc.sojourn_ms {
-                w.f32(v);
-            }
-        }
-    }
-
-    /// Restore state captured by [`Monitor::save_ckpt`]. The monitor must
-    /// already have the same flows registered (labels are configuration
-    /// and are kept, not restored).
-    pub fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.last_sample_at = r.time()?;
-        self.last_total_bytes = r.u64()?;
-        self.end_of_last_run = r.time()?;
-        let n = r.usize()?;
-        self.samples.clear();
-        for _ in 0..n {
-            self.samples.push(SampleRow {
-                t: r.f64()?,
-                qdelay_ms: r.f64()?,
-                tput_mbps: r.f64()?,
-                util: r.f64()?,
-                has_rate: r.bool()?,
-                postwarm: r.bool()?,
-            });
-        }
-        let n = r.usize()?;
-        self.control_series.clear();
-        for _ in 0..n {
-            let t = r.f64()?;
-            let p = r.f64()?;
-            self.control_series.push((t, p));
-        }
-        let n = r.usize()?;
-        self.sojourn_ms.clear();
-        for _ in 0..n {
-            self.sojourn_ms.push(r.f32()?);
-        }
-        let n = r.usize()?;
-        self.completions.clear();
-        for _ in 0..n {
-            let flow = FlowId(r.u32()?);
-            let started = r.time()?;
-            let completed = r.time()?;
-            self.completions.push((flow, started, completed));
-        }
-        let n = r.usize()?;
-        if n != self.flows.len() {
-            return Err(CkptError::Corrupt("monitor flow count mismatch"));
-        }
-        for acc in &mut self.flows {
-            acc.sent_pkts = r.u64()?;
-            acc.sent_bytes = r.u64()?;
-            acc.sent_pkts_postwarm = r.u64()?;
-            acc.dropped = r.u64()?;
-            acc.marked = r.u64()?;
-            acc.dropped_postwarm = r.u64()?;
-            acc.marked_postwarm = r.u64()?;
-            acc.dequeued_pkts = r.u64()?;
-            acc.dequeued_bytes = r.u64()?;
-            acc.dequeued_bytes_postwarm = r.u64()?;
-            acc.delivered_pkts = r.u64()?;
-            acc.delivered_bytes = r.u64()?;
-            acc.delivered_bytes_postwarm = r.u64()?;
-            let k = r.usize()?;
-            acc.prob_samples.clear();
-            for _ in 0..k {
-                acc.prob_samples.push(r.f32()?);
-            }
-            let k = r.usize()?;
-            acc.sojourn_ms.clear();
-            for _ in 0..k {
-                acc.sojourn_ms.push(r.f32()?);
-            }
-        }
-        Ok(())
-    }
 }
+
+// All mutable measurement state. Configuration (`cfg`, the precomputed
+// `warm_at`) is not written, and each flow's label stays as registered:
+// restore targets a monitor built from the same [`MonitorConfig`] with
+// the same flows.
+ckpt_fields!(Monitor {
+    last_sample_at,
+    last_total_bytes,
+    end_of_last_run,
+    samples,
+    control_series,
+    sojourn_ms,
+    completions,
+    flows[..],
+});
 
 #[cfg(test)]
 mod tests {
@@ -623,7 +529,7 @@ mod tests {
     use crate::queue::BottleneckQueue;
     use crate::packet::{Ecn, Packet};
     use crate::queue::QueueConfig;
-    use pi2_simcore::Rng;
+    use pi2_simcore::{Ckpt, CkptWriter, Rng};
 
     fn monitor() -> Monitor {
         Monitor::new(MonitorConfig::default())

@@ -7,14 +7,16 @@
 //! decide whether to apply the linear probability `p'` (Scalable) or its
 //! square (Classic).
 
-use pi2_simcore::Time;
+use pi2_simcore::{ckpt_fields, Ckpt, CkptError, CkptReader, CkptWriter, Time};
 
 /// Identifier of a flow registered with the simulator.
 ///
 /// Flow ids are dense indices assigned in registration order, so they can
 /// index per-flow tables directly.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct FlowId(pub u32);
+
+ckpt_fields!(FlowId { 0 });
 
 impl FlowId {
     /// The id as a usize index.
@@ -25,9 +27,10 @@ impl FlowId {
 
 /// The two-bit ECN field of the IP header (RFC 3168 / the L4S proposal the
 /// paper anticipates).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Ecn {
     /// Not ECN-capable transport: congestion must be signalled by drop.
+    #[default]
     NotEct,
     /// ECN-capable, Classic semantics (a mark means the same as a drop).
     Ect0,
@@ -66,11 +69,34 @@ impl Ecn {
     }
 }
 
+/// A one-byte tag per codepoint.
+impl Ckpt for Ecn {
+    fn save_ckpt(&self, w: &mut CkptWriter) {
+        w.u8(match self {
+            Ecn::NotEct => 0,
+            Ecn::Ect0 => 1,
+            Ecn::Ect1 => 2,
+            Ecn::Ce => 3,
+        });
+    }
+
+    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+        *self = match r.u8()? {
+            0 => Ecn::NotEct,
+            1 => Ecn::Ect0,
+            2 => Ecn::Ect1,
+            3 => Ecn::Ce,
+            _ => return Err(CkptError::Corrupt("unknown ECN tag")),
+        };
+        Ok(())
+    }
+}
+
 /// A data packet traversing the bottleneck.
 ///
 /// ACKs do not use this type — the reverse path is uncongested, so
 /// acknowledgements travel as [`crate::sim::Ack`] events with a pure delay.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Packet {
     /// Owning flow.
     pub flow: FlowId,
@@ -90,6 +116,8 @@ pub struct Packet {
     pub path_dup: bool,
 }
 
+ckpt_fields!(Packet { flow, seq, size, ecn, sent_at, retransmit, path_dup });
+
 impl Packet {
     /// Convenience constructor for a fresh data packet.
     pub fn data(flow: FlowId, seq: u64, size: usize, ecn: Ecn, now: Time) -> Self {
@@ -108,6 +136,36 @@ impl Packet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn packet_round_trips_every_field() {
+        let mut pkt = Packet::data(FlowId(7), 42, 1500, Ecn::Ect1, Time::from_millis(3));
+        pkt.retransmit = true;
+        pkt.path_dup = true;
+        let mut w = CkptWriter::new();
+        pkt.save_ckpt(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = CkptReader::new(&bytes);
+        let mut back = Packet::default();
+        back.restore_ckpt(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back.flow, pkt.flow);
+        assert_eq!(back.seq, pkt.seq);
+        assert_eq!(back.size, pkt.size);
+        assert_eq!(back.ecn, pkt.ecn);
+        assert_eq!(back.sent_at, pkt.sent_at);
+        assert_eq!(back.retransmit, pkt.retransmit);
+        assert_eq!(back.path_dup, pkt.path_dup);
+    }
+
+    #[test]
+    fn bad_ecn_tag_is_corrupt() {
+        let mut ecn = Ecn::NotEct;
+        assert!(matches!(
+            ecn.restore_ckpt(&mut CkptReader::new(&[9])),
+            Err(CkptError::Corrupt(_))
+        ));
+    }
 
     #[test]
     fn ect_classification() {

@@ -26,7 +26,7 @@
 //! logic (they are resolved before any handler runs). Pooled runs are
 //! therefore bit-identical to the old by-value representation.
 
-use pi2_simcore::{CkptError, CkptReader, CkptWriter};
+use pi2_simcore::{Ckpt, CkptError, CkptReader, CkptWriter};
 
 /// Handle into a [`Pool`]. Only meaningful to the pool that issued it.
 pub type Handle = u32;
@@ -120,45 +120,39 @@ impl<T> Pool<T> {
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }
+}
 
-    /// Serialize the pool slot-positionally: every slot in index order
-    /// (occupancy flag + payload via `f`), then the free list, then the
-    /// high-water mark. The positional layout is what keeps every handle
-    /// already threaded through the event queue valid after a restore.
-    pub fn save_ckpt<F>(&self, w: &mut CkptWriter, mut f: F)
-    where
-        F: FnMut(&mut CkptWriter, &T),
-    {
+/// Slot-positional: every slot in index order (occupancy flag, then the
+/// payload only if occupied), then the free list, then the high-water
+/// mark. The positional layout is what keeps every handle already
+/// threaded through the event queue valid after a restore. Restore checks
+/// that the free list exactly covers the vacant slots (in order), so a
+/// corrupt stream cannot produce a pool whose recycling diverges from the
+/// saved run.
+impl<T: Ckpt + Default> Ckpt for Pool<T> {
+    fn save_ckpt(&self, w: &mut CkptWriter) {
         w.usize(self.slots.len());
         for slot in &self.slots {
             w.bool(slot.is_some());
             if let Some(val) = slot {
-                f(w, val);
+                val.save_ckpt(w);
             }
         }
-        w.usize(self.free.len());
-        for &h in &self.free {
-            w.u32(h);
-        }
+        self.free.save_ckpt(w);
         w.usize(self.high_water);
     }
 
-    /// Rebuild a pool from [`Pool::save_ckpt`] bytes, decoding payloads
-    /// with `f`. Validates that the free list exactly covers the vacant
-    /// slots (in order), so a corrupt stream cannot produce a pool whose
-    /// recycling diverges from the saved run.
-    pub fn restore_ckpt<F>(r: &mut CkptReader, mut f: F) -> Result<Pool<T>, CkptError>
-    where
-        F: FnMut(&mut CkptReader) -> Result<T, CkptError>,
-    {
+    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
         let n = r.len_of(1)?;
         let mut slots = Vec::with_capacity(n);
         for _ in 0..n {
-            if r.bool()? {
-                slots.push(Some(f(r)?));
+            slots.push(if r.bool()? {
+                let mut val = T::default();
+                val.restore_ckpt(r)?;
+                Some(val)
             } else {
-                slots.push(None);
-            }
+                None
+            });
         }
         let free_n = r.len_of(4)?;
         let mut free = Vec::with_capacity(free_n);
@@ -177,11 +171,12 @@ impl<T> Pool<T> {
         if high_water > n {
             return Err(CkptError::Corrupt("pool high-water exceeds slot count"));
         }
-        Ok(Pool {
+        *self = Pool {
             slots,
             free,
             high_water,
-        })
+        };
+        Ok(())
     }
 }
 
@@ -252,10 +247,11 @@ mod tests {
         let c = p.insert(30u64);
         p.take(b);
         let mut w = CkptWriter::new();
-        p.save_ckpt(&mut w, |w, v| w.u64(*v));
+        p.save_ckpt(&mut w);
         let bytes = w.into_bytes();
         let mut r = CkptReader::new(&bytes);
-        let mut q: Pool<u64> = Pool::restore_ckpt(&mut r, |r| r.u64()).unwrap();
+        let mut q: Pool<u64> = Pool::new();
+        q.restore_ckpt(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(*q.get(a), 10);
         assert_eq!(*q.get(c), 30);
@@ -278,7 +274,7 @@ mod tests {
         w.usize(1);
         let bytes = w.into_bytes();
         let mut r = CkptReader::new(&bytes);
-        let res: Result<Pool<u64>, _> = Pool::restore_ckpt(&mut r, |r| r.u64());
+        let res = Pool::<u64>::new().restore_ckpt(&mut r);
         assert!(matches!(res, Err(CkptError::Corrupt(_))));
     }
 }

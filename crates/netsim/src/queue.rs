@@ -11,9 +11,8 @@
 //! DualPI2 and FQ (in `pi2-aqm`) use the same two parts.
 
 use crate::aqm::{Action, Aqm, AqmState, Decision, QueueSnapshot};
-use crate::ckpt::{read_packet, write_packet};
 use crate::packet::{Ecn, Packet};
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Rng, Time};
+use pi2_simcore::{ckpt_fields, Ckpt, CkptError, CkptReader, CkptWriter, Duration, Rng, Time};
 use std::collections::VecDeque;
 
 /// Static configuration of the bottleneck queue + link.
@@ -90,27 +89,30 @@ impl Fifo {
         self.bytes
     }
 
-    /// Write the packet count, then each packet and its enqueue time.
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
+}
+
+/// The packet count, then each packet and its enqueue time. Restore
+/// replaces the contents; the byte total is derived from the packets,
+/// not trusted.
+impl Ckpt for Fifo {
+    fn save_ckpt(&self, w: &mut CkptWriter) {
         w.usize(self.pkts.len());
-        for (pkt, enq_at) in &self.pkts {
-            write_packet(w, pkt);
-            w.time(*enq_at);
+        for entry in &self.pkts {
+            entry.save_ckpt(w);
         }
     }
 
-    /// Replace the contents with what [`Fifo::save_ckpt`] wrote. The count
-    /// is checked against the blob's length before anything is reserved,
-    /// and the byte total is derived from the packets, not trusted.
-    pub fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
         // Each queued packet is followed by its 8-byte enqueue time.
         let n = r.len_of(8)?;
         self.pkts.clear();
         self.bytes = 0;
         for _ in 0..n {
-            let pkt = read_packet(r)?;
-            let enq_at = r.time()?;
-            self.push(pkt, enq_at);
+            let mut entry = <(Packet, Time)>::default();
+            entry.restore_ckpt(r)?;
+            let bytes = self.bytes.checked_add(entry.0.size);
+            self.bytes = bytes.ok_or(CkptError::Corrupt("queued bytes overflow"))?;
+            self.pkts.push_back(entry);
         }
         Ok(())
     }
@@ -165,23 +167,16 @@ impl Link {
         self.dequeued_bytes += size as u64;
     }
 
-    /// Write the rate and the sent-byte count (the buffer is
-    /// configuration).
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.u64(self.rate_bps);
-        w.u64(self.dequeued_bytes);
-    }
-
-    /// Read back what [`Link::save_ckpt`] wrote.
-    pub fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.rate_bps = r.u64()?;
+    fn check(&self) -> Result<(), &'static str> {
         if self.rate_bps == 0 {
-            return Err(CkptError::Corrupt("restored link rate is zero"));
+            return Err("restored link rate is zero");
         }
-        self.dequeued_bytes = r.u64()?;
         Ok(())
     }
 }
+
+// The rate and the sent-byte count; the buffer is configuration.
+ckpt_fields!(Link { rate_bps, dequeued_bytes } check Link::check);
 
 /// A queueing discipline attached to a link.
 ///
@@ -190,8 +185,10 @@ impl Link {
 /// queuing — plug in alongside the plain FIFO [`BottleneckQueue`]. Every
 /// qdisc queues through [`Fifo`]s and sends over one [`Link`]. A qdisc
 /// does not schedule events itself; [`crate::sim::SimCore`] owns the event
-/// clock and calls `offer`/`pop` at the right instants.
-pub trait Qdisc {
+/// clock and calls `offer`/`pop` at the right instants. Its [`Ckpt`]
+/// layout is all mutable qdisc state: queued packets, the link and any
+/// embedded AQM's controller state.
+pub trait Qdisc: Ckpt {
     /// Offer a packet for admission; the returned decision reflects any
     /// internal AQM verdict or overflow drop.
     fn offer(&mut self, pkt: Packet, now: Time, rng: &mut Rng) -> Decision;
@@ -243,15 +240,6 @@ pub trait Qdisc {
     fn monitor_delay(&self) -> Duration {
         Duration::serialization(self.len_bytes(), self.link().rate_bps())
     }
-
-    /// Serialize all mutable qdisc state — queued packets, link and the
-    /// embedded AQM's controller state — in a fixed field order
-    /// (checkpointing).
-    fn save_ckpt(&self, w: &mut CkptWriter);
-
-    /// Restore state captured by [`Qdisc::save_ckpt`] into a freshly
-    /// constructed qdisc of the same type and configuration.
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError>;
 }
 
 /// A FIFO queue with AQM admission and a serializing link.
@@ -362,23 +350,9 @@ impl Qdisc for BottleneckQueue {
         self.aqm.probe()
     }
 
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        self.fifo.save_ckpt(w);
-        self.link.save_ckpt(w);
-        w.bool(self.last_sojourn.is_some());
-        w.duration(self.last_sojourn.unwrap_or(Duration::ZERO));
-        self.aqm.save_ckpt(w);
-    }
-
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.fifo.restore_ckpt(r)?;
-        self.link.restore_ckpt(r)?;
-        let has_sojourn = r.bool()?;
-        let sojourn = r.duration()?;
-        self.last_sojourn = has_sojourn.then_some(sojourn);
-        self.aqm.restore_ckpt(r)
-    }
 }
+
+ckpt_fields!(BottleneckQueue { fifo, link, last_sojourn, aqm });
 
 #[cfg(test)]
 mod tests {
@@ -398,6 +372,25 @@ mod tests {
 
     fn pkt(seq: u64, size: usize) -> Packet {
         Packet::data(FlowId(0), seq, size, Ecn::NotEct, Time::ZERO)
+    }
+
+    #[test]
+    fn a_restored_byte_total_that_overflows_is_corrupt() {
+        let mut fifo = Fifo::with_capacity(2);
+        let huge = Packet::data(FlowId(0), 0, usize::MAX / 2 + 1, Ecn::NotEct, Time::ZERO);
+        fifo.push(huge, Time::ZERO);
+        let mut w = CkptWriter::new();
+        fifo.save_ckpt(&mut w);
+        let one = w.into_bytes();
+        Fifo::with_capacity(2).restore_ckpt(&mut CkptReader::new(&one)).unwrap();
+        // The same packet twice: each size is well-formed, their sum is not.
+        let mut two = one.clone();
+        two[..8].copy_from_slice(&2u64.to_le_bytes());
+        two.extend_from_slice(&one[8..]);
+        assert_eq!(
+            Fifo::with_capacity(2).restore_ckpt(&mut CkptReader::new(&two)),
+            Err(CkptError::Corrupt("queued bytes overflow"))
+        );
     }
 
     #[test]
@@ -485,11 +478,8 @@ mod tests {
         fn name(&self) -> &'static str {
             "markalways"
         }
-        fn save_ckpt(&self, _w: &mut CkptWriter) {}
-        fn restore_ckpt(&mut self, _r: &mut CkptReader) -> Result<(), CkptError> {
-            Ok(())
-        }
     }
+    ckpt_fields!(MarkAlways {});
 
     #[test]
     fn overflow_overrides_mark_decision() {

@@ -43,7 +43,6 @@
 use crate::aqm::{Action, AqmState};
 use crate::audit::AuditSink;
 use crate::background::{Background, BackgroundAggregate};
-use crate::ckpt::{read_ack, read_packet, write_ack, write_packet};
 use crate::impair::{ImpairState, LinkImpairments};
 use crate::metrics::SimMetrics;
 use crate::monitor::{Monitor, MonitorConfig};
@@ -53,7 +52,8 @@ use crate::queue::{BottleneckQueue, Qdisc, QueueConfig};
 use crate::trace::{TraceCounts, TraceEvent, TraceSink};
 use pi2_obs::LoopProfiler;
 use pi2_simcore::{
-    CkptError, CkptReader, CkptWriter, Duration, EventEntry, EventQueue, Rng, SchemaHasher, Time,
+    ckpt_fields, Ckpt, CkptError, CkptReader, CkptWriter, Duration, EventEntry, EventQueue, Rng,
+    SchemaHasher, Time,
 };
 
 /// One-way delays of a flow's path, excluding the bottleneck queue.
@@ -64,6 +64,8 @@ pub struct PathConf {
     /// Receiver → sender propagation for ACKs.
     pub rev: Duration,
 }
+
+ckpt_fields!(PathConf { fwd, rev });
 
 impl PathConf {
     /// Split a base RTT evenly across the two directions.
@@ -81,7 +83,7 @@ impl PathConf {
 }
 
 /// An acknowledgement travelling the uncongested reverse path.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Ack {
     /// The flow this ACK belongs to.
     pub flow: FlowId,
@@ -108,6 +110,10 @@ pub struct Ack {
     /// All-`None` when the receiver has no out-of-order data.
     pub sack: [Option<(u64, u64)>; 3],
 }
+
+// Each SACK slot is a presence flag plus the `[start, end)` pair (zeros
+// when absent).
+ckpt_fields!(Ack { flow, cum_seq, ece, ce_total, pkts_total, echo_ts, echo_rtx, sack });
 
 impl Ack {
     /// An ACK with no SACK information.
@@ -195,6 +201,11 @@ struct HopState {
     /// instrument.
     flow_bytes: Vec<u64>,
 }
+
+// Routes and the ingress delay are structural configuration, covered by
+// the schema hash; the serialization cache is pure (a hit and a
+// recompute agree), so it is not saved.
+ckpt_fields!(HopState { qdisc, transmitting, flow_bytes[..] });
 
 /// The shared simulation state handed to sources.
 pub struct SimCore {
@@ -754,20 +765,24 @@ impl SimCore {
             self.events.push(now + fwd + extra, Event::Deliver(h));
         }
     }
+}
 
-    /// Serialize every piece of live core state in a fixed order: the
-    /// event queue (canonical `(time, seq)`-sorted pending list plus
-    /// clock, sequence counter and pop counter), the RNG stream, the
-    /// monitor, the per-flow counters, both in-flight pools
-    /// (slot-positional, so `Deliver`/`HopArrive`/`AckArrive` handles
-    /// inside pending events stay valid), optional metrics and impairment
-    /// state, the per-flow paths, and every hop's mutable state (qdisc,
-    /// link-busy flag, per-flow egress bytes).
-    ///
-    /// Trace sinks, the auditor and the profiler are pure observers and
-    /// are not checkpointed; each hop's one-entry serialization cache is
-    /// pure (a hit and a recompute agree) and restores cold.
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
+/// Every piece of live core state in a fixed order: the event queue
+/// (canonical `(time, seq)`-sorted pending list plus clock, sequence
+/// counter and pop counter), the RNG stream, the monitor, the per-flow
+/// counters, both in-flight pools (slot-positional, so `Deliver`/
+/// `HopArrive`/`AckArrive` handles inside pending events stay valid), the
+/// optional metrics and impairment sections (a presence flag, then the
+/// section only if present), the per-flow paths, and every hop's mutable
+/// state.
+///
+/// Trace sinks, the auditor and the profiler are pure observers and are
+/// not checkpointed. Restore targets a core built with the same
+/// structural configuration (same qdisc family, same registered flows,
+/// impairment layer attached iff the snapshot had one); replay from the
+/// restored state is bit-identical to the run the snapshot was taken from.
+impl Ckpt for SimCore {
+    fn save_ckpt(&self, w: &mut CkptWriter) {
         w.time(self.events.now());
         w.u64(self.events.next_seq());
         w.u64(self.events.popped());
@@ -778,51 +793,24 @@ impl SimCore {
             w.u64(e.seq);
             write_event(w, &e.event);
         }
-        for word in self.rng.state() {
-            w.u64(word);
-        }
+        self.rng.save_ckpt(w);
         self.monitor.save_ckpt(w);
         self.counters.save_ckpt(w);
-        self.packets.save_ckpt(w, write_packet);
-        self.acks.save_ckpt(w, write_ack);
-        match &self.metrics {
-            Some(m) => {
-                w.bool(true);
-                m.save_ckpt(w);
-            }
-            None => w.bool(false),
+        self.packets.save_ckpt(w);
+        self.acks.save_ckpt(w);
+        w.bool(self.metrics.is_some());
+        if let Some(m) = &self.metrics {
+            m.save_ckpt(w);
         }
-        match &self.impair {
-            Some(i) => {
-                w.bool(true);
-                i.save_ckpt(w);
-            }
-            None => w.bool(false),
+        w.bool(self.impair.is_some());
+        if let Some(i) = &self.impair {
+            i.save_ckpt(w);
         }
-        w.usize(self.paths.len());
-        for p in &self.paths {
-            w.duration(p.fwd);
-            w.duration(p.rev);
-        }
-        // Routes and ingress delays are structural config, covered by the
-        // schema hash; only each hop's mutable state is serialized.
-        w.usize(self.hops.len());
-        for h in &self.hops {
-            h.qdisc.save_ckpt(w);
-            w.bool(h.transmitting);
-            w.usize(h.flow_bytes.len());
-            for b in &h.flow_bytes {
-                w.u64(*b);
-            }
-        }
+        self.paths[..].save_ckpt(w);
+        self.hops[..].save_ckpt(w);
     }
 
-    /// Restore state captured by [`SimCore::save_ckpt`] into a core built
-    /// with the same structural configuration (same qdisc family, same
-    /// registered flows, impairment layer attached iff the snapshot had
-    /// one). Replay from the restored state is bit-identical to the run
-    /// the snapshot was taken from.
-    pub fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
         let now = r.time()?;
         let next_seq = r.u64()?;
         let popped = r.u64()?;
@@ -842,12 +830,11 @@ impl SimCore {
             entries.push(EventEntry { time, seq, event });
         }
         self.events = EventQueue::from_parts(now, next_seq, popped, entries);
-        let state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-        self.rng = Rng::from_state(state);
+        self.rng.restore_ckpt(r)?;
         self.monitor.restore_ckpt(r)?;
         self.counters.restore_ckpt(r)?;
-        self.packets = Pool::restore_ckpt(r, read_packet)?;
-        self.acks = Pool::restore_ckpt(r, read_ack)?;
+        self.packets.restore_ckpt(r)?;
+        self.acks.restore_ckpt(r)?;
         if r.bool()? {
             self.enable_metrics();
             self.metrics
@@ -866,28 +853,8 @@ impl SimCore {
             // same `LinkImpairments` before restoring.
             _ => return Err(CkptError::Corrupt("impairment layer presence mismatch")),
         }
-        if r.usize()? != self.paths.len() {
-            return Err(CkptError::Corrupt("flow path count mismatch"));
-        }
-        for p in &mut self.paths {
-            p.fwd = r.duration()?;
-            p.rev = r.duration()?;
-        }
-        if r.usize()? != self.hops.len() {
-            return Err(CkptError::Corrupt("hop count mismatch"));
-        }
-        for h in &mut self.hops {
-            h.qdisc.restore_ckpt(r)?;
-            h.transmitting = r.bool()?;
-            h.ser_cache = (0, 0, Duration::ZERO);
-            if r.usize()? != h.flow_bytes.len() {
-                return Err(CkptError::Corrupt("hop flow-byte row length mismatch"));
-            }
-            for b in &mut h.flow_bytes {
-                *b = r.u64()?;
-            }
-        }
-        Ok(())
+        self.paths[..].restore_ckpt(r)?;
+        self.hops[..].restore_ckpt(r)
     }
 }
 
@@ -982,8 +949,11 @@ fn read_event(r: &mut CkptReader) -> Result<Event, CkptError> {
 
 /// A traffic source/sink pair for one flow. The same object holds both the
 /// sender and the receiver side; the simulated network between them is the
-/// event queue.
-pub trait Source {
+/// event queue. Its [`Ckpt`] layout is every field that influences future
+/// behaviour; a source whose behaviour is a pure function of its
+/// configuration and the events delivered to it declares an empty one, so
+/// a stateful one cannot forget it.
+pub trait Source: Ckpt {
     /// Called when the source is switched on (start of its traffic).
     fn on_start(&mut self, core: &mut SimCore);
 
@@ -1008,17 +978,6 @@ pub trait Source {
     fn on_timer(&mut self, kind: TimerKind, id: u64, core: &mut SimCore) {
         let _ = (kind, id, core);
     }
-
-    /// Serialize the source's mutable state (checkpointing): every field
-    /// that influences future behaviour, in a fixed order mirrored by
-    /// [`restore_ckpt`](Source::restore_ckpt). Required: a source whose
-    /// behaviour is a pure function of its configuration and the events
-    /// delivered to it says so with an empty body, so a stateful one
-    /// cannot forget it.
-    fn save_ckpt(&self, w: &mut CkptWriter);
-
-    /// Restore state captured by [`Source::save_ckpt`].
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError>;
 }
 
 /// Top-level simulation configuration.
@@ -1333,8 +1292,8 @@ impl Sim {
     }
 
     /// Snapshot the complete live simulator state to a deterministic
-    /// binary blob: magic, format version, schema hash, the core (see
-    /// [`SimCore::save_ckpt`]) and every source's mutable state. Two
+    /// binary blob: magic, format version, schema hash, the core (its
+    /// [`Ckpt`] impl), every source's mutable state and the background. Two
     /// snapshots of identical simulator states are byte-identical.
     pub fn save(&self) -> Vec<u8> {
         let mut w = CkptWriter::new();
@@ -1342,16 +1301,10 @@ impl Sim {
         w.u32(CKPT_VERSION);
         w.u64(self.schema_hash());
         self.core.save_ckpt(&mut w);
-        w.usize(self.sources.len());
-        for s in &self.sources {
-            s.save_ckpt(&mut w);
-        }
-        match &self.background {
-            Some(bg) => {
-                w.bool(true);
-                bg.save_ckpt(&mut w);
-            }
-            None => w.bool(false),
+        self.sources[..].save_ckpt(&mut w);
+        w.bool(self.background.is_some());
+        if let Some(bg) = &self.background {
+            bg.save_ckpt(&mut w);
         }
         w.into_bytes()
     }
@@ -1384,12 +1337,7 @@ impl Sim {
             return Err(CkptError::SchemaMismatch { found, expected });
         }
         self.core.restore_ckpt(&mut r)?;
-        if r.usize()? != self.sources.len() {
-            return Err(CkptError::Corrupt("source count mismatch"));
-        }
-        for s in &mut self.sources {
-            s.restore_ckpt(&mut r)?;
-        }
+        self.sources[..].restore_ckpt(&mut r)?;
         let has_bg = r.bool()?;
         if has_bg != self.background.is_some() {
             return Err(CkptError::Corrupt("background presence mismatch"));
@@ -1543,14 +1491,8 @@ mod tests {
         fn on_ack(&mut self, ack: Ack, _core: &mut SimCore) {
             self.log.borrow_mut().acked.push(ack.cum_seq);
         }
-        fn save_ckpt(&self, w: &mut CkptWriter) {
-            w.u64(self.rcv_pkts);
-        }
-        fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-            self.rcv_pkts = r.u64()?;
-            Ok(())
-        }
     }
+    ckpt_fields!(Probe { rcv_pkts });
 
     fn build(n: u64, rate: u64, rtt_ms: i64) -> (Sim, FlowId, Rc<RefCell<ProbeLog>>) {
         let cfg = SimConfig {
@@ -1668,13 +1610,8 @@ mod tests {
                 assert!(self.timer.wake(core, id), "a timer armed once wakes once, due");
                 self.fired.borrow_mut().push((kind, core.now()));
             }
-            fn save_ckpt(&self, w: &mut CkptWriter) {
-                self.timer.save_ckpt(w);
-            }
-            fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-                self.timer.restore_ckpt(r)
-            }
         }
+        ckpt_fields!(TimerProbe { timer });
         let fired = Rc::new(RefCell::new(Vec::new()));
         let fired2 = Rc::clone(&fired);
         let mut sim = Sim::new(SimConfig::default(), Box::new(PassAqm));
@@ -1761,11 +1698,8 @@ mod tests {
         fn control_variable(&self) -> f64 {
             0.0
         }
-        fn save_ckpt(&self, _w: &mut CkptWriter) {}
-        fn restore_ckpt(&mut self, _r: &mut CkptReader) -> Result<(), CkptError> {
-            Ok(())
-        }
     }
+    ckpt_fields!(StagingQdisc {});
 
     #[test]
     fn multi_queue_qdisc_admission_does_not_trip_the_idle_link_assert() {
@@ -1961,7 +1895,7 @@ mod tests {
             (at.expect("the component is in the blob"), part.len())
         };
         let packets = &sim.core.packets;
-        let (packets_at, packets_len) = find(&|w| packets.save_ckpt(w, write_packet));
+        let (packets_at, packets_len) = find(&|w| packets.save_ckpt(w));
         let vacant = packets.capacity() - packets.in_use();
         assert!(packets.in_use() > 0 && vacant > 0);
         let metrics = sim.core.metrics.as_ref().expect("enabled above");
@@ -1983,6 +1917,35 @@ mod tests {
             bad[at..at + 8].copy_from_slice(&(u64::MAX >> 1).to_le_bytes());
             assert_eq!(build_metered().restore(&bad), Err(CkptError::Truncated), "{what}");
         }
+    }
+
+    #[test]
+    fn ack_round_trips_sack_blocks() {
+        let ack = Ack {
+            flow: FlowId(2),
+            cum_seq: 100,
+            ece: true,
+            ce_total: 5,
+            pkts_total: 90,
+            echo_ts: Time::from_millis(17),
+            echo_rtx: true,
+            sack: [Some((120, 130)), None, Some((140, 145))],
+        };
+        let mut w = CkptWriter::new();
+        ack.save_ckpt(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = CkptReader::new(&bytes);
+        let mut back = Ack::default();
+        back.restore_ckpt(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back.flow, ack.flow);
+        assert_eq!(back.cum_seq, ack.cum_seq);
+        assert_eq!(back.ece, ack.ece);
+        assert_eq!(back.ce_total, ack.ce_total);
+        assert_eq!(back.pkts_total, ack.pkts_total);
+        assert_eq!(back.echo_ts, ack.echo_ts);
+        assert_eq!(back.echo_rtx, ack.echo_rtx);
+        assert_eq!(back.sack, ack.sack);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::packet::{Ecn, FlowId, Packet};
 use crate::sim::{SimCore, Source, TimerKind};
 use crate::timer::LazyTimer;
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Time};
+use pi2_simcore::{ckpt_fields, Duration, Time};
 
 /// A constant-bit-rate UDP sender. It never reacts to congestion: packets
 /// are emitted on a fixed tick regardless of drops, like `iperf -u`.
@@ -77,19 +77,9 @@ impl Source for UdpCbrSource {
             self.send_and_rearm(core);
         }
     }
-
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.u64(self.seq);
-        w.bool(self.active);
-        self.send_timer.save_ckpt(w);
-    }
-
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.seq = r.u64()?;
-        self.active = r.bool()?;
-        self.send_timer.restore_ckpt(r)
-    }
 }
+
+ckpt_fields!(UdpCbrSource { seq, active, send_timer });
 
 /// An on-off CBR source: bursts at `rate_bps` for `on` time, sleeps for
 /// `off`, repeats. The workload PIE's burst allowance was designed for —
@@ -178,23 +168,9 @@ impl Source for OnOffCbrSource {
             self.tick(core);
         }
     }
-
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.u64(self.seq);
-        w.bool(self.active);
-        w.bool(self.bursting);
-        w.time(self.period_start);
-        self.send_timer.save_ckpt(w);
-    }
-
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.seq = r.u64()?;
-        self.active = r.bool()?;
-        self.bursting = r.bool()?;
-        self.period_start = r.time()?;
-        self.send_timer.restore_ckpt(r)
-    }
 }
+
+ckpt_fields!(OnOffCbrSource { seq, active, bursting, period_start, send_timer });
 
 #[cfg(test)]
 mod tests {

@@ -25,7 +25,7 @@
 
 use crate::packet::FlowId;
 use crate::sim::{Event, SimCore, TimerKind};
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Time};
+use pi2_simcore::{ckpt_fields, Duration, Time};
 
 /// The `(time, seq)` key of a wheel event.
 type Key = (Time, u64);
@@ -110,40 +110,26 @@ impl LazyTimer {
         self.standin = Some(key);
     }
 
-    /// Serialize the arming and the stand-in (`flow` and `kind` are
-    /// construction-time configuration).
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        for key in [self.deadline, self.standin] {
-            let (at, seq) = key.unwrap_or((Time::ZERO, 0));
-            w.bool(key.is_some());
-            w.time(at);
-            w.u64(seq);
-        }
-    }
-
-    /// Restore state captured by [`LazyTimer::save_ckpt`].
-    pub fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        let mut key = || -> Result<Option<Key>, CkptError> {
-            let present = r.bool()?;
-            let key = (r.time()?, r.u64()?);
-            Ok(present.then_some(key))
-        };
-        self.deadline = key()?;
-        self.standin = key()?;
+    fn check(&self) -> Result<(), &'static str> {
         if let (Some(d), Some(s)) = (self.deadline, self.standin) {
             if s > d {
-                return Err(CkptError::Corrupt("timer stand-in later than its deadline"));
+                return Err("timer stand-in later than its deadline");
             }
         }
         Ok(())
     }
 }
 
+// The arming and the stand-in; `flow` and `kind` are construction-time
+// configuration.
+ckpt_fields!(LazyTimer { deadline, standin } check LazyTimer::check);
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aqm::PassAqm;
     use crate::sim::{PathConf, Sim, SimConfig};
+    use pi2_simcore::{Ckpt, CkptError, CkptReader, CkptWriter};
 
     const MS: fn(i64) -> Duration = Duration::from_millis;
 

@@ -20,7 +20,7 @@
 use crate::aqm::AqmState;
 use crate::packet::{Ecn, FlowId};
 use crate::textbuf::{put, text, Put};
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Time};
+use pi2_simcore::{ckpt_fields, Duration, Time};
 use std::cell::RefCell;
 use std::io::{self, Write};
 use std::marker::PhantomData;
@@ -330,6 +330,8 @@ pub struct FlowCounts {
     pub dequeued: u64,
 }
 
+ckpt_fields!(FlowCounts { enqueued, marked, dropped, dequeued });
+
 impl FlowCounts {
     fn add(&mut self, other: &FlowCounts) {
         self.enqueued += other.enqueued;
@@ -352,6 +354,8 @@ pub struct TraceCounts {
     /// Number of AQM update ticks observed.
     pub aqm_updates: u64,
 }
+
+ckpt_fields!(TraceCounts { flows, aqm_updates });
 
 impl TraceCounts {
     /// An empty counter set.
@@ -423,34 +427,6 @@ impl TraceCounts {
             sum.add(f);
         }
         sum
-    }
-
-    /// Serialize all counters in a fixed field order (checkpointing).
-    pub fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.usize(self.flows.len());
-        for f in &self.flows {
-            w.u64(f.enqueued);
-            w.u64(f.marked);
-            w.u64(f.dropped);
-            w.u64(f.dequeued);
-        }
-        w.u64(self.aqm_updates);
-    }
-
-    /// Restore counters captured by [`TraceCounts::save_ckpt`].
-    pub fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        self.flows.clear();
-        for _ in 0..n {
-            self.flows.push(FlowCounts {
-                enqueued: r.u64()?,
-                marked: r.u64()?,
-                dropped: r.u64()?,
-                dequeued: r.u64()?,
-            });
-        }
-        self.aqm_updates = r.u64()?;
-        Ok(())
     }
 }
 

@@ -129,14 +129,8 @@ impl Aqm for FixedP {
     fn name(&self) -> &'static str {
         "fixedp"
     }
-    fn save_ckpt(&self, _w: &mut pi2_simcore::CkptWriter) {}
-    fn restore_ckpt(
-        &mut self,
-        _r: &mut pi2_simcore::CkptReader,
-    ) -> Result<(), pi2_simcore::CkptError> {
-        Ok(())
-    }
 }
+pi2_simcore::ckpt_fields!(FixedP {});
 
 proptest! {
     /// Marks only ever touch ECT packets; drops only Not-ECT (for an AQM

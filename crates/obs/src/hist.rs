@@ -9,9 +9,8 @@
 //! cheap enough to sit on the simulator's per-packet hot path.
 //!
 //! Two histograms with the same layout merge by element-wise addition
-//! ([`Histogram::merge`]), which is what lets the parallel sweep runner
-//! combine per-worker registries into a fleet-level view that is
-//! bit-identical to a serial run.
+//! ([`Histogram::merge`]), so registries of several runs combine into a
+//! view that does not depend on the order the runs finished in.
 
 use pi2_stats::variance_from_moments;
 
@@ -172,8 +171,7 @@ impl Histogram {
 
     /// Element-wise accumulate `other` into `self`. Layouts are static,
     /// so any two histograms merge; merging is associative and
-    /// commutative, and the parallel runner applies it in item order to
-    /// keep merged output deterministic.
+    /// commutative.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;

@@ -12,9 +12,8 @@
 //!   behind typed index handles. Registration allocates once; the record
 //!   path is an array index plus an add. Snapshots export as JSON or
 //!   Prometheus text ([`Registry::to_json`], [`Registry::to_prometheus`],
-//!   linted by [`prom_lint`]) and per-worker registries
-//!   [`merge`](Registry::merge) deterministically for the parallel
-//!   runner.
+//!   linted by [`prom_lint`]) and same-schema registries
+//!   [`merge`](Registry::merge) deterministically.
 //! - [`LoopProfiler`]: per-event-class wall-clock attribution for the
 //!   dispatch loop. Off by default (the sim skips the clock reads
 //!   entirely); on, it costs two `Instant::now()` per event and emits a

@@ -9,9 +9,7 @@
 //! which makes every export byte-deterministic for a deterministic run.
 //!
 //! Two registries with the same registration sequence merge with
-//! [`Registry::merge`]; the parallel sweep runner uses this to fold
-//! per-worker registries into one fleet-level registry whose snapshot is
-//! identical to a serial run's.
+//! [`Registry::merge`] into one fleet-level registry.
 
 use crate::hist::Histogram;
 

@@ -13,6 +13,57 @@
 //! on 32- and 64-bit hosts. Readers are bounds-checked and return
 //! [`CkptError`] instead of panicking, since checkpoint files cross the
 //! process boundary (`pi2sim --restore`).
+//!
+//! # Declaring a layout
+//!
+//! A component's layout is its [`Ckpt`] impl. Each encoding shape is
+//! implemented once, here: the primitives, [`Time`] and [`Duration`];
+//! `Option<T>` as a presence flag plus the value (`T::default()` when
+//! absent, so every record keeps its width); `Vec<T>` as a length, read
+//! through [`CkptReader::len_of`] before anything is allocated, then the
+//! items; a slice `[T]` the same way but restored in place, refusing a
+//! blob whose length differs from the configured one; fixed arrays and
+//! tuples item by item, with no prefix; `Box<T>` as its content.
+//!
+//! Most components are a list of fields, and state it once through
+//! [`ckpt_fields!`](crate::ckpt_fields), which writes both methods from
+//! it:
+//!
+//! ```
+//! use pi2_simcore::{ckpt_fields, Ckpt, CkptReader, CkptWriter, Time};
+//! #[derive(Default)]
+//! struct Meter { at: Option<Time>, seen: Vec<u64>, rate: f64 }
+//! impl Meter {
+//!     fn check(&self) -> Result<(), &'static str> {
+//!         if self.rate >= 0.0 { Ok(()) } else { Err("negative rate") }
+//!     }
+//! }
+//! ckpt_fields!(Meter { at, seen, rate } check Meter::check);
+//!
+//! let m = Meter { at: Some(Time::from_millis(3)), seen: vec![7], rate: 1.5 };
+//! let mut w = CkptWriter::new();
+//! m.save_ckpt(&mut w);
+//! let blob = w.into_bytes();
+//! let mut back = Meter::default();
+//! back.restore_ckpt(&mut CkptReader::new(&blob)).unwrap();
+//! assert_eq!((back.at, back.seen, back.rate), (m.at, m.seen, m.rate));
+//! ```
+//!
+//! Fields left out of the list are configuration: the restoring side is
+//! built with the same values. A field may be a nested path (`last.p`),
+//! and a `[..]` suffix (`flows[..]`) restores a list in place, keeping
+//! what each element holds beyond its own layout. The optional `check`
+//! runs after every field is read, so a restore can refuse a blob whose
+//! fields are each well-formed but together impossible.
+//!
+//! An impl is written by hand only where the layout is not a field list,
+//! and each keeps its own checks: variant tags (the pending events, the
+//! delay estimator, the ECN codepoint); the event wheel's canonical entry
+//! list; `Pool`'s slots (a payload only behind a set presence flag) and
+//! free list; `Fifo`'s byte total and the sequence sets' ascending order,
+//! derived or checked rather than stored; FQ's round; the metrics
+//! registry's sections; the fluid background's engine state; and
+//! `SimCore`'s optional sections with the `Sim` header and schema hash.
 
 use crate::time::{Duration, Time};
 use std::fmt;
@@ -54,6 +105,13 @@ impl fmt::Display for CkptError {
 }
 
 impl std::error::Error for CkptError {}
+
+/// A failed invariant check names what it found; see [`ckpt_fields!`].
+impl From<&'static str> for CkptError {
+    fn from(what: &'static str) -> Self {
+        CkptError::Corrupt(what)
+    }
+}
 
 /// Magic bytes opening every checkpoint blob.
 pub const MAGIC: [u8; 8] = *b"PI2CKPT\0";
@@ -308,6 +366,165 @@ impl<'a> CkptReader<'a> {
     }
 }
 
+/// A value with a checkpoint layout (see the module doc).
+pub trait Ckpt {
+    /// Append this value's mutable state to `w`, in a fixed field order.
+    fn save_ckpt(&self, w: &mut CkptWriter);
+
+    /// Read back what [`Ckpt::save_ckpt`] wrote into a value built with
+    /// the same configuration.
+    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError>;
+}
+
+macro_rules! primitive {
+    ($($ty:ty => $codec:ident),* $(,)?) => {$(
+        impl Ckpt for $ty {
+            fn save_ckpt(&self, w: &mut CkptWriter) {
+                w.$codec(*self);
+            }
+
+            fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+                *self = r.$codec()?;
+                Ok(())
+            }
+        }
+    )*};
+}
+
+primitive!(
+    u8 => u8, bool => bool, u32 => u32, u64 => u64, i64 => i64, usize => usize,
+    f32 => f32, f64 => f64, Time => time, Duration => duration,
+);
+
+macro_rules! tuple {
+    ($($ty:ident $idx:tt),+) => {
+        impl<$($ty: Ckpt),+> Ckpt for ($($ty,)+) {
+            fn save_ckpt(&self, w: &mut CkptWriter) {
+                $(self.$idx.save_ckpt(w);)+
+            }
+
+            fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+                $(self.$idx.restore_ckpt(r)?;)+
+                Ok(())
+            }
+        }
+    };
+}
+
+tuple!(A 0, B 1);
+tuple!(A 0, B 1, C 2);
+
+impl<T: Ckpt, const N: usize> Ckpt for [T; N] {
+    fn save_ckpt(&self, w: &mut CkptWriter) {
+        for x in self {
+            x.save_ckpt(w);
+        }
+    }
+
+    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+        self.iter_mut().try_for_each(|x| x.restore_ckpt(r))
+    }
+}
+
+/// A list of a configured length, restored in place.
+impl<T: Ckpt> Ckpt for [T] {
+    fn save_ckpt(&self, w: &mut CkptWriter) {
+        w.usize(self.len());
+        for x in self {
+            x.save_ckpt(w);
+        }
+    }
+
+    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+        if r.usize()? != self.len() {
+            return Err(CkptError::Corrupt("list length differs from the configured one"));
+        }
+        self.iter_mut().try_for_each(|x| x.restore_ckpt(r))
+    }
+}
+
+/// A list whose length is state. Every item takes at least a byte, so
+/// [`CkptReader::len_of`] refuses a length the blob cannot hold before
+/// the first push.
+impl<T: Ckpt + Default> Ckpt for Vec<T> {
+    fn save_ckpt(&self, w: &mut CkptWriter) {
+        self.as_slice().save_ckpt(w);
+    }
+
+    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+        let n = r.len_of(1)?;
+        self.clear();
+        for _ in 0..n {
+            let mut x = T::default();
+            x.restore_ckpt(r)?;
+            self.push(x);
+        }
+        Ok(())
+    }
+}
+
+/// A presence flag, then the value or `T::default()` in its place.
+impl<T: Ckpt + Default> Ckpt for Option<T> {
+    fn save_ckpt(&self, w: &mut CkptWriter) {
+        w.bool(self.is_some());
+        match self {
+            Some(x) => x.save_ckpt(w),
+            None => T::default().save_ckpt(w),
+        }
+    }
+
+    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+        let present = r.bool()?;
+        let mut x = T::default();
+        x.restore_ckpt(r)?;
+        *self = present.then_some(x);
+        Ok(())
+    }
+}
+
+impl<T: Ckpt + ?Sized> Ckpt for Box<T> {
+    fn save_ckpt(&self, w: &mut CkptWriter) {
+        (**self).save_ckpt(w);
+    }
+
+    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+        (**self).restore_ckpt(r)
+    }
+}
+
+/// Implement [`Ckpt`] for a type from its ordered field list:
+/// `ckpt_fields!(Type { a, b.c, d[..] } check Type::check)`. Each field
+/// is saved and restored through its own [`Ckpt`] impl, in list order;
+/// `check`, a `fn(&Type) -> Result<(), E>` with `E: Into<CkptError>`,
+/// runs once every field is read. The module doc has the rules.
+#[macro_export]
+macro_rules! ckpt_fields {
+    ($ty:ty { $($head:tt $(. $tail:tt)* $([$($range:tt)*])?),* $(,)? } $(check $check:expr)?) => {
+        impl $crate::ckpt::Ckpt for $ty {
+            #[allow(unused_variables)]
+            fn save_ckpt(&self, w: &mut $crate::ckpt::CkptWriter) {
+                $($crate::ckpt::Ckpt::save_ckpt(
+                    &self.$head $(.$tail)* $([$($range)*])?,
+                    w,
+                );)*
+            }
+
+            #[allow(unused_variables)]
+            fn restore_ckpt(
+                &mut self,
+                r: &mut $crate::ckpt::CkptReader,
+            ) -> Result<(), $crate::ckpt::CkptError> {
+                $($crate::ckpt::Ckpt::restore_ckpt(
+                    &mut self.$head $(.$tail)* $([$($range)*])?,
+                    r,
+                )?;)*
+                $(($check)(&*self)?;)?
+                Ok(())
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,6 +638,136 @@ mod tests {
         d.update_u64(2);
         d.update_u64(1);
         assert_ne!(c.finish(), d.finish());
+    }
+
+    /// Save `v`, restore the bytes into `into`, and insist every byte was read.
+    fn round_trip<T: Ckpt>(v: &T, mut into: T) -> (Vec<u8>, T) {
+        let mut w = CkptWriter::new();
+        v.save_ckpt(&mut w);
+        let blob = w.into_bytes();
+        let mut r = CkptReader::new(&blob);
+        into.restore_ckpt(&mut r).unwrap();
+        r.finish().unwrap();
+        (blob, into)
+    }
+
+    #[test]
+    fn an_absent_option_writes_the_default_in_its_place() {
+        let v = Some((Time::from_nanos(5), true));
+        let (some, back) = round_trip(&v, None);
+        assert_eq!(back, v);
+        let (none, back) = round_trip(&None::<(Time, bool)>, v);
+        assert_eq!(back, None);
+        // The flag, then Time::ZERO and `false`: both records are 10 bytes.
+        assert_eq!(none, [0; 10]);
+        assert_eq!(some.len(), none.len());
+    }
+
+    #[test]
+    fn a_list_length_the_blob_cannot_hold_is_refused_before_allocating() {
+        let mut w = CkptWriter::new();
+        w.u64(1 << 40);
+        w.u64(7);
+        let blob = w.into_bytes();
+        let mut v: Vec<u64> = Vec::new();
+        assert_eq!(v.restore_ckpt(&mut CkptReader::new(&blob)), Err(CkptError::Truncated));
+        assert_eq!(v.capacity(), 0);
+        // A length that fits but outruns its items is truncation too.
+        let mut w = CkptWriter::new();
+        w.u64(2);
+        w.u64(7);
+        let blob = w.into_bytes();
+        assert_eq!(v.restore_ckpt(&mut CkptReader::new(&blob)), Err(CkptError::Truncated));
+        // A configured list refuses any length but its own.
+        let mut fixed = [0u64; 3];
+        assert!(matches!(
+            fixed[..].restore_ckpt(&mut CkptReader::new(&blob)),
+            Err(CkptError::Corrupt(_))
+        ));
+    }
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Inner {
+        a: u32,
+        b: Option<Duration>,
+    }
+    ckpt_fields!(Inner { a, b });
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Outer {
+        label: u8,
+        rows: Vec<Inner>,
+        pairs: [(u64, f64); 2],
+        fixed: Vec<Inner>,
+        nested: (Inner, u8),
+        boxed: Box<i64>,
+    }
+    impl Outer {
+        fn check(&self) -> Result<(), &'static str> {
+            if *self.boxed < 0 {
+                Err("negative box")
+            } else {
+                Ok(())
+            }
+        }
+    }
+    ckpt_fields!(Outer { rows, pairs, fixed[..], nested.0.a, nested.1, boxed } check Outer::check);
+
+    #[test]
+    fn nested_layouts_write_each_field_in_list_order() {
+        let inner = |a, b| Inner { a, b };
+        let v = Outer {
+            label: 9,
+            rows: vec![inner(1, None), inner(2, Some(Duration::from_nanos(-3)))],
+            pairs: [(4, 0.5), (5, -0.0)],
+            fixed: vec![inner(6, None)],
+            nested: (inner(7, Some(Duration::ZERO)), 8),
+            boxed: Box::new(10),
+        };
+        let mut w = CkptWriter::new();
+        w.usize(2);
+        w.u32(1);
+        w.bool(false);
+        w.duration(Duration::ZERO);
+        w.u32(2);
+        w.bool(true);
+        w.duration(Duration::from_nanos(-3));
+        w.u64(4);
+        w.f64(0.5);
+        w.u64(5);
+        w.f64(-0.0);
+        w.usize(1);
+        w.u32(6);
+        w.bool(false);
+        w.duration(Duration::ZERO);
+        w.u32(7);
+        w.u8(8);
+        w.i64(10);
+        let want = w.into_bytes();
+
+        // `label` and `nested.0.b` are not listed: configuration, kept.
+        let built = || Outer { label: 1, fixed: vec![Inner::default()], ..Outer::default() };
+        let (blob, back) = round_trip(&v, built());
+        assert_eq!(blob, want);
+        assert_eq!(back.label, 1);
+        assert_eq!(back.nested.0.b, None);
+        assert_eq!((&back.rows, back.pairs, &back.fixed), (&v.rows, v.pairs, &v.fixed));
+        assert_eq!((back.nested.0.a, back.nested.1, *back.boxed), (7, 8, 10));
+
+        // The check runs after the last field.
+        let mut bad = want.clone();
+        let at = bad.len() - 8;
+        bad[at..].copy_from_slice(&(-1i64).to_le_bytes());
+        assert_eq!(
+            built().restore_ckpt(&mut CkptReader::new(&bad)),
+            Err(CkptError::Corrupt("negative box"))
+        );
+        // A configured list of another length is refused.
+        let mut two = Outer { fixed: vec![Inner::default(), Inner::default()], ..built() };
+        assert!(matches!(
+            two.restore_ckpt(&mut CkptReader::new(&want)),
+            Err(CkptError::Corrupt(_))
+        ));
     }
 
     #[test]

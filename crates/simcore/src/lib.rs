@@ -24,7 +24,7 @@ pub mod rng;
 pub mod time;
 pub mod wheel;
 
-pub use ckpt::{CkptError, CkptReader, CkptWriter, SchemaHasher};
+pub use ckpt::{Ckpt, CkptError, CkptReader, CkptWriter, SchemaHasher};
 pub use event::{EventEntry, HeapEventQueue};
 pub use progress::{progress, ProgressReport};
 pub use wheel::EventQueue;

@@ -23,6 +23,10 @@ pub struct Rng {
     s: [u64; 4],
 }
 
+// The raw 256-bit generator state: restoring it resumes the stream
+// exactly where it was.
+crate::ckpt_fields!(Rng { s });
+
 /// SplitMix64 step, used to expand a 64-bit seed into the 256-bit state.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E3779B97F4A7C15);
@@ -43,17 +47,6 @@ impl Rng {
             splitmix64(&mut sm),
             splitmix64(&mut sm),
         ];
-        Rng { s }
-    }
-
-    /// The raw 256-bit generator state, for checkpointing. Restoring it
-    /// with [`Rng::from_state`] resumes the stream exactly where it was.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuild a generator from a captured [`Rng::state`].
-    pub fn from_state(s: [u64; 4]) -> Rng {
         Rng { s }
     }
 
@@ -140,6 +133,7 @@ impl Rng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Ckpt, CkptReader, CkptWriter};
 
     #[test]
     fn deterministic_from_seed() {
@@ -244,7 +238,10 @@ mod tests {
         for _ in 0..17 {
             a.next_u64();
         }
-        let mut b = Rng::from_state(a.state());
+        let mut w = CkptWriter::new();
+        a.save_ckpt(&mut w);
+        let mut b = Rng::new(0);
+        b.restore_ckpt(&mut CkptReader::new(&w.into_bytes())).unwrap();
         for _ in 0..1000 {
             assert_eq!(a.next_u64(), b.next_u64());
         }

@@ -8,7 +8,7 @@
 //! eq. (6)).
 
 use super::CongestionControl;
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Time};
+use pi2_simcore::{ckpt_fields, Duration, Time};
 
 /// Cubic's aggressiveness constant (RFC 8312 §5).
 const C: f64 = 0.4;
@@ -144,29 +144,9 @@ impl CongestionControl for Cubic {
             Some(1.17 * r.powf(0.75) / p.powf(0.75))
         }
     }
-
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.f64(self.cwnd);
-        w.f64(self.ssthresh);
-        w.f64(self.w_max);
-        w.f64(self.k);
-        w.bool(self.epoch_start.is_some());
-        w.time(self.epoch_start.unwrap_or(Time::ZERO));
-        w.bool(self.fast_convergence);
-    }
-
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.cwnd = r.f64()?;
-        self.ssthresh = r.f64()?;
-        self.w_max = r.f64()?;
-        self.k = r.f64()?;
-        let has_epoch = r.bool()?;
-        let epoch = r.time()?;
-        self.epoch_start = has_epoch.then_some(epoch);
-        self.fast_convergence = r.bool()?;
-        Ok(())
-    }
 }
+
+ckpt_fields!(Cubic { cwnd, ssthresh, w_max, k, epoch_start, fast_convergence });
 
 #[cfg(test)]
 mod tests {

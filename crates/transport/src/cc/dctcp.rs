@@ -13,7 +13,7 @@
 //! the AQM can classify it as Scalable.
 
 use super::CongestionControl;
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Time};
+use pi2_simcore::{ckpt_fields, Duration, Time};
 
 /// EWMA gain for the marked fraction (the DCTCP paper's g = 1/16).
 const G: f64 = 1.0 / 16.0;
@@ -126,31 +126,9 @@ impl CongestionControl for Dctcp {
         // Paper eq. (11): probabilistic marking gives W = 2/p.
         Some(2.0 / p)
     }
-
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.f64(self.cwnd);
-        w.f64(self.ssthresh);
-        w.f64(self.alpha);
-        w.u64(self.acked_acc);
-        w.u64(self.marked_acc);
-        w.u64(self.received_acc);
-        w.bool(self.window_end.is_some());
-        w.time(self.window_end.unwrap_or(Time::ZERO));
-    }
-
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.cwnd = r.f64()?;
-        self.ssthresh = r.f64()?;
-        self.alpha = r.f64()?;
-        self.acked_acc = r.u64()?;
-        self.marked_acc = r.u64()?;
-        self.received_acc = r.u64()?;
-        let has_end = r.bool()?;
-        let end = r.time()?;
-        self.window_end = has_end.then_some(end);
-        Ok(())
-    }
 }
+
+ckpt_fields!(Dctcp { cwnd, ssthresh, alpha, acked_acc, marked_acc, received_acc, window_end });
 
 #[cfg(test)]
 mod tests {

@@ -26,7 +26,7 @@ pub use dctcp::Dctcp;
 pub use reno::Reno;
 use scalable::Scalable;
 
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Time};
+use pi2_simcore::{Ckpt, Duration, Time};
 
 /// A pluggable congestion-control algorithm driven by the TCP machinery in
 /// [`crate::tcp::TcpSource`].
@@ -35,7 +35,10 @@ use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Time};
 /// events (loss and classic-ECN ECE), so `on_loss`/`on_ecn` fire at most
 /// once per round trip. DCTCP-style controls instead consume the per-ACK
 /// mark counts passed to [`CongestionControl::on_ack`].
-pub trait CongestionControl {
+///
+/// Its [`Ckpt`] layout is all mutable controller state; a control with no
+/// state declares an empty one, so a stateful one cannot forget it.
+pub trait CongestionControl: Ckpt {
     /// Current congestion window in packets (fractional).
     fn cwnd(&self) -> f64;
 
@@ -77,15 +80,6 @@ pub trait CongestionControl {
     /// `p` and round-trip time `rtt` (Appendix A of the paper), used by
     /// validation tests. Returns `None` if the control has no simple law.
     fn steady_state_window(&self, p: f64, rtt: Duration) -> Option<f64>;
-
-    /// Serialize all mutable controller state in a fixed field order
-    /// (checkpointing). Required: a control with no state says so with an
-    /// empty body, so a stateful one cannot forget it.
-    fn save_ckpt(&self, w: &mut CkptWriter);
-
-    /// Restore state captured by [`CongestionControl::save_ckpt`] into a
-    /// freshly constructed instance of the same control.
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError>;
 }
 
 /// Which congestion control to instantiate, together with the Appendix A

@@ -6,7 +6,7 @@
 //! output squaring is designed to counterbalance.
 
 use super::CongestionControl;
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Time};
+use pi2_simcore::{ckpt_fields, Duration, Time};
 
 /// Minimum congestion window after a decrease, in packets.
 const MIN_CWND: f64 = 2.0;
@@ -79,20 +79,9 @@ impl CongestionControl for Reno {
         // Paper eq. (5): W = 1.22 / p^(1/2).
         Some(1.22 / p.sqrt())
     }
-
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.f64(self.cwnd);
-        w.f64(self.ssthresh);
-        w.f64(self.beta);
-    }
-
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.cwnd = r.f64()?;
-        self.ssthresh = r.f64()?;
-        self.beta = r.f64()?;
-        Ok(())
-    }
 }
+
+ckpt_fields!(Reno { cwnd, ssthresh, beta });
 
 #[cfg(test)]
 mod tests {

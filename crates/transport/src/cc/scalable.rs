@@ -22,7 +22,7 @@
 //! at rate `p·W` per RTT, so `a·W = p·W·b·W` gives `W = a/(b·p)`.
 
 use super::CongestionControl;
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Time};
+use pi2_simcore::{ckpt_fields, Duration, Time};
 
 /// Minimum congestion window, in packets.
 const MIN_CWND: f64 = 2.0;
@@ -153,18 +153,9 @@ impl CongestionControl for Scalable {
     fn steady_state_window(&self, p: f64, _rtt: Duration) -> Option<f64> {
         Some(self.law.c / p)
     }
-
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.f64(self.cwnd);
-        w.f64(self.ssthresh);
-    }
-
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.cwnd = r.f64()?;
-        self.ssthresh = r.f64()?;
-        Ok(())
-    }
 }
+
+ckpt_fields!(Scalable { cwnd, ssthresh });
 
 #[cfg(test)]
 mod tests {

@@ -11,6 +11,7 @@
 //! O(1) on top of that; and an edit in the middle moves the shorter side,
 //! O(min(i, n − i)). Operations that absorb or drop `k` ranges add O(k).
 
+use pi2_simcore::{Ckpt, CkptError, CkptReader, CkptWriter};
 use std::collections::VecDeque;
 
 /// Disjoint, sorted `[start, end)` ranges of sequence numbers.
@@ -212,6 +213,34 @@ impl RangeSet {
     /// The highest contained sequence number, if any.
     pub fn max(&self) -> Option<u64> {
         self.ranges.back().map(|&(_, e)| e - 1)
+    }
+}
+
+/// The disjoint ascending `[start, end)` ranges; re-inserting them on
+/// restore also rebuilds the cached total.
+impl Ckpt for RangeSet {
+    fn save_ckpt(&self, w: &mut CkptWriter) {
+        w.usize(self.ranges.len());
+        for &(start, end) in &self.ranges {
+            w.u64(start);
+            w.u64(end);
+        }
+    }
+
+    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+        let n = r.len_of(16)?;
+        self.clear();
+        let mut prev_end = None;
+        for _ in 0..n {
+            let start = r.u64()?;
+            let end = r.u64()?;
+            if start >= end || prev_end.is_some_and(|p| p >= start) {
+                return Err(CkptError::Corrupt("rangeset ranges not disjoint ascending"));
+            }
+            prev_end = Some(end);
+            self.insert_range(start, end);
+        }
+        Ok(())
     }
 }
 

@@ -18,6 +18,7 @@
 //!
 //! The API mirrors the `BTreeSet` surface the scoreboard code first used.
 
+use pi2_simcore::{Ckpt, CkptError, CkptReader, CkptWriter};
 use std::collections::VecDeque;
 
 /// A set of `u64`s stored as a sorted `VecDeque`.
@@ -138,6 +139,32 @@ impl SeqSet {
     /// Iterate members in ascending order.
     pub fn iter(&self) -> std::collections::vec_deque::Iter<'_, u64> {
         self.seqs.iter()
+    }
+}
+
+/// The ascending member list; re-inserting in that order on restore
+/// rebuilds the identical internal layout.
+impl Ckpt for SeqSet {
+    fn save_ckpt(&self, w: &mut CkptWriter) {
+        w.usize(self.len());
+        for &seq in self.iter() {
+            w.u64(seq);
+        }
+    }
+
+    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+        let n = r.len_of(8)?;
+        self.clear();
+        let mut prev = None;
+        for _ in 0..n {
+            let seq = r.u64()?;
+            if prev.is_some_and(|p| p >= seq) {
+                return Err(CkptError::Corrupt("seqset members not strictly ascending"));
+            }
+            prev = Some(seq);
+            self.insert(seq);
+        }
+        Ok(())
     }
 }
 

@@ -19,80 +19,7 @@ use crate::cc::{CcKind, CongestionControl};
 use crate::rangeset::RangeSet;
 use crate::seqset::SeqSet;
 use pi2_netsim::{Ack, Ecn, FlowId, LazyTimer, Packet, SimCore, Source, TimerKind};
-use pi2_simcore::{CkptError, CkptReader, CkptWriter, Duration, Time};
-
-/// Encode an optional value as a presence flag plus the value (a fixed
-/// placeholder when absent), keeping every record fixed-width.
-fn write_opt<T, F: FnMut(&mut CkptWriter, T)>(w: &mut CkptWriter, v: Option<T>, mut f: F, zero: T) {
-    w.bool(v.is_some());
-    match v {
-        Some(v) => f(w, v),
-        None => f(w, zero),
-    }
-}
-
-/// Decode the counterpart of [`write_opt`].
-fn read_opt<T, F: FnMut(&mut CkptReader) -> Result<T, CkptError>>(
-    r: &mut CkptReader,
-    mut f: F,
-) -> Result<Option<T>, CkptError> {
-    let present = r.bool()?;
-    let v = f(r)?;
-    Ok(present.then_some(v))
-}
-
-/// Serialize a [`SeqSet`] as its ascending member list; re-inserting in
-/// that order on restore rebuilds the identical internal layout.
-fn write_seqset(w: &mut CkptWriter, s: &SeqSet) {
-    w.usize(s.len());
-    for &seq in s.iter() {
-        w.u64(seq);
-    }
-}
-
-/// Decode the counterpart of [`write_seqset`].
-fn read_seqset(r: &mut CkptReader) -> Result<SeqSet, CkptError> {
-    let n = r.usize()?;
-    let mut s = SeqSet::new();
-    let mut prev = None;
-    for _ in 0..n {
-        let seq = r.u64()?;
-        if prev.is_some_and(|p| p >= seq) {
-            return Err(CkptError::Corrupt("seqset members not strictly ascending"));
-        }
-        prev = Some(seq);
-        s.insert(seq);
-    }
-    Ok(s)
-}
-
-/// Serialize a [`RangeSet`] as its disjoint ascending `[start, end)`
-/// ranges; re-inserting them on restore also rebuilds the cached total.
-fn write_rangeset(w: &mut CkptWriter, s: &RangeSet) {
-    let ranges = s.ranges();
-    w.usize(ranges.len());
-    for &(start, end) in ranges {
-        w.u64(start);
-        w.u64(end);
-    }
-}
-
-/// Decode the counterpart of [`write_rangeset`].
-fn read_rangeset(r: &mut CkptReader) -> Result<RangeSet, CkptError> {
-    let n = r.usize()?;
-    let mut s = RangeSet::new();
-    let mut prev_end = None;
-    for _ in 0..n {
-        let start = r.u64()?;
-        let end = r.u64()?;
-        if start >= end || prev_end.is_some_and(|p| p >= start) {
-            return Err(CkptError::Corrupt("rangeset ranges not disjoint ascending"));
-        }
-        prev_end = Some(end);
-        s.insert_range(start, end);
-    }
-    Ok(s)
-}
+use pi2_simcore::{ckpt_fields, Duration, Time};
 
 /// A window in whole packets, at least one. `as u64` truncates and
 /// `max(1.0)` absorbs a negative or NaN window, so no `floor` first: that
@@ -744,92 +671,45 @@ impl Source for TcpSource {
         self.send_segment(core, self.snd_una, true);
         self.arm_rto(core);
     }
-
-    /// Serialize every mutable field — both endpoints' state plus the
-    /// congestion controller — in declaration order. `id`, `cfg` and
-    /// `ecn` are construction-time configuration and are not written; the
-    /// restoring side must be built with the same values.
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        self.cc.save_ckpt(w);
-        w.bool(self.active);
-        w.u64(self.snd_una);
-        w.u64(self.snd_nxt);
-        w.u32(self.dupacks);
-        w.bool(self.in_recovery);
-        w.u64(self.recover);
-        write_rangeset(w, &self.sacked);
-        write_seqset(w, &self.lost);
-        write_seqset(w, &self.rtx_out);
-        w.u64(self.lost_below);
-        w.u64(self.repair_from);
-        w.u64(self.cong_gate);
-        self.rto_timer.save_ckpt(w);
-        w.u32(self.rto_backoff);
-        write_opt(w, self.srtt, CkptWriter::duration, Duration::ZERO);
-        w.duration(self.rttvar);
-        w.duration(self.base_rtt);
-        w.u64(self.seen_ce_total);
-        w.u64(self.seen_pkts_total);
-        w.u64(self.rcv_nxt);
-        write_rangeset(w, &self.ooo);
-        w.u64(self.ce_total);
-        w.u64(self.pkts_total);
-        w.u32(self.unacked_segs);
-        w.bool(self.ece_pending);
-        write_opt(
-            w,
-            self.pending_echo,
-            |w, (t, rtx)| {
-                w.time(t);
-                w.bool(rtx);
-            },
-            (Time::ZERO, false),
-        );
-        w.bool(self.last_ce_state);
-        self.delack_timer.save_ckpt(w);
-        write_opt(w, self.completed_at, CkptWriter::time, Time::ZERO);
-        w.time(self.started_at);
-    }
-
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.cc.restore_ckpt(r)?;
-        self.active = r.bool()?;
-        self.snd_una = r.u64()?;
-        self.snd_nxt = r.u64()?;
-        self.dupacks = r.u32()?;
-        self.in_recovery = r.bool()?;
-        self.recover = r.u64()?;
-        self.sacked = read_rangeset(r)?;
-        self.lost = read_seqset(r)?;
-        self.rtx_out = read_seqset(r)?;
-        self.lost_below = r.u64()?;
-        self.repair_from = r.u64()?;
-        self.cong_gate = r.u64()?;
-        self.rto_timer.restore_ckpt(r)?;
-        self.rto_backoff = r.u32()?;
-        self.srtt = read_opt(r, |r| r.duration())?;
-        self.rttvar = r.duration()?;
-        self.base_rtt = r.duration()?;
-        self.seen_ce_total = r.u64()?;
-        self.seen_pkts_total = r.u64()?;
-        self.rcv_nxt = r.u64()?;
-        self.ooo = read_rangeset(r)?;
-        self.ce_total = r.u64()?;
-        self.pkts_total = r.u64()?;
-        self.unacked_segs = r.u32()?;
-        self.ece_pending = r.bool()?;
-        self.pending_echo = read_opt(r, |r| {
-            let t = r.time()?;
-            let rtx = r.bool()?;
-            Ok((t, rtx))
-        })?;
-        self.last_ce_state = r.bool()?;
-        self.delack_timer.restore_ckpt(r)?;
-        self.completed_at = read_opt(r, |r| r.time())?;
-        self.started_at = r.time()?;
-        self.check_invariants().map_err(CkptError::Corrupt)
-    }
 }
+
+// Every mutable field — both endpoints' state plus the congestion
+// controller — in declaration order. `id`, `cfg` and `ecn` are
+// construction-time configuration and are not written; the restoring side
+// must be built with the same values.
+ckpt_fields!(TcpSource {
+    cc,
+    active,
+    snd_una,
+    snd_nxt,
+    dupacks,
+    in_recovery,
+    recover,
+    sacked,
+    lost,
+    rtx_out,
+    lost_below,
+    repair_from,
+    cong_gate,
+    rto_timer,
+    rto_backoff,
+    srtt,
+    rttvar,
+    base_rtt,
+    seen_ce_total,
+    seen_pkts_total,
+    rcv_nxt,
+    ooo,
+    ce_total,
+    pkts_total,
+    unacked_segs,
+    ece_pending,
+    pending_echo,
+    last_ce_state,
+    delack_timer,
+    completed_at,
+    started_at,
+} check TcpSource::check_invariants);
 
 #[cfg(test)]
 mod tests {
@@ -838,7 +718,7 @@ mod tests {
         Aqm, Decision, MonitorConfig, PassAqm, PathConf, QueueConfig, QueueSnapshot, Sim,
         SimConfig,
     };
-    use pi2_simcore::Rng;
+    use pi2_simcore::{Ckpt, CkptError, CkptReader, CkptWriter, Rng};
 
     fn sim_with(rate_bps: u64, buffer_bytes: usize, aqm: Box<dyn Aqm>) -> Sim {
         Sim::new(
@@ -930,11 +810,8 @@ mod tests {
         fn name(&self) -> &'static str {
             "markall"
         }
-        fn save_ckpt(&self, _w: &mut CkptWriter) {}
-        fn restore_ckpt(&mut self, _r: &mut CkptReader) -> Result<(), CkptError> {
-            Ok(())
-        }
     }
+    ckpt_fields!(MarkAll {});
 
     #[test]
     fn classic_ecn_reacts_once_per_rtt() {
@@ -1028,11 +905,8 @@ mod tests {
             fn name(&self) -> &'static str {
                 "outage"
             }
-            fn save_ckpt(&self, _w: &mut CkptWriter) {}
-            fn restore_ckpt(&mut self, _r: &mut CkptReader) -> Result<(), CkptError> {
-                Ok(())
-            }
         }
+        ckpt_fields!(Outage {});
         let mut sim = sim_with(
             10_000_000,
             usize::MAX,
@@ -1109,11 +983,8 @@ mod tests {
         fn name(&self) -> &'static str {
             "burstloss"
         }
-        fn save_ckpt(&self, _w: &mut CkptWriter) {}
-        fn restore_ckpt(&mut self, _r: &mut CkptReader) -> Result<(), CkptError> {
-            Ok(())
-        }
     }
+    ckpt_fields!(BurstLoss {});
 
     /// The regression behind SACK: a burst of losses from one window must
     /// heal in a handful of RTTs, not one hole per RTT (200 holes at
@@ -1306,13 +1177,8 @@ mod tests {
         fn steady_state_window(&self, p: f64, rtt: Duration) -> Option<f64> {
             self.inner.steady_state_window(p, rtt)
         }
-        fn save_ckpt(&self, w: &mut CkptWriter) {
-            self.inner.save_ckpt(w);
-        }
-        fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-            self.inner.restore_ckpt(r)
-        }
     }
+    ckpt_fields!(SpyCc { inner });
 
     /// RFC 3168: under continuous CE marking, the Classic sender must
     /// react at most once per round trip, not once per mark.
@@ -1739,13 +1605,8 @@ mod tests {
                 .count();
             assert_eq!(src.pipe(), in_network as u64);
         }
-        fn save_ckpt(&self, w: &mut CkptWriter) {
-            self.inner.save_ckpt(w);
-        }
-        fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-            self.inner.restore_ckpt(r)
-        }
     }
+    ckpt_fields!(Checked { inner });
 
     /// A lossy bottleneck under a path that loses, duplicates and
     /// reorders in both directions: after every ACK the scoreboard is what

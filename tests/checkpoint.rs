@@ -26,8 +26,9 @@ use pi2::experiments::runner::par_map_threads;
 use pi2::experiments::{AqmKind, BgGroup, FlowGroup, FluidBackground, Scenario};
 use pi2::netsim::{AuditSink, Event, JsonlSink, Qdisc, QueueSnapshot, TimerKind};
 use pi2::prelude::*;
-use pi2::simcore::{CkptError, CkptWriter};
+use pi2::simcore::{Ckpt, CkptError, CkptWriter};
 use std::cell::RefCell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 /// One cell of the oracle grid.
@@ -93,12 +94,9 @@ impl Aqm for Outage {
     fn name(&self) -> &'static str {
         "outage"
     }
-    // The window is configuration; there is no state to carry.
-    fn save_ckpt(&self, _: &mut CkptWriter) {}
-    fn restore_ckpt(&mut self, _: &mut pi2::simcore::CkptReader) -> Result<(), CkptError> {
-        Ok(())
-    }
 }
+// The window is configuration; there is no state to carry.
+pi2::simcore::ckpt_fields!(Outage {});
 
 /// A small two-class fluid background for the hybrid cells.
 fn background(aqm: &str) -> FluidBackground {
@@ -359,6 +357,11 @@ fn oracle_with(
     }
     if r_sim.core.now() != t_save {
         return Some(format!("{tag}: restored clock {} != {t_save}", r_sim.core.now()));
+    }
+    // Every field restored is every field saved: the restored sim writes
+    // the blob back byte for byte.
+    if r_sim.save() != blob {
+        return Some(format!("{tag}: re-saving the restored sim changes the blob"));
     }
     r_sim.run_until(t_end);
     let r_obs = observables(r_sim, r_sink);
@@ -898,4 +901,98 @@ fn multihop_restore_rebaselines_the_auditor_at_every_hop() {
         let audit = restored.core.audit().expect("auditor attached");
         assert!(audit.events_seen() > 0 && audit.probes_seen() > 0);
     }
+}
+
+/// A hybrid blob whose background section is damaged is a typed error,
+/// not an abort or a panic: a rate-track length no blob can hold (once an
+/// allocation the process died of), a zero capacity, and a grant that
+/// leaves the foreground no capacity (the foreground rate is the
+/// capacity minus the grant).
+#[test]
+fn a_damaged_background_section_is_a_typed_error() {
+    let cell = Cell { aqm: "pi2", mix: "hybrid", seed: 24 };
+    let mut sim = build_sim(&cell);
+    sim.run_until(Time::from_millis(700));
+    let blob = sim.save();
+    let bg = sim.background().expect("a hybrid cell");
+    assert!(!bg.series.is_empty() && bg.applied_bps > 0);
+    // The background is the blob's last section: capacity, grant, served
+    // bytes, ticks, then the rate track's length.
+    let mut w = CkptWriter::new();
+    bg.save_ckpt(&mut w);
+    let at = blob.len() - w.len();
+    let with = |field: usize, v: u64| {
+        let mut bad = blob.clone();
+        bad[at + 8 * field..at + 8 * field + 8].copy_from_slice(&v.to_le_bytes());
+        build_sim(&cell).restore(&bad)
+    };
+    assert_eq!(with(4, 1 << 40), Err(CkptError::Truncated));
+    assert!(matches!(with(0, 0), Err(CkptError::Corrupt(_))));
+    assert!(matches!(with(1, bg.capacity_bps), Err(CkptError::Corrupt(_))));
+    assert!(matches!(with(1, bg.grant_ceiling() + 1), Err(CkptError::Corrupt(_))));
+    build_sim(&cell).restore(&blob).expect("the untouched blob restores");
+}
+
+/// Damaged blobs are errors, never panics. Three small real blobs — a
+/// single-hop PI2 cell with the metrics registry, the DualPI2 multi-hop
+/// cell and a hybrid cell — are cut at every length, which must be an
+/// error, and have single bytes flipped, which must restore or be an
+/// error. Every byte of the first `HEAD` is flipped (the header, the
+/// event list and the pools sit there); past it, every `STRIDE`-th. A
+/// flip may restore silently: the blob carries no checksum.
+#[test]
+fn damaged_blobs_are_errors_not_panics() {
+    const HEAD: usize = 2048;
+    const STRIDE: usize = 7;
+    let cells = [
+        (Cell { aqm: "pi2", mix: "classic", seed: 11 }, true),
+        (Cell { aqm: "dualq", mix: "multihop", seed: 23 }, false),
+        (Cell { aqm: "pi2", mix: "hybrid", seed: 24 }, false),
+    ];
+    let failures: Vec<String> = par_map_threads(3, &cells, |&(cell, metrics)| {
+        let tag = format!("{}×{}", cell.aqm, cell.mix);
+        let build = || {
+            let mut sim = build_sim(&cell);
+            if metrics {
+                sim.core.enable_metrics();
+            }
+            sim
+        };
+        let mut sim = build();
+        sim.run_until(Time::from_millis(200));
+        let blob = sim.save();
+        // A panic leaves the target half-restored: rebuild it.
+        let mut target = build();
+        let mut restore = |bytes: &[u8]| {
+            let res = catch_unwind(AssertUnwindSafe(|| target.restore(bytes)));
+            if res.is_err() {
+                target = build();
+            }
+            res
+        };
+        let mut failures = Vec::new();
+        for len in 0..blob.len() {
+            match restore(&blob[..len]) {
+                Ok(Err(_)) => {}
+                Ok(Ok(())) => failures.push(format!("{tag}: cut to {len} bytes restores")),
+                Err(_) => failures.push(format!("{tag}: cut to {len} bytes panics")),
+            }
+        }
+        let offsets = (0..HEAD.min(blob.len())).chain((HEAD..blob.len()).step_by(STRIDE));
+        for at in offsets {
+            for flip in [0x01u8, 0x80] {
+                let mut bad = blob.clone();
+                bad[at] ^= flip;
+                if restore(&bad).is_err() {
+                    failures.push(format!("{tag}: byte {at} ^ {flip:#04x} panics"));
+                }
+            }
+        }
+        assert!(matches!(restore(&blob), Ok(Ok(()))), "{tag}: the untouched blob restores");
+        failures
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }

@@ -132,16 +132,8 @@ impl CongestionControl for SpyReno {
     fn steady_state_window(&self, p: f64, rtt: Duration) -> Option<f64> {
         self.inner.steady_state_window(p, rtt)
     }
-    fn save_ckpt(&self, w: &mut pi2::simcore::CkptWriter) {
-        self.inner.save_ckpt(w);
-    }
-    fn restore_ckpt(
-        &mut self,
-        r: &mut pi2::simcore::CkptReader,
-    ) -> Result<(), pi2::simcore::CkptError> {
-        self.inner.restore_ckpt(r)
-    }
 }
+pi2::simcore::ckpt_fields!(SpyReno { inner });
 
 fn sim(rate_bps: u64, buffer_bytes: usize, seed: u64, aqm: Box<dyn Aqm>) -> Sim {
     Sim::new(

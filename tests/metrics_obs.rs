@@ -1,7 +1,6 @@
 //! Observability integration tests: the metrics registry and the
 //! event-loop profiler are pure observers (a metered run is bit-identical
-//! to a bare one), per-worker registries merge deterministically for any
-//! thread count, exports pass their own lints, and an invariant
+//! to a bare one), exports pass their own lints, and an invariant
 //! violation dumps the flight recorder next to the replay seed.
 
 use pi2::netsim::aqm::QueueSnapshot;
@@ -130,41 +129,6 @@ fn exports_from_a_real_run_validate() {
     }
 }
 
-/// Per-worker registries merged in item order are byte-identical for any
-/// thread count — the sweep-level analogue of the runner's determinism
-/// guarantee, exercised through the public experiments API.
-#[test]
-fn merged_snapshot_identical_across_thread_counts() {
-    use pi2::experiments::runner::{merged_metrics, run_all_threads};
-    use pi2::experiments::scenario::{AqmKind, FlowGroup, Scenario};
-    let scenarios: Vec<Scenario> = (0..3)
-        .map(|i| {
-            let mut sc = Scenario::new(AqmKind::pi2_default(), 4_000_000);
-            sc.tcp.push(FlowGroup::new(
-                1,
-                CcKind::Reno,
-                EcnSetting::NotEcn,
-                "reno",
-                Duration::from_millis(20),
-            ));
-            sc.duration = Time::from_secs(3);
-            sc.warmup = Duration::from_secs(1);
-            sc.seed = 700 + i;
-            sc
-        })
-        .collect();
-    let snapshot = |threads: usize| {
-        let results = run_all_threads(threads, &scenarios);
-        merged_metrics(&results)
-            .expect("scenario runs carry metrics")
-            .registry()
-            .to_json()
-    };
-    let serial = snapshot(1);
-    assert_eq!(serial, snapshot(2));
-    assert_eq!(serial, snapshot(4));
-}
-
 /// An AQM that reports an out-of-range drop probability after admitting
 /// some traffic — enough history for the flight recorder to be worth
 /// dumping when the auditor trips over it.
@@ -191,14 +155,8 @@ impl Aqm for BrokenAqm {
     fn name(&self) -> &'static str {
         "broken"
     }
-    fn save_ckpt(&self, _w: &mut pi2::simcore::CkptWriter) {}
-    fn restore_ckpt(
-        &mut self,
-        _r: &mut pi2::simcore::CkptReader,
-    ) -> Result<(), pi2::simcore::CkptError> {
-        Ok(())
-    }
 }
+pi2::simcore::ckpt_fields!(BrokenAqm {});
 
 /// The acceptance scenario for the flight recorder: a deliberately broken
 /// AQM trips the auditor, the panic names the dump file, and that file
@@ -306,14 +264,8 @@ impl pi2::netsim::Qdisc for LyingQdisc {
     fn control_variable(&self) -> f64 {
         self.inner.control_variable()
     }
-    fn save_ckpt(&self, _w: &mut pi2::simcore::CkptWriter) {}
-    fn restore_ckpt(
-        &mut self,
-        _r: &mut pi2::simcore::CkptReader,
-    ) -> Result<(), pi2::simcore::CkptError> {
-        Ok(())
-    }
 }
+pi2::simcore::ckpt_fields!(LyingQdisc {});
 
 /// Every link of the broken-hop parking lot.
 const LOT_QUEUE: QueueConfig = QueueConfig {

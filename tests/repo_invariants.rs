@@ -142,6 +142,27 @@ const RULES: &[Rule] = &[
               pi2fig row, PIE's ECN rule has one value, DESIGN.md's surface table names \
               the reader of everything that stayed)",
     },
+    Rule {
+        needles: &[
+            "write_opt",
+            "read_opt",
+            "write_seqset",
+            "read_seqset",
+            "write_rangeset",
+            "read_rangeset",
+            "write_packet",
+            "read_packet",
+            "write_ack",
+            "read_ack",
+            "merged_metrics",
+        ],
+        roots: &["crates", "tests", "examples", "src"],
+        allowed: &["tests/repo_invariants.rs"],
+        up_to: None,
+        why: "one checkpoint codec: each encoding shape is a Ckpt impl in simcore::ckpt or \
+              in the payload's own module, and a field-list layout is stated once through \
+              ckpt_fields!; a fold of run registries no reader called is not kept",
+    },
 ];
 
 /// Shared by the two rows that keep the PI loop and the qdiscs' parts single.

@@ -251,17 +251,9 @@ impl Aqm for BurstThenOutage {
     fn name(&self) -> &'static str {
         "burst-then-outage"
     }
-
-    // Never checkpointed: the run that uses it goes straight through.
-    fn save_ckpt(&self, _w: &mut pi2::simcore::CkptWriter) {}
-
-    fn restore_ckpt(
-        &mut self,
-        _r: &mut pi2::simcore::CkptReader,
-    ) -> Result<(), pi2::simcore::CkptError> {
-        Ok(())
-    }
 }
+// Never checkpointed: the run that uses it goes straight through.
+pi2::simcore::ckpt_fields!(BurstThenOutage {});
 
 /// Reno that logs its congestion events: `'l'` for a loss reaction (the
 /// entry into recovery), `'r'` for a timeout.
@@ -294,16 +286,8 @@ impl CongestionControl for SpyReno {
     fn steady_state_window(&self, p: f64, rtt: Duration) -> Option<f64> {
         self.inner.steady_state_window(p, rtt)
     }
-    fn save_ckpt(&self, w: &mut pi2::simcore::CkptWriter) {
-        self.inner.save_ckpt(w);
-    }
-    fn restore_ckpt(
-        &mut self,
-        r: &mut pi2::simcore::CkptReader,
-    ) -> Result<(), pi2::simcore::CkptError> {
-        self.inner.restore_ckpt(r)
-    }
 }
+pi2::simcore::ckpt_fields!(SpyReno { inner });
 
 /// A timeout with the scoreboard full: the sender drops all three sets
 /// and rebuilds them from the blocks the receiver still reports.

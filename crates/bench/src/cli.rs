@@ -7,8 +7,7 @@
 //! errors.
 
 use pi2_aqm::{
-    CodelConfig, CoupledPi2Config, CurvyRedConfig, DualPi2Config, FqConfig, Pi2Config, PiConfig,
-    PieConfig, RedConfig,
+    CoupledPi2Config, CurvyRedConfig, DualPi2Config, FqConfig, Pi2Config, PiConfig, PieConfig,
 };
 use pi2_experiments::dynamics::{self, Disturbance};
 use pi2_experiments::topology::{self, TopologyKind};
@@ -50,8 +49,6 @@ pub struct CliArgs {
     pub warmup_secs: u64,
     /// RNG seed.
     pub seed: u64,
-    /// AQM delay target.
-    pub target: Duration,
     /// Emit the queue-delay time series as CSV on stdout.
     pub csv: bool,
     /// Attach the runtime invariant auditor ([`pi2_netsim::AuditSink`])
@@ -126,28 +123,21 @@ pub enum MetricsFormat {
     Prom,
 }
 
-/// A `--aqm` name and the configuration `--target` and `--rate` give it.
-pub type AqmRow = (&'static str, fn(&CliArgs) -> AqmKind);
+/// A `--aqm` name and the AQM it builds, at the Table 1 defaults the
+/// figures use, for a link of the given rate in bits/s.
+pub type AqmRow = (&'static str, fn(u64) -> AqmKind);
 
 /// The `--aqm` table: every name `pi2sim` accepts.
 pub const AQMS: &[AqmRow] = &[
-    ("pi2", |a| AqmKind::Pi2(Pi2Config { target: a.target, ..Pi2Config::default() })),
-    ("pie", |a| AqmKind::Pie(PieConfig { target: a.target, ..PieConfig::paper_default() })),
-    ("bare-pie", |a| AqmKind::Pie(PieConfig { target: a.target, ..PieConfig::bare() })),
-    ("pi", |a| AqmKind::Pi(PiConfig { target: a.target, ..PiConfig::untuned_pie_gains() })),
-    ("coupled", |a| {
-        AqmKind::Coupled(CoupledPi2Config { target: a.target, ..CoupledPi2Config::default() })
-    }),
-    ("red", |a| AqmKind::Red(RedConfig::for_link(a.rate_bps, a.target / 2, a.target * 3))),
-    ("codel", |a| AqmKind::Codel(CodelConfig { target: a.target / 4, ..CodelConfig::default() })),
-    ("curvy", |a| {
-        AqmKind::Curvy(CurvyRedConfig { range: a.target * 3, ..CurvyRedConfig::default() })
-    }),
+    ("pi2", |_| AqmKind::Pi2(Pi2Config::default())),
+    ("pie", |_| AqmKind::Pie(PieConfig::paper_default())),
+    ("bare-pie", |_| AqmKind::Pie(PieConfig::bare())),
+    ("pi", |_| AqmKind::Pi(PiConfig::untuned_pie_gains())),
+    ("coupled", |_| AqmKind::Coupled(CoupledPi2Config::default())),
+    ("curvy", |_| AqmKind::Curvy(CurvyRedConfig::default())),
     ("taildrop", |_| AqmKind::TailDrop),
-    ("dualq", |a| {
-        AqmKind::DualQ(DualPi2Config { target: a.target, ..DualPi2Config::for_link(a.rate_bps) })
-    }),
-    ("fq", |a| AqmKind::Fq(FqConfig::for_link(a.rate_bps))),
+    ("dualq", |rate_bps| AqmKind::DualQ(DualPi2Config::for_link(rate_bps))),
+    ("fq", |rate_bps| AqmKind::Fq(FqConfig::for_link(rate_bps))),
 ];
 
 /// The `--aqm` names, in table order.
@@ -161,14 +151,14 @@ fn cell_names() -> Vec<String> {
 }
 
 impl CliArgs {
-    /// The AQM `--aqm`, `--target` and `--rate` describe.
+    /// The AQM `--aqm` and `--rate` describe.
     ///
     /// # Panics
     /// If `aqm` was set by hand to a name [`AQMS`] does not list
     /// ([`parse_args`] refuses those).
     pub fn aqm_kind(&self) -> AqmKind {
         let row = AQMS.iter().find(|(name, _)| *name == self.aqm);
-        row.unwrap_or_else(|| panic!("no --aqm named '{}'", self.aqm)).1(self)
+        row.unwrap_or_else(|| panic!("no --aqm named '{}'", self.aqm)).1(self.rate_bps)
     }
 }
 
@@ -188,7 +178,6 @@ impl Default for CliArgs {
             secs: 60,
             warmup_secs: 10,
             seed: 1,
-            target: Duration::from_millis(20),
             csv: false,
             audit: false,
             trace_out: None,
@@ -484,7 +473,6 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
                     .parse()
                     .map_err(|_| "bad --seed".to_string())?
             }
-            "--target" => out.target = parse_time(value("--target")?)?,
             "--csv" => out.csv = true,
             "--audit" => out.audit = true,
             "--trace-out" => out.trace_out = Some(value("--trace-out")?.clone()),
@@ -593,7 +581,6 @@ pub fn usage() -> String {
          \x20 --secs <n>        run length (default 60)\n\
          \x20 --warmup <n>      warm-up excluded from stats (default 10)\n\
          \x20 --seed <n>        RNG seed (default 1)\n\
-         \x20 --target <time>   AQM delay target (default 20ms)\n\
          \x20 --csv             also print the (t, queue delay ms) series as CSV\n\
          \x20 --audit           attach the invariant auditor (always on in debug\n\
          \x20                   builds; env PI2_AUDIT=1/0 overrides either way)\n\
@@ -608,9 +595,9 @@ pub fn usage() -> String {
          \x20 --scenario <cell> run one cell of a scenario family, not the dumbbell:\n\
          \x20                   {}\n\
          \x20                   The cell fixes link, flows and run length; --aqm,\n\
-         \x20                   --target, --seed, the weather and every observer\n\
-         \x20                   apply, and its row of the family table follows the\n\
-         \x20                   report. The tables: pi2fig ext_dynamics|ext_topology\n\
+         \x20                   --seed, the weather and every observer apply, and\n\
+         \x20                   its row of the family table follows the report.\n\
+         \x20                   The tables: pi2fig ext_dynamics|ext_topology\n\
          \x20 --loss <p>        network weather: random loss probability (0.01 or 1%)\n\
          \x20 --dup <p>         network weather: duplication probability\n\
          \x20 --jitter <time>   network weather: max reordering jitter, e.g. 5ms\n\

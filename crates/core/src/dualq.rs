@@ -30,7 +30,7 @@ use pi2_simcore::{ckpt_fields, Duration, Rng, Time};
 /// DualPI2 configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct DualPi2Config {
-    /// Link rate in bits/s.
+    /// Link rate in bits/s; it also sets the native L ramp's floor.
     pub rate_bps: u64,
     /// Shared physical buffer in bytes.
     pub buffer_bytes: usize,
@@ -44,10 +44,6 @@ pub struct DualPi2Config {
     pub beta_hz: f64,
     /// Coupling factor: L marking probability is `k·p'`.
     pub k: f64,
-    /// Native L-queue ramp: marking begins at this sojourn...
-    pub l_ramp_min: Duration,
-    /// ...and reaches probability 1 at this sojourn.
-    pub l_ramp_max: Duration,
     /// Scheduler time shift credited to the L queue's head.
     pub time_shift: Duration,
     /// Squaring implementation for the Classic decision.
@@ -56,15 +52,9 @@ pub struct DualPi2Config {
 
 impl DualPi2Config {
     /// Defaults for a given link: paper Table 1 parameters on the Classic
-    /// side, a 1–2 ms native ramp and a 2·target time shift on the L side.
-    ///
-    /// On slow links a 1 ms threshold would be less than a couple of
-    /// packets' serialization time — too shallow for a Scalable control to
-    /// fill the pipe — so, as RFC 9332 prescribes, the ramp is floored at
-    /// two MTU serialization times.
+    /// side and a 2·target time shift on the L side (the native ramp is
+    /// [`DualPi2::new`]'s, from `rate_bps`).
     pub fn for_link(rate_bps: u64) -> Self {
-        let two_mtu = Duration::serialization(2 * 1500, rate_bps);
-        let ramp_min = Duration::from_millis(1).max(two_mtu);
         let gains = PiGains::pi2();
         DualPi2Config {
             rate_bps,
@@ -74,8 +64,6 @@ impl DualPi2Config {
             alpha_hz: gains.alpha,
             beta_hz: gains.beta,
             k: 2.0,
-            l_ramp_min: ramp_min,
-            l_ramp_max: ramp_min * 2,
             time_shift: Duration::from_millis(40),
             square_mode: SquareMode::Multiply,
         }
@@ -110,12 +98,21 @@ pub struct DualPi2 {
     /// The queue whose head is on the wire (`true` = L), from
     /// [`Qdisc::start_tx`] until the [`Qdisc::pop`] that sends it.
     on_wire: Option<bool>,
+    /// The native L ramp, seconds of L sojourn: marking begins at the
+    /// first and reaches probability 1 at the second.
+    ramp: (f64, f64),
 }
 
 impl DualPi2 {
-    /// Build a DualPI2 qdisc.
+    /// Build a DualPI2 qdisc with a 1–2 ms native ramp for `cfg.rate_bps`.
+    ///
+    /// On slow links a 1 ms threshold would be less than a couple of
+    /// packets' serialization time — too shallow for a Scalable control to
+    /// fill the pipe — so, as RFC 9332 prescribes, the ramp is floored at
+    /// two MTU serialization times of the link it is built for.
     pub fn new(cfg: DualPi2Config) -> Self {
-        assert!(cfg.l_ramp_min < cfg.l_ramp_max);
+        let two_mtu = Duration::serialization(2 * 1500, cfg.rate_bps);
+        let ramp_min = Duration::from_millis(1).max(two_mtu);
         DualPi2 {
             core: PiCore::new(cfg.alpha_hz, cfg.beta_hz, cfg.target, cfg.t_update),
             law: OutputLaw::Squared {
@@ -129,6 +126,7 @@ impl DualPi2 {
             c: Fifo::with_capacity(1024),
             link: Link::new(cfg.rate_bps, cfg.buffer_bytes),
             on_wire: None,
+            ramp: (ramp_min.as_secs_f64(), (ramp_min * 2).as_secs_f64()),
             cfg,
         }
     }
@@ -151,8 +149,7 @@ impl DualPi2 {
 
     /// The native L ramp probability for the given sojourn.
     fn ramp(&self, sojourn: Duration) -> f64 {
-        let lo = self.cfg.l_ramp_min.as_secs_f64();
-        let hi = self.cfg.l_ramp_max.as_secs_f64();
+        let (lo, hi) = self.ramp;
         let x = sojourn.as_secs_f64();
         ((x - lo) / (hi - lo)).clamp(0.0, 1.0)
     }

@@ -16,13 +16,13 @@
 //!   (`Squared` with a Scalable class: Figure 9's single queue, `p'` for
 //!   Scalable and `(p'/k)²` for Classic traffic, k = 2);
 //! * [`Pie`] — the Linux/RFC 8033 PIE baseline with the stepwise "tune"
-//!   auto-scaling of Figure 5 and every heuristic individually switchable
-//!   (all off = the paper's "bare-PIE");
+//!   auto-scaling of Figure 5 and its heuristics behind one switch (off =
+//!   the paper's "bare-PIE");
 //! * [`DualPi2`] — the two-queue DualQ Coupled extension (the paper's
 //!   Section 7 destination, the RFC 9332 direction): near-priority
 //!   L queue with native ramp marking, C queue under PI2's law;
-//! * baselines and comparators: [`Red`], [`Codel`], [`CurvyRed`] (the
-//!   DualQ draft's example AQM), [`FqDrr`] per-flow queuing,
+//! * baselines and comparators: [`CurvyRed`] (the DualQ draft's example
+//!   AQM), [`FqDrr`] per-flow queuing,
 //!   [`StepMark`] (the original DCTCP step threshold, for the
 //!   eq. (11)/(12) exponent demonstration), and [`FixedProb`] for
 //!   steady-state law validation.
@@ -35,7 +35,6 @@
 //! `tests/qdisc_conformance.rs`) hold every policy to the same
 //! behavioural contracts.
 
-pub mod codel;
 pub mod coupled;
 pub mod curvy;
 pub mod dualq;
@@ -45,10 +44,8 @@ pub mod estimator;
 pub mod pi;
 pub mod pi2;
 pub mod pie;
-pub mod red;
 pub mod step;
 
-pub use codel::{Codel, CodelConfig};
 pub use coupled::{CoupledPi2, CoupledPi2Config};
 pub use curvy::{CurvyRed, CurvyRedConfig};
 pub use dualq::{DualPi2, DualPi2Config};
@@ -58,5 +55,4 @@ pub use fq::{FqConfig, FqDrr};
 pub use pi::{Pi, PiAqm, PiConfig, PiCore};
 pub use pi2::{Pi2, Pi2Config, SquareMode};
 pub use pie::{Pie, PieConfig};
-pub use red::{Red, RedConfig};
 pub use step::{StepMark, StepMarkConfig};

@@ -5,9 +5,12 @@
 //! scaling Δp with a stepwise "tune" lookup table (the one copy,
 //! [`pi2_fluid::law::tune_factor`]) — the table Figure 5 shows tracking
 //! `√(2p)`. On top of that the Linux implementation carries the
-//! heuristics listed in Section 5 of the paper;
-//! the four that full and bare PIE differ in are switchable here (the tune
-//! table and the idle decay of `p` are always on):
+//! heuristics listed in Section 5 of the paper. The four that full and
+//! bare PIE differ in — the burst allowance, no signal under light load,
+//! the 2 % cap on Δp at high `p` and the fixed 2 % step above 250 ms —
+//! are one switch here, [`PieConfig::heuristics`], because every caller
+//! sets them together (the tune table and the idle decay of `p` are
+//! always on):
 //!
 //! * [`PieConfig::paper_default`] — full Linux PIE with its drop-ECN-above-
 //!   10 % rule reworked away, as in the paper's evaluation: an ECT packet
@@ -19,6 +22,10 @@ use crate::pi::PiCore;
 use pi2_fluid::law::{tune_factor, PiGains};
 use pi2_netsim::{Aqm, AqmState, Decision, Packet, QueueSnapshot};
 use pi2_simcore::{ckpt_fields, Duration, Rng, Time};
+
+/// The burst allowance (Table 1: 100 ms): after a quiet spell, PIE passes
+/// every packet until this much time has gone by.
+pub const MAX_BURST: Duration = Duration::from_millis(100);
 
 /// PIE configuration. Field defaults follow the paper's Table 1 where the
 /// paper specifies a value, and RFC 8033 / Linux otherwise.
@@ -32,15 +39,11 @@ pub struct PieConfig {
     pub alpha_hz: f64,
     /// Proportional gain β (Table 1: 20/16 Hz).
     pub beta_hz: f64,
-    /// Burst allowance (Table 1: 100 ms); `None` disables the heuristic.
-    pub max_burst: Option<Duration>,
-    /// Heuristic: no drop/mark while `p < 20 %` and the delay estimate is
-    /// below half the target.
-    pub suppress_when_light: bool,
-    /// Heuristic: clamp Δp to 2 % while `p > 10 %`.
-    pub clamp_delta: bool,
-    /// Heuristic: force Δp = 2 % when the delay estimate exceeds 250 ms.
-    pub qdelay_high_rule: bool,
+    /// The Linux heuristics: a [`MAX_BURST`] allowance after a quiet
+    /// spell; no drop/mark while `p < 20 %` and the delay estimate is
+    /// below half the target; Δp capped at 2 % while `p ≥ 10 %`; Δp forced
+    /// to 2 % when the delay estimate exceeds 250 ms.
+    pub heuristics: bool,
     /// Queue-delay estimation strategy (Linux PIE: departure-rate).
     pub estimator: DelayEstimator,
 }
@@ -57,10 +60,7 @@ impl PieConfig {
             t_update: Duration::from_millis(32),
             alpha_hz: gains.alpha,
             beta_hz: gains.beta,
-            max_burst: Some(Duration::from_millis(100)),
-            suppress_when_light: true,
-            clamp_delta: true,
-            qdelay_high_rule: true,
+            heuristics: true,
             estimator: DelayEstimator::linux_default(),
         }
     }
@@ -70,10 +70,7 @@ impl PieConfig {
     /// were indistinguishable in all its experiments.
     pub fn bare() -> Self {
         PieConfig {
-            max_burst: None,
-            suppress_when_light: false,
-            clamp_delta: false,
-            qdelay_high_rule: false,
+            heuristics: false,
             ..PieConfig::paper_default()
         }
     }
@@ -102,7 +99,7 @@ impl Pie {
             cfg,
             core: PiCore::new(cfg.alpha_hz, cfg.beta_hz, cfg.target, cfg.t_update),
             estimator: cfg.estimator,
-            burst_allowance: cfg.max_burst.unwrap_or(Duration::ZERO),
+            burst_allowance: if cfg.heuristics { MAX_BURST } else { Duration::ZERO },
             qdelay: Duration::ZERO,
         }
     }
@@ -131,8 +128,7 @@ impl Aqm for Pie {
         if self.burst_allowance > Duration::ZERO {
             return Decision::pass(p);
         }
-        if self.cfg.suppress_when_light && p < 0.2 && self.core.prev_qdelay() < self.cfg.target / 2
-        {
+        if self.cfg.heuristics && p < 0.2 && self.core.prev_qdelay() < self.cfg.target / 2 {
             return Decision::pass(p);
         }
         // Never drop when the queue holds no more than a couple of packets
@@ -161,11 +157,13 @@ impl Aqm for Pie {
         let p = self.core.p();
 
         let mut delta = self.core.delta(qdelay) * tune_factor(p);
-        if self.cfg.qdelay_high_rule && qdelay > Duration::from_millis(250) {
-            delta = 0.02;
-        }
-        if self.cfg.clamp_delta && p >= 0.1 && delta > 0.02 {
-            delta = 0.02;
+        if self.cfg.heuristics {
+            if qdelay > Duration::from_millis(250) {
+                delta = 0.02;
+            }
+            if p >= 0.1 && delta > 0.02 {
+                delta = 0.02;
+            }
         }
         self.core.integrate(delta, qdelay);
 
@@ -175,7 +173,7 @@ impl Aqm for Pie {
         }
 
         // Burst-allowance bookkeeping (RFC 8033 §4.2).
-        if let Some(max_burst) = self.cfg.max_burst {
+        if self.cfg.heuristics {
             if self.burst_allowance > Duration::ZERO {
                 self.burst_allowance =
                     (self.burst_allowance - self.cfg.t_update).max(Duration::ZERO);
@@ -184,7 +182,7 @@ impl Aqm for Pie {
                 && qdelay < self.cfg.target / 2
                 && qdelay_old < self.cfg.target / 2
             {
-                self.burst_allowance = max_burst;
+                self.burst_allowance = MAX_BURST;
             }
         }
         self.qdelay = qdelay;
@@ -238,23 +236,35 @@ mod tests {
         }
     }
 
-    fn pie_with_p(p: f64) -> Pie {
-        let mut pie = Pie::new(PieConfig {
-            max_burst: None,
-            suppress_when_light: false,
+    fn pie(cfg: PieConfig) -> Pie {
+        Pie::new(PieConfig {
             estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::paper_default()
-        });
+            ..cfg
+        })
+    }
+
+    fn bare_with_p(p: f64) -> Pie {
+        let mut pie = pie(PieConfig::bare());
         pie.core.set_p(p);
+        pie
+    }
+
+    /// Full PIE whose burst allowance has run out: four updates at 60 ms
+    /// (above half the target, so it is not refilled) drain 100 ms in
+    /// 32 ms steps.
+    fn full_past_its_burst_allowance() -> Pie {
+        let mut pie = pie(PieConfig::paper_default());
+        for _ in 0..4 {
+            pie.update(&snap(75_000), Time::ZERO);
+        }
+        assert_eq!(pie.probe().burst_allowance, Duration::ZERO);
         pie
     }
 
     #[test]
     fn burst_allowance_suppresses_early_drops() {
-        let mut pie = Pie::new(PieConfig {
-            estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::paper_default()
-        });
+        let mut pie = pie(PieConfig::paper_default());
+        // p ≥ 20 %: the light-load rule cannot be what passes them.
         pie.core.set_p(0.9);
         let mut rng = Rng::new(1);
         let pkt = Packet::data(FlowId(0), 0, 1500, Ecn::NotEct, Time::ZERO);
@@ -266,11 +276,7 @@ mod tests {
 
     #[test]
     fn burst_allowance_expires_after_updates() {
-        let mut pie = Pie::new(PieConfig {
-            suppress_when_light: false,
-            estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::paper_default()
-        });
+        let mut pie = pie(PieConfig::paper_default());
         // 100 ms / 32 ms = 4 updates to drain; keep qdelay high so it is
         // not refilled and p grows.
         for _ in 0..5 {
@@ -285,13 +291,13 @@ mod tests {
 
     #[test]
     fn light_load_suppression_rule() {
-        let mut pie = Pie::new(PieConfig {
-            max_burst: None,
-            estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::paper_default()
-        });
+        let mut pie = full_past_its_burst_allowance();
+        // An empty queue at the next update makes the previous delay zero
+        // (< target/2); p is non-zero, so the allowance is not refilled.
+        pie.update(&snap(0), Time::ZERO);
+        assert_eq!(pie.probe().burst_allowance, Duration::ZERO);
         pie.core.set_p(0.19);
-        // prev_qdelay is zero (< target/2), p < 0.2 -> no drops at all.
+        // p < 0.2 and a light previous delay -> no drops at all.
         let mut rng = Rng::new(1);
         let pkt = Packet::data(FlowId(0), 0, 1500, Ecn::NotEct, Time::ZERO);
         for _ in 0..1000 {
@@ -302,13 +308,7 @@ mod tests {
 
     #[test]
     fn paper_rework_always_marks_ect() {
-        let mut pie = Pie::new(PieConfig {
-            max_burst: None,
-            suppress_when_light: false,
-            estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::paper_default()
-        });
-        pie.core.set_p(0.9);
+        let mut pie = bare_with_p(0.9);
         let mut rng = Rng::new(1);
         let ect = Packet::data(FlowId(0), 0, 1500, Ecn::Ect1, Time::ZERO);
         for _ in 0..1000 {
@@ -319,7 +319,7 @@ mod tests {
 
     #[test]
     fn tiny_queue_never_dropped() {
-        let mut pie = pie_with_p(1.0);
+        let mut pie = bare_with_p(1.0);
         let mut rng = Rng::new(1);
         let pkt = Packet::data(FlowId(0), 0, 1500, Ecn::NotEct, Time::ZERO);
         let d = pie.on_enqueue(&pkt, &snap(3000), Time::ZERO, &mut rng); // 2 pkts
@@ -328,30 +328,24 @@ mod tests {
 
     #[test]
     fn delta_clamp_limits_growth_at_high_p() {
-        let mut pie = Pie::new(PieConfig {
-            max_burst: None,
-            suppress_when_light: false,
-            qdelay_high_rule: false,
-            estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::paper_default()
-        });
-        pie.core.set_p(0.5);
-        // Enormous delay: unclamped delta would exceed 2%.
-        pie.update(&snap(2_000_000), Time::ZERO);
-        assert!(pie.prob() <= 0.52 + 1e-9, "p jumped to {}", pie.prob());
+        // 240 ms of backlog at 10 Mb/s: a large step, but under the 250 ms
+        // of the fixed-step rule, so only the clamp can hold it to 2 %.
+        let s = snap(300_000);
+        let mut full = pie(PieConfig::paper_default());
+        full.core.set_p(0.5);
+        full.update(&s, Time::ZERO);
+        assert!(full.prob() <= 0.52 + 1e-9, "p jumped to {}", full.prob());
+        let mut bare = bare_with_p(0.5);
+        bare.update(&s, Time::ZERO);
+        assert!(bare.prob() > 0.52, "unclamped step was only {}", bare.prob() - 0.5);
     }
 
     #[test]
-    fn qdelay_high_rule_forces_two_percent_steps() {
+    fn a_delay_above_250ms_forces_two_percent_steps() {
         // Heuristic 5: when the delay estimate exceeds 250 ms, Δp is set
-        // to 2% regardless of what eq. (4) would produce.
-        let mut pie = Pie::new(PieConfig {
-            max_burst: None,
-            suppress_when_light: false,
-            clamp_delta: false,
-            estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::paper_default()
-        });
+        // to 2% regardless of what eq. (4) would produce. p stays under
+        // 10 %, so the clamp has no part in it.
+        let mut pie = pie(PieConfig::paper_default());
         // 400 ms of backlog at 10 Mb/s = 500 kB.
         pie.update(&snap(500_000), Time::ZERO);
         assert!((pie.prob() - 0.02).abs() < 1e-12, "p = {}", pie.prob());
@@ -359,27 +353,14 @@ mod tests {
         assert!((pie.prob() - 0.04).abs() < 1e-12, "p = {}", pie.prob());
         // Without the rule, the same state produces a (tuned) eq.-(4)
         // delta instead.
-        let mut bare = Pie::new(PieConfig {
-            max_burst: None,
-            suppress_when_light: false,
-            clamp_delta: false,
-            qdelay_high_rule: false,
-            estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::paper_default()
-        });
+        let mut bare = bare_with_p(0.0);
         bare.update(&snap(500_000), Time::ZERO);
         assert!(bare.prob() != 0.02);
     }
 
     #[test]
     fn an_idle_queue_drains_p() {
-        let mut pie = Pie::new(PieConfig {
-            max_burst: None,
-            suppress_when_light: false,
-            estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::paper_default()
-        });
-        pie.core.set_p(0.4);
+        let mut pie = bare_with_p(0.4);
         pie.update(&snap(0), Time::ZERO); // sets prev=0
         let p1 = pie.prob();
         pie.update(&snap(0), Time::ZERO); // second idle update: decay
@@ -391,12 +372,7 @@ mod tests {
     fn auto_tune_slows_growth_at_low_p() {
         // Same queue state and gains at p≈0: PIE, and PIE with the table
         // taken out (Figure 6's `pi`).
-        let mut tuned = Pie::new(PieConfig {
-            max_burst: None,
-            suppress_when_light: false,
-            estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::paper_default()
-        });
+        let mut tuned = bare_with_p(0.0);
         let mut untuned = Pi::new(PiConfig::untuned_pie_gains());
         let s = snap(75_000); // 60 ms at 10 Mb/s: well above target
         tuned.update(&s, Time::ZERO);
@@ -407,10 +383,7 @@ mod tests {
 
     #[test]
     fn probe_reports_burst_allowance_and_delay() {
-        let mut pie = Pie::new(PieConfig {
-            estimator: DelayEstimator::QlenOverRate,
-            ..PieConfig::paper_default()
-        });
+        let mut pie = pie(PieConfig::paper_default());
         let st = pie.probe();
         assert_eq!(st.burst_allowance, Duration::from_millis(100));
         pie.update(&snap(75_000), Time::ZERO); // 60 ms at 10 Mb/s
@@ -423,10 +396,8 @@ mod tests {
 
     #[test]
     fn bare_pie_has_no_heuristics() {
-        let cfg = PieConfig::bare();
-        assert!(cfg.max_burst.is_none());
-        assert!(!cfg.suppress_when_light);
-        assert!(!cfg.clamp_delta);
-        assert!(!cfg.qdelay_high_rule);
+        assert!(PieConfig::paper_default().heuristics);
+        assert!(!PieConfig::bare().heuristics);
+        assert_eq!(pie(PieConfig::bare()).probe().burst_allowance, Duration::ZERO);
     }
 }

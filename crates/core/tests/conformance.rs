@@ -2,8 +2,8 @@
 //! this crate must uphold, run against each implementation uniformly.
 
 use pi2_aqm::{
-    Codel, CodelConfig, CoupledPi2, CoupledPi2Config, CurvyRed, CurvyRedConfig, Pi, Pi2,
-    Pi2Config, PiConfig, Pie, PieConfig, Red, RedConfig, StepMark, StepMarkConfig,
+    CoupledPi2, CoupledPi2Config, CurvyRed, CurvyRedConfig, Pi, Pi2, Pi2Config, PiConfig, Pie,
+    PieConfig, StepMark, StepMarkConfig,
 };
 use pi2_netsim::{Action, Aqm, Ecn, FlowId, Packet, QueueSnapshot};
 use pi2_simcore::{Duration, Rng, Time};
@@ -15,8 +15,6 @@ fn all_aqms() -> Vec<Box<dyn Aqm>> {
         Box::new(Pie::new(PieConfig::bare())),
         Box::new(Pi::new(PiConfig::default())),
         Box::new(CoupledPi2::new(CoupledPi2Config::default())),
-        Box::new(Red::new(RedConfig::default())),
-        Box::new(Codel::new(CodelConfig::default())),
         Box::new(CurvyRed::new(CurvyRedConfig::default())),
         Box::new(StepMark::new(StepMarkConfig::default())),
     ]

@@ -102,20 +102,14 @@ proptest! {
     }
 
     /// PIE's probability is bounded and its burst allowance never makes it
-    /// negative, for arbitrary delay inputs and heuristic combinations.
+    /// negative, for arbitrary delay inputs, full or bare.
     #[test]
     fn pie_probability_bounded(
         delays_ms in prop::collection::vec(0i64..3_000, 1..300),
-        burst in any::<bool>(),
-        suppress in any::<bool>(),
-        clamp in any::<bool>(),
-        high_rule in any::<bool>(),
+        heuristics in any::<bool>(),
     ) {
         let mut pie = Pie::new(PieConfig {
-            max_burst: burst.then(|| Duration::from_millis(100)),
-            suppress_when_light: suppress,
-            clamp_delta: clamp,
-            qdelay_high_rule: high_rule,
+            heuristics,
             estimator: pi2_aqm::DelayEstimator::QlenOverRate,
             ..PieConfig::paper_default()
         });

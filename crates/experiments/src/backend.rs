@@ -119,8 +119,9 @@ pub struct FluidEncoding {
 /// Which fluid law an AQM is — the one AQM → fluid table, read by both
 /// fluid constructors here and by every model half `pi2-validate` judges.
 /// Derived from the scenario's actual AQM configuration (gains, target,
-/// update interval, coupling), not from presets. RED, CoDel, tail-drop
-/// and FQ have no PI-family fluid model: `Err` names them.
+/// update interval, coupling), not from presets. Curvy RED, tail-drop,
+/// FQ and the fixed and step markers have no PI-family fluid model: `Err`
+/// names them.
 pub fn fluid_encoding(aqm: &AqmKind) -> Result<FluidEncoding, String> {
     use FluidControllerKind::{Direct, Squared, TunedDirect};
     // (encoder, α, β, T, τ₀, coupling k, a distinct Scalable probability)

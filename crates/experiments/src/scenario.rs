@@ -3,9 +3,8 @@
 
 use crate::backend::{Backend, BackgroundRun, BgGroup, FluidBackground};
 use pi2_aqm::{
-    Codel, CodelConfig, CoupledPi2, CoupledPi2Config, CurvyRed, CurvyRedConfig, DualPi2,
-    DualPi2Config, FixedProb, FqConfig, FqDrr, Pi, Pi2, Pi2Config, PiConfig, Pie, PieConfig, Red,
-    RedConfig, StepMark, StepMarkConfig,
+    CoupledPi2, CoupledPi2Config, CurvyRed, CurvyRedConfig, DualPi2, DualPi2Config, FixedProb,
+    FqConfig, FqDrr, Pi, Pi2, Pi2Config, PiConfig, Pie, PieConfig, StepMark, StepMarkConfig,
 };
 use pi2_netsim::{
     Aqm, BottleneckQueue, Ecn, ImpairStats, LinkImpairments, Monitor, MonitorConfig,
@@ -27,10 +26,6 @@ pub enum AqmKind {
     Pi(PiConfig),
     /// The coupled Classic/Scalable single-queue AQM (Figure 9).
     Coupled(CoupledPi2Config),
-    /// RED baseline.
-    Red(RedConfig),
-    /// CoDel baseline.
-    Codel(CodelConfig),
     /// No AQM: tail-drop only.
     TailDrop,
     /// The two-queue DualQ Coupled AQM (Section 7's recommended
@@ -73,8 +68,6 @@ impl AqmKind {
             AqmKind::Pi2(cfg) => Box::new(Pi2::new(*cfg)),
             AqmKind::Pi(cfg) => Box::new(Pi::new(*cfg)),
             AqmKind::Coupled(cfg) => Box::new(CoupledPi2::new(*cfg)),
-            AqmKind::Red(cfg) => Box::new(Red::new(*cfg)),
-            AqmKind::Codel(cfg) => Box::new(Codel::new(*cfg)),
             AqmKind::TailDrop => Box::new(PassAqm),
             AqmKind::Curvy(cfg) => Box::new(CurvyRed::new(*cfg)),
             AqmKind::FixedProb(p) => Box::new(FixedProb::new(*p)),
@@ -90,8 +83,6 @@ impl AqmKind {
             AqmKind::Pi2(_) => "pi2",
             AqmKind::Pi(_) => "pi",
             AqmKind::Coupled(_) => "coupled-pi2",
-            AqmKind::Red(_) => "red",
-            AqmKind::Codel(_) => "codel",
             AqmKind::TailDrop => "taildrop",
             AqmKind::DualQ(_) => "dualpi2",
             AqmKind::Fq(_) => "fq-drr",
@@ -116,8 +107,7 @@ impl AqmKind {
         AqmKind::Coupled(CoupledPi2Config::default())
     }
 
-    /// The default DualQ Coupled AQM sized for `rate_bps` (the ramp
-    /// floor scales with the serialization time of two MTUs).
+    /// The default DualQ Coupled AQM sized for `rate_bps`.
     pub fn dualq_default(rate_bps: u64) -> AqmKind {
         AqmKind::DualQ(DualPi2Config::for_link(rate_bps))
     }
@@ -656,11 +646,11 @@ mod tests {
     #[test]
     fn descriptions_no_simulator_can_be_built_from_are_errors_not_panics() {
         // A hybrid background behind an AQM with no fluid law.
-        let mut sc = Scenario::new(AqmKind::Red(RedConfig::default()), 10_000_000);
+        let mut sc = Scenario::new(AqmKind::Curvy(CurvyRedConfig::default()), 10_000_000);
         sc.backend = Backend::Hybrid;
         sc.background = vec![BgGroup::new(8, CcKind::Reno, Duration::from_millis(50), "bg")];
-        let e = sc.build().err().expect("RED has no fluid law");
-        assert!(e.contains("hybrid backend") && e.contains("red"), "{e}");
+        let e = sc.build().err().expect("Curvy RED has no fluid law");
+        assert!(e.contains("hybrid backend") && e.contains("curvy-red"), "{e}");
         // Hop rates that do not fit the topology, a path it does not have.
         let mut sc = Scenario::new(AqmKind::pi2_default(), 10_000_000);
         sc.topology = Some(Topology::parking_lot(3, Duration::from_millis(5)));
@@ -671,6 +661,26 @@ mod tests {
         g.path = Some("detour".to_string());
         sc.tcp.push(g);
         assert!(sc.build().err().expect("no such path").contains("detour"));
+    }
+
+    /// DualPI2's native ramp is floored for the link it runs on, not the
+    /// one its config was made for: at 40 Mb/s two MTUs take 0.6 ms, so
+    /// the ramp is 1–2 ms, and 1.2 ms of L backlog marks at 0.2 (a ramp
+    /// left at the 20 Mb/s floor, 1.2–2.4 ms, would read 0).
+    #[test]
+    fn dualq_ramp_follows_the_hop_rate() {
+        use pi2_netsim::{FlowId, Packet};
+        let queue = QueueConfig { rate_bps: 40_000_000, buffer_bytes: 40_000 * 1500 };
+        let mut q = AqmKind::dualq_default(20_000_000).build_qdisc(queue);
+        let mut rng = pi2_simcore::Rng::new(1);
+        for seq in 0..4 {
+            let pkt = Packet::data(FlowId(0), seq, 1500, Ecn::Ect1, Time::ZERO);
+            q.offer(pkt, Time::ZERO, &mut rng);
+        }
+        assert_eq!(q.len_bytes(), 6000);
+        let st = q.probe();
+        assert_eq!(st.p_prime, 0.0);
+        assert!((st.scalable_prob - 0.2).abs() < 1e-9, "{}", st.scalable_prob);
     }
 
     #[test]

@@ -17,8 +17,6 @@ fn arb_aqm() -> impl Strategy<Value = AqmKind> {
         Just(AqmKind::pie_default()),
         Just(AqmKind::coupled_default()),
         Just(AqmKind::Pi(pi2_aqm::PiConfig::default())),
-        Just(AqmKind::Red(pi2_aqm::RedConfig::default())),
-        Just(AqmKind::Codel(pi2_aqm::CodelConfig::default())),
         Just(AqmKind::TailDrop),
     ]
 }

@@ -4,14 +4,13 @@
 //! A 1 Mb/s CBR "video call" shares a 10 Mb/s link with four Cubic
 //! uploads. The call's packets ride the same queue, so its end-to-end
 //! latency is base RTT + whatever queue the AQM tolerates. We compare
-//! tail-drop (bufferbloat), RED, PIE and PI2 on the call's per-packet
-//! delay distribution.
+//! tail-drop (bufferbloat), PIE and PI2 on the call's per-packet delay
+//! distribution.
 //!
 //! ```text
 //! cargo run --release --example videocall
 //! ```
 
-use pi2::aqm::{Codel, CodelConfig, PieConfig, RedConfig};
 use pi2::prelude::*;
 
 fn run(aqm: Box<dyn Aqm>, name: &'static str) {
@@ -68,15 +67,6 @@ fn run(aqm: Box<dyn Aqm>, name: &'static str) {
 fn main() {
     println!("1 Mb/s video call + 4 Cubic uploads on a 10 Mb/s link (RTT 30 ms)\n");
     run(Box::new(PassAqm), "taildrop");
-    run(
-        Box::new(Red::new(RedConfig::for_link(
-            10_000_000,
-            Duration::from_millis(10),
-            Duration::from_millis(50),
-        ))),
-        "red",
-    );
-    run(Box::new(Codel::new(CodelConfig::default())), "codel");
     run(Box::new(Pie::new(PieConfig::paper_default())), "pie");
     run(Box::new(Pi2::new(Pi2Config::default())), "pi2");
     println!(

@@ -9,7 +9,7 @@
 //! * [`netsim`] — packet-level dumbbell simulator (packets, ECN, queue, link);
 //! * [`transport`] — TCP machinery and congestion controls (Reno, Cubic,
 //!   ECN-Cubic, DCTCP);
-//! * [`aqm`] — the paper's contribution: PI2, plus PIE/PI/RED baselines and
+//! * [`aqm`] — the paper's contribution: PI2, plus PIE/PI baselines and
 //!   the coupled single-queue Classic/Scalable AQM;
 //! * [`fluid`] — fluid model & Bode stability analysis (Appendix B);
 //! * [`stats`] — CDFs, percentiles, utilization summaries;
@@ -55,7 +55,7 @@ pub use pi2_validate as validate;
 /// One-stop import for examples and tests.
 pub mod prelude {
     pub use pi2_aqm::{
-        CoupledPi2, CoupledPi2Config, Pi, Pi2, Pi2Config, PiConfig, Pie, PieConfig, Red, RedConfig,
+        CoupledPi2, CoupledPi2Config, Pi, Pi2, Pi2Config, PiConfig, Pie, PieConfig,
     };
     pub use pi2_netsim::{
         Action, Aqm, Decision, Ecn, FlowId, ImpairmentConf, LinkImpairments, MonitorConfig,

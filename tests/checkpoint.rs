@@ -18,9 +18,8 @@
 //! and 4 workers.
 
 use pi2::aqm::{
-    Codel, CodelConfig, CoupledPi2, CoupledPi2Config, CurvyRed, CurvyRedConfig, DualPi2,
-    DualPi2Config, FqConfig, FqDrr, Pi, PiConfig, Pi2, Pi2Config, Pie, PieConfig, Red, RedConfig,
-    StepMarkConfig,
+    CoupledPi2, CoupledPi2Config, CurvyRed, CurvyRedConfig, DualPi2, DualPi2Config, FqConfig,
+    FqDrr, Pi, PiConfig, Pi2, Pi2Config, Pie, PieConfig, StepMarkConfig,
 };
 use pi2::experiments::runner::par_map_threads;
 use pi2::experiments::{AqmKind, BgGroup, FlowGroup, FluidBackground, Scenario};
@@ -48,8 +47,7 @@ const GRID: &[Cell] = &[
     Cell { aqm: "coupled", mix: "mixed", seed: 15 },
     Cell { aqm: "dualq", mix: "mixed", seed: 16 },
     Cell { aqm: "fq", mix: "mixed", seed: 17 },
-    Cell { aqm: "red", mix: "classic", seed: 18 },
-    Cell { aqm: "codel", mix: "classic", seed: 19 },
+    Cell { aqm: "bare-pie", mix: "classic", seed: 18 },
     Cell { aqm: "curvy", mix: "mixed", seed: 20 },
     Cell { aqm: "taildrop", mix: "udp", seed: 21 },
     // Multi-hop + finite flows: the checkpoint must carry every extra
@@ -134,10 +132,9 @@ fn build_sim(cell: &Cell) -> Sim {
             let aqm: Box<dyn Aqm> = match name {
                 "pi2" => Box::new(Pi2::new(Pi2Config::default())),
                 "pie" => Box::new(Pie::new(PieConfig::paper_default())),
+                "bare-pie" => Box::new(Pie::new(PieConfig::bare())),
                 "pi" => Box::new(Pi::new(PiConfig::default())),
                 "coupled" => Box::new(CoupledPi2::new(CoupledPi2Config::default())),
-                "red" => Box::new(Red::new(RedConfig::default())),
-                "codel" => Box::new(Codel::new(CodelConfig::default())),
                 "curvy" => Box::new(CurvyRed::new(CurvyRedConfig::default())),
                 "taildrop" => Box::new(PassAqm),
                 "outage" => Box::new(Outage {
@@ -452,7 +449,7 @@ fn restore_replay_is_bit_identical_across_the_grid() {
 }
 
 /// Whether a policy carries mutable state a checkpoint must hold. No
-/// wildcard arm: a thirteenth `AqmKind` does not compile until it is
+/// wildcard arm: an eleventh `AqmKind` does not compile until it is
 /// classified here and added to the list below.
 fn stateful(kind: &AqmKind) -> bool {
     match kind {
@@ -461,8 +458,6 @@ fn stateful(kind: &AqmKind) -> bool {
         | AqmKind::Pi2(_)
         | AqmKind::Pi(_)
         | AqmKind::Coupled(_)
-        | AqmKind::Red(_)
-        | AqmKind::Codel(_)
         | AqmKind::DualQ(_)
         | AqmKind::Fq(_)
         | AqmKind::Curvy(_)
@@ -483,8 +478,6 @@ fn every_aqm_kind_restores_to_the_run_that_never_stopped() {
         AqmKind::pi2_default(),
         AqmKind::Pi(PiConfig::default()),
         AqmKind::coupled_default(),
-        AqmKind::Red(RedConfig::default()),
-        AqmKind::Codel(CodelConfig::default()),
         AqmKind::TailDrop,
         AqmKind::dualq_default(RATE),
         AqmKind::Fq(FqConfig::for_link(RATE)),
@@ -495,7 +488,7 @@ fn every_aqm_kind_restores_to_the_run_that_never_stopped() {
     let mut names: Vec<&str> = kinds.iter().map(AqmKind::name).collect();
     names.sort_unstable();
     names.dedup();
-    assert_eq!(names.len(), 12, "one cell per AqmKind variant: {names:?}");
+    assert_eq!(names.len(), 10, "one cell per AqmKind variant: {names:?}");
 
     let queue = QueueConfig { rate_bps: RATE, buffer_bytes: 40_000 * 1500 };
     let blob_len = |kind: &AqmKind| {

@@ -1,7 +1,7 @@
 //! Integration tests for the extension systems, exercised through the
 //! public facade exactly as a downstream user would.
 
-use pi2::aqm::{Codel, CodelConfig, CurvyRed, CurvyRedConfig, DualPi2, DualPi2Config, FqConfig, FqDrr};
+use pi2::aqm::{CurvyRed, CurvyRedConfig, DualPi2, DualPi2Config, FqConfig, FqDrr};
 use pi2::netsim::Qdisc;
 use pi2::prelude::*;
 
@@ -89,58 +89,47 @@ fn fq_shares_equally_across_identical_flows() {
     assert!(jain > 0.95, "Jain index {jain:.3} for {rates:?}");
 }
 
-/// CoDel and Curvy RED both control a mixed workload without collapse.
+/// Curvy RED controls a mixed workload without collapse.
 #[test]
 fn alternative_aqms_remain_stable_on_mixed_traffic() {
-    for (name, aqm) in [
-        (
-            "codel",
-            Box::new(Codel::new(CodelConfig::default())) as Box<dyn Aqm>,
-        ),
-        (
-            "curvy",
-            Box::new(CurvyRed::new(CurvyRedConfig::default())) as Box<dyn Aqm>,
-        ),
-    ] {
-        let mut sim = Sim::new(
-            SimConfig {
-                queue: QueueConfig {
-                    rate_bps: 10_000_000,
-                    buffer_bytes: 40_000 * 1500,
-                },
-                seed: 6,
-                monitor: MonitorConfig {
-                    warmup: Duration::from_secs(10),
-                    ..MonitorConfig::default()
-                },
+    let mut sim = Sim::new(
+        SimConfig {
+            queue: QueueConfig {
+                rate_bps: 10_000_000,
+                buffer_bytes: 40_000 * 1500,
             },
-            aqm,
+            seed: 6,
+            monitor: MonitorConfig {
+                warmup: Duration::from_secs(10),
+                ..MonitorConfig::default()
+            },
+        },
+        Box::new(CurvyRed::new(CurvyRedConfig::default())),
+    );
+    let rtt = Duration::from_millis(40);
+    for _ in 0..4 {
+        sim.add_flow(
+            PathConf::symmetric(rtt),
+            "tcp",
+            Time::ZERO,
+            tcp_flow(CcKind::Reno, EcnSetting::NotEcn),
         );
-        let rtt = Duration::from_millis(40);
-        for _ in 0..4 {
-            sim.add_flow(
-                PathConf::symmetric(rtt),
-                "tcp",
-                Time::ZERO,
-                tcp_flow(CcKind::Reno, EcnSetting::NotEcn),
-            );
-        }
-        sim.add_flow(PathConf::symmetric(rtt), "udp", Time::ZERO, |id| {
-            Box::new(UdpCbrSource::new(id, 2_000_000, 1500, Ecn::NotEct))
-        });
-        sim.run_until(Time::from_secs(40));
-        let m = &sim.core.monitor;
-        let s: Vec<f64> = m.sojourn_ms.iter().map(|&x| x as f64).collect();
-        let mean = pi2::stats::mean(&s);
-        assert!(
-            (0.5..80.0).contains(&mean),
-            "{name}: mean delay {mean:.1} ms"
-        );
-        let util_samples = m.util_samples();
-        let util: f64 = util_samples.iter().map(|&x| x as f64).sum::<f64>()
-            / util_samples.len() as f64;
-        assert!(util > 0.85, "{name}: utilization {util:.2}");
     }
+    sim.add_flow(PathConf::symmetric(rtt), "udp", Time::ZERO, |id| {
+        Box::new(UdpCbrSource::new(id, 2_000_000, 1500, Ecn::NotEct))
+    });
+    sim.run_until(Time::from_secs(40));
+    let m = &sim.core.monitor;
+    let s: Vec<f64> = m.sojourn_ms.iter().map(|&x| x as f64).collect();
+    let mean = pi2::stats::mean(&s);
+    assert!(
+        (0.5..80.0).contains(&mean),
+        "curvy: mean delay {mean:.1} ms"
+    );
+    let util_samples = m.util_samples();
+    let util: f64 = util_samples.iter().map(|&x| x as f64).sum::<f64>()
+        / util_samples.len() as f64;
+    assert!(util > 0.85, "curvy: utilization {util:.2}");
 }
 
 /// Per-packet tracing: every dequeued packet was admitted first, and the

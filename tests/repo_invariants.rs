@@ -163,6 +163,27 @@ const RULES: &[Rule] = &[
               in the payload's own module, and a field-list layout is stated once through \
               ckpt_fields!; a fold of run registries no reader called is not kept",
     },
+    Rule {
+        needles: &[
+            "RedConfig",
+            "CodelConfig",
+            "AqmKind::Red",
+            "AqmKind::Codel",
+            "suppress_when_light",
+            "clamp_delta",
+            "qdelay_high_rule",
+            "l_ramp_min",
+            "l_ramp_max",
+            "\"--target\"",
+        ],
+        roots: &["crates", "tests", "examples", "src", "scripts"],
+        allowed: &["tests/repo_invariants.rs"],
+        up_to: None,
+        why: "an AQM, flag or setting only docs read is not kept: RED and CoDel ran in no \
+              figure, every --aqm row is built at the Table 1 defaults the figures use, \
+              PIE's heuristics are one switch because its callers set them together, and \
+              DualPI2's native ramp is derived from the link it is built for",
+    },
 ];
 
 /// Shared by the two rows that keep the PI loop and the qdiscs' parts single.
@@ -232,4 +253,5 @@ fn a_needle_that_starts_a_word_matches_only_there() {
     assert!(holds("FlowLevelSim::new(a); Sim::new(b)", "Sim::new("));
     assert!(holds("xs.sort_by(f64::total_cmp)", ".sort"));
     assert!(holds("env::var(\"PI2_PERF_TOL\")", "PI2_PERF_TOL"));
+    assert!(!holds("AqmKind::Curvy(CurvyRedConfig::default())", "RedConfig"));
 }

@@ -18,6 +18,11 @@
 //! before, DualPI2 and FQ chose again at `pop`, so the link could send a
 //! packet other than the one whose length it had serialised — an L packet
 //! that arrived while a C packet was on the wire left before it.
+//!
+//! The DualPI2 topology pin moved once more when DualPI2 began deriving
+//! its native L ramp from the rate of the hop it is built for: its two
+//! 40 Mb/s access hops had kept the 1.2–2.4 ms ramp of the 20 Mb/s link
+//! the config was made for, where RFC 9332's floor gives them 1–2 ms.
 
 use pi2::aqm::{CurvyRedConfig, FqConfig, PieConfig, StepMarkConfig};
 use pi2::experiments::topology::TopologyKind;
@@ -206,7 +211,7 @@ fn topology_cells_are_pinned_per_hop_bytes_included() {
             AqmKind::dualq_default(20_000_000),
             7,
         ),
-        0xc41a_35d7_5182_7b11,
+        0x3366_62d2_6a00_a34b,
     );
     assert_eq!(r.hop_flow_bytes.len(), 3);
     assert_eq!(r.monitor.flows.len(), 374);

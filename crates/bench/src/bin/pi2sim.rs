@@ -10,7 +10,7 @@
 
 use pi2_bench::cli::{parse_args, usage, CliArgs, MetricsFormat, TraceFormat};
 use pi2_bench::perf::Json;
-use pi2_experiments::{run_fluid, summarize_scenario_run, Scenario};
+use pi2_experiments::{run_fluid, summarize_scenario_run, Backend, Scenario};
 use pi2_fluid::law::CLASSIC_CAP;
 use pi2_netsim::{AuditSink, CsvSink, JsonlSink, Monitor, Sim};
 use pi2_obs::ObsServer;
@@ -104,7 +104,7 @@ fn main() {
             std::process::exit(if msg == usage() { 0 } else { 2 });
         }
     };
-    if a.backend == "fluid" {
+    if a.backend == Backend::Fluid {
         run_fluid_backend(&a);
     } else {
         run_single(&a);

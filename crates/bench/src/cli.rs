@@ -13,6 +13,7 @@ use pi2_experiments::dynamics::{self, Disturbance};
 use pi2_experiments::topology::{self, TopologyKind};
 use pi2_experiments::{AqmKind, Backend, BgGroup, FlowGroup, RunResult, Scenario, UdpGroup};
 use pi2_netsim::{ImpairmentConf, LinkImpairments, PerfettoSink};
+use pi2_simcore::time::NANOS_PER_SEC;
 use pi2_simcore::{Duration, Time};
 use pi2_transport::{CcKind, EcnSetting};
 use std::io::Write;
@@ -97,7 +98,7 @@ pub struct CliArgs {
     /// Execution backend: `packet` (default, per-packet events), `fluid`
     /// (flow-level ODE, no packets — scales to millions of flows), or
     /// `hybrid` (packet foreground + fluid background aggregate).
-    pub backend: String,
+    pub backend: Backend,
     /// Hybrid mode's fluid background population, in the same flow-list
     /// syntax as `--flows`. Empty = no background (hybrid ≡ packet).
     pub bg_flows: Vec<FlowSpec>,
@@ -193,7 +194,7 @@ impl Default for CliArgs {
             checkpoint_at: None,
             restore: None,
             serve: None,
-            backend: "packet".to_string(),
+            backend: Backend::Packet,
             bg_flows: Vec::new(),
         }
     }
@@ -251,7 +252,7 @@ impl CliArgs {
         sc.duration = Time::from_secs(self.secs);
         sc.warmup = Duration::from_secs(self.warmup_secs as i64);
         sc.seed = self.seed;
-        sc.backend = Backend::parse(&self.backend).expect("validated backend");
+        sc.backend = self.backend;
         sc.background = self
             .bg_flows
             .iter()
@@ -335,9 +336,6 @@ impl Cell {
     }
 }
 
-/// The execution backends `--backend` accepts.
-pub const BACKENDS: &[&str] = &["packet", "fluid", "hybrid"];
-
 /// Parse a probability in `[0, 1]`, accepting a trailing `%`.
 pub fn parse_prob(s: &str) -> Result<f64, String> {
     let s = s.trim();
@@ -376,6 +374,11 @@ pub fn parse_rate(s: &str) -> Result<u64, String> {
     Ok(bps as u64)
 }
 
+/// The longest run length, warm-up or time value, in whole seconds: what
+/// the simulation clock's signed span holds, so no time a command line
+/// gives wraps or panics in a conversion.
+const MAX_SECS: u64 = i64::MAX as u64 / NANOS_PER_SEC;
+
 /// Parse a time like `20ms`, `1s`, `500us`.
 pub fn parse_time(s: &str) -> Result<Duration, String> {
     let s = s.trim();
@@ -394,7 +397,24 @@ pub fn parse_time(s: &str) -> Result<Duration, String> {
     if v < 0.0 {
         return Err(format!("time must be non-negative, got '{s}'"));
     }
+    // Also refuses NaN, which every comparison fails.
+    if !(v * scale < MAX_SECS as f64) {
+        return Err(format!(
+            "time '{s}' must be under the {MAX_SECS} s the simulation clock holds"
+        ));
+    }
     Ok(Duration::from_secs_f64(v * scale))
+}
+
+/// Parse a `--secs` or `--warmup` value.
+fn parse_secs(flag: &str, s: &str) -> Result<u64, String> {
+    let v: u64 = s.parse().map_err(|_| format!("bad {flag}"))?;
+    if v > MAX_SECS {
+        return Err(format!(
+            "{flag} {v} is beyond the {MAX_SECS} s the simulation clock holds"
+        ));
+    }
+    Ok(v)
 }
 
 /// Parse a flow list like `5xreno,1xdctcp,2xecn-cubic`.
@@ -458,16 +478,8 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             "--rtt" => out.rtt = parse_time(value("--rtt")?)?,
             "--flows" => out.flows = parse_flows(value("--flows")?)?,
             "--udp" => out.udp_bps = Some(parse_rate(value("--udp")?)?),
-            "--secs" => {
-                out.secs = value("--secs")?
-                    .parse()
-                    .map_err(|_| "bad --secs".to_string())?
-            }
-            "--warmup" => {
-                out.warmup_secs = value("--warmup")?
-                    .parse()
-                    .map_err(|_| "bad --warmup".to_string())?
-            }
+            "--secs" => out.secs = parse_secs("--secs", value("--secs")?)?,
+            "--warmup" => out.warmup_secs = parse_secs("--warmup", value("--warmup")?)?,
             "--seed" => {
                 out.seed = value("--seed")?
                     .parse()
@@ -519,13 +531,8 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             "--serve" => out.serve = Some(value("--serve")?.clone()),
             "--backend" => {
                 let v = value("--backend")?;
-                if !BACKENDS.contains(&v.as_str()) {
-                    return Err(format!(
-                        "unknown backend '{v}' (one of {})",
-                        BACKENDS.join(", ")
-                    ));
-                }
-                out.backend = v.clone();
+                out.backend = Backend::parse(v)
+                    .ok_or_else(|| format!("unknown backend '{v}' (packet, fluid or hybrid)"))?;
             }
             "--bg-flows" => out.bg_flows = parse_flows(value("--bg-flows")?)?,
             "--help" | "-h" => return Err(usage()),
@@ -538,11 +545,11 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
     if out.checkpoint_at.is_some() && out.checkpoint_out.is_none() {
         return Err("--checkpoint-at needs --checkpoint-out".to_string());
     }
-    if !out.bg_flows.is_empty() && out.backend != "hybrid" {
+    if !out.bg_flows.is_empty() && out.backend != Backend::Hybrid {
         return Err("--bg-flows needs --backend hybrid".to_string());
     }
     if let Some(cell) = out.scenario {
-        if out.backend != "packet" {
+        if out.backend != Backend::Packet {
             return Err("--scenario only runs on the packet backend".to_string());
         }
         out.rate_bps = cell.link_bps();
@@ -560,7 +567,7 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
         ("--trace-out", out.trace_out.is_some()),
         ("--serve", out.serve.is_some()),
     ];
-    let fluid = out.backend == "fluid";
+    let fluid = out.backend == Backend::Fluid;
     if let Some((flag, _)) = unsupported.iter().find(|(_, given)| fluid && *given) {
         return Err(format!("--backend fluid does not support {flag}"));
     }
@@ -725,6 +732,34 @@ mod tests {
         assert!(parse_args(&args("--secs 10 --warmup 20")).is_err());
     }
 
+    /// A run length past what the clock holds would wrap in a release
+    /// build or reach `Scenario::build`'s reservations, and a time past it
+    /// would panic in `Duration::from_secs_f64`: each is a usage error
+    /// naming the value.
+    #[test]
+    fn a_run_length_the_clock_cannot_hold_is_a_usage_error() {
+        for line in ["--secs 20000000000", "--secs 100000000000 --warmup 10"] {
+            let e = parse_args(&args(line)).unwrap_err();
+            assert!(
+                e.contains("--secs") && e.contains("simulation clock"),
+                "{line}: {e}"
+            );
+        }
+        let e = parse_args(&args("--warmup 9300000000 --secs 9300000001")).unwrap_err();
+        assert!(e.contains("--warmup"), "{e}");
+        // The bound is the clock's signed span, to the second.
+        let ns_per_s = pi2_simcore::time::NANOS_PER_SEC;
+        let longest = i64::MAX as u64 / ns_per_s;
+        let a = parse_args(&args(&format!("--secs {longest}"))).unwrap();
+        assert_eq!(Time::from_secs(a.secs).as_nanos() / ns_per_s, longest);
+        assert!(parse_args(&args(&format!("--secs {}", longest + 1))).is_err());
+        // A time value the clock cannot hold is refused the same way.
+        for line in ["--rtt 1e10s", "--jitter nan", "--checkpoint-at inf"] {
+            let e = parse_args(&args(line)).unwrap_err();
+            assert!(e.contains("simulation clock"), "{line}: {e}");
+        }
+    }
+
     #[test]
     fn defaults_are_sane() {
         let a = parse_args(&[]).unwrap();
@@ -781,12 +816,12 @@ mod tests {
     #[test]
     fn backend_flag_parses_and_validates() {
         let d = parse_args(&[]).unwrap();
-        assert_eq!(d.backend, "packet", "packet is the default backend");
+        assert_eq!(d.backend, Backend::Packet, "packet is the default backend");
         assert!(d.bg_flows.is_empty());
         let f = parse_args(&args("--backend fluid --flows 100000xreno")).unwrap();
-        assert_eq!(f.backend, "fluid");
+        assert_eq!(f.backend, Backend::Fluid);
         let h = parse_args(&args("--backend hybrid --bg-flows 1000xreno,200xdctcp")).unwrap();
-        assert_eq!(h.backend, "hybrid");
+        assert_eq!(h.backend, Backend::Hybrid);
         assert_eq!(h.bg_flows.len(), 2);
         assert_eq!(h.bg_flows[0].count, 1000);
         assert_eq!(h.bg_flows[1].cc, CcKind::Dctcp);

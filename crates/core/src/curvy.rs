@@ -100,10 +100,6 @@ impl Aqm for CurvyRed {
         }
     }
 
-    fn control_variable(&self) -> f64 {
-        self.linear_prob()
-    }
-
     fn name(&self) -> &'static str {
         "curvy-red"
     }

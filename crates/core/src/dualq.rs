@@ -275,10 +275,6 @@ impl Qdisc for DualPi2 {
         Some(self.cfg.t_update)
     }
 
-    fn control_variable(&self) -> f64 {
-        self.core.p()
-    }
-
     fn probe(&self) -> AqmState {
         let (alpha_term, beta_term) = self.core.last_terms();
         AqmState {

@@ -41,10 +41,6 @@ impl Aqm for FixedProb {
         }
     }
 
-    fn control_variable(&self) -> f64 {
-        self.p
-    }
-
     fn name(&self) -> &'static str {
         "fixed-prob"
     }

@@ -199,11 +199,6 @@ impl Qdisc for FqDrr {
     fn update_interval(&self) -> Option<Duration> {
         None
     }
-
-    fn control_variable(&self) -> f64 {
-        // Flows currently backlogged.
-        self.round.len() as f64
-    }
 }
 
 /// Flows in round-robin order, then the link. Flows with an empty FIFO

@@ -283,10 +283,6 @@ impl Aqm for PiAqm {
         Some(self.core.t_update)
     }
 
-    fn control_variable(&self) -> f64 {
-        self.core.p()
-    }
-
     fn probe(&self) -> AqmState {
         let (alpha_term, beta_term) = self.core.last_terms();
         AqmState {

@@ -192,10 +192,6 @@ impl Aqm for Pie {
         Some(self.cfg.t_update)
     }
 
-    fn control_variable(&self) -> f64 {
-        self.core.p()
-    }
-
     fn probe(&self) -> AqmState {
         // PIE controls p directly: the linear variable and the output
         // probability coincide. The α/β terms are reported unscaled — the
@@ -377,7 +373,7 @@ mod tests {
         let s = snap(75_000); // 60 ms at 10 Mb/s: well above target
         tuned.update(&s, Time::ZERO);
         untuned.update(&s, Time::ZERO);
-        assert!(tuned.prob() < untuned.control_variable());
+        assert!(tuned.prob() < untuned.probe().p_prime);
         assert!(tuned.prob() > 0.0);
     }
 

@@ -81,10 +81,6 @@ impl Aqm for StepMark {
         }
     }
 
-    fn control_variable(&self) -> f64 {
-        self.realized_fraction()
-    }
-
     fn name(&self) -> &'static str {
         "step-mark"
     }

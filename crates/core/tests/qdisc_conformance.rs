@@ -39,7 +39,8 @@ fn mixed_packet(rng: &mut Rng, seq: u64) -> Packet {
 }
 
 /// Contract 1: exact byte/packet conservation across arbitrary
-/// offer/pop interleavings.
+/// offer/pop interleavings. Along the way the controller ticks, and the
+/// control variable it reports is the `p'` of its probe.
 #[test]
 fn qdisc_conserves_bytes_and_packets() {
     for mut q in all_qdiscs() {
@@ -47,8 +48,15 @@ fn qdisc_conserves_bytes_and_packets() {
         let mut in_bytes: i64 = 0;
         let mut in_pkts: i64 = 0;
         let mut t = Time::ZERO;
+        let mut p_moved = false;
         for i in 0..3000u64 {
             t += Duration::from_micros(300);
+            if i % 100 == 99 {
+                q.update(t);
+                let p_prime = q.probe().p_prime;
+                assert_eq!(q.control_variable().to_bits(), p_prime.to_bits());
+                p_moved |= p_prime > 0.0;
+            }
             if rng.chance(0.6) {
                 let pkt = mixed_packet(&mut rng, i);
                 let size = pkt.size as i64;
@@ -70,6 +78,9 @@ fn qdisc_conserves_bytes_and_packets() {
             t += Duration::from_micros(100);
         }
         assert_eq!((q.len_bytes(), q.len_pkts()), (0, 0));
+        // A controller that ticks has moved off zero, so the equality
+        // above compared a live p'.
+        assert_eq!(p_moved, q.update_interval().is_some());
     }
 }
 

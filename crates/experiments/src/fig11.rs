@@ -1,4 +1,4 @@
-//! Figure 11: queue delay and total throughput under three traffic mixes
+//! Figure 11: queue delay and utilization under three traffic mixes
 //! (the stability tests repeated from Pan et al.'s PIE paper).
 //!
 //! Link 10 Mb/s, RTT 100 ms, 100 s:
@@ -46,8 +46,6 @@ pub struct Fig11Run {
     pub mix: TrafficMix,
     /// `(t, queue delay ms)`.
     pub qdelay: Vec<(f64, f64)>,
-    /// `(t, total throughput Mb/s)`.
-    pub tput: Vec<(f64, f64)>,
     /// Per-packet delay summary (post warm-up).
     pub delay: Summary,
     /// Peak of the sampled queue delay over the whole run, including the
@@ -88,7 +86,6 @@ pub fn run_one(aqm: AqmKind, mix: TrafficMix, seed: u64) -> Fig11Run {
         aqm: r.aqm,
         mix,
         qdelay: r.qdelay_series().to_vec(),
-        tput: r.tput_series().to_vec(),
         delay: r.delay_summary(),
         peak_ms,
         util: r.util_summary(),

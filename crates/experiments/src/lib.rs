@@ -45,7 +45,7 @@ pub use backend::{
     summarize_scenario_run, Backend, BackendSummary, BackgroundRun, BgGroup, FluidBackground,
     FluidEncoding, FluidRunResult,
 };
-pub use runner::{par_map, run_all};
+pub use runner::par_map;
 pub use scenario::{AqmKind, FlowGroup, RunResult, Scenario, UdpGroup};
 pub use topology::{topology, TopologyKind, TopologyRun};
 pub use workload::{mice_arrivals, MiceWorkload, Mouse};

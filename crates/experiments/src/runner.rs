@@ -24,7 +24,6 @@
 //! ablation and extension sweeps) all route through [`par_map`], so a
 //! single knob governs every figure-regeneration binary.
 
-use crate::scenario::{RunResult, Scenario};
 use std::io::{IsTerminal, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -172,18 +171,6 @@ where
     F: Fn(&T) -> R + Sync,
 {
     par_map_threads(threads(), items, f)
-}
-
-/// Run a batch of scenarios in parallel. Results arrive in scenario
-/// order, bit-identical to calling [`Scenario::run`] serially.
-pub fn run_all(scenarios: &[Scenario]) -> Vec<RunResult> {
-    par_map(scenarios, Scenario::run)
-}
-
-/// [`run_all`] with an explicit worker count (for tests and callers that
-/// must not consult the environment).
-pub fn run_all_threads(n_threads: usize, scenarios: &[Scenario]) -> Vec<RunResult> {
-    par_map_threads(n_threads, scenarios, Scenario::run)
 }
 
 #[cfg(test)]

@@ -345,10 +345,12 @@ impl Scenario {
         // reallocates mid-run (before add_flow, so per-flow vectors pick
         // up the same hints). The packet estimate assumes MTU-sized
         // segments at full utilization over the span the monitor keeps
-        // per-packet samples for, which starts where warm-up ends; capped
-        // to bound the up-front footprint for very long/fast runs.
+        // per-packet samples for, which starts where warm-up ends. Both
+        // are capped to bound the up-front footprint of a very long or
+        // fast run: past the cap a vector grows as it fills.
         let expected_samples =
             (self.duration.as_secs_f64() / self.sample_interval.as_secs_f64()).ceil() as usize + 2;
+        let expected_samples = expected_samples.min(1 << 18);
         let recorded_s = (self.duration.as_secs_f64() - self.warmup.as_secs_f64()).max(0.0);
         let expected_pkts =
             (self.rate_bps as f64 * recorded_s / (8.0 * 1500.0)).ceil() as usize + 2;
@@ -510,11 +512,6 @@ impl RunResult {
     pub fn qdelay_series(&self) -> Vec<(f64, f64)> {
         self.monitor.qdelay_series()
     }
-
-    /// The `(t, total Mb/s)` series.
-    pub fn tput_series(&self) -> Vec<(f64, f64)> {
-        self.monitor.total_tput_series()
-    }
 }
 
 #[cfg(test)]
@@ -563,6 +560,19 @@ mod tests {
         assert!(r.util_summary().mean > 95.0, "the link must be full for this to bind");
         assert!(r.monitor.sojourn_ms.len() > reserved * 95 / 100);
         assert_eq!(r.monitor.sojourn_ms.capacity(), reserved, "the column grew or was over-sized");
+    }
+
+    /// Building a run far longer than any figure's sizes the monitor up
+    /// to its caps only: uncapped, a 10¹⁰ s run reserves 10¹⁰ sample rows,
+    /// hundreds of gigabytes, and the allocation aborts the process.
+    #[test]
+    fn a_very_long_run_builds_within_the_reservation_caps() {
+        let mut sc = Scenario::new(AqmKind::pi2_default(), 10_000_000);
+        let rtt = Duration::from_millis(20);
+        sc.tcp.push(FlowGroup::new(1, CcKind::Reno, EcnSetting::NotEcn, "reno", rtt));
+        sc.duration = Time::from_secs(10_000_000_000);
+        let sim = sc.build().expect("a long run is a valid description");
+        assert!(sim.core.monitor.sojourn_ms.capacity() <= 1 << 21);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! just headline summaries.
 
 use pi2_experiments::grid::{run_cell, Pair};
-use pi2_experiments::runner::{par_map_threads, run_all, run_all_threads};
+use pi2_experiments::runner::{par_map, par_map_threads};
 use pi2_experiments::scenario::{AqmKind, FlowGroup, Scenario};
 use pi2_simcore::{Duration, Time};
 use pi2_transport::{CcKind, EcnSetting};
@@ -81,17 +81,17 @@ fn sub_grid_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn run_all_matches_serial_and_env_thread_knob() {
+fn scenario_batches_match_serial_and_env_thread_knob() {
     let scenarios = small_scenarios();
     let serial: Vec<String> = scenarios.iter().map(|s| format!("{:?}", s.run())).collect();
 
     // Explicit thread counts, bypassing the environment.
     for threads in [1usize, 4] {
-        let out: Vec<String> = run_all_threads(threads, &scenarios)
+        let out: Vec<String> = par_map_threads(threads, &scenarios, Scenario::run)
             .iter()
             .map(|r| format!("{r:?}"))
             .collect();
-        assert_eq!(out, serial, "run_all diverged at {threads} threads");
+        assert_eq!(out, serial, "par_map_threads diverged at {threads} threads");
     }
 
     // The PI2_THREADS env route (both settings inside one test body so
@@ -99,8 +99,11 @@ fn run_all_matches_serial_and_env_thread_knob() {
     let saved = std::env::var("PI2_THREADS").ok();
     for threads in ["1", "4"] {
         std::env::set_var("PI2_THREADS", threads);
-        let out: Vec<String> = run_all(&scenarios).iter().map(|r| format!("{r:?}")).collect();
-        assert_eq!(out, serial, "run_all diverged at PI2_THREADS={threads}");
+        let out: Vec<String> = par_map(&scenarios, Scenario::run)
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect();
+        assert_eq!(out, serial, "par_map diverged at PI2_THREADS={threads}");
     }
     match saved {
         Some(v) => std::env::set_var("PI2_THREADS", v),

@@ -136,21 +136,18 @@ pub trait Aqm: Ckpt {
         None
     }
 
-    /// The internal controlled variable for monitoring: `p` for PIE, the
-    /// pseudo-probability `p'` for PI2/PI.
-    fn control_variable(&self) -> f64 {
-        0.0
+    /// Snapshot the internal control state: the one way the simulator,
+    /// its sinks and the hybrid background read a controller. The default,
+    /// all zeros, is for policies without an update tick, which are never
+    /// probed.
+    fn probe(&self) -> AqmState {
+        AqmState::default()
     }
 
-    /// Snapshot the internal control state for telemetry. The default
-    /// reports [`Aqm::control_variable`] as both `p'` and the output
-    /// probability; policies with richer state override this.
-    fn probe(&self) -> AqmState {
-        AqmState {
-            p_prime: self.control_variable(),
-            prob: self.control_variable(),
-            ..AqmState::default()
-        }
+    /// The linear controlled variable, [`AqmState::p_prime`] of
+    /// [`Aqm::probe`]: `p` for PIE and PI, `p'` for PI2.
+    fn control_variable(&self) -> f64 {
+        self.probe().p_prime
     }
 
     /// Human-readable name used in experiment output tables.
@@ -201,7 +198,7 @@ mod tests {
             assert_eq!(d.action, Action::Pass);
         }
         assert_eq!(aqm.update_interval(), None);
-        assert_eq!(aqm.control_variable(), 0.0);
+        assert_eq!(aqm.probe(), AqmState::default());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Measurement collection.
 //!
 //! The paper's evaluation reports queue-delay time series (1 s and 100 ms
-//! sampling), per-packet queue-delay CDFs and percentiles, per-flow and
-//! total throughput, applied mark/drop probability percentiles, and link
-//! utilization. The [`Monitor`] collects all of these during a run with a
-//! configurable sampling interval and warm-up exclusion.
+//! sampling), per-packet queue-delay CDFs and percentiles, per-flow
+//! throughput, applied mark/drop probability percentiles, and link
+//! utilization (the total throughput, at the link's rate). The [`Monitor`]
+//! collects all of these during a run with a configurable sampling
+//! interval and warm-up exclusion.
 
 use crate::aqm::{Action, Decision};
 use crate::packet::FlowId;
@@ -49,8 +50,6 @@ pub struct FlowAccount {
     pub label: String,
     /// Packets handed to the bottleneck by the sender.
     pub sent_pkts: u64,
-    /// Bytes handed to the bottleneck by the sender.
-    pub sent_bytes: u64,
     /// Packets handed to the bottleneck after the warm-up period.
     pub sent_pkts_postwarm: u64,
     /// Packets dropped by the AQM or buffer.
@@ -71,8 +70,6 @@ pub struct FlowAccount {
     pub delivered_pkts: u64,
     /// Bytes that reached the receiver.
     pub delivered_bytes: u64,
-    /// Bytes that reached the receiver after the warm-up period.
-    pub delivered_bytes_postwarm: u64,
     /// Applied probability per offered packet, after warm-up
     /// (only if [`MonitorConfig::record_probs`]).
     pub prob_samples: Vec<f32>,
@@ -83,7 +80,6 @@ pub struct FlowAccount {
 
 ckpt_fields!(FlowAccount {
     sent_pkts,
-    sent_bytes,
     sent_pkts_postwarm,
     dropped,
     marked,
@@ -94,7 +90,6 @@ ckpt_fields!(FlowAccount {
     dequeued_bytes_postwarm,
     delivered_pkts,
     delivered_bytes,
-    delivered_bytes_postwarm,
     prob_samples,
     sojourn_ms,
 });
@@ -104,7 +99,6 @@ impl FlowAccount {
         FlowAccount {
             label: label.to_string(),
             sent_pkts: 0,
-            sent_bytes: 0,
             sent_pkts_postwarm: 0,
             dropped: 0,
             marked: 0,
@@ -115,7 +109,6 @@ impl FlowAccount {
             dequeued_bytes_postwarm: 0,
             delivered_pkts: 0,
             delivered_bytes: 0,
-            delivered_bytes_postwarm: 0,
             prob_samples: Vec::new(),
             sojourn_ms: Vec::new(),
         }
@@ -159,9 +152,6 @@ struct SampleRow {
     t: f64,
     /// Instantaneous queue delay, ms.
     qdelay_ms: f64,
-    /// Total bottleneck egress rate over the interval, Mb/s (valid only
-    /// if `has_rate`).
-    tput_mbps: f64,
     /// Fraction of link capacity used over the interval (valid only if
     /// `has_rate`).
     util: f64,
@@ -171,7 +161,7 @@ struct SampleRow {
     postwarm: bool,
 }
 
-ckpt_fields!(SampleRow { t, qdelay_ms, tput_mbps, util, has_rate, postwarm });
+ckpt_fields!(SampleRow { t, qdelay_ms, util, has_rate, postwarm });
 
 /// Run-wide measurement state.
 #[derive(Clone, Debug)]
@@ -192,8 +182,6 @@ pub struct Monitor {
     cfg: MonitorConfig,
     /// Per-flow accounts, indexed by [`FlowId`].
     pub flows: Vec<FlowAccount>,
-    /// `(t s, AQM control variable)` at each AQM update.
-    pub control_series: Vec<(f64, f64)>,
     /// Per-packet queue delay in ms, post warm-up
     /// (only if [`MonitorConfig::record_sojourns`]).
     pub sojourn_ms: Vec<f32>,
@@ -213,7 +201,6 @@ impl Monitor {
         Monitor {
             cfg,
             flows: Vec::new(),
-            control_series: Vec::new(),
             sojourn_ms: Vec::new(),
             completions: Vec::new(),
             samples: Vec::new(),
@@ -228,18 +215,14 @@ impl Monitor {
     /// Pre-size the sample vectors for an expected run shape so the
     /// per-packet recording paths never reallocate mid-run.
     ///
-    /// `expected_samples` is the number of periodic recording ticks —
-    /// size it for the *densest* periodic series, which is usually the
-    /// AQM control-variable record at every update interval
-    /// (≈ duration / Tupdate), not the coarser sample tick;
-    /// `expected_pkts` is the total packets expected through the
-    /// bottleneck (≈ rate × duration / packet size).
+    /// `expected_samples` is the number of sample ticks (≈ duration /
+    /// sample interval); `expected_pkts` is the total packets expected
+    /// through the bottleneck (≈ rate × duration / packet size).
     /// Flows registered after this call pre-size their per-flow vectors
     /// from the same hints. Over-estimates only cost address space;
-    /// callers should still cap `expected_pkts` to something sane.
+    /// callers should still cap both to something sane.
     pub fn reserve(&mut self, expected_samples: usize, expected_pkts: usize) {
         self.samples.reserve(expected_samples);
-        self.control_series.reserve(expected_samples);
         if self.cfg.record_sojourns {
             self.sojourn_ms.reserve(expected_pkts);
         }
@@ -299,12 +282,12 @@ impl Monitor {
     /// Record a packet being offered to the bottleneck together with the
     /// AQM's verdict on it: the send accounting fused with
     /// [`Monitor::record_decision`], so the warm-up check and account
-    /// lookup happen once on the send path.
-    pub fn record_send(&mut self, flow: FlowId, bytes: usize, decision: Decision, now: Time) {
+    /// lookup happen once on the send path. The packet's size is not read:
+    /// sends are counted in packets.
+    pub fn record_send(&mut self, flow: FlowId, _bytes: usize, decision: Decision, now: Time) {
         let postwarm = self.postwarm(now);
         let acc = &mut self.flows[flow.idx()];
         acc.sent_pkts += 1;
-        acc.sent_bytes += bytes as u64;
         if postwarm {
             acc.sent_pkts_postwarm += 1;
         }
@@ -369,15 +352,12 @@ impl Monitor {
         }
     }
 
-    /// Record an arrival at the receiver.
-    pub fn record_delivered(&mut self, flow: FlowId, bytes: usize, now: Time) {
-        let postwarm = self.postwarm(now);
+    /// Record an arrival at the receiver. The arrival time is not read:
+    /// every delivered-side count covers the whole run.
+    pub fn record_delivered(&mut self, flow: FlowId, bytes: usize, _now: Time) {
         let acc = &mut self.flows[flow.idx()];
         acc.delivered_pkts += 1;
         acc.delivered_bytes += bytes as u64;
-        if postwarm {
-            acc.delivered_bytes_postwarm += bytes as u64;
-        }
     }
 
     /// Record the completion of a size-limited flow.
@@ -397,29 +377,21 @@ impl Monitor {
             .collect()
     }
 
-    /// Record the AQM's control variable at an update tick.
-    pub fn record_control_variable(&mut self, p: f64, now: Time) {
-        self.control_series.push((now.as_secs_f64(), p));
-    }
-
-    /// Take a periodic sample of queue delay, throughput and utilization.
+    /// Take a periodic sample of queue delay and utilization.
     pub fn sample(&mut self, queue: &dyn Qdisc, now: Time) {
         let t = now.as_secs_f64();
         let dt = now.saturating_since(self.last_sample_at).as_secs_f64();
         let qdelay_ms = queue.monitor_delay().as_millis_f64();
         let total = queue.link().dequeued_bytes();
         let has_rate = dt > 0.0;
-        let mut tput_mbps = 0.0;
         let mut util = 0.0;
         if has_rate {
             let bits = (total - self.last_total_bytes) as f64 * 8.0;
-            tput_mbps = bits / dt / 1e6;
             util = bits / dt / queue.link().rate_bps() as f64;
         }
         self.samples.push(SampleRow {
             t,
             qdelay_ms,
-            tput_mbps,
             util,
             has_rate,
             postwarm: now >= self.warm_at,
@@ -432,15 +404,6 @@ impl Monitor {
     /// `(t s, instantaneous queue delay ms)` at each sample tick.
     pub fn qdelay_series(&self) -> Vec<(f64, f64)> {
         self.samples.iter().map(|r| (r.t, r.qdelay_ms)).collect()
-    }
-
-    /// `(t s, total bottleneck egress rate Mb/s)` per interval.
-    pub fn total_tput_series(&self) -> Vec<(f64, f64)> {
-        self.samples
-            .iter()
-            .filter(|r| r.has_rate)
-            .map(|r| (r.t, r.tput_mbps))
-            .collect()
     }
 
     /// `(t s, fraction of link capacity used)` per interval.
@@ -516,7 +479,6 @@ ckpt_fields!(Monitor {
     last_total_bytes,
     end_of_last_run,
     samples,
-    control_series,
     sojourn_ms,
     completions,
     flows[..],
@@ -616,7 +578,6 @@ mod tests {
         assert_eq!(f.dropped_postwarm, 0);
         assert_eq!(f.marked_postwarm, 1);
         assert_eq!(f.signal_fraction(), 0.25);
-        assert_eq!(f.delivered_bytes_postwarm, 4500);
     }
 
     #[test]
@@ -648,8 +609,7 @@ mod tests {
         }
         m.sample(&q, Time::from_secs(1));
         // 1000*1500*8 bits over 1 s = 12 Mb/s on a 12 Mb/s link -> util 1.0.
-        assert_eq!(m.total_tput_series().len(), 1);
-        assert!((m.total_tput_series()[0].1 - 12.0).abs() < 1e-9);
+        assert_eq!(m.util_series().len(), 1);
         assert!((m.util_series()[0].1 - 1.0).abs() < 1e-9);
         assert_eq!(m.qdelay_series().len(), 1);
     }

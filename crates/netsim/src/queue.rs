@@ -221,18 +221,18 @@ pub trait Qdisc: Ckpt {
     /// How often [`Qdisc::update`] should run.
     fn update_interval(&self) -> Option<Duration>;
 
-    /// The internal control variable, for monitoring.
-    fn control_variable(&self) -> f64;
-
-    /// Snapshot the AQM control state for telemetry, taken right after
-    /// each [`Qdisc::update`] tick. The default mirrors
-    /// [`Qdisc::control_variable`] into both probability fields.
+    /// Snapshot the controller state, taken right after each
+    /// [`Qdisc::update`] tick: the one way the simulator reads a hop's
+    /// controller. The default, all zeros, is for qdiscs without an update
+    /// tick, which are never probed.
     fn probe(&self) -> AqmState {
-        AqmState {
-            p_prime: self.control_variable(),
-            prob: self.control_variable(),
-            ..AqmState::default()
-        }
+        AqmState::default()
+    }
+
+    /// The linear controlled variable, [`AqmState::p_prime`] of
+    /// [`Qdisc::probe`].
+    fn control_variable(&self) -> f64 {
+        self.probe().p_prime
     }
 
     /// Instantaneous queue-delay estimate for time-series sampling, in
@@ -342,14 +342,9 @@ impl Qdisc for BottleneckQueue {
         self.aqm.update_interval()
     }
 
-    fn control_variable(&self) -> f64 {
-        self.aqm.control_variable()
-    }
-
     fn probe(&self) -> AqmState {
         self.aqm.probe()
     }
-
 }
 
 ckpt_fields!(BottleneckQueue { fifo, link, last_sojourn, aqm });

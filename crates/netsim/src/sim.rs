@@ -33,9 +33,9 @@
 //! (throughput, sojourn, completion) is recorded where a packet leaves
 //! the *last* queue on its route, and drop/mark verdicts are recorded at
 //! every hop. What stays particular to hop 0 is measurement policy, not
-//! mechanism: the [`Monitor`]'s queue and control-variable series, the
-//! AQM-update counter and metrics, link-rate disturbances and the hybrid
-//! background all follow the primary bottleneck, and sinks receive hop 0
+//! mechanism: the [`Monitor`]'s queue series, the AQM-update counter and
+//! metrics, link-rate disturbances and the hybrid background all follow
+//! the primary bottleneck, and sinks receive hop 0
 //! through [`TraceSink::on_event`]/[`TraceSink::on_aqm_state`] and every
 //! other hop through the `on_hop_*` hooks. The invariant auditor checks
 //! every hop.
@@ -1057,8 +1057,11 @@ pub fn event_class(ev: &Event) -> usize {
 /// `HopArrive` took (10 → 9). Version 8 gave every qdisc one link record
 /// (rate and sent bytes) and one packet-queue form, dropped the five queue
 /// counters nothing read and DualPI2's per-class sent bytes, and added
-/// the queue DualPI2 committed to the wire.
-pub const CKPT_VERSION: u32 = 8;
+/// the queue DualPI2 committed to the wire. Version 9 dropped what the
+/// monitor recorded and nothing read: the control-variable series, each
+/// sample row's throughput word, two per-flow byte counters (sent, and
+/// delivered after warm-up), and Reno's decrease factor, now a constant.
+pub const CKPT_VERSION: u32 = 9;
 
 /// The complete simulator: shared core + traffic sources.
 pub struct Sim {
@@ -1223,18 +1226,16 @@ impl Sim {
     }
 
     /// Periodic controller tick of `hop`'s AQM. Every hop's post-update
-    /// state reaches the auditor and the sinks; the monitor's
-    /// control-variable series, the update counter, the metrics and the
-    /// hybrid background follow the primary bottleneck only. `probe()` is
-    /// a pure read of controller state, so taking it for an observer
-    /// cannot perturb the run.
+    /// state reaches the auditor and the sinks; the update counter, the
+    /// metrics and the hybrid background follow the primary bottleneck
+    /// only. `probe()` is the one read of controller state, and a pure
+    /// one, so taking it only when something consumes it cannot perturb
+    /// the run.
     fn handle_aqm_update(&mut self, hop: u32) {
         let primary = hop == 0;
         let now = self.core.now();
         self.core.hop_qdisc_mut(hop).update(now);
         if primary {
-            let p = self.core.hop_qdisc(0).control_variable();
-            self.core.monitor.record_control_variable(p, now);
             self.core.counters.note_aqm_update();
         }
         let consumed = primary && (self.core.metrics.is_some() || self.background.is_some());
@@ -1694,9 +1695,6 @@ mod tests {
         fn update(&mut self, _now: Time) {}
         fn update_interval(&self) -> Option<Duration> {
             None
-        }
-        fn control_variable(&self) -> f64 {
-            0.0
         }
     }
     ckpt_fields!(StagingQdisc {});

@@ -11,34 +11,28 @@ use pi2_simcore::{ckpt_fields, Duration, Time};
 /// Minimum congestion window after a decrease, in packets.
 const MIN_CWND: f64 = 2.0;
 
+/// Multiplicative-decrease factor on a congestion signal.
+const BETA: f64 = 0.5;
+
 /// TCP Reno congestion control.
 #[derive(Clone, Debug)]
 pub struct Reno {
     cwnd: f64,
     ssthresh: f64,
-    beta: f64,
 }
 
 impl Reno {
-    /// Standard Reno with multiplicative-decrease factor ½.
+    /// Standard Reno, AIMD(1, ½).
     pub fn new(initial_cwnd: f64) -> Self {
-        Reno::with_beta(initial_cwnd, 0.5)
-    }
-
-    /// Reno with a custom decrease factor (kept ∈ (0, 1)); used by tests
-    /// exploring the CReno constant.
-    pub fn with_beta(initial_cwnd: f64, beta: f64) -> Self {
         assert!(initial_cwnd >= 1.0, "initial cwnd must be at least 1");
-        assert!((0.0..1.0).contains(&beta), "beta must be in (0, 1)");
         Reno {
             cwnd: initial_cwnd,
             ssthresh: f64::INFINITY,
-            beta,
         }
     }
 
     fn decrease(&mut self) {
-        self.ssthresh = (self.cwnd * self.beta).max(MIN_CWND);
+        self.ssthresh = (self.cwnd * BETA).max(MIN_CWND);
         self.cwnd = self.ssthresh;
     }
 }
@@ -81,7 +75,7 @@ impl CongestionControl for Reno {
     }
 }
 
-ckpt_fields!(Reno { cwnd, ssthresh, beta });
+ckpt_fields!(Reno { cwnd, ssthresh });
 
 #[cfg(test)]
 mod tests {

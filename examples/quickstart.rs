@@ -45,10 +45,10 @@ fn main() {
     sim.run_until(Time::from_secs(60));
 
     let m = &sim.core.monitor;
-    println!("t[s]  queue delay [ms]   total throughput [Mb/s]");
-    for ((t, d), (_, r)) in m.qdelay_series().iter().zip(&m.total_tput_series()) {
+    println!("t[s]  queue delay [ms]   utilization [%]");
+    for ((t, d), (_, u)) in m.qdelay_series().iter().zip(&m.util_series()) {
         if *t as u64 % 5 == 0 {
-            println!("{t:>4.0}  {d:>16.1}   {r:>22.2}");
+            println!("{t:>4.0}  {d:>16.1}   {:>15.1}", 100.0 * u);
         }
     }
 

@@ -767,16 +767,17 @@ fn header_mismatches_are_rejected_with_the_right_error() {
         Err(CkptError::VersionMismatch { .. })
     ));
 
-    // The previous version: a v7 blob carries six queue counters per hop
-    // and a raw packet count per queue, and is refused by number.
+    // The previous version: a v8 blob carries the monitor's
+    // control-variable series and a throughput word per sample row, and
+    // is refused by number.
     let mut bad = blob.clone();
-    bad[8..12].copy_from_slice(&7u32.to_le_bytes());
+    bad[8..12].copy_from_slice(&8u32.to_le_bytes());
     let mut target = build_sim(&cell);
     assert!(matches!(
         target.restore(&bad),
         Err(CkptError::VersionMismatch {
-            found: 7,
-            expected: 8
+            found: 8,
+            expected: 9
         })
     ));
 

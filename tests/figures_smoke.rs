@@ -29,7 +29,7 @@ fn fig11_runner_smoke() {
         let run = run_one(AqmKind::pie_default(), mix, 99);
         assert_eq!(run.mix, mix);
         assert!(run.peak_ms > 0.0);
-        assert!(!run.tput.is_empty());
+        assert!(!run.qdelay.is_empty());
         assert!(run.util.mean > 50.0, "{} util {:.0}", mix.label(), run.util.mean);
     }
 }

@@ -261,8 +261,8 @@ impl pi2::netsim::Qdisc for LyingQdisc {
     fn update_interval(&self) -> Option<Duration> {
         self.inner.update_interval()
     }
-    fn control_variable(&self) -> f64 {
-        self.inner.control_variable()
+    fn probe(&self) -> pi2::netsim::AqmState {
+        self.inner.probe()
     }
 }
 pi2::simcore::ckpt_fields!(LyingQdisc {});

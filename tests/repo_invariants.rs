@@ -184,6 +184,38 @@ const RULES: &[Rule] = &[
               PIE's heuristics are one switch because its callers set them together, and \
               DualPI2's native ramp is derived from the link it is built for",
     },
+    Rule {
+        needles: &[
+            "control_series",
+            "record_control_variable",
+            "total_tput_series",
+            "tput_series",
+            "sent_bytes",
+            "delivered_bytes_postwarm",
+            "with_beta",
+            "BACKENDS",
+            "run_all",
+        ],
+        roots: &["crates", "tests", "examples", "src"],
+        allowed: &["tests/repo_invariants.rs"],
+        up_to: None,
+        why: "what is recorded has a reader and what is written once has one home: no \
+              series, counter or per-sample word nothing reads, Reno's decrease factor is a \
+              constant, --backend is pi2_experiments::Backend, and a batch of scenarios is \
+              runner::par_map over Scenario::run",
+    },
+    Rule {
+        needles: &["fn control_variable"],
+        roots: &["crates", "tests", "examples", "src"],
+        allowed: &[
+            "crates/netsim/src/aqm.rs",
+            "crates/netsim/src/queue.rs",
+            "tests/repo_invariants.rs",
+        ],
+        up_to: None,
+        why: "a controller is read through probe() alone: control_variable is the p' of \
+              the probe, provided once by Aqm and once by Qdisc, and never restated",
+    },
 ];
 
 /// Shared by the two rows that keep the PI loop and the qdiscs' parts single.

@@ -9,15 +9,17 @@
 //! ```
 
 use pi2_bench::cli::{parse_args, usage, CliArgs, MetricsFormat, TraceFormat};
-use pi2_bench::perf::Json;
+use pi2_bench::jsonl_check::verify_jsonl_trace;
 use pi2_experiments::{run_fluid, summarize_scenario_run, Backend, Scenario};
 use pi2_fluid::law::CLASSIC_CAP;
-use pi2_netsim::{AuditSink, CsvSink, JsonlSink, Monitor, Sim};
+use pi2_netsim::{AuditSink, CountingSink, CsvSink, JsonlSink, Sim};
 use pi2_obs::ObsServer;
 use pi2_simcore::{Duration, Time};
 use pi2_stats::Summary;
+use std::cell::RefCell;
 use std::fs::File;
 use std::io::BufWriter;
+use std::rc::Rc;
 
 /// [`Scenario::build`], with a description it rejects reported as a usage
 /// error.
@@ -115,14 +117,16 @@ fn main() {
 /// apply `--restore`/`--checkpoint-out`, run it to the scenario's end
 /// (in served slices under `--serve`) and flush the sinks. Every observer
 /// is pure, so whatever is attached the run's bits are those of a bare
-/// [`Scenario::run`].
+/// [`Scenario::run`]. A JSONL trace gets a [`CountingSink`] beside it,
+/// returned so the file can be checked against the stream it was
+/// written from.
 fn observe_and_run(
     a: &CliArgs,
     sc: &Scenario,
     sim: &mut Sim,
     audit: Option<AuditSink>,
     serve: Option<&ObsServer>,
-) {
+) -> Option<Rc<RefCell<CountingSink>>> {
     // A checkpoint carries what the sim carries, and `build` leaves the
     // registry on it, which would change the blob this command line
     // writes: it is kept only when asked for (`--metrics-out`, or
@@ -139,6 +143,7 @@ fn observe_and_run(
         sim.core.enable_audit(audit);
     }
     // `--trace-out PATH`: stream every event and AQM probe to disk.
+    let mut streamed = None;
     if let Some(path) = &a.trace_out {
         let f = File::create(path).unwrap_or_else(|e| {
             eprintln!("cannot create trace file {path}: {e}");
@@ -146,7 +151,12 @@ fn observe_and_run(
         });
         let w = BufWriter::new(f);
         match a.trace_format {
-            TraceFormat::Jsonl => sim.core.add_trace_sink(Box::new(JsonlSink::new(w))),
+            TraceFormat::Jsonl => {
+                sim.core.add_trace_sink(Box::new(JsonlSink::new(w)));
+                let counts = Rc::new(RefCell::new(CountingSink::new()));
+                sim.core.add_trace_sink(Box::new(Rc::clone(&counts)));
+                streamed = Some(counts);
+            }
             TraceFormat::Csv => sim.core.add_trace_sink(Box::new(CsvSink::new(w))),
             // The flush at end-of-run finalizes the timeline (flow
             // lifetime slices, track metadata, the closing bracket).
@@ -187,6 +197,7 @@ fn observe_and_run(
         eprintln!("trace sink error: {e}");
         std::process::exit(1);
     }
+    streamed
 }
 
 /// The default mode: one scenario on the packet or hybrid backend,
@@ -208,7 +219,7 @@ fn run_single(a: &CliArgs) {
             audit
         }
     });
-    observe_and_run(a, &sc, &mut sim, audit, serve.as_ref());
+    let streamed = observe_and_run(a, &sc, &mut sim, audit, serve.as_ref());
     // Detach the observers the report reads before the run's measurements
     // move into the result.
     let profiler = sim.take_profiler();
@@ -345,21 +356,15 @@ fn run_single(a: &CliArgs) {
             println!("{t},{d}");
         }
     }
-    if let (Some(path), TraceFormat::Jsonl) = (&a.trace_out, a.trace_format) {
-        if sc.topology.is_some() {
-            // A line sink records hop 0 only; the monitor's per-flow marks
-            // and drops count every hop and its dequeues the last one.
-            println!(
-                "trace verification skipped: the trace holds hop 0 only, \
-                 the monitor's per-flow totals span every hop"
-            );
-        } else {
-            match verify_jsonl_trace(path, m) {
-                Ok(n) => println!("trace verified: {n} events, per-flow totals match monitor"),
-                Err(e) => {
-                    eprintln!("trace verification FAILED: {e}");
-                    std::process::exit(1);
-                }
+    if let (Some(path), Some(streamed)) = (&a.trace_out, streamed) {
+        let verdict = std::fs::read_to_string(path)
+            .map_err(|e| format!("read {path}: {e}"))
+            .and_then(|text| verify_jsonl_trace(&text, &streamed.borrow().counts));
+        match verdict {
+            Ok(n) => println!("trace verified: {n} events, per-flow totals match the stream"),
+            Err(e) => {
+                eprintln!("trace verification FAILED: {e}");
+                std::process::exit(1);
             }
         }
     }
@@ -425,54 +430,4 @@ fn publish_single(srv: &ObsServer, sim: &Sim, start: Time, end: Time, wall_secs:
         now.as_secs_f64(),
         p.fraction
     ));
-}
-
-/// Re-parse a JSONL trace and check its per-flow mark/drop/dequeue totals
-/// against the Monitor's independent accounting. Returns the event count.
-fn verify_jsonl_trace(path: &str, m: &Monitor) -> Result<usize, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    if text.is_empty() {
-        return Err("trace file is empty".to_string());
-    }
-    let nflows = m.flows.len();
-    let mut marks = vec![0u64; nflows];
-    let mut drops = vec![0u64; nflows];
-    let mut deqs = vec![0u64; nflows];
-    let mut n = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        let bad = |what: &str| format!("line {}: {what}", i + 1);
-        let j = Json::parse(line).map_err(|e| bad(&e))?;
-        let ev = j
-            .get("ev")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| bad("missing \"ev\""))?
-            .to_string();
-        n += 1;
-        if ev == "aqm" {
-            continue;
-        }
-        let flow = j
-            .get("flow")
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| bad("missing \"flow\""))? as usize;
-        if flow >= nflows {
-            return Err(bad(&format!("unknown flow {flow}")));
-        }
-        match ev.as_str() {
-            "enq" => {}
-            "mark" => marks[flow] += 1,
-            "drop" => drops[flow] += 1,
-            "deq" => deqs[flow] += 1,
-            other => return Err(bad(&format!("unknown event '{other}'"))),
-        }
-    }
-    for (i, f) in m.flows.iter().enumerate() {
-        if marks[i] != f.marked || drops[i] != f.dropped || deqs[i] != f.dequeued_pkts {
-            return Err(format!(
-                "flow {i}: trace mark/drop/deq {}/{}/{} but monitor has {}/{}/{}",
-                marks[i], drops[i], deqs[i], f.marked, f.dropped, f.dequeued_pkts
-            ));
-        }
-    }
-    Ok(n)
 }

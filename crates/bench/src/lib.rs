@@ -107,5 +107,6 @@ mod tests {
 pub mod alloc_count;
 pub mod cli;
 pub mod figures;
+pub mod jsonl_check;
 pub mod perf;
 pub mod perfetto_check;

@@ -122,8 +122,7 @@ pub fn burst_scenario(cfg: PieConfig, seed: u64) -> Scenario {
 pub fn bare_pie_bursts(seed: u64) -> (f64, f64) {
     let run = |cfg: PieConfig| {
         let r = burst_scenario(cfg, seed).run();
-        let acc = &r.monitor.flows[2];
-        acc.dropped as f64 / acc.sent_pkts.max(1) as f64
+        r.counters.flows()[2].dropped as f64 / r.monitor.flows[2].sent_pkts.max(1) as f64
     };
     (run(PieConfig::paper_default()), run(PieConfig::bare()))
 }

@@ -120,8 +120,8 @@ pub fn step_vs_probabilistic(seed: u64) -> (f64, f64, f64) {
         // Effective RTT = base + mean queue delay.
         let sojourns: Vec<f64> = r.monitor.sojourn_ms.iter().map(|&x| x as f64).collect();
         let eff_rtt = MARKING_RTT.as_secs_f64() + pi2_stats::mean(&sojourns) / 1000.0;
-        let f = &r.monitor.flows[0];
-        (f.marked as f64 / f.sent_pkts.max(1) as f64, mean_window(&r, eff_rtt))
+        let marked = r.counters.flows()[0].marked;
+        (marked as f64 / r.monitor.flows[0].sent_pkts.max(1) as f64, mean_window(&r, eff_rtt))
     };
     let (p_step, w_step) = run(AqmKind::StepMark(StepMarkConfig::default()), seed);
     // Probabilistic marking at the same fraction.

@@ -32,10 +32,10 @@ pub struct OverloadPoint {
     pub tcp_mbps: f64,
 }
 
-/// Run one overload point: 2 Reno flows + one UDP source at
+/// One overload point: 2 Reno flows + one UDP source (flow 2) at
 /// `udp_load × capacity` on a 10 Mb/s link with a *finite* buffer
 /// (100 ms worth), so the tail-drop backstop is observable.
-pub fn run_point(aqm: AqmKind, udp_load: f64, seed: u64) -> OverloadPoint {
+fn scenario(aqm: AqmKind, udp_load: f64, seed: u64) -> Scenario {
     let rate: u64 = 10_000_000;
     let rtt = Duration::from_millis(20);
     let mut sc = Scenario::new(aqm, rate);
@@ -60,7 +60,13 @@ pub fn run_point(aqm: AqmKind, udp_load: f64, seed: u64) -> OverloadPoint {
     sc.duration = Time::from_secs(60);
     sc.warmup = Duration::from_secs(20);
     sc.seed = seed;
-    let r = sc.run();
+    sc
+}
+
+/// Run one overload point. Every loss fraction is over the post-warm-up
+/// window, the window the probability samples cover.
+pub fn run_point(aqm: AqmKind, udp_load: f64, seed: u64) -> OverloadPoint {
+    let r = scenario(aqm, udp_load, seed).run();
     let udp = &r.monitor.flows[2];
     // Buffer-overflow drops are recorded with probability exactly 1.0 by
     // the queue, while every AQM decision here carries the controller's
@@ -78,7 +84,7 @@ pub fn run_point(aqm: AqmKind, udp_load: f64, seed: u64) -> OverloadPoint {
     } else {
         (probs.len() - aqm_probs.len()) as f64 / probs.len() as f64
     };
-    let total_loss = udp.dropped as f64 / udp.sent_pkts.max(1) as f64;
+    let total_loss = udp.dropped_postwarm as f64 / udp.sent_pkts_postwarm.max(1) as f64;
     OverloadPoint {
         aqm: r.aqm,
         udp_load,
@@ -125,6 +131,17 @@ mod tests {
             "queue should exceed target under overload, got {:.1} ms",
             pt.delay.p50
         );
+    }
+
+    #[test]
+    fn the_two_loss_columns_split_the_post_warmup_loss() {
+        // Both columns cover the window the probability samples do.
+        let pt = run_point(AqmKind::pi2_default(), 2.0, 7);
+        let r = scenario(AqmKind::pi2_default(), 2.0, 7).run();
+        let udp = &r.monitor.flows[2];
+        let loss = udp.dropped_postwarm as f64 / udp.sent_pkts_postwarm as f64;
+        assert!(pt.aqm_loss > 0.0 && pt.overflow_loss > 0.0);
+        assert!((pt.aqm_loss + pt.overflow_loss - loss).abs() < 1e-12, "{pt:?} vs {loss}");
     }
 
     #[test]

@@ -535,15 +535,8 @@ mod tests {
         assert!(tput > 8.0, "throughput {tput:.1} Mb/s");
         assert!(r.delay_summary().n > 0);
         assert_eq!(r.aqm, "pi2");
-        // The always-on counters agree with the monitor's accounting.
         let t = r.counters.totals();
         assert!(t.enqueued > 0 && t.dequeued > 0);
-        let m_drops: u64 = r.monitor.flows.iter().map(|f| f.dropped).sum();
-        let m_marks: u64 = r.monitor.flows.iter().map(|f| f.marked).sum();
-        let m_deqs: u64 = r.monitor.flows.iter().map(|f| f.dequeued_pkts).sum();
-        assert_eq!(t.dropped, m_drops);
-        assert_eq!(t.marked, m_marks);
-        assert_eq!(t.dequeued, m_deqs);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use pi2_experiments::scenario::{AqmKind, FlowGroup, Scenario, UdpGroup};
 use pi2_experiments::workload::{bounded_pareto_mean, mice_arrivals, MiceWorkload};
+use pi2_netsim::FlowId;
 use pi2_simcore::{Duration, Time};
 use pi2_transport::{CcKind, EcnSetting};
 use proptest::prelude::*;
@@ -66,10 +67,11 @@ proptest! {
         sc.seed = seed;
         let r = sc.run();
 
-        for f in &r.monitor.flows {
-            prop_assert!(f.delivered_pkts <= f.dequeued_pkts);
-            prop_assert!(f.dequeued_pkts + f.dropped <= f.sent_pkts + 1);
-            prop_assert!(f.marked + f.dropped <= f.sent_pkts);
+        for (i, f) in r.monitor.flows.iter().enumerate() {
+            let c = r.counters.flow(FlowId(i as u32));
+            prop_assert!(f.delivered_pkts <= c.dequeued);
+            prop_assert!(c.dequeued + c.dropped <= f.sent_pkts + 1);
+            prop_assert!(c.marked + c.dropped <= f.sent_pkts);
         }
         // No physically impossible utilization samples.
         for (_, u) in r.monitor.util_series() {

@@ -5,7 +5,9 @@
 //! throughput, applied mark/drop probability percentiles, and link
 //! utilization (the total throughput, at the link's rate). The [`Monitor`]
 //! collects all of these during a run with a configurable sampling
-//! interval and warm-up exclusion.
+//! interval and warm-up exclusion. Whole-run per-flow counts of
+//! admissions, marks, drops and departures are not its business: the
+//! engine's [`crate::trace::TraceCounts`] is the one ledger of those.
 
 use crate::aqm::{Action, Decision};
 use crate::packet::FlowId;
@@ -42,8 +44,10 @@ impl Default for MonitorConfig {
     }
 }
 
-/// Per-flow accounting.
-#[derive(Clone, Debug)]
+/// Per-flow accounting: what needs the warm-up window, byte counts or
+/// samples. Whole-run verdict and departure counts per flow are
+/// [`crate::trace::TraceCounts`]', which the engine keeps beside this.
+#[derive(Clone, Debug, Default)]
 pub struct FlowAccount {
     /// Label given at registration; experiments group flows by it
     /// (e.g. `"cubic"`, `"dctcp"`, `"udp"`).
@@ -52,16 +56,10 @@ pub struct FlowAccount {
     pub sent_pkts: u64,
     /// Packets handed to the bottleneck after the warm-up period.
     pub sent_pkts_postwarm: u64,
-    /// Packets dropped by the AQM or buffer.
-    pub dropped: u64,
-    /// Packets CE-marked by the AQM.
-    pub marked: u64,
     /// Packets dropped after the warm-up period.
     pub dropped_postwarm: u64,
     /// Packets CE-marked after the warm-up period.
     pub marked_postwarm: u64,
-    /// Packets that left the bottleneck link.
-    pub dequeued_pkts: u64,
     /// Bytes that left the bottleneck link.
     pub dequeued_bytes: u64,
     /// Bytes that left the bottleneck link after the warm-up period.
@@ -81,11 +79,8 @@ pub struct FlowAccount {
 ckpt_fields!(FlowAccount {
     sent_pkts,
     sent_pkts_postwarm,
-    dropped,
-    marked,
     dropped_postwarm,
     marked_postwarm,
-    dequeued_pkts,
     dequeued_bytes,
     dequeued_bytes_postwarm,
     delivered_pkts,
@@ -98,19 +93,20 @@ impl FlowAccount {
     fn new(label: &str) -> Self {
         FlowAccount {
             label: label.to_string(),
-            sent_pkts: 0,
-            sent_pkts_postwarm: 0,
-            dropped: 0,
-            marked: 0,
-            dropped_postwarm: 0,
-            marked_postwarm: 0,
-            dequeued_pkts: 0,
-            dequeued_bytes: 0,
-            dequeued_bytes_postwarm: 0,
-            delivered_pkts: 0,
-            delivered_bytes: 0,
-            prob_samples: Vec::new(),
-            sojourn_ms: Vec::new(),
+            ..FlowAccount::default()
+        }
+    }
+
+    /// Count a post-warm-up verdict and, if `record_prob`, its applied
+    /// probability.
+    fn note_verdict(&mut self, decision: Decision, record_prob: bool) {
+        match decision.action {
+            Action::Drop => self.dropped_postwarm += 1,
+            Action::Mark => self.marked_postwarm += 1,
+            Action::Pass => {}
+        }
+        if record_prob {
+            self.prob_samples.push(decision.prob as f32);
         }
     }
 
@@ -189,7 +185,6 @@ pub struct Monitor {
     /// raw material for flow-completion-time distributions (the paper's
     /// short-flow experiments).
     pub completions: Vec<(FlowId, Time, Time)>,
-    end_of_last_run: Time,
     /// Expected per-flow packet count, set by [`Monitor::reserve`]; flows
     /// registered afterwards pre-size their sample vectors with it.
     flow_pkts_hint: usize,
@@ -206,7 +201,6 @@ impl Monitor {
             samples: Vec::new(),
             last_sample_at: Time::ZERO,
             last_total_bytes: 0,
-            end_of_last_run: Time::ZERO,
             warm_at: Time::ZERO + cfg.warmup,
             flow_pkts_hint: 0,
         }
@@ -267,16 +261,12 @@ impl Monitor {
         &self.flows[id.idx()]
     }
 
-    fn postwarm(&self, now: Time) -> bool {
-        now >= self.warm_at
-    }
-
-    /// True once `now` has passed the configured warm-up — the same
-    /// predicate every `record_*` method applies internally, exposed so
-    /// other instruments (e.g. per-hop byte accounting in the core) can
-    /// share the monitor's measurement window.
+    /// True once `now` has passed the configured warm-up — the predicate
+    /// every `record_*` method applies, shared with other instruments
+    /// (e.g. per-hop byte accounting in the core) so they measure the
+    /// monitor's window.
     pub fn postwarm_at(&self, now: Time) -> bool {
-        self.postwarm(now)
+        now >= self.warm_at
     }
 
     /// Record a packet being offered to the bottleneck together with the
@@ -285,61 +275,29 @@ impl Monitor {
     /// lookup happen once on the send path. The packet's size is not read:
     /// sends are counted in packets.
     pub fn record_send(&mut self, flow: FlowId, _bytes: usize, decision: Decision, now: Time) {
-        let postwarm = self.postwarm(now);
+        let postwarm = self.postwarm_at(now);
         let acc = &mut self.flows[flow.idx()];
         acc.sent_pkts += 1;
         if postwarm {
             acc.sent_pkts_postwarm += 1;
-        }
-        match decision.action {
-            Action::Drop => {
-                acc.dropped += 1;
-                if postwarm {
-                    acc.dropped_postwarm += 1;
-                }
-            }
-            Action::Mark => {
-                acc.marked += 1;
-                if postwarm {
-                    acc.marked_postwarm += 1;
-                }
-            }
-            Action::Pass => {}
-        }
-        if self.cfg.record_probs && postwarm {
-            acc.prob_samples.push(decision.prob as f32);
+            acc.note_verdict(decision, self.cfg.record_probs);
         }
     }
 
-    /// Record the AQM decision for an offered packet.
+    /// Record the AQM decision for an offered packet (a verdict at a hop
+    /// after the packet's first). Whole-run verdict totals are
+    /// [`crate::trace::TraceCounts`]'; the monitor keeps the post-warm-up
+    /// window only.
     pub fn record_decision(&mut self, flow: FlowId, decision: Decision, now: Time) {
-        let postwarm = self.postwarm(now);
-        let acc = &mut self.flows[flow.idx()];
-        match decision.action {
-            Action::Drop => {
-                acc.dropped += 1;
-                if postwarm {
-                    acc.dropped_postwarm += 1;
-                }
-            }
-            Action::Mark => {
-                acc.marked += 1;
-                if postwarm {
-                    acc.marked_postwarm += 1;
-                }
-            }
-            Action::Pass => {}
-        }
-        if self.cfg.record_probs && postwarm {
-            acc.prob_samples.push(decision.prob as f32);
+        if self.postwarm_at(now) {
+            self.flows[flow.idx()].note_verdict(decision, self.cfg.record_probs);
         }
     }
 
     /// Record a departure from the bottleneck.
     pub fn record_dequeue(&mut self, flow: FlowId, bytes: usize, sojourn: Duration, now: Time) {
-        let postwarm = self.postwarm(now);
+        let postwarm = self.postwarm_at(now);
         let acc = &mut self.flows[flow.idx()];
-        acc.dequeued_pkts += 1;
         acc.dequeued_bytes += bytes as u64;
         if postwarm {
             acc.dequeued_bytes_postwarm += bytes as u64;
@@ -371,7 +329,7 @@ impl Monitor {
         self.completions
             .iter()
             .filter(|(id, started, _)| {
-                self.flows[id.idx()].label == label && self.postwarm(*started)
+                self.flows[id.idx()].label == label && self.postwarm_at(*started)
             })
             .map(|(_, started, completed)| (*completed - *started).as_secs_f64())
             .collect()
@@ -394,11 +352,10 @@ impl Monitor {
             qdelay_ms,
             util,
             has_rate,
-            postwarm: now >= self.warm_at,
+            postwarm: self.postwarm_at(now),
         });
         self.last_total_bytes = total;
         self.last_sample_at = now;
-        self.end_of_last_run = now;
     }
 
     /// `(t s, instantaneous queue delay ms)` at each sample tick.
@@ -428,7 +385,7 @@ impl Monitor {
 
     /// Post-warm-up measurement span (warm-up end to the last sample).
     pub fn measurement_span(&self) -> Duration {
-        (self.end_of_last_run - (Time::ZERO + self.cfg.warmup)).max_zero()
+        (self.last_sample_at - self.warm_at).max_zero()
     }
 
     /// Indices of flows whose label equals `label`.
@@ -477,7 +434,6 @@ impl Monitor {
 ckpt_fields!(Monitor {
     last_sample_at,
     last_total_bytes,
-    end_of_last_run,
     samples,
     sojourn_ms,
     completions,
@@ -523,7 +479,7 @@ mod tests {
         m.record_send(FlowId(0), 1500, Decision::pass(0.25), Time::ZERO);
         let f = m.flow(FlowId(0));
         assert_eq!(f.sent_pkts, 2);
-        assert_eq!(f.dropped, 1);
+        assert_eq!(f.dropped_postwarm, 1);
         assert_eq!(f.signal_fraction(), 0.5);
         assert_eq!(m.flow(FlowId(1)).sent_pkts, 0);
     }
@@ -569,8 +525,6 @@ mod tests {
         let f = m.flow(FlowId(0));
         // Full-run counters still see everything.
         assert_eq!(f.sent_pkts, 7);
-        assert_eq!(f.dropped, 2);
-        assert_eq!(f.marked, 1);
         assert_eq!(f.delivered_bytes, 6000);
         // The signal fraction is post-warm-up only: 1 mark / 4 sent, not
         // the full-run 3/7.

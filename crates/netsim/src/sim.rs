@@ -1061,7 +1061,11 @@ pub fn event_class(ev: &Event) -> usize {
 /// monitor recorded and nothing read: the control-variable series, each
 /// sample row's throughput word, two per-flow byte counters (sent, and
 /// delivered after warm-up), and Reno's decrease factor, now a constant.
-pub const CKPT_VERSION: u32 = 9;
+/// Version 10 dropped the monitor's copies of the always-on counters: the
+/// whole-run per-flow drops, marks and departures
+/// ([`crate::trace::TraceCounts`] keeps them) and the end-of-run instant,
+/// which always equalled the last sample's.
+pub const CKPT_VERSION: u32 = 10;
 
 /// The complete simulator: shared core + traffic sources.
 pub struct Sim {
@@ -1562,7 +1566,7 @@ mod tests {
         assert_eq!(acc.sent_pkts, 5);
         assert_eq!(acc.delivered_pkts, 5);
         assert_eq!(acc.delivered_bytes, 5000);
-        assert_eq!(acc.dropped, 0);
+        assert_eq!(sim.core.counters.flow(id).dropped, 0);
     }
 
     #[test]
@@ -1756,7 +1760,7 @@ mod tests {
         assert_eq!(log.borrow().acked, vec![1]);
         let acc = sim.core.monitor.flow(id);
         assert_eq!(acc.sent_pkts, 1);
-        assert_eq!(acc.dequeued_pkts, 1, "dequeue recorded once, at the last hop");
+        assert_eq!(sim.core.counters.flow(id).dequeued, 1, "counted once, at the last hop");
         assert_eq!(acc.delivered_pkts, 1);
         // Per-hop egress accounting saw the packet at both hops.
         assert_eq!(sim.core.hop_flow_bytes(0)[id.idx()], 1000);
@@ -1796,10 +1800,10 @@ mod tests {
         // The primary bottleneck never saw the flow...
         assert_eq!(sim.core.hop_qdisc(0).link().dequeued_bytes(), 0);
         assert_eq!(sim.core.hop_flow_bytes(0)[id.idx()], 0);
-        // ...but the monitor's end-to-end accounting is complete.
+        // ...but the end-to-end accounting is complete.
         let acc = sim.core.monitor.flow(id);
         assert_eq!(acc.sent_pkts, 4);
-        assert_eq!(acc.dequeued_pkts, 4);
+        assert_eq!(sim.core.counters.flow(id).dequeued, 4);
         assert_eq!(acc.delivered_pkts, 4);
         assert_eq!(sim.core.hop_flow_bytes(hop)[id.idx()], 4000);
     }

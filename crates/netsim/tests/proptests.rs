@@ -215,18 +215,10 @@ fn run_weather_sim(imp: Option<LinkImpairments>, seed: u64) -> (RunDigest, Optio
     sim.run_until(Time::from_secs(2));
     let t = sim.core.counters.totals();
     let digest = (
-        sim.core
-            .monitor
-            .flows
-            .iter()
-            .map(|f| {
-                (
-                    f.dequeued_pkts,
-                    f.dequeued_bytes,
-                    f.marked,
-                    f.dropped,
-                    f.delivered_pkts,
-                )
+        (sim.core.monitor.flows.iter().enumerate())
+            .map(|(i, f)| {
+                let c = sim.core.counters.flow(FlowId(i as u32));
+                (c.dequeued, f.dequeued_bytes, c.marked, c.dropped, f.delivered_pkts)
             })
             .collect(),
         sim.core.monitor.sojourn_ms.len(),

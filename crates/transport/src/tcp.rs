@@ -774,7 +774,7 @@ mod tests {
         let id = add_tcp(&mut sim, CcKind::Reno, EcnSetting::NotEcn, 40, "reno");
         sim.run_until(Time::from_secs(30));
         let acc = sim.core.monitor.flow(id);
-        assert!(acc.dropped > 0, "expected drops with a 30 kB buffer");
+        assert!(sim.core.counters.flow(id).dropped > 0, "expected drops with a 30 kB buffer");
         let mbps = acc.dequeued_bytes as f64 * 8.0 / 30.0 / 1e6;
         assert!(mbps > 8.0, "throughput only {mbps:.2} Mb/s with losses");
     }
@@ -818,12 +818,12 @@ mod tests {
         let mut sim = sim_with(10_000_000, usize::MAX, Box::new(MarkAll));
         let id = add_tcp(&mut sim, CcKind::Cubic, EcnSetting::Classic, 40, "ecn-cubic");
         sim.run_until(Time::from_secs(10));
-        let acc = sim.core.monitor.flow(id);
+        let acc = sim.core.counters.flow(id);
         assert_eq!(acc.dropped, 0);
         assert!(acc.marked > 0);
         // Marked on every packet, yet the flow must still deliver data:
         // the once-per-RTT gate prevents collapse to zero.
-        assert!(acc.dequeued_pkts > 100, "delivered {}", acc.dequeued_pkts);
+        assert!(acc.dequeued > 100, "delivered {}", acc.dequeued);
     }
 
     #[test]
@@ -831,9 +831,9 @@ mod tests {
         let mut sim = sim_with(10_000_000, usize::MAX, Box::new(MarkAll));
         let id = add_tcp(&mut sim, CcKind::Dctcp, EcnSetting::Scalable, 40, "dctcp");
         sim.run_until(Time::from_secs(10));
-        let acc = sim.core.monitor.flow(id);
+        let acc = sim.core.counters.flow(id);
         assert!(acc.marked > 0);
-        assert!(acc.dequeued_pkts > 100);
+        assert!(acc.dequeued > 100);
     }
 
     #[test]
@@ -920,7 +920,7 @@ mod tests {
         let acc = sim.core.monitor.flow(id);
         // The flow must survive the outage and keep transferring afterwards.
         let late_bytes = acc.dequeued_bytes;
-        assert!(acc.dropped > 0);
+        assert!(sim.core.counters.flow(id).dropped > 0);
         assert!(
             late_bytes > 5_000_000,
             "flow stalled after outage: {late_bytes} bytes total"
@@ -1138,9 +1138,9 @@ mod tests {
             },
         );
         sim.run_until(Time::from_secs(10));
-        let acc = sim.core.monitor.flow(id);
+        let acc = sim.core.counters.flow(id);
         assert!(acc.marked > 0);
-        assert!(acc.dequeued_pkts > 100);
+        assert!(acc.dequeued > 100);
     }
 
     /// A congestion control that records every event it receives, for
@@ -1538,7 +1538,7 @@ mod tests {
         let acc = sim.core.monitor.flow(id);
         let s = sim.core.impairments().expect("weather attached").stats();
         assert!(s.rev_dup > 0, "duplication never fired: {s:?}");
-        assert!(acc.dropped > 0, "30 kB buffer must overflow");
+        assert!(sim.core.counters.flow(id).dropped > 0, "30 kB buffer must overflow");
         assert_eq!(acc.delivered_pkts, 2000, "exactly-once delivery broken");
         assert_eq!(sim.core.monitor.completions.len(), 1);
     }
@@ -1740,16 +1740,16 @@ mod tests {
         }));
         let id = add_tcp(&mut sim, CcKind::Dctcp, EcnSetting::Scalable, 40, "dctcp");
         sim.run_until(Time::from_secs(10));
-        let acc = sim.core.monitor.flow(id);
+        let acc = sim.core.counters.flow(id);
         let s = sim.core.impairments().expect("weather attached").stats();
         assert!(s.rev_lost > 0, "ACK loss never fired: {s:?}");
         assert!(acc.marked > 0);
         // Under full marking a healthy DCTCP still delivers; a double-
         // counting α would collapse cwnd to the floor and starve the flow.
         assert!(
-            acc.dequeued_pkts > 100,
+            acc.dequeued > 100,
             "flow starved under ACK loss: {} pkts",
-            acc.dequeued_pkts
+            acc.dequeued
         );
     }
 }

@@ -64,7 +64,7 @@ fn main() {
     println!(
         "flow 0: sent {} pkts, {} dropped by the AQM ({:.2} %)",
         f.sent_pkts,
-        f.dropped,
+        sim.core.counters.flow(FlowId(0)).dropped,
         100.0 * f.signal_fraction()
     );
 }

@@ -52,7 +52,7 @@ fn run(aqm: Box<dyn Aqm>, name: &'static str) {
     let delay = pi2::stats::Summary::of_f32(&m.sojourn_ms);
     let call = m.flow(FlowId(0));
     let loss_pct = 100.0
-        * (call.sent_pkts - call.dequeued_pkts) as f64
+        * (call.sent_pkts - sim.core.counters.flow(FlowId(0)).dequeued) as f64
         / call.sent_pkts.max(1) as f64;
     println!(
         "{:<9} queue delay mean {:>6.1} ms  p99 {:>6.1} ms | call loss {:>5.2} % | bulk {:>5.2} Mb/s",

@@ -39,7 +39,7 @@
 //!     );
 //! }
 //! sim.run_until(Time::from_secs(20));
-//! assert!(sim.core.monitor.flow(FlowId(0)).dequeued_pkts > 0);
+//! assert!(sim.core.counters.flow(FlowId(0)).dequeued > 0);
 //! ```
 
 pub use pi2_aqm as aqm;

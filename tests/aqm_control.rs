@@ -12,7 +12,7 @@ fn run_aqm(
     ecn: EcnSetting,
     secs: u64,
     seed: u64,
-) -> pi2::netsim::Monitor {
+) -> (pi2::netsim::Monitor, pi2::netsim::TraceCounts) {
     let mut sim = Sim::new(
         SimConfig {
             queue: QueueConfig {
@@ -36,7 +36,7 @@ fn run_aqm(
         );
     }
     sim.run_until(Time::from_secs(secs));
-    sim.core.monitor.clone()
+    (sim.core.monitor.clone(), sim.core.counters.clone())
 }
 
 fn mean_sojourn_ms(m: &pi2::netsim::Monitor) -> f64 {
@@ -48,7 +48,7 @@ fn mean_sojourn_ms(m: &pi2::netsim::Monitor) -> f64 {
 #[test]
 fn pi2_holds_reno_queue_near_target() {
     // 10 Mb/s, 100 ms RTT, 5 Reno flows — Figure 11a conditions.
-    let m = run_aqm(
+    let (m, _) = run_aqm(
         Box::new(Pi2::new(Pi2Config::default())),
         10_000_000,
         100,
@@ -72,7 +72,7 @@ fn pi2_holds_reno_queue_near_target() {
 
 #[test]
 fn pie_holds_reno_queue_near_target() {
-    let m = run_aqm(
+    let (m, _) = run_aqm(
         Box::new(Pie::new(pi2::aqm::PieConfig::paper_default())),
         10_000_000,
         100,
@@ -91,7 +91,7 @@ fn pie_holds_reno_queue_near_target() {
 
 #[test]
 fn coupled_pi2_controls_dctcp() {
-    let m = run_aqm(
+    let (m, counts) = run_aqm(
         Box::new(CoupledPi2::new(CoupledPi2Config::default())),
         10_000_000,
         20,
@@ -107,7 +107,7 @@ fn coupled_pi2_controls_dctcp() {
         "coupled PI2 mean queue delay {mean:.1} ms"
     );
     // DCTCP must be controlled by marks, not drops.
-    let f = &m.flows[0];
+    let f = counts.flows()[0];
     assert!(f.marked > 0, "expected ECN marks");
     assert_eq!(f.dropped, 0, "scalable traffic must not be AQM-dropped");
 }
@@ -116,7 +116,7 @@ fn coupled_pi2_controls_dctcp() {
 fn taildrop_builds_a_standing_queue() {
     // Without an AQM the 60 MB buffer lets Reno build a huge queue —
     // the bufferbloat the paper's AQMs remove.
-    let m = run_aqm(
+    let (m, _) = run_aqm(
         Box::new(PassAqm),
         10_000_000,
         100,

@@ -288,12 +288,11 @@ fn observables(mut sim: Sim, sink: Rc<RefCell<JsonlSink<Vec<u8>>>>) -> Observabl
         totals: (t.enqueued, t.marked, t.dropped, t.dequeued),
         aqm_updates: sim.core.counters.aqm_updates,
         sojourn_ms: sim.core.monitor.sojourn_ms.clone(),
-        flows: sim
-            .core
-            .monitor
-            .flows
-            .iter()
-            .map(|f| (f.sent_pkts, f.dequeued_bytes, f.marked, f.dropped))
+        flows: (sim.core.monitor.flows.iter().enumerate())
+            .map(|(i, f)| {
+                let c = sim.core.counters.flow(FlowId(i as u32));
+                (f.sent_pkts, f.dequeued_bytes, c.marked, c.dropped)
+            })
             .collect(),
         hop_bytes: (0..sim.core.hop_count() as u32)
             .map(|h| sim.core.hop_flow_bytes(h).to_vec())
@@ -767,17 +766,17 @@ fn header_mismatches_are_rejected_with_the_right_error() {
         Err(CkptError::VersionMismatch { .. })
     ));
 
-    // The previous version: a v8 blob carries the monitor's
-    // control-variable series and a throughput word per sample row, and
-    // is refused by number.
+    // The previous version: a v9 blob carries the monitor's whole-run
+    // per-flow drop, mark and departure counts and its end-of-run
+    // instant, and is refused by number.
     let mut bad = blob.clone();
-    bad[8..12].copy_from_slice(&8u32.to_le_bytes());
+    bad[8..12].copy_from_slice(&9u32.to_le_bytes());
     let mut target = build_sim(&cell);
     assert!(matches!(
         target.restore(&bad),
         Err(CkptError::VersionMismatch {
-            found: 8,
-            expected: 9
+            found: 9,
+            expected: 10
         })
     ));
 

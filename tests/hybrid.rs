@@ -55,11 +55,11 @@ type Fingerprint = (Vec<u8>, String, Vec<(u64, u64, u64, u64)>, Vec<f32>, Vec<(f
 
 fn fingerprint_of(trace: Vec<u8>, run: RunResult) -> Fingerprint {
     let metrics_json = run.metrics.as_ref().expect("scenario runs record metrics").registry().to_json();
-    let flows = run
-        .monitor
-        .flows
-        .iter()
-        .map(|f| (f.sent_pkts, f.dequeued_bytes, f.marked, f.dropped))
+    let flows = (run.monitor.flows.iter().enumerate())
+        .map(|(i, f)| {
+            let c = run.counters.flow(FlowId(i as u32));
+            (f.sent_pkts, f.dequeued_bytes, c.marked, c.dropped)
+        })
         .collect();
     let bg_series = run.background.map_or(Vec::new(), |b| b.series);
     (trace, metrics_json, flows, run.monitor.sojourn_ms, bg_series)

@@ -63,8 +63,8 @@ fn metrics_do_not_perturb_the_simulation() {
         .zip(&metered.core.monitor.flows)
     {
         assert_eq!(a.dequeued_bytes, b.dequeued_bytes);
-        assert_eq!(a.dropped, b.dropped);
-        assert_eq!(a.marked, b.marked);
+        assert_eq!(a.dropped_postwarm, b.dropped_postwarm);
+        assert_eq!(a.marked_postwarm, b.marked_postwarm);
     }
 
     let t = metered.core.counters.totals();

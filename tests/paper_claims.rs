@@ -10,6 +10,12 @@ use pi2::simcore::Duration;
 
 /// Claim (Figures 15/19): PIE lets DCTCP starve Cubic ~10×; the coupled
 /// PI2 keeps the ratio near 1. This is the single most important result.
+///
+/// The bands come from this cell's own spread over seeds 1–100
+/// (EXPERIMENTS.md divergence 5): coupled 0.796–1.271 (median 0.994; seed
+/// 1 reads 0.941), PIE at most 0.112, and PI2/PIE at least 7.7×. They
+/// catch a move of the whole distribution, not a shift of its median by
+/// a tenth: one seed cannot see that (ROADMAP items 1d and 17).
 #[test]
 fn coexistence_headline() {
     let pie = run_cell(AqmKind::pie_default(), Pair::CubicVsDctcp, 40, 10, 40, 1);
@@ -22,12 +28,12 @@ fn coexistence_headline() {
         1,
     );
     assert!(
-        pie.rate_ratio < 0.25,
+        pie.rate_ratio < 0.15,
         "PIE should let DCTCP starve Cubic: ratio {:.3}",
         pie.rate_ratio
     );
     assert!(
-        (0.4..2.5).contains(&pi2.rate_ratio),
+        (0.75..=1.35).contains(&pi2.rate_ratio),
         "coupled PI2 should balance: ratio {:.3}",
         pi2.rate_ratio
     );

@@ -216,6 +216,15 @@ const RULES: &[Rule] = &[
         why: "a controller is read through probe() alone: control_variable is the p' of \
               the probe, provided once by Aqm and once by Qdisc, and never restated",
     },
+    Rule {
+        needles: &["dequeued_pkts", "end_of_last_run", "trace verification skipped"],
+        roots: &["crates", "tests", "examples", "src"],
+        allowed: &["tests/repo_invariants.rs"],
+        up_to: None,
+        why: "one verdict ledger: whole-run per-flow marks, drops and departures are \
+              TraceCounts' alone, the monitor's span ends at its last sample, and pi2sim \
+              checks every JSONL trace against the counting sink attached with it",
+    },
 ];
 
 /// Shared by the two rows that keep the PI loop and the qdiscs' parts single.

@@ -54,11 +54,12 @@ fn digest(monitor: &Monitor, counters: &TraceCounts, events: u64) -> u64 {
         .word(t.dropped)
         .word(t.dequeued)
         .word(counters.aqm_updates);
-    for f in &monitor.flows {
+    for (i, f) in monitor.flows.iter().enumerate() {
+        let c = counters.flow(FlowId(i as u32));
         d.word(f.sent_pkts)
-            .word(f.dropped)
-            .word(f.marked)
-            .word(f.dequeued_pkts)
+            .word(c.dropped)
+            .word(c.marked)
+            .word(c.dequeued)
             .word(f.dequeued_bytes)
             .word(f.dequeued_bytes_postwarm)
             .word(f.delivered_pkts)

@@ -53,11 +53,12 @@ fn digest(r: &RunResult) -> u64 {
         .word(t.dropped)
         .word(t.dequeued)
         .word(r.counters.aqm_updates);
-    for f in &r.monitor.flows {
+    for (i, f) in r.monitor.flows.iter().enumerate() {
+        let c = r.counters.flow(FlowId(i as u32));
         d.word(f.sent_pkts)
-            .word(f.dropped)
-            .word(f.marked)
-            .word(f.dequeued_pkts)
+            .word(c.dropped)
+            .word(c.marked)
+            .word(c.dequeued)
             .word(f.dequeued_bytes)
             .word(f.dequeued_bytes_postwarm)
             .word(f.delivered_pkts)
@@ -186,8 +187,8 @@ fn step_and_probabilistic_marking_cells_are_pinned() {
         0x82c9_32b0_b01b_98c6,
     );
     // The second run marks at the fraction the first one realised.
-    let f = &step.monitor.flows[0];
-    let p_step = f.marked as f64 / f.sent_pkts.max(1) as f64;
+    let marked = step.counters.flows()[0].marked;
+    let p_step = marked as f64 / step.monitor.flows[0].sent_pkts.max(1) as f64;
     pinned(
         "appendix_a::step_vs_probabilistic (probabilistic)",
         &appendix_a::marking_scenario(AqmKind::FixedProb(p_step), 0x57e9 + 1),

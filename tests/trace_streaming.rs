@@ -81,8 +81,8 @@ fn sinks_do_not_perturb_the_simulation() {
         .zip(&traced.core.monitor.flows)
     {
         assert_eq!(a.dequeued_bytes, b.dequeued_bytes);
-        assert_eq!(a.dropped, b.dropped);
-        assert_eq!(a.marked, b.marked);
+        assert_eq!(a.dropped_postwarm, b.dropped_postwarm);
+        assert_eq!(a.marked_postwarm, b.marked_postwarm);
     }
 }
 
@@ -124,8 +124,8 @@ fn jsonl_sink_matches_memory_sink_stream() {
     }
 }
 
-/// The in-memory trace agrees with the always-on counters and the
-/// monitor, event by event.
+/// The in-memory trace agrees with the always-on counters, event by
+/// event.
 #[test]
 fn trace_counting_sink_and_monitor_agree() {
     let mut sim = build_sim(5);
@@ -151,10 +151,47 @@ fn trace_counting_sink_and_monitor_agree() {
     assert_eq!(marks, t.marked);
     assert_eq!(drops, t.dropped);
     assert_eq!(deqs, t.dequeued);
-    let m = &sim.core.monitor;
-    assert_eq!(drops, m.flows.iter().map(|f| f.dropped).sum::<u64>());
-    assert_eq!(marks, m.flows.iter().map(|f| f.marked).sum::<u64>());
-    assert_eq!(deqs, m.flows.iter().map(|f| f.dequeued_pkts).sum::<u64>());
+}
+
+/// A run restored from a mid-run checkpoint writes a trace that starts at
+/// the restore point; it must verify against the counting sink attached
+/// with it, as `pi2sim --restore --trace-out` checks it. The same file
+/// with one line deleted must not.
+#[test]
+fn a_restored_runs_trace_verifies_against_its_own_stream() {
+    use pi2::netsim::CountingSink;
+    use pi2_bench::jsonl_check::verify_jsonl_trace;
+
+    let end = Time::from_secs(6);
+    let mut saver = build_sim(8);
+    saver.run_until(Time::from_secs(3));
+    let blob = saver.save();
+
+    let mut sim = build_sim(8);
+    let jsonl = Rc::new(RefCell::new(JsonlSink::new(Vec::new())));
+    let counts = Rc::new(RefCell::new(CountingSink::new()));
+    sim.core.add_trace_sink(Box::new(Rc::clone(&jsonl)));
+    sim.core.add_trace_sink(Box::new(Rc::clone(&counts)));
+    sim.restore(&blob).expect("restore");
+    sim.run_until(end);
+    sim.core.flush_trace_sinks().expect("flush");
+    drop(sim.core.take_trace_sinks());
+    let text = String::from_utf8(
+        Rc::try_unwrap(jsonl).expect("sole owner").into_inner().into_inner(),
+    )
+    .expect("utf8");
+    let streamed = &counts.borrow().counts;
+    // The stream is the restored half only: fewer departures than the
+    // whole run's always-on counters hold.
+    assert!(streamed.totals().dequeued < sim.core.counters.totals().dequeued);
+    assert_eq!(verify_jsonl_trace(&text, streamed), Ok(text.lines().count()));
+
+    let cut = text.lines().count() / 2;
+    let short: String = (text.lines().enumerate())
+        .filter(|&(i, _)| i != cut)
+        .map(|(_, l)| format!("{l}\n"))
+        .collect();
+    assert!(verify_jsonl_trace(&short, streamed).is_err());
 }
 
 /// The invariant auditor is a pure observer too: an audited run is
@@ -189,8 +226,8 @@ fn audit_does_not_perturb_the_simulation() {
         .zip(&audited.core.monitor.flows)
     {
         assert_eq!(a.dequeued_bytes, b.dequeued_bytes);
-        assert_eq!(a.dropped, b.dropped);
-        assert_eq!(a.marked, b.marked);
+        assert_eq!(a.dropped_postwarm, b.dropped_postwarm);
+        assert_eq!(a.marked_postwarm, b.marked_postwarm);
     }
 }
 

@@ -15,7 +15,6 @@ use pi2_fluid::law::CLASSIC_CAP;
 use pi2_netsim::{AuditSink, CountingSink, CsvSink, JsonlSink, Sim};
 use pi2_obs::ObsServer;
 use pi2_simcore::{Duration, Time};
-use pi2_stats::Summary;
 use std::cell::RefCell;
 use std::fs::File;
 use std::io::BufWriter;
@@ -275,7 +274,7 @@ fn run_single(a: &CliArgs) {
             .map(|&i| m.flows[i].signal_fraction())
             .sum::<f64>()
             / idxs.len().max(1) as f64;
-        let sj = Summary::over(m.pooled_sojourns(label), f64::from);
+        let sj = r.flow_delay_summary(label);
         println!(
             "{label:>10}: {} flows, {tput:.2} Mb/s total, signal {:.3} %, delay p99 {:.1} ms",
             idxs.len(),

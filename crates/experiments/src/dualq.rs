@@ -51,8 +51,8 @@ pub fn run(
     DualQResult {
         cubic_mbps: r.per_flow_tput_mbps("cubic"),
         dctcp_mbps: r.per_flow_tput_mbps("dctcp"),
-        l_delay: Summary::over(m.pooled_sojourns("dctcp"), f64::from),
-        c_delay: Summary::over(m.pooled_sojourns("cubic"), f64::from),
+        l_delay: r.flow_delay_summary("dctcp"),
+        c_delay: r.flow_delay_summary("cubic"),
         util_pct: util,
     }
 }

@@ -71,8 +71,8 @@ fn harvest(r: &RunResult) -> IsolationResult {
     IsolationResult {
         scheme: r.aqm,
         ratio: if d > 0.0 { c / d } else { f64::INFINITY },
-        cubic_delay: Summary::over(m.pooled_sojourns("cubic"), f64::from),
-        dctcp_delay: Summary::over(m.pooled_sojourns("dctcp"), f64::from),
+        cubic_delay: r.flow_delay_summary("cubic"),
+        dctcp_delay: r.flow_delay_summary("dctcp"),
     }
 }
 

@@ -72,18 +72,14 @@ pub fn run_point(aqm: AqmKind, udp_load: f64, seed: u64) -> OverloadPoint {
     // the queue, while every AQM decision here carries the controller's
     // probability (PI2 caps at 0.25; PIE never reaches 1.0 before the
     // buffer does). Filtering p < 1 isolates the AQM's own decisions.
-    let probs = r.monitor.pooled_probs("udp");
-    let aqm_probs: Vec<f64> = probs
-        .iter()
-        .map(|&p| p as f64)
-        .filter(|&p| p < 0.999)
-        .collect();
-    let mean_p = pi2_stats::mean(&aqm_probs);
-    let overflow_share = if probs.is_empty() {
-        0.0
-    } else {
-        (probs.len() - aqm_probs.len()) as f64 / probs.len() as f64
+    let probs = || r.monitor.labelled("udp").flat_map(|f| &f.prob_samples);
+    let aqm_probs = || probs().map(|&p| p as f64).filter(|&p| p < 0.999);
+    let (all, aqm) = (probs().count(), aqm_probs().count());
+    let mean_p = match aqm {
+        0 => 0.0,
+        _ => aqm_probs().sum::<f64>() / aqm as f64,
     };
+    let overflow_share = if all == 0 { 0.0 } else { (all - aqm) as f64 / all as f64 };
     let total_loss = udp.dropped_postwarm as f64 / udp.sent_pkts_postwarm.max(1) as f64;
     OverloadPoint {
         aqm: r.aqm,

@@ -498,14 +498,23 @@ impl RunResult {
         Summary::of_f32(&self.monitor.sojourn_ms)
     }
 
+    /// Queue-delay summary over the sojourns of a label's flows (ms; the
+    /// scenario must set `per_flow_sojourns`).
+    pub fn flow_delay_summary(&self, label: &str) -> Summary {
+        let sojourns = self.monitor.labelled(label).map(|f| &f.sojourn_ms[..]);
+        Summary::over(sojourns, f64::from)
+    }
+
     /// Applied-probability summary for a label (percent).
     pub fn prob_summary(&self, label: &str) -> Summary {
-        Summary::over(self.monitor.pooled_probs(label), |p| p as f64 * 100.0)
+        let probs = self.monitor.labelled(label).map(|f| &f.prob_samples[..]);
+        Summary::over(probs, |p| p as f64 * 100.0)
     }
 
     /// Link-utilization summary (percent of capacity).
     pub fn util_summary(&self) -> Summary {
-        Summary::over(self.monitor.util_samples(), |u| (u as f64 * 100.0).min(100.0))
+        let utils = self.monitor.util_samples();
+        Summary::over([&utils[..]], |u| (u as f64 * 100.0).min(100.0))
     }
 
     /// The `(t, queue delay ms)` series.

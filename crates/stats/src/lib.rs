@@ -14,6 +14,6 @@ pub use cdf::Cdf;
 pub use series::{excursions_above, peak_in, settle_time, time_above};
 pub use summary::{
     jain_fairness, mean, percentile, percentile_sorted, stddev, variance, variance_from_moments,
-    Summary,
+    Sample, Summary,
 };
 pub use table::{format_csv, format_table, Align};

@@ -15,7 +15,7 @@ pub fn mean(samples: &[f64]) -> f64 {
 /// # Panics
 /// Panics if `q` is outside `[0, 1]`.
 pub fn percentile(samples: &[f64], q: f64) -> f64 {
-    fold_select(&mut samples.to_vec(), &|x| x, [q]).2[0]
+    fold_select([samples].into_iter(), &|x| x, [q]).2[0]
 }
 
 /// [`percentile`] of samples already in ascending order: two lookups, no
@@ -52,58 +52,196 @@ fn lerp(lo: f64, hi: f64, frac: f64) -> f64 {
     }
 }
 
+/// A sample width summaries select in: `f32` (the monitor's columns) or
+/// `f64`. `key` is an unsigned integer in the order of the values, with
+/// `-0.0` and `0.0` on one key; `from_key` inverts it (a zero comes back
+/// as `0.0`). A NaN gets a key too, which no order means anything by.
+pub trait Sample: Copy {
+    /// Bits in a key.
+    const KEY_BITS: u32;
+    /// The value's place in the order, as an integer.
+    fn key(self) -> u64;
+    /// The value whose key this is.
+    fn from_key(key: u64) -> Self;
+    /// Whether the value is a NaN.
+    fn is_nan(self) -> bool;
+}
+
+macro_rules! sample {
+    ($float:ty, $bits:ty) => {
+        impl Sample for $float {
+            const KEY_BITS: u32 = <$bits>::BITS;
+            fn key(self) -> u64 {
+                // A positive value gains the sign bit and a negative one
+                // has every bit flipped, so keys compare as the values do.
+                let sign: $bits = 1 << (<$bits>::BITS - 1);
+                let bits = if self == 0.0 { 0 } else { self.to_bits() };
+                (if bits & sign == 0 { bits | sign } else { !bits }) as u64
+            }
+            fn from_key(key: u64) -> Self {
+                let (key, sign) = (key as $bits, 1 << (<$bits>::BITS - 1));
+                <$float>::from_bits(if key & sign == 0 { !key } else { key & !sign })
+            }
+            fn is_nan(self) -> bool {
+                <$float>::is_nan(self)
+            }
+        }
+    };
+}
+sample!(f32, u32);
+sample!(f64, u64);
+
+/// Width of the first digit, which every sample is counted by.
+const FIRST: u32 = 11;
+/// Width of each later digit, counted per picked rank.
+const NEXT: u32 = 8;
+/// Distinct ranks one call can pick: `lo` and `hi` of four quantiles.
+const MAX_RANKS: usize = 8;
+/// Histogram cells: the first digit's `1 << FIRST`, or a later digit's
+/// `1 << NEXT` per rank.
+const CELLS: usize = MAX_RANKS << NEXT;
+/// The `slot` of a rank whose value is found.
+const FOUND: usize = usize::MAX;
+
 /// The sum, the maximum and the `qs`-quantiles (`qs` ascending) of `map`
-/// over `col`, each to the bit what a fold in input order and
-/// [`percentile_sorted`] on a stable sort of the mapped column give, in
-/// O(n) and inside `col`, which is left permuted. One pass folds the sum
-/// (from `-0.0`, where `Iterator::sum` starts: a column of `-0.0` sums to
-/// `-0.0`) and the maximum (the first of equal ones); then, from the top
-/// quantile down, each rank is selected in the prefix the one before left
-/// behind. `map` must be monotone non-decreasing, so that an order
-/// statistic of the mapped column is `map` of the same one of `col`, and
-/// only the picked values are mapped.
+/// over the concatenation of `cols`, each to the bit what a fold in input
+/// order and [`percentile_sorted`] on a stable sort of the mapped samples
+/// give, in O(n), reading the columns where they lie and allocating
+/// nothing. `map` must be monotone non-decreasing, so that an order
+/// statistic of the mapped samples is `map` of the same one of the
+/// samples, and only the picked values are mapped.
 ///
-/// Values equal under `partial_cmp` have equal bits, except `-0.0 == 0.0`.
-/// A stable sort leaves the zeros in input order behind the `neg` negative
+/// Selection is by radix on [`Sample::key`], and every histogram cell
+/// also keeps the least and greatest key counted in it. The first pass
+/// folds the sum (from `-0.0`, where `Iterator::sum` starts: a column of
+/// `-0.0` sums to `-0.0`) and the maximum (the first of equal ones) and
+/// counts the top [`FIRST`] bits of every key. A picked rank is then found
+/// if the cell that holds it has one key; if not, the next pass counts
+/// the [`NEXT`] bits below the cell's common prefix, over the samples in
+/// the cell's key range, in a row of the histogram of its own (the ranks,
+/// at most [`MAX_RANKS`], share the rows and each pass). Each pass fixes
+/// at least `NEXT` more bits of an open rank's key, so an `f32` column
+/// takes at most four passes and an `f64` one eight. A run's columns hold
+/// few distinct values: a 1 Gb/s run's probabilities take two passes,
+/// its sojourns three.
+///
+/// Values with equal keys have equal bits, except `-0.0` and `0.0`. A
+/// stable sort leaves the zeros in input order behind the `neg` negative
 /// values, so rank `k` holds the `k - neg`-th zero of the input: looked up
-/// before `col` is permuted, for a column that maps to a `-0.0` anywhere.
-fn fold_select<T: Copy + PartialOrd, const N: usize>(
-    col: &mut [T],
+/// in a further pass, for a column that maps to a `-0.0` anywhere.
+fn fold_select<'a, T: Sample + 'a, const N: usize>(
+    cols: impl Iterator<Item = &'a [T]> + Clone,
     map: &impl Fn(T) -> f64,
     qs: [f64; N],
 ) -> (f64, f64, [f64; N]) {
-    let picks = qs.map(|q| ranks(col.len(), q));
-    let mapped = || col.iter().map(|&x| map(x));
-    let (mut sum, mut max, mut neg_zero) = (-0.0, f64::NEG_INFINITY, false);
-    for v in mapped() {
-        sum += v;
-        max = if v > max { v } else { max };
-        neg_zero |= v == 0.0 && v.is_sign_negative();
+    const { assert!(2 * N <= MAX_RANKS && 1 << FIRST <= CELLS) };
+    let n: usize = cols.clone().map(<[T]>::len).sum();
+    assert!(n <= u32::MAX as usize, "{n} samples overflow a count");
+    let picks = qs.map(|q| ranks(n, q));
+    let mut count = [0u32; CELLS];
+    let (mut least, mut most) = ([u64::MAX; CELLS], [0u64; CELLS]);
+    let top = T::KEY_BITS - FIRST;
+    let (mut sum, mut max, mut neg_zero, mut nan) = (-0.0, f64::NEG_INFINITY, false, false);
+    for col in cols.clone() {
+        for &x in col {
+            let v = map(x);
+            sum += v;
+            max = if v > max { v } else { max };
+            neg_zero |= v == 0.0 && v.is_sign_negative();
+            nan |= x.is_nan();
+            let k = x.key();
+            let c = (k >> top) as usize;
+            (count[c], least[c], most[c]) = (count[c] + 1, least[c].min(k), most[c].max(k));
+        }
     }
+    if nan && n > 1 {
+        panic!("NaN in percentile input of {n} samples");
+    }
+    let mut out = [0.0; N];
+    if n == 0 {
+        return (sum, max, out);
+    }
+    // The distinct ranks, ascending; for each, the histogram row it is
+    // looked for in (`slot`, `FOUND` once it is not), its rank among the
+    // samples counted there (`rest`), and its key, once found.
+    let (mut rank, mut picked) = ([0; MAX_RANKS], 0);
+    for k in picks.iter().flat_map(|&(lo, hi, _)| [lo, hi]) {
+        if let Err(at) = rank[..picked].binary_search(&k) {
+            rank.copy_within(at..picked, at + 1);
+            rank[at] = k;
+            picked += 1;
+        }
+    }
+    let (mut slot, mut rest, mut key) = ([0; MAX_RANKS], rank, [0u64; MAX_RANKS]);
+    loop {
+        // Each rank into the cell that holds it: found if that holds one
+        // key, else the cell's key range (`lo` + `span`) is counted next,
+        // from the bit below the first one its least and greatest keys
+        // differ in (`shift`), in row `rows` of the histogram.
+        let (mut lo, mut span, mut shift) = ([0u64; MAX_RANKS], [0u64; MAX_RANKS], [0; MAX_RANKS]);
+        let (mut rows, mut cell, mut below, mut last) = (0, 0, 0, FOUND);
+        for i in 0..picked {
+            if slot[i] == FOUND {
+                continue;
+            }
+            if slot[i] != last {
+                (cell, below, last) = (slot[i] << NEXT, 0, slot[i]);
+            }
+            while below + count[cell] as usize <= rest[i] {
+                below += count[cell] as usize;
+                cell += 1;
+            }
+            rest[i] -= below;
+            let (least, most) = (least[cell], most[cell]);
+            if least == most {
+                (key[i], slot[i]) = (least, FOUND);
+                continue;
+            }
+            if rows == 0 || lo[rows - 1] != least {
+                (lo[rows], span[rows]) = (least, most - least);
+                shift[rows] = (u64::BITS - (least ^ most).leading_zeros()).saturating_sub(NEXT);
+                rows += 1;
+            }
+            slot[i] = rows - 1;
+        }
+        if rows == 0 {
+            break;
+        }
+        count[..rows << NEXT].fill(0);
+        least[..rows << NEXT].fill(u64::MAX);
+        most[..rows << NEXT].fill(0);
+        for col in cols.clone() {
+            for &x in col {
+                // The ranges are disjoint: a sample is in one or in none.
+                let (k, mut s) = (x.key(), rows);
+                for r in 0..rows {
+                    let inside = k.wrapping_sub(lo[r]) <= span[r];
+                    s = if inside { r } else { s };
+                }
+                if s == rows {
+                    continue;
+                }
+                let c = s << NEXT | (k >> shift[s]) as usize & ((1 << NEXT) - 1);
+                (count[c], least[c], most[c]) = (count[c] + 1, least[c].min(k), most[c].max(k));
+            }
+        }
+    }
+    let value = |k: usize| T::from_key(key[rank[..picked].binary_search(&k).expect("picked")]);
     let mut zeros = [[0.0; 2]; N];
     if neg_zero {
+        let mapped = || cols.clone().flatten().map(|&x| map(x));
         let neg = mapped().filter(|&v| v < 0.0).count();
         let zero_at = |k: usize| mapped().filter(|&v| v == 0.0).nth(k.wrapping_sub(neg));
         zeros = picks.map(|(lo, hi, _)| [lo, hi].map(|k| zero_at(k).unwrap_or(0.0)));
     }
-    let read = |x: T, zero: f64| match map(x) {
+    let read = |k: usize, zero: f64| match map(value(k)) {
         0.0 => zero, // either zero: a float pattern compares with `==`
         v => v,
     };
-    let cmp = |a: &T, b: &T| a.partial_cmp(b).expect("NaN in percentile input");
-    let (mut out, mut end) = ([0.0; N], col.len());
-    if col.is_empty() {
-        return (sum, max, out);
-    }
-    for i in (0..N).rev() {
-        let ((lo, hi, frac), [zero_lo, zero_hi]) = (picks[i], zeros[i]);
-        let (below, &mut at, _) = col[..end].select_nth_unstable_by(hi, cmp);
-        let under = match lo < hi {
-            true => below.iter().copied().max_by(cmp).expect("hi > 0"),
-            false => at,
-        };
-        out[i] = lerp(read(under, zero_lo), read(at, zero_hi), frac);
-        end = hi + 1;
+    for (o, ((lo, hi, frac), [zero_lo, zero_hi])) in
+        out.iter_mut().zip(picks.into_iter().zip(zeros))
+    {
+        *o = lerp(read(lo, zero_lo), read(hi, zero_hi), frac);
     }
     (sum, max, out)
 }
@@ -191,24 +329,29 @@ pub struct Summary {
 impl Summary {
     /// Summarize a sample set (empty input gives all zeros).
     pub fn of(samples: &[f64]) -> Summary {
-        Summary::over(samples.to_vec(), |x| x)
+        Summary::over([samples], |x| x)
     }
 
     /// The same for `f32` sample buffers (the monitor stores `f32`):
-    /// copied and selected from as `f32`, widened only where a value is
-    /// read.
+    /// selected from as `f32`, widened only where a value is read.
     pub fn of_f32(samples: &[f32]) -> Summary {
-        Summary::over(samples.to_vec(), f64::from)
+        Summary::over([samples], f64::from)
     }
 
-    /// Summarize `map` over an owned column: to the bit `Summary::of` of
-    /// the mapped column, which is never built. Mean and max fold over the
-    /// mapped values in input order, the four order statistics are selected
-    /// inside `col`, and nothing is allocated (see `fold_select`).
-    /// `map` must be monotone non-decreasing.
-    pub fn over<T: Copy + PartialOrd>(mut col: Vec<T>, map: impl Fn(T) -> f64) -> Summary {
-        let n = col.len();
-        let (sum, max, [p1, p25, p50, p99]) = fold_select(&mut col, &map, [0.01, 0.25, 0.50, 0.99]);
+    /// Summarize `map` over the concatenation of `cols`, read where they
+    /// lie: to the bit `Summary::of` of the mapped, concatenated column,
+    /// which is never built. Mean and max fold over the mapped values in
+    /// input order, the four order statistics are selected by radix on the
+    /// samples' keys, and nothing is allocated (see `fold_select`). `map`
+    /// must be monotone non-decreasing.
+    pub fn over<'a, T: Sample + 'a, I>(cols: I, map: impl Fn(T) -> f64) -> Summary
+    where
+        I: IntoIterator<Item = &'a [T]>,
+        I::IntoIter: Clone,
+    {
+        let cols = cols.into_iter();
+        let n = cols.clone().map(<[T]>::len).sum();
+        let (sum, max, [p1, p25, p50, p99]) = fold_select(cols, &map, [0.01, 0.25, 0.50, 0.99]);
         Summary {
             n,
             mean: if n == 0 { 0.0 } else { sum / n as f64 },
@@ -385,6 +528,43 @@ mod tests {
         }
     }
 
+    /// Keys rise with the values, `-0.0` and `0.0` share one, and a key
+    /// turns back into the value it was taken from (a zero into `0.0`):
+    /// over `magnitudes` (descending, down to a zero) negated, then back up.
+    fn assert_keys_order<T: Sample + Into<f64> + std::ops::Neg<Output = T>>(magnitudes: &[T]) {
+        let negated = magnitudes.iter().map(|&x| -x);
+        let ascending: Vec<T> = negated.chain(magnitudes.iter().rev().copied()).collect();
+        for w in ascending.windows(2) {
+            let (a, b) = (w[0].into(), w[1].into());
+            assert_eq!(a == b, w[0].key() == w[1].key(), "{a} {b}");
+            assert!(a == b || w[0].key() < w[1].key(), "{a} {b}");
+        }
+        for &x in &ascending {
+            let back: f64 = T::from_key(x.key()).into();
+            assert_eq!(back.to_bits(), (x.into() + 0.0).to_bits());
+        }
+    }
+
+    #[test]
+    fn keys_order_as_the_values_do_for_both_widths() {
+        assert_keys_order(&[
+            f32::INFINITY,
+            f32::MAX,
+            1.5,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            0.0,
+        ]);
+        assert_keys_order(&[
+            f64::INFINITY,
+            f64::MAX,
+            1.5,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            0.0,
+        ]);
+    }
+
     #[test]
     fn a_column_of_negative_zeros_keeps_its_sign() {
         for n in SIZES {
@@ -440,7 +620,7 @@ mod tests {
     }
 
     #[test]
-    fn over_an_owned_column_is_of_the_mapped_column_for_both_production_maps() {
+    fn over_borrowed_columns_is_of_the_mapped_column_for_both_production_maps() {
         let to_percent = |p: f32| p as f64 * 100.0;
         let to_capped_percent = |u: f32| (u as f64 * 100.0).min(100.0);
         for n in SIZES.into_iter().chain([5000]) {
@@ -458,13 +638,13 @@ mod tests {
                 let col = shuffled(col, seed);
                 let probs: Vec<f64> = col.iter().map(|&p| to_percent(p)).collect();
                 assert_eq!(
-                    bits(&Summary::over(col.clone(), to_percent)),
+                    bits(&Summary::over([&col[..]], to_percent)),
                     bits(&of_by_sort(&probs)),
                     "n={n} seed={seed}"
                 );
                 let utils: Vec<f64> = col.iter().map(|&u| to_capped_percent(u)).collect();
                 assert_eq!(
-                    bits(&Summary::over(col, to_capped_percent)),
+                    bits(&Summary::over([&col[..]], to_capped_percent)),
                     bits(&of_by_sort(&utils)),
                     "n={n} seed={seed}"
                 );

@@ -149,10 +149,60 @@ proptest! {
         }
         let percent = |p: f32| p as f64 * 100.0;
         let probs: Vec<f64> = narrow.iter().map(|&p| percent(p)).collect();
-        prop_assert_eq!(bits(&Summary::over(narrow.clone(), percent)), bits(&by_sort(&probs)));
+        prop_assert_eq!(bits(&Summary::over([&narrow[..]], percent)), bits(&by_sort(&probs)));
         let capped = |u: f32| (u as f64 * 100.0).min(100.0);
         let utils: Vec<f64> = narrow.iter().map(|&u| capped(u)).collect();
-        prop_assert_eq!(bits(&Summary::over(narrow, capped)), bits(&by_sort(&utils)));
+        prop_assert_eq!(bits(&Summary::over([&narrow[..]], capped)), bits(&by_sort(&utils)));
+    }
+
+    /// A column cut into slices (empty ones included) summarizes to the
+    /// bits of the whole: the monitor's per-flow columns are read one
+    /// after the other, never pooled.
+    #[test]
+    fn a_column_in_slices_summarizes_as_the_whole(
+        narrow in tied_samples(),
+        cuts in prop::collection::vec(0usize..5000, 0..6),
+    ) {
+        let mut at: Vec<usize> = cuts.into_iter().map(|c| c % (narrow.len() + 1)).collect();
+        at.sort_unstable();
+        let slices: Vec<&[f32]> = [0]
+            .into_iter()
+            .chain(at.iter().copied())
+            .zip(at.iter().copied().chain([narrow.len()]))
+            .map(|(from, to)| &narrow[from..to])
+            .collect();
+        let percent = |p: f32| p as f64 * 100.0;
+        prop_assert_eq!(
+            bits(&Summary::over(slices.iter().copied(), percent)),
+            bits(&Summary::over([&narrow[..]], percent))
+        );
+        prop_assert_eq!(
+            bits(&Summary::over(slices.iter().copied(), f64::from)),
+            bits(&Summary::of_f32(&narrow))
+        );
+    }
+
+    /// An `f64` column is selected on 64-bit keys: values an `f32` cannot
+    /// hold, apart in their low mantissa bits only, with ties and zeros of
+    /// both signs, give what the stable sort gives.
+    #[test]
+    fn an_f64_column_selects_what_the_sort_gave(
+        narrow in tied_samples(),
+        low in prop::collection::vec(0u64..1 << 29, 1..64),
+        q in 0.0f64..1.0,
+    ) {
+        let wide: Vec<f64> = narrow
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| match x {
+                0.0 => f64::from(x),
+                _ => f64::from_bits(f64::from(x).to_bits() ^ low[i % low.len()]),
+            })
+            .collect();
+        prop_assert_eq!(percentile(&wide, q).to_bits(), percentile_by_sort(&wide, q).to_bits());
+        let s = Summary::of(&wide);
+        let by_sort = [0.01, 0.25, 0.50, 0.99].map(|p| percentile_by_sort(&wide, p).to_bits());
+        prop_assert_eq!([s.p1, s.p25, s.p50, s.p99].map(f64::to_bits), by_sort);
     }
 
     /// A CDF's quantile is the percentile of its samples, to the bit,

@@ -65,11 +65,11 @@ fn harvest(sim: &Sim, name: &'static str) -> Outcome {
     let m = &sim.core.monitor;
     Outcome {
         name,
-        game_delay: Summary::of_f32(&m.pooled_sojourns("game")),
-        bulk_delay: Summary::of_f32(&m.pooled_sojourns("bulk")),
+        game_delay: Summary::over(m.labelled("game").map(|f| &f.sojourn_ms[..]), f64::from),
+        bulk_delay: Summary::over(m.labelled("bulk").map(|f| &f.sojourn_ms[..]), f64::from),
         game_mbps: m.pooled_mean_tput_mbps("game"),
         bulk_mbps: m.pooled_mean_tput_mbps("bulk"),
-        call_p99: Summary::of_f32(&m.pooled_sojourns("call")).p99,
+        call_p99: Summary::over(m.labelled("call").map(|f| &f.sojourn_ms[..]), f64::from).p99,
     }
 }
 

@@ -16,7 +16,7 @@ echo "== line budget: crates/*/src may not grow"
 # held to its value when this stage was added (PR 21). A PR that shrinks
 # crates/*/src lowers the constant; one that has to grow it raises the
 # constant and says why on this line.
-src_budget=32460
+src_budget=32644  # +184: the copy-free radix selection in summary.rs (keys, histogram walk, tests) outgrew copy-and-select
 src_lines="$(find crates/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 all_lines="$(find crates tests examples src -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 echo "Rust lines: crates/*/src $src_lines (budget $src_budget), crates tests examples src $all_lines"

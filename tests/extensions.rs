@@ -30,8 +30,13 @@ fn dualq_delivers_low_latency_without_throughput_loss() {
     sim.add_flow(PathConf::symmetric(rtt), "dctcp", Time::ZERO, tcp_flow(CcKind::Dctcp, EcnSetting::Scalable));
     sim.run_until(Time::from_secs(40));
     let m = &sim.core.monitor;
-    let l: Vec<f64> = m.pooled_sojourns("dctcp").iter().map(|&x| x as f64).collect();
-    let c: Vec<f64> = m.pooled_sojourns("cubic").iter().map(|&x| x as f64).collect();
+    let sojourns = |label| -> Vec<f64> {
+        m.labelled(label)
+            .flat_map(|f| &f.sojourn_ms)
+            .map(|&x| x as f64)
+            .collect()
+    };
+    let (l, c) = (sojourns("dctcp"), sojourns("cubic"));
     let l_mean = pi2::stats::mean(&l);
     let c_mean = pi2::stats::mean(&c);
     assert!(l_mean < 2.0, "L-queue mean {l_mean:.2} ms");
@@ -50,7 +55,11 @@ fn dualq_l_packets_wait_for_the_packet_on_the_wire() {
     let rate = 40_000_000;
     let rtt = Duration::from_millis(20);
     let sc = isolation::scenario(AqmKind::dualq_default(rate), rate, rtt, (1, 1), 6, 7);
-    let l = sc.run().monitor.pooled_sojourns("dctcp");
+    let m = sc.run().monitor;
+    let l: Vec<f32> = m
+        .labelled("dctcp")
+        .flat_map(|f| f.sojourn_ms.iter().copied())
+        .collect();
     assert!(l.len() > 5_000, "{} DCTCP packets", l.len());
     let early = l.iter().filter(|&&ms| f64::from(ms) < 0.3).count();
     assert_eq!(early, 0, "{early} of {} DCTCP sojourns under 0.3 ms", l.len());

@@ -30,12 +30,13 @@ const RULES: &[Rule] = &[
               pre-sizing and every observer (fill a Scenario instead)",
     },
     Rule {
-        needles: &[".sort"],
+        needles: &[".sort", ".to_vec(", "select_nth"],
         roots: &["crates/stats/src/summary.rs"],
         allowed: &[],
         up_to: Some("#[cfg(test)]"),
-        why: "summaries read order statistics by selection inside the column they are \
-              handed; the sort they replaced survives only as the test oracle",
+        why: "summaries read the columns they are handed where they lie and select order \
+              statistics by radix on histograms on the stack: no copy to permute, no \
+              comparison selection, no sort; the sort survives only as the test oracle",
     },
     Rule {
         needles: &[

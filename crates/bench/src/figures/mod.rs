@@ -273,8 +273,9 @@ pub static FIGURES: &[Figure] = &[
              title: "Ablation: gain sweep: responsiveness vs stability as PI2 gains scale",
              shape: "shape check: the analytic minimum gain margin shrinks ~20log10(m) dB with\n\
                      the multiplier and crosses zero somewhere past the paper's 2.5x choice;\n\
-                     empirically, higher gains cut the start-up peak until instability costs\n\
-                     more than responsiveness gains." },
+                     empirically, every multiplier up to 10x lowers the peak, mean and p99\n\
+                     delay, past that crossing too: no row shows a cost of instability (where\n\
+                     the packet loop does go unstable is ROADMAP item 20)." },
     Figure { id: "abl_k", archived: true, render: ablation::k, secs: Default(60), seed: Fixed("one seed per k"),
              title: "Ablation: k sweep: Cubic/DCTCP per-flow rate ratio vs coupling factor (40 Mb/s, 10 ms)",
              shape: "shape check: the ratio rises monotonically with k (gentler Classic\n\

@@ -89,7 +89,6 @@ pub struct Pie {
     core: PiCore,
     estimator: DelayEstimator,
     burst_allowance: Duration,
-    qdelay: Duration,
 }
 
 impl Pie {
@@ -100,18 +99,12 @@ impl Pie {
             core: PiCore::new(cfg.alpha_hz, cfg.beta_hz, cfg.target, cfg.t_update),
             estimator: cfg.estimator,
             burst_allowance: if cfg.heuristics { MAX_BURST } else { Duration::ZERO },
-            qdelay: Duration::ZERO,
         }
     }
 
     /// Current drop probability.
     pub fn prob(&self) -> f64 {
         self.core.p()
-    }
-
-    /// Current queue-delay estimate (as of the last update).
-    pub fn qdelay(&self) -> Duration {
-        self.qdelay
     }
 }
 
@@ -185,7 +178,6 @@ impl Aqm for Pie {
                 self.burst_allowance = MAX_BURST;
             }
         }
-        self.qdelay = qdelay;
     }
 
     fn update_interval(&self) -> Option<Duration> {
@@ -205,7 +197,7 @@ impl Aqm for Pie {
             beta_term,
             burst_allowance: self.burst_allowance,
             est_rate_bytes_per_sec: self.estimator.rate_estimate().unwrap_or(0.0),
-            qdelay: self.qdelay,
+            qdelay: self.core.prev_qdelay(),
             ..AqmState::default()
         }
     }
@@ -215,7 +207,7 @@ impl Aqm for Pie {
     }
 }
 
-ckpt_fields!(Pie { core, estimator, burst_allowance, qdelay });
+ckpt_fields!(Pie { core, estimator, burst_allowance });
 
 #[cfg(test)]
 mod tests {

@@ -34,32 +34,17 @@ impl Default for StepMarkConfig {
 }
 
 /// The step marker (drops nothing; Not-ECT packets pass untouched and
-/// rely on the buffer limit).
+/// rely on the buffer limit). It keeps no run state: each decision reads
+/// only the backlog it is handed.
 #[derive(Clone, Copy, Debug)]
 pub struct StepMark {
     cfg: StepMarkConfig,
-    /// Marked / offered counters for the realized marking probability.
-    marked: u64,
-    offered: u64,
 }
 
 impl StepMark {
     /// Build a step marker.
     pub fn new(cfg: StepMarkConfig) -> Self {
-        StepMark {
-            cfg,
-            marked: 0,
-            offered: 0,
-        }
-    }
-
-    /// The realized marking fraction so far.
-    pub fn realized_fraction(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.marked as f64 / self.offered as f64
-        }
+        StepMark { cfg }
     }
 }
 
@@ -71,10 +56,8 @@ impl Aqm for StepMark {
         _now: Time,
         _rng: &mut Rng,
     ) -> Decision {
-        self.offered += 1;
         let above = snap.delay_from_qlen() > self.cfg.threshold;
         if above && pkt.ecn.is_ect() {
-            self.marked += 1;
             Decision::mark(1.0)
         } else {
             Decision::pass(0.0)
@@ -86,7 +69,7 @@ impl Aqm for StepMark {
     }
 }
 
-ckpt_fields!(StepMark { marked, offered });
+ckpt_fields!(StepMark {});
 
 #[cfg(test)]
 mod tests {
@@ -108,17 +91,17 @@ mod tests {
         let mut m = StepMark::new(StepMarkConfig::default());
         let mut rng = Rng::new(1);
         let ect = Packet::data(FlowId(0), 0, 1500, Ecn::Ect1, Time::ZERO);
+        let mut actions = Vec::new();
         for _ in 0..100 {
-            assert_eq!(
-                m.on_enqueue(&ect, &snap(10), Time::ZERO, &mut rng).action,
-                Action::Mark
-            );
-            assert_eq!(
-                m.on_enqueue(&ect, &snap(2), Time::ZERO, &mut rng).action,
-                Action::Pass
-            );
+            for delay_ms in [10, 2] {
+                actions.push(m.on_enqueue(&ect, &snap(delay_ms), Time::ZERO, &mut rng).action);
+            }
         }
-        assert!((m.realized_fraction() - 0.5).abs() < 1e-12);
+        for pair in actions.chunks(2) {
+            assert_eq!(pair, [Action::Mark, Action::Pass]);
+        }
+        let marked = actions.iter().filter(|&&a| a == Action::Mark).count();
+        assert_eq!(2 * marked, actions.len(), "half the offers are marked");
     }
 
     #[test]

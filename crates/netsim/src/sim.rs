@@ -1064,8 +1064,12 @@ pub fn event_class(ev: &Event) -> usize {
 /// Version 10 dropped the monitor's copies of the always-on counters: the
 /// whole-run per-flow drops, marks and departures
 /// ([`crate::trace::TraceCounts`] keeps them) and the end-of-run instant,
-/// which always equalled the last sample's.
-pub const CKPT_VERSION: u32 = 10;
+/// which always equalled the last sample's. Version 11 dropped run state
+/// nothing read or that copied another field: PIE's last queue-delay
+/// estimate (its PI core's previous delay holds the same value), DCTCP's
+/// per-window ACK count, the step marker's marked and offered counters,
+/// and Cubic's fast-convergence switch, now the one code path.
+pub const CKPT_VERSION: u32 = 11;
 
 /// The complete simulator: shared core + traffic sources.
 pub struct Sim {

@@ -16,4 +16,4 @@ pub use summary::{
     jain_fairness, mean, percentile, percentile_sorted, stddev, variance, variance_from_moments,
     Sample, Summary,
 };
-pub use table::{format_csv, format_table, Align};
+pub use table::{format_table, Align};

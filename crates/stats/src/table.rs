@@ -1,8 +1,8 @@
 //! Plain-text table formatting for the figure-regeneration binaries.
 //!
-//! Every bench binary prints its figure's data as an aligned text table
-//! (and the same rows as CSV), so the output is directly comparable with
-//! the paper's plots without a plotting dependency.
+//! Every figure prints its data as an aligned text table, so the output is
+//! directly comparable with the paper's plots without a plotting
+//! dependency.
 
 /// Column alignment.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -54,16 +54,6 @@ pub fn format_table(rows: &[Vec<String>], aligns: &[Align]) -> String {
     out
 }
 
-/// Format the same rows as CSV (no quoting — experiment output has no
-/// commas in cells by construction).
-pub fn format_csv(rows: &[Vec<String>]) -> String {
-    rows.iter()
-        .map(|r| r.join(","))
-        .collect::<Vec<_>>()
-        .join("\n")
-        + "\n"
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,13 +75,6 @@ mod tests {
         assert!(lines[2].starts_with("pi2"));
         // Numbers right-aligned to the same column end.
         assert_eq!(lines[2].len(), lines[3].len());
-    }
-
-    #[test]
-    fn csv_joins_cells() {
-        let c = format_csv(&rows());
-        assert!(c.starts_with("name,value\n"));
-        assert!(c.contains("pi2,1.5\n"));
     }
 
     #[test]

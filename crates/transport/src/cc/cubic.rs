@@ -25,8 +25,6 @@ pub struct Cubic {
     w_max: f64,
     k: f64,
     epoch_start: Option<Time>,
-    /// Enable RFC 8312 fast convergence (on in Linux).
-    pub fast_convergence: bool,
 }
 
 impl Cubic {
@@ -39,7 +37,6 @@ impl Cubic {
             w_max: 0.0,
             k: 0.0,
             epoch_start: None,
-            fast_convergence: true,
         }
     }
 
@@ -72,7 +69,9 @@ impl Cubic {
 
     fn decrease(&mut self, now: Time) {
         let _ = now;
-        if self.fast_convergence && self.cwnd < self.w_max {
+        // RFC 8312 §4.6 fast convergence (on in Linux): a flow that lost
+        // before regaining its last maximum releases bandwidth sooner.
+        if self.cwnd < self.w_max {
             self.w_max = self.cwnd * (1.0 + BETA) / 2.0;
         } else {
             self.w_max = self.cwnd;
@@ -146,7 +145,7 @@ impl CongestionControl for Cubic {
     }
 }
 
-ckpt_fields!(Cubic { cwnd, ssthresh, w_max, k, epoch_start, fast_convergence });
+ckpt_fields!(Cubic { cwnd, ssthresh, w_max, k, epoch_start });
 
 #[cfg(test)]
 mod tests {
@@ -171,7 +170,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_convergence_shrinks_w_max() {
+    fn a_loss_below_w_max_lowers_it_further() {
         let mut cc = Cubic::new(100.0);
         cc.on_loss(Time::ZERO); // w_max = 100, cwnd = 70
         cc.on_loss(Time::ZERO); // cwnd(70) < w_max(100): w_max = 70*0.85 = 59.5

@@ -28,7 +28,6 @@ pub struct Dctcp {
     /// The smoothed marked fraction; public for observability in tests
     /// and experiment logging.
     pub alpha: f64,
-    acked_acc: u64,
     marked_acc: u64,
     received_acc: u64,
     window_end: Option<Time>,
@@ -43,7 +42,6 @@ impl Dctcp {
             cwnd: initial_cwnd,
             ssthresh: f64::INFINITY,
             alpha: 1.0,
-            acked_acc: 0,
             marked_acc: 0,
             received_acc: 0,
             window_end: None,
@@ -61,7 +59,6 @@ impl Dctcp {
             self.cwnd = (self.cwnd * (1.0 - self.alpha / 2.0)).max(MIN_CWND);
             self.ssthresh = self.cwnd;
         }
-        self.acked_acc = 0;
         self.marked_acc = 0;
         self.received_acc = 0;
         self.window_end = Some(now + rtt);
@@ -87,7 +84,6 @@ impl CongestionControl for Dctcp {
                 self.cwnd += 1.0 / self.cwnd;
             }
         }
-        self.acked_acc += acked;
         self.marked_acc += marked;
         self.received_acc += received;
         // A mark during slow start ends it immediately (Linux dctcp relies
@@ -128,7 +124,7 @@ impl CongestionControl for Dctcp {
     }
 }
 
-ckpt_fields!(Dctcp { cwnd, ssthresh, alpha, acked_acc, marked_acc, received_acc, window_end });
+ckpt_fields!(Dctcp { cwnd, ssthresh, alpha, marked_acc, received_acc, window_end });
 
 #[cfg(test)]
 mod tests {

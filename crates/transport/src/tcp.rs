@@ -613,9 +613,12 @@ impl Source for TcpSource {
                 }
                 self.in_recovery = true;
                 self.recover = self.snd_nxt;
-                // Fresh episode: the scoreboard sets are empty here (the
-                // previous episode's entries were all cumulatively acked),
-                // so the scan cursors restart.
+                // Fresh episode: the scan cursors restart. The scoreboard
+                // sets need not be empty here: an episode ends once
+                // `snd_una` reaches `recover`, and holes above it can stay
+                // in `lost` with their repairs in `rtx_out`. From cursor 0
+                // `try_send` re-sends those repairs, uncharged against cwnd
+                // since `rtx_out` already holds them (ROADMAP item 21).
                 self.lost_below = 0;
                 self.repair_from = 0;
                 self.mark_lost_holes();

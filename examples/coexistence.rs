@@ -9,88 +9,41 @@
 //! cargo run --release --example coexistence
 //! ```
 
+use pi2::experiments::{AqmKind, FlowGroup, RunResult, Scenario};
 use pi2::prelude::*;
 
-struct Outcome {
-    aqm: &'static str,
-    cubic_mbps: f64,
-    dctcp_mbps: f64,
-    qdelay_ms: f64,
-    cubic_signal_pct: f64,
-    dctcp_signal_pct: f64,
-}
-
-fn run(aqm: Box<dyn Aqm>, name: &'static str) -> Outcome {
-    let mut sim = Sim::new(
-        SimConfig {
-            queue: QueueConfig {
-                rate_bps: 40_000_000,
-                buffer_bytes: 40_000 * 1500,
-            },
-            seed: 5,
-            monitor: MonitorConfig {
-                warmup: Duration::from_secs(15),
-                ..MonitorConfig::default()
-            },
-        },
-        aqm,
-    );
+fn run(aqm: AqmKind) -> RunResult {
+    let mut sc = Scenario::new(aqm, 40_000_000);
     let rtt = Duration::from_millis(10);
-    sim.add_flow(PathConf::symmetric(rtt), "cubic", Time::ZERO, |id| {
-        Box::new(TcpSource::new(
-            id,
-            CcKind::Cubic,
-            EcnSetting::NotEcn,
-            TcpConfig::default(),
-        ))
-    });
-    sim.add_flow(PathConf::symmetric(rtt), "dctcp", Time::ZERO, |id| {
-        Box::new(TcpSource::new(
-            id,
-            CcKind::Dctcp,
-            EcnSetting::Scalable,
-            TcpConfig::default(),
-        ))
-    });
-    sim.run_until(Time::from_secs(60));
-    let m = &sim.core.monitor;
-    let sojourns: Vec<f64> = m.sojourn_ms.iter().map(|&x| x as f64).collect();
-    Outcome {
-        aqm: name,
-        cubic_mbps: m.pooled_mean_tput_mbps("cubic"),
-        dctcp_mbps: m.pooled_mean_tput_mbps("dctcp"),
-        qdelay_ms: pi2::stats::mean(&sojourns),
-        cubic_signal_pct: 100.0 * m.flows[0].signal_fraction(),
-        dctcp_signal_pct: 100.0 * m.flows[1].signal_fraction(),
-    }
+    sc.tcp.push(FlowGroup::new(1, CcKind::Cubic, EcnSetting::NotEcn, "cubic", rtt));
+    sc.tcp.push(FlowGroup::new(1, CcKind::Dctcp, EcnSetting::Scalable, "dctcp", rtt));
+    sc.duration = Time::from_secs(60);
+    sc.warmup = Duration::from_secs(15);
+    sc.seed = 5;
+    sc.run()
 }
 
 fn main() {
     println!("one Cubic vs one DCTCP flow, 40 Mb/s, RTT 10 ms, 60 s\n");
     let outcomes = [
-        run(
-            Box::new(Pie::new(pi2::aqm::PieConfig::paper_default())),
-            "PIE",
-        ),
-        run(
-            Box::new(CoupledPi2::new(CoupledPi2Config::default())),
-            "coupled PI2 (k=2)",
-        ),
+        ("PIE", run(AqmKind::pie_default())),
+        ("coupled PI2 (k=2)", run(AqmKind::coupled_default())),
     ];
     println!(
         "{:<18} {:>11} {:>11} {:>12} {:>12} {:>12} {:>12}",
         "AQM", "cubic Mb/s", "dctcp Mb/s", "ratio c/d", "qdelay ms", "cubic sig %", "dctcp sig %"
     );
-    for o in &outcomes {
+    for (aqm, r) in &outcomes {
+        let (cubic, dctcp) = (r.tput_mbps("cubic"), r.tput_mbps("dctcp"));
         println!(
             "{:<18} {:>11.2} {:>11.2} {:>12.3} {:>12.1} {:>12.3} {:>12.2}",
-            o.aqm,
-            o.cubic_mbps,
-            o.dctcp_mbps,
-            o.cubic_mbps / o.dctcp_mbps,
-            o.qdelay_ms,
-            o.cubic_signal_pct,
-            o.dctcp_signal_pct
+            aqm,
+            cubic,
+            dctcp,
+            cubic / dctcp,
+            r.delay_summary().mean,
+            100.0 * r.monitor.flows[0].signal_fraction(),
+            100.0 * r.monitor.flows[1].signal_fraction()
         );
     }
     println!(

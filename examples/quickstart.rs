@@ -5,46 +5,22 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use pi2::experiments::{AqmKind, FlowGroup, Scenario};
 use pi2::prelude::*;
 
 fn main() {
     // A 10 Mb/s bottleneck with the paper's Table 1 buffer, guarded by a
     // PI2 AQM at its defaults (target 20 ms, alpha = 5/16, beta = 50/16).
-    let mut sim = Sim::new(
-        SimConfig {
-            queue: QueueConfig {
-                rate_bps: 10_000_000,
-                buffer_bytes: 40_000 * 1500,
-            },
-            seed: 42,
-            monitor: MonitorConfig {
-                warmup: Duration::from_secs(10),
-                ..MonitorConfig::default()
-            },
-        },
-        Box::new(Pi2::new(Pi2Config::default())),
-    );
-
+    let mut sc = Scenario::new(AqmKind::pi2_default(), 10_000_000);
     // Five long-running Reno flows over a 100 ms path.
-    for _ in 0..5 {
-        sim.add_flow(
-            PathConf::symmetric(Duration::from_millis(100)),
-            "reno",
-            Time::ZERO,
-            |id| {
-                Box::new(TcpSource::new(
-                    id,
-                    CcKind::Reno,
-                    EcnSetting::NotEcn,
-                    TcpConfig::default(),
-                ))
-            },
-        );
-    }
+    let rtt = Duration::from_millis(100);
+    sc.tcp.push(FlowGroup::new(5, CcKind::Reno, EcnSetting::NotEcn, "reno", rtt));
+    sc.duration = Time::from_secs(60);
+    sc.warmup = Duration::from_secs(10);
+    sc.seed = 42;
+    let r = sc.run();
 
-    sim.run_until(Time::from_secs(60));
-
-    let m = &sim.core.monitor;
+    let m = &r.monitor;
     println!("t[s]  queue delay [ms]   utilization [%]");
     for ((t, d), (_, u)) in m.qdelay_series().iter().zip(&m.util_series()) {
         if *t as u64 % 5 == 0 {
@@ -52,19 +28,18 @@ fn main() {
         }
     }
 
-    let delay = pi2::stats::Summary::of_f32(&m.sojourn_ms);
+    let delay = r.delay_summary();
     println!();
     println!(
         "per-packet queue delay: mean {:.1} ms, p99 {:.1} ms (target 20 ms)",
         delay.mean, delay.p99,
     );
-    let tput = m.pooled_mean_tput_mbps("reno");
-    println!("aggregate goodput: {tput:.2} Mb/s of 10 Mb/s");
+    println!("aggregate goodput: {:.2} Mb/s of 10 Mb/s", r.tput_mbps("reno"));
     let f = m.flow(FlowId(0));
     println!(
         "flow 0: sent {} pkts, {} dropped by the AQM ({:.2} %)",
         f.sent_pkts,
-        sim.core.counters.flow(FlowId(0)).dropped,
+        r.counters.flow(FlowId(0)).dropped,
         100.0 * f.signal_fraction()
     );
 }

@@ -11,64 +11,48 @@
 //! cargo run --release --example videocall
 //! ```
 
+use pi2::experiments::{AqmKind, FlowGroup, Scenario, UdpGroup};
 use pi2::prelude::*;
 
-fn run(aqm: Box<dyn Aqm>, name: &'static str) {
-    let rate = 10_000_000;
-    let mut sim = Sim::new(
-        SimConfig {
-            queue: QueueConfig {
-                rate_bps: rate,
-                // A sensible home-router buffer (200 pkts) so tail-drop
-                // bloat is visible but bounded.
-                buffer_bytes: 200 * 1500,
-            },
-            seed: 99,
-            monitor: MonitorConfig {
-                warmup: Duration::from_secs(10),
-                ..MonitorConfig::default()
-            },
-        },
-        aqm,
-    );
+fn run(aqm: AqmKind) {
+    let name = aqm.name();
+    let mut sc = Scenario::new(aqm, 10_000_000);
+    // A sensible home-router buffer (200 pkts) so tail-drop bloat is
+    // visible but bounded.
+    sc.buffer_bytes = 200 * 1500;
     let rtt = Duration::from_millis(30);
-    // The call: 1 Mb/s of 500 B packets (≈ 250 pps).
-    sim.add_flow(PathConf::symmetric(rtt), "call", Time::ZERO, |id| {
-        Box::new(UdpCbrSource::new(id, 1_000_000, 500, Ecn::NotEct))
-    });
     // Four competing Cubic uploads.
-    for _ in 0..4 {
-        sim.add_flow(PathConf::symmetric(rtt), "bulk", Time::ZERO, |id| {
-            Box::new(TcpSource::new(
-                id,
-                CcKind::Cubic,
-                EcnSetting::NotEcn,
-                TcpConfig::default(),
-            ))
-        });
-    }
-    sim.run_until(Time::from_secs(60));
-    let m = &sim.core.monitor;
-    let delay = pi2::stats::Summary::of_f32(&m.sojourn_ms);
-    let call = m.flow(FlowId(0));
-    let loss_pct = 100.0
-        * (call.sent_pkts - sim.core.counters.flow(FlowId(0)).dequeued) as f64
-        / call.sent_pkts.max(1) as f64;
+    sc.tcp.push(FlowGroup::new(4, CcKind::Cubic, EcnSetting::NotEcn, "bulk", rtt));
+    // The call: 1 Mb/s of 500 B packets (≈ 250 pps).
+    sc.udp.push(UdpGroup {
+        rate_bps: 1_000_000,
+        pkt_size: 500,
+        label: "call".into(),
+        ..UdpGroup::paper_probes(1, rtt)
+    });
+    sc.duration = Time::from_secs(60);
+    sc.warmup = Duration::from_secs(10);
+    sc.seed = 99;
+    let r = sc.run();
+    let delay = r.delay_summary();
+    let call = FlowId(r.monitor.flows_labelled("call")[0] as u32);
+    let sent = r.monitor.flow(call).sent_pkts;
+    let loss_pct = 100.0 * (sent - r.counters.flow(call).dequeued) as f64 / sent.max(1) as f64;
     println!(
         "{:<9} queue delay mean {:>6.1} ms  p99 {:>6.1} ms | call loss {:>5.2} % | bulk {:>5.2} Mb/s",
         name,
         delay.mean,
         delay.p99,
         loss_pct,
-        m.pooled_mean_tput_mbps("bulk"),
+        r.tput_mbps("bulk"),
     );
 }
 
 fn main() {
     println!("1 Mb/s video call + 4 Cubic uploads on a 10 Mb/s link (RTT 30 ms)\n");
-    run(Box::new(PassAqm), "taildrop");
-    run(Box::new(Pie::new(PieConfig::paper_default())), "pie");
-    run(Box::new(Pi2::new(Pi2Config::default())), "pi2");
+    run(AqmKind::TailDrop);
+    run(AqmKind::pie_default());
+    run(AqmKind::pi2_default());
     println!(
         "\nTail-drop fills the whole buffer (~240 ms of bloat); the AQMs hold the\n\
          shared queue near their targets, giving the call a usable latency while\n\

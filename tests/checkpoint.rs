@@ -452,15 +452,14 @@ fn restore_replay_is_bit_identical_across_the_grid() {
 /// classified here and added to the list below.
 fn stateful(kind: &AqmKind) -> bool {
     match kind {
-        AqmKind::TailDrop | AqmKind::FixedProb(_) => false,
+        AqmKind::TailDrop | AqmKind::FixedProb(_) | AqmKind::StepMark(_) => false,
         AqmKind::Pie(_)
         | AqmKind::Pi2(_)
         | AqmKind::Pi(_)
         | AqmKind::Coupled(_)
         | AqmKind::DualQ(_)
         | AqmKind::Fq(_)
-        | AqmKind::Curvy(_)
-        | AqmKind::StepMark(_) => true,
+        | AqmKind::Curvy(_) => true,
     }
 }
 
@@ -766,17 +765,17 @@ fn header_mismatches_are_rejected_with_the_right_error() {
         Err(CkptError::VersionMismatch { .. })
     ));
 
-    // The previous version: a v9 blob carries the monitor's whole-run
-    // per-flow drop, mark and departure counts and its end-of-run
-    // instant, and is refused by number.
+    // The previous version: a v10 blob carries PIE's copy of its last
+    // delay, DCTCP's ACK count, the step marker's counters and Cubic's
+    // fast-convergence switch, and is refused by number.
     let mut bad = blob.clone();
-    bad[8..12].copy_from_slice(&9u32.to_le_bytes());
+    bad[8..12].copy_from_slice(&10u32.to_le_bytes());
     let mut target = build_sim(&cell);
     assert!(matches!(
         target.restore(&bad),
         Err(CkptError::VersionMismatch {
-            found: 9,
-            expected: 10
+            found: 10,
+            expected: 11
         })
     ));
 

@@ -22,12 +22,13 @@ struct Rule {
 const RULES: &[Rule] = &[
     Rule {
         needles: &["Sim::new(", "Sim::with_qdisc("],
-        roots: &["crates/experiments/src", "crates/bench/src"],
+        roots: &["crates/experiments/src", "crates/bench/src", "examples"],
         allowed: &["crates/experiments/src/scenario.rs"],
         up_to: None,
         why: "Scenario::build is the only place a packet Sim is assembled: a hand-built one \
               is a second pipeline that misses weather, hybrid background, metrics, \
-              pre-sizing and every observer (fill a Scenario instead)",
+              pre-sizing and every observer (fill a Scenario instead; the facade doctest \
+              in src/lib.rs is the one demonstration of the raw Sim API)",
     },
     Rule {
         needles: &[".sort", ".to_vec(", "select_nth"],
@@ -225,6 +226,15 @@ const RULES: &[Rule] = &[
         why: "one verdict ledger: whole-run per-flow marks, drops and departures are \
               TraceCounts' alone, the monitor's span ends at its last sample, and pi2sim \
               checks every JSONL trace against the counting sink attached with it",
+    },
+    Rule {
+        needles: &["fast_convergence", "acked_acc", "realized_fraction", "format_csv"],
+        roots: &["crates", "tests", "examples", "src"],
+        allowed: &["tests/repo_invariants.rs"],
+        up_to: None,
+        why: "run state is what a later step reads and an API has a caller: Cubic's fast \
+              convergence is its one code path, DCTCP counts no ACKs it never reads, the \
+              step marker keeps no counters, and tables print as text only",
     },
 ];
 

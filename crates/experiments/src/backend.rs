@@ -21,12 +21,12 @@
 
 use crate::scenario::{AqmKind, RunResult, Scenario};
 use pi2_fluid::{
-    FlowClass, FlowLevelConfig, FlowLevelSample, FlowLevelSim, FlowLevelState,
-    FluidControllerKind, FluidTcpKind, PiGains,
+    FlowClass, FlowLevelConfig, FlowLevelSample, FlowLevelSim, FluidControllerKind,
+    FluidTcpKind, PiGains,
 };
 use pi2_netsim::BackgroundAggregate;
-use pi2_simcore::ckpt::{Ckpt, CkptError, CkptReader, CkptWriter, SchemaHasher};
-use pi2_simcore::Duration;
+use pi2_simcore::ckpt::SchemaHasher;
+use pi2_simcore::{ckpt_fields, Duration};
 use pi2_transport::CcKind;
 
 /// MTU-sized segments, as everywhere else in the repo.
@@ -251,71 +251,8 @@ impl BackgroundAggregate for FluidBackground {
     }
 }
 
-/// The flow-level engine's [`FlowLevelState`]: its scalars, then the
-/// per-class windows and binding flags, each list as long as the
-/// configured class count.
-impl Ckpt for FluidBackground {
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        let s = self.sim.state();
-        w.f64(s.t);
-        w.u64(s.steps);
-        w.f64(s.q);
-        w.f64(s.p_prime);
-        w.f64(s.prev_qdelay);
-        w.usize(s.w.len());
-        for &wi in &s.w {
-            w.f64(wi);
-        }
-        w.u64(s.alloc_events);
-        for &b in &s.binding {
-            w.bool(b);
-        }
-    }
-
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        // Every float of the state is a time, a backlog, a probability or
-        // a window. The law would clamp a NaN or negative window to its
-        // floor and run on with different numbers: refuse it here.
-        let sane = |x: f64| {
-            if x.is_finite() && x >= 0.0 {
-                Ok(x)
-            } else {
-                Err(CkptError::Corrupt(
-                    "background state holds a negative or non-finite value",
-                ))
-            }
-        };
-        let t = sane(r.f64()?)?;
-        let steps = r.u64()?;
-        let q = sane(r.f64()?)?;
-        let p_prime = sane(r.f64()?)?;
-        let prev_qdelay = sane(r.f64()?)?;
-        let n = r.usize()?;
-        if n != self.sim.config().classes.len() {
-            return Err(CkptError::Corrupt("background class count mismatch"));
-        }
-        let mut w = Vec::with_capacity(n);
-        for _ in 0..n {
-            w.push(sane(r.f64()?)?);
-        }
-        let alloc_events = r.u64()?;
-        let mut binding = Vec::with_capacity(n);
-        for _ in 0..n {
-            binding.push(r.bool()?);
-        }
-        self.sim.restore_state(&FlowLevelState {
-            t,
-            steps,
-            q,
-            p_prime,
-            prev_qdelay,
-            w,
-            alloc_events,
-            binding,
-        });
-        Ok(())
-    }
-}
+// The engine's run state; the rest is configuration.
+ckpt_fields!(FluidBackground { sim });
 
 /// Post-run background accounting captured into [`RunResult`].
 #[derive(Clone, Debug)]
@@ -552,7 +489,7 @@ pub fn summarize_scenario_run(sc: &Scenario, run: &RunResult) -> BackendSummary 
 mod tests {
     use super::*;
     use crate::scenario::FlowGroup;
-    use pi2_simcore::Time;
+    use pi2_simcore::{CkptError, Time};
     use pi2_transport::EcnSetting;
 
     fn base_scenario() -> Scenario {
@@ -640,7 +577,8 @@ mod tests {
     #[test]
     fn a_checkpoint_with_a_hostile_window_is_a_typed_error() {
         // A real hybrid run, saved mid-way. The aggregate is the last thing
-        // in the blob and ends `w[n], alloc_events: u64, binding[n]: u8`.
+        // in the blob and ends `w[n]`, `alloc_events: u64`, then the binding
+        // row: its length and `n` bytes.
         let mut sc = base_scenario();
         sc.backend = Backend::Hybrid;
         sc.tcp[0].count = 2;
@@ -652,7 +590,7 @@ mod tests {
         let mut sim = sc.build().unwrap();
         sim.run_until(Time::from_secs(2));
         let blob = sim.save();
-        let window = |i: usize| blob.len() - n - 8 - 8 * (n - i);
+        let window = |i: usize| blob.len() - n - 8 - 8 - 8 * (n - i);
         for i in 0..n {
             let at = window(i);
             let w = f64::from_le_bytes(blob[at..at + 8].try_into().unwrap());

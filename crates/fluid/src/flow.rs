@@ -88,6 +88,7 @@
 
 use crate::ode::{FluidControllerKind, FluidTcpKind};
 use crate::law::{tune_factor, OutputLaw, PiGains, PiStep};
+use pi2_simcore::ckpt_fields;
 use std::cmp::Ordering;
 
 /// Max-min-fair (water-filling) allocation of `capacity` across flows
@@ -290,31 +291,6 @@ pub struct FlowLevelSample {
     pub util: f64,
     /// Aggregate offered arrival rate in packets per second.
     pub arrival_pps: f64,
-}
-
-/// Complete dynamic state of a [`FlowLevelSim`], for checkpointing.
-///
-/// Pure data so this crate stays dependency-free; the simulator's
-/// checkpoint writer serializes it field by field.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FlowLevelState {
-    /// Time in seconds.
-    pub t: f64,
-    /// Integration steps taken.
-    pub steps: u64,
-    /// Queue backlog in packets.
-    pub q: f64,
-    /// Controller variable p'.
-    pub p_prime: f64,
-    /// Queue delay at the previous controller tick.
-    pub prev_qdelay: f64,
-    /// Per-class window in packets.
-    pub w: Vec<f64>,
-    /// Rate reallocation events so far.
-    pub alloc_events: u64,
-    /// Per class: was it demand-bound (vs fair-share-bound) at the last
-    /// step. The next reallocation event is a change against this.
-    pub binding: Vec<bool>,
 }
 
 /// `a` where `mask` is all ones, `b` where it is zero. Exact: no
@@ -565,11 +541,6 @@ impl FlowLevelSim {
             meas_from: None,
             cfg,
         }
-    }
-
-    /// The configuration this engine was built with.
-    pub fn config(&self) -> &FlowLevelConfig {
-        &self.cfg
     }
 
     /// Current simulated time in seconds.
@@ -845,47 +816,48 @@ impl FlowLevelSim {
         offered_rate(&self.w, &self.r, &cols.cap, &cols.count, &self.live)
     }
 
-    /// Export the complete dynamic state for checkpointing.
-    pub fn state(&self) -> FlowLevelState {
-        FlowLevelState {
-            t: self.t,
-            steps: self.steps,
-            q: self.q,
-            p_prime: self.p_prime,
-            prev_qdelay: self.prev_qdelay,
-            w: self.w.clone(),
-            alloc_events: self.alloc_events,
-            binding: self.binding.clone(),
+    /// Every float of the run state is a time, a backlog, a probability or
+    /// a window. The law would clamp a NaN or negative window to its floor
+    /// and run on with different numbers: a restore refuses it.
+    fn check(&self) -> Result<(), &'static str> {
+        let scalars = [self.t, self.q, self.p_prime, self.prev_qdelay];
+        if scalars.iter().chain(&self.w).all(|x| x.is_finite() && *x >= 0.0) {
+            Ok(())
+        } else {
+            Err("flow-level state holds a negative or non-finite value")
         }
     }
-
-    /// Restore state exported by [`Self::state`]. The class count must
-    /// match the configuration this engine was built with. The kept
-    /// water-filling order is not state: whatever permutation this engine
-    /// holds, the next step's repair sorts it for the restored windows.
-    /// Nor is the `live` row: it is worked out again as soon as the
-    /// restored clock is outside the interval it was worked out for.
-    pub fn restore_state(&mut self, s: &FlowLevelState) {
-        let n = self.cfg.classes.len();
-        assert_eq!(s.w.len(), n, "checkpoint class count mismatch");
-        assert_eq!(s.binding.len(), n, "checkpoint class count mismatch");
-        self.t = s.t;
-        self.steps = s.steps;
-        self.q = s.q;
-        self.p_prime = s.p_prime;
-        self.prev_qdelay = s.prev_qdelay;
-        self.w.clone_from(&s.w);
-        self.alloc_events = s.alloc_events;
-        self.binding.clone_from(&s.binding);
-        self.rate_integral.iter_mut().for_each(|r| *r = 0.0);
-        self.meas_from = None;
-    }
 }
+
+// The run state, each row as long as the configured class count. The kept
+// water-filling order is not state: whatever permutation the restored
+// engine holds, the next step's repair sorts it for the restored windows.
+// Nor is the `live` row: it is worked out again as soon as the restored
+// clock is outside the interval it was worked out for. Nor is the
+// measurement window of `begin_measurement`.
+ckpt_fields!(FlowLevelSim {
+    t, steps, q, p_prime, prev_qdelay, w[..], alloc_events, binding[..]
+} check FlowLevelSim::check);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::law::CLASSIC_CAP;
+    use pi2_simcore::{Ckpt, CkptError, CkptReader, CkptWriter};
+
+    /// The engine's checkpoint bytes.
+    fn saved(sim: &FlowLevelSim) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        sim.save_ckpt(&mut w);
+        w.into_bytes()
+    }
+
+    /// Restore `blob` into `sim`, every byte of it read.
+    fn restore(sim: &mut FlowLevelSim, blob: &[u8]) -> Result<(), CkptError> {
+        let mut r = CkptReader::new(blob);
+        sim.restore_ckpt(&mut r)?;
+        r.finish()
+    }
 
     fn tail_mean(samples: &[FlowLevelSample], frac: f64, f: impl Fn(&FlowLevelSample) -> f64) -> f64 {
         let start = (samples.len() as f64 * (1.0 - frac)) as usize;
@@ -978,7 +950,7 @@ mod tests {
         );
         // Scalable equilibrium: W₀·(k·p₀') = 2 (eq. 23 with coupled signal).
         let pp = tail_mean(&samples, 0.25, |s| s.p_prime);
-        let w = sim.state().w[0];
+        let w = sim.w[0];
         let product = w * (2.0 * pp).min(1.0);
         assert!(
             (product - 2.0).abs() < 0.5,
@@ -1002,7 +974,7 @@ mod tests {
             assert!(s.signal <= CLASSIC_CAP, "t = {}: signal {}", s.t, s.signal);
             assert_eq!(s.signal, sim.law.classic(s.p_prime), "t = {}", s.t);
         }
-        assert_eq!(sim.state().p_prime, 1.0, "the population saturates p'");
+        assert_eq!(sim.p_prime, 1.0, "the population saturates p'");
     }
 
     #[test]
@@ -1062,18 +1034,39 @@ mod tests {
         // restore that forgot the binding row would count a flip here.
         let mut a = FlowLevelSim::new(capped_mix());
         a.run(30.0, 1.0);
-        let snap = a.state();
-        assert!(snap.binding.contains(&true));
+        assert!(a.binding.contains(&true));
+        let snap = saved(&a);
         let mut b = FlowLevelSim::new(capped_mix());
-        b.restore_state(&snap);
-        assert_eq!(b.state(), snap);
+        restore(&mut b, &snap).unwrap();
+        assert_eq!(saved(&b), snap);
         for _ in 0..5_000 {
             assert_eq!(bits(&a.step()), bits(&b.step()));
             assert_eq!(a.alloc_events(), b.alloc_events());
             let (ra, rb) = (a.class_rates_pps(), b.class_rates_pps());
             assert!(ra.iter().zip(rb).all(|(x, y)| x.to_bits() == y.to_bits()));
         }
-        assert_eq!(a.state(), b.state());
+        assert_eq!(saved(&a), saved(&b));
+    }
+
+    #[test]
+    fn a_hostile_blob_is_refused() {
+        let mut a = FlowLevelSim::new(capped_mix());
+        a.run(1.0, 1.0);
+        let snap = saved(&a);
+        // Five scalars and the window row's length: then window 0.
+        let at = 6 * 8;
+        assert_eq!(f64::from_le_bytes(snap[at..at + 8].try_into().unwrap()), a.w[0]);
+        for hostile in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut bad = snap.clone();
+            bad[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
+            let refused = restore(&mut FlowLevelSim::new(capped_mix()), &bad);
+            assert!(matches!(refused, Err(CkptError::Corrupt(_))), "{hostile}: {refused:?}");
+        }
+        // An engine of another class count refuses the rows.
+        let mut one = capped_mix();
+        one.classes.pop();
+        let refused = restore(&mut FlowLevelSim::new(one), &snap);
+        assert!(matches!(refused, Err(CkptError::Corrupt(_))), "{refused:?}");
     }
 
     fn is_permutation(order: &[u32]) -> bool {
@@ -1099,7 +1092,7 @@ mod tests {
         a.run(5.0, 1.0);
         let mut b = FlowLevelSim::new(cfg);
         b.order.reverse();
-        b.restore_state(&a.state());
+        restore(&mut b, &saved(&a)).unwrap();
         assert!(is_permutation(&b.order));
         for _ in 0..100 {
             assert_eq!(bits(&a.step()), bits(&b.step()));
@@ -1192,7 +1185,8 @@ mod tests {
             }
         }
 
-        fn restore(&mut self, s: &FlowLevelState) {
+        /// Take the engine's run state as it stands.
+        fn copy_state(&mut self, s: &FlowLevelSim) {
             self.t = s.t;
             self.steps = s.steps;
             self.q = s.q;
@@ -1360,7 +1354,7 @@ mod tests {
 
     fn assert_rows_equal(sim: &FlowLevelSim, oracle: &ScalarOracle, at: &str) {
         let same = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
-        assert!(same(&sim.state().w, &oracle.w), "{at}: windows differ");
+        assert!(same(&sim.w, &oracle.w), "{at}: windows differ");
         assert_eq!(sim.now().to_bits(), oracle.t.to_bits(), "{at}: clock");
         assert_eq!(sim.last_demands().len(), oracle.demand.len());
         for (i, (a, b)) in sim.last_demands().iter().zip(&oracle.demand).enumerate() {
@@ -1437,24 +1431,27 @@ mod tests {
         cfg.classes[1].tcp = FluidTcpKind::Scalable;
         let mut sim = FlowLevelSim::new(cfg.clone());
         let mut oracle = ScalarOracle::new(cfg);
-        let mut snap = sim.state();
-        snap.w = vec![f64::NAN; 2];
-        sim.restore_state(&snap);
-        oracle.restore(&snap);
+        // No restore admits a NaN window: set the rows directly.
+        let fresh = saved(&sim);
+        let poison = |sim: &mut FlowLevelSim, oracle: &mut ScalarOracle| {
+            restore(sim, &fresh).unwrap();
+            sim.w.fill(f64::NAN);
+            oracle.copy_state(sim);
+        };
+        poison(&mut sim, &mut oracle);
         sim.tick_external(0.001, 0.01, 0.02, 0.005);
         oracle.tick_external(0.001, 0.01, 0.02, 0.005);
-        for w in [&sim.state().w, &oracle.w] {
+        for w in [&sim.w, &oracle.w] {
             assert_eq!(w[0].to_bits(), 1e-3f64.to_bits());
             assert_eq!(w[1].to_bits(), 1e-3f64.to_bits());
         }
         // Through `step` too. (Only the windows: the demand a NaN window
         // offers is NaN, as an uncapped class's always was, where the
         // scalar `f64::min` gave a capped class its cap.)
-        sim.restore_state(&snap);
-        oracle.restore(&snap);
+        poison(&mut sim, &mut oracle);
         sim.step();
         oracle.step();
-        for w in [&sim.state().w, &oracle.w] {
+        for w in [&sim.w, &oracle.w] {
             assert_eq!(w[0].to_bits(), 1e-3f64.to_bits());
             assert_eq!(w[1].to_bits(), 1e-3f64.to_bits());
         }
@@ -1474,20 +1471,20 @@ mod tests {
         cfg.classes.push(always_on);
         let tick = |sim: &mut FlowLevelSim, k: u32| {
             let offered = sim.tick_external(0.032, 0.001 * f64::from(k), 0.01, 0.002);
-            (offered.to_bits(), sim.state())
+            (offered.to_bits(), saved(sim))
         };
         let mut a = FlowLevelSim::new(cfg.clone());
         for k in 0..3 {
             tick(&mut a, k);
         }
-        let snap = a.state();
-        assert!(snap.t > 0.050 && snap.t < 0.200);
+        let snap = saved(&a);
+        assert!(a.now() > 0.050 && a.now() < 0.200);
         let replay: Vec<_> = (3..12).map(|k| tick(&mut a, k)).collect();
         assert!(a.now() > 0.200);
 
         let mut fresh = FlowLevelSim::new(cfg);
         for sim in [&mut a, &mut fresh] {
-            sim.restore_state(&snap);
+            restore(sim, &snap).unwrap();
             let again: Vec<_> = (3..12).map(|k| tick(sim, k)).collect();
             assert_eq!(again, replay);
         }

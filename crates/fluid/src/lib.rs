@@ -31,7 +31,7 @@ pub use bode::{margins, Margins};
 pub use complex::Complex;
 pub use flow::{
     max_min_allocation, max_min_weighted, FlowClass, FlowLevelConfig, FlowLevelSample,
-    FlowLevelSim, FlowLevelState,
+    FlowLevelSim,
 };
 pub use nyquist::{nyquist, winding_number, Stability};
 pub use law::{OutputLaw, PiGains};

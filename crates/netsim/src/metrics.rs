@@ -15,7 +15,7 @@
 use crate::aqm::AqmState;
 use crate::packet::Ecn;
 use pi2_obs::{CounterId, GaugeId, HistId, Registry};
-use pi2_simcore::{Ckpt, CkptError, CkptReader, CkptWriter, Duration};
+use pi2_simcore::{ckpt_fields, Duration};
 
 /// All instruments one simulation run records. See the module docs.
 #[derive(Clone, Debug)]
@@ -181,87 +181,11 @@ impl SimMetrics {
     pub fn qdelay(&self) -> &pi2_obs::Histogram {
         self.reg.hist(self.qdelay_ns)
     }
-
 }
 
-/// Every instrument's value in registry order. The schema itself is fixed
-/// at construction, so only values are written: counters, then gauges,
-/// then histograms (sparse non-zero buckets plus raw moments). Restore
-/// targets a freshly constructed (same-schema) instance.
-impl Ckpt for SimMetrics {
-    fn save_ckpt(&self, w: &mut CkptWriter) {
-        let (nc, ng, nh) = self.reg.instrument_counts();
-        w.usize(nc);
-        for i in 0..nc {
-            w.u64(self.reg.counter_at(i));
-        }
-        w.usize(ng);
-        for i in 0..ng {
-            w.f64(self.reg.gauge_at(i));
-        }
-        w.usize(nh);
-        for i in 0..nh {
-            let h = self.reg.hist_at(i);
-            let buckets = h.bucket_counts();
-            let nonzero = buckets.iter().filter(|&&c| c != 0).count();
-            w.usize(nonzero);
-            for (idx, &c) in buckets.iter().enumerate() {
-                if c != 0 {
-                    w.usize(idx);
-                    w.u64(c);
-                }
-            }
-            let (count, sum, sum_sq, min_raw, max) = h.raw_moments();
-            w.u64(count);
-            w.u64(sum);
-            w.f64(sum_sq);
-            w.u64(min_raw);
-            w.u64(max);
-        }
-    }
-
-    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        let (nc, ng, nh) = self.reg.instrument_counts();
-        if r.usize()? != nc {
-            return Err(CkptError::Corrupt("metrics counter count mismatch"));
-        }
-        for i in 0..nc {
-            let v = r.u64()?;
-            self.reg.set_counter_at(i, v);
-        }
-        if r.usize()? != ng {
-            return Err(CkptError::Corrupt("metrics gauge count mismatch"));
-        }
-        for i in 0..ng {
-            let v = r.f64()?;
-            self.reg.set_gauge_at(i, v);
-        }
-        if r.usize()? != nh {
-            return Err(CkptError::Corrupt("metrics histogram count mismatch"));
-        }
-        for i in 0..nh {
-            let nonzero = r.len_of(8 + 8)?;
-            let mut pairs = Vec::with_capacity(nonzero);
-            for _ in 0..nonzero {
-                let idx = r.usize()?;
-                let c = r.u64()?;
-                if idx >= pi2_obs::HIST_BUCKETS {
-                    return Err(CkptError::Corrupt("histogram bucket index out of range"));
-                }
-                pairs.push((idx, c));
-            }
-            let count = r.u64()?;
-            let sum = r.u64()?;
-            let sum_sq = r.f64()?;
-            let min_raw = r.u64()?;
-            let max = r.u64()?;
-            self.reg
-                .hist_at_mut(i)
-                .restore_raw(pairs, count, sum, sum_sq, min_raw, max);
-        }
-        Ok(())
-    }
-}
+// The schema is fixed at construction: a checkpoint holds the registry's
+// values, and restore targets a freshly constructed instance.
+ckpt_fields!(SimMetrics { reg });
 
 #[cfg(test)]
 mod tests {

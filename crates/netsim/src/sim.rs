@@ -1034,42 +1034,11 @@ pub fn event_class(ev: &Event) -> usize {
 }
 
 /// Checkpoint format version written by [`Sim::save`]; bumped whenever
-/// the field layout changes incompatibly. Version 2 added the multi-hop
-/// topology section (per-hop qdisc state, admission counters and per-hop
-/// per-flow egress bytes). Version 3 added the hybrid-mode background
-/// section (presence flag, capacity-stealing bookkeeping, the aggregate
-/// rate track and the aggregate's own state). Version 4 made the primary
-/// bottleneck an ordinary hop: its qdisc, link-busy flag and egress-byte
-/// row moved into the hop section, the core-side per-hop admission
-/// counters were dropped, `Dequeue`/`AqmUpdate` events gained a hop id and
-/// the event tags were renumbered (see [`write_event`]). Version 5 came
-/// with lazy timers: the queue section stores the tie-break sequence
-/// counter (no longer the push count), the core's timer-arming counter is
-/// gone (a timer event's id is its own sequence number), and every
-/// timer-id field of a source (TCP's two, a CBR source's one) became a
-/// [`LazyTimer`](crate::timer::LazyTimer) record. Version 6 added the
-/// fluid background's per-class binding row (which classes its last
-/// allocation left demand-bound), without which a restored aggregate
-/// counted a reallocation the straight run never saw. Version 7 dropped
-/// what nothing read or scheduled: the monitor's per-flow throughput
-/// store (a word per sample row, two lists) and its reservation hint,
-/// TCP's NewReno inflation word, and the RTT-step event, whose tag
-/// `HopArrive` took (10 → 9). Version 8 gave every qdisc one link record
-/// (rate and sent bytes) and one packet-queue form, dropped the five queue
-/// counters nothing read and DualPI2's per-class sent bytes, and added
-/// the queue DualPI2 committed to the wire. Version 9 dropped what the
-/// monitor recorded and nothing read: the control-variable series, each
-/// sample row's throughput word, two per-flow byte counters (sent, and
-/// delivered after warm-up), and Reno's decrease factor, now a constant.
-/// Version 10 dropped the monitor's copies of the always-on counters: the
-/// whole-run per-flow drops, marks and departures
-/// ([`crate::trace::TraceCounts`] keeps them) and the end-of-run instant,
-/// which always equalled the last sample's. Version 11 dropped run state
-/// nothing read or that copied another field: PIE's last queue-delay
-/// estimate (its PI core's previous delay holds the same value), DCTCP's
-/// per-window ACK count, the step marker's marked and offered counters,
-/// and Cubic's fast-convergence switch, now the one code path.
-pub const CKPT_VERSION: u32 = 11;
+/// the field layout changes incompatibly. Version 12 gave the hybrid
+/// background's per-class binding row a length prefix, when the
+/// flow-level engine's layout moved beside its fields. CHANGES.md has
+/// what every earlier version changed.
+pub const CKPT_VERSION: u32 = 12;
 
 /// The complete simulator: shared core + traffic sources.
 pub struct Sim {
@@ -1906,7 +1875,11 @@ mod tests {
         assert!(packets.in_use() > 0 && vacant > 0);
         let metrics = sim.core.metrics.as_ref().expect("enabled above");
         let (metrics_at, _) = find(&|w| metrics.save_ckpt(w));
-        let (counters, gauges, _) = metrics.registry().instrument_counts();
+        // The registry opens with its counter list, then its gauge list,
+        // each led by its length.
+        let word = |at: usize| u64::from_le_bytes(blob[at..at + 8].try_into().unwrap()) as usize;
+        let counters = word(metrics_at);
+        let gauges = word(metrics_at + 8 * (1 + counters));
         let lengths = [
             // Magic, version, schema hash; clock, next seq, popped.
             ("pending events", 8 + 4 + 8 + 3 * 8),

@@ -119,27 +119,6 @@ impl TraceEvent {
         }
     }
 
-    /// One-line text rendering (`t  KIND  flow#seq  details`).
-    pub fn render(&self) -> String {
-        match *self {
-            TraceEvent::Enqueue { t, flow, seq, ecn } => {
-                format!("{t} ENQ  f{}#{seq} {ecn:?}", flow.0)
-            }
-            TraceEvent::Mark { t, flow, seq, prob } => {
-                format!("{t} MARK f{}#{seq} p={prob:.4}", flow.0)
-            }
-            TraceEvent::Drop { t, flow, seq, prob } => {
-                format!("{t} DROP f{}#{seq} p={prob:.4}", flow.0)
-            }
-            TraceEvent::Dequeue {
-                t,
-                flow,
-                seq,
-                sojourn,
-            } => format!("{t} DEQ  f{}#{seq} sojourn={sojourn}", flow.0),
-        }
-    }
-
     /// Append the event as one JSON object, no trailing newline. See
     /// `EXPERIMENTS.md` for the schema; floats use Rust's
     /// shortest-roundtrip formatting, so the output is deterministic and
@@ -487,16 +466,6 @@ impl MemorySink {
     pub fn aqm_states(&self) -> &[(Time, AqmState)] {
         &self.aqm_states
     }
-
-    /// Render the recorded events, one per line.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for ev in &self.events {
-            out.push_str(&ev.render());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl TraceSink for MemorySink {
@@ -644,27 +613,6 @@ mod tests {
         }
         assert_eq!(tr.events().len(), 2);
         assert_eq!(tr.events()[1].time(), Time::from_millis(1));
-    }
-
-    #[test]
-    fn rendering_is_line_per_event() {
-        let mut tr = MemorySink::new(10);
-        tr.on_event(&TraceEvent::Drop {
-            t: Time::from_millis(3),
-            flow: FlowId(2),
-            seq: 7,
-            prob: 0.25,
-        });
-        tr.on_event(&TraceEvent::Dequeue {
-            t: Time::from_millis(4),
-            flow: FlowId(2),
-            seq: 6,
-            sojourn: Duration::from_millis(12),
-        });
-        let text = tr.render();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.contains("DROP f2#7 p=0.2500"));
-        assert!(text.contains("DEQ  f2#6"));
     }
 
     #[test]

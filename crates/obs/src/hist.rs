@@ -12,6 +12,7 @@
 //! ([`Histogram::merge`]), so registries of several runs combine into a
 //! view that does not depend on the order the runs finished in.
 
+use pi2_simcore::{Ckpt, CkptError, CkptReader, CkptWriter};
 use pi2_stats::variance_from_moments;
 
 /// log2 of the sub-bucket count per octave.
@@ -182,46 +183,39 @@ impl Histogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
+}
 
-    /// Raw bucket counts indexed by bucket number (length [`BUCKETS`]),
-    /// for checkpointing. Pair with [`Histogram::raw_moments`] to capture
-    /// the full stored state.
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts[..]
-    }
-
-    /// Raw streamed moments `(count, sum, sum_sq, min_raw, max)` for
-    /// checkpointing. `min_raw` is the *stored* minimum — `u64::MAX` when
-    /// empty — unlike [`Histogram::min`], which masks that sentinel.
-    pub fn raw_moments(&self) -> (u64, u64, f64, u64, u64) {
-        (self.count, self.sum, self.sum_sq, self.min, self.max)
-    }
-
-    /// Overwrite this histogram with checkpointed state: `buckets` yields
-    /// `(bucket_index, count)` pairs for the non-zero buckets, and the
-    /// moments are as returned by [`Histogram::raw_moments`].
-    ///
-    /// # Panics
-    /// Panics if a bucket index is out of range; callers validate indices
-    /// against [`BUCKETS`] before trusting external blobs.
-    pub fn restore_raw(
-        &mut self,
-        buckets: impl IntoIterator<Item = (usize, u64)>,
-        count: u64,
-        sum: u64,
-        sum_sq: f64,
-        min_raw: u64,
-        max: u64,
-    ) {
-        self.counts.fill(0);
-        for (i, c) in buckets {
-            self.counts[i] = c;
+/// The non-zero buckets as a list of `(index, count)` pairs, then the
+/// moments with the stored minimum (`u64::MAX` while empty, which
+/// [`Histogram::min`] masks). A bucket index past [`BUCKETS`] is corrupt.
+impl Ckpt for Histogram {
+    fn save_ckpt(&self, w: &mut CkptWriter) {
+        w.usize(self.counts.iter().filter(|&&c| c != 0).count());
+        for (i, &c) in self.counts.iter().enumerate().filter(|(_, &c)| c != 0) {
+            w.usize(i);
+            w.u64(c);
         }
-        self.count = count;
-        self.sum = sum;
-        self.sum_sq = sum_sq;
-        self.min = min_raw;
-        self.max = max;
+        w.u64(self.count);
+        w.u64(self.sum);
+        w.f64(self.sum_sq);
+        w.u64(self.min);
+        w.u64(self.max);
+    }
+
+    fn restore_ckpt(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
+        let nonzero = r.len_of(8 + 8)?;
+        self.counts.fill(0);
+        for _ in 0..nonzero {
+            let i = r.usize()?;
+            let c = r.u64()?;
+            *self.counts.get_mut(i).ok_or("histogram bucket index out of range")? = c;
+        }
+        self.count = r.u64()?;
+        self.sum = r.u64()?;
+        self.sum_sq = r.f64()?;
+        self.min = r.u64()?;
+        self.max = r.u64()?;
+        Ok(())
     }
 }
 
@@ -315,33 +309,52 @@ mod tests {
         assert!((h.stddev() - pi2_stats::stddev(&as_f64)).abs() < 1e-9);
     }
 
+    /// Save `h`, restore the bytes over a histogram holding other values,
+    /// and return the blob and the result.
+    fn save_and_restore(h: &Histogram) -> (Vec<u8>, Histogram) {
+        let mut w = CkptWriter::new();
+        h.save_ckpt(&mut w);
+        let blob = w.into_bytes();
+        let mut back = Histogram::new();
+        back.record(999);
+        let mut r = CkptReader::new(&blob);
+        back.restore_ckpt(&mut r).unwrap();
+        r.finish().unwrap();
+        (blob, back)
+    }
+
     #[test]
-    fn raw_state_round_trips_exactly() {
+    fn checkpoint_round_trips_exactly() {
         let mut h = Histogram::new();
         for v in [0u64, 3, 3, 700, 123_456_789] {
             h.record(v);
         }
-        let sparse: Vec<(usize, u64)> = h
-            .bucket_counts()
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c))
-            .collect();
-        let (count, sum, sum_sq, min_raw, max) = h.raw_moments();
-        let mut r = Histogram::new();
-        r.record(999); // stale state must be wiped by restore
-        r.restore_raw(sparse, count, sum, sum_sq, min_raw, max);
-        assert_eq!(r, h);
+        // An empty histogram keeps its stored minimum, u64::MAX, too.
+        for h in [h, Histogram::new()] {
+            let (blob, back) = save_and_restore(&h);
+            assert_eq!(back, h);
+            assert_eq!(save_and_restore(&back).0, blob);
+        }
+        assert_eq!(save_and_restore(&Histogram::new()).1.min(), 0);
+    }
 
-        // Empty histogram round-trips its min sentinel too.
-        let e = Histogram::new();
-        let (c2, s2, sq2, mn2, mx2) = e.raw_moments();
-        let mut r2 = Histogram::new();
-        r2.record(1);
-        r2.restore_raw(std::iter::empty(), c2, s2, sq2, mn2, mx2);
-        assert_eq!(r2, e);
-        assert_eq!(r2.min(), 0);
+    #[test]
+    fn a_bucket_index_past_the_last_bucket_is_corrupt() {
+        let mut h = Histogram::new();
+        h.record(5);
+        let mut w = CkptWriter::new();
+        h.save_ckpt(&mut w);
+        let mut blob = w.into_bytes();
+        // One non-zero bucket: its count of pairs, then its index.
+        for index in [BUCKETS, BUCKETS + 1, usize::MAX >> 1] {
+            blob[8..16].copy_from_slice(&(index as u64).to_le_bytes());
+            assert_eq!(
+                Histogram::new().restore_ckpt(&mut CkptReader::new(&blob)),
+                Err(CkptError::Corrupt("histogram bucket index out of range"))
+            );
+        }
+        blob[8..16].copy_from_slice(&((BUCKETS - 1) as u64).to_le_bytes());
+        assert!(Histogram::new().restore_ckpt(&mut CkptReader::new(&blob)).is_ok());
     }
 
     /// The exact order statistic the histogram quantile approximates:

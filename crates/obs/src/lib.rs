@@ -28,9 +28,10 @@
 //!
 //! Layering: this crate sits next to `pi2-stats` (whose
 //! [`variance_from_moments`](pi2_stats::variance_from_moments) the
-//! histogram summary reuses) and below `pi2-netsim`, which owns the
-//! actual instrument schema (`SimMetrics`) and wires these primitives
-//! into the simulator.
+//! histogram summary reuses), on `pi2-simcore`'s checkpoint codec (the
+//! registry and its histograms declare their own layouts), and below
+//! `pi2-netsim`, which owns the actual instrument schema (`SimMetrics`)
+//! and wires these primitives into the simulator.
 
 pub mod hist;
 pub mod profiler;
@@ -38,7 +39,7 @@ pub mod registry;
 pub mod ring;
 pub mod server;
 
-pub use hist::{Histogram, BUCKETS as HIST_BUCKETS};
+pub use hist::Histogram;
 pub use profiler::{LoopProfiler, ProfileRow};
 pub use registry::{prom_lint, valid_metric_name, CounterId, GaugeId, HistId, Registry};
 pub use ring::RingBuffer;

@@ -12,6 +12,7 @@
 //! [`Registry::merge`] into one fleet-level registry.
 
 use crate::hist::Histogram;
+use pi2_simcore::ckpt_fields;
 
 /// Name + help text of one instrument. Names follow Prometheus
 /// conventions (`[a-zA-Z_:][a-zA-Z0-9_:]*`); duration-valued instruments
@@ -43,6 +44,12 @@ pub struct Registry {
     gauges: Vec<(Meta, f64)>,
     hists: Vec<(Meta, Histogram)>,
 }
+
+// Names and help texts are the schema, fixed at registration: a
+// checkpoint holds the values alone, each section as long as the
+// registering side made it.
+ckpt_fields!(Meta {});
+ckpt_fields!(Registry { counters[..], gauges[..], hists[..] });
 
 impl Registry {
     /// An empty registry.
@@ -98,44 +105,6 @@ impl Registry {
     /// Read a histogram.
     pub fn hist(&self, id: HistId) -> &Histogram {
         &self.hists[id.0].1
-    }
-
-    /// Number of registered `(counters, gauges, histograms)`, for
-    /// checkpointing: a restorer walks instruments by registration index,
-    /// so the counts double as a cheap schema check.
-    pub fn instrument_counts(&self) -> (usize, usize, usize) {
-        (self.counters.len(), self.gauges.len(), self.hists.len())
-    }
-
-    /// Read the `i`-th counter in registration order.
-    pub fn counter_at(&self, i: usize) -> u64 {
-        self.counters[i].1
-    }
-
-    /// Overwrite the `i`-th counter in registration order (checkpoint
-    /// restore; normal recording goes through [`Registry::inc`]).
-    pub fn set_counter_at(&mut self, i: usize, v: u64) {
-        self.counters[i].1 = v;
-    }
-
-    /// Read the `i`-th gauge in registration order.
-    pub fn gauge_at(&self, i: usize) -> f64 {
-        self.gauges[i].1
-    }
-
-    /// Overwrite the `i`-th gauge in registration order.
-    pub fn set_gauge_at(&mut self, i: usize, v: f64) {
-        self.gauges[i].1 = v;
-    }
-
-    /// Borrow the `i`-th histogram in registration order.
-    pub fn hist_at(&self, i: usize) -> &Histogram {
-        &self.hists[i].1
-    }
-
-    /// Mutably borrow the `i`-th histogram in registration order.
-    pub fn hist_at_mut(&mut self, i: usize) -> &mut Histogram {
-        &mut self.hists[i].1
     }
 
     /// Fold `other` into `self`: counters and histogram buckets add,
@@ -467,6 +436,7 @@ fn check_labels(body: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pi2_simcore::{Ckpt, CkptError, CkptReader, CkptWriter};
 
     fn sample_registry() -> (Registry, CounterId, GaugeId, HistId) {
         let mut r = Registry::new();
@@ -486,7 +456,7 @@ mod tests {
             r.observe(h, v);
         }
         assert_eq!(r.counter_value(c), 5);
-        assert_eq!(r.gauge_at(0), 0.25);
+        assert_eq!(r.gauges[0].1, 0.25);
         assert_eq!(r.hist(h).count(), 3);
     }
 
@@ -502,8 +472,42 @@ mod tests {
         b.observe(h, 7);
         a.merge(&b);
         assert_eq!(a.counter_value(c), 3);
-        assert_eq!(a.gauge_at(0), 0.9, "gauge takes the later run's value");
+        assert_eq!(a.gauges[0].1, 0.9, "gauge takes the later run's value");
         assert_eq!(a.hist(h).count(), 2);
+    }
+
+    fn saved(r: &Registry) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        r.save_ckpt(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn checkpoint_restores_every_value_and_saves_the_same_bytes() {
+        let (mut r, c, g, h) = sample_registry();
+        r.inc(c, 11);
+        r.set(g, -0.0);
+        for v in [1, 64, 1_000_000] {
+            r.observe(h, v);
+        }
+        let blob = saved(&r);
+        // No names: the counter list opens with its length and its value.
+        assert_eq!(blob[..16], [1u64.to_le_bytes(), 11u64.to_le_bytes()].concat());
+        let (mut back, ..) = sample_registry();
+        back.inc(c, 3);
+        let mut reader = CkptReader::new(&blob);
+        back.restore_ckpt(&mut reader).unwrap();
+        reader.finish().unwrap();
+        assert_eq!(back, r);
+        assert_eq!(back.gauges[0].1.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(saved(&back), blob);
+        // A registry of another shape refuses the blob.
+        let mut other = Registry::new();
+        other.counter("pi2_events_total", "Events processed");
+        assert!(matches!(
+            other.restore_ckpt(&mut CkptReader::new(&blob)),
+            Err(CkptError::Corrupt(_))
+        ));
     }
 
     #[test]

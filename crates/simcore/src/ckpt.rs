@@ -61,9 +61,10 @@
 //! delay estimator, the ECN codepoint); the event wheel's canonical entry
 //! list; `Pool`'s slots (a payload only behind a set presence flag) and
 //! free list; `Fifo`'s byte total and the sequence sets' ascending order,
-//! derived or checked rather than stored; FQ's round; the metrics
-//! registry's sections; the fluid background's engine state; and
-//! `SimCore`'s optional sections with the `Sim` header and schema hash.
+//! derived or checked rather than stored; FQ's round; a histogram's
+//! sparse buckets; and `SimCore`'s optional sections with the `Sim`
+//! header and schema hash. DESIGN.md §5 tables them with the reason
+//! each stays by hand.
 
 use crate::time::{Duration, Time};
 use std::fmt;

@@ -765,17 +765,16 @@ fn header_mismatches_are_rejected_with_the_right_error() {
         Err(CkptError::VersionMismatch { .. })
     ));
 
-    // The previous version: a v10 blob carries PIE's copy of its last
-    // delay, DCTCP's ACK count, the step marker's counters and Cubic's
-    // fast-convergence switch, and is refused by number.
+    // The previous version: a v11 blob writes a hybrid background's
+    // binding row without its length, and is refused by number.
     let mut bad = blob.clone();
-    bad[8..12].copy_from_slice(&10u32.to_le_bytes());
+    bad[8..12].copy_from_slice(&11u32.to_le_bytes());
     let mut target = build_sim(&cell);
     assert!(matches!(
         target.restore(&bad),
         Err(CkptError::VersionMismatch {
-            found: 10,
-            expected: 11
+            found: 11,
+            expected: 12
         })
     ));
 

@@ -191,10 +191,10 @@ fn trace_records_coherent_packet_lifecycles() {
             _ => {}
         }
     }
-    let text = trace.render();
+    let text: String = trace.events().iter().map(|ev| ev.jsonl() + "\n").collect();
     assert_eq!(text.lines().count(), trace.events().len());
-    assert!(text.contains("ENQ"));
-    assert!(text.contains("DEQ"));
+    assert!(text.contains("{\"ev\":\"enq\","));
+    assert!(text.contains("{\"ev\":\"deq\","));
 }
 
 /// The CLI parser round-trips a realistic command line (library-level —

@@ -6,7 +6,7 @@
 
 use pi2::experiments::{run_fluid, AqmKind, FlowGroup, Scenario};
 use pi2::fluid::{max_min_weighted, FlowClass, FlowLevelConfig, FlowLevelSim, FluidTcpKind};
-use pi2::simcore::{Duration as SimDuration, Rng, Time};
+use pi2::simcore::{Ckpt, CkptReader, CkptWriter, Duration as SimDuration, Rng, Time};
 use pi2::transport::{CcKind, EcnSetting};
 use std::time::{Duration, Instant};
 
@@ -49,8 +49,9 @@ fn a_drifting_order_moves_exactly_this_many_entries() {
 }
 
 /// 10 000 classes on one RTT, so a class's demand is its window over a
-/// common divisor, and the windows are restored to an ascending ramp and
-/// a descending one in turn: every step but the first finds the kept
+/// common divisor, and the windows are restored (from a checkpoint blob
+/// taken at the start, its window row overwritten) to an ascending ramp
+/// and a descending one in turn: every step but the first finds the kept
 /// order exactly reversed (n·(n−1)/2 = 50 M inversions).
 #[test]
 fn an_order_that_reverses_every_step_costs_a_sort_per_step() {
@@ -62,9 +63,21 @@ fn an_order_that_reverses_every_step_costs_a_sort_per_step() {
         ..FlowLevelConfig::default()
     };
     let mut sim = FlowLevelSim::new(cfg);
-    let mut state = sim.state();
     let up: Vec<f64> = (0..N).map(|i| 1.0 + i as f64).collect();
     let down: Vec<f64> = up.iter().rev().copied().collect();
+    // The engine's blob at t = 0 with the windows written over: five
+    // scalars, the window row's length, then the row.
+    let mut w = CkptWriter::new();
+    sim.save_ckpt(&mut w);
+    let start = w.into_bytes();
+    let row = 6 * 8..6 * 8 + 8 * N;
+    let with_windows = |windows: &[f64]| {
+        let mut blob = start.clone();
+        let bytes: Vec<u8> = windows.iter().flat_map(|w| w.to_le_bytes()).collect();
+        blob[row.clone()].copy_from_slice(&bytes);
+        blob
+    };
+    let (up, down) = (with_windows(&up), with_windows(&down));
 
     // The repair gives up on insertion after n·⌈log₂ n⌉ shifts (10 000 is
     // a 14-bit number) plus at most the one insertion that crossed the
@@ -73,8 +86,8 @@ fn an_order_that_reverses_every_step_costs_a_sort_per_step() {
     let budget = (N * 14) as u64;
     let wall = Instant::now();
     for step in 0..STEPS {
-        state.w.clone_from(if step % 2 == 0 { &up } else { &down });
-        sim.restore_state(&state);
+        let blob = if step % 2 == 0 { &up } else { &down };
+        sim.restore_ckpt(&mut CkptReader::new(blob)).expect("a blob of windows restores");
         let before = sim.order_moves();
         sim.step();
         let moved = sim.order_moves() - before;

@@ -236,7 +236,41 @@ const RULES: &[Rule] = &[
               convergence is its one code path, DCTCP counts no ACKs it never reads, the \
               step marker keeps no counters, and tables print as text only",
     },
+    Rule {
+        needles: &[
+            "FlowLevelState",
+            "restore_state",
+            "instrument_counts",
+            "counter_at",
+            "set_counter_at",
+            "gauge_at",
+            "set_gauge_at",
+            "hist_at",
+            "bucket_counts",
+            "raw_moments",
+            "restore_raw",
+            "HIST_BUCKETS",
+        ],
+        roots: &["crates", "tests", "examples", "src"],
+        allowed: &["tests/repo_invariants.rs"],
+        up_to: None,
+        why: LAYOUT_BESIDE_DATA,
+    },
+    Rule {
+        needles: &["fn state(", "fn config(", "fn render("],
+        roots: &["crates/fluid/src/flow.rs", "crates/netsim/src/trace.rs"],
+        allowed: &[],
+        up_to: None,
+        why: LAYOUT_BESIDE_DATA,
+    },
 ];
+
+/// Shared by the two rows that keep each checkpoint layout with its data.
+const LAYOUT_BESIDE_DATA: &str = "a layout lives beside its data: the registry, its \
+                                  histograms and the flow-level engine are Ckpt impls in \
+                                  their own crates, so no mirror struct or index accessor \
+                                  exports their state for another crate to write, and a \
+                                  trace has two text forms, JSONL and CSV";
 
 /// Shared by the two rows that keep the PI loop and the qdiscs' parts single.
 const ONE_LOOP: &str = "one PI loop, one FIFO; a counter nobody reads is not kept (Pi, Pi2 and \

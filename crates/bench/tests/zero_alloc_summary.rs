@@ -4,9 +4,10 @@
 //! mean and max over them and selects its four order statistics by radix,
 //! in histograms on the stack, so it makes no allocator call — no copy of
 //! a column, no widened `Vec<f64>`, no sort scratch. `RunResult`'s
-//! `delay_summary` reads the monitor's sojourn column and `prob_summary`
-//! each labelled flow's probability column that way, so neither makes one
-//! either.
+//! `delay_summary` reads the monitor's sojourn column that way,
+//! `prob_summary` the runs of each labelled flow's probability column and
+//! `util_summary` the monitor's sample rows (`Summary::of_runs`), so none
+//! of them makes one either.
 //!
 //! One test in its own integration-test binary, for the reason
 //! `zero_alloc.rs` gives: the counters are process-global.
@@ -64,4 +65,7 @@ fn a_summary_makes_no_allocator_call() {
         assert!(s.n > 1000, "{label}: only {} probabilities", s.n);
         assert_eq!(calls, NO_CALL, "{label}: prob_summary");
     }
+    let (s, calls) = counted(|| r.util_summary());
+    assert!(s.n >= 4, "only {} utilisation samples", s.n);
+    assert_eq!(calls, NO_CALL, "util_summary");
 }

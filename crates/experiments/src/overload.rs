@@ -72,8 +72,8 @@ pub fn run_point(aqm: AqmKind, udp_load: f64, seed: u64) -> OverloadPoint {
     // the queue, while every AQM decision here carries the controller's
     // probability (PI2 caps at 0.25; PIE never reaches 1.0 before the
     // buffer does). Filtering p < 1 isolates the AQM's own decisions.
-    let probs = || r.monitor.labelled("udp").flat_map(|f| &f.prob_samples);
-    let aqm_probs = || probs().map(|&p| p as f64).filter(|&p| p < 0.999);
+    let probs = || r.monitor.labelled("udp").flat_map(|f| f.prob_samples.iter());
+    let aqm_probs = || probs().map(|p| p as f64).filter(|&p| p < 0.999);
     let (all, aqm) = (probs().count(), aqm_probs().count());
     let mean_p = match aqm {
         0 => 0.0,

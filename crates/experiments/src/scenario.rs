@@ -505,16 +505,18 @@ impl RunResult {
         Summary::over(sojourns, f64::from)
     }
 
-    /// Applied-probability summary for a label (percent).
+    /// Applied-probability summary for a label (percent), over the runs
+    /// the monitor keeps.
     pub fn prob_summary(&self, label: &str) -> Summary {
-        let probs = self.monitor.labelled(label).map(|f| &f.prob_samples[..]);
-        Summary::over(probs, |p| p as f64 * 100.0)
+        let runs = self.monitor.labelled(label).map(|f| f.prob_samples.runs());
+        Summary::of_runs(runs, |p| p as f64 * 100.0)
     }
 
-    /// Link-utilization summary (percent of capacity).
+    /// Link-utilization summary (percent of capacity), read from the
+    /// monitor's sample rows.
     pub fn util_summary(&self) -> Summary {
-        let utils = self.monitor.util_samples();
-        Summary::over([&utils[..]], |u| (u as f64 * 100.0).min(100.0))
+        let utils = [self.monitor.utils().map(|u| (u, 1))];
+        Summary::of_runs(utils, |u| (u as f64 * 100.0).min(100.0))
     }
 
     /// The `(t, queue delay ms)` series.

@@ -463,12 +463,26 @@ mod tests {
         }
     }
 
-    fn panic_message(r: std::thread::Result<()>) -> String {
-        let err = r.expect_err("auditor should have panicked");
-        err.downcast_ref::<String>()
+    /// Run `f`, which must trip the auditor seeded `seed`: the panic
+    /// message, and the flight-recorder dump if the message names one. The
+    /// dump is read and removed, so a passing test leaves no file behind;
+    /// every test seeds its own auditor, so parallel tests never share a
+    /// dump path.
+    fn trip(seed: u64, f: impl FnOnce()) -> (String, Option<String>) {
+        let path = std::env::temp_dir().join(format!("pi2_flight_seed{seed}.jsonl"));
+        let err = catch_unwind(AssertUnwindSafe(f)).expect_err("auditor should have panicked");
+        let msg = err
+            .downcast_ref::<String>()
             .cloned()
             .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .expect("string panic payload")
+            .expect("string panic payload");
+        let dump = msg.contains(&path.display().to_string()).then(|| {
+            let dump = std::fs::read_to_string(&path).expect("the dump the message names");
+            std::fs::remove_file(&path).expect("remove the dump");
+            dump
+        });
+        assert!(!path.exists(), "{} left behind", path.display());
+        (msg, dump)
     }
 
     #[test]
@@ -489,9 +503,9 @@ mod tests {
         let seed = 0xDECAF_u64;
         let mut a = AuditSink::new(seed).with_label("pi2");
         a.on_event(&enq(1, 0, 0));
-        let msg = panic_message(catch_unwind(AssertUnwindSafe(|| {
+        let (msg, _) = trip(seed, || {
             a.on_event(&deq(2, 1, 0)); // flow 1 never enqueued anything
-        })));
+        });
         assert!(msg.contains("INVARIANT VIOLATION"), "{msg}");
         assert!(msg.contains(&format!("seed: {seed}")), "seed must be replayable: {msg}");
         assert!(msg.contains("flow 1"), "{msg}");
@@ -499,31 +513,29 @@ mod tests {
 
     #[test]
     fn backwards_clock_is_a_violation() {
-        let mut a = AuditSink::new(3);
+        let mut a = AuditSink::new(31);
         a.on_event(&enq(5, 0, 0));
-        let msg = panic_message(catch_unwind(AssertUnwindSafe(|| {
-            a.on_event(&enq(4, 0, 1));
-        })));
+        let (msg, _) = trip(31, || a.on_event(&enq(4, 0, 1)));
         assert!(msg.contains("clock went backwards"), "{msg}");
     }
 
     #[test]
     fn out_of_range_probability_is_a_violation() {
-        let mut a = AuditSink::new(3);
-        let msg = panic_message(catch_unwind(AssertUnwindSafe(|| {
+        let mut a = AuditSink::new(32);
+        let (msg, _) = trip(32, || {
             a.on_event(&TraceEvent::Drop {
                 t: Time::ZERO,
                 flow: FlowId(0),
                 seq: 0,
                 prob: 1.5,
             });
-        })));
+        });
         assert!(msg.contains("outside [0, 1]"), "{msg}");
     }
 
     #[test]
     fn squaring_law_is_enforced_when_requested() {
-        let mut a = AuditSink::new(3).expect_squared(0.25);
+        let mut a = AuditSink::new(33).expect_squared(0.25);
         let good = AqmState {
             p_prime: 0.3,
             prob: 0.09,
@@ -537,37 +549,33 @@ mod tests {
             ..AqmState::default()
         };
         a.on_aqm_state(Time::from_millis(64), &capped);
-        let msg = panic_message(catch_unwind(AssertUnwindSafe(|| {
+        let (msg, _) = trip(33, || {
             let bad = AqmState {
                 p_prime: 0.3,
                 prob: 0.3, // linear, not squared: a PIE probe on a PI2 path
                 ..AqmState::default()
             };
             a.on_aqm_state(Time::from_millis(96), &bad);
-        })));
+        });
         assert!(msg.contains("squaring law broken"), "{msg}");
     }
 
     #[test]
     fn conservation_mismatch_is_a_violation() {
-        let mut a = AuditSink::new(11);
+        let mut a = AuditSink::new(34);
         a.on_event(&enq(1, 0, 0));
         a.on_event(&enq(1, 0, 1));
-        let msg = panic_message(catch_unwind(AssertUnwindSafe(|| {
-            // Claim the queue is empty while two packets are unaccounted.
-            a.check_conservation(0, 0, Time::from_millis(2));
-        })));
+        // Claim the queue is empty while two packets are unaccounted.
+        let (msg, _) = trip(34, || a.check_conservation(0, 0, Time::from_millis(2)));
         assert!(msg.contains("conservation broken"), "{msg}");
-        assert!(msg.contains("seed: 11"), "{msg}");
+        assert!(msg.contains("seed: 34"), "{msg}");
     }
 
     #[test]
     fn negative_queue_depth_is_a_violation() {
-        let mut a = AuditSink::new(3);
+        let mut a = AuditSink::new(35);
         a.set_baseline_pkts(0, 0);
-        let msg = panic_message(catch_unwind(AssertUnwindSafe(|| {
-            a.on_event(&deq(1, 0, 0));
-        })));
+        let (msg, _) = trip(35, || a.on_event(&deq(1, 0, 0)));
         // Per-flow admission accounting trips first (a dequeue with no
         // admission) — both phrasings describe the same corruption.
         assert!(
@@ -581,17 +589,14 @@ mod tests {
         // Unique seed → unique default dump path, so this test needs no
         // env mutation (which would race parallel tests).
         let seed = 0xF11_887_u64;
-        let path = std::env::temp_dir().join(format!("pi2_flight_seed{seed}.jsonl"));
-        let _ = std::fs::remove_file(&path);
         let mut a = AuditSink::new(seed);
         a.on_event(&enq(1, 0, 0));
         a.on_event(&enq(2, 0, 1));
-        let msg = panic_message(catch_unwind(AssertUnwindSafe(|| {
+        let (msg, dump) = trip(seed, || {
             a.on_event(&deq(3, 1, 0)); // flow 1 never enqueued anything
-        })));
+        });
         assert!(msg.contains("flight recorder"), "{msg}");
-        assert!(msg.contains(&path.display().to_string()), "{msg}");
-        let dump = std::fs::read_to_string(&path).expect("dump file must exist");
+        let dump = dump.expect("the message names the dump");
         let lines: Vec<&str> = dump.lines().collect();
         // Two enqueues + the violating dequeue + the context record.
         assert_eq!(lines.len(), 4, "{dump}");
@@ -600,12 +605,11 @@ mod tests {
         assert!(lines[2].contains("\"ev\":\"deq\""), "violating event is last");
         assert!(lines[3].contains("\"ev\":\"violation\""));
         assert!(lines[3].contains(&format!("\"seed\":{seed}")));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn each_hop_keeps_its_own_books() {
-        let mut a = AuditSink::new(9);
+        let mut a = AuditSink::new(36);
         a.set_baseline_pkts(1, 1); // one packet predates the auditor at hop 1
         a.on_hop_event(1, &enq(1, 0, 0));
         a.on_hop_event(1, &deq(2, 0, 7));
@@ -614,9 +618,7 @@ mod tests {
         a.check_conservation(2, 0, Time::from_millis(3)); // a hop never seen is empty
         assert_eq!(a.events_seen(), 3);
         // Hop 1's admissions do not cover a departure at hop 2.
-        let msg = panic_message(catch_unwind(AssertUnwindSafe(|| {
-            a.on_hop_event(2, &deq(4, 0, 0));
-        })));
+        let (msg, _) = trip(36, || a.on_hop_event(2, &deq(4, 0, 0)));
         assert!(msg.contains("hop 2: "), "{msg}");
         // Re-baselining restarts a hop's books: the counts seen so far no
         // longer enter its conservation sum.

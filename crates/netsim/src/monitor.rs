@@ -44,6 +44,112 @@ impl Default for MonitorConfig {
     }
 }
 
+/// An `f32` column kept as its runs of equal bits, in recording order.
+///
+/// A PI-family controller moves its probability only at its periodic
+/// update, so the column of probabilities applied to a flow's packets
+/// repeats each value for every packet between two updates: 156 times on
+/// average on a 1 Gb/s link, but once on Curvy RED, whose probability
+/// follows the instantaneous queue. So a run of three or more samples is
+/// one value plus a `(index, count)` repeat entry (12 bytes where the
+/// plain column held at least 12), and a shorter run stays plain values.
+/// The column is never bigger than the plain one, and lossless: [`iter`]
+/// gives back every sample, `-0.0` and `0.0` apart, in order.
+///
+/// [`iter`]: RunColumn::iter
+#[derive(Clone, Debug, Default)]
+pub struct RunColumn {
+    /// One value per run, in order.
+    values: Vec<f32>,
+    /// `(index into values, count)` of every run of three or more samples,
+    /// by ascending index; a value no entry names is one sample.
+    repeats: Vec<(u32, u32)>,
+}
+
+ckpt_fields!(RunColumn { values, repeats } check RunColumn::check);
+
+impl RunColumn {
+    /// Append a sample. Inlined on the per-packet path: a value unlike
+    /// the last, or one more copy of the last run's repeat, costs a
+    /// compare beyond the plain column's push.
+    #[inline]
+    pub fn push(&mut self, v: f32) {
+        let n = self.values.len();
+        if n == 0 || self.values[n - 1].to_bits() != v.to_bits() {
+            return self.values.push(v);
+        }
+        match self.repeats.last_mut() {
+            Some((at, count)) if *at as usize + 1 == n && *count < u32::MAX => *count += 1,
+            _ => self.push_after_plain(v),
+        }
+    }
+
+    /// [`RunColumn::push`] of a copy of the last value, a plain one: the
+    /// third sample of a run turns the two plain values before it into a
+    /// repeat entry.
+    #[inline(never)]
+    fn push_after_plain(&mut self, v: f32) {
+        let n = self.values.len();
+        // Values past the last repeat's are plain.
+        let plain = n - self.repeats.last().map_or(0, |&(at, _)| at as usize + 1);
+        if plain >= 2 && self.values[n - 2].to_bits() == v.to_bits() {
+            self.values.pop();
+            let at = u32::try_from(n - 2).expect("2^32 runs in one column");
+            self.repeats.push((at, 3));
+        } else {
+            self.values.push(v);
+        }
+    }
+
+    /// The number of samples.
+    pub fn len(&self) -> usize {
+        let extra: usize = self.repeats.iter().map(|&(_, count)| count as usize - 1).sum();
+        self.values.len() + extra
+    }
+
+    /// Whether no sample was pushed.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// The runs in order, each `(value, count)`: what
+    /// `pi2_stats::Summary::of_runs` reads.
+    pub fn runs(&self) -> impl Iterator<Item = (f32, u32)> + Clone + '_ {
+        let mut repeats = self.repeats.iter().peekable();
+        self.values.iter().enumerate().map(move |(i, &v)| {
+            match repeats.next_if(|&&(at, _)| at as usize == i) {
+                Some(&(_, count)) => (v, count),
+                None => (v, 1),
+            }
+        })
+    }
+
+    /// Every sample, in order.
+    pub fn iter(&self) -> impl Iterator<Item = f32> + Clone + '_ {
+        self.runs().flat_map(|(v, count)| std::iter::repeat_n(v, count as usize))
+    }
+
+    /// Bytes the encoding holds (values and repeat entries, not spare
+    /// capacity); the plain column held `4 × len()`.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(&self.values[..]) + std::mem::size_of_val(&self.repeats[..])
+    }
+
+    /// A restored column's repeat entries name values in ascending order,
+    /// each at most once, and each stands for three samples or more.
+    fn check(&self) -> Result<(), &'static str> {
+        let n = self.values.len();
+        let ascending = self.repeats.windows(2).all(|w| w[0].0 < w[1].0);
+        if !ascending || self.repeats.last().is_some_and(|&(at, _)| at as usize >= n) {
+            return Err("run column: repeat index out of order or out of range");
+        }
+        if self.repeats.iter().any(|&(_, count)| count < 3) {
+            return Err("run column: a repeat of fewer than three samples");
+        }
+        Ok(())
+    }
+}
+
 /// Per-flow accounting: what needs the warm-up window, byte counts or
 /// samples. Whole-run verdict and departure counts per flow are
 /// [`crate::trace::TraceCounts`]', which the engine keeps beside this.
@@ -69,8 +175,8 @@ pub struct FlowAccount {
     /// Bytes that reached the receiver.
     pub delivered_bytes: u64,
     /// Applied probability per offered packet, after warm-up
-    /// (only if [`MonitorConfig::record_probs`]).
-    pub prob_samples: Vec<f32>,
+    /// (only if [`MonitorConfig::record_probs`]), kept as its runs.
+    pub prob_samples: RunColumn,
     /// Per-packet sojourn samples for this flow, post warm-up (only if
     /// [`MonitorConfig::record_flow_sojourns`]).
     pub sojourn_ms: Vec<f32>,
@@ -237,26 +343,18 @@ impl Monitor {
     pub fn register_flow(&mut self, label: &str) {
         let mut acc = FlowAccount::new(label);
         if self.flow_pkts_hint > 0 {
-            // A single flow can carry at most the whole link, so the
-            // total-packet hint bounds any one flow; cap the per-flow
-            // reservation so many-flow scenarios don't multiply it. At
-            // 16 Ki samples (64 KB) a vector comes out of the allocator's
-            // heap; past the cap it grows by reallocating. A finished
-            // run's columns are not all given back: glibc raises its mmap
-            // threshold to the size of the first mapped block freed, so
-            // later multi-MB columns come from the heap and can stay
-            // resident. Four 1 Gb/s, 20-flow runs in one process kept
-            // 4.4-15.2 MB resident after each run was dropped, against
-            // 2.3 MB at start. Without the cap each flow reserves the
-            // whole hint: the run's peak falls (14.7 MB against 17.3 MB),
-            // but building it (20 multi-MB reservations) takes ~30 %
-            // longer, so the cap stays.
-            let per_flow = self.flow_pkts_hint.min(1 << 14);
-            if self.cfg.record_probs {
-                acc.prob_samples.reserve(per_flow);
-            }
+            // The opt-in per-flow sojourns. A single flow can carry at
+            // most the whole link, so the total-packet hint bounds any one
+            // flow; cap the per-flow reservation so many-flow scenarios
+            // don't multiply it. At 16 Ki samples (64 KB) a vector comes
+            // out of the allocator's heap; past the cap it grows by
+            // reallocating, and a finished run's columns are not all given
+            // back: glibc raises its mmap threshold to the size of the
+            // first mapped block freed, so later multi-MB columns come
+            // from the heap and can stay resident. (The probability
+            // columns, kept as runs, take kilobytes and reserve nothing.)
             if self.cfg.record_flow_sojourns {
-                acc.sojourn_ms.reserve(per_flow);
+                acc.sojourn_ms.reserve(self.flow_pkts_hint.min(1 << 14));
             }
         }
         self.flows.push(acc);
@@ -380,13 +478,17 @@ impl Monitor {
 
     /// Post-warm-up utilization samples (the values of
     /// [`Monitor::util_series`] excluding warm-up), for P1/mean/P99
-    /// summaries (Figure 18).
-    pub fn util_samples(&self) -> Vec<f32> {
+    /// summaries (Figure 18), read from the sample rows where they lie.
+    pub fn utils(&self) -> impl Iterator<Item = f32> + Clone + '_ {
         self.samples
             .iter()
             .filter(|r| r.has_rate && r.postwarm)
             .map(|r| r.util as f32)
-            .collect()
+    }
+
+    /// [`Monitor::utils`], collected.
+    pub fn util_samples(&self) -> Vec<f32> {
+        self.utils().collect()
     }
 
     /// Post-warm-up measurement span (warm-up end to the last sample).
@@ -414,13 +516,11 @@ impl Monitor {
         self.flows.iter().filter(move |f| f.label == label)
     }
 
-    /// Pooled per-packet probability samples over flows with `label`.
+    /// Pooled per-packet probability samples over flows with `label`,
+    /// expanded into one copy. Run code summarises the columns in place
+    /// (`RunResult::prob_summary`); `benchmark/`'s `observers.rs` pools.
     pub fn pooled_probs(&self, label: &str) -> Vec<f32> {
-        let mut out = Vec::new();
-        for i in self.flows_labelled(label) {
-            out.extend_from_slice(&self.flows[i].prob_samples);
-        }
-        out
+        self.labelled(label).flat_map(|f| f.prob_samples.iter()).collect()
     }
 
     /// Mean post-warm-up throughput in Mb/s pooled over flows with `label`.
@@ -461,14 +561,23 @@ mod tests {
 
     #[test]
     fn reserve_presizes_sample_vectors() {
-        let mut m = monitor();
+        let mut m = Monitor::new(MonitorConfig {
+            record_flow_sojourns: true,
+            ..MonitorConfig::default()
+        });
         m.register_flow("before");
         m.reserve(1000, 50_000);
         m.register_flow("after");
         assert!(m.samples.capacity() >= 1000);
         assert!(m.sojourn_ms.capacity() >= 50_000);
-        // Flows registered after the hint pre-size their prob vector.
-        assert!(m.flows[1].prob_samples.capacity() >= 50_000.min(1 << 14));
+        // Flows registered after the hint pre-size their sojourn column, up
+        // to the cap; a probability column, kept as runs, reserves nothing.
+        assert_eq!(m.flows[0].sojourn_ms.capacity(), 0);
+        assert_eq!(m.flows[1].sojourn_ms.capacity(), 1 << 14);
+        for f in &m.flows {
+            let col = &f.prob_samples;
+            assert_eq!((col.values.capacity(), col.repeats.capacity()), (0, 0));
+        }
         // Behaviour is unchanged: recording still works for both flows.
         m.record_send(FlowId(0), 1500, Decision::pass(0.1), Time::from_secs(1));
         m.record_send(FlowId(1), 1500, Decision::pass(0.2), Time::from_secs(1));

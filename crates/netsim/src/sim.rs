@@ -1034,11 +1034,11 @@ pub fn event_class(ev: &Event) -> usize {
 }
 
 /// Checkpoint format version written by [`Sim::save`]; bumped whenever
-/// the field layout changes incompatibly. Version 12 gave the hybrid
-/// background's per-class binding row a length prefix, when the
-/// flow-level engine's layout moved beside its fields. CHANGES.md has
-/// what every earlier version changed.
-pub const CKPT_VERSION: u32 = 12;
+/// the field layout changes incompatibly. Version 13 writes each flow's
+/// probability column as its runs (`RunColumn`: the values, then the
+/// `(index, count)` repeat entries) instead of one `f32` per sample.
+/// CHANGES.md has what every earlier version changed.
+pub const CKPT_VERSION: u32 = 13;
 
 /// The complete simulator: shared core + traffic sources.
 pub struct Sim {

@@ -15,7 +15,7 @@ pub fn mean(samples: &[f64]) -> f64 {
 /// # Panics
 /// Panics if `q` is outside `[0, 1]`.
 pub fn percentile(samples: &[f64], q: f64) -> f64 {
-    fold_select([samples].into_iter(), &|x| x, [q]).2[0]
+    fold_select(ones([samples]), &|x| x, [q]).3[0]
 }
 
 /// [`percentile`] of samples already in ascending order: two lookups, no
@@ -103,13 +103,31 @@ const CELLS: usize = MAX_RANKS << NEXT;
 /// The `slot` of a rank whose value is found.
 const FOUND: usize = usize::MAX;
 
-/// The sum, the maximum and the `qs`-quantiles (`qs` ascending) of `map`
-/// over the concatenation of `cols`, each to the bit what a fold in input
+/// Borrowed columns as columns of count-1 items, the form
+/// [`fold_select`] reads.
+fn ones<'a, T: Copy + 'a, I>(
+    cols: I,
+) -> impl Iterator<Item = impl Iterator<Item = (T, u32)> + 'a> + Clone + use<'a, T, I>
+where
+    I: IntoIterator<Item = &'a [T], IntoIter: Clone>,
+{
+    cols.into_iter().map(|col| col.iter().map(|&x| (x, 1)))
+}
+
+/// The sample count, the sum, the maximum and the `qs`-quantiles (`qs`
+/// ascending) of `map` over the samples the items of `cols` stand for, one
+/// column after another, an item `(value, count)` being `count` (at least
+/// 1) copies of `value` in a row: each to the bit what a fold in input
 /// order and [`percentile_sorted`] on a stable sort of the mapped samples
-/// give, in O(n), reading the columns where they lie and allocating
-/// nothing. `map` must be monotone non-decreasing, so that an order
-/// statistic of the mapped samples is `map` of the same one of the
-/// samples, and only the picked values are mapped.
+/// give. It reads the items where they lie, allocates nothing, and costs
+/// O(items) but for the sum, which adds each copy once, as the fold over
+/// the expanded samples did. A plain column is count-1 items ([`ones`]), a
+/// run column one item per run. Each pass loops over the columns and, in
+/// them, over the items: a plain slice's loop then has the constant count
+/// folded in, which one flattened iterator of items did not (it read
+/// slices 20-60 % slower). `map` must be monotone non-decreasing, so that
+/// an order statistic of the mapped samples is `map` of the same one of
+/// the samples, and only the picked values are mapped.
 ///
 /// Selection is by radix on [`Sample::key`], and every histogram cell
 /// also keeps the least and greatest key counted in it. The first pass
@@ -129,37 +147,44 @@ const FOUND: usize = usize::MAX;
 /// stable sort leaves the zeros in input order behind the `neg` negative
 /// values, so rank `k` holds the `k - neg`-th zero of the input: looked up
 /// in a further pass, for a column that maps to a `-0.0` anywhere.
-fn fold_select<'a, T: Sample + 'a, const N: usize>(
-    cols: impl Iterator<Item = &'a [T]> + Clone,
+fn fold_select<T: Sample, C: IntoIterator<Item = (T, u32)>, const N: usize>(
+    cols: impl Iterator<Item = C> + Clone,
     map: &impl Fn(T) -> f64,
     qs: [f64; N],
-) -> (f64, f64, [f64; N]) {
+) -> (usize, f64, f64, [f64; N]) {
     const { assert!(2 * N <= MAX_RANKS && 1 << FIRST <= CELLS) };
-    let n: usize = cols.clone().map(<[T]>::len).sum();
-    assert!(n <= u32::MAX as usize, "{n} samples overflow a count");
-    let picks = qs.map(|q| ranks(n, q));
     let mut count = [0u32; CELLS];
     let (mut least, mut most) = ([u64::MAX; CELLS], [0u64; CELLS]);
     let top = T::KEY_BITS - FIRST;
     let (mut sum, mut max, mut neg_zero, mut nan) = (-0.0, f64::NEG_INFINITY, false, false);
+    let mut n = 0u64;
     for col in cols.clone() {
-        for &x in col {
+        for (x, copies) in col {
+            debug_assert!(copies > 0, "an item stands for at least one sample");
             let v = map(x);
-            sum += v;
+            for _ in 0..copies {
+                sum += v;
+            }
             max = if v > max { v } else { max };
             neg_zero |= v == 0.0 && v.is_sign_negative();
             nan |= x.is_nan();
+            n += u64::from(copies);
             let k = x.key();
             let c = (k >> top) as usize;
-            (count[c], least[c], most[c]) = (count[c] + 1, least[c].min(k), most[c].max(k));
+            // Wrapping: a total past `u32::MAX` is refused below, by name.
+            let counted = count[c].wrapping_add(copies);
+            (count[c], least[c], most[c]) = (counted, least[c].min(k), most[c].max(k));
         }
     }
+    assert!(n <= u64::from(u32::MAX), "{n} samples overflow a count");
+    let n = n as usize;
     if nan && n > 1 {
         panic!("NaN in percentile input of {n} samples");
     }
+    let picks = qs.map(|q| ranks(n, q));
     let mut out = [0.0; N];
     if n == 0 {
-        return (sum, max, out);
+        return (n, sum, max, out);
     }
     // The distinct ranks, ascending; for each, the histogram row it is
     // looked for in (`slot`, `FOUND` once it is not), its rank among the
@@ -211,7 +236,7 @@ fn fold_select<'a, T: Sample + 'a, const N: usize>(
         least[..rows << NEXT].fill(u64::MAX);
         most[..rows << NEXT].fill(0);
         for col in cols.clone() {
-            for &x in col {
+            for (x, copies) in col {
                 // The ranges are disjoint: a sample is in one or in none.
                 let (k, mut s) = (x.key(), rows);
                 for r in 0..rows {
@@ -222,17 +247,26 @@ fn fold_select<'a, T: Sample + 'a, const N: usize>(
                     continue;
                 }
                 let c = s << NEXT | (k >> shift[s]) as usize & ((1 << NEXT) - 1);
-                (count[c], least[c], most[c]) = (count[c] + 1, least[c].min(k), most[c].max(k));
+                (count[c], least[c], most[c]) = (count[c] + copies, least[c].min(k), most[c].max(k));
             }
         }
     }
     let value = |k: usize| T::from_key(key[rank[..picked].binary_search(&k).expect("picked")]);
     let mut zeros = [[0.0; 2]; N];
     if neg_zero {
-        let mapped = || cols.clone().flatten().map(|&x| map(x));
-        let neg = mapped().filter(|&v| v < 0.0).count();
-        let zero_at = |k: usize| mapped().filter(|&v| v == 0.0).nth(k.wrapping_sub(neg));
-        zeros = picks.map(|(lo, hi, _)| [lo, hi].map(|k| zero_at(k).unwrap_or(0.0)));
+        let mapped = || cols.clone().flatten().map(|(x, copies)| (map(x), copies as usize));
+        let neg: usize = mapped().filter(|&(v, _)| v < 0.0).map(|(_, copies)| copies).sum();
+        let zero_at = |k: usize| {
+            let mut rest = k.wrapping_sub(neg);
+            for (v, copies) in mapped().filter(|&(v, _)| v == 0.0) {
+                if rest < copies {
+                    return v;
+                }
+                rest -= copies;
+            }
+            0.0
+        };
+        zeros = picks.map(|(lo, hi, _)| [lo, hi].map(zero_at));
     }
     let read = |k: usize, zero: f64| match map(value(k)) {
         0.0 => zero, // either zero: a float pattern compares with `==`
@@ -243,7 +277,7 @@ fn fold_select<'a, T: Sample + 'a, const N: usize>(
     {
         *o = lerp(read(lo, zero_lo), read(hi, zero_hi), frac);
     }
-    (sum, max, out)
+    (n, sum, max, out)
 }
 
 /// Population variance; 0 for an empty slice.
@@ -349,9 +383,19 @@ impl Summary {
         I: IntoIterator<Item = &'a [T]>,
         I::IntoIter: Clone,
     {
-        let cols = cols.into_iter();
-        let n = cols.clone().map(<[T]>::len).sum();
-        let (sum, max, [p1, p25, p50, p99]) = fold_select(cols, &map, [0.01, 0.25, 0.50, 0.99]);
+        Summary::of_runs(ones(cols), map)
+    }
+
+    /// [`Summary::over`] of columns given as runs, read one after another:
+    /// each item `(value, count)` stands for `count` copies of `value` in a
+    /// row, and the summary is to the bit that of the expanded columns.
+    /// Selection costs O(runs); the mean still adds every copy, in order.
+    pub fn of_runs<T: Sample, C: IntoIterator<Item = (T, u32)>>(
+        cols: impl IntoIterator<Item = C, IntoIter: Clone>,
+        map: impl Fn(T) -> f64,
+    ) -> Summary {
+        let qs = [0.01, 0.25, 0.50, 0.99];
+        let (n, sum, max, [p1, p25, p50, p99]) = fold_select(cols.into_iter(), &map, qs);
         Summary {
             n,
             mean: if n == 0 { 0.0 } else { sum / n as f64 },
@@ -648,6 +692,44 @@ mod tests {
                     bits(&of_by_sort(&utils)),
                     "n={n} seed={seed}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn runs_summarise_to_the_bit_what_their_expanded_column_does() {
+        let to_percent = |p: f32| p as f64 * 100.0;
+        for n in SIZES.into_iter().chain([5000]) {
+            for block in [1, 2, 3, 7, 64, 1000] {
+                for seed in 0..4 {
+                    // Runs of `block` samples (the last one cut short) in
+                    // no order: zeros of both signs, and neighbours that
+                    // may hold equal values, so the runs need not be
+                    // maximal.
+                    let values = (0..n.div_ceil(block))
+                        .map(|j| match j % 5 {
+                            0 => -0.0,
+                            1 => 0.0,
+                            _ => (j % 13) as f32 / 11.0,
+                        })
+                        .collect();
+                    let values = shuffled(values, seed);
+                    let runs: Vec<(f32, u32)> = values
+                        .iter()
+                        .enumerate()
+                        .map(|(j, &v)| (v, block.min(n - j * block) as u32))
+                        .collect();
+                    let col: Vec<f32> = runs
+                        .iter()
+                        .flat_map(|&(v, count)| std::iter::repeat_n(v, count as usize))
+                        .collect();
+                    let wide: Vec<f64> = col.iter().map(|&p| to_percent(p)).collect();
+                    assert_eq!(
+                        bits(&Summary::of_runs([runs.iter().copied()], to_percent)),
+                        bits(&of_by_sort(&wide)),
+                        "n={n} block={block} seed={seed}"
+                    );
+                }
             }
         }
     }

@@ -3,11 +3,11 @@
 //! The contract under test: `Sim::save` at any instant, `Sim::restore`
 //! into a freshly built simulator of the same configuration, replay to
 //! the end — and every observable (the JSONL event trace, the always-on
-//! counters, the monitor's per-flow accounts and sojourn series, the
-//! metrics registry snapshot) is *bit-identical* to the run that never
-//! stopped. Any hidden state — a field forgotten by a `save_ckpt`, an
-//! estimator cycle, a stale timer id, an RNG draw — shows up here as a
-//! diverging trace byte.
+//! counters, the monitor's per-flow accounts, probability columns and
+//! sojourn series, the metrics registry snapshot) is *bit-identical* to
+//! the run that never stopped. Any hidden state — a field forgotten by a
+//! `save_ckpt`, an estimator cycle, a stale timer id, an RNG draw — shows
+//! up here as a diverging trace byte.
 //!
 //! The oracle runs over a grid of AQM × traffic-mix cells covering every
 //! policy family in the workspace (single-queue AQMs, the DualPI2 and FQ
@@ -273,6 +273,8 @@ struct Observables {
     totals: (u64, u64, u64, u64),
     aqm_updates: u64,
     sojourn_ms: Vec<f32>,
+    /// Each flow's probability column, expanded from its runs, as bits.
+    probs: Vec<Vec<u32>>,
     flows: Vec<(u64, u64, u64, u64)>,
     hop_bytes: Vec<Vec<u64>>,
 }
@@ -288,6 +290,9 @@ fn observables(mut sim: Sim, sink: Rc<RefCell<JsonlSink<Vec<u8>>>>) -> Observabl
         totals: (t.enqueued, t.marked, t.dropped, t.dequeued),
         aqm_updates: sim.core.counters.aqm_updates,
         sojourn_ms: sim.core.monitor.sojourn_ms.clone(),
+        probs: (sim.core.monitor.flows.iter())
+            .map(|f| f.prob_samples.iter().map(f32::to_bits).collect())
+            .collect(),
         flows: (sim.core.monitor.flows.iter().enumerate())
             .map(|(i, f)| {
                 let c = sim.core.counters.flow(FlowId(i as u32));
@@ -394,6 +399,9 @@ fn oracle_with(
     }
     if r_obs.sojourn_ms != f_obs.sojourn_ms {
         return Some(format!("{tag}: monitor sojourn series differ"));
+    }
+    if r_obs.probs != f_obs.probs {
+        return Some(format!("{tag}: monitor probability columns differ"));
     }
     if r_obs.flows != f_obs.flows {
         return Some(format!(
@@ -765,16 +773,16 @@ fn header_mismatches_are_rejected_with_the_right_error() {
         Err(CkptError::VersionMismatch { .. })
     ));
 
-    // The previous version: a v11 blob writes a hybrid background's
-    // binding row without its length, and is refused by number.
+    // The previous version: a v12 blob writes each probability column
+    // one `f32` per sample, not as runs, and is refused by number.
     let mut bad = blob.clone();
-    bad[8..12].copy_from_slice(&11u32.to_le_bytes());
+    bad[8..12].copy_from_slice(&12u32.to_le_bytes());
     let mut target = build_sim(&cell);
     assert!(matches!(
         target.restore(&bad),
         Err(CkptError::VersionMismatch {
-            found: 11,
-            expected: 12
+            found: 12,
+            expected: 13
         })
     ));
 
@@ -952,6 +960,14 @@ fn damaged_blobs_are_errors_not_panics() {
         let mut sim = build();
         sim.run_until(Time::from_millis(200));
         let blob = sim.save();
+        // The probability columns hold runs written as repeats and runs
+        // written as plain values, so the sweep cuts and flips both.
+        let runs: Vec<u32> = (sim.core.monitor.flows.iter())
+            .flat_map(|f| f.prob_samples.runs().map(|(_, count)| count))
+            .collect();
+        let repeats = runs.iter().filter(|&&count| count >= 3).count();
+        let plain = runs.len() - repeats;
+        assert!(repeats > 0 && plain > 0, "{tag}: {repeats} repeats, {plain} plain values");
         // A panic leaves the target half-restored: rebuild it.
         let mut target = build();
         let mut restore = |bytes: &[u8]| {

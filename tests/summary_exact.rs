@@ -64,8 +64,8 @@ fn summaries_of_a_coupled_cell_are_what_the_sort_gave() {
     for label in ["cubic", "dctcp"] {
         let probs: Vec<f64> = m
             .labelled(label)
-            .flat_map(|f| &f.prob_samples)
-            .map(|&p| p as f64 * 100.0)
+            .flat_map(|f| f.prob_samples.iter())
+            .map(|p| p as f64 * 100.0)
             .collect();
         assert!(
             probs.contains(&0.0),

@@ -4,10 +4,10 @@
 //! mean and max over them and selects its four order statistics by radix,
 //! in histograms on the stack, so it makes no allocator call — no copy of
 //! a column, no widened `Vec<f64>`, no sort scratch. `RunResult`'s
-//! `delay_summary` reads the monitor's sojourn column that way,
-//! `prob_summary` the runs of each labelled flow's probability column and
-//! `util_summary` the monitor's sample rows (`Summary::of_runs`), so none
-//! of them makes one either.
+//! `delay_summary` reads the runs of the monitor's sojourn column that
+//! way, `prob_summary` the runs of each labelled flow's probability column
+//! and `util_summary` the monitor's sample rows (`Summary::of_runs`), so
+//! none of them makes one either.
 //!
 //! One test in its own integration-test binary, for the reason
 //! `zero_alloc.rs` gives: the counters are process-global.
@@ -58,8 +58,11 @@ fn a_summary_makes_no_allocator_call() {
     let (rate_bps, rtt) = (40_000_000, Duration::from_millis(10));
     let r = isolation::scenario(AqmKind::coupled_default(), rate_bps, rtt, (1, 1), 6, 1).run();
     let (s, calls) = counted(|| r.delay_summary());
-    assert!(s.n > 1000, "only {} sojourns", s.n);
+    let runs = r.monitor.sojourn_ms.runs().count();
+    assert!(s.n > 1000 && runs < s.n, "{} sojourns in {runs} runs", s.n);
     assert_eq!(calls, NO_CALL, "delay_summary");
+    let (of_f32, calls) = counted(|| Summary::of_f32(&r.monitor.sojourn_ms));
+    assert_eq!((of_f32, calls), (s, NO_CALL), "Summary::of_f32 of the run column");
     for label in ["cubic", "dctcp"] {
         let (s, calls) = counted(|| r.prob_summary(label));
         assert!(s.n > 1000, "{label}: only {} probabilities", s.n);

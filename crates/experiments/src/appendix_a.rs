@@ -209,8 +209,8 @@ mod tests {
         let (r, pc_realized, ps_realized) = coupling_check(2.0, 3);
         assert!(pc_realized > 0.0 && ps_realized > 0.0);
         let probs = |label| r.monitor.labelled(label).flat_map(|f| f.prob_samples.iter());
-        let pc_applied: Vec<f64> = probs("cubic").map(|p| p as f64).collect();
-        let ps_applied: Vec<f64> = probs("dctcp").map(|p| (p as f64 / 2.0).powi(2)).collect();
+        let pc_applied: Vec<f64> = probs("cubic").map(|&p| p as f64).collect();
+        let ps_applied: Vec<f64> = probs("dctcp").map(|&p| (p as f64 / 2.0).powi(2)).collect();
         let mean_pc = pi2_stats::mean(&pc_applied);
         let mean_sq = pi2_stats::mean(&ps_applied);
         let err = (mean_pc - mean_sq).abs() / mean_sq;

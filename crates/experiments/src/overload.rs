@@ -73,7 +73,7 @@ pub fn run_point(aqm: AqmKind, udp_load: f64, seed: u64) -> OverloadPoint {
     // probability (PI2 caps at 0.25; PIE never reaches 1.0 before the
     // buffer does). Filtering p < 1 isolates the AQM's own decisions.
     let probs = || r.monitor.labelled("udp").flat_map(|f| f.prob_samples.iter());
-    let aqm_probs = || probs().map(|p| p as f64).filter(|&p| p < 0.999);
+    let aqm_probs = || probs().map(|&p| p as f64).filter(|&p| p < 0.999);
     let (all, aqm) = (probs().count(), aqm_probs().count());
     let mean_p = match aqm {
         0 => 0.0,

@@ -341,27 +341,19 @@ impl Scenario {
                 })
             });
         }
-        // Pre-size the measurement vectors so per-packet recording never
-        // reallocates mid-run (before add_flow, so per-flow vectors pick
-        // up the same hints). The packet estimate assumes MTU-sized
-        // segments at full utilization over the span the monitor keeps
-        // per-packet samples for, which starts where warm-up ends. Both
-        // are capped to bound the up-front footprint of a very long or
-        // fast run: past the cap a vector grows as it fills.
+        // Pre-size the sample rows and the run-wide sojourn column so
+        // neither reallocates mid-run. The packet estimate assumes
+        // MTU-sized segments at full utilization over the span the monitor
+        // keeps per-packet samples for, which starts where warm-up ends.
+        // Both are capped to bound the up-front footprint of a very long
+        // or fast run: past the cap a vector grows as it fills.
         let expected_samples =
             (self.duration.as_secs_f64() / self.sample_interval.as_secs_f64()).ceil() as usize + 2;
         let expected_samples = expected_samples.min(1 << 18);
         let recorded_s = (self.duration.as_secs_f64() - self.warmup.as_secs_f64()).max(0.0);
         let expected_pkts =
             (self.rate_bps as f64 * recorded_s / (8.0 * 1500.0)).ceil() as usize + 2;
-        let expected_pkts = expected_pkts.min(1 << 21);
-        sim.core.monitor.reserve(expected_samples, expected_pkts);
-        // Each flow pre-sizes its own sample vectors from the hint the
-        // monitor is left with: its fair share of the link, so a thousand
-        // mice do not each reserve for all of it.
-        let flows: usize = self.tcp.iter().map(|g| g.count).sum::<usize>()
-            + self.udp.iter().map(|g| g.count).sum::<usize>();
-        sim.core.monitor.reserve(0, expected_pkts / flows.max(1));
+        sim.core.monitor.reserve(expected_samples, expected_pkts.min(1 << 21));
         for group in &self.tcp {
             let route = group.path.as_deref().map(|name| self.route(name)).transpose()?;
             for _ in 0..group.count {
@@ -493,16 +485,17 @@ impl RunResult {
         }
     }
 
-    /// Queue-delay summary over per-packet sojourns (ms).
+    /// Queue-delay summary over per-packet sojourns (ms), over the runs
+    /// the monitor keeps.
     pub fn delay_summary(&self) -> Summary {
-        Summary::of_f32(&self.monitor.sojourn_ms)
+        Summary::of_runs([self.monitor.sojourn_ms.runs()], f64::from)
     }
 
     /// Queue-delay summary over the sojourns of a label's flows (ms; the
-    /// scenario must set `per_flow_sojourns`).
+    /// scenario must set `per_flow_sojourns`), over their runs.
     pub fn flow_delay_summary(&self, label: &str) -> Summary {
-        let sojourns = self.monitor.labelled(label).map(|f| &f.sojourn_ms[..]);
-        Summary::over(sojourns, f64::from)
+        let runs = self.monitor.labelled(label).map(|f| f.sojourn_ms.runs());
+        Summary::of_runs(runs, f64::from)
     }
 
     /// Applied-probability summary for a label (percent), over the runs
@@ -559,11 +552,17 @@ mod tests {
         sc.tcp.push(FlowGroup::new(1, CcKind::Dctcp, EcnSetting::Scalable, "dctcp", rtt));
         sc.duration = Time::from_secs(6);
         sc.warmup = Duration::from_secs(2);
+        sc.per_flow_sojourns = true;
         let r = sc.run();
-        let reserved = 13_334 + 2;
         assert!(r.util_summary().mean > 95.0, "the link must be full for this to bind");
-        assert!(r.monitor.sojourn_ms.len() > reserved * 95 / 100);
-        assert_eq!(r.monitor.sojourn_ms.capacity(), reserved, "the column grew or was over-sized");
+        let (whole, flow) = (&r.monitor.sojourn_ms, &r.monitor.flows[0].sojourn_ms);
+        let reserved = 13_334 + 2;
+        assert!(whole.len() > reserved * 95 / 100);
+        assert_eq!(whole.capacity(), reserved, "the column grew or was over-sized");
+        // The runs fill a fraction of it; the per-flow column reserved
+        // nothing and grew by runs to the same samples.
+        assert!(whole.bytes() * 4 <= whole.len(), "{} bytes", whole.bytes());
+        assert_eq!(whole, flow, "one flow's sojourns are all of them");
     }
 
     /// Building a run far longer than any figure's sizes the monitor up

@@ -39,7 +39,8 @@ pub use audit::AuditSink;
 pub use background::{Background, BackgroundAggregate, MIN_FOREGROUND_FRACTION};
 pub use impair::{ImpairState, ImpairStats, ImpairmentConf, LinkImpairments, PathFate};
 pub use metrics::SimMetrics;
-pub use monitor::{FlowAccount, Monitor, MonitorConfig, RunColumn};
+pub use monitor::{FlowAccount, Monitor, MonitorConfig};
+pub use pi2_stats::RunColumn;
 pub use packet::{Ecn, FlowId, Packet};
 pub use pool::Pool;
 pub use queue::{BottleneckQueue, Fifo, Link, Qdisc, QueueConfig};

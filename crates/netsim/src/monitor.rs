@@ -13,6 +13,7 @@ use crate::aqm::{Action, Decision};
 use crate::packet::FlowId;
 use crate::queue::Qdisc;
 use pi2_simcore::{ckpt_fields, Duration, Time};
+use pi2_stats::RunColumn;
 
 /// Monitor configuration.
 #[derive(Clone, Copy, Debug)]
@@ -44,112 +45,6 @@ impl Default for MonitorConfig {
     }
 }
 
-/// An `f32` column kept as its runs of equal bits, in recording order.
-///
-/// A PI-family controller moves its probability only at its periodic
-/// update, so the column of probabilities applied to a flow's packets
-/// repeats each value for every packet between two updates: 156 times on
-/// average on a 1 Gb/s link, but once on Curvy RED, whose probability
-/// follows the instantaneous queue. So a run of three or more samples is
-/// one value plus a `(index, count)` repeat entry (12 bytes where the
-/// plain column held at least 12), and a shorter run stays plain values.
-/// The column is never bigger than the plain one, and lossless: [`iter`]
-/// gives back every sample, `-0.0` and `0.0` apart, in order.
-///
-/// [`iter`]: RunColumn::iter
-#[derive(Clone, Debug, Default)]
-pub struct RunColumn {
-    /// One value per run, in order.
-    values: Vec<f32>,
-    /// `(index into values, count)` of every run of three or more samples,
-    /// by ascending index; a value no entry names is one sample.
-    repeats: Vec<(u32, u32)>,
-}
-
-ckpt_fields!(RunColumn { values, repeats } check RunColumn::check);
-
-impl RunColumn {
-    /// Append a sample. Inlined on the per-packet path: a value unlike
-    /// the last, or one more copy of the last run's repeat, costs a
-    /// compare beyond the plain column's push.
-    #[inline]
-    pub fn push(&mut self, v: f32) {
-        let n = self.values.len();
-        if n == 0 || self.values[n - 1].to_bits() != v.to_bits() {
-            return self.values.push(v);
-        }
-        match self.repeats.last_mut() {
-            Some((at, count)) if *at as usize + 1 == n && *count < u32::MAX => *count += 1,
-            _ => self.push_after_plain(v),
-        }
-    }
-
-    /// [`RunColumn::push`] of a copy of the last value, a plain one: the
-    /// third sample of a run turns the two plain values before it into a
-    /// repeat entry.
-    #[inline(never)]
-    fn push_after_plain(&mut self, v: f32) {
-        let n = self.values.len();
-        // Values past the last repeat's are plain.
-        let plain = n - self.repeats.last().map_or(0, |&(at, _)| at as usize + 1);
-        if plain >= 2 && self.values[n - 2].to_bits() == v.to_bits() {
-            self.values.pop();
-            let at = u32::try_from(n - 2).expect("2^32 runs in one column");
-            self.repeats.push((at, 3));
-        } else {
-            self.values.push(v);
-        }
-    }
-
-    /// The number of samples.
-    pub fn len(&self) -> usize {
-        let extra: usize = self.repeats.iter().map(|&(_, count)| count as usize - 1).sum();
-        self.values.len() + extra
-    }
-
-    /// Whether no sample was pushed.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// The runs in order, each `(value, count)`: what
-    /// `pi2_stats::Summary::of_runs` reads.
-    pub fn runs(&self) -> impl Iterator<Item = (f32, u32)> + Clone + '_ {
-        let mut repeats = self.repeats.iter().peekable();
-        self.values.iter().enumerate().map(move |(i, &v)| {
-            match repeats.next_if(|&&(at, _)| at as usize == i) {
-                Some(&(_, count)) => (v, count),
-                None => (v, 1),
-            }
-        })
-    }
-
-    /// Every sample, in order.
-    pub fn iter(&self) -> impl Iterator<Item = f32> + Clone + '_ {
-        self.runs().flat_map(|(v, count)| std::iter::repeat_n(v, count as usize))
-    }
-
-    /// Bytes the encoding holds (values and repeat entries, not spare
-    /// capacity); the plain column held `4 × len()`.
-    pub fn bytes(&self) -> usize {
-        std::mem::size_of_val(&self.values[..]) + std::mem::size_of_val(&self.repeats[..])
-    }
-
-    /// A restored column's repeat entries name values in ascending order,
-    /// each at most once, and each stands for three samples or more.
-    fn check(&self) -> Result<(), &'static str> {
-        let n = self.values.len();
-        let ascending = self.repeats.windows(2).all(|w| w[0].0 < w[1].0);
-        if !ascending || self.repeats.last().is_some_and(|&(at, _)| at as usize >= n) {
-            return Err("run column: repeat index out of order or out of range");
-        }
-        if self.repeats.iter().any(|&(_, count)| count < 3) {
-            return Err("run column: a repeat of fewer than three samples");
-        }
-        Ok(())
-    }
-}
-
 /// Per-flow accounting: what needs the warm-up window, byte counts or
 /// samples. Whole-run verdict and departure counts per flow are
 /// [`crate::trace::TraceCounts`]', which the engine keeps beside this.
@@ -174,12 +69,16 @@ pub struct FlowAccount {
     pub delivered_pkts: u64,
     /// Bytes that reached the receiver.
     pub delivered_bytes: u64,
-    /// Applied probability per offered packet, after warm-up
-    /// (only if [`MonitorConfig::record_probs`]), kept as its runs.
+    /// Applied probability per packet handed to the network, after
+    /// warm-up (only if [`MonitorConfig::record_probs`]), kept as its
+    /// runs: the first hop's verdict. A routed flow's later hops add to
+    /// its drop and mark counts, not to this column, so it holds one
+    /// sample per [`FlowAccount::sent_pkts_postwarm`] and one controller's
+    /// probabilities.
     pub prob_samples: RunColumn,
     /// Per-packet sojourn samples for this flow, post warm-up (only if
-    /// [`MonitorConfig::record_flow_sojourns`]).
-    pub sojourn_ms: Vec<f32>,
+    /// [`MonitorConfig::record_flow_sojourns`]), kept as its runs.
+    pub sojourn_ms: RunColumn,
 }
 
 ckpt_fields!(FlowAccount {
@@ -203,16 +102,12 @@ impl FlowAccount {
         }
     }
 
-    /// Count a post-warm-up verdict and, if `record_prob`, its applied
-    /// probability.
-    fn note_verdict(&mut self, decision: Decision, record_prob: bool) {
+    /// Count a post-warm-up drop or mark.
+    fn note_verdict(&mut self, decision: Decision) {
         match decision.action {
             Action::Drop => self.dropped_postwarm += 1,
             Action::Mark => self.marked_postwarm += 1,
             Action::Pass => {}
-        }
-        if record_prob {
-            self.prob_samples.push(decision.prob as f32);
         }
     }
 
@@ -285,15 +180,12 @@ pub struct Monitor {
     /// Per-flow accounts, indexed by [`FlowId`].
     pub flows: Vec<FlowAccount>,
     /// Per-packet queue delay in ms, post warm-up
-    /// (only if [`MonitorConfig::record_sojourns`]).
-    pub sojourn_ms: Vec<f32>,
+    /// (only if [`MonitorConfig::record_sojourns`]), kept as its runs.
+    pub sojourn_ms: RunColumn,
     /// Completed size-limited flows: `(flow, start, completion)` — the
     /// raw material for flow-completion-time distributions (the paper's
     /// short-flow experiments).
     pub completions: Vec<(FlowId, Time, Time)>,
-    /// Expected per-flow packet count, set by [`Monitor::reserve`]; flows
-    /// registered afterwards pre-size their sample vectors with it.
-    flow_pkts_hint: usize,
 }
 
 impl Monitor {
@@ -302,31 +194,28 @@ impl Monitor {
         Monitor {
             cfg,
             flows: Vec::new(),
-            sojourn_ms: Vec::new(),
+            sojourn_ms: RunColumn::default(),
             completions: Vec::new(),
             samples: Vec::new(),
             last_sample_at: Time::ZERO,
             last_total_bytes: 0,
             warm_at: Time::ZERO + cfg.warmup,
-            flow_pkts_hint: 0,
         }
     }
 
-    /// Pre-size the sample vectors for an expected run shape so the
-    /// per-packet recording paths never reallocate mid-run.
-    ///
-    /// `expected_samples` is the number of sample ticks (≈ duration /
-    /// sample interval); `expected_pkts` is the total packets expected
-    /// through the bottleneck (≈ rate × duration / packet size).
-    /// Flows registered after this call pre-size their per-flow vectors
-    /// from the same hints. Over-estimates only cost address space;
-    /// callers should still cap both to something sane.
+    /// Pre-size for an expected run shape: the sample rows for
+    /// `expected_samples` ticks (≈ duration / sample interval), and the
+    /// run-wide sojourn column for `expected_pkts` departures (≈ rate ×
+    /// recorded span / packet size), so neither reallocates its values
+    /// mid-run. A run column holds at most one value per sample, and only
+    /// the pages its runs fill become resident: over-estimates cost
+    /// address space only, but callers should still cap both. Per-flow
+    /// columns grow as their runs appear.
     pub fn reserve(&mut self, expected_samples: usize, expected_pkts: usize) {
         self.samples.reserve(expected_samples);
         if self.cfg.record_sojourns {
             self.sojourn_ms.reserve(expected_pkts);
         }
-        self.flow_pkts_hint = expected_pkts;
     }
 
     /// The configured sampling interval.
@@ -341,23 +230,7 @@ impl Monitor {
 
     /// Register the next flow (ids are dense and sequential).
     pub fn register_flow(&mut self, label: &str) {
-        let mut acc = FlowAccount::new(label);
-        if self.flow_pkts_hint > 0 {
-            // The opt-in per-flow sojourns. A single flow can carry at
-            // most the whole link, so the total-packet hint bounds any one
-            // flow; cap the per-flow reservation so many-flow scenarios
-            // don't multiply it. At 16 Ki samples (64 KB) a vector comes
-            // out of the allocator's heap; past the cap it grows by
-            // reallocating, and a finished run's columns are not all given
-            // back: glibc raises its mmap threshold to the size of the
-            // first mapped block freed, so later multi-MB columns come
-            // from the heap and can stay resident. (The probability
-            // columns, kept as runs, take kilobytes and reserve nothing.)
-            if self.cfg.record_flow_sojourns {
-                acc.sojourn_ms.reserve(self.flow_pkts_hint.min(1 << 14));
-            }
-        }
-        self.flows.push(acc);
+        self.flows.push(FlowAccount::new(label));
     }
 
     /// Access a flow's account.
@@ -384,17 +257,22 @@ impl Monitor {
         acc.sent_pkts += 1;
         if postwarm {
             acc.sent_pkts_postwarm += 1;
-            acc.note_verdict(decision, self.cfg.record_probs);
+            acc.note_verdict(decision);
+            if self.cfg.record_probs {
+                acc.prob_samples.push(decision.prob as f32);
+            }
         }
     }
 
     /// Record the AQM decision for an offered packet (a verdict at a hop
-    /// after the packet's first). Whole-run verdict totals are
+    /// after the packet's first): its drop or mark counts toward the
+    /// path's signal, its probability is not kept (the flow's column holds
+    /// its first hop's). Whole-run verdict totals are
     /// [`crate::trace::TraceCounts`]'; the monitor keeps the post-warm-up
     /// window only.
     pub fn record_decision(&mut self, flow: FlowId, decision: Decision, now: Time) {
         if self.postwarm_at(now) {
-            self.flows[flow.idx()].note_verdict(decision, self.cfg.record_probs);
+            self.flows[flow.idx()].note_verdict(decision);
         }
     }
 
@@ -520,7 +398,7 @@ impl Monitor {
     /// expanded into one copy. Run code summarises the columns in place
     /// (`RunResult::prob_summary`); `benchmark/`'s `observers.rs` pools.
     pub fn pooled_probs(&self, label: &str) -> Vec<f32> {
-        self.labelled(label).flat_map(|f| f.prob_samples.iter()).collect()
+        self.labelled(label).flat_map(|f| f.prob_samples.iter().copied()).collect()
     }
 
     /// Mean post-warm-up throughput in Mb/s pooled over flows with `label`.
@@ -560,7 +438,7 @@ mod tests {
     }
 
     #[test]
-    fn reserve_presizes_sample_vectors() {
+    fn reserve_presizes_the_rows_and_the_sojourn_column_and_runs_stay_small() {
         let mut m = Monitor::new(MonitorConfig {
             record_flow_sojourns: true,
             ..MonitorConfig::default()
@@ -570,19 +448,21 @@ mod tests {
         m.register_flow("after");
         assert!(m.samples.capacity() >= 1000);
         assert!(m.sojourn_ms.capacity() >= 50_000);
-        // Flows registered after the hint pre-size their sojourn column, up
-        // to the cap; a probability column, kept as runs, reserves nothing.
-        assert_eq!(m.flows[0].sojourn_ms.capacity(), 0);
-        assert_eq!(m.flows[1].sojourn_ms.capacity(), 1 << 14);
-        for f in &m.flows {
-            let col = &f.prob_samples;
-            assert_eq!((col.values.capacity(), col.repeats.capacity()), (0, 0));
+        // Per-flow columns reserve nothing, and a run of equal samples is
+        // one value and one repeat entry in every column, however long.
+        fn flows(m: &Monitor) -> impl Iterator<Item = &RunColumn> {
+            m.flows.iter().flat_map(|f| [&f.prob_samples, &f.sojourn_ms])
         }
-        // Behaviour is unchanged: recording still works for both flows.
-        m.record_send(FlowId(0), 1500, Decision::pass(0.1), Time::from_secs(1));
-        m.record_send(FlowId(1), 1500, Decision::pass(0.2), Time::from_secs(1));
-        assert_eq!(m.flows[0].prob_samples.len(), 1);
-        assert_eq!(m.flows[1].prob_samples.len(), 1);
+        assert!(flows(&m).all(|c| c.capacity() == 0));
+        let now = Time::from_secs(1);
+        for _ in 0..50_000 {
+            for id in [FlowId(0), FlowId(1)] {
+                m.record_send(id, 1500, Decision::pass(0.1), now);
+                m.record_dequeue(id, 1500, Duration::from_millis(5), now);
+            }
+        }
+        assert!(flows(&m).all(|c| (c.len(), c.bytes()) == (50_000, 12)));
+        assert_eq!((m.sojourn_ms.len(), m.sojourn_ms.bytes()), (100_000, 12));
     }
 
     #[test]
@@ -609,7 +489,7 @@ mod tests {
         m.record_dequeue(FlowId(0), 1500, Duration::from_millis(5), Time::from_secs(1));
         m.record_dequeue(FlowId(0), 1500, Duration::from_millis(7), Time::from_secs(11));
         assert_eq!(m.sojourn_ms.len(), 1);
-        assert!((m.sojourn_ms[0] - 7.0).abs() < 1e-6);
+        assert_eq!(m.sojourn_ms.iter().collect::<Vec<_>>(), [&7.0]);
         assert_eq!(m.flow(FlowId(0)).dequeued_bytes, 3000);
         assert_eq!(m.flow(FlowId(0)).dequeued_bytes_postwarm, 1500);
     }

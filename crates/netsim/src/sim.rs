@@ -1034,11 +1034,13 @@ pub fn event_class(ev: &Event) -> usize {
 }
 
 /// Checkpoint format version written by [`Sim::save`]; bumped whenever
-/// the field layout changes incompatibly. Version 13 writes each flow's
-/// probability column as its runs (`RunColumn`: the values, then the
-/// `(index, count)` repeat entries) instead of one `f32` per sample.
-/// CHANGES.md has what every earlier version changed.
-pub const CKPT_VERSION: u32 = 13;
+/// the field layout changes incompatibly. Version 14 writes the
+/// monitor's sojourn columns, run-wide and per flow, as their runs
+/// (`RunColumn`: the values, then the `(index, count)` repeat entries)
+/// instead of one `f32` per sample, as version 13 began doing for each
+/// flow's probability column. CHANGES.md has what every earlier version
+/// changed.
+pub const CKPT_VERSION: u32 = 14;
 
 /// The complete simulator: shared core + traffic sources.
 pub struct Sim {

@@ -233,10 +233,22 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
 
-    fn scratch(name: &str) -> String {
-        let dir = std::env::temp_dir().join(format!("pi2-proptest-shim-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name).to_str().unwrap().to_string()
+    /// A regressions file of one test's own in the system temp dir,
+    /// removed when dropped (a test binds it for its whole body), so a run
+    /// leaves nothing behind.
+    struct Scratch(String);
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    fn scratch(name: &str) -> Scratch {
+        let file = format!("pi2-proptest-shim-{}-{name}.proptest-regressions", std::process::id());
+        let path = std::env::temp_dir().join(file).to_str().unwrap().to_string();
+        let _ = std::fs::remove_file(&path);
+        Scratch(path)
     }
 
     #[test]
@@ -268,9 +280,9 @@ mod tests {
 
     #[test]
     fn corpus_parser_takes_u64_seeds_and_skips_real_proptest_digests() {
-        let path = scratch("corpus-parse.proptest-regressions");
+        let path = &scratch("corpus-parse").0;
         std::fs::write(
-            &path,
+            path,
             "# header\n\
              cc 00000000000000ff # ours\n\
              cc 49be55cfb7923b8739eff94881784d1c740bc4a110af5d09162c94d18738d67b # real proptest\n\
@@ -278,21 +290,21 @@ mod tests {
              not a seed line\n",
         )
         .unwrap();
-        assert_eq!(read_seeds(&path), vec![0xff, 0xdead_beef]);
+        assert_eq!(read_seeds(path), vec![0xff, 0xdead_beef]);
         assert_eq!(read_seeds("/nonexistent/nope"), Vec::<u64>::new());
     }
 
     #[test]
     fn failing_case_persists_its_seed_and_replays_first() {
-        let path = scratch("persist-cycle.proptest-regressions");
-        let _ = std::fs::remove_file(&path);
+        let scratch = scratch("persist-cycle");
+        let path = &scratch.0;
         // A property that fails on even inputs: hit quickly, and the
         // failing value is a pure function of the case seed.
         let run_failing = |record: &mut Vec<u64>| {
             let record = std::cell::RefCell::new(record);
             let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 run(
-                    &path,
+                    path,
                     "shim_self_test",
                     &ProptestConfig::with_cases(200),
                     |rng| {
@@ -310,9 +322,9 @@ mod tests {
         };
         let mut first = Vec::new();
         run_failing(&mut first);
-        let text = std::fs::read_to_string(&path).unwrap();
+        let text = std::fs::read_to_string(path).unwrap();
         assert!(text.starts_with("# Seeds for failure cases"), "header written");
-        let seeds = read_seeds(&path);
+        let seeds = read_seeds(path);
         assert_eq!(seeds.len(), 1, "exactly one persisted seed: {text}");
         // Replay: the persisted seed regenerates the same failing value
         // before any fresh cases run.
@@ -321,15 +333,17 @@ mod tests {
         assert_eq!(second.len(), 1, "failed on the replayed corpus seed");
         assert_eq!(second[0], *first.last().unwrap());
         // And no duplicate corpus entry was appended.
-        assert_eq!(read_seeds(&path).len(), 1);
+        assert_eq!(read_seeds(path).len(), 1);
+        let kept = path.clone();
+        drop(scratch);
+        assert!(!std::path::Path::new(&kept).exists(), "{kept} outlived its test");
     }
 
     #[test]
     fn panicking_bodies_are_caught_and_persisted() {
-        let path = scratch("panic-capture.proptest-regressions");
-        let _ = std::fs::remove_file(&path);
+        let path = &scratch("panic-capture").0;
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run(&path, "panicky", &ProptestConfig::with_cases(5), |_rng| {
+            run(path, "panicky", &ProptestConfig::with_cases(5), |_rng| {
                 let x: Option<u32> = None;
                 let _ = x.unwrap(); // a plain panic, not a prop_assert
                 Ok(())
@@ -338,14 +352,14 @@ mod tests {
         let err = r.unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
         assert!(msg.contains("replayable seed"), "{msg}");
-        assert_eq!(read_seeds(&path).len(), 1);
+        assert_eq!(read_seeds(path).len(), 1);
     }
 
     #[test]
     fn assume_runaway_is_bounded() {
-        let path = scratch("assume-runaway.proptest-regressions");
+        let path = &scratch("assume-runaway").0;
         let r = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run(&path, "rejector", &ProptestConfig::with_cases(10), |_rng| {
+            run(path, "rejector", &ProptestConfig::with_cases(10), |_rng| {
                 Err(TestCaseError::Reject)
             });
         }));
@@ -357,10 +371,10 @@ mod tests {
     #[test]
     fn proptest_cases_env_overrides_config() {
         // Serialise around the env var: cargo may run tests in parallel.
-        let path = scratch("cases-env.proptest-regressions");
+        let path = &scratch("cases-env").0;
         std::env::set_var("PROPTEST_CASES", "7");
         let mut n = 0u32;
-        run(&path, "env_cases", &ProptestConfig::with_cases(500), |_rng| {
+        run(path, "env_cases", &ProptestConfig::with_cases(500), |_rng| {
             n += 1;
             Ok(())
         });

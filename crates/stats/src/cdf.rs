@@ -24,9 +24,10 @@ impl Cdf {
         Cdf { sorted: samples }
     }
 
-    /// Build from the monitor's `f32` buffers.
-    pub fn from_f32(samples: &[f32]) -> Cdf {
-        Cdf::new(samples.iter().map(|&x| x as f64).collect())
+    /// Build from the monitor's `f32` columns: a slice or a
+    /// [`crate::RunColumn`].
+    pub fn from_f32<'a>(samples: impl IntoIterator<Item = &'a f32>) -> Cdf {
+        Cdf::new(samples.into_iter().map(|&x| x as f64).collect())
     }
 
     /// Number of samples.

@@ -6,14 +6,16 @@
 //! samples collected by `pi2-netsim`'s monitor into those figures.
 
 pub mod cdf;
+pub mod column;
 pub mod series;
 pub mod summary;
 pub mod table;
 
 pub use cdf::Cdf;
+pub use column::RunColumn;
 pub use series::{excursions_above, peak_in, settle_time, time_above};
 pub use summary::{
     jain_fairness, mean, percentile, percentile_sorted, stddev, variance, variance_from_moments,
-    Sample, Summary,
+    F32Column, Sample, Summary,
 };
 pub use table::{format_table, Align};

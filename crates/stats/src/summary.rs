@@ -1,5 +1,7 @@
 //! Means, percentiles and fairness indices.
 
+use crate::RunColumn;
+
 /// Arithmetic mean; 0 for an empty slice.
 pub fn mean(samples: &[f64]) -> f64 {
     if samples.is_empty() {
@@ -332,6 +334,26 @@ pub fn jain_fairness(rates: &[f64]) -> f64 {
     }
 }
 
+/// An `f32` column [`Summary::of_f32`] reads where it lies: a slice as
+/// count-1 items ([`Summary::over`]), a [`RunColumn`] as its runs
+/// ([`Summary::of_runs`]), each in its own loop.
+pub trait F32Column {
+    /// [`Summary::of_f32`] of the column.
+    fn summary(&self) -> Summary;
+}
+
+impl F32Column for [f32] {
+    fn summary(&self) -> Summary {
+        Summary::over([self], f64::from)
+    }
+}
+
+impl F32Column for RunColumn {
+    fn summary(&self) -> Summary {
+        Summary::of_runs([self.runs()], f64::from)
+    }
+}
+
 /// The five-number summary style used throughout the paper's figures.
 ///
 /// ```
@@ -366,10 +388,11 @@ impl Summary {
         Summary::over([samples], |x| x)
     }
 
-    /// The same for `f32` sample buffers (the monitor stores `f32`):
-    /// selected from as `f32`, widened only where a value is read.
-    pub fn of_f32(samples: &[f32]) -> Summary {
-        Summary::over([samples], f64::from)
+    /// The same for an `f32` column (the monitor stores `f32`), a slice or
+    /// a [`RunColumn`]: selected from as `f32`, widened only where a value
+    /// is read.
+    pub fn of_f32<C: F32Column + ?Sized>(samples: &C) -> Summary {
+        samples.summary()
     }
 
     /// Summarize `map` over the concatenation of `cols`, read where they
@@ -506,7 +529,7 @@ mod tests {
     #[test]
     fn summary_of_f32_matches_f64() {
         let f32s: Vec<f32> = vec![1.0, 2.0, 3.0, 4.0];
-        let a = Summary::of_f32(&f32s);
+        let a = Summary::of_f32(&f32s[..]);
         let b = Summary::of(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(a, b);
     }
@@ -614,7 +637,7 @@ mod tests {
         for n in SIZES {
             let col = vec![-0.0f32; n];
             assert_selects_what_the_sort_gave(&col);
-            let s = Summary::of_f32(&col);
+            let s = Summary::of_f32(&col[..]);
             for v in [s.mean, s.p1, s.p50, s.p99, s.max] {
                 assert_eq!(v.to_bits(), (-0.0f64).to_bits(), "n={n}: {s:?}");
             }
@@ -729,6 +752,10 @@ mod tests {
                         bits(&of_by_sort(&wide)),
                         "n={n} block={block} seed={seed}"
                     );
+                    let mut kept = RunColumn::default();
+                    col.iter().for_each(|&v| kept.push(v));
+                    let (got, want) = (Summary::of_f32(&kept), Summary::of_f32(&col[..]));
+                    assert_eq!(bits(&got), bits(&want), "n={n} block={block} seed={seed}");
                 }
             }
         }

@@ -143,7 +143,7 @@ proptest! {
         let wide: Vec<f64> = narrow.iter().map(|&x| f64::from(x)).collect();
         let want = by_sort(&wide);
         prop_assert_eq!(bits(&Summary::of(&wide)), bits(&want));
-        prop_assert_eq!(bits(&Summary::of_f32(&narrow)), bits(&want));
+        prop_assert_eq!(bits(&Summary::of_f32(&narrow[..])), bits(&want));
         for (q, p) in [(0.01, want.p1), (0.25, want.p25), (0.50, want.p50), (0.99, want.p99)] {
             prop_assert_eq!(percentile(&wide, q).to_bits(), p.to_bits());
         }
@@ -178,7 +178,7 @@ proptest! {
         );
         prop_assert_eq!(
             bits(&Summary::over(slices.iter().copied(), f64::from)),
-            bits(&Summary::of_f32(&narrow))
+            bits(&Summary::of_f32(&narrow[..]))
         );
     }
 

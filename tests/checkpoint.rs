@@ -272,7 +272,8 @@ struct Observables {
     pushed: u64,
     totals: (u64, u64, u64, u64),
     aqm_updates: u64,
-    sojourn_ms: Vec<f32>,
+    /// The run-wide sojourn column, expanded from its runs, as bits.
+    sojourn_ms: Vec<u32>,
     /// Each flow's probability column, expanded from its runs, as bits.
     probs: Vec<Vec<u32>>,
     flows: Vec<(u64, u64, u64, u64)>,
@@ -289,9 +290,9 @@ fn observables(mut sim: Sim, sink: Rc<RefCell<JsonlSink<Vec<u8>>>>) -> Observabl
         pushed: sim.core.events.pushed(),
         totals: (t.enqueued, t.marked, t.dropped, t.dequeued),
         aqm_updates: sim.core.counters.aqm_updates,
-        sojourn_ms: sim.core.monitor.sojourn_ms.clone(),
+        sojourn_ms: sim.core.monitor.sojourn_ms.iter().map(|s| s.to_bits()).collect(),
         probs: (sim.core.monitor.flows.iter())
-            .map(|f| f.prob_samples.iter().map(f32::to_bits).collect())
+            .map(|f| f.prob_samples.iter().map(|p| p.to_bits()).collect())
             .collect(),
         flows: (sim.core.monitor.flows.iter().enumerate())
             .map(|(i, f)| {
@@ -773,16 +774,16 @@ fn header_mismatches_are_rejected_with_the_right_error() {
         Err(CkptError::VersionMismatch { .. })
     ));
 
-    // The previous version: a v12 blob writes each probability column
-    // one `f32` per sample, not as runs, and is refused by number.
+    // The previous version: a v13 blob writes the sojourn columns one
+    // `f32` per sample, not as runs, and is refused by number.
     let mut bad = blob.clone();
-    bad[8..12].copy_from_slice(&12u32.to_le_bytes());
+    bad[8..12].copy_from_slice(&13u32.to_le_bytes());
     let mut target = build_sim(&cell);
     assert!(matches!(
         target.restore(&bad),
         Err(CkptError::VersionMismatch {
-            found: 12,
-            expected: 13
+            found: 13,
+            expected: 14
         })
     ));
 
@@ -960,10 +961,14 @@ fn damaged_blobs_are_errors_not_panics() {
         let mut sim = build();
         sim.run_until(Time::from_millis(200));
         let blob = sim.save();
-        // The probability columns hold runs written as repeats and runs
-        // written as plain values, so the sweep cuts and flips both.
-        let runs: Vec<u32> = (sim.core.monitor.flows.iter())
-            .flat_map(|f| f.prob_samples.runs().map(|(_, count)| count))
+        // The run columns, probabilities and sojourns, hold runs written
+        // as repeats and runs written as plain values, so the sweep cuts
+        // and flips both.
+        let m = &sim.core.monitor;
+        let runs: Vec<u32> = (m.flows.iter())
+            .flat_map(|f| [&f.prob_samples, &f.sojourn_ms])
+            .chain([&m.sojourn_ms])
+            .flat_map(|col| col.runs().map(|(_, count)| count))
             .collect();
         let repeats = runs.iter().filter(|&&count| count >= 3).count();
         let plain = runs.len() - repeats;

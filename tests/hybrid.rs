@@ -19,7 +19,7 @@
 
 use pi2::experiments::runner::par_map_threads;
 use pi2::experiments::{Backend, BgGroup, RunResult, Scenario};
-use pi2::netsim::JsonlSink;
+use pi2::netsim::{JsonlSink, RunColumn};
 use pi2::prelude::*;
 use pi2::validate::differential::BASE_RTT;
 use pi2::validate::{grid, Cell};
@@ -51,7 +51,7 @@ fn all_backends_agree_inside_the_validate_bands() {
 /// Everything a packet/hybrid run observably produces, for bit-identity:
 /// the JSONL event stream, the metrics JSON, the per-flow accounts, the
 /// sojourn samples and the background's rate track.
-type Fingerprint = (Vec<u8>, String, Vec<(u64, u64, u64, u64)>, Vec<f32>, Vec<(f64, u64)>);
+type Fingerprint = (Vec<u8>, String, Vec<(u64, u64, u64, u64)>, RunColumn, Vec<(f64, u64)>);
 
 fn fingerprint_of(trace: Vec<u8>, run: RunResult) -> Fingerprint {
     let metrics_json = run.metrics.as_ref().expect("scenario runs record metrics").registry().to_json();

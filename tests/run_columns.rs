@@ -1,13 +1,16 @@
-//! The monitor's probability columns, kept as runs (`RunColumn`), against
-//! the plain `f32` column they replace and against what a run's trace saw:
-//! lossless for every `AqmKind`, never bigger than the plain column (Curvy
-//! RED, whose probability changes on every packet, included), and on a
-//! 1 Gb/s link about two orders of magnitude smaller, however long the run.
-//! Their checkpoint layout restores to a column that goes on as the one
-//! that never stopped, and refuses a bad repeat entry by type.
+//! The monitor's per-packet columns, probabilities and sojourns, kept as
+//! runs (`RunColumn`), against the plain `f32` column they replace and
+//! against what a run's trace saw: lossless for every `AqmKind`, never
+//! bigger than the plain column (Curvy RED, whose probability changes on
+//! every packet, included), and on a 1 Gb/s link one or two orders of
+//! magnitude smaller, however long the run. A routed flow's probability
+//! column holds its first hop's verdicts, one per packet. The layout
+//! restores to a column that goes on as the one that never stopped, and
+//! refuses a bad repeat entry by type.
 
 use pi2::aqm::{CurvyRedConfig, FqConfig, PiConfig, StepMarkConfig};
-use pi2::experiments::{AqmKind, FlowGroup, Scenario};
+use pi2::experiments::topology::scenario_for;
+use pi2::experiments::{AqmKind, FlowGroup, Scenario, TopologyKind};
 use pi2::netsim::{RunColumn, TraceEvent, TraceSink};
 use pi2::prelude::*;
 use pi2::simcore::{Ckpt, CkptError, CkptReader, CkptWriter};
@@ -33,8 +36,8 @@ fn column_of(samples: &[f32]) -> RunColumn {
     col
 }
 
-fn bits_of(samples: impl Iterator<Item = f32>) -> Vec<u32> {
-    samples.map(f32::to_bits).collect()
+fn bits_of<'a>(samples: impl IntoIterator<Item = &'a f32>) -> Vec<u32> {
+    samples.into_iter().map(|v| v.to_bits()).collect()
 }
 
 /// The runs, bit for bit (a NaN equals itself here).
@@ -48,7 +51,7 @@ fn a_run_column_gives_back_every_sample_and_never_outgrows_the_plain_one() {
     for n in [0, 1, 2, 3, 4, 7, 100, 5000] {
         let plain = run_heavy_column(&mut rng, n);
         let col = column_of(&plain);
-        assert_eq!(bits_of(col.iter()), bits_of(plain.iter().copied()), "n={n}");
+        assert_eq!(bits_of(&col), bits_of(&plain), "n={n}");
         assert_eq!((col.len(), col.is_empty()), (n, n == 0));
         assert!(col.bytes() <= 4 * n, "n={n}: {} bytes", col.bytes());
         // A stretch of equal bits is one item if three or more long, else
@@ -111,7 +114,7 @@ fn a_run_column_refuses_a_bad_repeat_as_corrupt() {
     };
     let col = restore(&blob(&[(0, 3), (2, 7)])).expect("a good column restores");
     let want = [&[0.5; 3][..], &[0.25], &[0.5; 7]].concat();
-    assert_eq!(bits_of(col.iter()), bits_of(want.into_iter()));
+    assert_eq!(bits_of(&col), bits_of(&want));
     for (repeats, what) in [
         (&[(0, 0)][..], "a zero count"),
         (&[(0, 2)][..], "a run of two"),
@@ -125,14 +128,18 @@ fn a_run_column_refuses_a_bad_repeat_as_corrupt() {
     }
 }
 
-/// Per flow, the post-warm-up verdicts at the bottleneck in order: the
-/// probability's bits for a mark or a drop, `None` for a pass (whose
-/// probability no trace event carries).
+/// What the trace of a one-hop run saw after warm-up, in order: per flow,
+/// each verdict (the probability's bits for a mark or a drop, `None` for a
+/// pass, whose probability no trace event carries), and the sojourn of
+/// each departure, run-wide and per flow, as the monitor's `f32` bits.
+#[derive(Default)]
 struct Verdicts {
     warm_at: Time,
     flows: Vec<Vec<Option<u32>>>,
     /// A mark waiting for the admission of the same packet.
     marked: Option<(FlowId, u64, f64)>,
+    sojourns: Vec<u32>,
+    flow_sojourns: Vec<Vec<u32>>,
 }
 
 impl Verdicts {
@@ -160,6 +167,15 @@ impl TraceSink for Verdicts {
                 });
                 self.note(t, flow, prob);
             }
+            TraceEvent::Dequeue { t, flow, sojourn, .. } if t >= self.warm_at => {
+                let bits = (sojourn.as_millis_f64() as f32).to_bits();
+                self.sojourns.push(bits);
+                let i = flow.idx();
+                if self.flow_sojourns.len() <= i {
+                    self.flow_sojourns.resize(i + 1, Vec::new());
+                }
+                self.flow_sojourns[i].push(bits);
+            }
             TraceEvent::Dequeue { .. } => {}
         }
     }
@@ -176,12 +192,11 @@ fn dumbbell(kind: AqmKind, rate_bps: u64, flows: usize, secs: u64) -> Scenario {
     sc
 }
 
-/// Samples per run over every flow of a run, and the check that no
-/// column is bigger than the plain one.
-fn samples_per_run(sim: &Sim) -> f64 {
+/// Samples per run over `cols`, and the check that no column is bigger
+/// than the plain one.
+fn samples_per_run<'a>(cols: impl IntoIterator<Item = &'a RunColumn>) -> f64 {
     let (mut samples, mut runs) = (0, 0);
-    for f in &sim.core.monitor.flows {
-        let col = &f.prob_samples;
+    for col in cols {
         assert!(col.bytes() <= 4 * col.len(), "{} bytes for {} samples", col.bytes(), col.len());
         samples += col.len();
         runs += col.runs().count();
@@ -189,6 +204,18 @@ fn samples_per_run(sim: &Sim) -> f64 {
     samples as f64 / runs.max(1) as f64
 }
 
+/// Every flow's probability column.
+fn prob_columns(sim: &Sim) -> impl Iterator<Item = &RunColumn> {
+    sim.core.monitor.flows.iter().map(|f| &f.prob_samples)
+}
+
+/// Every flow's sojourn column.
+fn flow_sojourn_columns(sim: &Sim) -> impl Iterator<Item = &RunColumn> {
+    sim.core.monitor.flows.iter().map(|f| &f.sojourn_ms)
+}
+
+/// Each flow's probability column, and the run-wide and per-flow sojourn
+/// columns, expanded, are what the trace saw, bit for bit and in order.
 #[test]
 fn every_aqm_kinds_columns_expand_to_the_probabilities_its_trace_saw() {
     const RATE: u64 = 10_000_000;
@@ -206,21 +233,29 @@ fn every_aqm_kinds_columns_expand_to_the_probabilities_its_trace_saw() {
     ];
     for kind in kinds {
         let name = kind.name();
-        let sc = dumbbell(kind, RATE, 2, 6);
+        let mut sc = dumbbell(kind, RATE, 2, 6);
+        sc.per_flow_sojourns = true;
         let verdicts = Rc::new(RefCell::new(Verdicts {
             warm_at: Time::ZERO + sc.warmup,
-            flows: Vec::new(),
-            marked: None,
+            ..Verdicts::default()
         }));
         let mut sim = sc.build().expect("a dumbbell builds");
         sim.core.add_trace_sink(Box::new(Rc::clone(&verdicts)));
         sim.run_until(sc.duration);
-        let per_run = samples_per_run(&sim);
+        let per_run = samples_per_run(prob_columns(&sim));
+        let sojourns_per_run = samples_per_run([&sim.core.monitor.sojourn_ms]);
+        // For its check that no per-flow column outgrows the plain one.
+        samples_per_run(flow_sojourn_columns(&sim));
         let verdicts = verdicts.borrow();
+        let whole = bits_of(&sim.core.monitor.sojourn_ms);
+        assert_eq!(whole, verdicts.sojourns, "{name}: the run-wide sojourns");
+        assert!(whole.len() > 2_000, "{name}: only {} sojourns", whole.len());
         let (mut samples, mut signals) = (0, 0);
         for (i, f) in sim.core.monitor.flows.iter().enumerate() {
+            let seen = verdicts.flow_sojourns.get(i).map_or(&[][..], Vec::as_slice);
+            assert_eq!(bits_of(&f.sojourn_ms), seen, "{name}: flow {i}'s sojourns");
             let seen = verdicts.flows.get(i).map_or(&[][..], Vec::as_slice);
-            let col: Vec<u32> = f.prob_samples.iter().map(f32::to_bits).collect();
+            let col = bits_of(&f.prob_samples);
             assert_eq!(col.len(), seen.len(), "{name}: flow {i}'s sample count");
             samples += col.len();
             for (at, (&got, &want)) in col.iter().zip(seen).enumerate() {
@@ -231,7 +266,11 @@ fn every_aqm_kinds_columns_expand_to_the_probabilities_its_trace_saw() {
             }
         }
         assert!(samples > 2_000, "{name}: only {samples} samples");
-        eprintln!("{name}: {samples} samples, {per_run:.1} per run, {signals} signals checked");
+        eprintln!(
+            "{name}: {samples} samples, {per_run:.1} per run, {signals} signals checked; \
+             {} sojourns, {sojourns_per_run:.1} per run",
+            whole.len()
+        );
     }
 }
 
@@ -241,21 +280,65 @@ fn a_curvy_red_column_is_no_bigger_than_the_plain_one() {
     let mut sim = sc.build().expect("a dumbbell builds");
     sim.run_until(sc.duration);
     // The probability follows the instantaneous queue: neighbours differ.
-    let per_run = samples_per_run(&sim);
+    let per_run = samples_per_run(prob_columns(&sim));
     assert!(per_run < 1.5, "{per_run:.2} samples per run");
     let samples: usize = sim.core.monitor.flows.iter().map(|f| f.prob_samples.len()).sum();
     assert!(samples > 10_000, "only {samples} samples");
 }
 
+/// The bytes of `cols` over those of the plain columns they replace.
+fn share_of_plain<'a>(cols: impl IntoIterator<Item = &'a RunColumn>) -> f64 {
+    let (mut bytes, mut samples) = (0, 0);
+    for col in cols {
+        (bytes, samples) = (bytes + col.bytes(), samples + col.len());
+    }
+    bytes as f64 / (4 * samples.max(1)) as f64
+}
+
 #[test]
 fn a_gigabit_coupled_cell_keeps_fifty_samples_per_run_and_longer_runs_keep_as_many() {
+    // The bulk cell: coupled PI2 at 1 Gb/s, 10 Cubic + 10 DCTCP at 20 ms.
     // 2 667 packets reach the link between two 32 ms updates; each of the
-    // 20 flows sees the probability of an update on about 130 of them.
+    // 20 flows sees the probability of an update on about 130 of them, and
+    // the ACK-clocked standing queue hands runs of packets one sojourn.
     for secs in [3, 9] {
-        let sc = dumbbell(AqmKind::coupled_default(), 1_000_000_000, 10, secs);
+        let mut sc = dumbbell(AqmKind::coupled_default(), 1_000_000_000, 10, secs);
+        sc.per_flow_sojourns = true;
         let mut sim = sc.build().expect("a dumbbell builds");
         sim.run_until(sc.duration);
-        let per_run = samples_per_run(&sim);
-        assert!(per_run >= 50.0, "{secs} s: {per_run:.1} samples per run");
+        let per_run = samples_per_run(prob_columns(&sim));
+        assert!(per_run >= 50.0, "{secs} s: {per_run:.1} probabilities per run");
+        let whole = &sim.core.monitor.sojourn_ms;
+        let shares = [
+            ("probability", share_of_plain(prob_columns(&sim))),
+            ("run-wide sojourn", share_of_plain([whole])),
+            ("per-flow sojourn", share_of_plain(flow_sojourn_columns(&sim))),
+        ];
+        eprintln!("{secs} s: {} sojourns, {shares:?}", whole.len());
+        for (what, share) in shares {
+            assert!(share < 1.0 / 20.0, "{secs} s: the {what} columns take {share:.3} of the plain");
+        }
     }
+}
+
+/// A packet crossing three hops meets three controllers; its flow's
+/// column keeps the first one's probability, so it holds one sample per
+/// packet the flow sent after warm-up, while its drop and mark counts
+/// take every hop's signal.
+#[test]
+fn a_routed_flows_probability_column_holds_one_sample_per_packet_sent() {
+    let sc = scenario_for(TopologyKind::ParkingLot3, AqmKind::pi2_default(), 9);
+    let r = sc.run();
+    let signals: u64 = r.monitor.flows.iter().map(|f| f.dropped_postwarm + f.marked_postwarm).sum();
+    assert!(signals > 0, "the cell must signal for its counts to mean anything");
+    for (i, f) in r.monitor.flows.iter().enumerate() {
+        let sent = f.sent_pkts_postwarm as usize;
+        assert_eq!(f.prob_samples.len(), sent, "flow {i} ({}): samples against sends", f.label);
+    }
+    let long = &r.monitor.flows[0];
+    eprintln!(
+        "flow 0: {} samples, {:.1} per run",
+        long.prob_samples.len(),
+        samples_per_run([&long.prob_samples])
+    );
 }

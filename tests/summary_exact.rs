@@ -65,7 +65,7 @@ fn summaries_of_a_coupled_cell_are_what_the_sort_gave() {
         let probs: Vec<f64> = m
             .labelled(label)
             .flat_map(|f| f.prob_samples.iter())
-            .map(|p| p as f64 * 100.0)
+            .map(|&p| p as f64 * 100.0)
             .collect();
         assert!(
             probs.contains(&0.0),

@@ -2,7 +2,7 @@
 //!
 //! The simulator's hot-path contract is that steady-state operation
 //! performs **zero heap allocations per event**: the timing wheel
-//! recycles slot vectors, packets and ACKs live in slab pools, and the
+//! reuses its slab's nodes, packets and ACKs live in slab pools, and the
 //! monitor's series are pre-sized by [`pi2_netsim::Monitor::reserve`].
 //! Timing alone cannot prove that — an occasional `Vec` doubling hides
 //! inside the noise floor. This module provides a counting

@@ -1,7 +1,7 @@
 //! Steady-state zero-allocation contract.
 //!
 //! After warm-up, the simulator's event loop must never touch the heap:
-//! the timing wheel recycles slot vectors, packets and ACKs recycle
+//! the timing wheel reuses its slab's nodes, packets and ACKs recycle
 //! through slab pools, and `Monitor::reserve` pre-sizes every series.
 //! This test brackets a steady-state region with allocation-counter
 //! snapshots and asserts the delta is exactly zero — not "small": any
@@ -34,10 +34,9 @@ fn steady_state_loop_is_allocation_free() {
         // Pre-size for far more samples/packets than the run produces
         // (over-reservation only costs address space) and warm up past
         // one full overflow-wheel rotation (~34.4 s), by which time the
-        // few buffers the overflow wheel lends from slot to slot have
-        // carried its fullest slot. 8192 periodic ticks covers the
-        // densest series (AQM control records every 32 ms Tupdate →
-        // ~2400 over the 76 s run).
+        // wheel's slab has held its most entries at once. 8192 periodic
+        // ticks covers the densest series (AQM control records every 32 ms
+        // Tupdate → ~2400 over the 76 s run).
         sim.core.monitor.reserve(8192, 2_000_000);
         sim.run_until(Time::from_secs(36));
 

@@ -177,7 +177,8 @@ pub enum Event {
 }
 
 // Every push, slot sort and pool move copies these bytes; keep them small.
-const _: () = assert!(std::mem::size_of::<EventEntry<Event>>() <= 40);
+// A wheel node holds `Option<EventEntry>`: the enum's niche keeps it 40.
+const _: () = assert!(std::mem::size_of::<Option<EventEntry<Event>>>() <= 40);
 const _: () = assert!(std::mem::size_of::<Packet>() <= 32);
 
 /// One store-and-forward hop, created by [`SimCore::add_hop`]: its own
@@ -240,7 +241,7 @@ impl SimCore {
     fn new(seed: u64, monitor_cfg: MonitorConfig) -> Self {
         SimCore {
             // Pending events are bounded by in-flight packets + per-flow
-            // timers, not run length: one buffer sized for them up front.
+            // timers, not run length: a slab sized for them up front.
             events: EventQueue::with_capacity(4096),
             rng: Rng::new(seed),
             monitor: Monitor::new(monitor_cfg),

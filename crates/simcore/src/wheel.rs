@@ -46,12 +46,16 @@
 //! earlier than `now`); such a push binary-inserts into `ready` instead of
 //! a slot behind the cursor.
 //!
-//! Slot vectors recycle their capacity: promoting an L0 slot swaps it with
-//! the spent `ready` buffer, and cascading an L1 slot lends its emptied
-//! buffer, through a spare stack, to the next L1 slot that fills — so L1
-//! keeps as many buffers as it has had slots occupied at once, not one per
-//! slot. After warm-up, steady-state operation performs no heap allocation
-//! at all (verified by the allocation-counting harness in `pi2-bench`).
+//! Both wheels keep their entries in one node slab, and a slot is a list
+//! of nodes: an L0 slot holds the head of its list, newest first; an L1
+//! slot holds the tail of a circular list, so it walks oldest first. A
+//! freed node goes on a LIFO free list, so the slab holds as many nodes as
+//! the wheels have held entries at once and the nodes in use stay
+//! cache-hot. A cascade relinks nodes from L1 to L0 without moving their
+//! entries; promoting an L0 slot moves its entries into the one `ready`
+//! buffer. After warm-up, steady-state operation performs no heap
+//! allocation at all (verified by the allocation-counting harness in
+//! `pi2-bench`).
 
 use crate::event::EventEntry;
 use crate::time::Time;
@@ -66,6 +70,8 @@ const SLOT_BITS: u32 = L1_SHIFT - L0_SHIFT;
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Occupancy-bitmap words per wheel level.
 const BITMAP_WORDS: usize = SLOTS / 64;
+/// No node: an empty slot, the end of a list, an empty free list.
+const NIL: u32 = u32::MAX;
 
 /// A deterministic min-priority queue of timestamped events.
 ///
@@ -81,16 +87,19 @@ const BITMAP_WORDS: usize = SLOTS / 64;
 pub struct EventQueue<E> {
     /// Promoted events, sorted descending by `(time, seq)`; min at back.
     ready: Vec<EventEntry<E>>,
-    /// Near wheel: one bucket per L0 tick within ≈ 33.6 ms.
-    l0: Vec<Vec<EventEntry<E>>>,
+    /// The node slab: every L0 and L1 entry; `None` marks a free node.
+    nodes: Vec<Option<EventEntry<E>>>,
+    /// `links[n]`: the node after `n` in its list. Apart from the entries,
+    /// so a list walk chases a dense array and the entry loads overlap.
+    links: Vec<u32>,
+    /// Head of the free-node list, reused last-freed first.
+    free: u32,
+    /// Near wheel: one list head per L0 tick within ≈ 33.6 ms.
+    l0: Box<[u32; SLOTS]>,
     l0_bits: [u64; BITMAP_WORDS],
-    /// Overflow wheel: one bucket per L1 tick within ≈ 34.4 s.
-    l1: Vec<Vec<EventEntry<E>>>,
+    /// Overflow wheel: one list tail per L1 tick within ≈ 34.4 s.
+    l1: Box<[u32; SLOTS]>,
     l1_bits: [u64; BITMAP_WORDS],
-    /// Emptied L1 buffers, lent to the next L1 slot that fills. It never
-    /// holds more than L1 has buffers, and a new buffer is made only when
-    /// it is empty, so it grows only while L1 reaches a new occupancy high.
-    spare: Vec<Vec<EventEntry<E>>>,
     /// Beyond the overflow wheel, sorted descending by `(time, seq)`.
     far: Vec<EventEntry<E>>,
     /// The L0 tick `ready` has been filled up to (invariants above).
@@ -124,17 +133,20 @@ impl<E> EventQueue<E> {
         Self::with_capacity(0)
     }
 
-    /// Create an empty queue with a pre-allocated ready buffer. Wheel
-    /// slots start empty and grow on first use, but they recycle their
-    /// capacity thereafter, so a warmed-up queue never reallocates.
+    /// Create an empty queue whose slab has room for `capacity` wheel
+    /// entries. The slab grows past that only at a new high of entries
+    /// held at once, and freed nodes are reused, so a warmed-up queue
+    /// never reallocates.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            ready: Vec::with_capacity(capacity),
-            l0: (0..SLOTS).map(|_| Vec::new()).collect(),
+            ready: Vec::new(),
+            nodes: Vec::with_capacity(capacity),
+            links: Vec::with_capacity(capacity),
+            free: NIL,
+            l0: Box::new([NIL; SLOTS]),
             l0_bits: [0; BITMAP_WORDS],
-            l1: (0..SLOTS).map(|_| Vec::new()).collect(),
+            l1: Box::new([NIL; SLOTS]),
             l1_bits: [0; BITMAP_WORDS],
-            spare: Vec::new(),
             far: Vec::new(),
             ready_tick: 0,
             pending: 0,
@@ -248,8 +260,30 @@ impl<E> EventQueue<E> {
 
     #[inline(always)]
     fn push_l0(&mut self, slot: usize, entry: EventEntry<E>) {
-        self.l0[slot].push(entry);
+        self.l0[slot] = self.link(entry, self.l0[slot]);
         self.l0_bits[slot >> 6] |= 1 << (slot & 63);
+    }
+
+    /// Store `entry` in a free node that points at `next`; return the node.
+    #[inline(always)]
+    fn link(&mut self, entry: EventEntry<E>, next: u32) -> u32 {
+        if self.free == NIL {
+            self.grow();
+        }
+        let n = self.free;
+        self.free = std::mem::replace(&mut self.links[n as usize], next);
+        self.nodes[n as usize] = Some(entry);
+        n
+    }
+
+    /// Add one free node: the slab holds a new high of entries. Out of
+    /// line and without the entry, so `link` builds it in place.
+    #[inline(never)]
+    fn grow(&mut self) {
+        assert!(self.nodes.len() < NIL as usize, "timing wheel slab is full");
+        self.free = self.nodes.len() as u32;
+        self.nodes.push(None);
+        self.links.push(NIL);
     }
 
     /// Route one entry into ready / L0 / L1 / far relative to the current
@@ -274,10 +308,13 @@ impl<E> EventQueue<E> {
             self.ready.insert(idx, entry);
         } else if t1 - (self.ready_tick >> SLOT_BITS) < SLOTS as u64 {
             let slot = (t1 & (SLOTS as u64 - 1)) as usize;
-            if self.l1[slot].capacity() == 0 {
-                self.l1[slot] = self.spare.pop().unwrap_or_default();
-            }
-            self.l1[slot].push(entry);
+            // Append: the new node becomes the tail and points at the head.
+            let (tail, n) = (self.l1[slot], self.link(entry, NIL));
+            self.links[n as usize] = match tail {
+                NIL => n,
+                _ => std::mem::replace(&mut self.links[tail as usize], n),
+            };
+            self.l1[slot] = n;
             self.l1_bits[slot >> 6] |= 1 << (slot & 63);
         } else {
             let key = (entry.time, entry.seq);
@@ -297,9 +334,7 @@ impl<E> EventQueue<E> {
     pub fn entries_sorted(&self) -> Vec<&EventEntry<E>> {
         let mut v: Vec<&EventEntry<E>> = Vec::with_capacity(self.pending);
         v.extend(self.ready.iter());
-        for slot in self.l0.iter().chain(self.l1.iter()) {
-            v.extend(slot.iter());
-        }
+        v.extend(self.nodes.iter().flatten());
         v.extend(self.far.iter());
         v.sort_unstable_by_key(|e| (e.time, e.seq));
         debug_assert_eq!(v.len(), self.pending, "pending count out of sync");
@@ -408,14 +443,20 @@ impl<E> EventQueue<E> {
         debug_assert!(self.ready.is_empty());
         let slot = (t0 & (SLOTS as u64 - 1)) as usize;
         self.l0_bits[slot >> 6] &= !(1 << (slot & 63));
-        // Swap rather than drain: the spent ready buffer's capacity moves
-        // into the slot for its next use — no allocation either way.
-        std::mem::swap(&mut self.ready, &mut self.l0[slot]);
-        // Sort the slot by the determinism key (unique, so an unstable
-        // sort is exact). It fills almost in push order: insertion sort's
-        // best case ascending and worst descending, so sort up, then flip.
-        self.ready.sort_unstable_by_key(|e| (e.time, e.seq));
-        self.ready.reverse();
+        let head = std::mem::replace(&mut self.l0[slot], NIL);
+        let (mut n, mut last) = (head, head);
+        while n != NIL {
+            self.ready.push(self.nodes[n as usize].take().expect("a linked node holds an entry"));
+            last = n;
+            n = self.links[n as usize];
+        }
+        // The emptied list goes onto the free list whole.
+        self.links[last as usize] = self.free;
+        self.free = head;
+        // Sort by the determinism key (unique, so an unstable sort is
+        // exact), descending. The list is newest first, almost that order
+        // already: insertion sort's best case.
+        self.ready.sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
         self.ready_tick = t0;
     }
 
@@ -451,14 +492,21 @@ impl<E> EventQueue<E> {
                 self.ready_tick = (m << SLOT_BITS) - 1;
                 let slot = (m & (SLOTS as u64 - 1)) as usize;
                 self.l1_bits[slot >> 6] &= !(1 << (slot & 63));
-                // Empty the slot's buffer into L0 and lend it to the next
-                // L1 slot that fills: the few buffers in circulation reach
-                // working size within a few cascades; an empty slot has none.
-                let mut buf = std::mem::take(&mut self.l1[slot]);
-                for entry in buf.drain(..) {
-                    self.push_l0((tick0(entry.time) & (SLOTS as u64 - 1)) as usize, entry);
+                // Relink the slot's nodes into L0, oldest first: each is
+                // prepended, which leaves every L0 list newest first.
+                let tail = std::mem::replace(&mut self.l1[slot], NIL);
+                let mut n = self.links[tail as usize];
+                loop {
+                    let time = self.nodes[n as usize].as_ref().expect("a linked node holds an entry").time;
+                    let s0 = (tick0(time) & (SLOTS as u64 - 1)) as usize;
+                    let next = std::mem::replace(&mut self.links[n as usize], self.l0[s0]);
+                    self.l0[s0] = n;
+                    self.l0_bits[s0 >> 6] |= 1 << (s0 & 63);
+                    if n == tail {
+                        break;
+                    }
+                    n = next;
                 }
-                self.spare.push(buf);
                 continue;
             }
             if far1 == Some(m) {
@@ -485,83 +533,7 @@ mod tests {
     use super::*;
     use crate::time::Duration;
 
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_millis(30), "c");
-        q.push(Time::from_millis(10), "a");
-        q.push(Time::from_millis(20), "b");
-        assert_eq!(q.pop(), Some((Time::from_millis(10), "a")));
-        assert_eq!(q.pop(), Some((Time::from_millis(20), "b")));
-        assert_eq!(q.pop(), Some((Time::from_millis(30), "c")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn equal_times_pop_fifo() {
-        let mut q = EventQueue::new();
-        let t = Time::from_millis(5);
-        for i in 0..100 {
-            q.push(t, i);
-        }
-        for i in 0..100 {
-            assert_eq!(q.pop(), Some((t, i)));
-        }
-    }
-
-    #[test]
-    fn clock_advances_with_pops() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_secs(2), ());
-        assert_eq!(q.now(), Time::ZERO);
-        q.pop();
-        assert_eq!(q.now(), Time::from_secs(2));
-        assert_eq!(q.popped(), 1);
-        assert_eq!(q.pushed(), 1);
-        q.push(Time::from_secs(3), ());
-        assert_eq!(q.pushed(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "in the past")]
-    fn scheduling_in_the_past_panics() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_secs(2), ());
-        q.pop();
-        q.push(Time::from_secs(1), ());
-    }
-
-    #[test]
-    fn push_at_now_is_allowed() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_secs(1), 1);
-        q.pop();
-        q.push(q.now(), 2); // immediate follow-up event
-        assert_eq!(q.pop(), Some((Time::from_secs(1), 2)));
-    }
-
-    #[test]
-    fn peek_does_not_advance() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_millis(7) + Duration::ZERO, ());
-        assert_eq!(q.peek_time(), Some(Time::from_millis(7)));
-        assert_eq!(q.now(), Time::ZERO);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-    }
-
-    #[test]
-    fn interleaved_push_pop_stays_ordered() {
-        let mut q = EventQueue::new();
-        q.push(Time::from_millis(1), 1);
-        q.push(Time::from_millis(5), 5);
-        assert_eq!(q.pop().unwrap().1, 1);
-        q.push(Time::from_millis(3), 3);
-        q.push(Time::from_millis(4), 4);
-        assert_eq!(q.pop().unwrap().1, 3);
-        assert_eq!(q.pop().unwrap().1, 4);
-        assert_eq!(q.pop().unwrap().1, 5);
-    }
+    crate::event::queue_contract_tests!(EventQueue);
 
     /// The jump-ahead hazard: after popping (which may advance the drain
     /// cursor far beyond `now`), a handler pushes an event earlier than
@@ -731,20 +703,27 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "l0-late");
     }
 
-    /// On a 100 ms path every one-way event lands in L1. Over three of its
-    /// rotations the wheel keeps as many L1 buffers as it had slots
-    /// occupied at once, not one for every slot it ever filled.
+    /// On a 100 ms path every one-way event lands in L1 and cascades into
+    /// L0. Over 100 s the slab never makes more nodes than the queue has
+    /// had events pending at once, because every drained node is reused;
+    /// a queue restored from `n` entries reserves exactly `n` nodes.
     #[test]
-    fn l1_keeps_only_the_buffers_it_occupies_at_once() {
+    fn slab_holds_no_more_nodes_than_the_pending_high_water() {
         let mut q = EventQueue::new();
         for i in 0..64 {
             q.push(Time::from_micros(i * 700), ());
         }
+        let mut high = q.len();
         while q.now() < Time::from_secs(100) {
             let (t, ()) = q.pop().expect("every pop reschedules");
             q.push(t + Duration::from_millis(50), ());
+            high = high.max(q.len());
+            assert!(q.nodes.len() <= high, "{} nodes for {high} pending", q.nodes.len());
         }
-        let held = q.l1.iter().chain(&q.spare).filter(|b| b.capacity() > 0).count();
-        assert!(held <= 4, "L1 holds {held} buffers");
+        let entries: Vec<EventEntry<()>> = q.entries_sorted().into_iter().cloned().collect();
+        let n = entries.len();
+        let r = EventQueue::from_parts(q.now(), q.next_seq(), q.popped(), entries);
+        assert_eq!((r.nodes.capacity(), r.len()), (n, n));
+        assert!(r.nodes.len() <= n, "{} nodes for {n} entries", r.nodes.len());
     }
 }

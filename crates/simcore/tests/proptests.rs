@@ -222,8 +222,8 @@ proptest! {
         assert_same_pop_stream(q, restored)?;
     }
 
-    /// The overflow wheel's buffers circulate: each cascade lends its
-    /// emptied buffer to the next L1 slot that fills. On a 100 ms path
+    /// Each cascade relinks an overflow-wheel slot's slab nodes into the
+    /// near wheel, and each drain frees them for reuse. On a 100 ms path
     /// nearly every event takes that route, so here each of `flows`
     /// events is rescheduled 35–70 ms after it pops — always past the
     /// near wheel — until the clock has gone round L1 more than three

@@ -85,7 +85,7 @@ const RULES: &[Rule] = &[
         why: "an option only a test sets is a constant; state nobody reads is not kept \
               (SACK is the sender, PIE's tune table and idle decay are PIE, an RTT is \
               static, per-flow rates come from FlowAccount::dequeued_bytes_postwarm, the \
-              wheel's L1 buffers circulate through its spare stack so no test levels them)",
+              wheel keeps its entries in one node slab, so no slot has a capacity to level)",
     },
     Rule {
         needles: &[

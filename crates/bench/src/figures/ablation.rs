@@ -15,8 +15,10 @@ use pi2_transport::{CcKind, EcnSetting};
 use std::io::{self, Write};
 
 /// Bare-PIE vs full PIE (paper §5: the authors repeated every experiment
-/// with the heuristics disabled and "saw no difference").
+/// with the heuristics disabled and "saw no difference"). The burst
+/// workload runs at the row's seed XOR a constant of its own.
 pub fn bare(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
+    let seed = fig.seed(run);
     let cols = [
         "mix",
         "full mean ms",
@@ -24,7 +26,7 @@ pub fn bare(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> 
         "full p99 ms",
         "bare p99 ms",
     ];
-    write_rows(out, cols, bare_pie(fig.seed(run)), |(mix, full, bare)| {
+    write_rows(out, cols, bare_pie(seed), |(mix, full, bare)| {
         [
             mix.to_string(),
             f(full.mean),
@@ -38,8 +40,7 @@ pub fn bare(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> 
         out,
         "--- the burst-allowance workload: 8 Mb/s on-off bursts over 2 TCP flows ---"
     )?;
-    // The burst workload has its own default seed; PI2_SEED replaces both.
-    let (full, bare) = bare_pie_bursts(run.knobs.seed.unwrap_or(0xb1));
+    let (full, bare) = bare_pie_bursts(seed ^ 0xbacf);
     let cols = ["variant", "burst loss fraction"];
     let variants = [("pie (full)", full), ("pie (bare)", bare)];
     write_rows(out, cols, variants, |(name, loss)| [name.into(), f(loss)])
@@ -52,7 +53,7 @@ pub fn bare(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> 
 /// (`TcpConfig::max_cwnd` = 1 MB/MSS) to show exactly which grid cells it
 /// poisons and how.
 pub fn bdp(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
-    let secs = fig.secs(run);
+    let (secs, seed) = (fig.secs(run), fig.seed(run));
     let cols = [
         "cell",
         "BDP",
@@ -64,8 +65,8 @@ pub fn bdp(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
     let cells = [(40u64, 20i64), (120, 50), (120, 100), (200, 50), (200, 100)];
     write_rows(out, cols, cells, |(link, rtt)| {
         let bdp_mb = link as f64 * rtt as f64 / 8.0 / 1000.0;
-        let (r_free, u_free) = bdp_bug(link, rtt, false, secs, 0xbd);
-        let (r_cap, u_cap) = bdp_bug(link, rtt, true, secs, 0xbd);
+        let (r_free, u_free) = bdp_bug(link, rtt, false, secs, seed);
+        let (r_cap, u_cap) = bdp_bug(link, rtt, true, secs, seed);
         [
             format!("{link}Mb {rtt}ms"),
             format!("{bdp_mb:.2}MB"),
@@ -77,7 +78,7 @@ pub fn bdp(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
     })
 }
 
-fn curvy_run(aqm: AqmKind, flows: usize) -> RunResult {
+fn curvy_run(aqm: AqmKind, flows: usize, seed: u64) -> RunResult {
     let mut sc = Scenario::new(aqm, 10_000_000);
     sc.tcp.push(FlowGroup::new(
         flows,
@@ -88,7 +89,7 @@ fn curvy_run(aqm: AqmKind, flows: usize) -> RunResult {
     ));
     sc.duration = Time::from_secs(80);
     sc.warmup = Duration::from_secs(20);
-    sc.seed = 0xc0;
+    sc.seed = seed;
     sc.run()
 }
 
@@ -98,7 +99,8 @@ fn curvy_run(aqm: AqmKind, flows: usize) -> RunResult {
 /// but Curvy RED reads that quantity off the *queue delay* (so its
 /// standing queue must grow with load, RED's original sin), while PI2's
 /// integral action moves only `p'` and pins the delay at the target.
-pub fn curvy(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
+pub fn curvy(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
+    let seed = fig.seed(run);
     let cols = [
         "flows",
         "curvy delay ms",
@@ -107,8 +109,8 @@ pub fn curvy(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
         "pi2 util %",
     ];
     write_rows(out, cols, [2usize, 5, 15, 40], |n| {
-        let curvy = curvy_run(AqmKind::Curvy(CurvyRedConfig::default()), n);
-        let pi2 = curvy_run(AqmKind::pi2_default(), n);
+        let curvy = curvy_run(AqmKind::Curvy(CurvyRedConfig::default()), n, seed);
+        let pi2 = curvy_run(AqmKind::pi2_default(), n, seed);
         // The Curvy RED column has always been the raw mean of the
         // utilization samples, the PI2 column the mean of the samples
         // capped at 100 %; they differ in the second decimal.
@@ -133,6 +135,7 @@ pub fn curvy(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
 /// constant barely moves and the k-slack must come from elsewhere
 /// (DCTCP's EWMA-delayed response). This figure measures both effects.
 pub fn delack(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
+    let (secs, seed) = (fig.secs(run), fig.seed(run));
     writeln!(
         out,
         "--- effective constant c in W = c/sqrt(p) (CReno mode, fixed p) ---"
@@ -141,8 +144,8 @@ pub fn delack(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()
     write_rows(out, cols, [0.01, 0.02, 0.05], |p| {
         [
             f(p),
-            f(delayed_ack_constant(p, false, 0xda)),
-            f(delayed_ack_constant(p, true, 0xda)),
+            f(delayed_ack_constant(p, false, seed)),
+            f(delayed_ack_constant(p, true, seed)),
             "1.68 vs 1.19".to_string(),
         ]
     })?;
@@ -151,9 +154,8 @@ pub fn delack(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()
         out,
         "--- Cubic/DCTCP balance with delayed ACKs, k sweep (40 Mb/s, 10 ms) ---"
     )?;
-    let secs = fig.secs(run);
     write_rows(out, ["k", "ratio"], [1.19, 1.4, 2.0, 2.8], |k| {
-        [f(k), f(delayed_ack_balance(k, secs, 0xda))]
+        [f(k), f(delayed_ack_balance(k, secs, seed))]
     })
 }
 
@@ -176,7 +178,7 @@ pub fn estimator(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result
 /// Two views: (a) analytic — the minimum gain margin over the full load
 /// range as the gains scale; (b) empirical — transient peak and steady
 /// delay of the Figure 11(a) workload.
-pub fn gain(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
+pub fn gain(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "--- analytic: minimum gain margin over p' in [0.1%, 100%], R0 = 100 ms ---"
@@ -217,7 +219,7 @@ pub fn gain(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
         "--- empirical: figure 11(a) workload (5 Reno flows, 10 Mb/s, 100 ms) ---"
     )?;
     let cols = ["multiplier", "peak ms", "mean ms", "p99 ms"];
-    write_rows(out, cols, gain_sweep(&[1.0, 2.5, 5.0, 10.0], 0xab), |p| {
+    write_rows(out, cols, gain_sweep(&[1.0, 2.5, 5.0, 10.0], fig.seed(run)), |p| {
         [
             f(p.multiplier),
             f(p.peak_ms),
@@ -230,7 +232,7 @@ pub fn gain(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
 /// The coupling factor k (paper: analytic 1.19 from eq. (14), empirical
 /// 2). Sweeps k and reports the Cubic/DCTCP rate balance.
 pub fn k(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
-    let pts = k_sweep(&[1.0, 1.19, 1.4, 2.0, 2.8, 4.0], fig.secs(run));
+    let pts = k_sweep(&[1.0, 1.19, 1.4, 2.0, 2.8, 4.0], fig.secs(run), fig.seed(run));
     write_rows(out, ["k", "Cubic/DCTCP ratio"], pts, |p| {
         [f(p.k), f(p.ratio)]
     })
@@ -240,7 +242,7 @@ pub fn k(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
 /// with a flat 25 % Classic-probability cap; beyond it the queue grows
 /// and tail-drop takes over. This sweep drives rising unresponsive UDP
 /// load through both AQMs on a finite (100 ms) buffer.
-pub fn overload(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
+pub fn overload(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
     let cols = [
         "udp load",
         "aqm",
@@ -251,7 +253,7 @@ pub fn overload(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> 
         "taildrop loss",
         "tcp Mb/s",
     ];
-    write_rows(out, cols, pi2_experiments::overload::sweep(0x0f10), |p| {
+    write_rows(out, cols, pi2_experiments::overload::sweep(fig.seed(run)), |p| {
         [
             format!("{:.0}%", p.udp_load * 100.0),
             p.aqm.to_string(),

@@ -22,7 +22,7 @@ use std::io::{self, Write};
 /// the single-queue coupled AQM, but the Scalable traffic now sees
 /// low-millisecond queuing while Classic keeps its 20 ms target.
 pub fn dualq(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
-    let secs = fig.secs(run);
+    let (secs, seed) = (fig.secs(run), fig.seed(run));
     let cols = [
         "scenario",
         "cubic Mb/s",
@@ -47,7 +47,7 @@ pub fn dualq(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()>
             nc,
             nd,
             secs,
-            0xd0a1 + link,
+            seed.wrapping_add(link),
         );
         [
             label.to_string(),
@@ -72,11 +72,11 @@ pub fn dualq(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()>
 /// the coupled AQM keeps one FIFO but both classes share its delay
 /// (which is what motivates the DualQ, see `ext_dualq`).
 pub fn fq(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
-    let secs = fig.secs(run);
+    let (secs, seed) = (fig.secs(run), fig.seed(run));
     let rtt = Duration::from_millis(10);
     let runs = [
-        run_fq(40_000_000, rtt, secs, 0xf0),
-        run_coupled(40_000_000, rtt, secs, 0xf0),
+        run_fq(40_000_000, rtt, secs, seed),
+        run_coupled(40_000_000, rtt, secs, seed),
     ];
     let cols = [
         "scheme",
@@ -104,14 +104,14 @@ pub fn fq(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
 /// showing the standing queue's equalizing effect — one of the
 /// structural arguments for a nonzero delay target.
 pub fn rtt(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
-    let secs = fig.secs(run);
+    let (secs, seed) = (fig.secs(run), fig.seed(run));
     writeln!(out, "--- per-AQM ratio at the default 20 ms target ---")?;
     let aqms = [
         AqmKind::pie_default(),
         AqmKind::pi2_default(),
         AqmKind::TailDrop,
     ];
-    let runs = par_map(&aqms, |aqm| run_one(aqm.clone(), 20, secs, 0x477));
+    let runs = par_map(&aqms, |aqm| run_one(aqm.clone(), 20, secs, seed));
     let cols = ["aqm", "short Mb/s", "long Mb/s", "short/long"];
     write_rows(out, cols, runs, |r| {
         [
@@ -126,15 +126,15 @@ pub fn rtt(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
         out,
         "--- PI2 target sweep: deeper queues equalize effective RTTs ---"
     )?;
-    let sweep = target_sweep(&[5, 10, 20, 40, 80], secs, 0x477);
+    let sweep = target_sweep(&[5, 10, 20, 40, 80], secs, seed);
     write_rows(out, ["target ms", "short/long ratio"], sweep, |r| {
         [r.target_ms.to_string(), f(r.ratio)]
     })
 }
 
-fn family_run(aqm: AqmKind, cc: CcKind, secs: u64) -> (f64, f64, f64) {
+fn family_run(aqm: AqmKind, cc: CcKind, secs: u64, seed: u64) -> (f64, f64, f64) {
     let scal = FlowGroup::new(1, cc, EcnSetting::Scalable, "scal", Duration::from_millis(10));
-    let r = coexistence(aqm, 40_000_000, scal, secs, 0xfa1).run();
+    let r = coexistence(aqm, 40_000_000, scal, secs, seed).run();
     let c = r.per_flow_tput_mbps("cubic");
     let s = r.per_flow_tput_mbps("scal");
     (c, s, r.monitor.flows[1].signal_fraction())
@@ -149,7 +149,7 @@ fn family_run(aqm: AqmKind, cc: CcKind, secs: u64) -> (f64, f64, f64) {
 /// different (but bounded, predictable) balance point. Compare with
 /// PIE, under which every one of them starves Cubic outright.
 pub fn family(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
-    let secs = fig.secs(run);
+    let (secs, seed) = (fig.secs(run), fig.seed(run));
     let mut work = Vec::new();
     for (cc, law) in [
         (CcKind::Dctcp, "2/p"),
@@ -162,7 +162,7 @@ pub fn family(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()
         }
     }
     let results = par_map(&work, |(cc, law, aqm)| {
-        let (c, s, sig) = family_run(aqm.clone(), *cc, secs);
+        let (c, s, sig) = family_run(aqm.clone(), *cc, secs, seed);
         (format!("{cc:?}"), law.to_string(), aqm.name(), c, s, sig)
     });
     let cols = [
@@ -189,10 +189,11 @@ pub fn family(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()
 
 /// §6 short-flow claim: flow completion times under Web-like workloads
 /// are "essentially the same" for PIE, bare-PIE and PI2.
-pub fn short(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
+pub fn short(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
+    let seed = fig.seed(run);
     for (name, w) in [
-        ("light", WebWorkload::light()),
-        ("heavy", WebWorkload::heavy()),
+        ("light", WebWorkload::light(seed)),
+        ("heavy", WebWorkload::heavy(seed)),
     ] {
         writeln!(
             out,
@@ -260,8 +261,9 @@ pub fn topology(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<
 /// that run, the achieved disagreement printed beside each band, then a
 /// verdict line. A pair outside its band is an error naming it, so
 /// `pi2fig` exits 1.
-pub fn validate_grid(_: &Figure, _: &Session, mut out: &mut dyn Write) -> io::Result<()> {
-    let report = pi2_validate::run_grid(&pi2_validate::grid(), &pi2_validate::bands(), &mut out)?;
+pub fn validate_grid(fig: &Figure, run: &Session, mut out: &mut dyn Write) -> io::Result<()> {
+    let cells = pi2_validate::grid(fig.seed(run));
+    let report = pi2_validate::run_grid(&cells, &pi2_validate::bands(), &mut out)?;
     let (failed, pairs) = (report.failed(), report.pairs().count());
     if failed.is_empty() {
         writeln!(

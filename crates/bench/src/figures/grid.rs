@@ -18,7 +18,7 @@ fn view<const N: usize>(
 ) -> io::Result<()> {
     let head = ["cell", "pair", "aqm"].iter().chain(&cols);
     let mut rows = vec![head.map(|s| s.to_string()).collect::<Vec<_>>()];
-    for c in run.grid.get_or_init(|| run_grid(fig.secs(run))) {
+    for c in run.grid.get_or_init(|| run_grid(fig.secs(run), fig.seed(run))) {
         let key = [
             format!("{}Mb {}ms", c.link_mbps, c.rtt_ms),
             pair_label(c.pair).to_string(),

@@ -14,7 +14,7 @@ mod paper;
 
 use crate::write_header;
 use pi2_experiments::fig19::ComboResult;
-use pi2_experiments::grid::{GridCell, Pair};
+use pi2_experiments::grid::{GridCell, Pair, GRID_SEED};
 use std::io::{self, Write};
 use std::sync::OnceLock;
 
@@ -43,7 +43,8 @@ impl Knobs {
 /// One run of `pi2fig`: the knobs every figure in it is handed, and the
 /// two sweeps that several figures print, each run at most once —
 /// `fig15`–`fig18` and `grid_all` share the grid, `fig19` and `fig20` the
-/// flow-count combinations.
+/// flow-count combinations. A sweep runs at the length and seed of the
+/// first row to print it, so rows sharing one share their defaults.
 pub struct Session {
     /// The knobs as set for this run.
     pub knobs: Knobs,
@@ -159,8 +160,6 @@ impl Figure {
 }
 
 const ANALYTIC: Knob = Fixed("no simulation");
-const PER_CELL: Knob = Fixed("one seed per grid cell");
-const PER_COMBO: Knob = Fixed("one seed per flow combination");
 
 /// Every figure, in the order `all` prints them.
 #[rustfmt::skip]
@@ -174,7 +173,7 @@ pub static FIGURES: &[Figure] = &[
              shape: "shape check: the stepped factor stays within a small constant factor of\n\
                      sqrt(2p) across seven decades (each step is a factor 2-4 wide), i.e. PIE's\n\
                      heuristic scaling was implicitly implementing PI2's square." },
-    Figure { id: "fig06", archived: true, render: paper::fig06, secs: Fixed("5 phases of 50 s"), seed: Fixed("seed 6"),
+    Figure { id: "fig06", archived: true, render: paper::fig06, secs: Fixed("5 phases of 50 s"), seed: Default(6),
              title: "Figure 6: queue delay, PI (fixed gains) vs PI2; 10:30:50:30:10 Reno flows, 100 Mb/s, 10 ms",
              shape: "\nshape check: 'pi2' stays pinned near the 20 ms target throughout. Note on\n\
                      'pi': in this idealized substrate the fixed-gain controller remains small-\n\
@@ -188,46 +187,46 @@ pub static FIGURES: &[Figure] = &[
              shape: "shape check: pi2's gain margin is flattened (no 20 dB/decade diagonal) and\n\
                      positive over the whole range despite gains 2.5x PIE's; scal-pi with doubled\n\
                      gains tracks reno-pi2 closely; only at p' > ~60% do margins drift up." },
-    Figure { id: "fig11", archived: true, render: paper::fig11, secs: Fixed("100 s"), seed: Fixed("seed 11"),
+    Figure { id: "fig11", archived: true, render: paper::fig11, secs: Fixed("100 s"), seed: Default(11),
              title: "Figure 11: queue delay and total throughput under three traffic mixes (10 Mb/s, 100 ms)",
              shape: "\nshape check: PI2 shows less start-up overshoot and fewer damped\n\
                      oscillations than PIE in every mix; both settle near the 20 ms target and\n\
                      keep utilization high; the UDP overload mix pushes probability to its cap." },
-    Figure { id: "fig12", archived: true, render: paper::fig12, secs: Fixed("150 s"), seed: Fixed("seed 12"),
+    Figure { id: "fig12", archived: true, render: paper::fig12, secs: Fixed("150 s"), seed: Default(12),
              title: "Figure 12: queue delay under 100:20:100 Mb/s capacity steps (20 flows, 100 ms sampling)",
              shape: "shape check: PI2's drop-transient peak is materially lower than PIE's\n\
                      (paper: 250 vs 510 ms), PI2 has no late >=100 ms excursions where PIE has\n\
                      ~2, and PI2 shows no visible overshoot when capacity is restored." },
-    Figure { id: "fig13", archived: true, render: paper::fig13, secs: Fixed("5 phases of 50 s"), seed: Fixed("seed 13"),
+    Figure { id: "fig13", archived: true, render: paper::fig13, secs: Fixed("5 phases of 50 s"), seed: Default(13),
              title: "Figure 13: queue delay, PIE vs PI2; 10:30:50:30:10 Reno flows, 10 Mb/s, 100 ms",
              shape: "\nshape check: PI2 shows less overshoot at each load change and smaller\n\
                      upward fluctuations during the steady phases than PIE." },
-    Figure { id: "fig14", archived: true, render: paper::fig14, secs: Fixed("100 s"), seed: Fixed("seed 14"),
+    Figure { id: "fig14", archived: true, render: paper::fig14, secs: Fixed("100 s"), seed: Default(14),
              title: "Figure 14: queue-delay CDFs at 5/20 ms targets (10 Mb/s, 100 ms)",
              shape: "\nshape check: for each (panel, target) the PI2 and PIE CDFs are close —\n\
                      PI2's simplicity costs nothing in the delay distribution — and both track\n\
                      their configured target." },
-    Figure { id: "fig15", archived: false, render: grid::fig15, secs: Default(60), seed: PER_CELL,
+    Figure { id: "fig15", archived: false, render: grid::fig15, secs: Default(60), seed: Default(GRID_SEED),
              title: "Figure 15: rate balance over the link x RTT grid", shape: "" },
-    Figure { id: "fig16", archived: false, render: grid::fig16, secs: Default(60), seed: PER_CELL,
+    Figure { id: "fig16", archived: false, render: grid::fig16, secs: Default(60), seed: Default(GRID_SEED),
              title: "Figure 16: queue delay over the link x RTT grid", shape: "" },
-    Figure { id: "fig17", archived: false, render: grid::fig17, secs: Default(60), seed: PER_CELL,
+    Figure { id: "fig17", archived: false, render: grid::fig17, secs: Default(60), seed: Default(GRID_SEED),
              title: "Figure 17: mark/drop probability over the link x RTT grid", shape: "" },
-    Figure { id: "fig18", archived: false, render: grid::fig18, secs: Default(60), seed: PER_CELL,
+    Figure { id: "fig18", archived: false, render: grid::fig18, secs: Default(60), seed: Default(GRID_SEED),
              title: "Figure 18: link utilization over the link x RTT grid", shape: "" },
-    Figure { id: "fig19", archived: true, render: paper::fig19, secs: Default(60), seed: PER_COMBO,
+    Figure { id: "fig19", archived: true, render: paper::fig19, secs: Default(60), seed: Default(0x19),
              title: "Figure 19: rate balance across flow-count combinations (40 Mb/s, 10 ms)",
              shape: "shape check: the Cubic/DCTCP per-flow ratio under PIE is far below 1 for\n\
                      every combination; under coupled PI2 it stays near 1 irrespective of the\n\
                      flow counts; the ECN-Cubic control pair is ~1 throughout." },
-    Figure { id: "fig20", archived: true, render: paper::fig20, secs: Default(60), seed: PER_COMBO,
+    Figure { id: "fig20", archived: true, render: paper::fig20, secs: Default(60), seed: Default(0x19),
              title: "Figure 20: normalized per-flow rates across flow-count combinations (40 Mb/s, 10 ms)",
              shape: "shape check: under coupled PI2 all normalized rates cluster around 1 for\n\
                      every combination; under PIE the Cubic flows' normalized rate collapses\n\
                      toward 0.1 whenever DCTCP flows are present." },
-    Figure { id: "grid_all", archived: true, render: grid::grid_all, secs: Default(60), seed: PER_CELL,
+    Figure { id: "grid_all", archived: true, render: grid::grid_all, secs: Default(60), seed: Default(GRID_SEED),
              title: "Figures 15-18: the full coexistence grid: rate balance, delay, probability, utilization", shape: "" },
-    Figure { id: "appA", archived: true, render: paper::app_a, secs: Fixed("120, 80 and 60 s"), seed: Fixed("seeds 0xa, 0x57e9 and 3"),
+    Figure { id: "appA", archived: true, render: paper::app_a, secs: Fixed("120, 80 and 60 s"), seed: Default(0xa),
              title: "Appendix A: steady-state window laws: measured vs closed form",
              shape: "\nshape check: Reno tracks 1.22/sqrt(p), CReno 1.68/sqrt(p) at small BDP,\n\
                      DCTCP and the half-packet scalable control track 2/p (probabilistic\n\
@@ -242,7 +241,7 @@ pub static FIGURES: &[Figure] = &[
                      light-load suppression, delta clamps and 250 ms rule contribute nothing,\n\
                      even on the bursty workload the allowance was designed for: the PI core's\n\
                      incremental p already filters transient bursts, as the paper observed." },
-    Figure { id: "abl_bdp", archived: true, render: ablation::bdp, secs: Default(40), seed: Fixed("seed 0xbd"),
+    Figure { id: "abl_bdp", archived: true, render: ablation::bdp, secs: Default(40), seed: Default(0xbd),
              title: "Ablation: the footnote-5 BDP bug: Cubic vs ECN-Cubic under PIE, with and without the 1 MB window cap",
              shape: "shape check: cells whose BDP stays under ~1 MB are unaffected. Beyond it,\n\
                      two effects reproduce the paper's anomalous high-BDP cells: (a) with the\n\
@@ -252,12 +251,12 @@ pub static FIGURES: &[Figure] = &[
                      multi-second recovery while ECN marking costs its rival nothing, so the\n\
                      asymmetry compounds. Ironically the cap 'fixes' the ratio by pinning\n\
                      both flows at the same window." },
-    Figure { id: "abl_curvy", archived: true, render: ablation::curvy, secs: Fixed("80 s"), seed: Fixed("seed 0xc0"),
+    Figure { id: "abl_curvy", archived: true, render: ablation::curvy, secs: Fixed("80 s"), seed: Default(0xc0),
              title: "Ablation: Curvy RED vs PI2: standing queue vs load: curve-read probability vs PI-controlled probability",
              shape: "shape check: Curvy RED's mean delay climbs with the flow count (the\n\
                      operating point slides up its curve — the RED behaviour Hollot et al.\n\
                      criticized), while PI2 holds ~20 ms at every load; utilizations comparable." },
-    Figure { id: "abl_delack", archived: true, render: ablation::delack, secs: Default(60), seed: Fixed("seed 0xda"),
+    Figure { id: "abl_delack", archived: true, render: ablation::delack, secs: Default(60), seed: Default(0xda),
              title: "Ablation: delayed ACKs: the CReno constant and the coexistence balance under RFC 1122 delayed ACKs",
              shape: "shape check: with byte-counting senders the constant is ~insensitive to\n\
                      delayed ACKs (both a bit under the deterministic 1.68 — stochastic loss\n\
@@ -269,20 +268,20 @@ pub static FIGURES: &[Figure] = &[
              shape: "shape check: all three estimators hold the same target within a few ms —\n\
                      the PI core, not the measurement method, does the work. (The rate\n\
                      estimator matters under capacity changes, where it lags; see fig12.)" },
-    Figure { id: "abl_gain", archived: true, render: ablation::gain, secs: Fixed("100 s"), seed: Fixed("seed 0xab"),
+    Figure { id: "abl_gain", archived: true, render: ablation::gain, secs: Fixed("100 s"), seed: Default(0xab),
              title: "Ablation: gain sweep: responsiveness vs stability as PI2 gains scale",
              shape: "shape check: the analytic minimum gain margin shrinks ~20log10(m) dB with\n\
                      the multiplier and crosses zero somewhere past the paper's 2.5x choice;\n\
                      empirically, every multiplier up to 10x lowers the peak, mean and p99\n\
                      delay, past that crossing too: no row shows a cost of instability (where\n\
                      the packet loop does go unstable is ROADMAP item 20)." },
-    Figure { id: "abl_k", archived: true, render: ablation::k, secs: Default(60), seed: Fixed("one seed per k"),
+    Figure { id: "abl_k", archived: true, render: ablation::k, secs: Default(60), seed: Default(0x5eed),
              title: "Ablation: k sweep: Cubic/DCTCP per-flow rate ratio vs coupling factor (40 Mb/s, 10 ms)",
              shape: "shape check: the ratio rises monotonically with k (gentler Classic\n\
                      signal); the paper's empirical k = 2 sits near balance for real-stack\n\
                      dynamics, while the idealized eq.-(14) value 1.19 undershoots here\n\
                      because our DCTCP reacts with the idealized once-per-RTT cut." },
-    Figure { id: "abl_overload", archived: true, render: ablation::overload, secs: Fixed("60 s"), seed: Fixed("seed 0x0f10"),
+    Figure { id: "abl_overload", archived: true, render: ablation::overload, secs: Fixed("60 s"), seed: Default(0x0f10),
              title: "Ablation: overload: unresponsive UDP load sweep, 10 Mb/s link, 100 ms buffer, 2 Reno + 1 UDP",
              shape: "shape check: below saturation both AQMs hold the 20 ms target. Past ~100%\n\
                      offered UDP load, PI2's applied probability pins at its 25% cap, the queue\n\
@@ -292,7 +291,7 @@ pub static FIGURES: &[Figure] = &[
              title: "Ablation: square mode: p'*p' multiply vs max(Y1,Y2) two-compare drop decisions",
              shape: "shape check: identical distributions up to seed noise — the hardware-\n\
                      friendly two-compare form changes nothing." },
-    Figure { id: "ext_dualq", archived: true, render: ext::dualq, secs: Default(60), seed: Fixed("one seed per scenario"),
+    Figure { id: "ext_dualq", archived: true, render: ext::dualq, secs: Default(60), seed: Default(0xd0a1),
              title: "Extension: DualQ: DualPI2 two-queue coupled AQM vs the single-queue arrangement",
              shape: "shape check: DCTCP packets wait 1.3 to 2.1 packet serialisation times\n\
                      (L mean 0.62 ms at 40 Mb/s and 1.30 ms at 12 Mb/s, where one 1500 B packet\n\
@@ -309,7 +308,7 @@ pub static FIGURES: &[Figure] = &[
                      PIE's and no tune table (the paper's section 5 claim, Figure 12\n\
                      generalized); 1% loss and 2 ms of reordering lower every spike (the\n\
                      senders back off on the path's losses too) without changing that order." },
-    Figure { id: "ext_family", archived: true, render: ext::family, secs: Default(60), seed: Fixed("seed 0xfa1"),
+    Figure { id: "ext_family", archived: true, render: ext::family, secs: Default(60), seed: Default(0xfa1),
              title: "Extension: the Scalable family: Cubic vs each B=1 control (40 Mb/s, 10 ms), coupled PI2 vs PIE",
              shape: "shape check: under PIE the 2/p and 1/p controls starve Cubic. Under the\n\
                      coupled AQM each lands at a bounded balance set by its window constant:\n\
@@ -318,7 +317,7 @@ pub static FIGURES: &[Figure] = &[
                      (0.08/p, 25x gentler) is dominated by Cubic — k = 2 is a DCTCP-specific\n\
                      constant, and the coupling transparently exposes each control's own\n\
                      aggressiveness rather than hiding it." },
-    Figure { id: "ext_fq", archived: true, render: ext::fq, secs: Default(60), seed: Fixed("seed 0xf0"),
+    Figure { id: "ext_fq", archived: true, render: ext::fq, secs: Default(60), seed: Default(0xf0),
              title: "Extension: FQ isolation: Cubic vs DCTCP under per-flow queuing vs the coupled single queue",
              shape: "shape check: FQ balances the rates perfectly by scheduling — but without a\n\
                      per-queue AQM each flow (DCTCP included: unmarked, it falls back to loss\n\
@@ -328,7 +327,7 @@ pub static FIGURES: &[Figure] = &[
                      and the DualQ (ext_dualq) holds the Scalable class to one or two packet\n\
                      times of delay with just two queues and no flow identification — the\n\
                      paper's trilemma point." },
-    Figure { id: "ext_rtt", archived: true, render: ext::rtt, secs: Default(60), seed: Fixed("seeds 0x477 to 0x479"),
+    Figure { id: "ext_rtt", archived: true, render: ext::rtt, secs: Default(60), seed: Default(0x477),
              title: "Extension: RTT fairness: 10 ms vs 100 ms Reno flows sharing 40 Mb/s (250 ms buffer)",
              shape: "shape check: every single-queue AQM inherits TCP's RTT bias (the 10 ms\n\
                      flow wins), softened by the shared queue: effective RTTs are\n\
@@ -337,7 +336,7 @@ pub static FIGURES: &[Figure] = &[
                      alike. Tail-drop manages to be worse on both axes: 250 ms of latency\n\
                      AND more bias, because its synchronized overflow losses punish the\n\
                      slow-recovering long-RTT flow hardest." },
-    Figure { id: "ext_short", archived: true, render: ext::short, secs: Fixed("120 s"), seed: Fixed("seed 0x11eb"),
+    Figure { id: "ext_short", archived: true, render: ext::short, secs: Fixed("120 s"), seed: Default(0x11eb),
              title: "Short flows: flow completion times under light and heavy web-like workloads",
              shape: "shape check: the three AQMs' FCT percentiles agree within noise on both\n\
                      workloads, matching the paper's 'essentially the same' finding." },
@@ -349,7 +348,7 @@ pub static FIGURES: &[Figure] = &[
                      the classes back to 0.93-1.19 (Jain 0.99 on each parking-lot hop), across\n\
                      three bottlenecks in series as on the dumbbell, and cuts the mice FCT P99\n\
                      more than 4x." },
-    Figure { id: "validate_grid", archived: true, render: ext::validate_grid, secs: Fixed("60 s per cell"), seed: Fixed("seed 7"),
+    Figure { id: "validate_grid", archived: true, render: ext::validate_grid, secs: Fixed("60 s per cell"), seed: Default(7),
              title: "Model agreement: delay-ODE, flow-level engine and hybrid mode, each judged against one packet run per cell (12 Mb/s, 50 ms, 5 flows)",
              shape: "" },
 ];

@@ -66,14 +66,14 @@ pub fn fig05(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
 
 /// Figure 6: fixed-gain PI vs PI2 under varying traffic intensity,
 /// 10:30:50:30:10 flows × 50 s, 100 Mb/s, RTT 10 ms.
-pub fn fig06(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
-    intensity(out, &fig06::fig06())
+pub fn fig06(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
+    intensity(out, &fig06::fig06(fig.seed(run)))
 }
 
 /// Figure 13: PIE vs PI2 under varying traffic intensity,
 /// 10:30:50:30:10 flows × 50 s, 10 Mb/s, RTT 100 ms.
-pub fn fig13(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
-    intensity(out, &fig06::fig13())
+pub fn fig13(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
+    intensity(out, &fig06::fig13(fig.seed(run)))
 }
 
 /// The varying-intensity table and series both figures print.
@@ -139,8 +139,8 @@ pub fn fig07(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
 
 /// Figure 11: queue delay + throughput under (a) 5 TCP, (b) 50 TCP,
 /// (c) 5 TCP + 2×6 Mb/s UDP; 10 Mb/s, RTT 100 ms; PIE vs PI2.
-pub fn fig11(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
-    let runs = pi2_experiments::fig11::fig11();
+pub fn fig11(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
+    let runs = pi2_experiments::fig11::fig11(fig.seed(run));
     let cols = [
         "mix",
         "aqm",
@@ -179,7 +179,7 @@ pub fn fig11(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
 /// Paper's headline numbers: peak 510 ms (PIE) vs 250 ms (PI2) at the
 /// 50 s rate drop, and two further >100 ms oscillation peaks for PIE vs
 /// none for PI2.
-pub fn fig12(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
+pub fn fig12(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
     let cols = [
         "aqm",
         "peak after 50s drop (ms)",
@@ -190,7 +190,7 @@ pub fn fig12(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
     // A missing peak means the sampling window held no data (mis-scheduled
     // disturbance / truncated run) — print it as such, never as 0.
     let peak = |p: Option<f64>| p.map(f).unwrap_or_else(|| "no samples".into());
-    write_rows(out, cols, pi2_experiments::fig12::fig12(), |r| {
+    write_rows(out, cols, pi2_experiments::fig12::fig12(fig.seed(run)), |r| {
         [
             r.aqm.to_string(),
             peak(r.drop_peak_ms),
@@ -203,8 +203,8 @@ pub fn fig12(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
 
 /// Figure 14: CDFs of per-packet queue delay with 5 ms and 20 ms targets,
 /// under (a) 20 TCP and (b) 5 TCP + 2 UDP; PIE vs PI2.
-pub fn fig14(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
-    let runs = pi2_experiments::fig14::fig14();
+pub fn fig14(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
+    let runs = pi2_experiments::fig14::fig14(fig.seed(run));
     let cols = [
         "panel", "target", "aqm", "p25 ms", "p50 ms", "p75 ms", "p95 ms", "p99 ms",
     ];
@@ -239,7 +239,7 @@ pub fn fig14(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
 /// The flow-count combinations Figures 19 and 20 both print.
 fn combos<'a>(fig: &Figure, run: &'a Session) -> &'a [ComboResult] {
     run.combos
-        .get_or_init(|| pi2_experiments::fig19::fig19(fig.secs(run)))
+        .get_or_init(|| pi2_experiments::fig19::fig19(fig.secs(run), fig.seed(run)))
 }
 
 /// The three columns that name a combination.
@@ -292,10 +292,12 @@ pub fn fig20(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()>
 }
 
 /// Appendix A: steady-state window laws validated in the packet
-/// simulator, plus the eq. (14) coupling relation.
-pub fn app_a(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
+/// simulator, plus the eq. (14) coupling relation: the law table at the
+/// row's seed, the other two parts at it XOR a constant of their own.
+pub fn app_a(fig: &Figure, run: &Session, out: &mut dyn Write) -> io::Result<()> {
+    let seed = fig.seed(run);
     let cols = ["cc", "p", "measured W", "predicted W", "rel err"];
-    write_rows(out, cols, appendix_a(), |pt| {
+    write_rows(out, cols, appendix_a(seed), |pt| {
         [
             pt.cc.to_string(),
             f(pt.p),
@@ -309,7 +311,7 @@ pub fn app_a(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
         out,
         "--- eq. (11) vs eq. (12): how DCTCP is marked changes the exponent ---"
     )?;
-    let (p, w_step, w_prob) = step_vs_probabilistic(0x57e9);
+    let (p, w_step, w_prob) = step_vs_probabilistic(seed ^ 0x57e3);
     let cols = ["marking", "realized p", "measured W", "2/p", "2/p^2"];
     let markings = [("step threshold", w_step), ("probabilistic", w_prob)];
     write_rows(out, cols, markings, |(marking, w)| {
@@ -320,7 +322,7 @@ pub fn app_a(_: &Figure, _: &Session, out: &mut dyn Write) -> io::Result<()> {
         out,
         "--- eq. (14) coupling relation: pc = (ps/k)^2, k = 2 ---"
     )?;
-    let (_, pc, ps) = coupling_check(2.0, 3);
+    let (_, pc, ps) = coupling_check(2.0, seed ^ 0x9);
     writeln!(
         out,
         "realized: pc = {:.4}, ps = {:.4}, (ps/2)^2 = {:.4}",

@@ -18,8 +18,8 @@
 //! * `PI2_SECS=<n>` — simulated seconds per run, for the figures whose
 //!   `pi2fig list` row has a default (the others run the paper's fixed
 //!   length and say so on stderr when it is set);
-//! * `PI2_SEED=<n>` — the seed, for the figures whose row has a default
-//!   one (likewise);
+//! * `PI2_SEED=<n>` — the seed, for every figure that simulates (all but
+//!   the analytic `fig04`, `fig05` and `fig07`, which say so on stderr);
 //! * `PI2_THREADS=<n>` — worker count for the parallel sweep executor
 //!   (default: available parallelism; output is bit-identical to serial
 //!   for any value — see `pi2_experiments::runner`).

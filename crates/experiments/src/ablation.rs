@@ -29,9 +29,9 @@ pub struct KSweepPoint {
 }
 
 /// Sweep the coupling factor k and report the Cubic/DCTCP rate balance
-/// (40 Mb/s, 10 ms — the Figure 19 cell). Points run in parallel via
-/// [`crate::runner::par_map`].
-pub fn k_sweep(ks: &[f64], duration_s: u64) -> Vec<KSweepPoint> {
+/// (40 Mb/s, 10 ms — the Figure 19 cell), each k at `seed + ⌊100k⌋`.
+/// Points run in parallel via [`crate::runner::par_map`].
+pub fn k_sweep(ks: &[f64], duration_s: u64, seed: u64) -> Vec<KSweepPoint> {
     crate::runner::par_map(ks, |&k| {
         let mut cfg = CoupledPi2Config::default();
         cfg.k = k;
@@ -41,7 +41,7 @@ pub fn k_sweep(ks: &[f64], duration_s: u64) -> Vec<KSweepPoint> {
             40,
             10,
             duration_s,
-            0x5eed + (k * 100.0) as u64,
+            seed.wrapping_add((k * 100.0) as u64),
         );
         KSweepPoint {
             k,
@@ -258,7 +258,7 @@ mod tests {
     #[test]
     fn k_sweep_ratio_increases_with_k() {
         // Bigger k means a gentler Classic signal, so Cubic takes more.
-        let pts = k_sweep(&[1.0, 2.0, 4.0], 30);
+        let pts = k_sweep(&[1.0, 2.0, 4.0], 30, 0x5eed);
         assert!(
             pts[0].ratio < pts[2].ratio,
             "ratio at k=1 ({:.2}) should be below k=4 ({:.2})",

@@ -74,16 +74,16 @@ pub fn measure(cc: CcKind, ecn: EcnSetting, p: f64, seed: u64) -> LawPoint {
     }
 }
 
-/// The full Appendix A table: each control at several probabilities.
-pub fn appendix_a() -> Vec<LawPoint> {
+/// The full Appendix A table: each control at several probabilities at `seed`.
+pub fn appendix_a(seed: u64) -> Vec<LawPoint> {
     let mut out = Vec::new();
     for &p in &[0.02, 0.05, 0.1] {
-        out.push(measure(CcKind::Reno, EcnSetting::NotEcn, p, 0xa));
-        out.push(measure(CcKind::Cubic, EcnSetting::NotEcn, p, 0xa));
+        out.push(measure(CcKind::Reno, EcnSetting::NotEcn, p, seed));
+        out.push(measure(CcKind::Cubic, EcnSetting::NotEcn, p, seed));
     }
     for &p in &[0.05, 0.1, 0.2] {
-        out.push(measure(CcKind::Dctcp, EcnSetting::Scalable, p, 0xa));
-        out.push(measure(CcKind::ScalableHalfPkt, EcnSetting::Scalable, p, 0xa));
+        out.push(measure(CcKind::Dctcp, EcnSetting::Scalable, p, seed));
+        out.push(measure(CcKind::ScalableHalfPkt, EcnSetting::Scalable, p, seed));
     }
     out
 }
@@ -112,7 +112,7 @@ pub fn marking_scenario(aqm: AqmKind, seed: u64) -> Scenario {
 /// marked. Run one DCTCP flow over a bottleneck it saturates, marked
 /// either by a step threshold (eq. (12): `W = 2/p²`, i.e. `p = √(2/W)`)
 /// or by a fixed probability chosen to match the step's realized fraction
-/// (eq. (11): `W = 2/p`). Returns
+/// (eq. (11): `W = 2/p`), at `seed` and `seed + 1`. Returns
 /// `(realized step fraction, W under step, W under probabilistic)`.
 pub fn step_vs_probabilistic(seed: u64) -> (f64, f64, f64) {
     let run = |aqm: AqmKind, seed: u64| -> (f64, f64) {
@@ -125,7 +125,7 @@ pub fn step_vs_probabilistic(seed: u64) -> (f64, f64, f64) {
     };
     let (p_step, w_step) = run(AqmKind::StepMark(StepMarkConfig::default()), seed);
     // Probabilistic marking at the same fraction.
-    let (_, w_prob) = run(AqmKind::FixedProb(p_step), seed + 1);
+    let (_, w_prob) = run(AqmKind::FixedProb(p_step), seed.wrapping_add(1));
     (p_step, w_step, w_prob)
 }
 

@@ -33,8 +33,6 @@ pub struct IntensityConfig {
     pub rtt: Duration,
     /// Phase length (paper: 50 s).
     pub phase: Duration,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl IntensityConfig {
@@ -44,7 +42,6 @@ impl IntensityConfig {
             rate_bps: 100_000_000,
             rtt: Duration::from_millis(10),
             phase: Duration::from_secs(50),
-            seed: 6,
         }
     }
 
@@ -54,7 +51,6 @@ impl IntensityConfig {
             rate_bps: 10_000_000,
             rtt: Duration::from_millis(100),
             phase: Duration::from_secs(50),
-            seed: 13,
         }
     }
 }
@@ -86,12 +82,12 @@ fn steady_mask(t: f64, phase_s: f64) -> bool {
 }
 
 /// Run the experiment for one AQM.
-pub fn run_one(aqm: AqmKind, cfg: &IntensityConfig) -> IntensityRun {
+pub fn run_one(aqm: AqmKind, cfg: &IntensityConfig, seed: u64) -> IntensityRun {
     let mut sc = Scenario::new(aqm, cfg.rate_bps);
     add_intensity_flows(&mut sc, cfg);
     sc.duration = Time::ZERO + cfg.phase * 5;
     sc.warmup = Duration::from_secs(5);
-    sc.seed = cfg.seed;
+    sc.seed = seed;
     let r = sc.run();
     let phase_s = cfg.phase.as_secs_f64();
     let steady: Vec<f64> = r
@@ -109,24 +105,21 @@ pub fn run_one(aqm: AqmKind, cfg: &IntensityConfig) -> IntensityRun {
     }
 }
 
-/// Figure 6: `pi` (fixed gains, no squaring) vs `pi2`.
-pub fn fig06() -> Vec<IntensityRun> {
+/// Figure 6: `pi` (fixed gains, no squaring) vs `pi2`, both at `seed`.
+pub fn fig06(seed: u64) -> Vec<IntensityRun> {
     let cfg = IntensityConfig::fig06();
     vec![
-        run_one(
-            AqmKind::Pi(pi2_aqm::PiConfig::untuned_pie_gains()),
-            &cfg,
-        ),
-        run_one(AqmKind::pi2_default(), &cfg),
+        run_one(AqmKind::Pi(pi2_aqm::PiConfig::untuned_pie_gains()), &cfg, seed),
+        run_one(AqmKind::pi2_default(), &cfg, seed),
     ]
 }
 
-/// Figure 13: PIE vs PI2.
-pub fn fig13() -> Vec<IntensityRun> {
+/// Figure 13: PIE vs PI2, both at `seed`.
+pub fn fig13(seed: u64) -> Vec<IntensityRun> {
     let cfg = IntensityConfig::fig13();
     vec![
-        run_one(AqmKind::pie_default(), &cfg),
-        run_one(AqmKind::pi2_default(), &cfg),
+        run_one(AqmKind::pie_default(), &cfg, seed),
+        run_one(AqmKind::pi2_default(), &cfg, seed),
     ]
 }
 
@@ -142,7 +135,7 @@ mod tests {
             phase: Duration::from_secs(10),
             ..IntensityConfig::fig13()
         };
-        let run = run_one(AqmKind::pi2_default(), &cfg);
+        let run = run_one(AqmKind::pi2_default(), &cfg, 13);
         assert!(
             run.delay.p50 < 60.0,
             "median delay {:.1} ms under stepped load",

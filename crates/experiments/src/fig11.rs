@@ -92,12 +92,12 @@ pub fn run_one(aqm: AqmKind, mix: TrafficMix, seed: u64) -> Fig11Run {
     }
 }
 
-/// The full figure: PIE and PI2 across all three mixes.
-pub fn fig11() -> Vec<Fig11Run> {
+/// The full figure: PIE and PI2 across all three mixes, all at `seed`.
+pub fn fig11(seed: u64) -> Vec<Fig11Run> {
     let mut out = Vec::new();
     for mix in TrafficMix::all() {
-        out.push(run_one(AqmKind::pie_default(), mix, 11));
-        out.push(run_one(AqmKind::pi2_default(), mix, 11));
+        out.push(run_one(AqmKind::pie_default(), mix, seed));
+        out.push(run_one(AqmKind::pi2_default(), mix, seed));
     }
     out
 }

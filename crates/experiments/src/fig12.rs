@@ -69,11 +69,11 @@ pub fn run_one(aqm: AqmKind, seed: u64) -> Fig12Run {
     }
 }
 
-/// The full figure: PIE vs PI2.
-pub fn fig12() -> Vec<Fig12Run> {
+/// The full figure: PIE vs PI2, both at `seed`.
+pub fn fig12(seed: u64) -> Vec<Fig12Run> {
     vec![
-        run_one(AqmKind::pie_default(), 12),
-        run_one(AqmKind::pi2_default(), 12),
+        run_one(AqmKind::pie_default(), seed),
+        run_one(AqmKind::pi2_default(), seed),
     ]
 }
 

@@ -40,23 +40,10 @@ pub fn run_one(pie: bool, target_ms: i64, udp_mix: bool, seed: u64) -> Fig14Run 
     };
     let rtt = Duration::from_millis(100);
     let mut sc = Scenario::new(aqm, 10_000_000);
+    let tcp_count = if udp_mix { 5 } else { 20 };
+    sc.tcp.push(FlowGroup::new(tcp_count, CcKind::Reno, EcnSetting::NotEcn, "reno", rtt));
     if udp_mix {
-        sc.tcp.push(FlowGroup::new(
-            5,
-            CcKind::Reno,
-            EcnSetting::NotEcn,
-            "reno",
-            rtt,
-        ));
         sc.udp.push(UdpGroup::paper_probes(2, rtt));
-    } else {
-        sc.tcp.push(FlowGroup::new(
-            20,
-            CcKind::Reno,
-            EcnSetting::NotEcn,
-            "reno",
-            rtt,
-        ));
     }
     sc.duration = Time::from_secs(100);
     sc.warmup = Duration::from_secs(20);
@@ -70,13 +57,13 @@ pub fn run_one(pie: bool, target_ms: i64, udp_mix: bool, seed: u64) -> Fig14Run 
     }
 }
 
-/// The full figure: 2 AQMs × 2 targets × 2 panels.
-pub fn fig14() -> Vec<Fig14Run> {
+/// The full figure: 2 AQMs × 2 targets × 2 panels, every run at `seed`.
+pub fn fig14(seed: u64) -> Vec<Fig14Run> {
     let mut out = Vec::new();
     for &udp_mix in &[false, true] {
         for &target in &[5i64, 20] {
-            out.push(run_one(true, target, udp_mix, 14));
-            out.push(run_one(false, target, udp_mix, 14));
+            out.push(run_one(true, target, udp_mix, seed));
+            out.push(run_one(false, target, udp_mix, seed));
         }
     }
     out

@@ -99,9 +99,9 @@ pub fn run_combo(
     }
 }
 
-/// The full figure: both pairs × both AQMs × all combinations, runs
-/// fanned out over the parallel [`crate::runner`].
-pub fn fig19(duration_s: u64) -> Vec<ComboResult> {
+/// The full figure: both pairs × both AQMs × all combinations, `(a, b)`
+/// at `seed + 16a + b`, fanned out over the parallel [`crate::runner`].
+pub fn fig19(duration_s: u64, seed: u64) -> Vec<ComboResult> {
     let mut work = Vec::new();
     for pair in [Pair::CubicVsEcnCubic, Pair::CubicVsDctcp] {
         for aqm in [AqmKind::pie_default(), AqmKind::coupled_default()] {
@@ -109,7 +109,7 @@ pub fn fig19(duration_s: u64) -> Vec<ComboResult> {
                 if a + b == 0 {
                     continue;
                 }
-                work.push((aqm.clone(), pair, a, b, 0x19 + (a * 16 + b) as u64));
+                work.push((aqm.clone(), pair, a, b, seed.wrapping_add((a * 16 + b) as u64)));
             }
         }
     }

@@ -131,15 +131,18 @@ pub fn run_cell(
     }
 }
 
+/// The seed Figures 15–18 run at when `PI2_SEED` is unset.
+pub const GRID_SEED: u64 = 0x15c0;
+
 /// The grid's work list in figure order: both pairs × both AQMs × the
-/// link and RTT axes, with the per-cell seed the figures use.
-pub fn grid_cells() -> Vec<(AqmKind, Pair, u64, i64, u64)> {
+/// link and RTT axes, each cell at `seed + link + rtt`.
+pub fn cells_at(seed: u64) -> Vec<(AqmKind, Pair, u64, i64, u64)> {
     let mut cells = Vec::with_capacity(100);
     for pair in [Pair::CubicVsEcnCubic, Pair::CubicVsDctcp] {
         for aqm in [AqmKind::pie_default(), AqmKind::coupled_default()] {
             for &link in &LINKS_MBPS {
                 for &rtt in &RTTS_MS {
-                    cells.push((aqm.clone(), pair, link, rtt, 0x15c0 + link + rtt as u64));
+                    cells.push((aqm.clone(), pair, link, rtt, seed.wrapping_add(link + rtt as u64)));
                 }
             }
         }
@@ -147,14 +150,19 @@ pub fn grid_cells() -> Vec<(AqmKind, Pair, u64, i64, u64)> {
     cells
 }
 
+/// The grid at the figures' default seed, [`GRID_SEED`].
+pub fn grid_cells() -> Vec<(AqmKind, Pair, u64, i64, u64)> {
+    cells_at(GRID_SEED)
+}
+
 /// Run the complete grid for both AQMs and both pairs, cells fanned out
 /// over the parallel [`crate::runner`] (`PI2_THREADS` governs workers;
 /// output order and bits match a serial run).
 ///
 /// `duration_s` trades accuracy for time; the bench binaries use 60 s,
-/// tests use much less.
-pub fn run_grid(duration_s: u64) -> Vec<GridCell> {
-    crate::runner::par_map(&grid_cells(), |(aqm, pair, link, rtt, seed)| {
+/// tests use much less. Cells are seeded from `seed` as [`cells_at`] says.
+pub fn run_grid(duration_s: u64, seed: u64) -> Vec<GridCell> {
+    crate::runner::par_map(&cells_at(seed), |(aqm, pair, link, rtt, seed)| {
         run_cell(aqm.clone(), *pair, *link, *rtt, duration_s, *seed)
     })
 }

@@ -74,7 +74,7 @@ pub fn run_one(aqm: AqmKind, target_ms: i64, duration_s: u64, seed: u64) -> RttF
 pub fn target_sweep(targets_ms: &[i64], duration_s: u64, seed: u64) -> Vec<RttFairResult> {
     let work: Vec<(i64, u64)> = targets_ms
         .iter()
-        .flat_map(|&t| (0..3u64).map(move |i| (t, seed + i)))
+        .flat_map(|&t| (0..3u64).map(move |i| (t, seed.wrapping_add(i))))
         .collect();
     let runs = crate::runner::par_map(&work, |&(t, s)| {
         let cfg = Pi2Config {

@@ -35,7 +35,7 @@ pub struct WebWorkload {
 
 impl WebWorkload {
     /// Light load: ~10 % of a 10 Mb/s link in short flows.
-    pub fn light() -> Self {
+    pub fn light(seed: u64) -> Self {
         WebWorkload {
             rate_bps: 10_000_000,
             rtt: Duration::from_millis(50),
@@ -43,15 +43,15 @@ impl WebWorkload {
             size_dist: (1.2, 4.0, 300.0),
             background: 1,
             duration: Time::from_secs(120),
-            seed: 0x11eb,
+            seed,
         }
     }
 
     /// Heavy load: short flows alone approach half the link.
-    pub fn heavy() -> Self {
+    pub fn heavy(seed: u64) -> Self {
         WebWorkload {
             arrivals_per_sec: 16.0,
-            ..WebWorkload::light()
+            ..WebWorkload::light(seed)
         }
     }
 }
@@ -138,7 +138,7 @@ mod tests {
     fn quick() -> WebWorkload {
         WebWorkload {
             duration: Time::from_secs(40),
-            ..WebWorkload::light()
+            ..WebWorkload::light(0x11eb)
         }
     }
 

@@ -7,7 +7,7 @@
 //! rendering of the results, which covers every monitor sample, not
 //! just headline summaries.
 
-use pi2_experiments::grid::{run_cell, Pair};
+use pi2_experiments::grid::{run_cell, Pair, GRID_SEED};
 use pi2_experiments::runner::{par_map, par_map_threads};
 use pi2_experiments::scenario::{AqmKind, FlowGroup, Scenario};
 use pi2_simcore::{Duration, Time};
@@ -19,7 +19,7 @@ fn sub_grid_cells() -> Vec<(AqmKind, u64, i64, u64)> {
     for aqm in [AqmKind::pie_default(), AqmKind::coupled_default()] {
         for link in [4u64, 40] {
             for rtt in [10i64, 50] {
-                cells.push((aqm.clone(), link, rtt, 0x15c0 + link + rtt as u64));
+                cells.push((aqm.clone(), link, rtt, GRID_SEED + link + rtt as u64));
             }
         }
     }

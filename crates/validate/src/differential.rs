@@ -143,7 +143,7 @@ pub fn bands() -> Tolerances {
 }
 
 /// The shared operating point: 12 Mb/s, 50 ms base RTT, 5 flows, a 60 s
-/// packet run with a 20 s warm-up, seed 7.
+/// packet run with a 20 s warm-up, at the grid's seed.
 ///
 /// Here the Reno equilibrium sits near p ≈ 1 % (p' ≈ 10 %) and the
 /// Scalable one near p' ≈ 14 % — comfortably inside every controller's
@@ -215,13 +215,15 @@ pub struct Cell {
     pub ecn: EcnSetting,
     /// The models judged on this cell.
     pub models: &'static [Model],
+    /// Seed of the packet reference and of the hybrid half.
+    pub seed: u64,
 }
 
 /// The grid: {PI, PI2, PIE} × {Reno, Scalable} on the ODE — every encoder
 /// (`Direct`, `Squared`, `TunedDirect`), both window laws, three gain sets
 /// — and one cell per fluid-encodable controller family on the flow-level
-/// engine and in hybrid mode. 7 cells, 13 judged pairs.
-pub fn grid() -> Vec<Cell> {
+/// engine and in hybrid mode. 7 cells, 13 judged pairs, each run at `seed`.
+pub fn grid(seed: u64) -> Vec<Cell> {
     use Model::{FlowLevel, Hybrid, Ode};
     let reno = (CcKind::Reno, EcnSetting::NotEcn);
     let scal = (CcKind::ScalableHalfPkt, EcnSetting::Scalable);
@@ -231,6 +233,7 @@ pub fn grid() -> Vec<Cell> {
         cc,
         ecn,
         models,
+        seed,
     };
     vec![
         cell("pi-reno", AqmKind::Pi(PiConfig::untuned_pie_gains()), reno, &[Ode]),
@@ -256,7 +259,7 @@ impl Cell {
             .push(FlowGroup::new(N_FLOWS, self.cc, self.ecn, "fg", BASE_RTT));
         sc.duration = Time::from_secs(60);
         sc.warmup = Duration::from_secs(20);
-        sc.seed = 7;
+        sc.seed = self.seed;
         sc
     }
 
@@ -535,7 +538,7 @@ mod tests {
 
     #[test]
     fn the_grid_is_seven_cells_and_thirteen_pairs() {
-        let grid = grid();
+        let grid = grid(7);
         let names: Vec<&str> = grid.iter().map(|c| c.name).collect();
         assert_eq!(
             names,
@@ -569,7 +572,7 @@ mod tests {
             ("pie-reno", FluidControllerKind::TunedDirect, 0.125, 1.25),
             ("pie-scal", FluidControllerKind::TunedDirect, 0.125, 1.25),
         ];
-        let grid = grid();
+        let grid = grid(7);
         for (cell, (name, encoder, alpha, beta)) in grid.iter().zip(want) {
             let ode = cell.ode();
             assert_eq!(cell.name, name);
@@ -583,7 +586,7 @@ mod tests {
     fn ode_halves_settle_near_the_target_delay() {
         // Cheap sanity on the mapping itself: every ODE half of the grid
         // must settle within a few ms of the 20 ms target.
-        for cell in grid().iter().filter(|c| c.models.contains(&Model::Ode)) {
+        for cell in grid(7).iter().filter(|c| c.models.contains(&Model::Ode)) {
             let s = cell.ode_summary();
             assert!(
                 (s.qdelay_s - 0.020).abs() < 0.008,

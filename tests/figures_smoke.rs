@@ -15,7 +15,7 @@ fn fig06_13_runner_smoke() {
         phase: Duration::from_secs(4),
         ..IntensityConfig::fig13()
     };
-    let run = run_one(AqmKind::pi2_default(), &cfg);
+    let run = run_one(AqmKind::pi2_default(), &cfg, 13);
     assert_eq!(run.aqm, "pi2");
     assert!(run.qdelay.len() >= 18, "{} samples", run.qdelay.len());
     assert!(run.delay.n > 0);
@@ -78,7 +78,7 @@ fn shortflows_runner_smoke() {
     use pi2::experiments::shortflows::{run_one, WebWorkload};
     let w = WebWorkload {
         duration: pi2::simcore::Time::from_secs(25),
-        ..WebWorkload::light()
+        ..WebWorkload::light(0x11eb)
     };
     let r = run_one(AqmKind::pie_default(), &w);
     assert!(r.launched > 20);
@@ -161,7 +161,7 @@ fn dynamics_runner_smoke() {
 #[test]
 fn ablation_runners_smoke() {
     use pi2::experiments::ablation::{gain_sweep, k_sweep, square_mode};
-    let ks = k_sweep(&[2.0], 10);
+    let ks = k_sweep(&[2.0], 10, 0x5eed);
     assert_eq!(ks.len(), 1);
     assert!(ks[0].ratio > 0.0);
     let gs = gain_sweep(&[2.5], 10);
@@ -266,37 +266,67 @@ fn a_cell_run_alone_is_its_row_in_the_family_table() {
 }
 
 /// A renderer that dropped the knobs it is handed would print the same
-/// table at any length.
+/// table at any length, or at any seed.
 #[test]
 fn a_simulated_figure_follows_its_knobs() {
-    let at = |secs| {
-        rendered(
-            "abl_k",
-            Knobs {
-                secs: Some(secs),
-                seed: None,
-            },
-        )
-    };
-    let two = at(2);
-    assert!(two == at(2), "abl_k at 2 s is not deterministic");
-    assert!(two != at(3), "abl_k prints the same at 2 s and 3 s");
+    let at = |secs, seed| rendered("abl_k", Knobs { secs: Some(secs), seed });
+    let two = at(2, None);
+    assert!(two == at(2, None), "abl_k at 2 s is not deterministic");
+    assert!(two != at(3, None), "abl_k prints the same at 2 s and 3 s");
+    let one = at(2, Some(1));
+    assert!(one == at(2, Some(1)), "abl_k at one seed is not deterministic");
+    assert!(one != at(2, Some(2)), "abl_k prints the same at seeds 1 and 2");
+    // A seed is a bit pattern: the largest one offsets its cells by wrapping.
+    assert!(one != at(2, Some(u64::MAX)), "abl_k prints the same at seeds 1 and 2^64 - 1");
 }
 
 #[test]
 fn a_set_knob_a_figure_ignores_is_named_with_what_runs_instead() {
-    let fig11 = select(&["fig11".to_string()]).unwrap()[0];
+    let row = |id: &str| select(&[id.to_string()]).unwrap()[0];
     let both = Knobs {
         secs: Some(5),
         seed: Some(3),
     };
+    // fig11 reads PI2_SEED, so only its fixed length is worth a note.
     assert_eq!(
-        fig11.ignored(&both).as_deref(),
-        Some("fig11 ignores PI2_SECS (it runs 100 s) and PI2_SEED (it runs seed 11)")
+        row("fig11").ignored(&both).as_deref(),
+        Some("fig11 ignores PI2_SECS (it runs 100 s)")
     );
-    assert_eq!(fig11.ignored(&Knobs::default()), None);
-    // abl_k reads PI2_SECS, so only the seed is worth a note.
-    let abl_k = select(&["abl_k".to_string()]).unwrap()[0];
-    let note = abl_k.ignored(&both).expect("its seeds are fixed");
-    assert!(note.contains("PI2_SEED") && !note.contains("PI2_SECS"), "{note}");
+    assert_eq!(row("fig11").ignored(&Knobs::default()), None);
+    let seed_only = Knobs {
+        secs: None,
+        seed: Some(3),
+    };
+    assert_eq!(
+        row("fig04").ignored(&seed_only).as_deref(),
+        Some("fig04 ignores PI2_SEED (it runs no simulation)")
+    );
+}
+
+/// Every row that simulates reads `PI2_SEED`. Rows that print one sweep
+/// share it through the session, which runs it at the knobs of whichever
+/// row renders first, so their defaults must be equal for the output not
+/// to depend on the order rows are named in.
+#[test]
+fn rows_that_share_a_sweep_share_its_defaults() {
+    for fig in FIGURES {
+        let analytic = ["fig04", "fig05", "fig07"].contains(&fig.id);
+        assert_eq!(fig.seed.when_unset().is_none(), analytic, "{}: seed {:?}", fig.id, fig.seed);
+    }
+    let sweeps: [&[&str]; 2] = [
+        &["fig15", "fig16", "fig17", "fig18", "grid_all"],
+        &["fig19", "fig20"],
+    ];
+    for ids in sweeps {
+        let rows: Vec<_> = ids.iter().map(|id| select(&[id.to_string()]).unwrap()[0]).collect();
+        for fig in &rows[1..] {
+            assert_eq!(
+                (fig.secs, fig.seed),
+                (rows[0].secs, rows[0].seed),
+                "{} and {} print one sweep but differ in their defaults",
+                fig.id,
+                rows[0].id
+            );
+        }
+    }
 }

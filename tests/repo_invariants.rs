@@ -263,6 +263,15 @@ const RULES: &[Rule] = &[
         up_to: None,
         why: LAYOUT_BESIDE_DATA,
     },
+    Rule {
+        needles: &["knobs.seed", "knobs.secs"],
+        roots: &["crates/bench/src/figures"],
+        allowed: &["crates/bench/src/figures/mod.rs"],
+        up_to: None,
+        why: "one reader of the knobs: a figure takes its length and seed from \
+              Figure::secs and Figure::seed, which fall back to the row's one default, so \
+              no renderer keeps a second default of its own",
+    },
 ];
 
 /// Shared by the two rows that keep each checkpoint layout with its data.

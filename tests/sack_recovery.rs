@@ -20,6 +20,7 @@
 //!   from nothing.
 
 use pi2::aqm::FixedProb;
+use pi2::experiments::grid::GRID_SEED;
 use pi2::experiments::{AqmKind, FlowGroup, Scenario};
 use pi2::netsim::{Monitor, QueueSnapshot, TraceCounts};
 use pi2::prelude::*;
@@ -173,7 +174,7 @@ fn largest_grid_cell_is_pinned() {
     ));
     sc.duration = Time::from_secs(10);
     sc.warmup = Duration::from_secs(3);
-    sc.seed = 0x15c0 + 200 + 100;
+    sc.seed = GRID_SEED + 200 + 100;
     let r = sc.run();
     let events = r
         .metrics

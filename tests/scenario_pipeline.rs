@@ -130,7 +130,7 @@ fn dualq_cell_is_pinned() {
 fn shortflows_cell_is_pinned() {
     let w = shortflows::WebWorkload {
         duration: Time::from_secs(20),
-        ..shortflows::WebWorkload::heavy()
+        ..shortflows::WebWorkload::heavy(0x11eb)
     };
     let r = pinned(
         "shortflows::run_one",
